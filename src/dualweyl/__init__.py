@@ -2,6 +2,7 @@
 images as quotients of tabloid spaces over prime fields."""
 
 from .partitions import (
+    InvariantError,
     Partition,
     binom_parity,
     count_syt,
@@ -37,6 +38,7 @@ from .quotients import (
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
+    module_dim,
     restrict_entries,
     straighten,
     u_lambda_dim,

@@ -22,8 +22,20 @@ from pathlib import Path
 from . import decomposition as dc
 from . import predictions as pred
 from .gfp import is_prime
-from .partitions import Partition, format_partition, parse_partition, partitions_of
-from .quotients import build_dual_weyl, build_gtensor_specht, u_lambda_dim, verify_iso
+from .partitions import (
+    InvariantError,
+    Partition,
+    format_partition,
+    parse_partition,
+    partitions_of,
+)
+from .quotients import (
+    build_dual_weyl,
+    build_gtensor_specht,
+    module_dim,
+    u_lambda_dim,
+    verify_iso,
+)
 
 SCHEMA = "dualweyl-report/1"
 SUITES = ("thm1", "thm2", "d1", "hooks-d2", "tables", "example61", "all")
@@ -40,10 +52,14 @@ EXPECTED_NON_ISO = {
 
 U_DIM_FORMULA_SHAPE = Partition((2, 2, 1))
 
+# The thm1 and thm2 sweeps stop at this many boxes whatever --n-max says.
+THM_N_MAX = 6
+
 
 def _u_dim_expected(d: int) -> int:
     value, rem = divmod(d**4 + 5 * d**2, 6)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"(d^4 + 5d^2)/6 is not an integer at d={d}")
     return value
 
 
@@ -426,7 +442,7 @@ def _resolve_jobs(value: int | None) -> int:
     if value is None or value == 0:
         return os.cpu_count() or 1
     if value < 1:
-        raise SystemExit(2)
+        raise _usage_error(f"--jobs must be 0 (all cores) or positive, got {value}")
     return value
 
 
@@ -435,10 +451,8 @@ def cmd_dim(args) -> int:
     shape = parse_partition(args.lam)
     if not is_prime(args.p) or (args.p not in (2, 3, 5) and not args.any_prime):
         raise _usage_error(f"p={args.p} not allowed (pass --any-prime to override)")
-    if args.which == "nabla":
-        value = build_dual_weyl(shape, args.d, args.p).dim
-    elif args.which == "gtensor":
-        value = build_gtensor_specht(shape, args.d, args.p).dim
+    if args.which in ("nabla", "gtensor"):
+        value = module_dim(args.which, shape, args.d, args.p)
     else:
         if args.p != 2:
             raise _usage_error("the kernel dimension is a characteristic-2 notion")
@@ -463,14 +477,22 @@ def cmd_dim(args) -> int:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     jobs = _resolve_jobs(args.jobs)
+    if args.n_max < 1:
+        raise _usage_error(f"--n-max must be positive, got {args.n_max}")
     items: list[dict] = []
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    capped = min(args.n_max, THM_N_MAX)
     for suite in suites:
+        if suite in ("thm1", "thm2") and args.n_max > THM_N_MAX:
+            print(
+                f"note: --n-max {args.n_max} is capped at {THM_N_MAX} for {suite}",
+                file=sys.stderr,
+            )
         if suite == "thm1":
-            items += _run_checks(_suite_thm1_checks(min(args.n_max, 6)), jobs)
+            items += _run_checks(_suite_thm1_checks(capped), jobs)
         elif suite == "thm2":
-            items += _run_checks(_suite_thm2_checks(min(args.n_max, 6)), jobs)
-            items += _thm2_set_items(min(args.n_max, 6))
+            items += _run_checks(_suite_thm2_checks(capped), jobs)
+            items += _thm2_set_items(capped)
         elif suite == "d1":
             items += _run_checks(_suite_d1_checks(args.n_max), jobs)
         elif suite == "hooks-d2":

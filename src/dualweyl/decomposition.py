@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .partitions import (
+    InvariantError,
     Partition,
     dominates,
     hook_content_dim,
@@ -303,5 +304,6 @@ def _eval_poly(coeffs: tuple[Fraction, ...], d: int) -> int:
     for c in coeffs:
         value = value * d + c
     value *= d
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantError(f"dimension polynomial {coeffs} is {value} at d={d}")
     return int(value)

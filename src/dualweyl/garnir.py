@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .gfp import Subspace, SpanBuilder
 from .partitions import Partition
@@ -16,6 +16,7 @@ from .tabloids import (
     TabloidBasis,
     TabloidKind,
     TabloidVector,
+    basis_class,
     build_basis,
     canonicalize,
     skew_column,
@@ -170,24 +171,37 @@ def iter_relation_labels(
     rel_kind: RelationKind,
     tabloid_kind: TabloidKind,
     rule: SnakeRule | None = None,
+    source: Sequence[Tableau] | None = None,
 ) -> Iterator[GarnirLabel]:
-    """Deterministic label stream for each relation family."""
+    """Deterministic label stream for each relation family.
+
+    ``source`` replaces the enumerated source tableaux of the basic and
+    supplementary families: the basic family takes every given tableau,
+    the supplementary family the row-semistandard ones. Given the basis
+    tableaux of one content, this yields the labels of that weight block.
+    At odd p those tableaux have no repeated column entry, so supplementary
+    sources with one are skipped; that loses nothing, because a
+    supplementary relation is zero away from characteristic 2 (its A and B
+    share a letter, and the terms cancel in pairs).
+    """
     rule = rule or default_snake_rule
     conj = shape.conjugate()
-    column_class = (
-        TableauClass.COLUMN_SEMISTANDARD
-        if tabloid_kind.family == "skew" and tabloid_kind.p == 2
-        else TableauClass.COLUMN_STANDARD
-    )
+    column_class = basis_class(tabloid_kind)
     if rel_kind in (RelationKind.ALT_BASIC_SNAKE, RelationKind.SKEW_BASIC_SNAKE):
-        for t in enumerate_tableaux(shape, d, column_class):
+        if source is None:
+            source = enumerate_tableaux(shape, d, column_class)
+        for t in source:
             box = rule(t)
             if box is not None:
                 yield snake_label(t, box[0], box[1])
     elif rel_kind is RelationKind.SKEW_SUPPLEMENTARY:
-        for t in enumerate_tableaux(
-            shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD
-        ):
+        if source is None:
+            source = enumerate_tableaux(
+                shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD
+            )
+        else:
+            source = [t for t in source if t.is_row_semistandard()]
+        for t in source:
             for j in range(1, shape[0]):
                 for i in range(1, conj.part(j + 1) + 1):
                     if t.entry(i, j) == t.entry(i, j + 1):

@@ -8,6 +8,11 @@ from fractions import Fraction
 from typing import Iterator
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check of an exact computation failed. This
+    signals a bug in the package, never bad input."""
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
@@ -133,7 +138,8 @@ def hook_content_dim(shape: Partition, d: int) -> int:
     for i, j in shape.boxes():
         hook = (shape.part(i) - j) + (conj.part(j) - i) + 1
         value *= Fraction(d + j - i, hook)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantError(f"hook content product for {shape} is {value}")
     return int(value)
 
 
@@ -143,7 +149,8 @@ def count_syt(shape: Partition) -> int:
     for i, j in shape.boxes():
         hooks *= hook_length(shape, i, j)
     count, rem = divmod(math.factorial(shape.n), hooks)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"hook product of {shape} does not divide n!")
     return count
 
 

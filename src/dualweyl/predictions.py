@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
-from .partitions import Partition, partitions_of
+from .partitions import InvariantError, Partition, partitions_of
 from .quotients import build_gtensor_specht, verify_iso
 from .tabloids import ker_q_generators
 
@@ -177,7 +177,8 @@ def table1_expected(d: int) -> dict[Partition, int]:
 def supplementary_rank_gain(shape: Partition, d: int, p: int = 2) -> int:
     """Rank added by the supplementary relations on top of the basic ones."""
     gain = build_gtensor_specht(shape, d, p).supplementary_rank_gain
-    assert gain is not None
+    if gain is None:
+        raise InvariantError("the skew construction did not record its rank gain")
     return gain
 
 

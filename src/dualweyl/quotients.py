@@ -2,14 +2,31 @@
 
 Both modules are quotients of a tabloid space by a relation span. All
 relation generators are weight homogeneous, so spans are built one
-weight block at a time; this is what keeps the larger sweeps cheap.
+weight block at a time, by one filler that takes the column tableaux of a
+single content.
+
+Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
+kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
+blocks, of content beta a partition of n with at most d parts. This is
+exact for two reasons. Both modules and U are polynomial GL_d-modules, so
+a weight multiplicity is constant on the S_d-orbit of the weight (Green,
+Polynomial Representations of GL_n, LNM 830). And a block of content
+beta padded with zeros uses only the letters 1..len(beta), so it is the
+same block for every d >= len(beta); dominant blocks are built per
+content and shared across d. Module objects (reduce, quotient_indices,
+weight tables, transvections) and `supplementary_rank_gain` still build
+every block: the rank of the basic relations alone is not constant on
+S_d-orbits, only the final rank is.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
+from typing import Iterator, Sequence
 
 from .garnir import (
     RelationKind,
@@ -18,13 +35,15 @@ from .garnir import (
     iter_relation_labels,
     snake_label,
 )
-from .gfp import SpanBuilder, Subspace
-from .partitions import Partition
-from .tableaux import ColOrderResult, Tableau, col_compare
+from .gfp import SpanBuilder
+from .partitions import InvariantError, Partition, partitions_of
+from .tableaux import ColOrderResult, Tableau, col_compare, enumerate_tableaux
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
+    TabloidKind,
     TabloidVector,
+    basis_class,
     build_basis,
     canonicalize,
     has_column_repeat,
@@ -37,7 +56,7 @@ WeightTable = dict[tuple[int, ...], int]
 
 @dataclass
 class _Block:
-    indices: list[int]  # ambient indices in basis order
+    indices: list[int]  # positions in the grouped sequence (ambient indices)
     pos: dict[Tableau, int]  # representative -> local coordinate
     span: SpanBuilder
     basic_rank: int = 0
@@ -119,21 +138,25 @@ class QuotientModule:
             )
         return sorted(out)
 
-    def full_relation_subspace(self) -> Subspace:
-        """Relation span in ambient coordinates; for small spaces only."""
-        builder = SpanBuilder(self.ambient.dim, self.p)
-        for w, block in self._blocks.items():
-            for row in block.span.subspace().basis_rows():
-                builder.add(
-                    {block.indices[j]: c for j, c in enumerate(row) if c}
-                )
-        return builder.subspace()
+
+def _tabloid_kind(model: str, p: int) -> TabloidKind:
+    return ALT_COLUMN if model == "nabla" else skew_column(p)
 
 
-def _make_blocks(basis: TabloidBasis, p: int) -> dict[tuple[int, ...], _Block]:
+_BASIC_SNAKES = {
+    "nabla": RelationKind.ALT_BASIC_SNAKE,
+    "gtensor": RelationKind.SKEW_BASIC_SNAKE,
+}
+
+
+def _make_blocks(
+    reps: Sequence[Tableau], d: int, p: int
+) -> dict[tuple[int, ...], _Block]:
+    """Group tableaux by weight, keeping their order, each group with an
+    empty span."""
     blocks: dict[tuple[int, ...], _Block] = {}
-    for i, t in enumerate(basis.reps):
-        w = t.weight(basis.d)
+    for i, t in enumerate(reps):
+        w = t.weight(d)
         block = blocks.get(w)
         if block is None:
             block = blocks[w] = _Block([], {}, SpanBuilder(0, p))
@@ -145,44 +168,64 @@ def _make_blocks(basis: TabloidBasis, p: int) -> dict[tuple[int, ...], _Block]:
 
 
 def _push_terms(
-    blocks: dict[tuple[int, ...], _Block],
+    span: SpanBuilder,
     terms: dict[Tableau, int],
-    d: int,
+    pos: dict[Tableau, int],
     p: int,
 ) -> bool:
+    """Push one relation into the span of the block with local coordinates
+    ``pos``. Relations are weight homogeneous, so every term must lie in
+    that block; building blocks one content at a time rests on this."""
     if not terms:
         return False
-    tabs = iter(terms)
-    first = next(tabs)
-    w = first.weight(d)
-    assert all(t.weight(d) == w for t in tabs), "relation is not weight homogeneous"
-    block = blocks[w]
+    try:
+        local = {pos[t]: c for t, c in terms.items()}
+    except KeyError as exc:
+        raise InvariantError(
+            f"relation term {exc.args[0]} lies outside its weight block"
+        ) from None
     if p == 2:
         mask = 0
-        for t, c in terms.items():
+        for j, c in local.items():
             if c % 2:
-                mask |= 1 << block.pos[t]
-        return block.span.add_mask(mask)
-    return block.span.add({block.pos[t]: c for t, c in terms.items()})
+                mask |= 1 << j
+        return span.add_mask(mask)
+    return span.add(local)
+
+
+def _fill_block(block: _Block, shape: Partition, d: int, model: str) -> None:
+    """Push every relation whose source tableau lies in the block into its
+    span, recording the rank reached by the basic snakes.
+
+    The block holds the column tableaux of one content in column-reading
+    order. Each contributes the basic snake of the default snake rule; for
+    the skew construction the row-semistandard ones then contribute their
+    supplementary snakes. The labels keep their relative order in the
+    stream over all tableaux, so the span does not depend on building
+    block by block.
+    """
+    p = block.span.p
+    kind = _tabloid_kind(model, p)
+    reps = list(block.pos)
+    for label in iter_relation_labels(
+        shape, d, _BASIC_SNAKES[model], kind, source=reps
+    ):
+        _push_terms(block.span, garnir_terms(label, kind), block.pos, p)
+    block.basic_rank = block.span.rank
+    if model == "gtensor":
+        for label in iter_relation_labels(
+            shape, d, RelationKind.SKEW_SUPPLEMENTARY, kind, source=reps
+        ):
+            _push_terms(block.span, garnir_terms(label, kind), block.pos, p)
 
 
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
-    if model == "nabla":
-        kind = ALT_COLUMN
-        stages = [RelationKind.ALT_BASIC_SNAKE]
-    else:
-        kind = skew_column(p)
-        stages = [RelationKind.SKEW_BASIC_SNAKE, RelationKind.SKEW_SUPPLEMENTARY]
-    basis = build_basis(shape, d, kind)
-    blocks = _make_blocks(basis, p)
+    basis = build_basis(shape, d, _tabloid_kind(model, p))
+    blocks = _make_blocks(basis.reps, d, p)
+    for block in blocks.values():
+        _fill_block(block, shape, d, model)
     gain = None
-    for stage, rel_kind in enumerate(stages):
-        for label in iter_relation_labels(shape, d, rel_kind, kind):
-            _push_terms(blocks, garnir_terms(label, kind), d, p)
-        if model == "gtensor" and stage == 0:
-            for block in blocks.values():
-                block.basic_rank = block.span.rank
     if model == "gtensor":
         gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
     return QuotientModule(basis, p, blocks, supplementary_rank_gain=gain)
@@ -204,14 +247,85 @@ def weight_table(module: QuotientModule) -> WeightTable:
     return module.weight_table()
 
 
-def _gens_by_weight(module: QuotientModule) -> dict[tuple[int, ...], list[int]]:
-    """Local positions of the repeated-column-entry representatives."""
+# ---------------------------------------------------------------------------
+# Dominant blocks
+
+
+def _dominant_weights(n: int, d: int) -> list[Partition]:
+    if d < 1:
+        raise ValueError("d must be positive")
+    return [beta for beta in partitions_of(n) if len(beta) <= d]
+
+
+def _orbit_size(beta: Partition, d: int) -> int:
+    """Number of distinct weights over d letters that rearrange beta."""
+    size = factorial(d) // factorial(d - len(beta))
+    for mult in Counter(beta).values():
+        size //= factorial(mult)
+    return size
+
+
+def _orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
+    """The distinct rearrangements of beta padded with zeros to d letters."""
+    counts = Counter(beta)
+    counts[0] += d - len(beta)
+    values = sorted(counts)
+    weight: list[int] = []
+
+    def rec() -> Iterator[tuple[int, ...]]:
+        if len(weight) == d:
+            yield tuple(weight)
+            return
+        for v in values:
+            if counts[v]:
+                counts[v] -= 1
+                weight.append(v)
+                yield from rec()
+                weight.pop()
+                counts[v] += 1
+
+    return rec()
+
+
+@lru_cache(maxsize=4096)
+def _dominant_block(
+    shape: Partition, p: int, model: str, beta: Partition
+) -> _Block:
+    """The weight block of content beta, over the letters 1..len(beta); it
+    is the block of beta padded with zeros for every larger d."""
+    d = len(beta)
+    kind = _tabloid_kind(model, p)
+    reps = enumerate_tableaux(shape, d, basis_class(kind), content=tuple(beta))
+    block = _make_blocks(reps, d, p).get(beta) or _Block([], {}, SpanBuilder(0, p))
+    _fill_block(block, shape, d, model)
+    return block
+
+
+def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
+    """Dimension of the dual Weyl module (``"nabla"``) or of the skew
+    construction (``"gtensor"``), summed over dominant blocks times their
+    orbit sizes."""
+    if which not in _BASIC_SNAKES:
+        raise ValueError(f"unknown module {which!r}")
+    total = 0
+    for beta in _dominant_weights(shape.n, d):
+        block = _dominant_block(shape, p, which, beta)
+        total += (block.size - block.span.rank) * _orbit_size(beta, d)
+    return total
+
+
+def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]]:
+    """Local positions of the repeated-column-entry representatives in each
+    dominant mod-2 skew block. Only a block in which some letter occurs
+    twice has one, and only if a column has two boxes."""
     out: dict[tuple[int, ...], list[int]] = {}
-    basis = module.ambient
-    for t in basis.reps:
-        if has_column_repeat(t):
-            w = t.weight(basis.d)
-            out.setdefault(w, []).append(module._blocks[w].pos[t])
+    if len(shape) < 2:
+        return out
+    for beta in _dominant_weights(shape.n, d):
+        if beta[0] < 2:
+            continue
+        block = _dominant_block(shape, 2, "gtensor", beta)
+        out[beta] = [j for t, j in block.pos.items() if has_column_repeat(t)]
     return out
 
 
@@ -221,31 +335,42 @@ def verify_iso(shape: Partition, d: int, p: int) -> bool:
     span. Away from characteristic 2 the kernel is zero."""
     if p != 2:
         return True
-    module = build_gtensor_specht(shape, d, 2)
-    for w, positions in _gens_by_weight(module).items():
-        span = module._blocks[w].span
+    for beta, positions in _gens_by_weight(shape, d).items():
+        span = _dominant_block(shape, 2, "gtensor", beta).span
         for pos in positions:
             if span.residual_mask(1 << pos):
                 return False
     return True
 
 
-def u_lambda_weight_table(shape: Partition, d: int) -> WeightTable:
-    """Per-weight dimension of the kernel of the surjection onto the dual
-    Weyl module, computed as the rank growth of the relation span when the
-    kernel generators are adjoined."""
-    module = build_gtensor_specht(shape, d, 2)
-    table: dict[tuple[int, ...], int] = {}
-    for w, positions in sorted(_gens_by_weight(module).items()):
-        probe = module._blocks[w].span.copy()
+def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
+    """Kernel dimension at each dominant weight, as the rank growth of the
+    relation span when the kernel generators are adjoined."""
+    out = {}
+    for beta, positions in _gens_by_weight(shape, d).items():
+        probe = _dominant_block(shape, 2, "gtensor", beta).span.copy()
         grown = sum(1 for pos in positions if probe.add_mask(1 << pos))
         if grown:
-            table[w] = grown
-    return table
+            out[beta] = grown
+    return out
+
+
+def u_lambda_weight_table(shape: Partition, d: int) -> WeightTable:
+    """Per-weight dimension of the kernel of the surjection onto the dual
+    Weyl module: each dominant entry repeated over its S_d-orbit."""
+    table = {
+        w: grown
+        for beta, grown in _kernel_dims(shape, d).items()
+        for w in _orbit(beta, d)
+    }
+    return dict(sorted(table.items()))
 
 
 def u_lambda_dim(shape: Partition, d: int) -> int:
-    return sum(u_lambda_weight_table(shape, d).values())
+    return sum(
+        grown * _orbit_size(beta, d)
+        for beta, grown in _kernel_dims(shape, d).items()
+    )
 
 
 def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
@@ -272,7 +397,8 @@ def _straighten_terms(
     guard = 0
     while True:
         guard += 1
-        assert guard < 100_000, "straightening failed to terminate"
+        if guard >= 100_000:
+            raise InvariantError("straightening failed to terminate")
         target = None
         for rep, c in terms.items():
             if c % p == 0 or rep.is_row_semistandard():
@@ -284,7 +410,8 @@ def _straighten_terms(
         coeff = terms[target] % p
         box = default_snake_rule(target)
         rel = garnir_terms(snake_label(target, box[0], box[1]), ALT_COLUMN)
-        assert rel.get(target) == 1
+        if rel.get(target) != 1:
+            raise InvariantError(f"basic snake of {target} does not lead with it")
         for rep, c in rel.items():
             v = (terms.get(rep, 0) - coeff * c) % p
             if v:
@@ -311,16 +438,22 @@ def restrict_entries(
         raise ValueError("need 1 <= d_sub <= d")
     kind = skew_column(p)
     sub_basis = build_basis(shape, d_sub, kind)
-    blocks = _make_blocks(sub_basis, p)
+    blocks = _make_blocks(sub_basis.reps, d_sub, p)
     for rel_kind in (RelationKind.SKEW_BASIC_SNAKE, RelationKind.SKEW_SUPPLEMENTARY):
         for label in iter_relation_labels(shape, d, rel_kind, kind):
             terms = garnir_terms(label, kind)
             projected = {t: c for t, c in terms.items() if t.max_entry() <= d_sub}
-            _push_terms(blocks, projected, d_sub, p)
+            if projected:
+                block = blocks[next(iter(projected)).weight(d_sub)]
+                _push_terms(block.span, projected, block.pos, p)
     rank = sum(b.span.rank for b in blocks.values())
     restricted = sub_basis.dim - rank
     direct = build_gtensor_specht(shape, d_sub, p).dim
-    assert restricted == direct, (restricted, direct)
+    if restricted != direct:
+        raise InvariantError(
+            f"restriction of {shape} from d={d} to {d_sub} gives {restricted}, "
+            f"the direct build {direct}"
+        )
     return restricted, direct
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .partitions import Partition
 
@@ -142,30 +142,51 @@ _COLUMN_DRIVEN = {
 }
 
 
+_STRICT_COLUMNS = {
+    TableauClass.COLUMN_STANDARD,
+    TableauClass.STANDARD,
+    TableauClass.SEMISTANDARD,
+}
+
+
 def enumerate_tableaux(
-    shape: Partition, d: int, cls: TableauClass
+    shape: Partition,
+    d: int,
+    cls: TableauClass,
+    content: tuple[int, ...] | None = None,
 ) -> list[Tableau]:
     """All tableaux of the requested class, each once, in column-reading
-    lexicographic order."""
+    lexicographic order.
+
+    With ``content`` (length d) only the tableaux in which letter k occurs
+    content[k-1] times are generated, directly rather than by filtering;
+    this needs a class whose columns are sorted.
+    """
     if d < 1:
         raise ValueError("d must be positive")
     heights = tuple(shape.conjugate())
     alphabet = range(1, d + 1)
 
+    if content is not None and cls not in _COLUMN_DRIVEN - {TableauClass.ALL}:
+        raise ValueError(f"enumeration by content needs sorted columns, not {cls}")
+
     if cls in _COLUMN_DRIVEN:
-        if cls is TableauClass.ALL:
-            per_col = [list(product(alphabet, repeat=h)) for h in heights]
-        elif cls in (
-            TableauClass.COLUMN_STANDARD,
-            TableauClass.STANDARD,
-            TableauClass.SEMISTANDARD,
-        ):
-            per_col = [list(combinations(alphabet, h)) for h in heights]
+        if content is not None:
+            if len(content) != d or min(content) < 0 or sum(content) != shape.n:
+                raise ValueError(f"content {content} does not fill {shape}")
+            strict = cls in _STRICT_COLUMNS
+            col_tuples = _cols_of_content(heights, list(content), strict)
         else:
-            per_col = [
-                list(combinations_with_replacement(alphabet, h)) for h in heights
-            ]
-        out = [Tableau(cols) for cols in product(*per_col)]
+            if cls is TableauClass.ALL:
+                per_col = [list(product(alphabet, repeat=h)) for h in heights]
+            elif cls in _STRICT_COLUMNS:
+                per_col = [list(combinations(alphabet, h)) for h in heights]
+            else:
+                per_col = [
+                    list(combinations_with_replacement(alphabet, h)) for h in heights
+                ]
+            col_tuples = product(*per_col)
+        out = [Tableau(cols) for cols in col_tuples]
         if cls is TableauClass.SEMISTANDARD:
             out = [t for t in out if t.is_row_semistandard()]
         elif cls is TableauClass.STANDARD:
@@ -184,6 +205,42 @@ def enumerate_tableaux(
     out = [Tableau.from_rows(rows) for rows in product(*per_row)]
     out.sort(key=Tableau.col_reading)
     return out
+
+
+def _cols_of_content(
+    heights: tuple[int, ...], counts: list[int], strict: bool
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Column tuples of sorted columns (strictly increasing when strict)
+    using letter k exactly counts[k-1] times, in lexicographic order;
+    ``counts`` is consumed and restored in place."""
+    cols: list[tuple[int, ...]] = []
+
+    def column(h: int, low: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
+        if h == 0:
+            yield tuple(prefix)
+            return
+        for x in range(low, len(counts) + 1):
+            if counts[x - 1]:
+                counts[x - 1] -= 1
+                prefix.append(x)
+                yield from column(h - 1, x + 1 if strict else x, prefix)
+                prefix.pop()
+                counts[x - 1] += 1
+
+    def rec(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if k == len(heights):
+            yield tuple(cols)
+            return
+        # A strict column holds a letter at most once, so no letter may
+        # outnumber the columns still to fill.
+        if strict and max(counts) > len(heights) - k:
+            return
+        for col in column(heights[k], 1, []):
+            cols.append(col)
+            yield from rec(k + 1)
+            cols.pop()
+
+    return rec(0)
 
 
 def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:

@@ -91,10 +91,13 @@ def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:
     return SignedTabloid(rep, -1 if parity else 1)
 
 
-_BASIS_CLASS = {
-    "row": TableauClass.ROW_SEMISTANDARD,
-    "alt": TableauClass.COLUMN_STANDARD,
-}
+def basis_class(kind: TabloidKind) -> TableauClass:
+    """Tableau class of the canonical representatives of a tabloid kind."""
+    if kind.family == "row":
+        return TableauClass.ROW_SEMISTANDARD
+    if kind.zero_on_column_repeats:
+        return TableauClass.COLUMN_STANDARD
+    return TableauClass.COLUMN_SEMISTANDARD
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,7 @@ class TabloidBasis:
 @lru_cache(maxsize=None)
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives in the deterministic tableau order."""
-    if kind.family == "skew":
-        cls = (
-            TableauClass.COLUMN_SEMISTANDARD
-            if kind.p == 2
-            else TableauClass.COLUMN_STANDARD
-        )
-    else:
-        cls = _BASIS_CLASS[kind.family]
-    reps = tuple(enumerate_tableaux(shape, d, cls))
+    reps = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
     return TabloidBasis(
         kind, shape, d, reps, {t: i for i, t in enumerate(reps)}
     )

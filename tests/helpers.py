@@ -1,11 +1,14 @@
 """Shared brute-force oracles for the test suite. These deliberately avoid
-the library's canonicalization and span machinery so they can check it."""
+the library's canonicalization and span machinery so they can check it,
+except the all-blocks kernel probe, which is the reference for the
+dominant-block path."""
 
 from itertools import permutations, product
 
 from dualweyl.partitions import Partition
+from dualweyl.quotients import build_gtensor_specht
 from dualweyl.tableaux import Tableau
-from dualweyl.tabloids import ROW, canonicalize
+from dualweyl.tabloids import ROW, canonicalize, has_column_repeat
 
 
 def brute_fillings(shape, d):
@@ -58,6 +61,24 @@ def apply_e_map(terms: dict[Tableau, int], p: int) -> dict[Tableau, int]:
     return out
 
 
+def kernel_table_all_blocks(shape, d, p=2):
+    """Kernel of the surjection onto the dual Weyl module at every weight,
+    by probing every block of the full skew build with its
+    repeated-column-entry representatives (none exist at odd p)."""
+    module = build_gtensor_specht(shape, d, p)
+    table = {}
+    for w, block in sorted(module._blocks.items()):
+        probe = block.span.copy()
+        grown = sum(
+            1
+            for t, j in block.pos.items()
+            if has_column_repeat(t) and probe.add({j: 1})
+        )
+        if grown:
+            table[w] = grown
+    return table
+
+
 def prod(items):
     result = 1
     for x in items:
@@ -70,5 +91,6 @@ __all__ = [
     "apply_e_map",
     "brute_fillings",
     "column_antisymmetrization",
+    "kernel_table_all_blocks",
     "prod",
 ]

@@ -1,10 +1,18 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dualweyl.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+VERIFY_ALL_SHA256 = "4651521214fa13f502de04c267f2259a433e062f1682606ae85bfcef7231d4cf"
 
 
 def run(capsys, *argv):
@@ -85,6 +93,41 @@ def test_verify_thm2_small_json(capsys):
     checks = {item["check"] for item in report["items"]}
     assert "predicted_iso_matches_construction" in checks
     assert "non_iso_set" in checks
+
+
+def test_verify_usage_errors(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "d1", "--n-max", "0")
+    assert code == 2 and out == "" and "--n-max" in err
+    code, out, err = run(capsys, "verify", "--suite", "d1", "--jobs", "-1")
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_verify_reports_the_n_max_cap(capsys):
+    code, _, err = run(
+        capsys, "verify", "--suite", "thm2", "--n-max", "7", "--jobs", "1"
+    )
+    assert code == 0 and "capped at 6" in err
+    code, _, err = run(
+        capsys, "verify", "--suite", "thm2", "--n-max", "3", "--jobs", "1"
+    )
+    assert code == 0 and err == ""
+
+
+def test_verify_all_report_is_pinned():
+    # The report bytes of the full sweep are fixed; any change to a
+    # construction that alters a dimension, verdict or table shows here.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualweyl.cli", "verify", "--suite", "all",
+         "--jobs", "2", "--no-timing", "--format", "json"],
+        capture_output=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["items"]) == 650
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_d1_parallel_matches_serial(capsys):

@@ -1,0 +1,87 @@
+"""The dominant-block path against the all-blocks build, and the invariants
+it rests on: final block ranks are constant on S_d-orbits of weights and do
+not depend on d, while the rank of the basic relations alone is not."""
+
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dualweyl.partitions import Partition, partitions_of
+from dualweyl.quotients import (
+    build_dual_weyl,
+    build_gtensor_specht,
+    module_dim,
+    u_lambda_dim,
+    u_lambda_weight_table,
+    verify_iso,
+)
+from helpers import kernel_table_all_blocks
+
+CASES = [
+    (shape, d, p)
+    for n in range(1, 6)
+    for shape in partitions_of(n)
+    for d in range(1, n + 2)
+    for p in (2, 3, 5)
+]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dominant_path_matches_all_blocks(n):
+    for shape, d, p in (c for c in CASES if c[0].n == n):
+        assert module_dim("nabla", shape, d, p) == build_dual_weyl(shape, d, p).dim
+        assert (
+            module_dim("gtensor", shape, d, p)
+            == build_gtensor_specht(shape, d, p).dim
+        ), (shape, d, p)
+        oracle = kernel_table_all_blocks(shape, d, p)
+        assert verify_iso(shape, d, p) == (not oracle), (shape, d, p)
+        if p == 2:
+            table = u_lambda_weight_table(shape, d)
+            assert table == oracle, (shape, d)
+            assert list(table) == sorted(table)
+            assert u_lambda_dim(shape, d) == sum(oracle.values())
+
+
+def test_module_dim_rejects_bad_input():
+    with pytest.raises(ValueError):
+        module_dim("u", Partition((2, 1)), 2, 2)
+    with pytest.raises(ValueError):
+        module_dim("nabla", Partition((2, 1)), 0, 2)
+    with pytest.raises(ValueError):
+        u_lambda_dim(Partition((2, 1)), 0)
+
+
+def _ranks(module):
+    return {w: block.span.rank for w, block in module._blocks.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([s for n in range(1, 5) for s in partitions_of(n)]),
+    d=st.integers(1, 4),
+    p=st.sampled_from([2, 3]),
+    which=st.sampled_from(["nabla", "gtensor"]),
+    data=st.data(),
+)
+def test_final_block_ranks_are_orbit_invariant_and_stable_in_d(
+    shape, d, p, which, data
+):
+    build = build_dual_weyl if which == "nabla" else build_gtensor_specht
+    ranks = _ranks(build(shape, d, p))
+    perm = data.draw(st.permutations(range(d)))
+    for w, rank in ranks.items():
+        assert ranks[tuple(w[k] for k in perm)] == rank, (w, perm)
+    wider = _ranks(build(shape, d + 1, p))
+    for w, rank in ranks.items():
+        assert wider[w + (0,)] == rank, w
+
+
+def test_basic_rank_is_not_orbit_invariant():
+    # Only the final rank is constant on an orbit, which is why the
+    # supplementary rank gain still needs every block.
+    blocks = build_gtensor_specht(Partition((2, 2, 1)), 3, 2)._blocks
+    orbit = set(permutations((4, 1, 0)))
+    assert {blocks[w].basic_rank for w in orbit} == {0, 1}
+    assert {blocks[w].span.rank for w in orbit} == {1}

@@ -71,6 +71,21 @@ def test_vanishing_supplementary_relation():
     assert any(lab.t == t for lab in zero_labels)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_supplementary_relations_vanish_at_odd_primes(p):
+    # A and B share the letter of the equal pair, so the terms cancel in
+    # pairs; block-wise builds may therefore skip the sources with a
+    # repeated column entry, which are not skew basis tableaux at odd p.
+    kind = skew_column(p)
+    for n in range(2, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 4):
+                for label in iter_relation_labels(
+                    shape, d, RelationKind.SKEW_SUPPLEMENTARY, kind
+                ):
+                    assert garnir_terms(label, kind) == {}, label
+
+
 def test_one_letter_snake_coefficient():
     # With a single letter each snake relation collapses onto one tabloid
     # with coefficient C(height+1, i).

@@ -252,3 +252,16 @@ def test_degenerate_shapes_flow_through():
     assert module.dim == 0
     assert module.weight_table() == {}
     assert build_gtensor_specht(Partition((3,)), 1, 2).dim == 1
+
+
+def test_inhomogeneous_relation_is_refused():
+    from dualweyl.partitions import InvariantError
+    from dualweyl.quotients import _make_blocks, _push_terms
+
+    basis = build_basis(Partition((2, 1)), 2, skew_column(2))
+    blocks = _make_blocks(basis.reps, 2, 2)
+    block = blocks[(2, 1)]
+    other = next(t for t in basis.reps if t.weight(2) == (1, 2))
+    terms = {next(iter(block.pos)): 1, other: 1}
+    with pytest.raises(InvariantError):
+        _push_terms(block.span, terms, block.pos, 2)

@@ -58,6 +58,41 @@ def test_enumeration_order_is_column_lex():
         assert len(set(out)) == len(out)
 
 
+def test_content_enumeration_matches_filtered_enumeration():
+    sorted_classes = [
+        TableauClass.COLUMN_STANDARD,
+        TableauClass.COLUMN_SEMISTANDARD,
+        TableauClass.STANDARD,
+        TableauClass.SEMISTANDARD,
+        TableauClass.ROW_AND_COLUMN_SEMISTANDARD,
+    ]
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 4):
+                for cls in sorted_classes:
+                    by_weight = {}
+                    for t in enumerate_tableaux(shape, d, cls):
+                        by_weight.setdefault(t.weight(d), []).append(t)
+                    for w, expected in by_weight.items():
+                        got = enumerate_tableaux(shape, d, cls, content=w)
+                        assert got == expected, (shape, d, cls, w)
+    # a content no tableau of the class realises gives nothing
+    strict = TableauClass.COLUMN_STANDARD
+    assert enumerate_tableaux(Partition((1, 1)), 1, strict, content=(2,)) == []
+
+
+def test_content_enumeration_rejects_bad_requests():
+    shape = Partition((2, 1))
+    with pytest.raises(ValueError):
+        enumerate_tableaux(shape, 2, TableauClass.COLUMN_STANDARD, content=(1, 1))
+    with pytest.raises(ValueError):
+        enumerate_tableaux(shape, 2, TableauClass.COLUMN_STANDARD, content=(3,))
+    with pytest.raises(ValueError):
+        enumerate_tableaux(shape, 2, TableauClass.ALL, content=(2, 1))
+    with pytest.raises(ValueError):
+        enumerate_tableaux(shape, 2, TableauClass.ROW_STANDARD, content=(2, 1))
+
+
 def test_semistandard_count_matches_hook_content():
     for n in range(1, 7):
         for shape in partitions_of(n):
