@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -434,7 +433,11 @@ def _emit_report(args, command: str, items: list[dict], started: float) -> int:
 def _run_checks(checks: list[tuple], jobs: int) -> list[dict]:
     if jobs == 1 or len(checks) <= 1:
         return [_run_check(c) for c in checks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Imported here: a `dim` call never needs the pool, and the import
+    # is a noticeable share of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(checks))) as pool:
         return list(pool.map(_run_check, checks, chunksize=4))
 
 

@@ -1,17 +1,15 @@
-"""Exact dense linear algebra over GF(p) for small primes.
+"""Exact sparse linear algebra over GF(p) for small primes.
 
 GF(2) vectors are Python ints used as bit masks (bit i = coordinate i),
-which keeps row reduction at word-XOR speed for ambient dimensions in the
-tens of thousands. Odd primes use numpy integer rows reduced mod p.
+which keeps row reduction at word-XOR speed. Odd primes use sparse rows,
+dicts from coordinate to a coefficient in [1, p). Spans are held in fully
+reduced row-echelon form at all times, so reducing a vector touches only
+the pivots in its support.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
-
-VectorLike = "int | Sequence[int] | dict[int, int]"
+from typing import Iterable
 
 
 def is_prime(p: int) -> bool:
@@ -30,111 +28,121 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _items(vec, ambient_dim: int):
+    """(coordinate, coefficient) pairs of a sequence or sparse dict."""
+    if isinstance(vec, dict):
+        for i in vec:
+            if not 0 <= i < ambient_dim:
+                raise ValueError("coordinate out of range")
+        return vec.items()
+    seq = list(vec)
+    if len(seq) != ambient_dim:
+        raise ValueError(f"expected length {ambient_dim}, got {len(seq)}")
+    return enumerate(seq)
+
+
 def as_mask(vec, ambient_dim: int) -> int:
     """Coerce a GF(2) vector (int mask, sequence, or sparse dict) to a mask."""
     if isinstance(vec, int):
         if vec >> ambient_dim:
             raise ValueError("vector exceeds ambient dimension")
         return vec
-    if isinstance(vec, dict):
-        mask = 0
-        for i, c in vec.items():
-            if not 0 <= i < ambient_dim:
-                raise ValueError("coordinate out of range")
-            if c % 2:
-                mask |= 1 << i
-        return mask
-    seq = list(vec)
-    if len(seq) != ambient_dim:
-        raise ValueError(f"expected length {ambient_dim}, got {len(seq)}")
     mask = 0
-    for i, c in enumerate(seq):
+    for i, c in _items(vec, ambient_dim):
         if c % 2:
             mask |= 1 << i
     return mask
 
 
-def as_array(vec, ambient_dim: int, p: int) -> np.ndarray:
-    if isinstance(vec, dict):
-        out = np.zeros(ambient_dim, dtype=np.int64)
-        for i, c in vec.items():
-            if not 0 <= i < ambient_dim:
-                raise ValueError("coordinate out of range")
-            out[i] = c % p
-        return out
-    arr = np.asarray(list(vec), dtype=np.int64)
-    if arr.shape != (ambient_dim,):
-        raise ValueError(f"expected length {ambient_dim}, got {arr.shape}")
-    return arr % p
+def as_dict(vec, ambient_dim: int, p: int) -> dict[int, int]:
+    """Coerce a vector (sequence or sparse dict) to a fresh sparse row with
+    coefficients in [1, p)."""
+    return {i: c % p for i, c in _items(vec, ambient_dim) if c % p}
+
+
+def _reduce_mask(mask: int, piv: dict[int, int], pivmask: int) -> int:
+    """Clear the pivot bits of mask. The rows are in reduced echelon form,
+    so each pivot bit in the support is cleared by one XOR and no other
+    pivot bit changes."""
+    todo = mask & pivmask
+    while todo:
+        low = todo & (-todo)
+        mask ^= piv[low]
+        todo ^= low
+    return mask
+
+
+def _reduce_dict(
+    v: dict[int, int], piv: dict[int, dict[int, int]], p: int
+) -> dict[int, int]:
+    """Clear the pivot coordinates of v in place (coefficients in [1, p))
+    and return it. The rows are in reduced echelon form, so subtracting one
+    changes no other pivot coordinate."""
+    for j in [j for j in v if j in piv]:
+        c = v[j]
+        for i, a in piv[j].items():
+            x = (v.get(i, 0) - c * a) % p
+            if x:
+                v[i] = x
+            else:
+                del v[i]
+    return v
 
 
 class Subspace:
     """A subspace of GF(p)^m held as a reduced row-echelon basis.
 
-    Pivots are leading (lowest-index) nonzero coordinates, strictly
-    increasing down the basis, and each pivot coordinate is zero in every
-    other basis row; the representation is therefore canonical.
+    Pivots are leading (lowest-index) nonzero coordinates with coefficient
+    1, and each pivot coordinate is zero in every other basis row; the
+    representation is therefore canonical. Rows are keyed by pivot: the
+    pivot bit at p = 2, the pivot index otherwise. Stored rows are never
+    modified in place, so copies may share them.
     """
 
-    def __init__(self, ambient_dim: int, p: int, rows2=None, rows_odd=None):
+    def __init__(self, ambient_dim: int, p: int):
         _check_prime(p)
         self.ambient_dim = ambient_dim
         self.p = p
-        if p == 2:
-            self._rows = list(rows2 if rows2 is not None else [])
-        else:
-            self._rows = (
-                rows_odd
-                if rows_odd is not None
-                else np.zeros((0, ambient_dim), dtype=np.int64)
-            )
+        self._piv: dict = {}
+        self._pivmask = 0  # p = 2: the union of the pivot bits
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._piv)
+
+    def _snapshot(self, cls):
+        other = cls.__new__(cls)
+        other.__dict__.update(self.__dict__)
+        other._piv = dict(self._piv)
+        return other
 
     def basis_rows(self) -> list[tuple[int, ...]]:
-        """Dense basis rows with entries in [0, p)."""
+        """Dense basis rows with entries in [0, p), in pivot order."""
+        rows = [self._piv[k] for k in sorted(self._piv)]
+        m = self.ambient_dim
         if self.p == 2:
-            return [
-                tuple((r >> i) & 1 for i in range(self.ambient_dim))
-                for r in self._rows
-            ]
-        return [tuple(int(x) for x in row) for row in self._rows]
-
-    def _reduce_mask(self, mask: int) -> int:
-        for row in self._rows:
-            low = row & (-row)
-            if mask & low:
-                mask ^= row
-        return mask
-
-    def _reduce_array(self, v: np.ndarray) -> np.ndarray:
-        p = self.p
-        for row in self._rows:
-            j = int(np.nonzero(row)[0][0])
-            c = int(v[j]) % p
-            if c:
-                v = (v - c * row) % p
-        return v
-
-    def contains(self, vec) -> bool:
-        if self.p == 2:
-            return self._reduce_mask(as_mask(vec, self.ambient_dim)) == 0
-        return not self._reduce_array(as_array(vec, self.ambient_dim, self.p)).any()
-
-    def reduce(self, vec) -> dict[int, int]:
-        """Canonical representative of vec modulo the subspace, as a sparse dict."""
-        if self.p == 2:
-            m = self._reduce_mask(as_mask(vec, self.ambient_dim))
-            return {i: 1 for i in _bits(m)}
-        v = self._reduce_array(as_array(vec, self.ambient_dim, self.p))
-        return {int(i): int(v[i]) for i in np.nonzero(v)[0]}
+            return [tuple((r >> i) & 1 for i in range(m)) for r in rows]
+        return [tuple(r.get(i, 0) for i in range(m)) for r in rows]
 
     def pivot_indices(self) -> list[int]:
         if self.p == 2:
-            return [(r & (-r)).bit_length() - 1 for r in self._rows]
-        return [int(np.nonzero(row)[0][0]) for row in self._rows]
+            return [low.bit_length() - 1 for low in sorted(self._piv)]
+        return sorted(self._piv)
+
+    def residual_mask(self, mask: int) -> int:
+        """The GF(2) mask reduced modulo the subspace (zero iff contained)."""
+        return _reduce_mask(mask, self._piv, self._pivmask)
+
+    def reduce(self, vec) -> dict[int, int]:
+        """Canonical representative of vec modulo the subspace, as a sparse
+        dict: zero on every pivot coordinate."""
+        if self.p == 2:
+            m = self.residual_mask(as_mask(vec, self.ambient_dim))
+            return {i: 1 for i in _bits(m)}
+        return _reduce_dict(as_dict(vec, self.ambient_dim, self.p), self._piv, self.p)
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
 
 
 def _bits(mask: int):
@@ -144,111 +152,56 @@ def _bits(mask: int):
         mask ^= low
 
 
-class SpanBuilder:
-    """Incremental echelon builder: push a vector, learn whether rank grew.
+class SpanBuilder(Subspace):
+    """Incremental reduced-echelon builder: push a vector, learn whether
+    rank grew. A new row is cleared of the existing pivots, then its own
+    pivot is cleared from the existing rows.
 
     Single-owner while building; ``copy`` gives an independent builder
     sharing the (immutable) stored rows.
     """
 
-    def __init__(self, ambient_dim: int, p: int):
-        _check_prime(p)
-        self.ambient_dim = ambient_dim
-        self.p = p
-        self._piv: dict[int, object] = {}  # pivot index -> stored row
-
-    @property
-    def rank(self) -> int:
-        return len(self._piv)
+    rank = Subspace.dim
 
     def copy(self) -> "SpanBuilder":
-        other = SpanBuilder.__new__(SpanBuilder)
-        other.ambient_dim = self.ambient_dim
-        other.p = self.p
-        other._piv = dict(self._piv)
-        return other
+        return self._snapshot(SpanBuilder)
+
+    def subspace(self) -> Subspace:
+        """Fully reduced canonical subspace, frozen at the current rank."""
+        return self._snapshot(Subspace)
 
     def add_mask(self, mask: int) -> bool:
+        mask = self.residual_mask(mask)
+        if not mask:
+            return False
+        low = mask & (-mask)
         piv = self._piv
-        while mask:
-            low = mask & (-mask)
-            row = piv.get(low)
-            if row is None:
-                piv[low] = mask
-                return True
-            mask ^= row
-        return False
+        for k, row in piv.items():
+            if row & low:
+                piv[k] = row ^ mask
+        piv[low] = mask
+        self._pivmask |= low
+        return True
 
-    def residual_mask(self, mask: int) -> int:
-        piv = self._piv
-        while mask:
-            low = mask & (-mask)
-            row = piv.get(low)
-            if row is None:
-                return mask
-            mask ^= row
-        return 0
-
-    def _add_array(self, v: np.ndarray) -> bool:
+    def _add_dict(self, v: dict[int, int]) -> bool:
         p, piv = self.p, self._piv
-        v = v % p
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return False
-            j = int(nz[0])
-            row = piv.get(j)
-            if row is None:
-                inv = pow(int(v[j]), -1, p)
-                piv[j] = (v * inv) % p
-                return True
-            v = (v - int(v[j]) * row) % p
+        v = _reduce_dict(v, piv, p)
+        if not v:
+            return False
+        j = min(v)
+        inv = pow(v[j], -1, p)
+        new = v if inv == 1 else {i: c * inv % p for i, c in v.items()}
+        one = {j: new}
+        for k, row in piv.items():
+            if j in row:
+                piv[k] = _reduce_dict(dict(row), one, p)
+        piv[j] = new
+        return True
 
     def add(self, vec) -> bool:
         if self.p == 2:
             return self.add_mask(as_mask(vec, self.ambient_dim))
-        return self._add_array(as_array(vec, self.ambient_dim, self.p))
-
-    def contains(self, vec) -> bool:
-        if self.p == 2:
-            return self.residual_mask(as_mask(vec, self.ambient_dim)) == 0
-        v = as_array(vec, self.ambient_dim, self.p) % self.p
-        piv = self._piv
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return True
-            j = int(nz[0])
-            row = piv.get(j)
-            if row is None:
-                return False
-            v = (v - int(v[j]) * row) % self.p
-
-    def subspace(self) -> Subspace:
-        """Fully reduced canonical subspace."""
-        if self.p == 2:
-            clean: dict[int, int] = {}
-            for low in sorted(self._piv, reverse=True):
-                row = self._piv[low]
-                reducible = row & ~low
-                while reducible:
-                    b = reducible & (-reducible)
-                    other = clean.get(b)
-                    if other is not None:
-                        row ^= other
-                    reducible ^= b
-                clean[low] = row
-            rows = [clean[low] for low in sorted(clean)]
-            return Subspace(self.ambient_dim, 2, rows2=rows)
-        if not self._piv:
-            return Subspace(self.ambient_dim, self.p)
-        order = sorted(self._piv)
-        mat = np.vstack([self._piv[j] for j in order])
-        for k, j in enumerate(order):
-            col = mat[:, j].copy()
-            col[k] = 0
-            mat = (mat - np.outer(col, mat[k])) % self.p
-        return Subspace(self.ambient_dim, self.p, rows_odd=mat)
+        return self._add_dict(as_dict(vec, self.ambient_dim, self.p))
 
 
 def span(vectors: Iterable, ambient_dim: int, p: int) -> Subspace:
@@ -260,26 +213,15 @@ def span(vectors: Iterable, ambient_dim: int, p: int) -> Subspace:
 
 
 def matrix_rank(rows: Iterable, ambient_dim: int, p: int) -> int:
-    builder = SpanBuilder(ambient_dim, p)
-    for v in rows:
-        builder.add(v)
-    return builder.rank
+    return span(rows, ambient_dim, p).dim
 
 
 def dim_sum_and_intersection(s: Subspace, t: Subspace) -> tuple[int, int]:
     """(dim(S+T), dim(S∩T)) via rank of the stacked bases."""
     if s.ambient_dim != t.ambient_dim or s.p != t.p:
         raise ValueError("subspaces must share ambient space and prime")
-    builder = SpanBuilder(s.ambient_dim, s.p)
-    if s.p == 2:
-        for row in s._rows:
-            builder.add_mask(row)
-        for row in t._rows:
-            builder.add_mask(row)
-    else:
-        for row in s._rows:
-            builder._add_array(row.copy())
-        for row in t._rows:
-            builder._add_array(row.copy())
+    builder = s._snapshot(SpanBuilder)
+    for row in t._piv.values():
+        builder.add(row)
     dim_sum = builder.rank
     return dim_sum, s.dim + t.dim - dim_sum

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterator, Sequence
@@ -35,7 +35,7 @@ from .garnir import (
     iter_relation_labels,
     snake_label,
 )
-from .gfp import SpanBuilder
+from .gfp import SpanBuilder, Subspace
 from .partitions import InvariantError, Partition, partitions_of
 from .tableaux import ColOrderResult, Tableau, col_compare, enumerate_tableaux
 from .tabloids import (
@@ -64,6 +64,12 @@ class _Block:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        """The canonical relation subspace, frozen on first use; a block
+        is complete once its module is built."""
+        return self.span.subspace()
 
 
 class QuotientModule:
@@ -122,7 +128,7 @@ class QuotientModule:
         coords: dict[int, int] = {}
         for w, local in self._split(vec).items():
             block = self._blocks[w]
-            reduced = block.span.subspace().reduce(local)
+            reduced = block.subspace.reduce(local)
             for j, c in reduced.items():
                 coords[block.indices[j]] = c
         return TabloidVector(self.ambient, self.p, coords)
@@ -132,7 +138,7 @@ class QuotientModule:
         basis element."""
         out = []
         for _, block in sorted(self._blocks.items()):
-            pivots = set(block.span.subspace().pivot_indices())
+            pivots = set(block.subspace.pivot_indices())
             out.extend(
                 idx for j, idx in enumerate(block.indices) if j not in pivots
             )
@@ -199,10 +205,11 @@ def _fill_block(block: _Block, shape: Partition, d: int, model: str) -> None:
 
     The block holds the column tableaux of one content in column-reading
     order. Each contributes the basic snake of the default snake rule; for
-    the skew construction the row-semistandard ones then contribute their
-    supplementary snakes. The labels keep their relative order in the
-    stream over all tableaux, so the span does not depend on building
-    block by block.
+    the skew construction at p = 2 the row-semistandard ones then
+    contribute their supplementary snakes; at odd p every supplementary
+    snake is zero, so that stage is skipped. The labels keep their relative
+    order in the stream over all tableaux, so the span does not depend on
+    building block by block.
     """
     p = block.span.p
     kind = _tabloid_kind(model, p)
@@ -212,7 +219,7 @@ def _fill_block(block: _Block, shape: Partition, d: int, model: str) -> None:
     ):
         _push_terms(block.span, garnir_terms(label, kind), block.pos, p)
     block.basic_rank = block.span.rank
-    if model == "gtensor":
+    if model == "gtensor" and p == 2:
         for label in iter_relation_labels(
             shape, d, RelationKind.SKEW_SUPPLEMENTARY, kind, source=reps
         ):

@@ -79,6 +79,34 @@ def kernel_table_all_blocks(shape, d, p=2):
     return table
 
 
+def rref_oracle(vectors, m, p):
+    """Reduced row-echelon basis of the span of dense vectors over GF(p),
+    by textbook Gauss-Jordan elimination on plain lists."""
+    rows = [[x % p for x in v] for v in vectors]
+    basis = []
+    for col in range(m):
+        pick = next((r for r in rows if r[col]), None)
+        if pick is None:
+            continue
+        rows.remove(pick)
+        inv = pow(pick[col], -1, p)
+        pick = [x * inv % p for x in pick]
+        rows = [[(x - r[col] * y) % p for x, y in zip(r, pick)] for r in rows]
+        basis = [[(x - b[col] * y) % p for x, y in zip(b, pick)] for b in basis]
+        basis.append(pick)
+    return basis
+
+
+def reduce_oracle(basis, v, p):
+    """v minus its components along the pivots of an RREF basis."""
+    v = [x % p for x in v]
+    for row in basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        c = v[lead]
+        v = [(x - c * y) % p for x, y in zip(v, row)]
+    return v
+
+
 def prod(items):
     result = 1
     for x in items:
@@ -93,4 +121,6 @@ __all__ = [
     "column_antisymmetrization",
     "kernel_table_all_blocks",
     "prod",
+    "reduce_oracle",
+    "rref_oracle",
 ]

@@ -146,6 +146,51 @@ def test_verify_d1_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_pool_is_clamped_to_the_check_count(monkeypatch):
+    import concurrent.futures
+
+    from dualweyl import cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    checks = cli._suite_d1_checks(2)
+    assert cli._run_checks(checks, 8) == [cli._run_check(c) for c in checks]
+    assert sizes == [len(checks)]
+
+
+def test_cli_import_leaves_out_numpy_and_the_pool():
+    # numpy is not a dependency, and a `dim` call never needs the pool.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, dualweyl.cli; "
+        "print([m for m in ('numpy', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_report_is_deterministic(capsys):
     args = (
         "verify", "--suite", "hooks-d2",

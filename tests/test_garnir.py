@@ -74,8 +74,7 @@ def test_vanishing_supplementary_relation():
 @pytest.mark.parametrize("p", [3, 5])
 def test_supplementary_relations_vanish_at_odd_primes(p):
     # A and B share the letter of the equal pair, so the terms cancel in
-    # pairs; block-wise builds may therefore skip the sources with a
-    # repeated column entry, which are not skew basis tableaux at odd p.
+    # pairs; the builds therefore skip the supplementary stage at odd p.
     kind = skew_column(p)
     for n in range(2, 6):
         for shape in partitions_of(n):

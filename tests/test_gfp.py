@@ -10,6 +10,7 @@ from dualweyl.gfp import (
     matrix_rank,
     span,
 )
+from helpers import reduce_oracle, rref_oracle
 
 
 def test_is_prime():
@@ -82,7 +83,7 @@ def test_rank_equals_transpose_rank(p, size):
     assert matrix_rank(rows, size, p) == matrix_rank(cols, size, p)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_span_idempotent_and_order_independent(p):
     rng = random.Random(p)
     vectors = _random_vectors(rng, 12, 8, p)
@@ -94,20 +95,21 @@ def test_span_idempotent_and_order_independent(p):
     assert span(shuffled, 8, p).basis_rows() == s.basis_rows()
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rref_invariants(p):
     rng = random.Random(17 * p)
-    s = span(_random_vectors(rng, 10, 9, p), 9, p)
-    rows = s.basis_rows()
-    pivots = s.pivot_indices()
-    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-    for k, row in enumerate(rows):
-        lead = next(i for i, x in enumerate(row) if x)
-        assert lead == pivots[k]
-        assert row[lead] == 1
-        for other in range(len(rows)):
-            if other != k:
-                assert rows[other][lead] == 0
+    for count in (10, 6):
+        s = span(_random_vectors(rng, count, 9, p), 9, p)
+        rows = s.basis_rows()
+        pivots = s.pivot_indices()
+        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
+        for k, row in enumerate(rows):
+            lead = next(i for i, x in enumerate(row) if x)
+            assert lead == pivots[k]
+            assert row[lead] == 1
+            for other in range(len(rows)):
+                if other != k:
+                    assert rows[other][lead] == 0
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -123,11 +125,60 @@ def test_builder_incremental_and_copy(p):
     assert not builder.contains([0, 0, 1])
 
 
+def _assert_canonical(s, v):
+    """reduce(v) is idempotent, differs from v by a member of the span, and
+    is zero on every pivot coordinate."""
+    p, m = s.p, s.ambient_dim
+    reduced = s.reduce(v)
+    assert all(0 < c < p for c in reduced.values())
+    assert s.reduce(dict(reduced)) == reduced
+    diff = [(v[i] - reduced.get(i, 0)) % p for i in range(m)]
+    assert s.contains(diff)
+    assert not set(reduced) & set(s.pivot_indices())
+    return reduced
+
+
 def test_reduce_is_canonical():
-    s = span([[1, 1, 0], [0, 0, 1]], 3, 2)
-    assert s.reduce([1, 1, 1]) == {}
-    reduced = s.reduce([1, 0, 1])
-    assert reduced and s.reduce(dict(reduced)) == reduced
+    for p in (2, 3, 5, 7):
+        s = span([[1, 1, 0], [0, 0, 1]], 3, p)
+        assert s.reduce([1, 1, 1]) == {}
+        reduced = _assert_canonical(s, [1, 0, 1])
+        assert reduced == {1: p - 1}
+        rng = random.Random(p)
+        s = span(_random_vectors(rng, 5, 10, p), 10, p)
+        for v in _random_vectors(rng, 20, 10, p):
+            _assert_canonical(s, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_odd_prime_engine_matches_oracle(p, m, data):
+    coeff = st.integers(-p, 2 * p)
+    vector = st.lists(coeff, min_size=m, max_size=m)
+    vectors = data.draw(st.lists(vector, max_size=m + 2))
+    probes = data.draw(st.lists(vector, min_size=1, max_size=4))
+    expected = rref_oracle(vectors, m, p)
+    s = span(vectors, m, p)
+    assert s.dim == len(expected) == matrix_rank(vectors, m, p)
+    assert s.basis_rows() == [tuple(row) for row in expected]
+    members = [
+        [sum(c * row[i] for c, row in zip(cs, vectors)) for i in range(m)]
+        for cs in data.draw(
+            st.lists(st.lists(coeff, min_size=len(vectors), max_size=len(vectors)),
+                     max_size=3)
+        )
+    ]
+    for v in members:
+        assert s.contains(v) and s.reduce(v) == {}
+    for v in probes:
+        reduced = _assert_canonical(s, v)
+        oracle = reduce_oracle(expected, v, p)
+        assert reduced == {i: x for i, x in enumerate(oracle) if x}
+        assert s.contains(v) == (not any(oracle))
 
 
 def test_vector_input_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -26,6 +27,13 @@ from dualweyl.tabloids import (
     vector_from_terms,
 )
 from helpers import brute_fillings
+
+# sha256 over the canonical relation subspace (pivot indices and dense
+# reduced rows) of every weight block of both constructions, for n <= 4,
+# d <= 4 and p in {3, 5}. It was recorded while odd-prime rows were still
+# dense numpy arrays, so it shows that the sparse engine gives the same
+# subspaces.
+BLOCK_SPANS_SHA256 = "b9c75b2ad490ae1afa1cab592638b419b692bd907241f861823c87c78ef4b6d1"
 
 
 def test_dual_weyl_dims_match_hook_content():
@@ -239,6 +247,41 @@ def test_quotient_reduce_at_odd_prime():
     diff = reduced.add(probe.scale(p - 1))
     assert module.relations_contain(diff) or diff.is_zero()
     assert len(module.quotient_indices()) == module.dim
+
+
+def test_block_spans_are_pinned():
+    digest = hashlib.sha256()
+    blocks = 0
+    for build in (build_dual_weyl, build_gtensor_specht):
+        for n in range(1, 5):
+            for shape in partitions_of(n):
+                for d in range(1, 5):
+                    for p in (3, 5):
+                        module = build(shape, d, p)
+                        if build is build_gtensor_specht:
+                            assert module.supplementary_rank_gain == 0
+                        for w, block in sorted(module._blocks.items()):
+                            s = block.span.subspace()
+                            key = (build.__name__, tuple(shape), d, p, w,
+                                   s.pivot_indices(), s.basis_rows())
+                            digest.update(repr(key).encode())
+                            blocks += 1
+    assert blocks == 1000
+    assert digest.hexdigest() == BLOCK_SPANS_SHA256
+
+
+def test_block_subspace_is_frozen_on_first_use():
+    from dualweyl.quotients import _build
+
+    module = _build.__wrapped__(Partition((2, 1)), 3, 3, "nabla")
+    assert all("subspace" not in vars(b) for b in module._blocks.values())
+    basis = module.ambient
+    probe = vector_from_terms(basis, 3, {basis.rep(0): 1, basis.rep(3): 2})
+    module.reduce(probe)
+    first = {w: b.subspace for w, b in module._blocks.items()}
+    module.reduce(probe)
+    module.quotient_indices()
+    assert all(b.subspace is first[w] for w, b in module._blocks.items())
 
 
 def test_supplementary_rank_gain_reported():
