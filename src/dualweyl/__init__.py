@@ -24,20 +24,13 @@ from .tabloids import (
     ker_q_generators,
     skew_column,
 )
-from .garnir import (
-    GarnirLabel,
-    RelationKind,
-    RelationSet,
-    garnir_relation,
-    generate_relation_set,
-    relation_span,
-    snake_relation,
-)
+from .garnir import GarnirLabel, RelationKind
 from .quotients import (
     QuotientModule,
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
+    family_rank,
     module_dim,
     restrict_entries,
     straighten,

@@ -1,4 +1,6 @@
-"""Garnir, snake, basic, and supplementary relations on tabloid spaces."""
+"""Garnir labels, their expansion into canonical tabloid terms, and the
+deterministic label stream of each relation family. Spans are built from
+these in `quotients`."""
 
 from __future__ import annotations
 
@@ -6,24 +8,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .gfp import Subspace, SpanBuilder
 from .partitions import Partition
 from .tableaux import Box, Tableau, TableauClass, enumerate_tableaux
-from .tabloids import (
-    ALT_COLUMN,
-    TabloidBasis,
-    TabloidKind,
-    TabloidVector,
-    basis_class,
-    build_basis,
-    canonicalize,
-    skew_column,
-    vector_from_terms,
-)
-
-SnakeRule = Callable[[Tableau], "Box | None"]
+from .tabloids import TabloidKind, basis_class, canonicalize
 
 
 @dataclass(frozen=True)
@@ -136,21 +125,8 @@ def _permute_within(cols: list[list[int]], boxes: list[Box], rng: random.Random)
     return -1 if inv & 1 else 1
 
 
-def garnir_relation(
-    label: GarnirLabel, kind: TabloidKind, basis: TabloidBasis, p: int
-) -> TabloidVector:
-    return vector_from_terms(basis, p, garnir_terms(label, kind))
-
-
-def snake_relation(
-    t: Tableau, i: int, j: int, kind: TabloidKind, basis: TabloidBasis, p: int
-) -> TabloidVector:
-    return garnir_relation(snake_label(t, i, j), kind, basis, p)
-
-
 class RelationKind(Enum):
-    ALT_BASIC_SNAKE = "alt_basic_snake"
-    SKEW_BASIC_SNAKE = "skew_basic_snake"
+    BASIC_SNAKE = "basic_snake"
     SKEW_SUPPLEMENTARY = "skew_supplementary"
     ALL_ADJACENT_SNAKES = "all_adjacent_snakes"
     EXHAUSTIVE_GARNIR = "exhaustive_garnir"
@@ -159,21 +135,15 @@ class RelationKind(Enum):
 _EXHAUSTIVE_MAX_N = 5
 
 
-def tabloid_kind_for(rel_kind: RelationKind, p: int) -> TabloidKind:
-    if rel_kind is RelationKind.ALT_BASIC_SNAKE:
-        return ALT_COLUMN
-    return skew_column(p)
-
-
 def iter_relation_labels(
     shape: Partition,
     d: int,
     rel_kind: RelationKind,
     tabloid_kind: TabloidKind,
-    rule: SnakeRule | None = None,
     source: Sequence[Tableau] | None = None,
 ) -> Iterator[GarnirLabel]:
-    """Deterministic label stream for each relation family.
+    """Deterministic label stream for each relation family; the basic
+    snakes of ``tabloid_kind`` serve both constructions.
 
     ``source`` replaces the enumerated source tableaux of the basic and
     supplementary families: the basic family takes every given tableau,
@@ -184,14 +154,13 @@ def iter_relation_labels(
     supplementary relation is zero away from characteristic 2 (its A and B
     share a letter, and the terms cancel in pairs).
     """
-    rule = rule or default_snake_rule
     conj = shape.conjugate()
     column_class = basis_class(tabloid_kind)
-    if rel_kind in (RelationKind.ALT_BASIC_SNAKE, RelationKind.SKEW_BASIC_SNAKE):
+    if rel_kind is RelationKind.BASIC_SNAKE:
         if source is None:
             source = enumerate_tableaux(shape, d, column_class)
         for t in source:
-            box = rule(t)
+            box = default_snake_rule(t)
             if box is not None:
                 yield snake_label(t, box[0], box[1])
     elif rel_kind is RelationKind.SKEW_SUPPLEMENTARY:
@@ -226,41 +195,3 @@ def iter_relation_labels(
                                 yield GarnirLabel(t, A, B)
     else:  # pragma: no cover
         raise ValueError(f"unknown relation kind {rel_kind}")
-
-
-@dataclass
-class RelationSet:
-    """Relations of one family over one tabloid space, labels kept in
-    parallel; zero relations are retained rather than filtered."""
-
-    kind: RelationKind
-    shape: Partition
-    d: int
-    p: int
-    basis: TabloidBasis
-    relations: list[TabloidVector]
-    labels: list[GarnirLabel]
-
-
-def generate_relation_set(
-    shape: Partition,
-    d: int,
-    p: int,
-    rel_kind: RelationKind,
-    rule: SnakeRule | None = None,
-) -> RelationSet:
-    tk = tabloid_kind_for(rel_kind, p)
-    basis = build_basis(shape, d, tk)
-    labels: list[GarnirLabel] = []
-    vectors: list[TabloidVector] = []
-    for label in iter_relation_labels(shape, d, rel_kind, tk, rule):
-        labels.append(label)
-        vectors.append(vector_from_terms(basis, p, garnir_terms(label, tk)))
-    return RelationSet(rel_kind, shape, d, p, basis, vectors, labels)
-
-
-def relation_span(relset: RelationSet) -> Subspace:
-    builder = SpanBuilder(relset.basis.dim, relset.p)
-    for vec in relset.relations:
-        builder.add(vec.coords)
-    return builder.subspace()

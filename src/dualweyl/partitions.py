@@ -47,10 +47,6 @@ class Partition(tuple):
         """True iff all parts are distinct."""
         return len(set(self)) == len(self)
 
-    def col_height(self, j: int) -> int:
-        """Height of column j (1-based), 0 beyond the last column."""
-        return sum(1 for a in self if a >= j)
-
     def boxes(self) -> list[tuple[int, int]]:
         """All boxes (row, column), 1-based, row by row."""
         return [(i, j) for i, row in enumerate(self, 1) for j in range(1, row + 1)]
@@ -60,14 +56,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
-
-
-def conjugate(shape: Partition) -> Partition:
-    return shape.conjugate()
-
-
-def is_two_regular(shape: Partition) -> bool:
-    return shape.is_two_regular()
 
 
 def parse_partition(text: str) -> Partition:

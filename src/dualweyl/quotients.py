@@ -1,9 +1,10 @@
 """Quotient-module assembly: dual Weyl modules and inverse-Schur images.
 
-Both modules are quotients of a tabloid space by a relation span. All
-relation generators are weight homogeneous, so spans are built one
-weight block at a time, by one filler that takes the column tableaux of a
-single content.
+Both modules are quotients of a tabloid space by a relation span. Every
+relation reaches a span by one routine, `_push_labels`, which pushes it
+into the weight block of its label's source tableau: relations are weight
+homogeneous, and a term outside that block is an error. Full builds, the
+dominant blocks and `family_rank` (the test reference) all use it.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .garnir import (
+    GarnirLabel,
     RelationKind,
     default_snake_rule,
     garnir_terms,
@@ -102,10 +104,6 @@ class QuotientModule:
         }
         return {w: v for w, v in table.items() if v}
 
-    def weight_dim(self, weight: tuple[int, ...]) -> int:
-        block = self._blocks.get(tuple(weight))
-        return 0 if block is None else block.size - block.span.rank
-
     def _split(self, vec: TabloidVector) -> dict[tuple[int, ...], dict[int, int]]:
         if vec.basis is not self.ambient:
             raise ValueError("vector lives over a different basis")
@@ -146,13 +144,11 @@ class QuotientModule:
 
 
 def _tabloid_kind(model: str, p: int) -> TabloidKind:
-    return ALT_COLUMN if model == "nabla" else skew_column(p)
-
-
-_BASIC_SNAKES = {
-    "nabla": RelationKind.ALT_BASIC_SNAKE,
-    "gtensor": RelationKind.SKEW_BASIC_SNAKE,
-}
+    if model == "nabla":
+        return ALT_COLUMN
+    if model == "gtensor":
+        return skew_column(p)
+    raise ValueError(f"unknown module {model!r}")
 
 
 def _make_blocks(
@@ -199,43 +195,64 @@ def _push_terms(
     return span.add(local)
 
 
-def _fill_block(block: _Block, shape: Partition, d: int, model: str) -> None:
-    """Push every relation whose source tableau lies in the block into its
-    span, recording the rank reached by the basic snakes.
+def _push_labels(
+    blocks: dict[tuple[int, ...], _Block],
+    labels: Iterable[GarnirLabel],
+    kind: TabloidKind,
+    d: int,
+    p: int,
+) -> None:
+    """The one route from labels to spans: expand each label and push its
+    relation into the weight block of its source tableau."""
+    for label in labels:
+        terms = garnir_terms(label, kind)
+        if terms:
+            block = blocks[label.t.weight(d)]
+            _push_terms(block.span, terms, block.pos, p)
 
-    The block holds the column tableaux of one content in column-reading
-    order. Each contributes the basic snake of the default snake rule; for
-    the skew construction at p = 2 the row-semistandard ones then
-    contribute their supplementary snakes; at odd p every supplementary
-    snake is zero, so that stage is skipped. The labels keep their relative
-    order in the stream over all tableaux, so the span does not depend on
-    building block by block.
-    """
-    p = block.span.p
+
+def _relation_blocks(
+    shape: Partition, d: int, p: int, model: str, reps: Sequence[Tableau]
+) -> dict[tuple[int, ...], _Block]:
+    """The weight blocks of ``reps`` with the relations of one construction
+    pushed: the basic snakes of every tableau, recording the rank of each
+    block; then, for the skew construction at p = 2, the supplementary
+    snakes (at odd p every one of them is zero)."""
     kind = _tabloid_kind(model, p)
-    reps = list(block.pos)
-    for label in iter_relation_labels(
-        shape, d, _BASIC_SNAKES[model], kind, source=reps
-    ):
-        _push_terms(block.span, garnir_terms(label, kind), block.pos, p)
-    block.basic_rank = block.span.rank
+    blocks = _make_blocks(reps, d, p)
+    basic = iter_relation_labels(shape, d, RelationKind.BASIC_SNAKE, kind, source=reps)
+    _push_labels(blocks, basic, kind, d, p)
+    for block in blocks.values():
+        block.basic_rank = block.span.rank
     if model == "gtensor" and p == 2:
-        for label in iter_relation_labels(
+        supplementary = iter_relation_labels(
             shape, d, RelationKind.SKEW_SUPPLEMENTARY, kind, source=reps
-        ):
-            _push_terms(block.span, garnir_terms(label, kind), block.pos, p)
+        )
+        _push_labels(blocks, supplementary, kind, d, p)
+    return blocks
 
 
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
     basis = build_basis(shape, d, _tabloid_kind(model, p))
-    blocks = _make_blocks(basis.reps, d, p)
-    for block in blocks.values():
-        _fill_block(block, shape, d, model)
+    blocks = _relation_blocks(shape, d, p, model, basis.reps)
     gain = None
     if model == "gtensor":
         gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
     return QuotientModule(basis, p, blocks, supplementary_rank_gain=gain)
+
+
+def family_rank(
+    which: str, shape: Partition, d: int, p: int, families: Iterable[RelationKind]
+) -> int:
+    """Rank of the span of relation families over the tabloid space of
+    ``which`` ("nabla" or "gtensor"); the test reference for the builds."""
+    kind = _tabloid_kind(which, p)
+    blocks = _make_blocks(build_basis(shape, d, kind).reps, d, p)
+    for family in families:
+        labels = iter_relation_labels(shape, d, family, kind)
+        _push_labels(blocks, labels, kind, d, p)
+    return sum(b.span.rank for b in blocks.values())
 
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:
@@ -303,17 +320,15 @@ def _dominant_block(
     d = len(beta)
     kind = _tabloid_kind(model, p)
     reps = enumerate_tableaux(shape, d, basis_class(kind), content=tuple(beta))
-    block = _make_blocks(reps, d, p).get(beta) or _Block([], {}, SpanBuilder(0, p))
-    _fill_block(block, shape, d, model)
-    return block
+    blocks = _relation_blocks(shape, d, p, model, reps)
+    return blocks.get(beta) or _Block([], {}, SpanBuilder(0, p))
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     """Dimension of the dual Weyl module (``"nabla"``) or of the skew
     construction (``"gtensor"``), summed over dominant blocks times their
     orbit sizes."""
-    if which not in _BASIC_SNAKES:
-        raise ValueError(f"unknown module {which!r}")
+    _tabloid_kind(which, p)  # rejects an unknown module
     total = 0
     for beta in _dominant_weights(shape.n, d):
         block = _dominant_block(shape, p, which, beta)
@@ -440,19 +455,16 @@ def restrict_entries(
 ) -> tuple[int, int]:
     """Project the degree-d construction onto entries <= d_sub and compare
     its dimension with the direct build at d_sub. Returns (restricted,
-    direct); the two must agree."""
+    direct); the two must agree. A relation keeps the content of its
+    source tableau, so the projection keeps the relations of the degree-d
+    source tableaux that use no letter above d_sub."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
     kind = skew_column(p)
     sub_basis = build_basis(shape, d_sub, kind)
-    blocks = _make_blocks(sub_basis.reps, d_sub, p)
-    for rel_kind in (RelationKind.SKEW_BASIC_SNAKE, RelationKind.SKEW_SUPPLEMENTARY):
-        for label in iter_relation_labels(shape, d, rel_kind, kind):
-            terms = garnir_terms(label, kind)
-            projected = {t: c for t, c in terms.items() if t.max_entry() <= d_sub}
-            if projected:
-                block = blocks[next(iter(projected)).weight(d_sub)]
-                _push_terms(block.span, projected, block.pos, p)
+    reps = enumerate_tableaux(shape, d, basis_class(kind))
+    kept = [t for t in reps if t.max_entry() <= d_sub]
+    blocks = _relation_blocks(shape, d_sub, p, "gtensor", kept)
     rank = sum(b.span.rank for b in blocks.values())
     restricted = sub_basis.dim - rank
     direct = build_gtensor_specht(shape, d_sub, p).dim

@@ -97,9 +97,6 @@ class Tableau:
     def is_row_standard(self) -> bool:
         return all(r[k] < r[k + 1] for r in self.rows() for k in range(len(r) - 1))
 
-    def is_column_semistandard(self) -> bool:
-        return all(c[k] <= c[k + 1] for c in self.cols for k in range(len(c) - 1))
-
     def is_column_standard(self) -> bool:
         return all(c[k] < c[k + 1] for c in self.cols for k in range(len(c) - 1))
 

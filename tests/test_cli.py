@@ -172,6 +172,22 @@ def test_pool_is_clamped_to_the_check_count(monkeypatch):
     assert sizes == [len(checks)]
 
 
+def test_thm1_check_has_an_independent_oracle(monkeypatch):
+    # The thm1 item judges the construction against closed forms, not
+    # against a second build: with every builder returning the p = 2 skew
+    # build, (1,1) at d = 2 has dimension 3 where the dual Weyl module has 1.
+    from dualweyl import cli
+    from dualweyl.quotients import build_gtensor_specht
+
+    def mod2_build(shape, d, p):
+        return build_gtensor_specht(shape, d, 2)
+
+    monkeypatch.setattr(cli, "build_gtensor_specht", mod2_build)
+    monkeypatch.setattr(cli, "build_dual_weyl", mod2_build, raising=False)
+    item = cli._check_dims_match_weyl("1,1", 2, 3)
+    assert (item["expected"], item["got"], item["pass"]) == (1, 3, False)
+
+
 def test_cli_import_leaves_out_numpy_and_the_pool():
     # numpy is not a dependency, and a `dim` call never needs the pool.
     env = dict(os.environ)

@@ -7,18 +7,19 @@ from dualweyl.garnir import (
     GarnirLabel,
     RelationKind,
     default_snake_rule,
-    garnir_relation,
     garnir_terms,
-    generate_relation_set,
     iter_relation_labels,
-    relation_span,
     snake_label,
-    snake_relation,
 )
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
+from dualweyl.quotients import build_gtensor_specht, family_rank
 from dualweyl.tableaux import ColOrderResult, Tableau, TableauClass, col_compare, enumerate_tableaux
-from dualweyl.tabloids import ALT_COLUMN, build_basis, skew_column
+from dualweyl.tabloids import ALT_COLUMN, build_basis, skew_column, vector_from_terms
 from helpers import apply_e_map
+
+
+def snake_vector(t, i, j, kind, basis, p):
+    return vector_from_terms(basis, p, garnir_terms(snake_label(t, i, j), kind))
 
 
 def test_label_validation():
@@ -49,24 +50,27 @@ def test_all_ones_hook_relation():
     # alternating summand vanishes.
     t = Tableau.from_rows([(1, 1), (1,)])
     basis2 = build_basis(Partition((2, 1)), 1, skew_column(2))
-    rel = snake_relation(t, 1, 1, skew_column(2), basis2, 2)
+    rel = snake_vector(t, 1, 1, skew_column(2), basis2, 2)
     assert rel.coords == {basis2.index_of(t): 1}
     alt_basis = build_basis(Partition((2, 1)), 1, ALT_COLUMN)
-    assert snake_relation(t, 1, 1, ALT_COLUMN, alt_basis, 3).is_zero()
+    assert snake_vector(t, 1, 1, ALT_COLUMN, alt_basis, 3).is_zero()
 
 
 def test_vanishing_supplementary_relation():
     # Shape (2,1,1) with rows (1,1),(2),(2): the four skew summands cancel in
-    # pairs, and the relation set still records the zero relation.
+    # pairs, and the label stream still yields the zero relation.
     t = Tableau.from_rows([(1, 1), (2,), (2,)])
-    basis = build_basis(Partition((2, 1, 1)), 2, skew_column(2))
-    rel = snake_relation(t, 1, 1, skew_column(2), basis, 2)
+    kind = skew_column(2)
+    basis = build_basis(Partition((2, 1, 1)), 2, kind)
+    rel = snake_vector(t, 1, 1, kind, basis, 2)
     assert rel.is_zero()
-    relset = generate_relation_set(
-        Partition((2, 1, 1)), 2, 2, RelationKind.SKEW_SUPPLEMENTARY
+    labels = iter_relation_labels(
+        Partition((2, 1, 1)), 2, RelationKind.SKEW_SUPPLEMENTARY, kind
     )
     zero_labels = [
-        lab for lab, vec in zip(relset.labels, relset.relations) if vec.is_zero()
+        lab
+        for lab in labels
+        if vector_from_terms(basis, 2, garnir_terms(lab, kind)).is_zero()
     ]
     assert any(lab.t == t for lab in zero_labels)
 
@@ -97,7 +101,7 @@ def test_one_letter_snake_coefficient():
             t = basis.reps[0]
             for j in range(1, shape[0]):
                 for i in range(1, conj.part(j + 1) + 1):
-                    rel = snake_relation(t, i, j, skew_column(p), basis, p)
+                    rel = snake_vector(t, i, j, skew_column(p), basis, p)
                     expected = comb(conj.part(j) + 1, i) % p
                     got = rel.coords.get(basis.index_of(t), 0)
                     assert got == expected, (shape, p, i, j)
@@ -191,27 +195,35 @@ def test_snake_summands_never_exceed_label():
 
 
 def test_relation_set_shapes_without_columns():
-    for kind in RelationKind:
-        relset = generate_relation_set(Partition((1, 1, 1)), 2, 2, kind)
-        assert relset.relations == [] and relset.labels == []
+    # A one-column shape has no pair of columns, so no family has a label,
+    # whichever tabloid kind carries it.
+    shape = Partition((1, 1, 1))
+    for rel_kind in RelationKind:
+        for which, kind in (("nabla", ALT_COLUMN), ("gtensor", skew_column(2))):
+            assert list(iter_relation_labels(shape, 2, rel_kind, kind)) == []
+            assert family_rank(which, shape, 2, 2, [rel_kind]) == 0
 
 
 def test_single_row_span_dimension():
     n, d = 3, 3
-    relset = generate_relation_set(Partition((n,)), d, 2, RelationKind.SKEW_BASIC_SNAKE)
-    assert relation_span(relset).dim == d**n - comb(d + n - 1, n)
+    rank = family_rank("gtensor", Partition((n,)), d, 2, [RelationKind.BASIC_SNAKE])
+    assert rank == d**n - comb(d + n - 1, n)
+
+
+def _count_labels(shape, d, kind):
+    return sum(1 for _ in iter_relation_labels(shape, d, RelationKind.BASIC_SNAKE, kind))
 
 
 def test_alt_basic_snakes_form_a_basis_of_the_kernel():
     for n in range(2, 6):
         for shape in partitions_of(n):
             for d in (2, 3, 4):
+                labels = _count_labels(shape, d, ALT_COLUMN)
                 for p in (2, 3):
-                    relset = generate_relation_set(
-                        shape, d, p, RelationKind.ALT_BASIC_SNAKE
+                    rank = family_rank(
+                        "nabla", shape, d, p, [RelationKind.BASIC_SNAKE]
                     )
-                    rank = relation_span(relset).dim
-                    assert rank == len(relset.relations)
+                    assert rank == labels
                     ambient = build_basis(shape, d, ALT_COLUMN).dim
                     assert rank == ambient - hook_content_dim(shape, d)
 
@@ -220,26 +232,43 @@ def test_skew_basic_snakes_independent():
     for n in range(2, 6):
         for shape in partitions_of(n):
             for d in (2, 3, 4):
-                relset = generate_relation_set(
-                    shape, d, 2, RelationKind.SKEW_BASIC_SNAKE
-                )
-                assert relation_span(relset).dim == len(relset.relations)
+                rank = family_rank("gtensor", shape, d, 2, [RelationKind.BASIC_SNAKE])
+                assert rank == _count_labels(shape, d, skew_column(2))
+
+
+@pytest.mark.parametrize(
+    "kind, census",
+    [
+        (skew_column(2), TableauClass.ROW_AND_COLUMN_SEMISTANDARD),
+        (ALT_COLUMN, TableauClass.SEMISTANDARD),
+    ],
+)
+def test_basic_snake_labels_leave_the_semistandard_census(kind, census):
+    # Each basis tableau that is not row semistandard labels one basic snake,
+    # so the ambient dimension minus the label count is the census of the
+    # row-semistandard basis tableaux.
+    cases = [(s, d) for n in range(1, 6) for s in partitions_of(n) for d in range(1, 5)]
+    cases.append((Partition((5, 1)), 6))
+    for shape, d in cases:
+        ambient = build_basis(shape, d, kind).dim
+        labels = _count_labels(shape, d, kind)
+        count = len(enumerate_tableaux(shape, d, census))
+        assert ambient - labels == count, (shape, d)
+        if kind.family == "skew" and (shape, d) == (Partition((5, 1)), 6):
+            assert (ambient, labels, count) == (27216, 25914, 1302)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_skew_spanning_triple_rank_equality(d):
     for n in range(2, 5):
         for shape in partitions_of(n):
-            basic = generate_relation_set(shape, d, 2, RelationKind.SKEW_BASIC_SNAKE)
-            supp = generate_relation_set(shape, d, 2, RelationKind.SKEW_SUPPLEMENTARY)
-            builder_vecs = [v.coords for v in basic.relations + supp.relations]
-            from dualweyl.gfp import span
-
-            dim_bs = span(builder_vecs, basic.basis.dim, 2).dim
-            adj = generate_relation_set(shape, d, 2, RelationKind.ALL_ADJACENT_SNAKES)
-            dim_adj = relation_span(adj).dim
-            exh = generate_relation_set(shape, d, 2, RelationKind.EXHAUSTIVE_GARNIR)
-            dim_exh = relation_span(exh).dim
+            dim_bs = build_gtensor_specht(shape, d, 2).relation_rank
+            dim_adj = family_rank(
+                "gtensor", shape, d, 2, [RelationKind.ALL_ADJACENT_SNAKES]
+            )
+            dim_exh = family_rank(
+                "gtensor", shape, d, 2, [RelationKind.EXHAUSTIVE_GARNIR]
+            )
             assert dim_bs == dim_adj == dim_exh, (shape, d)
 
 
@@ -274,23 +303,15 @@ def test_garnir_relations_die_in_the_row_space():
 def test_small_hook_relation_census():
     # Shape (2,1) over two letters mod 2: one basic and three supplementary
     # relations, jointly of full rank 4 in the 6-dimensional skew space.
-    shape = Partition((2, 1))
-    basic = generate_relation_set(shape, 2, 2, RelationKind.SKEW_BASIC_SNAKE)
-    supp = generate_relation_set(shape, 2, 2, RelationKind.SKEW_SUPPLEMENTARY)
-    assert len(basic.labels) == 1 and len(supp.labels) == 3
-    from dualweyl.gfp import span
-
-    vecs = [v.coords for v in basic.relations + supp.relations]
-    assert span(vecs, basic.basis.dim, 2).dim == 4
-    again = generate_relation_set(shape, 2, 2, RelationKind.SKEW_BASIC_SNAKE)
-    assert [v.coords for v in again.relations] == [v.coords for v in basic.relations]
-
-
-def test_garnir_relation_matches_snake_relation():
-    t = Tableau.from_rows([(2, 1), (3,)])
-    basis = build_basis(Partition((2, 1)), 3, ALT_COLUMN)
-    label = snake_label(t, 1, 1)
-    assert (
-        garnir_relation(label, ALT_COLUMN, basis, 3).coords
-        == snake_relation(t, 1, 1, ALT_COLUMN, basis, 3).coords
-    )
+    shape, kind = Partition((2, 1)), skew_column(2)
+    basic = list(iter_relation_labels(shape, 2, RelationKind.BASIC_SNAKE, kind))
+    supp = list(iter_relation_labels(shape, 2, RelationKind.SKEW_SUPPLEMENTARY, kind))
+    assert len(basic) == 1 and len(supp) == 3
+    assert build_basis(shape, 2, kind).dim == 6
+    families = [RelationKind.BASIC_SNAKE, RelationKind.SKEW_SUPPLEMENTARY]
+    assert family_rank("gtensor", shape, 2, 2, families) == 4
+    assert build_gtensor_specht(shape, 2, 2).relation_rank == 4
+    again = iter_relation_labels(shape, 2, RelationKind.BASIC_SNAKE, kind)
+    assert [garnir_terms(lab, kind) for lab in again] == [
+        garnir_terms(lab, kind) for lab in basic
+    ]

@@ -4,12 +4,14 @@ from math import comb
 
 import pytest
 
-from dualweyl.garnir import RelationKind, generate_relation_set, relation_span
+from dualweyl.garnir import RelationKind, garnir_terms, iter_relation_labels
+from dualweyl.gfp import span
 from dualweyl.partitions import Partition, count_syt, hook_content_dim, partitions_of
 from dualweyl.quotients import (
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
+    family_rank,
     restrict_entries,
     straighten,
     straighten_vector,
@@ -21,12 +23,26 @@ from dualweyl.quotients import (
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
     ALT_COLUMN,
+    TabloidVector,
     build_basis,
     skew_column,
     unit_vector,
     vector_from_terms,
 )
 from helpers import brute_fillings
+
+
+def relation_vectors(module, rel_kinds):
+    """The relations of the given families as vectors over the module's
+    ambient space, one per label."""
+    kind = module.ambient.kind
+    return [
+        vector_from_terms(module.ambient, module.p, garnir_terms(label, kind))
+        for rel_kind in rel_kinds
+        for label in iter_relation_labels(
+            module.ambient.shape, module.ambient.d, rel_kind, kind
+        )
+    ]
 
 # sha256 over the canonical relation subspace (pivot indices and dense
 # reduced rows) of every weight block of both constructions, for n <= 4,
@@ -134,11 +150,8 @@ def test_straighten_congruence_and_idempotence(p):
             for d in (2, 3, 4):
                 fillings = list(brute_fillings(shape, d))
                 sample = rng.sample(fillings, min(200, len(fillings)))
-                relset = generate_relation_set(
-                    shape, d, p, RelationKind.ALT_BASIC_SNAKE
-                )
-                gr_span = relation_span(relset)
-                basis = build_basis(shape, d, ALT_COLUMN)
+                module = build_dual_weyl(shape, d, p)
+                basis = module.ambient
                 from dualweyl.tabloids import canonicalize
 
                 for t in sample:
@@ -153,7 +166,7 @@ def test_straighten_congruence_and_idempotence(p):
                         diff[idx] = (diff.get(idx, 0) - st.sign) % p
                         if not diff[idx]:
                             del diff[idx]
-                    assert gr_span.contains(diff) if diff else True
+                    assert module.relations_contain(TabloidVector(basis, p, diff))
                     assert straighten_vector(out).coords == out.coords
 
 
@@ -203,26 +216,21 @@ def test_transvection_examples():
 def test_transvection_closure_of_relation_span():
     for shape in [Partition((2, 1)), Partition((2, 2)), Partition((2, 1, 1))]:
         for d in (2, 3):
-            basic = generate_relation_set(shape, d, 2, RelationKind.SKEW_BASIC_SNAKE)
-            supp = generate_relation_set(shape, d, 2, RelationKind.SKEW_SUPPLEMENTARY)
-            from dualweyl.gfp import span
-
-            vectors = [v.coords for v in basic.relations + supp.relations]
-            skew_span = span(vectors, basic.basis.dim, 2)
-            for vec in basic.relations + supp.relations:
+            module = build_gtensor_specht(shape, d, 2)
+            families = [RelationKind.BASIC_SNAKE, RelationKind.SKEW_SUPPLEMENTARY]
+            for vec in relation_vectors(module, families):
                 for src in range(1, d + 1):
                     for tgt in range(1, d + 1):
                         if src == tgt:
                             continue
                         image = apply_transvection(vec, src, tgt, 2)
-                        assert skew_span.contains(image.coords), (shape, d, src, tgt)
+                        assert module.relations_contain(image), (shape, d, src, tgt)
 
 
 def test_quotient_reduce_and_indices():
     shape, d, p = Partition((2, 1)), 2, 2
     module = build_gtensor_specht(shape, d, p)
-    relset = generate_relation_set(shape, d, p, RelationKind.SKEW_BASIC_SNAKE)
-    for vec in relset.relations:
+    for vec in relation_vectors(module, [RelationKind.BASIC_SNAKE]):
         assert module.relations_contain(vec)
         assert module.reduce(vec).is_zero()
     free = module.quotient_indices()
@@ -235,8 +243,7 @@ def test_quotient_reduce_and_indices():
 def test_quotient_reduce_at_odd_prime():
     shape, d, p = Partition((2, 1)), 3, 3
     module = build_dual_weyl(shape, d, p)
-    relset = generate_relation_set(shape, d, p, RelationKind.ALT_BASIC_SNAKE)
-    for vec in relset.relations:
+    for vec in relation_vectors(module, [RelationKind.BASIC_SNAKE]):
         assert module.relations_contain(vec)
         assert module.reduce(vec).is_zero()
     # reduction is canonical: reducing a reduced vector changes nothing
@@ -247,6 +254,38 @@ def test_quotient_reduce_at_odd_prime():
     diff = reduced.add(probe.scale(p - 1))
     assert module.relations_contain(diff) or diff.is_zero()
     assert len(module.quotient_indices()) == module.dim
+
+
+def test_block_spans_match_full_ambient_spans():
+    # The block-routed spans against spans over the whole ambient space,
+    # with every label expanded to an ambient vector and no weight blocks.
+    construction = {
+        build_dual_weyl: [RelationKind.BASIC_SNAKE],
+        build_gtensor_specht: [
+            RelationKind.BASIC_SNAKE,
+            RelationKind.SKEW_SUPPLEMENTARY,
+        ],
+    }
+    oracle_families = [RelationKind.ALL_ADJACENT_SNAKES, RelationKind.EXHAUSTIVE_GARNIR]
+    cases = 0
+    for n in range(1, 5):
+        for shape in partitions_of(n):
+            for d in range(1, 4):
+                for p in (2, 3):
+                    for build, families in construction.items():
+                        module = build(shape, d, p)
+                        dim = module.ambient.dim
+                        vectors = relation_vectors(module, families)
+                        full = span([v.coords for v in vectors], dim, p).dim
+                        assert full == module.relation_rank, (shape, d, p)
+                        which = "nabla" if build is build_dual_weyl else "gtensor"
+                        for family in oracle_families:
+                            vectors = relation_vectors(module, [family])
+                            full = span([v.coords for v in vectors], dim, p).dim
+                            got = family_rank(which, shape, d, p, [family])
+                            assert full == got, (which, shape, d, p, family)
+                        cases += 1
+    assert cases == 2 * 2 * 3 * sum(1 for n in range(1, 5) for _ in partitions_of(n))
 
 
 def test_block_spans_are_pinned():
