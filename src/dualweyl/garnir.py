@@ -1,18 +1,40 @@
-"""Garnir labels, their expansion into canonical tabloid terms, and the
-deterministic label stream of each relation family. Spans are built from
-these in `quotients`."""
+"""Garnir relations on column tuples, Garnir labels, and the deterministic
+label stream of each relation family. Spans are built from these in
+`quotients`.
+
+A relation is expanded from a template. The coset transversal of a Garnir
+relation depends only on the heights of its two columns and on the rows of
+A and B, not on the entries (James, The Representation Theory of the
+Symmetric Groups, LNM 682, section 7). A template holds, per coset
+representative, the positions of the two columns that fill the two new
+columns, and the parity; it is validated when it is built, and the snake
+at row i of columns of heights h_j, h_{j+1} has one cached template. A
+term differs from its source only in those two columns, so only they are
+sorted (with their parity and repeat flag); the other columns are reused
+as they are. Builds expand the snakes of basis representatives, whose
+columns are already sorted, with `snake_terms`, keying every term by its
+column tuple. `garnir_terms` is the entry point for an arbitrary
+`GarnirLabel`; it validates the label, canonicalizes the untouched columns
+once and runs the same expansion, `_expand`.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .partitions import Partition
+from .partitions import InvariantError, Partition
 from .tableaux import Box, Tableau, TableauClass, enumerate_tableaux
-from .tabloids import TabloidKind, basis_class, canonicalize
+from .tabloids import TabloidKind, basis_class, sort_column
+
+Cols = tuple[tuple[int, ...], ...]
+# Per coset representative: the positions in (first column + second column)
+# that fill the new first and second columns, and the parity.
+Template = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -56,18 +78,106 @@ def snake_label(t: Tableau, i: int, j: int) -> GarnirLabel:
     return GarnirLabel(t, A, B)
 
 
+def snake_box(cols: Cols) -> tuple[int, int] | None:
+    """0-based (row, column) of the box with the column least, then the row
+    greatest, whose entry strictly exceeds its right neighbour; None when
+    the tableau is row semistandard."""
+    for j in range(len(cols) - 1):
+        left, right = cols[j], cols[j + 1]
+        for i in range(len(right) - 1, -1, -1):
+            if left[i] > right[i]:
+                return i, j
+    return None
+
+
+def equal_boxes(cols: Cols) -> Iterator[tuple[int, int]]:
+    """0-based (row, column) of every box whose entry equals its right
+    neighbour, column by column, top to bottom: the supplementary snakes."""
+    for j in range(len(cols) - 1):
+        left, right = cols[j], cols[j + 1]
+        for i in range(len(right)):
+            if left[i] == right[i]:
+                yield i, j
+
+
 def default_snake_rule(t: Tableau) -> Box | None:
     """Box (i, j) with j least, then i greatest, where the entry strictly
     exceeds its right neighbour; None when the tableau is row semistandard."""
-    heights = [len(c) for c in t.cols]
-    for j in range(1, len(t.cols)):
-        best = None
-        for i in range(1, heights[j] + 1):
-            if t.entry(i, j) > t.entry(i, j + 1):
-                best = (i, j)
-        if best is not None:
-            return best
-    return None
+    box = snake_box(t.cols)
+    return None if box is None else (box[0] + 1, box[1] + 1)
+
+
+def _template(
+    hj: int, hj2: int, rows_a: tuple[int, ...], rows_b: tuple[int, ...]
+) -> Template:
+    """The coset transversal of the Garnir relation on columns of heights
+    hj and hj2 with A at rows_a of the first and B at rows_b of the second
+    (0-based, increasing), one representative per left coset of the group
+    permuting A and B separately. A representative is recorded by the
+    entries of A|B that move into A; entries transfer order-preservingly
+    within each part, and the parity is that of the rearrangement."""
+    if not rows_a or not rows_b:
+        raise ValueError("A and B must be nonempty")
+    for rows, h in ((rows_a, hj), (rows_b, hj2)):
+        if list(rows) != sorted(set(rows)) or rows[0] < 0 or rows[-1] >= h:
+            raise ValueError(f"rows {rows} are not increasing rows of a column of {h}")
+    if len(rows_a) + len(rows_b) <= hj:
+        raise ValueError("|A| + |B| must exceed the left column height")
+    k, m = len(rows_a), len(rows_b)
+    source = list(rows_a) + [hj + r for r in rows_b]
+    reps = []
+    for chosen in combinations(range(k + m), k):
+        rest = [x for x in range(k + m) if x not in chosen]
+        parity = sum(1 for a in chosen for b in rest if a > b) & 1
+        first, second = list(range(hj)), list(range(hj, hj + hj2))
+        for r, e in zip(rows_a, chosen):
+            first[r] = source[e]
+        for r, e in zip(rows_b, rest):
+            second[r] = source[e]
+        if sorted(first + second) != list(range(hj + hj2)):
+            raise InvariantError(f"template entry {first}, {second} is no permutation")
+        reps.append((tuple(first), tuple(second), parity))
+    return tuple(reps)
+
+
+@lru_cache(maxsize=1024)
+def _snake_template(hj: int, hj2: int, i: int) -> Template:
+    """The template of the snake at 0-based row i of two adjacent columns
+    of heights hj and hj2: A is the first column from row i down, B the
+    second column down to row i."""
+    return _template(hj, hj2, tuple(range(i, hj)), tuple(range(i + 1)))
+
+
+def _expand(
+    cols: Cols, j: int, j2: int, template: Template, kind: TabloidKind
+) -> dict[Cols, int]:
+    """The relation of a template on columns j < j2 of ``cols``, keyed by
+    column tuples, with zero coefficients dropped. Every column but j and
+    j2 must already be canonical for ``kind``; those two are sorted per
+    term. Coefficients are reduced mod 2 for the mod-2 skew kind, whose
+    signs are not tracked; only their parity is canonical."""
+    zero_on_repeat, signed = kind.zero_on_column_repeats, kind.signed
+    pair = cols[j] + cols[j2]
+    head, mid, tail = cols[:j], cols[j + 1:j2], cols[j2 + 1:]
+    out: dict[Cols, int] = {}
+    for pos_a, pos_b, parity in template:
+        a, inv_a, rep_a = sort_column(tuple([pair[x] for x in pos_a]))
+        b, inv_b, rep_b = sort_column(tuple([pair[x] for x in pos_b]))
+        if zero_on_repeat and (rep_a or rep_b):
+            continue
+        key = head + (a,) + mid + (b,) + tail
+        out[key] = out.get(key, 0) + (-1 if signed and parity ^ inv_a ^ inv_b else 1)
+    if not signed:
+        return {t: 1 for t, c in out.items() if c % 2}
+    return {t: c for t, c in out.items() if c}
+
+
+def snake_terms(cols: Cols, i: int, j: int, kind: TabloidKind) -> dict[Cols, int]:
+    """The snake relation at the 0-based box (i, j) of a tableau whose
+    columns ``cols`` are a canonical representative of ``kind`` (sorted,
+    and free of repeats when the kind kills them), keyed by column tuples."""
+    template = _snake_template(len(cols[j]), len(cols[j + 1]), i)
+    return _expand(cols, j, j + 1, template, kind)
 
 
 def garnir_terms(
@@ -75,54 +185,59 @@ def garnir_terms(
     kind: TabloidKind,
     _shuffle: random.Random | None = None,
 ) -> dict[Tableau, int]:
-    """Integer coefficients of the relation on canonical representatives.
-
-    The sum runs over one representative per left coset of the group
-    permuting A and B separately. A representative is recorded by the set
-    of boxes of A|B whose entries move into A; entries transfer
-    order-preservingly within each part, and the sign is the parity of
-    that rearrangement. ``_shuffle`` composes each representative with a
-    random element of the subgroup, which must not change the result.
-    """
+    """Integer coefficients of the relation of an arbitrary label on
+    canonical representatives of a column kind (mod 2 for the mod-2 skew
+    kind). ``_shuffle`` composes each coset representative of the template
+    with a random element of the group permuting A and B separately, which
+    must not change the result."""
+    if kind.family == "row":
+        raise ValueError("Garnir relations live on column tabloids")
     label.validate()
-    boxes_a = sorted(label.A)
-    boxes_b = sorted(label.B)
-    all_boxes = boxes_a + boxes_b
-    entries = [label.t.entry(i, j) for i, j in all_boxes]
-    k, m = len(boxes_a), len(boxes_b)
-    out: dict[Tableau, int] = {}
-    base_cols = [list(c) for c in label.t.cols]
-    for chosen in combinations(range(k + m), k):
-        rest = [x for x in range(k + m) if x not in chosen]
-        inv = sum(1 for a in chosen for b in rest if a > b)
-        sign = -1 if inv & 1 else 1
-        cols = [c[:] for c in base_cols]
-        for (i, j), src in zip(boxes_a, chosen):
-            cols[j - 1][i - 1] = entries[src]
-        for (i, j), src in zip(boxes_b, rest):
-            cols[j - 1][i - 1] = entries[src]
-        if _shuffle is not None:
-            sign *= _permute_within(cols, boxes_a, _shuffle)
-            sign *= _permute_within(cols, boxes_b, _shuffle)
-        st = canonicalize(Tableau(cols), kind)
-        if st.is_zero:
-            continue
-        out[st.rep] = out.get(st.rep, 0) + sign * st.sign
-    if kind.family == "skew" and kind.p == 2:
-        # Signs are not tracked mod 2, so only the parity of each
-        # coefficient is canonical (transversal independent).
-        return {t: c % 2 for t, c in out.items() if c % 2}
-    return {t: c for t, c in out.items() if c}
+    cols = label.t.cols
+    j, j2 = label.A[0][1] - 1, label.B[0][1] - 1
+    rows_a = tuple(sorted(i - 1 for i, _ in label.A))
+    rows_b = tuple(sorted(i - 1 for i, _ in label.B))
+    template = _template(len(cols[j]), len(cols[j2]), rows_a, rows_b)
+    if _shuffle is not None:
+        template = _shuffled(template, rows_a, rows_b, _shuffle)
+    canonical, parity = [], 0
+    for c, col in enumerate(cols):
+        if c not in (j, j2):
+            col, inv, repeat = sort_column(col)
+            if repeat and kind.zero_on_column_repeats:
+                return {}
+            parity ^= inv
+        canonical.append(col)
+    sign = -1 if parity and kind.signed else 1
+    terms = _expand(tuple(canonical), j, j2, template, kind)
+    return {Tableau(t): sign * c for t, c in terms.items()}
 
 
-def _permute_within(cols: list[list[int]], boxes: list[Box], rng: random.Random) -> int:
-    perm = list(range(len(boxes)))
+def _shuffled(
+    template: Template,
+    rows_a: tuple[int, ...],
+    rows_b: tuple[int, ...],
+    rng: random.Random,
+) -> Template:
+    """The template with each representative composed with a random
+    permutation of the A boxes and one of the B boxes."""
+    out = []
+    for first, second, parity in template:
+        first, parity_a = _permuted(first, rows_a, rng)
+        second, parity_b = _permuted(second, rows_b, rng)
+        out.append((first, second, parity ^ parity_a ^ parity_b))
+    return tuple(out)
+
+
+def _permuted(
+    col: tuple[int, ...], rows: tuple[int, ...], rng: random.Random
+) -> tuple[tuple[int, ...], int]:
+    perm = list(range(len(rows)))
     rng.shuffle(perm)
-    values = [cols[j - 1][i - 1] for i, j in boxes]
-    for (i, j), src in zip(boxes, perm):
-        cols[j - 1][i - 1] = values[src]
-    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
-    return -1 if inv & 1 else 1
+    out = list(col)
+    for r, src in zip(rows, perm):
+        out[r] = col[rows[src]]
+    return tuple(out), sum(1 for a, b in combinations(perm, 2) if a > b) & 1
 
 
 class RelationKind(Enum):
@@ -140,41 +255,26 @@ def iter_relation_labels(
     d: int,
     rel_kind: RelationKind,
     tabloid_kind: TabloidKind,
-    source: Sequence[Tableau] | None = None,
 ) -> Iterator[GarnirLabel]:
     """Deterministic label stream for each relation family; the basic
-    snakes of ``tabloid_kind`` serve both constructions.
-
-    ``source`` replaces the enumerated source tableaux of the basic and
-    supplementary families: the basic family takes every given tableau,
-    the supplementary family the row-semistandard ones. Given the basis
-    tableaux of one content, this yields the labels of that weight block.
-    At odd p those tableaux have no repeated column entry, so supplementary
-    sources with one are skipped; that loses nothing, because a
-    supplementary relation is zero away from characteristic 2 (its A and B
-    share a letter, and the terms cancel in pairs).
-    """
+    snakes of ``tabloid_kind`` serve both constructions, and the
+    supplementary snakes sit on the row-and-column-semistandard tableaux.
+    The builds expand the same snakes straight from column tuples
+    (`snake_box`, `equal_boxes`, `snake_terms`); this stream is the
+    label-level reference for them."""
     conj = shape.conjugate()
     column_class = basis_class(tabloid_kind)
     if rel_kind is RelationKind.BASIC_SNAKE:
-        if source is None:
-            source = enumerate_tableaux(shape, d, column_class)
-        for t in source:
+        for t in enumerate_tableaux(shape, d, column_class):
             box = default_snake_rule(t)
             if box is not None:
                 yield snake_label(t, box[0], box[1])
     elif rel_kind is RelationKind.SKEW_SUPPLEMENTARY:
-        if source is None:
-            source = enumerate_tableaux(
-                shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD
-            )
-        else:
-            source = [t for t in source if t.is_row_semistandard()]
-        for t in source:
-            for j in range(1, shape[0]):
-                for i in range(1, conj.part(j + 1) + 1):
-                    if t.entry(i, j) == t.entry(i, j + 1):
-                        yield snake_label(t, i, j)
+        for t in enumerate_tableaux(
+            shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD
+        ):
+            for i, j in equal_boxes(t.cols):
+                yield snake_label(t, i + 1, j + 1)
     elif rel_kind is RelationKind.ALL_ADJACENT_SNAKES:
         for t in enumerate_tableaux(shape, d, column_class):
             for j in range(1, shape[0]):

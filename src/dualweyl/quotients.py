@@ -1,10 +1,14 @@
 """Quotient-module assembly: dual Weyl modules and inverse-Schur images.
 
 Both modules are quotients of a tabloid space by a relation span. Every
-relation reaches a span by one routine, `_push_labels`, which pushes it
-into the weight block of its label's source tableau: relations are weight
-homogeneous, and a term outside that block is an error. Full builds, the
-dominant blocks and `family_rank` (the test reference) all use it.
+relation reaches a span by one routine, `_push_terms`, which pushes it
+into the weight block of its source tableau: relations are weight
+homogeneous, and a term outside that block is an error. Blocks key their
+representatives by column tuple. Full builds, the dominant blocks and
+`restrict_entries` share `_relation_blocks`, which expands the snakes of
+each representative straight from its columns with the template kernel
+of `garnir` and creates no tableau per relation; `family_rank` (the test
+reference) expands `GarnirLabel`s through `garnir_terms` instead.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -22,6 +26,7 @@ S_d-orbits, only the final rank is.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,16 +35,17 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .garnir import (
-    GarnirLabel,
+    Cols,
     RelationKind,
-    default_snake_rule,
+    equal_boxes,
     garnir_terms,
     iter_relation_labels,
-    snake_label,
+    snake_box,
+    snake_terms,
 )
 from .gfp import SpanBuilder, Subspace
 from .partitions import InvariantError, Partition, partitions_of
-from .tableaux import ColOrderResult, Tableau, col_compare, enumerate_tableaux
+from .tableaux import ColOrderResult, Tableau, col_order, enumerate_tableaux
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
@@ -59,7 +65,7 @@ WeightTable = dict[tuple[int, ...], int]
 @dataclass
 class _Block:
     indices: list[int]  # positions in the grouped sequence (ambient indices)
-    pos: dict[Tableau, int]  # representative -> local coordinate
+    pos: dict[Cols, int]  # columns of a representative -> local coordinate
     span: SpanBuilder
     basic_rank: int = 0
 
@@ -110,8 +116,9 @@ class QuotientModule:
         parts: dict[tuple[int, ...], dict[int, int]] = {}
         for i, c in vec.coords.items():
             w = self.ambient.rep(i).weight(self.ambient.d)
-            block = self._blocks[w]
-            parts.setdefault(w, {})[block.pos[self.ambient.rep(i)]] = c
+            # A block's ambient indices are increasing, so the local
+            # coordinate of i is its rank among them.
+            parts.setdefault(w, {})[bisect_left(self._blocks[w].indices, i)] = c
         return parts
 
     def relations_contain(self, vec: TabloidVector) -> bool:
@@ -162,7 +169,7 @@ def _make_blocks(
         block = blocks.get(w)
         if block is None:
             block = blocks[w] = _Block([], {}, SpanBuilder(0, p))
-        block.pos[t] = len(block.indices)
+        block.pos[t.cols] = len(block.indices)
         block.indices.append(i)
     for block in blocks.values():
         block.span = SpanBuilder(block.size, p)
@@ -171,8 +178,8 @@ def _make_blocks(
 
 def _push_terms(
     span: SpanBuilder,
-    terms: dict[Tableau, int],
-    pos: dict[Tableau, int],
+    terms: dict[Cols, int],
+    pos: dict[Cols, int],
     p: int,
 ) -> bool:
     """Push one relation into the span of the block with local coordinates
@@ -195,47 +202,42 @@ def _push_terms(
     return span.add(local)
 
 
-def _push_labels(
-    blocks: dict[tuple[int, ...], _Block],
-    labels: Iterable[GarnirLabel],
-    kind: TabloidKind,
-    d: int,
-    p: int,
-) -> None:
-    """The one route from labels to spans: expand each label and push its
-    relation into the weight block of its source tableau."""
-    for label in labels:
-        terms = garnir_terms(label, kind)
-        if terms:
-            block = blocks[label.t.weight(d)]
-            _push_terms(block.span, terms, block.pos, p)
-
-
 def _relation_blocks(
-    shape: Partition, d: int, p: int, model: str, reps: Sequence[Tableau]
+    d: int, p: int, model: str, reps: Sequence[Tableau]
 ) -> dict[tuple[int, ...], _Block]:
     """The weight blocks of ``reps`` with the relations of one construction
-    pushed: the basic snakes of every tableau, recording the rank of each
-    block; then, for the skew construction at p = 2, the supplementary
-    snakes (at odd p every one of them is zero)."""
+    pushed. Each block takes the basic snake of every tableau that is not
+    row semistandard and records its rank; then, for the skew construction
+    at p = 2, it takes the supplementary snakes of the row-semistandard
+    ones (at odd p every one of them is zero). Relations are expanded
+    straight from the column tuples of the representatives."""
     kind = _tabloid_kind(model, p)
     blocks = _make_blocks(reps, d, p)
-    basic = iter_relation_labels(shape, d, RelationKind.BASIC_SNAKE, kind, source=reps)
-    _push_labels(blocks, basic, kind, d, p)
+    supplementary = model == "gtensor" and p == 2
     for block in blocks.values():
+        row_semistandard = []
+        for cols in block.pos:
+            box = snake_box(cols)
+            if box is None:
+                row_semistandard.append(cols)
+                continue
+            terms = snake_terms(cols, *box, kind)
+            if terms:
+                _push_terms(block.span, terms, block.pos, p)
         block.basic_rank = block.span.rank
-    if model == "gtensor" and p == 2:
-        supplementary = iter_relation_labels(
-            shape, d, RelationKind.SKEW_SUPPLEMENTARY, kind, source=reps
-        )
-        _push_labels(blocks, supplementary, kind, d, p)
+        if supplementary:
+            for cols in row_semistandard:
+                for box in equal_boxes(cols):
+                    terms = snake_terms(cols, *box, kind)
+                    if terms:
+                        _push_terms(block.span, terms, block.pos, p)
     return blocks
 
 
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
     basis = build_basis(shape, d, _tabloid_kind(model, p))
-    blocks = _relation_blocks(shape, d, p, model, basis.reps)
+    blocks = _relation_blocks(d, p, model, basis.reps)
     gain = None
     if model == "gtensor":
         gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
@@ -250,8 +252,12 @@ def family_rank(
     kind = _tabloid_kind(which, p)
     blocks = _make_blocks(build_basis(shape, d, kind).reps, d, p)
     for family in families:
-        labels = iter_relation_labels(shape, d, family, kind)
-        _push_labels(blocks, labels, kind, d, p)
+        for label in iter_relation_labels(shape, d, family, kind):
+            terms = garnir_terms(label, kind)
+            if terms:
+                block = blocks[label.t.weight(d)]
+                local = {t.cols: c for t, c in terms.items()}
+                _push_terms(block.span, local, block.pos, p)
     return sum(b.span.rank for b in blocks.values())
 
 
@@ -320,7 +326,7 @@ def _dominant_block(
     d = len(beta)
     kind = _tabloid_kind(model, p)
     reps = enumerate_tableaux(shape, d, basis_class(kind), content=tuple(beta))
-    blocks = _relation_blocks(shape, d, p, model, reps)
+    blocks = _relation_blocks(d, p, model, reps)
     return blocks.get(beta) or _Block([], {}, SpanBuilder(0, p))
 
 
@@ -347,7 +353,7 @@ def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]
         if beta[0] < 2:
             continue
         block = _dominant_block(shape, 2, "gtensor", beta)
-        out[beta] = [j for t, j in block.pos.items() if has_column_repeat(t)]
+        out[beta] = [j for cols, j in block.pos.items() if has_column_repeat(cols)]
     return out
 
 
@@ -405,69 +411,73 @@ def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     st = canonicalize(t, ALT_COLUMN)
     if st.is_zero:
         return TabloidVector(basis, p, {})
-    terms: dict[Tableau, int] = {st.rep: st.sign % p}
-    return _straighten_terms(terms, basis, p)
+    return _straighten_terms({st.rep.cols: st.sign % p}, basis, p)
 
 
 def straighten_vector(vec: TabloidVector) -> TabloidVector:
-    return _straighten_terms(dict(vec.terms()), vec.basis, vec.p)
+    terms = {vec.basis.rep(i).cols: c for i, c in vec.coords.items()}
+    return _straighten_terms(terms, vec.basis, vec.p)
 
 
 def _straighten_terms(
-    terms: dict[Tableau, int], basis: TabloidBasis, p: int
+    terms: dict[Cols, int], basis: TabloidBasis, p: int
 ) -> TabloidVector:
     guard = 0
     while True:
         guard += 1
         if guard >= 100_000:
             raise InvariantError("straightening failed to terminate")
-        target = None
-        for rep, c in terms.items():
-            if c % p == 0 or rep.is_row_semistandard():
+        target = box = None
+        for cols, c in terms.items():
+            if c % p == 0:
                 continue
-            if target is None or _col_greater(rep, target):
-                target = rep
+            snake = snake_box(cols)
+            if snake is not None and (target is None or _col_greater(cols, target)):
+                target, box = cols, snake
         if target is None:
             break
         coeff = terms[target] % p
-        box = default_snake_rule(target)
-        rel = garnir_terms(snake_label(target, box[0], box[1]), ALT_COLUMN)
+        rel = snake_terms(target, *box, ALT_COLUMN)
         if rel.get(target) != 1:
             raise InvariantError(f"basic snake of {target} does not lead with it")
-        for rep, c in rel.items():
-            v = (terms.get(rep, 0) - coeff * c) % p
+        for cols, c in rel.items():
+            v = (terms.get(cols, 0) - coeff * c) % p
             if v:
-                terms[rep] = v
+                terms[cols] = v
             else:
-                terms.pop(rep, None)
-    return vector_from_terms(basis, p, terms)
+                terms.pop(cols, None)
+    return TabloidVector(
+        basis, p, {basis.index[cols]: c % p for cols, c in terms.items() if c % p}
+    )
 
 
-def _col_greater(a: Tableau, b: Tableau) -> bool:
-    result = col_compare(a, b)
-    if result is ColOrderResult.EQUIVALENT:
-        return a.col_reading() > b.col_reading()
-    return result is ColOrderResult.GREATER
+def _col_greater(a: Cols, b: Cols) -> bool:
+    """Column order, ties broken by the column reading (for equal shapes,
+    the lexicographic order of the column tuples)."""
+    order = col_order(a, b)
+    if order is ColOrderResult.EQUIVALENT:
+        return a > b
+    return order is ColOrderResult.GREATER
 
 
 def restrict_entries(
     shape: Partition, d: int, d_sub: int, p: int
 ) -> tuple[int, int]:
-    """Project the degree-d construction onto entries <= d_sub and compare
-    its dimension with the direct build at d_sub. Returns (restricted,
-    direct); the two must agree. A relation keeps the content of its
-    source tableau, so the projection keeps the relations of the degree-d
-    source tableaux that use no letter above d_sub."""
+    """Compare the degree-d skew construction, truncated to the weights
+    with no letter above d_sub, with the dimension at d_sub. Returns
+    (restricted, direct); the two must agree. The restricted side sums
+    the quotient dimensions of those weight blocks of the full degree-d
+    build; the direct side is `module_dim` at d_sub, which reads only
+    dominant blocks and scales them over S_d-orbits."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
-    kind = skew_column(p)
-    sub_basis = build_basis(shape, d_sub, kind)
-    reps = enumerate_tableaux(shape, d, basis_class(kind))
-    kept = [t for t in reps if t.max_entry() <= d_sub]
-    blocks = _relation_blocks(shape, d_sub, p, "gtensor", kept)
-    rank = sum(b.span.rank for b in blocks.values())
-    restricted = sub_basis.dim - rank
-    direct = build_gtensor_specht(shape, d_sub, p).dim
+    module = build_gtensor_specht(shape, d, p)
+    restricted = sum(
+        b.size - b.span.rank
+        for w, b in module._blocks.items()
+        if not any(w[d_sub:])
+    )
+    direct = module_dim("gtensor", shape, d_sub, p)
     if restricted != direct:
         raise InvariantError(
             f"restriction of {shape} from d={d} to {d_sub} gives {restricted}, "

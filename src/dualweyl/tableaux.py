@@ -88,9 +88,6 @@ class Tableau:
         """Entries read column by column, top to bottom; the canonical sort key."""
         return tuple(x for c in self.cols for x in c)
 
-    def max_entry(self) -> int:
-        return max(x for c in self.cols for x in c)
-
     def is_row_semistandard(self) -> bool:
         return all(r[k] <= r[k + 1] for r in self.rows() for k in range(len(r) - 1))
 
@@ -248,14 +245,21 @@ def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:
     with the leftmost such column breaking ties; holding that entry in
     the earlier column makes a tableau the greater one.
     """
-    if [len(c) for c in t.cols] != [len(c) for c in u.cols]:
+    return col_order(t.cols, u.cols)
+
+
+def col_order(
+    a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]
+) -> ColOrderResult:
+    """`col_compare` on the column tuples of two tableaux."""
+    if [len(c) for c in a] != [len(c) for c in b]:
         raise ValueError("tableaux must have the same shape")
-    best: tuple[int, int, bool] | None = None  # (m, -j, m held by t)
-    for j, (ct, cu) in enumerate(zip(t.cols, u.cols), 1):
-        if ct == cu:
+    best: tuple[int, int, bool] | None = None  # (m, -j, m held by a)
+    for j, (ca, cb) in enumerate(zip(a, b), 1):
+        if ca == cb:
             continue
-        diff = Counter(ct)
-        diff.subtract(Counter(cu))
+        diff = Counter(ca)
+        diff.subtract(Counter(cb))
         for entry, mult in diff.items():
             if mult == 0:
                 continue

@@ -30,6 +30,12 @@ class TabloidKind:
     def zero_on_column_repeats(self) -> bool:
         return self.family == "alt" or (self.family == "skew" and self.p != 2)
 
+    @property
+    def signed(self) -> bool:
+        """Whether column sorting carries a sign; the mod-2 skew kind does
+        not track signs."""
+        return not (self.family == "skew" and self.p == 2)
+
     def __repr__(self) -> str:
         return self.family if self.p is None else f"{self.family}(p={self.p})"
 
@@ -49,19 +55,21 @@ class SignedTabloid:
     is_zero: bool = False
 
 
-def _sorted_with_parity(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
+def sort_column(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
     """(sorted tuple, inversion parity, had repeats). Parity counts strict
     inversions, which is the sorting permutation's parity when entries are
     distinct."""
-    inv = 0
-    n = len(seq)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if seq[a] > seq[b]:
-                inv ^= 1
     out = tuple(sorted(seq))
-    repeat = any(out[k] == out[k + 1] for k in range(n - 1))
-    return out, inv, repeat
+    n = len(seq)
+    if out == seq:
+        return seq, 0, len(set(seq)) < n
+    inv = 0
+    for a in range(n - 1):
+        x = seq[a]
+        for b in range(a + 1, n):
+            if x > seq[b]:
+                inv ^= 1
+    return out, inv, len(set(out)) < n
 
 
 def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:
@@ -79,16 +87,14 @@ def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:
     any_repeat = False
     cols = []
     for c in t.cols:
-        sorted_c, inv, repeat = _sorted_with_parity(c)
+        sorted_c, inv, repeat = sort_column(c)
         cols.append(sorted_c)
         parity ^= inv
         any_repeat = any_repeat or repeat
     rep = Tableau(cols)
     if any_repeat and kind.zero_on_column_repeats:
         return SignedTabloid(rep, 1, is_zero=True)
-    if kind.family == "skew" and kind.p == 2:
-        return SignedTabloid(rep, 1)
-    return SignedTabloid(rep, -1 if parity else 1)
+    return SignedTabloid(rep, -1 if parity and kind.signed else 1)
 
 
 def basis_class(kind: TabloidKind) -> TableauClass:
@@ -108,25 +114,26 @@ class TabloidBasis:
     shape: Partition
     d: int
     reps: tuple[Tableau, ...]
-    index: dict[Tableau, int] = field(compare=False, repr=False)
+    index: dict[tuple[tuple[int, ...], ...], int] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def index_of(self, t: Tableau) -> int:
-        return self.index[t]
+        return self.index[t.cols]
 
     def rep(self, i: int) -> Tableau:
         return self.reps[i]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
-    """Basis of canonical representatives in the deterministic tableau order."""
+    """Basis of canonical representatives in the deterministic tableau
+    order, indexed by their column tuples."""
     reps = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
     return TabloidBasis(
-        kind, shape, d, reps, {t: i for i, t in enumerate(reps)}
+        kind, shape, d, reps, {t.cols: i for i, t in enumerate(reps)}
     )
 
 
@@ -180,8 +187,10 @@ def unit_vector(basis: TabloidBasis, p: int, t: Tableau) -> TabloidVector:
     return TabloidVector(basis, p, {basis.index_of(t): 1})
 
 
-def has_column_repeat(t: Tableau) -> bool:
-    return any(len(set(c)) < len(c) for c in t.cols)
+def has_column_repeat(cols: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether some column of a tableau, given by its column tuples,
+    repeats an entry."""
+    return any(len(set(c)) < len(c) for c in cols)
 
 
 def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
@@ -191,5 +200,5 @@ def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
     return [
         TabloidVector(basis, 2, {i: 1})
         for i, t in enumerate(basis.reps)
-        if has_column_repeat(t)
+        if has_column_repeat(t.cols)
     ]

@@ -1,9 +1,10 @@
 """Shared brute-force oracles for the test suite. These deliberately avoid
 the library's canonicalization and span machinery so they can check it,
 except the all-blocks kernel probe, which is the reference for the
-dominant-block path."""
+dominant-block path, and the Garnir oracle, which canonicalizes its terms
+with `canonicalize`."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from dualweyl.partitions import Partition
 from dualweyl.quotients import build_gtensor_specht
@@ -61,6 +62,34 @@ def apply_e_map(terms: dict[Tableau, int], p: int) -> dict[Tableau, int]:
     return out
 
 
+def garnir_oracle(label, kind):
+    """Brute-force expansion of a Garnir label: every permutation of the
+    entries of A | B, grouped by which source boxes land in A, the first of
+    each group kept; each term canonicalized with `canonicalize` and the
+    signs summed (only their parity for the mod-2 skew kind)."""
+    t = label.t
+    boxes = list(label.A) + list(label.B)
+    k = len(label.A)
+    seen = set()
+    out = {}
+    for perm in permutations(range(len(boxes))):
+        group = frozenset(perm[:k])
+        if group in seen:
+            continue
+        seen.add(group)
+        cols = [list(c) for c in t.cols]
+        for (i, j), src in zip(boxes, perm):
+            cols[j - 1][i - 1] = t.entry(*boxes[src])
+        st = canonicalize(Tableau(cols), kind)
+        if st.is_zero:
+            continue
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        out[st.rep] = out.get(st.rep, 0) + (-1) ** inversions * st.sign
+    if kind.family == "skew" and kind.p == 2:
+        return {rep: 1 for rep, c in out.items() if c % 2}
+    return {rep: c for rep, c in out.items() if c}
+
+
 def kernel_table_all_blocks(shape, d, p=2):
     """Kernel of the surjection onto the dual Weyl module at every weight,
     by probing every block of the full skew build with its
@@ -71,8 +100,8 @@ def kernel_table_all_blocks(shape, d, p=2):
         probe = block.span.copy()
         grown = sum(
             1
-            for t, j in block.pos.items()
-            if has_column_repeat(t) and probe.add({j: 1})
+            for cols, j in block.pos.items()
+            if has_column_repeat(cols) and probe.add({j: 1})
         )
         if grown:
             table[w] = grown
@@ -119,6 +148,7 @@ __all__ = [
     "apply_e_map",
     "brute_fillings",
     "column_antisymmetrization",
+    "garnir_oracle",
     "kernel_table_all_blocks",
     "prod",
     "reduce_oracle",

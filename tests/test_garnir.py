@@ -10,12 +10,13 @@ from dualweyl.garnir import (
     garnir_terms,
     iter_relation_labels,
     snake_label,
+    snake_terms,
 )
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
 from dualweyl.quotients import build_gtensor_specht, family_rank
 from dualweyl.tableaux import ColOrderResult, Tableau, TableauClass, col_compare, enumerate_tableaux
 from dualweyl.tabloids import ALT_COLUMN, build_basis, skew_column, vector_from_terms
-from helpers import apply_e_map
+from helpers import apply_e_map, garnir_oracle
 
 
 def snake_vector(t, i, j, kind, basis, p):
@@ -132,6 +133,41 @@ def test_leading_term_skew_equal_pair():
     b = sum(1 for (i, j) in label.B if t.entry(i, j) == 1)
     terms = garnir_terms(label, skew_column(2))
     assert comb(a + b, a) % 2 == terms.get(t, 0) % 2
+
+
+@pytest.mark.parametrize(
+    "kind, snake_count",
+    [(ALT_COLUMN, 9034), (skew_column(2), 13080), (skew_column(3), 9034)],
+    ids=repr,
+)
+def test_kernel_matches_the_brute_force_oracle(kind, snake_count):
+    # Every adjacent snake (basic and supplementary boxes alike) of every
+    # basis tableau for n <= 5, d <= 4, through both the column-tuple kernel
+    # and the label wrapper; then every exhaustive Garnir label for n <= 4,
+    # d <= 3, whose tableaux need not have sorted columns.
+    snakes = 0
+    for n in range(2, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                for label in iter_relation_labels(
+                    shape, d, RelationKind.ALL_ADJACENT_SNAKES, kind
+                ):
+                    expected = garnir_oracle(label, kind)
+                    assert garnir_terms(label, kind) == expected, label
+                    i, j = len(label.B), label.A[0][1]
+                    kernel = snake_terms(label.t.cols, i - 1, j - 1, kind)
+                    assert kernel == {t.cols: c for t, c in expected.items()}, label
+                    snakes += 1
+    exhaustive = 0
+    for n in range(2, 5):
+        for shape in partitions_of(n):
+            for d in range(1, 4):
+                for label in iter_relation_labels(
+                    shape, d, RelationKind.EXHAUSTIVE_GARNIR, kind
+                ):
+                    assert garnir_terms(label, kind) == garnir_oracle(label, kind), label
+                    exhaustive += 1
+    assert (snakes, exhaustive) == (snake_count, 1200)
 
 
 def test_transversal_independence():

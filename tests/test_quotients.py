@@ -50,6 +50,9 @@ def relation_vectors(module, rel_kinds):
 # dense numpy arrays, so it shows that the sparse engine gives the same
 # subspaces.
 BLOCK_SPANS_SHA256 = "b9c75b2ad490ae1afa1cab592638b419b692bd907241f861823c87c78ef4b6d1"
+# The same at p = 2, where the supplementary stage runs, with each block's
+# basic rank; recorded before relations were expanded from column tuples.
+BLOCK_SPANS_P2_SHA256 = "156a606959ce5ef4380b156af2ea94612aebe5ab2882d74889978c8598ca0281"
 
 
 def test_dual_weyl_dims_match_hook_content():
@@ -195,6 +198,33 @@ def test_restrict_entries():
     assert restrict_entries(Partition((1, 1, 1)), 3, 1, 2) == (1, 1)
     module_dim = build_gtensor_specht(Partition((2, 1)), 3, 2).dim
     assert restrict_entries(Partition((2, 1)), 3, 3, 2) == (module_dim, module_dim)
+    assert restrict_entries(Partition((3, 1, 1)), 5, 2, 2) == (8, 8)
+
+
+@pytest.mark.parametrize("side", ["full", "dominant"])
+def test_restrict_entries_check_has_an_independent_oracle(monkeypatch, side):
+    # The two sides come from different computations: the weight blocks of
+    # the full degree-d build, and the dominant blocks at d_sub scaled over
+    # S_d-orbits. Breaking either one must trip the check.
+    from dualweyl import quotients
+    from dualweyl.partitions import InvariantError
+
+    if side == "full":
+        real_build = quotients.build_gtensor_specht
+
+        def build(shape, d, p):
+            module = real_build(shape, d, p)
+            blocks = {w: b for w, b in module._blocks.items() if w[0] != 2}
+            return quotients.QuotientModule(module.ambient, p, blocks)
+
+        monkeypatch.setattr(quotients, "build_gtensor_specht", build)
+    else:
+        real_dim = quotients.module_dim
+        monkeypatch.setattr(
+            quotients, "module_dim", lambda *args: real_dim(*args) + 1
+        )
+    with pytest.raises(InvariantError):
+        restrict_entries(Partition((2, 2, 1)), 5, 4, 2)
 
 
 def test_transvection_examples():
@@ -309,6 +339,99 @@ def test_block_spans_are_pinned():
     assert digest.hexdigest() == BLOCK_SPANS_SHA256
 
 
+def test_block_spans_are_pinned_at_two():
+    digest = hashlib.sha256()
+    blocks = 0
+    for build in (build_dual_weyl, build_gtensor_specht):
+        for n in range(1, 5):
+            for shape in partitions_of(n):
+                for d in range(1, 5):
+                    module = build(shape, d, 2)
+                    for w, block in sorted(module._blocks.items()):
+                        s = block.span.subspace()
+                        key = (build.__name__, tuple(shape), d, w, s.pivot_indices(),
+                               s.basis_rows(), block.basic_rank)
+                        digest.update(repr(key).encode())
+                        blocks += 1
+    assert blocks == 685
+    assert digest.hexdigest() == BLOCK_SPANS_P2_SHA256
+
+
+@pytest.mark.parametrize(
+    "p, relation_rank, gain", [(2, 26166, 252), (3, 18390, 0)]
+)
+def test_large_gtensor_build_is_pinned(p, relation_rank, gain):
+    # (5,1), d = 6: 27216 skew tabloids at p = 2 in 462 weight blocks.
+    module = build_gtensor_specht(Partition((5, 1)), 6, p)
+    assert module.dim == 1050 == hook_content_dim(Partition((5, 1)), 6)
+    assert module.relation_rank == relation_rank
+    assert module.supplementary_rank_gain == gain
+
+
+@pytest.mark.parametrize("p, pushes", [(2, 26544), (3, 18390)])
+def test_build_creates_no_objects_per_relation(monkeypatch, p, pushes):
+    # With the basis built, the full build expands every relation from
+    # column tuples: no Tableau, Partition or GarnirLabel is created, and
+    # each nonempty relation goes through _push_terms(span, terms, pos, p),
+    # positionally (the benchmark tracer hooks that name and argument order).
+    from dualweyl import quotients
+    from dualweyl.garnir import GarnirLabel
+
+    shape = Partition((5, 1))
+    build_basis(shape, 6, skew_column(p))
+    created = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            created.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Tableau, "__init__", counting("Tableau", Tableau.__init__))
+    monkeypatch.setattr(
+        Partition, "__new__", staticmethod(counting("Partition", Partition.__new__))
+    )
+    monkeypatch.setattr(
+        GarnirLabel, "__init__", counting("GarnirLabel", GarnirLabel.__init__)
+    )
+    GarnirLabel(Tableau(((1,), (2,))), ((1, 1),), ((1, 2),))
+    assert created == ["Tableau", "GarnirLabel"]  # the counters work
+    Partition((1,))
+    assert created[-1] == "Partition"
+    created.clear()
+
+    real_push = quotients._push_terms
+    calls = []
+
+    def push(*args, **kwargs):
+        assert not kwargs and len(args) == 4 and args[1]
+        calls.append(args[3])
+        return real_push(*args)
+
+    monkeypatch.setattr(quotients, "_push_terms", push)
+    module = quotients._build.__wrapped__(shape, 6, p, "gtensor")
+    assert created == []
+    assert len(calls) == pushes and set(calls) == {p}
+    assert module.dim == 1050
+
+
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import dualweyl
+
+    caches = []
+    for info in pkgutil.iter_modules(dualweyl.__path__):
+        module = importlib.import_module(f"dualweyl.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                caches.append(f"{info.name}.{name}")
+                assert obj.cache_parameters()["maxsize"] is not None, name
+    assert {"tabloids.build_basis", "quotients._build", "garnir._snake_template"} <= set(caches)
+
+
 def test_block_subspace_is_frozen_on_first_use():
     from dualweyl.quotients import _build
 
@@ -344,6 +467,6 @@ def test_inhomogeneous_relation_is_refused():
     blocks = _make_blocks(basis.reps, 2, 2)
     block = blocks[(2, 1)]
     other = next(t for t in basis.reps if t.weight(2) == (1, 2))
-    terms = {next(iter(block.pos)): 1, other: 1}
+    terms = {next(iter(block.pos)): 1, other.cols: 1}
     with pytest.raises(InvariantError):
         _push_terms(block.span, terms, block.pos, 2)

@@ -144,7 +144,7 @@ def test_ker_q_generator_examples():
     assert len(ker_q_generators(Partition((2, 1)), 1)) == 1
     for gen in ker_q_generators(Partition((2, 2, 1)), 3):
         (idx,) = gen.coords
-        assert has_column_repeat(gen.basis.rep(idx))
+        assert has_column_repeat(gen.basis.rep(idx).cols)
 
 
 def test_vector_arithmetic():
