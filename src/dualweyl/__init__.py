@@ -15,7 +15,6 @@ from .partitions import (
 from .tableaux import ColOrderResult, Tableau, TableauClass, col_compare, enumerate_tableaux
 from .tabloids import (
     ALT_COLUMN,
-    ROW,
     SignedTabloid,
     TabloidBasis,
     TabloidVector,
@@ -30,7 +29,6 @@ from .quotients import (
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
-    family_rank,
     module_dim,
     restrict_entries,
     straighten,

@@ -26,7 +26,7 @@ from .partitions import (
     partitions_of,
 )
 from .quotients import u_lambda_dim, u_lambda_weight_table
-from .tableaux import TableauClass, enumerate_tableaux
+from .tableaux import kostka_numbers
 
 ENV_DATA_PATH = "DUALWEYL_DATA"
 
@@ -177,15 +177,7 @@ class DecompositionData:
         weakly decreasing composition representing its class)."""
         cached = self._weight_counts.get(nu)
         if cached is None:
-            n = nu.n
-            cached = {}
-            for t in enumerate_tableaux(nu, n, TableauClass.SEMISTANDARD):
-                w = t.weight(n)
-                if any(w[k] < w[k + 1] for k in range(n - 1)):
-                    continue
-                key = Partition(x for x in w if x)
-                cached[key] = cached.get(key, 0) + 1
-            self._weight_counts[nu] = cached
+            cached = self._weight_counts[nu] = kostka_numbers(nu)
         return cached
 
     def simple_weight_multiplicity(self, mu: Partition, beta: Partition) -> int:

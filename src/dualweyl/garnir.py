@@ -28,10 +28,9 @@ from itertools import combinations
 from typing import Iterator
 
 from .partitions import InvariantError, Partition
-from .tableaux import Box, Tableau, TableauClass, enumerate_tableaux
+from .tableaux import Box, Cols, Tableau, TableauClass, enumerate_tableaux
 from .tabloids import TabloidKind, basis_class, sort_column
 
-Cols = tuple[tuple[int, ...], ...]
 # Per coset representative: the positions in (first column + second column)
 # that fill the new first and second columns, and the parity.
 Template = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
@@ -190,8 +189,6 @@ def garnir_terms(
     kind). ``_shuffle`` composes each coset representative of the template
     with a random element of the group permuting A and B separately, which
     must not change the result."""
-    if kind.family == "row":
-        raise ValueError("Garnir relations live on column tabloids")
     label.validate()
     cols = label.t.cols
     j, j2 = label.A[0][1] - 1, label.B[0][1] - 1
@@ -265,25 +262,25 @@ def iter_relation_labels(
     conj = shape.conjugate()
     column_class = basis_class(tabloid_kind)
     if rel_kind is RelationKind.BASIC_SNAKE:
-        for t in enumerate_tableaux(shape, d, column_class):
+        for t in map(Tableau, enumerate_tableaux(shape, d, column_class)):
             box = default_snake_rule(t)
             if box is not None:
                 yield snake_label(t, box[0], box[1])
     elif rel_kind is RelationKind.SKEW_SUPPLEMENTARY:
-        for t in enumerate_tableaux(
+        for t in map(Tableau, enumerate_tableaux(
             shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD
-        ):
+        )):
             for i, j in equal_boxes(t.cols):
                 yield snake_label(t, i + 1, j + 1)
     elif rel_kind is RelationKind.ALL_ADJACENT_SNAKES:
-        for t in enumerate_tableaux(shape, d, column_class):
+        for t in map(Tableau, enumerate_tableaux(shape, d, column_class)):
             for j in range(1, shape[0]):
                 for i in range(1, conj.part(j + 1) + 1):
                     yield snake_label(t, i, j)
     elif rel_kind is RelationKind.EXHAUSTIVE_GARNIR:
         if shape.n > _EXHAUSTIVE_MAX_N:
             raise ValueError("exhaustive generation is capped at 5 boxes")
-        for t in enumerate_tableaux(shape, d, TableauClass.ALL):
+        for t in map(Tableau, enumerate_tableaux(shape, d, TableauClass.ALL)):
             for j in range(1, shape[0]):
                 hj, hj2 = conj.part(j), conj.part(j + 1)
                 col_j = [(i, j) for i in range(1, hj + 1)]

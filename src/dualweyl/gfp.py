@@ -9,8 +9,6 @@ the pivots in its support.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -202,26 +200,3 @@ class SpanBuilder(Subspace):
         if self.p == 2:
             return self.add_mask(as_mask(vec, self.ambient_dim))
         return self._add_dict(as_dict(vec, self.ambient_dim, self.p))
-
-
-def span(vectors: Iterable, ambient_dim: int, p: int) -> Subspace:
-    """Reduced row-echelon span of the given vectors."""
-    builder = SpanBuilder(ambient_dim, p)
-    for v in vectors:
-        builder.add(v)
-    return builder.subspace()
-
-
-def matrix_rank(rows: Iterable, ambient_dim: int, p: int) -> int:
-    return span(rows, ambient_dim, p).dim
-
-
-def dim_sum_and_intersection(s: Subspace, t: Subspace) -> tuple[int, int]:
-    """(dim(S+T), dim(S∩T)) via rank of the stacked bases."""
-    if s.ambient_dim != t.ambient_dim or s.p != t.p:
-        raise ValueError("subspaces must share ambient space and prime")
-    builder = s._snapshot(SpanBuilder)
-    for row in t._piv.values():
-        builder.add(row)
-    dim_sum = builder.rank
-    return dim_sum, s.dim + t.dim - dim_sum

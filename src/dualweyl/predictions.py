@@ -10,6 +10,7 @@ from math import comb
 
 from .partitions import InvariantError, Partition, partitions_of
 from .quotients import build_gtensor_specht, verify_iso
+from .tableaux import weight_of
 from .tabloids import ker_q_generators
 
 
@@ -160,7 +161,7 @@ def table1_weight_counts(d: int) -> dict[Partition, int]:
         raise ValueError("the class census needs d >= 4")
     shape = Partition((2, 2, 1))
     weights = {
-        gen.basis.rep(next(iter(gen.coords))).weight(d)
+        weight_of(gen.basis.cols[next(iter(gen.coords))], d)
         for gen in ker_q_generators(shape, d)
     }
     out: dict[Partition, int] = {}

@@ -7,8 +7,9 @@ homogeneous, and a term outside that block is an error. Blocks key their
 representatives by column tuple. Full builds, the dominant blocks and
 `restrict_entries` share `_relation_blocks`, which expands the snakes of
 each representative straight from its columns with the template kernel
-of `garnir` and creates no tableau per relation; `family_rank` (the test
-reference) expands `GarnirLabel`s through `garnir_terms` instead.
+of `garnir`. Bases, blocks and relations are all keyed by column tuples,
+so neither the builds nor `reduce`, `relations_contain` and the
+transvections create a `Tableau`.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -32,20 +33,19 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .garnir import (
-    Cols,
-    RelationKind,
-    equal_boxes,
-    garnir_terms,
-    iter_relation_labels,
-    snake_box,
-    snake_terms,
-)
+from .garnir import equal_boxes, snake_box, snake_terms
 from .gfp import SpanBuilder, Subspace
 from .partitions import InvariantError, Partition, partitions_of
-from .tableaux import ColOrderResult, Tableau, col_order, enumerate_tableaux
+from .tableaux import (
+    Cols,
+    ColOrderResult,
+    Tableau,
+    col_order,
+    enumerate_tableaux,
+    weight_of,
+)
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
@@ -53,10 +53,9 @@ from .tabloids import (
     TabloidVector,
     basis_class,
     build_basis,
-    canonicalize,
+    canonical_cols,
     has_column_repeat,
     skew_column,
-    vector_from_terms,
 )
 
 WeightTable = dict[tuple[int, ...], int]
@@ -114,8 +113,9 @@ class QuotientModule:
         if vec.basis is not self.ambient:
             raise ValueError("vector lives over a different basis")
         parts: dict[tuple[int, ...], dict[int, int]] = {}
+        cols, d = self.ambient.cols, self.ambient.d
         for i, c in vec.coords.items():
-            w = self.ambient.rep(i).weight(self.ambient.d)
+            w = weight_of(cols[i], d)
             # A block's ambient indices are increasing, so the local
             # coordinate of i is its rank among them.
             parts.setdefault(w, {})[bisect_left(self._blocks[w].indices, i)] = c
@@ -159,17 +159,17 @@ def _tabloid_kind(model: str, p: int) -> TabloidKind:
 
 
 def _make_blocks(
-    reps: Sequence[Tableau], d: int, p: int
+    reps: Sequence[Cols], d: int, p: int
 ) -> dict[tuple[int, ...], _Block]:
-    """Group tableaux by weight, keeping their order, each group with an
-    empty span."""
+    """Group tableaux, given by their column tuples, by weight, keeping
+    their order, each group with an empty span."""
     blocks: dict[tuple[int, ...], _Block] = {}
-    for i, t in enumerate(reps):
-        w = t.weight(d)
+    for i, cols in enumerate(reps):
+        w = weight_of(cols, d)
         block = blocks.get(w)
         if block is None:
             block = blocks[w] = _Block([], {}, SpanBuilder(0, p))
-        block.pos[t.cols] = len(block.indices)
+        block.pos[cols] = len(block.indices)
         block.indices.append(i)
     for block in blocks.values():
         block.span = SpanBuilder(block.size, p)
@@ -203,7 +203,7 @@ def _push_terms(
 
 
 def _relation_blocks(
-    d: int, p: int, model: str, reps: Sequence[Tableau]
+    d: int, p: int, model: str, reps: Sequence[Cols]
 ) -> dict[tuple[int, ...], _Block]:
     """The weight blocks of ``reps`` with the relations of one construction
     pushed. Each block takes the basic snake of every tableau that is not
@@ -237,28 +237,11 @@ def _relation_blocks(
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
     basis = build_basis(shape, d, _tabloid_kind(model, p))
-    blocks = _relation_blocks(d, p, model, basis.reps)
+    blocks = _relation_blocks(d, p, model, basis.cols)
     gain = None
     if model == "gtensor":
         gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
     return QuotientModule(basis, p, blocks, supplementary_rank_gain=gain)
-
-
-def family_rank(
-    which: str, shape: Partition, d: int, p: int, families: Iterable[RelationKind]
-) -> int:
-    """Rank of the span of relation families over the tabloid space of
-    ``which`` ("nabla" or "gtensor"); the test reference for the builds."""
-    kind = _tabloid_kind(which, p)
-    blocks = _make_blocks(build_basis(shape, d, kind).reps, d, p)
-    for family in families:
-        for label in iter_relation_labels(shape, d, family, kind):
-            terms = garnir_terms(label, kind)
-            if terms:
-                block = blocks[label.t.weight(d)]
-                local = {t.cols: c for t, c in terms.items()}
-                _push_terms(block.span, local, block.pos, p)
-    return sum(b.span.rank for b in blocks.values())
 
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:
@@ -408,15 +391,10 @@ def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     if t.shape != shape:
         raise ValueError("tableau does not have the stated shape")
     basis = build_basis(shape, d, ALT_COLUMN)
-    st = canonicalize(t, ALT_COLUMN)
-    if st.is_zero:
+    cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
+    if is_zero:
         return TabloidVector(basis, p, {})
-    return _straighten_terms({st.rep.cols: st.sign % p}, basis, p)
-
-
-def straighten_vector(vec: TabloidVector) -> TabloidVector:
-    terms = {vec.basis.rep(i).cols: c for i, c in vec.coords.items()}
-    return _straighten_terms(terms, vec.basis, vec.p)
+    return _straighten_terms({cols: sign % p}, basis, p)
 
 
 def _straighten_terms(
@@ -491,27 +469,29 @@ def apply_transvection(
 ) -> TabloidVector:
     """Expand the substitution sending the source letter to source plus
     target multilinearly over the boxes, canonicalizing each term."""
-    d = vec.basis.d
+    basis = vec.basis
+    d = basis.d
     if not (1 <= source <= d and 1 <= target <= d) or source == target:
         raise ValueError("source and target must be distinct letters in range")
-    kind = vec.basis.kind
-    out: dict[Tableau, int] = {}
+    out: dict[Cols, int] = {}
     for idx, coeff in vec.coords.items():
-        t = vec.basis.rep(idx)
+        cols = basis.cols[idx]
         spots = [
-            (i + 1, j + 1)
-            for j, col in enumerate(t.cols)
+            (j, i)
+            for j, col in enumerate(cols)
             for i, x in enumerate(col)
             if x == source
         ]
         for r in range(len(spots) + 1):
             for subset in combinations(spots, r):
-                u = t
-                for i, j in subset:
-                    u = u.with_entry(i, j, target)
-                st = canonicalize(u, kind)
-                if st.is_zero:
-                    continue
-                key = st.rep
-                out[key] = (out.get(key, 0) + coeff * st.sign) % p
-    return vector_from_terms(vec.basis, p, out)
+                term = [list(c) for c in cols]
+                for j, i in subset:
+                    term[j][i] = target
+                key, sign, is_zero = canonical_cols(
+                    tuple(map(tuple, term)), basis.kind
+                )
+                if not is_zero:
+                    out[key] = out.get(key, 0) + coeff * sign
+    return TabloidVector(
+        basis, p, {basis.index[k]: c % p for k, c in out.items() if c % p}
+    )

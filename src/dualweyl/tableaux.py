@@ -1,20 +1,21 @@
-"""Tableaux over the alphabet {1..d}, enumeration by class, and the column order."""
+"""Tableaux over the alphabet {1..d}, enumeration by class, and the column order.
+
+Inside the package a tableau travels as its column tuples (``Cols``);
+`Tableau` is the validated form at the API boundary."""
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Iterable
 
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 
 
 class TableauClass(Enum):
     ALL = "all"
-    ROW_STANDARD = "row_standard"
     COLUMN_STANDARD = "column_standard"
-    ROW_SEMISTANDARD = "row_semistandard"
     COLUMN_SEMISTANDARD = "column_semistandard"
     STANDARD = "standard"
     SEMISTANDARD = "semistandard"
@@ -28,6 +29,16 @@ class ColOrderResult(Enum):
 
 
 Box = tuple[int, int]
+Cols = tuple[tuple[int, ...], ...]
+
+
+def weight_of(cols: Cols, d: int) -> tuple[int, ...]:
+    """How often each letter 1..d occurs in a tableau given by its columns."""
+    counts = [0] * d
+    for c in cols:
+        for x in c:
+            counts[x - 1] += 1
+    return tuple(counts)
 
 
 class Tableau:
@@ -78,29 +89,10 @@ class Tableau:
         )
 
     def weight(self, d: int) -> tuple[int, ...]:
-        counts = [0] * d
-        for c in self.cols:
-            for x in c:
-                counts[x - 1] += 1
-        return tuple(counts)
-
-    def col_reading(self) -> tuple[int, ...]:
-        """Entries read column by column, top to bottom; the canonical sort key."""
-        return tuple(x for c in self.cols for x in c)
+        return weight_of(self.cols, d)
 
     def is_row_semistandard(self) -> bool:
         return all(r[k] <= r[k + 1] for r in self.rows() for k in range(len(r) - 1))
-
-    def is_row_standard(self) -> bool:
-        return all(r[k] < r[k + 1] for r in self.rows() for k in range(len(r) - 1))
-
-    def is_column_standard(self) -> bool:
-        return all(c[k] < c[k + 1] for c in self.cols for k in range(len(c) - 1))
-
-    def with_entry(self, i: int, j: int, value: int) -> "Tableau":
-        cols = [list(c) for c in self.cols]
-        cols[j - 1][i - 1] = value
-        return Tableau(cols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tableau) and self.cols == other.cols
@@ -113,33 +105,14 @@ class Tableau:
         return f"Tableau[{body}]"
 
 
-def place_permute(t: Tableau, moves: dict[Box, Box]) -> Tableau:
-    """Apply the place permutation sending the entry at box src to box dst.
-
-    ``moves`` maps src -> dst and must be a bijection on its domain.
-    """
-    if set(moves) != set(moves.values()):
-        raise ValueError("moves must permute a fixed set of boxes")
-    cols = [list(c) for c in t.cols]
-    for (si, sj), (di, dj) in moves.items():
-        cols[dj - 1][di - 1] = t.entry(si, sj)
-    return Tableau(cols)
-
-
-_COLUMN_DRIVEN = {
-    TableauClass.ALL,
-    TableauClass.COLUMN_STANDARD,
-    TableauClass.COLUMN_SEMISTANDARD,
-    TableauClass.STANDARD,
-    TableauClass.SEMISTANDARD,
-    TableauClass.ROW_AND_COLUMN_SEMISTANDARD,
-}
-
-
-_STRICT_COLUMNS = {
-    TableauClass.COLUMN_STANDARD,
-    TableauClass.STANDARD,
-    TableauClass.SEMISTANDARD,
+# Sorted-column classes: (step down a column, gap to the left neighbour in
+# the same row, None when rows are unordered).
+_SORTED_CLASSES = {
+    TableauClass.COLUMN_STANDARD: (1, None),
+    TableauClass.COLUMN_SEMISTANDARD: (0, None),
+    TableauClass.STANDARD: (1, 1),
+    TableauClass.SEMISTANDARD: (1, 0),
+    TableauClass.ROW_AND_COLUMN_SEMISTANDARD: (0, 0),
 }
 
 
@@ -148,93 +121,76 @@ def enumerate_tableaux(
     d: int,
     cls: TableauClass,
     content: tuple[int, ...] | None = None,
-) -> list[Tableau]:
-    """All tableaux of the requested class, each once, in column-reading
-    lexicographic order.
+) -> list[Cols]:
+    """The column tuples of all tableaux of the requested class, each once,
+    in column-reading lexicographic order.
 
-    With ``content`` (length d) only the tableaux in which letter k occurs
-    content[k-1] times are generated, directly rather than by filtering;
-    this needs a class whose columns are sorted.
+    Every class but ALL has sorted columns and is generated column by
+    column, top to bottom: an entry is at least the one above it plus the
+    class's column step and, when the class orders rows, at least its left
+    neighbour plus the row gap. With ``content`` (length d) letter k is
+    used exactly content[k-1] times, consumed as the entries are placed
+    rather than by filtering.
     """
     if d < 1:
         raise ValueError("d must be positive")
     heights = tuple(shape.conjugate())
-    alphabet = range(1, d + 1)
-
-    if content is not None and cls not in _COLUMN_DRIVEN - {TableauClass.ALL}:
-        raise ValueError(f"enumeration by content needs sorted columns, not {cls}")
-
-    if cls in _COLUMN_DRIVEN:
+    if cls is TableauClass.ALL:
         if content is not None:
-            if len(content) != d or min(content) < 0 or sum(content) != shape.n:
-                raise ValueError(f"content {content} does not fill {shape}")
-            strict = cls in _STRICT_COLUMNS
-            col_tuples = _cols_of_content(heights, list(content), strict)
-        else:
-            if cls is TableauClass.ALL:
-                per_col = [list(product(alphabet, repeat=h)) for h in heights]
-            elif cls in _STRICT_COLUMNS:
-                per_col = [list(combinations(alphabet, h)) for h in heights]
-            else:
-                per_col = [
-                    list(combinations_with_replacement(alphabet, h)) for h in heights
-                ]
-            col_tuples = product(*per_col)
-        out = [Tableau(cols) for cols in col_tuples]
-        if cls is TableauClass.SEMISTANDARD:
-            out = [t for t in out if t.is_row_semistandard()]
-        elif cls is TableauClass.STANDARD:
-            out = [t for t in out if t.is_row_standard()]
-        elif cls is TableauClass.ROW_AND_COLUMN_SEMISTANDARD:
-            out = [t for t in out if t.is_row_semistandard()]
-        return out
+            raise ValueError(f"enumeration by content needs sorted columns, not {cls}")
+        alphabet = range(1, d + 1)
+        return list(product(*(product(alphabet, repeat=h) for h in heights)))
+    step, gap = _SORTED_CLASSES[cls]
+    if content is None:
+        counts = [shape.n] * d  # never binding
+    elif len(content) != d or min(content) < 0 or sum(content) != shape.n:
+        raise ValueError(f"content {content} does not fill {shape}")
+    else:
+        counts = list(content)
+    # A strict column holds a letter at most once, so no letter may
+    # outnumber the columns still to fill.
+    prune = step and content is not None
+    last = len(heights) - 1
+    out: list[Cols] = []
+    cols: list[tuple[int, ...]] = []
+    col: list[int] = []
 
-    # Row-driven classes have independent rows; sort back into column order.
-    if cls is TableauClass.ROW_STANDARD:
-        per_row = [list(combinations(alphabet, a)) for a in shape]
-    elif cls is TableauClass.ROW_SEMISTANDARD:
-        per_row = [list(combinations_with_replacement(alphabet, a)) for a in shape]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown class {cls}")
-    out = [Tableau.from_rows(rows) for rows in product(*per_row)]
-    out.sort(key=Tableau.col_reading)
+    def place(k: int, i: int, low: int) -> None:
+        h = heights[k]
+        if i == h:
+            cols.append(tuple(col))
+            if k == last:
+                out.append(tuple(cols))
+            elif not prune or max(counts) <= last - k:
+                col.clear()
+                place(k + 1, 0, 1)
+                col.extend(cols[k])
+            cols.pop()
+            return
+        if gap is not None and k:
+            low = max(low, cols[k - 1][i] + gap)
+        for x in range(low, d - step * (h - 1 - i) + 1):
+            if counts[x - 1]:
+                counts[x - 1] -= 1
+                col.append(x)
+                place(k, i + 1, x + step)
+                col.pop()
+                counts[x - 1] += 1
+
+    place(0, 0, 1)
     return out
 
 
-def _cols_of_content(
-    heights: tuple[int, ...], counts: list[int], strict: bool
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Column tuples of sorted columns (strictly increasing when strict)
-    using letter k exactly counts[k-1] times, in lexicographic order;
-    ``counts`` is consumed and restored in place."""
-    cols: list[tuple[int, ...]] = []
-
-    def column(h: int, low: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if h == 0:
-            yield tuple(prefix)
-            return
-        for x in range(low, len(counts) + 1):
-            if counts[x - 1]:
-                counts[x - 1] -= 1
-                prefix.append(x)
-                yield from column(h - 1, x + 1 if strict else x, prefix)
-                prefix.pop()
-                counts[x - 1] += 1
-
-    def rec(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if k == len(heights):
-            yield tuple(cols)
-            return
-        # A strict column holds a letter at most once, so no letter may
-        # outnumber the columns still to fill.
-        if strict and max(counts) > len(heights) - k:
-            return
-        for col in column(heights[k], 1, []):
-            cols.append(col)
-            yield from rec(k + 1)
-            cols.pop()
-
-    return rec(0)
+def kostka_numbers(shape: Partition) -> dict[Partition, int]:
+    """The number of semistandard tableaux of ``shape`` with content beta,
+    for every partition beta of n that has one (the Kostka numbers); a
+    weight that rearranges beta has the same count."""
+    semistandard = TableauClass.SEMISTANDARD
+    counts = {
+        beta: len(enumerate_tableaux(shape, len(beta), semistandard, tuple(beta)))
+        for beta in partitions_of(shape.n)
+    }
+    return {beta: count for beta, count in counts.items() if count}
 
 
 def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:
@@ -248,9 +204,7 @@ def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:
     return col_order(t.cols, u.cols)
 
 
-def col_order(
-    a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]
-) -> ColOrderResult:
+def col_order(a: Cols, b: Cols) -> ColOrderResult:
     """`col_compare` on the column tuples of two tableaux."""
     if [len(c) for c in a] != [len(c) for c in b]:
         raise ValueError("tableaux must have the same shape")

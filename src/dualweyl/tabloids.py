@@ -1,9 +1,11 @@
-"""Canonical tabloid representatives and bases for the three tabloid spaces.
+"""Canonical tabloid representatives and bases for the two column tabloid
+spaces.
 
-Row tabloids model a product of symmetric powers, alternating column
-tabloids model a product of exterior powers, and skew column tabloids
-model the product that agrees with the exterior power away from
-characteristic 2 but keeps repeated column entries alive mod 2.
+Alternating column tabloids model a product of exterior powers, and skew
+column tabloids model the product that agrees with the exterior power away
+from characteristic 2 but keeps repeated column entries alive mod 2. A
+basis holds its representatives as column tuples; `Tableau` objects are
+made only at the API boundary (`rep`, `terms`, `canonicalize`).
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .partitions import Partition
-from .tableaux import Tableau, TableauClass, enumerate_tableaux
+from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
 
 
 @dataclass(frozen=True)
 class TabloidKind:
-    family: str  # "row" | "alt" | "skew"
+    family: str  # "alt" | "skew"
     p: int | None = None
 
     def __post_init__(self):
-        if self.family not in ("row", "alt", "skew"):
+        if self.family not in ("alt", "skew"):
             raise ValueError(f"unknown tabloid family {self.family!r}")
         if (self.family == "skew") != (self.p is not None):
             raise ValueError("exactly the skew kind carries a prime")
@@ -40,7 +42,6 @@ class TabloidKind:
         return self.family if self.p is None else f"{self.family}(p={self.p})"
 
 
-ROW = TabloidKind("row")
 ALT_COLUMN = TabloidKind("alt")
 
 
@@ -72,35 +73,34 @@ def sort_column(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
     return out, inv, len(set(out)) < n
 
 
-def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:
-    """Canonical representative of the tabloid class of t, with its sign.
-
-    Rows sort ascending for the row kind (sign always +1); columns sort
-    ascending for the column kinds, the sign being the parity of the
-    sorting permutation. The alternating kind flags classes with a
-    repeated column entry as zero, and the skew kind does the same
-    exactly when its prime is odd.
-    """
-    if kind.family == "row":
-        return SignedTabloid(Tableau.from_rows(sorted(r) for r in t.rows()), 1)
+def canonical_cols(cols: Cols, kind: TabloidKind) -> tuple[Cols, int, bool]:
+    """(sorted columns, sign, is zero) of the tabloid class of a filling
+    given by its columns. Columns sort ascending, the sign being the parity
+    of the sorting permutation (always +1 for the mod-2 skew kind). The
+    alternating kind flags classes with a repeated column entry as zero,
+    and the skew kind does the same exactly when its prime is odd."""
     parity = 0
     any_repeat = False
-    cols = []
-    for c in t.cols:
+    out = []
+    for c in cols:
         sorted_c, inv, repeat = sort_column(c)
-        cols.append(sorted_c)
+        out.append(sorted_c)
         parity ^= inv
         any_repeat = any_repeat or repeat
-    rep = Tableau(cols)
     if any_repeat and kind.zero_on_column_repeats:
-        return SignedTabloid(rep, 1, is_zero=True)
-    return SignedTabloid(rep, -1 if parity and kind.signed else 1)
+        return tuple(out), 1, True
+    return tuple(out), -1 if parity and kind.signed else 1, False
+
+
+def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:
+    """Canonical representative of the tabloid class of t, with its sign
+    and zero flag, as `canonical_cols` gives them."""
+    cols, sign, is_zero = canonical_cols(t.cols, kind)
+    return SignedTabloid(Tableau(cols), sign, is_zero)
 
 
 def basis_class(kind: TabloidKind) -> TableauClass:
     """Tableau class of the canonical representatives of a tabloid kind."""
-    if kind.family == "row":
-        return TableauClass.ROW_SEMISTANDARD
     if kind.zero_on_column_repeats:
         return TableauClass.COLUMN_STANDARD
     return TableauClass.COLUMN_SEMISTANDARD
@@ -108,33 +108,32 @@ def basis_class(kind: TabloidKind) -> TableauClass:
 
 @dataclass(frozen=True)
 class TabloidBasis:
-    """Indexed family of canonical representatives for one tabloid space."""
+    """Indexed family of canonical representatives for one tabloid space,
+    held as column tuples."""
 
     kind: TabloidKind
     shape: Partition
     d: int
-    reps: tuple[Tableau, ...]
-    index: dict[tuple[tuple[int, ...], ...], int] = field(compare=False, repr=False)
+    cols: tuple[Cols, ...]
+    index: dict[Cols, int] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.cols)
 
     def index_of(self, t: Tableau) -> int:
         return self.index[t.cols]
 
     def rep(self, i: int) -> Tableau:
-        return self.reps[i]
+        return Tableau(self.cols[i])
 
 
 @lru_cache(maxsize=256)
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives in the deterministic tableau
     order, indexed by their column tuples."""
-    reps = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
-    return TabloidBasis(
-        kind, shape, d, reps, {t.cols: i for i, t in enumerate(reps)}
-    )
+    cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
+    return TabloidBasis(kind, shape, d, cols, {c: i for i, c in enumerate(cols)})
 
 
 @dataclass(frozen=True)
@@ -183,11 +182,7 @@ def vector_from_terms(
     return TabloidVector(basis, p, coords)
 
 
-def unit_vector(basis: TabloidBasis, p: int, t: Tableau) -> TabloidVector:
-    return TabloidVector(basis, p, {basis.index_of(t): 1})
-
-
-def has_column_repeat(cols: tuple[tuple[int, ...], ...]) -> bool:
+def has_column_repeat(cols: Cols) -> bool:
     """Whether some column of a tableau, given by its column tuples,
     repeats an entry."""
     return any(len(set(c)) < len(c) for c in cols)
@@ -199,6 +194,6 @@ def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
     basis = build_basis(shape, d, skew_column(2))
     return [
         TabloidVector(basis, 2, {i: 1})
-        for i, t in enumerate(basis.reps)
-        if has_column_repeat(t.cols)
+        for i, cols in enumerate(basis.cols)
+        if has_column_repeat(cols)
     ]

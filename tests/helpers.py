@@ -1,15 +1,31 @@
-"""Shared brute-force oracles for the test suite. These deliberately avoid
-the library's canonicalization and span machinery so they can check it,
-except the all-blocks kernel probe, which is the reference for the
-dominant-block path, and the Garnir oracle, which canonicalizes its terms
-with `canonicalize`."""
+"""Shared brute-force oracles and test-only references for the test suite.
+The oracles deliberately avoid the library's canonicalization and span
+machinery so they can check it, except the all-blocks kernel probe, which
+is the reference for the dominant-block path, and the Garnir oracle, which
+canonicalizes its terms with `canonicalize`. The label-level relation rank
+(`family_rank`), the span helpers and the row tabloids have no caller in
+the package; they live here as references for the tests."""
 
 from itertools import combinations, permutations, product
 
+from dualweyl.garnir import garnir_terms, iter_relation_labels
+from dualweyl.gfp import SpanBuilder, Subspace
 from dualweyl.partitions import Partition
-from dualweyl.quotients import build_gtensor_specht
-from dualweyl.tableaux import Tableau
-from dualweyl.tabloids import ROW, canonicalize, has_column_repeat
+from dualweyl.quotients import (
+    _make_blocks,
+    _push_terms,
+    _straighten_terms,
+    _tabloid_kind,
+    build_gtensor_specht,
+)
+from dualweyl.tableaux import Box, Tableau
+from dualweyl.tabloids import (
+    TabloidBasis,
+    TabloidVector,
+    build_basis,
+    canonicalize,
+    has_column_repeat,
+)
 
 
 def brute_fillings(shape, d):
@@ -21,6 +37,25 @@ def brute_fillings(shape, d):
             for i in range(1, len(shape) + 1)
         ]
         yield Tableau.from_rows(rows)
+
+
+def place_permute(t: Tableau, moves: dict[Box, Box]) -> Tableau:
+    """Apply the place permutation sending the entry at box src to box dst.
+
+    ``moves`` maps src -> dst and must be a bijection on its domain.
+    """
+    if set(moves) != set(moves.values()):
+        raise ValueError("moves must permute a fixed set of boxes")
+    cols = [list(c) for c in t.cols]
+    for (si, sj), (di, dj) in moves.items():
+        cols[dj - 1][di - 1] = t.entry(si, sj)
+    return Tableau(cols)
+
+
+def row_sort(t: Tableau) -> Tableau:
+    """The representative of the row tabloid of t: every row sorted
+    ascending (row tabloids carry no sign)."""
+    return Tableau.from_rows(sorted(r) for r in t.rows())
 
 
 def column_antisymmetrization(t: Tableau, p: int) -> dict[Tableau, int]:
@@ -44,7 +79,7 @@ def column_antisymmetrization(t: Tableau, p: int) -> dict[Tableau, int]:
             )
             if inversions % 2:
                 sign = -sign
-        rep = canonicalize(Tableau(cols), ROW).rep
+        rep = row_sort(Tableau(cols))
         out[rep] = (out.get(rep, 0) + sign) % p
     return {rep: c for rep, c in out.items() if c}
 
@@ -108,6 +143,53 @@ def kernel_table_all_blocks(shape, d, p=2):
     return table
 
 
+def family_rank(which, shape, d, p, families):
+    """Rank of the span of relation families over the tabloid space of
+    ``which`` ("nabla" or "gtensor"), expanding every `GarnirLabel` of the
+    label stream through `garnir_terms`: the label-level reference for the
+    builds, which expand snakes straight from column tuples."""
+    kind = _tabloid_kind(which, p)
+    blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
+    for family in families:
+        for label in iter_relation_labels(shape, d, family, kind):
+            terms = garnir_terms(label, kind)
+            if terms:
+                block = blocks[label.t.weight(d)]
+                local = {t.cols: c for t, c in terms.items()}
+                _push_terms(block.span, local, block.pos, p)
+    return sum(b.span.rank for b in blocks.values())
+
+
+def straighten_vector(vec: TabloidVector) -> TabloidVector:
+    """Straighten every term of a vector of alternating tabloids."""
+    terms = {vec.basis.cols[i]: c for i, c in vec.coords.items()}
+    return _straighten_terms(terms, vec.basis, vec.p)
+
+
+def unit_vector(basis: TabloidBasis, p: int, t: Tableau) -> TabloidVector:
+    return TabloidVector(basis, p, {basis.index_of(t): 1})
+
+
+def span(vectors, ambient_dim: int, p: int) -> Subspace:
+    """Reduced row-echelon span of the given vectors."""
+    builder = SpanBuilder(ambient_dim, p)
+    for v in vectors:
+        builder.add(v)
+    return builder.subspace()
+
+
+def matrix_rank(rows, ambient_dim: int, p: int) -> int:
+    return span(rows, ambient_dim, p).dim
+
+
+def dim_sum_and_intersection(s: Subspace, t: Subspace) -> tuple[int, int]:
+    """(dim(S+T), dim(S∩T)) via rank of the stacked bases."""
+    if s.ambient_dim != t.ambient_dim or s.p != t.p:
+        raise ValueError("subspaces must share ambient space and prime")
+    dim_sum = span(s.basis_rows() + t.basis_rows(), s.ambient_dim, s.p).dim
+    return dim_sum, s.dim + t.dim - dim_sum
+
+
 def rref_oracle(vectors, m, p):
     """Reduced row-echelon basis of the span of dense vectors over GF(p),
     by textbook Gauss-Jordan elimination on plain lists."""
@@ -148,9 +230,17 @@ __all__ = [
     "apply_e_map",
     "brute_fillings",
     "column_antisymmetrization",
+    "dim_sum_and_intersection",
+    "family_rank",
     "garnir_oracle",
     "kernel_table_all_blocks",
+    "matrix_rank",
+    "place_permute",
     "prod",
     "reduce_oracle",
+    "row_sort",
     "rref_oracle",
+    "span",
+    "straighten_vector",
+    "unit_vector",
 ]

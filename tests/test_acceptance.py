@@ -32,10 +32,8 @@ from dualweyl.quotients import (
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
-    family_rank,
     restrict_entries,
     straighten,
-    straighten_vector,
     u_lambda_dim,
     verify_iso,
     weight_table,
@@ -49,7 +47,7 @@ from dualweyl.tabloids import (
     skew_column,
     vector_from_terms,
 )
-from helpers import brute_fillings
+from helpers import brute_fillings, family_rank, straighten_vector
 
 P = Partition
 

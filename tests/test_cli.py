@@ -12,7 +12,18 @@ import pytest
 from dualweyl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 VERIFY_ALL_SHA256 = "4651521214fa13f502de04c267f2259a433e062f1682606ae85bfcef7231d4cf"
+
+
+def child_env():
+    """The environment for a child interpreter that imports the package
+    from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def run(capsys, *argv):
@@ -116,14 +127,10 @@ def test_verify_reports_the_n_max_cap(capsys):
 def test_verify_all_report_is_pinned():
     # The report bytes of the full sweep are fixed; any change to a
     # construction that alters a dimension, verdict or table shows here.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "dualweyl.cli", "verify", "--suite", "all",
          "--jobs", "2", "--no-timing", "--format", "json"],
-        capture_output=True, env=env, timeout=600,
+        capture_output=True, env=child_env(), timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["items"]) == 650
@@ -190,21 +197,37 @@ def test_thm1_check_has_an_independent_oracle(monkeypatch):
 
 def test_cli_import_leaves_out_numpy_and_the_pool():
     # numpy is not a dependency, and a `dim` call never needs the pool.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     code = (
         "import sys, dualweyl.cli; "
         "print([m for m in ('numpy', 'concurrent.futures.process') "
         "if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_still_attaches(tmp_path):
+    # The benchmark's tracer hooks package functions by module and name,
+    # and its module-ops client imports package names; a rename or move
+    # that breaks either fails here, not only when the benchmark runs.
+    code = (
+        "import sys; from pathlib import Path; "
+        f"sys.path.insert(0, {str(PERFBENCH)!r}); "
+        "import modops, tracer; "
+        f"tracer.install(Path({str(tmp_path)!r})); "
+        "from dualweyl import cli; "
+        "sys.exit(cli.main(['dim', '--which', 'u', '--lambda', '2,2,1', '--d', '4']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "56"
 
 
 def test_report_is_deterministic(capsys):

@@ -2,13 +2,17 @@
 it rests on: final block ranks are constant on S_d-orbits of weights and do
 not depend on d, while the rank of the basic relations alone is not."""
 
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualweyl.partitions import Partition, partitions_of
 from dualweyl.quotients import (
+    _kernel_dims,
     build_dual_weyl,
     build_gtensor_specht,
     module_dim,
@@ -42,6 +46,28 @@ def test_dominant_path_matches_all_blocks(n):
             assert table == oracle, (shape, d)
             assert list(table) == sorted(table)
             assert u_lambda_dim(shape, d) == sum(oracle.values())
+
+
+def test_kernel_dimension_is_the_exact_polynomial():
+    # dim U(d) is the sum over dominant beta of dim U_beta times the number
+    # of rearrangements of beta over d letters, d(d-1)...(d-l+1) / prod_i
+    # m_i(beta)!, which is a polynomial in d. At d = n every beta of n is
+    # present, so the coefficients below hold for every d, not only for the
+    # values of d that are evaluated.
+    poly = [Fraction(0)] * 6  # poly[k] is the coefficient of d**k
+    for beta, dim_u in _kernel_dims(Partition((2, 2, 1)), 5).items():
+        falling = [Fraction(1)]
+        for r in range(len(beta)):  # multiply by (d - r)
+            falling = [
+                (falling[k - 1] if k else 0) - r * (falling[k] if k < len(falling) else 0)
+                for k in range(len(falling) + 1)
+            ]
+        scale = Fraction(dim_u, prod(factorial(m) for m in Counter(beta).values()))
+        for k, c in enumerate(falling):
+            poly[k] += scale * c
+    assert poly == [0, 0, Fraction(5, 6), 0, Fraction(1, 6), 0]  # (d^4 + 5d^2)/6
+    for d in range(1, 7):
+        assert u_lambda_dim(Partition((2, 2, 1)), d) == (d**4 + 5 * d**2) // 6
 
 
 def test_module_dim_rejects_bad_input():

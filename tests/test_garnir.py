@@ -13,10 +13,10 @@ from dualweyl.garnir import (
     snake_terms,
 )
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
-from dualweyl.quotients import build_gtensor_specht, family_rank
+from dualweyl.quotients import build_gtensor_specht
 from dualweyl.tableaux import ColOrderResult, Tableau, TableauClass, col_compare, enumerate_tableaux
 from dualweyl.tabloids import ALT_COLUMN, build_basis, skew_column, vector_from_terms
-from helpers import apply_e_map, garnir_oracle
+from helpers import apply_e_map, family_rank, garnir_oracle
 
 
 def snake_vector(t, i, j, kind, basis, p):
@@ -99,7 +99,7 @@ def test_one_letter_snake_coefficient():
             basis = build_basis(shape, 1, skew_column(p))
             if basis.dim == 0:
                 continue
-            t = basis.reps[0]
+            t = basis.rep(0)
             for j in range(1, shape[0]):
                 for i in range(1, conj.part(j + 1) + 1):
                     rel = snake_vector(t, i, j, skew_column(p), basis, p)
@@ -113,7 +113,8 @@ def test_leading_term_alternating():
     # and all other terms strictly below it in the column order.
     for shape in [Partition((2, 1)), Partition((2, 2)), Partition((3, 1))]:
         for d in (2, 3):
-            for t in enumerate_tableaux(shape, d, TableauClass.COLUMN_STANDARD):
+            for cols in enumerate_tableaux(shape, d, TableauClass.COLUMN_STANDARD):
+                t = Tableau(cols)
                 box = default_snake_rule(t)
                 if box is None:
                     continue
@@ -215,9 +216,10 @@ def test_snake_summands_never_exceed_label():
             if shape[0] == 1:
                 continue
             conj = shape.conjugate()
-            for t in enumerate_tableaux(shape, 3, TableauClass.COLUMN_SEMISTANDARD):
+            for cols in enumerate_tableaux(shape, 3, TableauClass.COLUMN_SEMISTANDARD):
                 if rng.random() > 0.2:
                     continue
+                t = Tableau(cols)
                 for j in range(1, shape[0]):
                     for i in range(1, conj.part(j + 1) + 1):
                         if t.entry(i, j) < t.entry(i, j + 1):

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.gfp import (
-    SpanBuilder,
+from dualweyl.gfp import SpanBuilder, is_prime
+from helpers import (
     dim_sum_and_intersection,
-    is_prime,
     matrix_rank,
+    reduce_oracle,
+    rref_oracle,
     span,
 )
-from helpers import reduce_oracle, rref_oracle
 
 
 def test_is_prime():

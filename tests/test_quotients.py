@@ -5,31 +5,27 @@ from math import comb
 import pytest
 
 from dualweyl.garnir import RelationKind, garnir_terms, iter_relation_labels
-from dualweyl.gfp import span
 from dualweyl.partitions import Partition, count_syt, hook_content_dim, partitions_of
 from dualweyl.quotients import (
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
-    family_rank,
     restrict_entries,
     straighten,
-    straighten_vector,
     u_lambda_dim,
     u_lambda_weight_table,
     verify_iso,
     weight_table,
 )
-from dualweyl.tableaux import Tableau
+from dualweyl.tableaux import Tableau, weight_of
 from dualweyl.tabloids import (
     ALT_COLUMN,
     TabloidVector,
     build_basis,
     skew_column,
-    unit_vector,
     vector_from_terms,
 )
-from helpers import brute_fillings
+from helpers import brute_fillings, family_rank, span, straighten_vector, unit_vector
 
 
 def relation_vectors(module, rel_kinds):
@@ -120,7 +116,8 @@ def test_verify_iso_examples():
 
 def test_straighten_semistandard_fixed_point():
     basis = build_basis(Partition((2, 1)), 3, ALT_COLUMN)
-    for t in basis.reps:
+    for i in range(basis.dim):
+        t = basis.rep(i)
         if t.is_row_semistandard():
             out = straighten(t, Partition((2, 1)), 3, 5)
             assert out.coords == {basis.index_of(t): 1}
@@ -416,6 +413,62 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p, pushes):
     assert module.dim == 1050
 
 
+def test_cold_builds_create_no_tableau(monkeypatch):
+    # Bases, blocks, dimensions, the kernel probes and reduce work on column
+    # tuples from cold caches on; a Tableau is made only at the API
+    # boundary (rep, terms, canonicalize).
+    from dualweyl import quotients
+
+    created = []
+    real_init = Tableau.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(args)
+        return real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tableau, "__init__", counting)
+    Tableau(((1,),))
+    assert len(created) == 1  # the counter works
+    created.clear()
+
+    shape = Partition((2, 2, 1))
+    build_basis.cache_clear()
+    quotients._dominant_block.cache_clear()
+    for p in (2, 3):
+        basis = build_basis.__wrapped__(shape, 4, skew_column(p))
+        block = quotients._dominant_block.__wrapped__(shape, p, "gtensor", shape)
+        assert (basis.dim, block.size) == {2: (200, 5), 3: (24, 1)}[p]
+        for which in ("nabla", "gtensor"):
+            assert quotients.module_dim(which, shape, 4, p) == (
+                76 if (which, p) == ("gtensor", 2) else hook_content_dim(shape, 4)
+            )
+        assert verify_iso(shape, 4, p) is (p != 2)
+        module = quotients._build.__wrapped__(shape, 4, p, "gtensor")
+        probe = TabloidVector(module.ambient, p, {0: 1, 7: p - 1, basis.dim - 1: 1})
+        assert module.reduce(module.reduce(probe)).coords == module.reduce(probe).coords
+    assert u_lambda_dim(shape, 4) == 56
+    assert created == []
+
+
+def test_package_has_no_bare_asserts():
+    # A bare assert vanishes under `python -O`; every check in the package
+    # raises an exception instead.
+    import ast
+    from pathlib import Path
+
+    import dualweyl
+
+    sources = sorted(Path(dualweyl.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_every_cache_is_bounded():
     import importlib
     import pkgutil
@@ -464,9 +517,9 @@ def test_inhomogeneous_relation_is_refused():
     from dualweyl.quotients import _make_blocks, _push_terms
 
     basis = build_basis(Partition((2, 1)), 2, skew_column(2))
-    blocks = _make_blocks(basis.reps, 2, 2)
+    blocks = _make_blocks(basis.cols, 2, 2)
     block = blocks[(2, 1)]
-    other = next(t for t in basis.reps if t.weight(2) == (1, 2))
-    terms = {next(iter(block.pos)): 1, other.cols: 1}
+    other = next(cols for cols in basis.cols if weight_of(cols, 2) == (1, 2))
+    terms = {next(iter(block.pos)): 1, other: 1}
     with pytest.raises(InvariantError):
         _push_terms(block.span, terms, block.pos, 2)

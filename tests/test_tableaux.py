@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -9,13 +10,49 @@ from dualweyl.tableaux import (
     TableauClass,
     col_compare,
     enumerate_tableaux,
-    place_permute,
+    kostka_numbers,
+    weight_of,
 )
-from helpers import brute_fillings
+from helpers import brute_fillings, place_permute
 
 
-def is_semistandard(t):
-    return t.is_row_semistandard() and t.is_column_standard()
+def _rows_within(t, strict):
+    return all(
+        r[k] < r[k + 1] if strict else r[k] <= r[k + 1]
+        for r in t.rows()
+        for k in range(len(r) - 1)
+    )
+
+
+def _cols_within(t, strict):
+    return all(
+        c[k] < c[k + 1] if strict else c[k] <= c[k + 1]
+        for c in t.cols
+        for k in range(len(c) - 1)
+    )
+
+
+# Each class as a predicate on a filling, written from its definition.
+IN_CLASS = {
+    TableauClass.ALL: lambda t: True,
+    TableauClass.COLUMN_STANDARD: lambda t: _cols_within(t, True),
+    TableauClass.COLUMN_SEMISTANDARD: lambda t: _cols_within(t, False),
+    TableauClass.STANDARD: lambda t: _cols_within(t, True) and _rows_within(t, True),
+    TableauClass.SEMISTANDARD: lambda t: _cols_within(t, True) and _rows_within(t, False),
+    TableauClass.ROW_AND_COLUMN_SEMISTANDARD: (
+        lambda t: _cols_within(t, False) and _rows_within(t, False)
+    ),
+}
+
+
+def _weights(n, d):
+    """Every weight of n boxes over d letters."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _weights(n - first, d - 1):
+            yield (first,) + rest
 
 
 def test_tableau_accessors():
@@ -25,7 +62,6 @@ def test_tableau_accessors():
     assert t.entry(2, 1) == 3
     assert t.rows() == ((1, 2, 4), (3, 5))
     assert t.weight(5) == (1, 1, 1, 1, 1)
-    assert t.col_reading() == (1, 3, 2, 5, 4)
 
 
 def test_tableau_validation():
@@ -42,20 +78,50 @@ def test_enumerate_examples():
 
 
 def test_enumerate_matches_brute_force():
-    shape = Partition((2, 2, 1))
-    d = 3
-    brute = [t for t in brute_fillings(shape, d) if is_semistandard(t)]
-    assert sorted(t.col_reading() for t in brute) == [
-        t.col_reading()
-        for t in enumerate_tableaux(shape, d, TableauClass.SEMISTANDARD)
-    ]
+    # Every class, n <= 5, d <= 4, against the filtered brute-force
+    # fillings in column-reading order; the sorted-column classes also by
+    # content, for every weight (most weights of a strict class have none).
+    assert set(IN_CLASS) == set(TableauClass)
+    cases = 0
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                fillings = list(brute_fillings(shape, d))
+                for cls, member in IN_CLASS.items():
+                    brute = sorted(t.cols for t in fillings if member(t))
+                    assert enumerate_tableaux(shape, d, cls) == brute, (shape, d, cls)
+                    if cls is TableauClass.ALL:
+                        continue
+                    for w in _weights(n, d):
+                        expected = [c for c in brute if weight_of(c, d) == w]
+                        got = enumerate_tableaux(shape, d, cls, content=w)
+                        assert got == expected, (shape, d, cls, w)
+                        cases += 1
+    assert cases == 5 * sum(
+        comb(n + d - 1, d - 1) * sum(1 for _ in partitions_of(n))
+        for n in range(1, 6)
+        for d in range(1, 5)
+    )
 
 
 def test_enumeration_order_is_column_lex():
     for cls in TableauClass:
         out = enumerate_tableaux(Partition((2, 1)), 3, cls)
-        assert [t.col_reading() for t in out] == sorted(t.col_reading() for t in out)
+        assert out == sorted(out)
         assert len(set(out)) == len(out)
+
+
+def test_kostka_numbers_count_semistandard_tableaux_by_dominant_weight():
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            census = {}
+            for t in brute_fillings(shape, n):
+                if IN_CLASS[TableauClass.SEMISTANDARD](t):
+                    w = t.weight(n)
+                    if list(w) == sorted(w, reverse=True):
+                        beta = Partition(x for x in w if x)
+                        census[beta] = census.get(beta, 0) + 1
+            assert kostka_numbers(shape) == census, shape
 
 
 def test_content_enumeration_matches_filtered_enumeration():
@@ -71,8 +137,8 @@ def test_content_enumeration_matches_filtered_enumeration():
             for d in range(1, 4):
                 for cls in sorted_classes:
                     by_weight = {}
-                    for t in enumerate_tableaux(shape, d, cls):
-                        by_weight.setdefault(t.weight(d), []).append(t)
+                    for cols in enumerate_tableaux(shape, d, cls):
+                        by_weight.setdefault(weight_of(cols, d), []).append(cols)
                     for w, expected in by_weight.items():
                         got = enumerate_tableaux(shape, d, cls, content=w)
                         assert got == expected, (shape, d, cls, w)
@@ -89,8 +155,6 @@ def test_content_enumeration_rejects_bad_requests():
         enumerate_tableaux(shape, 2, TableauClass.COLUMN_STANDARD, content=(3,))
     with pytest.raises(ValueError):
         enumerate_tableaux(shape, 2, TableauClass.ALL, content=(2, 1))
-    with pytest.raises(ValueError):
-        enumerate_tableaux(shape, 2, TableauClass.ROW_STANDARD, content=(2, 1))
 
 
 def test_semistandard_count_matches_hook_content():
