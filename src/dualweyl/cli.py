@@ -55,6 +55,10 @@ U_DIM_FORMULA_SHAPE = Partition((2, 2, 1))
 
 # The thm1 and thm2 sweeps stop at this many boxes whatever --n-max says.
 THM_N_MAX = 6
+# The d1 sweep walks every partition of each n up to its --n-max; past
+# this many boxes that takes minutes and then hours, so it stops here.
+D1_N_MAX = 15
+N_MAX_CAPS = {"thm1": THM_N_MAX, "thm2": THM_N_MAX, "d1": D1_N_MAX}
 
 
 def _u_dim_expected(d: int) -> int:
@@ -495,20 +499,21 @@ def cmd_verify(args) -> int:
         raise _usage_error(f"--n-max must be positive, got {args.n_max}")
     items: list[dict] = []
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    capped = min(args.n_max, THM_N_MAX)
     for suite in suites:
-        if suite in ("thm1", "thm2") and args.n_max > THM_N_MAX:
+        cap = N_MAX_CAPS.get(suite, args.n_max)
+        if args.n_max > cap:
             print(
-                f"note: --n-max {args.n_max} is capped at {THM_N_MAX} for {suite}",
+                f"note: --n-max {args.n_max} is capped at {cap} for {suite}",
                 file=sys.stderr,
             )
+        capped = min(args.n_max, cap)
         if suite == "thm1":
             items += _run_checks(_suite_thm1_checks(capped), jobs)
         elif suite == "thm2":
             items += _run_checks(_suite_thm2_checks(capped), jobs)
             items += _thm2_set_items(capped)
         elif suite == "d1":
-            items += _run_checks(_suite_d1_checks(args.n_max), jobs)
+            items += _run_checks(_suite_d1_checks(capped), jobs)
         elif suite == "hooks-d2":
             items += _run_checks(_suite_hooks_checks(), jobs)
         elif suite == "tables":

@@ -2,12 +2,17 @@
 
 GF(2) vectors are Python ints used as bit masks (bit i = coordinate i),
 which keeps row reduction at word-XOR speed. Odd primes use sparse rows,
-dicts from coordinate to a coefficient in [1, p). Spans are held in fully
-reduced row-echelon form at all times, so reducing a vector touches only
-the pivots in its support.
+dicts from coordinate to a coefficient in [1, p). A `SpanBuilder` holds
+its span in row-echelon form that is not reduced: a push clears the
+pivots of the new vector in increasing order and stores it without
+touching earlier rows. `SpanBuilder.subspace` back-substitutes once, from
+the highest pivot down, into the reduced row-echelon form of a frozen
+`Subspace`, which is canonical.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 
 def is_prime(p: int) -> bool:
@@ -59,43 +64,60 @@ def as_dict(vec, ambient_dim: int, p: int) -> dict[int, int]:
 
 
 def _reduce_mask(mask: int, piv: dict[int, int], pivmask: int) -> int:
-    """Clear the pivot bits of mask. The rows are in reduced echelon form,
-    so each pivot bit in the support is cleared by one XOR and no other
-    pivot bit changes."""
+    """Clear the pivot bits of mask, lowest first. Each row's lowest bit is
+    its pivot, so an XOR changes only higher bits; this holds for echelon
+    and reduced echelon rows alike."""
     todo = mask & pivmask
     while todo:
-        low = todo & (-todo)
-        mask ^= piv[low]
-        todo ^= low
+        mask ^= piv[todo & (-todo)]
+        todo = mask & pivmask
     return mask
 
 
-def _reduce_dict(
+def _clear_dict(
     v: dict[int, int], piv: dict[int, dict[int, int]], p: int
 ) -> dict[int, int]:
-    """Clear the pivot coordinates of v in place (coefficients in [1, p))
-    and return it. The rows are in reduced echelon form, so subtracting one
-    changes no other pivot coordinate."""
-    for j in [j for j in v if j in piv]:
-        c = v[j]
+    """Clear the pivot coordinates of v in place (coefficients in [1, p)),
+    in increasing order, and return it. The rows are echelon: subtracting
+    the row of pivot j changes only coordinates above j, so a pivot it
+    brings in is queued and a cleared one never comes back. Against
+    reduced rows nothing is brought in, and the result is canonical."""
+    heap = [j for j in v if j in piv]
+    heapify(heap)
+    get = v.get
+    while heap:
+        j = heappop(heap)
+        c = get(j)
+        if c is None:  # cancelled, or queued twice
+            continue
+        c = p - c
         for i, a in piv[j].items():
-            x = (v.get(i, 0) - c * a) % p
-            if x:
-                v[i] = x
+            x = get(i)
+            if x is None:
+                v[i] = c * a % p
+                if i in piv:
+                    heappush(heap, i)
             else:
-                del v[i]
+                x = (x + c * a) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
     return v
 
 
-class Subspace:
-    """A subspace of GF(p)^m held as a reduced row-echelon basis.
+def _bits(mask: int):
+    while mask:
+        low = mask & (-mask)
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Pivots are leading (lowest-index) nonzero coordinates with coefficient
-    1, and each pivot coordinate is zero in every other basis row; the
-    representation is therefore canonical. Rows are keyed by pivot: the
-    pivot bit at p = 2, the pivot index otherwise. Stored rows are never
-    modified in place, so copies may share them.
-    """
+
+class _Rows:
+    """Rows over GF(p)^m keyed by pivot, the leading (lowest-index) nonzero
+    coordinate, which has coefficient 1: the pivot bit at p = 2, the pivot
+    index otherwise. Stored rows are never modified in place, so copies
+    may share them."""
 
     def __init__(self, ambient_dim: int, p: int):
         _check_prime(p)
@@ -114,6 +136,26 @@ class Subspace:
         other._piv = dict(self._piv)
         return other
 
+    def residual_mask(self, mask: int) -> int:
+        """The GF(2) mask reduced modulo the span (zero iff contained)."""
+        return _reduce_mask(mask, self._piv, self._pivmask)
+
+    def _residual(self, vec):
+        """vec modulo the span: a mask at p = 2, a sparse dict otherwise;
+        zero on every pivot coordinate."""
+        if self.p == 2:
+            return self.residual_mask(as_mask(vec, self.ambient_dim))
+        return _clear_dict(as_dict(vec, self.ambient_dim, self.p), self._piv, self.p)
+
+    def contains(self, vec) -> bool:
+        return not self._residual(vec)
+
+
+class Subspace(_Rows):
+    """A frozen subspace of GF(p)^m held as a reduced row-echelon basis:
+    each pivot coordinate is also zero in every other basis row, so the
+    representation is canonical."""
+
     def basis_rows(self) -> list[tuple[int, ...]]:
         """Dense basis rows with entries in [0, p), in pivot order."""
         rows = [self._piv[k] for k in sorted(self._piv)]
@@ -127,73 +169,66 @@ class Subspace:
             return [low.bit_length() - 1 for low in sorted(self._piv)]
         return sorted(self._piv)
 
-    def residual_mask(self, mask: int) -> int:
-        """The GF(2) mask reduced modulo the subspace (zero iff contained)."""
-        return _reduce_mask(mask, self._piv, self._pivmask)
-
     def reduce(self, vec) -> dict[int, int]:
         """Canonical representative of vec modulo the subspace, as a sparse
         dict: zero on every pivot coordinate."""
-        if self.p == 2:
-            m = self.residual_mask(as_mask(vec, self.ambient_dim))
-            return {i: 1 for i in _bits(m)}
-        return _reduce_dict(as_dict(vec, self.ambient_dim, self.p), self._piv, self.p)
+        r = self._residual(vec)
+        return {i: 1 for i in _bits(r)} if self.p == 2 else r
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & (-mask)
-        yield low.bit_length() - 1
-        mask ^= low
+    def builder(self) -> "SpanBuilder":
+        """A builder that starts from this subspace (a reduced echelon basis
+        is an echelon basis), to probe rank growth."""
+        return self._snapshot(SpanBuilder)
 
 
-class SpanBuilder(Subspace):
-    """Incremental reduced-echelon builder: push a vector, learn whether
-    rank grew. A new row is cleared of the existing pivots, then its own
-    pivot is cleared from the existing rows.
+class SpanBuilder(_Rows):
+    """Incremental row-echelon builder: push a vector, learn whether rank
+    grew. A new row is cleared of the existing pivots and stored; earlier
+    rows are never touched, so the rows are echelon but not reduced. They
+    answer rank and membership; `subspace` gives the canonical form.
 
     Single-owner while building; ``copy`` gives an independent builder
     sharing the (immutable) stored rows.
     """
 
-    rank = Subspace.dim
+    rank = _Rows.dim
 
     def copy(self) -> "SpanBuilder":
         return self._snapshot(SpanBuilder)
 
     def subspace(self) -> Subspace:
-        """Fully reduced canonical subspace, frozen at the current rank."""
-        return self._snapshot(Subspace)
+        """The canonical subspace at the current rank, by one
+        back-substitution from the highest pivot down: every row above a
+        pivot is already reduced, so one pass clears it."""
+        out = Subspace(self.ambient_dim, self.p)
+        done, p = out._piv, self.p
+        for k in sorted(self._piv, reverse=True):
+            row = self._piv[k]
+            if p == 2:
+                row = _reduce_mask(row, done, out._pivmask)
+                out._pivmask |= k
+            elif any(i in done for i in row):
+                row = _clear_dict(dict(row), done, p)
+            done[k] = row
+        return out
 
     def add_mask(self, mask: int) -> bool:
         mask = self.residual_mask(mask)
         if not mask:
             return False
         low = mask & (-mask)
-        piv = self._piv
-        for k, row in piv.items():
-            if row & low:
-                piv[k] = row ^ mask
-        piv[low] = mask
+        self._piv[low] = mask
         self._pivmask |= low
         return True
 
     def _add_dict(self, v: dict[int, int]) -> bool:
-        p, piv = self.p, self._piv
-        v = _reduce_dict(v, piv, p)
+        p = self.p
+        v = _clear_dict(v, self._piv, p)
         if not v:
             return False
         j = min(v)
         inv = pow(v[j], -1, p)
-        new = v if inv == 1 else {i: c * inv % p for i, c in v.items()}
-        one = {j: new}
-        for k, row in piv.items():
-            if j in row:
-                piv[k] = _reduce_dict(dict(row), one, p)
-        piv[j] = new
+        self._piv[j] = v if inv == 1 else {i: c * inv % p for i, c in v.items()}
         return True
 
     def add(self, vec) -> bool:

@@ -9,9 +9,7 @@ from enum import Enum
 from math import comb
 
 from .partitions import InvariantError, Partition, partitions_of
-from .quotients import build_gtensor_specht, verify_iso
-from .tableaux import weight_of
-from .tabloids import ker_q_generators
+from .quotients import _gens_by_weight, _orbit_size, build_gtensor_specht, verify_iso
 
 
 def predict_iso(shape: Partition) -> bool:
@@ -156,19 +154,17 @@ TABLE1_FORMULAS: list[tuple[Partition, int, int]] = [
 
 def table1_weight_counts(d: int) -> dict[Partition, int]:
     """Distinct weights of kernel generators of the shape (2,2,1), grouped
-    by the sorted weight type."""
+    by the sorted weight type. The generators are the skew representatives
+    with a repeated column entry, and whether a weight carries one does not
+    change when its letters are permuted; so each dominant weight that
+    carries one counts its whole S_d-orbit, and no basis is enumerated."""
     if d < 4:
         raise ValueError("the class census needs d >= 4")
-    shape = Partition((2, 2, 1))
-    weights = {
-        weight_of(gen.basis.cols[next(iter(gen.coords))], d)
-        for gen in ker_q_generators(shape, d)
+    return {
+        beta: _orbit_size(beta, d)
+        for beta, positions in _gens_by_weight(Partition((2, 2, 1)), d).items()
+        if positions
     }
-    out: dict[Partition, int] = {}
-    for w in weights:
-        kind = Partition(sorted((x for x in w if x), reverse=True))
-        out[kind] = out.get(kind, 0) + 1
-    return out
 
 
 def table1_expected(d: int) -> dict[Partition, int]:

@@ -11,6 +11,13 @@ of `garnir`. Bases, blocks and relations are all keyed by column tuples,
 so neither the builds nor `reduce`, `relations_contain` and the
 transvections create a `Tableau`.
 
+A block's span is a `SpanBuilder` in row-echelon form while its
+relations are pushed. A full build freezes every block once, at its end,
+into the canonical reduced `Subspace` and drops the builder, so a module
+holds only frozen blocks. Dominant blocks stay echelon builders: they
+answer only rank, zero tests and rank growth of a copy, which an echelon
+form answers without the back-substitution.
+
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
 blocks, of content beta a partition of n with at most d parts. This is
@@ -30,9 +37,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
@@ -65,22 +72,17 @@ WeightTable = dict[tuple[int, ...], int]
 class _Block:
     indices: list[int]  # positions in the grouped sequence (ambient indices)
     pos: dict[Cols, int]  # columns of a representative -> local coordinate
-    span: SpanBuilder
+    span: SpanBuilder | Subspace  # a builder until the block is frozen
     basic_rank: int = 0
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
-    @cached_property
-    def subspace(self) -> Subspace:
-        """The canonical relation subspace, frozen on first use; a block
-        is complete once its module is built."""
-        return self.span.subspace()
-
 
 class QuotientModule:
-    """A tabloid space together with a relation span, graded by weight."""
+    """A tabloid space together with a relation span, graded by weight;
+    every block holds its frozen `Subspace`."""
 
     def __init__(
         self,
@@ -96,7 +98,7 @@ class QuotientModule:
 
     @property
     def relation_rank(self) -> int:
-        return sum(b.span.rank for b in self._blocks.values())
+        return sum(b.span.dim for b in self._blocks.values())
 
     @property
     def dim(self) -> int:
@@ -104,7 +106,7 @@ class QuotientModule:
 
     def weight_table(self) -> WeightTable:
         table = {
-            w: b.size - b.span.rank
+            w: b.size - b.span.dim
             for w, b in sorted(self._blocks.items())
         }
         return {w: v for w, v in table.items() if v}
@@ -133,7 +135,7 @@ class QuotientModule:
         coords: dict[int, int] = {}
         for w, local in self._split(vec).items():
             block = self._blocks[w]
-            reduced = block.subspace.reduce(local)
+            reduced = block.span.reduce(local)
             for j, c in reduced.items():
                 coords[block.indices[j]] = c
         return TabloidVector(self.ambient, self.p, coords)
@@ -143,7 +145,7 @@ class QuotientModule:
         basis element."""
         out = []
         for _, block in sorted(self._blocks.items()):
-            pivots = set(block.subspace.pivot_indices())
+            pivots = set(block.span.pivot_indices())
             out.extend(
                 idx for j, idx in enumerate(block.indices) if j not in pivots
             )
@@ -241,6 +243,8 @@ def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
     gain = None
     if model == "gtensor":
         gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
+    for block in blocks.values():
+        block.span = block.span.subspace()
     return QuotientModule(basis, p, blocks, supplementary_rank_gain=gain)
 
 
@@ -272,7 +276,7 @@ def _dominant_weights(n: int, d: int) -> list[Partition]:
 
 def _orbit_size(beta: Partition, d: int) -> int:
     """Number of distinct weights over d letters that rearrange beta."""
-    size = factorial(d) // factorial(d - len(beta))
+    size = perm(d, len(beta))
     for mult in Counter(beta).values():
         size //= factorial(mult)
     return size
@@ -451,7 +455,7 @@ def restrict_entries(
         raise ValueError("need 1 <= d_sub <= d")
     module = build_gtensor_specht(shape, d, p)
     restricted = sum(
-        b.size - b.span.rank
+        b.size - b.span.dim
         for w, b in module._blocks.items()
         if not any(w[d_sub:])
     )

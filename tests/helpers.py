@@ -132,7 +132,7 @@ def kernel_table_all_blocks(shape, d, p=2):
     module = build_gtensor_specht(shape, d, p)
     table = {}
     for w, block in sorted(module._blocks.items()):
-        probe = block.span.copy()
+        probe = block.span.builder()
         grown = sum(
             1
             for cols, j in block.pos.items()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,18 @@ def test_verify_reports_the_n_max_cap(capsys):
         capsys, "verify", "--suite", "thm2", "--n-max", "3", "--jobs", "1"
     )
     assert code == 0 and err == ""
+
+
+def test_verify_d1_n_max_is_capped():
+    # p(80) is about 1.6e7 partitions; the cap keeps the sweep to seconds.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualweyl.cli", "verify", "--suite", "d1",
+         "--n-max", "80", "--jobs", "1", "--no-timing"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "note: --n-max 80 is capped at 15 for d1" in proc.stderr
+    assert proc.stdout.strip().endswith("683/683 checks passed")
 
 
 def test_verify_all_report_is_pinned():
@@ -249,6 +262,17 @@ def test_table1_csv(capsys):
     assert rows[1] == ["2,1,1,1", "20"]
     assert rows[6] == ["5", "5"]
     assert "\r" not in out
+
+
+@pytest.mark.parametrize("d", [40, 10**6])
+def test_table1_at_a_large_alphabet(capsys, d):
+    # Counted from the dominant weights, with orbit sizes as falling
+    # factorials, so neither a skew basis nor d! is computed.
+    code, out, err = run(capsys, "table", "--which", "table1", "--d", str(d))
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1] == ["2,1,1,1", str(4 * comb(d, 4))]
+    assert rows[6] == ["5", str(d)]
 
 
 def test_table3_matches_golden(capsys, tmp_path):

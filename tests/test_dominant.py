@@ -80,7 +80,7 @@ def test_module_dim_rejects_bad_input():
 
 
 def _ranks(module):
-    return {w: block.span.rank for w, block in module._blocks.items()}
+    return {w: block.span.dim for w, block in module._blocks.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,4 +110,4 @@ def test_basic_rank_is_not_orbit_invariant():
     blocks = build_gtensor_specht(Partition((2, 2, 1)), 3, 2)._blocks
     orbit = set(permutations((4, 1, 0)))
     assert {blocks[w].basic_rank for w in orbit} == {0, 1}
-    assert {blocks[w].span.rank for w in orbit} == {1}
+    assert {blocks[w].span.dim for w in orbit} == {1}

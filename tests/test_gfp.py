@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.gfp import SpanBuilder, is_prime
+from dualweyl.gfp import SpanBuilder, as_mask, is_prime
 from helpers import (
     dim_sum_and_intersection,
     matrix_rank,
@@ -150,21 +150,21 @@ def test_reduce_is_canonical():
             _assert_canonical(s, v)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([3, 5, 7]),
+    st.sampled_from([2, 3, 5, 7]),
     st.integers(1, 12),
     st.data(),
 )
-def test_odd_prime_engine_matches_oracle(p, m, data):
+def test_span_engine_matches_oracle(p, m, data):
+    # Both states of the engine against textbook Gauss-Jordan: the builder
+    # (echelon, not reduced) for rank and membership, the frozen subspace
+    # for the canonical reduced basis and reduction.
     coeff = st.integers(-p, 2 * p)
     vector = st.lists(coeff, min_size=m, max_size=m)
     vectors = data.draw(st.lists(vector, max_size=m + 2))
     probes = data.draw(st.lists(vector, min_size=1, max_size=4))
-    expected = rref_oracle(vectors, m, p)
-    s = span(vectors, m, p)
-    assert s.dim == len(expected) == matrix_rank(vectors, m, p)
-    assert s.basis_rows() == [tuple(row) for row in expected]
+    expected = [tuple(row) for row in rref_oracle(vectors, m, p)]
     members = [
         [sum(c * row[i] for c, row in zip(cs, vectors)) for i in range(m)]
         for cs in data.draw(
@@ -172,13 +172,61 @@ def test_odd_prime_engine_matches_oracle(p, m, data):
                      max_size=3)
         )
     ]
+
+    builder = SpanBuilder(m, p)
+    grew = [builder.add(v) for v in vectors]
+    assert builder.rank == sum(grew) == len(expected) == matrix_rank(vectors, m, p)
+    for v in members:
+        assert builder.contains(v)
+    inside = [not any(reduce_oracle(expected, v, p)) for v in probes]
+    assert [builder.contains(v) for v in probes] == inside
+    if p == 2:
+        assert [not builder.residual_mask(as_mask(v, m)) for v in probes] == inside
+
+    s = builder.subspace()
+    assert s.dim == len(expected)
+    assert s.basis_rows() == expected
+    assert s.pivot_indices() == [next(i for i, x in enumerate(r) if x) for r in expected]
     for v in members:
         assert s.contains(v) and s.reduce(v) == {}
-    for v in probes:
+    for v, into in zip(probes, inside):
         reduced = _assert_canonical(s, v)
         oracle = reduce_oracle(expected, v, p)
         assert reduced == {i: x for i, x in enumerate(oracle) if x}
-        assert s.contains(v) == (not any(oracle))
+        assert s.contains(v) == into
+
+    # copies are independent of their source and of what was frozen
+    clone = builder.copy()
+    seeded = s.builder()
+    wider = len(rref_oracle(vectors + probes, m, p))
+    for probe in (clone, seeded):
+        for v in probes:
+            probe.add(v)
+        assert probe.rank == wider
+        assert probe.subspace().basis_rows() == [
+            tuple(row) for row in rref_oracle(vectors + probes, m, p)
+        ]
+    assert builder.rank == s.dim == len(expected)
+    assert [builder.contains(v) for v in probes] == inside
+    assert s.basis_rows() == expected
+    assert builder.subspace().basis_rows() == expected
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_pushes_after_a_freeze_leave_the_subspace_unchanged(p):
+    builder = SpanBuilder(4, p)
+    builder.add([1, 1, 0, 0])
+    builder.add([0, 1, 1, 0])
+    frozen = builder.subspace()
+    rows = frozen.basis_rows()
+    clone = builder.copy()
+    assert clone.add([0, 0, 1, 1])
+    assert builder.add([0, 0, 0, 1])
+    assert frozen.basis_rows() == rows and frozen.pivot_indices() == [0, 1]
+    assert frozen.reduce([0, 0, 0, 1]) == {3: 1}
+    assert clone.rank == builder.rank == 3
+    assert not clone.contains([0, 0, 0, 1])
+    assert not builder.contains([0, 0, 1, 1])
 
 
 def test_vector_input_validation():

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -21,6 +22,8 @@ from dualweyl.predictions import (
     verify_characterization,
 )
 from dualweyl.quotients import build_gtensor_specht
+from dualweyl.tableaux import weight_of
+from dualweyl.tabloids import ker_q_generators
 
 
 def test_predict_iso_examples():
@@ -150,6 +153,21 @@ def test_table1_total_is_all_repeat_weights():
     d = 5
     total = sum(coeff * comb(d, k) for _, coeff, k in TABLE1_FORMULAS)
     assert sum(table1_weight_counts(d).values()) == total
+
+
+def test_table1_counts_match_the_generator_enumeration():
+    # The orbit count from dominant weights against the distinct weights of
+    # every enumerated kernel generator, grouped by type.
+    shape = Partition((2, 2, 1))
+    for d in range(4, 8):
+        weights = {
+            weight_of(gen.basis.cols[next(iter(gen.coords))], d)
+            for gen in ker_q_generators(shape, d)
+        }
+        census = Counter(
+            Partition(sorted((x for x in w if x), reverse=True)) for w in weights
+        )
+        assert table1_weight_counts(d) == dict(census), d
 
 
 def test_supplementary_rank_gain():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from math import comb
@@ -327,7 +328,7 @@ def test_block_spans_are_pinned():
                         if build is build_gtensor_specht:
                             assert module.supplementary_rank_gain == 0
                         for w, block in sorted(module._blocks.items()):
-                            s = block.span.subspace()
+                            s = block.span
                             key = (build.__name__, tuple(shape), d, p, w,
                                    s.pivot_indices(), s.basis_rows())
                             digest.update(repr(key).encode())
@@ -345,7 +346,7 @@ def test_block_spans_are_pinned_at_two():
                 for d in range(1, 5):
                     module = build(shape, d, 2)
                     for w, block in sorted(module._blocks.items()):
-                        s = block.span.subspace()
+                        s = block.span
                         key = (build.__name__, tuple(shape), d, w, s.pivot_indices(),
                                s.basis_rows(), block.basic_rank)
                         digest.update(repr(key).encode())
@@ -485,18 +486,44 @@ def test_every_cache_is_bounded():
     assert {"tabloids.build_basis", "quotients._build", "garnir._snake_template"} <= set(caches)
 
 
-def test_block_subspace_is_frozen_on_first_use():
+def _reachable(root):
+    """Every object reachable from root through containers, blocks and
+    spans (not through classes or modules)."""
+    from dualweyl.gfp import SpanBuilder, Subspace
+    from dualweyl.quotients import _Block
+
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (dict, list, tuple, set)):
+            todo.extend(gc.get_referents(obj))
+        elif isinstance(obj, (_Block, Subspace, SpanBuilder)):
+            todo.append(vars(obj))
+    return seen.values()
+
+
+def test_built_module_holds_only_frozen_blocks():
+    from dualweyl.gfp import SpanBuilder, Subspace
     from dualweyl.quotients import _build
 
-    module = _build.__wrapped__(Partition((2, 1)), 3, 3, "nabla")
-    assert all("subspace" not in vars(b) for b in module._blocks.values())
-    basis = module.ambient
-    probe = vector_from_terms(basis, 3, {basis.rep(0): 1, basis.rep(3): 2})
-    module.reduce(probe)
-    first = {w: b.subspace for w, b in module._blocks.items()}
-    module.reduce(probe)
-    module.quotient_indices()
-    assert all(b.subspace is first[w] for w, b in module._blocks.items())
+    for p in (2, 3):
+        module = _build.__wrapped__(Partition((2, 1)), 3, p, "gtensor")
+        assert module._blocks
+        assert all(type(b.span) is Subspace for b in module._blocks.values())
+        reachable = _reachable(module._blocks)
+        assert not any(isinstance(x, SpanBuilder) for x in reachable)
+        # every read uses the frozen blocks, with no refreezing
+        first = {w: b.span for w, b in module._blocks.items()}
+        basis = module.ambient
+        probe = vector_from_terms(basis, p, {basis.rep(0): 1, basis.rep(3): 2})
+        module.reduce(probe)
+        module.quotient_indices()
+        reduced = module.reduce(probe)
+        assert module.relations_contain(probe.add(reduced.scale(-1)))
+        assert all(b.span is first[w] for w, b in module._blocks.items())
 
 
 def test_supplementary_rank_gain_reported():
