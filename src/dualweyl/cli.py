@@ -32,6 +32,7 @@ from .partitions import (
 from .quotients import (
     _orbit,
     build_gtensor_specht,
+    dominant_rep_bound,
     module_dim,
     u_lambda_dim,
     verify_iso,
@@ -59,6 +60,10 @@ THM_N_MAX = 6
 # this many boxes that takes minutes and then hours, so it stops here.
 D1_N_MAX = 15
 N_MAX_CAPS = {"thm1": THM_N_MAX, "thm2": THM_N_MAX, "d1": D1_N_MAX}
+# `dim` refuses a query whose dominant weights and their row-semistandard
+# representatives may number more than this (`quotients.dominant_rep_bound`);
+# near it a query takes seconds.
+DIM_REP_BUDGET = 100_000
 
 
 def _u_dim_expected(d: int) -> int:
@@ -469,11 +474,18 @@ def cmd_dim(args) -> int:
     shape = parse_partition(args.lam)
     if not is_prime(args.p) or (args.p not in (2, 3, 5) and not args.any_prime):
         raise _usage_error(f"p={args.p} not allowed (pass --any-prime to override)")
+    if args.which == "u" and args.p != 2:
+        raise _usage_error("the kernel dimension is a characteristic-2 notion")
+    bound = dominant_rep_bound(args.which, shape, args.d, args.p)
+    if bound > DIM_REP_BUDGET:
+        raise _usage_error(
+            f"{args.which} of {args.lam} at d={args.d}, p={args.p} may need "
+            f"{bound} weights and representatives, over the budget of "
+            f"{DIM_REP_BUDGET}"
+        )
     if args.which in ("nabla", "gtensor"):
         value = module_dim(args.which, shape, args.d, args.p)
     else:
-        if args.p != 2:
-            raise _usage_error("the kernel dimension is a characteristic-2 notion")
         value = u_lambda_dim(shape, args.d)
     item = {
         "check": "dim",

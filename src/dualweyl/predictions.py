@@ -8,8 +8,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
-from .partitions import InvariantError, Partition, partitions_of
-from .quotients import _gens_by_weight, _orbit_size, build_gtensor_specht, verify_iso
+from .partitions import Partition, partitions_of
+from .quotients import (
+    _gens_by_weight,
+    _orbit_size,
+    build_gtensor_specht,
+    module_dim,
+    verify_iso,
+)
+from .tableaux import TableauClass, enumerate_tableaux
 
 
 def predict_iso(shape: Partition) -> bool:
@@ -172,11 +179,15 @@ def table1_expected(d: int) -> dict[Partition, int]:
 
 
 def supplementary_rank_gain(shape: Partition, d: int, p: int = 2) -> int:
-    """Rank added by the supplementary relations on top of the basic ones."""
-    gain = build_gtensor_specht(shape, d, p).supplementary_rank_gain
-    if gain is None:
-        raise InvariantError("the skew construction did not record its rank gain")
-    return gain
+    """Rank added by the supplementary relations on top of the basic ones,
+    without a full build. The basic snakes are unitriangular, so their
+    rank is the number of skew tabloids that are not row semistandard,
+    and the gain is the number R of row-and-column-semistandard ones less
+    the dimension. At odd p every supplementary snake is zero."""
+    if p != 2:
+        return 0
+    rcs = TableauClass.ROW_AND_COLUMN_SEMISTANDARD
+    return len(enumerate_tableaux(shape, d, rcs)) - module_dim("gtensor", shape, d, 2)
 
 
 def min_interpolation_degree(values: list[int]) -> int:

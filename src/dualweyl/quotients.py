@@ -4,19 +4,17 @@ Both modules are quotients of a tabloid space by a relation span. Every
 relation reaches a span by one routine, `_push_terms`, which pushes it
 into the weight block of its source tableau: relations are weight
 homogeneous, and a term outside that block is an error. Blocks key their
-representatives by column tuple. Full builds, the dominant blocks and
-`restrict_entries` share `_relation_blocks`, which expands the snakes of
-each representative straight from its columns with the template kernel
-of `garnir`. Bases, blocks and relations are all keyed by column tuples,
-so neither the builds nor `reduce`, `relations_contain` and the
-transvections create a `Tableau`.
+representatives by column tuple, and relations are expanded straight
+from the columns with the template kernel of `garnir`, so neither the
+builds nor `reduce`, `relations_contain` and the transvections create a
+`Tableau`.
 
-A block's span is a `SpanBuilder` in row-echelon form while its
-relations are pushed. A full build freezes every block once, at its end,
-into the canonical reduced `Subspace` and drops the builder, so a module
-holds only frozen blocks. Dominant blocks stay echelon builders: they
-answer only rank, zero tests and rank growth of a copy, which an echelon
-form answers without the back-substitution.
+A full build (`_build`) pushes the basic snakes, then the supplementary
+ones, into every weight block; its spans are `SpanBuilder`s in
+row-echelon form while relations are pushed, and each block is frozen
+once, at the end, into the canonical reduced `Subspace`. A module holds
+only frozen blocks. Module objects (reduce, quotient_indices, weight
+tables, transvections), the thm1 check and `restrict_entries` use it.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -26,10 +24,21 @@ a weight multiplicity is constant on the S_d-orbit of the weight (Green,
 Polynomial Representations of GL_n, LNM 830). And a block of content
 beta padded with zeros uses only the letters 1..len(beta), so it is the
 same block for every d >= len(beta); dominant blocks are built per
-content and shared across d. Module objects (reduce, quotient_indices,
-weight tables, transvections) and `supplementary_rank_gain` still build
-every block: the rank of the basic relations alone is not constant on
-S_d-orbits, only the final rank is.
+content and shared across d.
+
+A dominant block is built in R-coordinates, without eliminating a basic
+snake. The basic snake of a tableau that is not row semistandard leads
+with it, with coefficient 1, and all its other terms are smaller in the
+column order; so the row-semistandard representatives R are a basis of
+the block modulo the basic snakes (the standard-basis theorem:
+Desarmenien, Kung and Rota, Adv. Math. 27, 1978; James, LNM 682, section
+8). `_straighten_terms` expresses a combination over R. At odd p, and
+for the dual Weyl module at every p, no relation is left and the block
+dimension is |R_beta|; the skew construction at p = 2 straightens its
+supplementary snakes onto R and eliminates only those. The rank of the
+basic relations is then the number of tabloids outside R, which is how
+`predictions.supplementary_rank_gain` counts the rank the supplementary
+snakes add without a full build.
 """
 
 from __future__ import annotations
@@ -38,27 +47,26 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
 from .gfp import SpanBuilder, Subspace
-from .partitions import InvariantError, Partition, partitions_of
-from .tableaux import (
-    Cols,
-    ColOrderResult,
-    Tableau,
-    col_order,
-    enumerate_tableaux,
-    weight_of,
+from .partitions import (
+    InvariantError,
+    Partition,
+    count_syt,
+    hook_content_dim,
+    partitions_of,
 )
+from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
     TabloidKind,
     TabloidVector,
-    basis_class,
     build_basis,
     canonical_cols,
     has_column_repeat,
@@ -204,17 +212,18 @@ def _push_terms(
     return span.add(local)
 
 
-def _relation_blocks(
-    d: int, p: int, model: str, reps: Sequence[Cols]
-) -> dict[tuple[int, ...], _Block]:
-    """The weight blocks of ``reps`` with the relations of one construction
-    pushed. Each block takes the basic snake of every tableau that is not
-    row semistandard and records its rank; then, for the skew construction
-    at p = 2, it takes the supplementary snakes of the row-semistandard
-    ones (at odd p every one of them is zero). Relations are expanded
-    straight from the column tuples of the representatives."""
+@lru_cache(maxsize=256)
+def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
+    """Every weight block of the tabloid space with the relations of one
+    construction pushed. Each block takes the basic snake of every
+    tableau that is not row semistandard and records its rank; then, for
+    the skew construction at p = 2, it takes the supplementary snakes of
+    the row-semistandard ones (at odd p every one of them is zero).
+    Relations are expanded straight from the column tuples of the
+    representatives, and each block is frozen at the end."""
     kind = _tabloid_kind(model, p)
-    blocks = _make_blocks(reps, d, p)
+    basis = build_basis(shape, d, kind)
+    blocks = _make_blocks(basis.cols, d, p)
     supplementary = model == "gtensor" and p == 2
     for block in blocks.values():
         row_semistandard = []
@@ -233,13 +242,6 @@ def _relation_blocks(
                     terms = snake_terms(cols, *box, kind)
                     if terms:
                         _push_terms(block.span, terms, block.pos, p)
-    return blocks
-
-
-@lru_cache(maxsize=256)
-def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
-    basis = build_basis(shape, d, _tabloid_kind(model, p))
-    blocks = _relation_blocks(d, p, model, basis.cols)
     gain = None
     if model == "gtensor":
         gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
@@ -269,9 +271,12 @@ def weight_table(module: QuotientModule) -> WeightTable:
 
 
 def _dominant_weights(n: int, d: int) -> list[Partition]:
+    """The partitions of n with at most d parts, in descending
+    lexicographic order, as conjugates of those with parts at most d (so
+    that no other partition of n is enumerated)."""
     if d < 1:
         raise ValueError("d must be positive")
-    return [beta for beta in partitions_of(n) if len(beta) <= d]
+    return sorted((mu.conjugate() for mu in partitions_of(n, d)), reverse=True)
 
 
 def _orbit_size(beta: Partition, d: int) -> int:
@@ -308,13 +313,25 @@ def _orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
 def _dominant_block(
     shape: Partition, p: int, model: str, beta: Partition
 ) -> _Block:
-    """The weight block of content beta, over the letters 1..len(beta); it
-    is the block of beta padded with zeros for every larger d."""
-    d = len(beta)
+    """The weight block of content beta, over the letters 1..len(beta), in
+    R-coordinates; it is the block of beta padded with zeros for every
+    larger d. Only the skew construction at p = 2 has relations left
+    there, its supplementary snakes; at odd p they all vanish."""
     kind = _tabloid_kind(model, p)
-    reps = enumerate_tableaux(shape, d, basis_class(kind), content=tuple(beta))
-    blocks = _relation_blocks(d, p, model, reps)
-    return blocks.get(beta) or _Block([], {}, SpanBuilder(0, p))
+    if kind.zero_on_column_repeats:
+        r_class = TableauClass.SEMISTANDARD
+    else:
+        r_class = TableauClass.ROW_AND_COLUMN_SEMISTANDARD
+    reps = enumerate_tableaux(shape, len(beta), r_class, content=tuple(beta))
+    blocks = _make_blocks(reps, len(beta), p)
+    block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, p))
+    if model == "gtensor" and p == 2:
+        for cols in reps:
+            for box in equal_boxes(cols):
+                terms = _straighten_terms(snake_terms(cols, *box, kind), kind, p)
+                if terms:
+                    _push_terms(block.span, terms, block.pos, p)
+    return block
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
@@ -329,10 +346,50 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     return total
 
 
+def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
+    """A closed-form upper bound on the work of the dominant path of
+    `module_dim` (and, through the mod-2 skew blocks, of the kernel): the
+    number of dominant weights plus the R-representatives of their blocks.
+
+    Standardizing the letters one at a time (the boxes holding letter k
+    form a skew shape) maps each R_beta injectively to the standard
+    tableaux, so |R_beta| <= f^shape. And every R_beta uses at most
+    m = min(d, n) letters, so all of them together are at most the
+    representatives over m letters: the hook-content count for
+    semistandard ones, and for the row-and-column-semistandard ones of
+    mod-2 skew the hook-content count over m + len(shape) - 1 letters,
+    since adding i - 1 to row i makes them semistandard."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    kind = _tabloid_kind("gtensor" if which == "u" else which, p)
+    m = min(d, shape.n)
+    letters = m if kind.zero_on_column_repeats else m + len(shape) - 1
+    weights = _partition_count(shape.n, m)
+    return weights + min(hook_content_dim(shape, letters), weights * count_syt(shape))
+
+
+def _partition_count(n: int, k: int) -> int:
+    """The number of partitions of n with at most k parts (equivalently,
+    with parts at most k)."""
+    counts = [1] + [0] * n
+    for part in range(1, min(k, n) + 1):
+        for s in range(part, n + 1):
+            counts[s] += counts[s - part]
+    return counts[n]
+
+
 def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]]:
-    """Local positions of the repeated-column-entry representatives in each
-    dominant mod-2 skew block. Only a block in which some letter occurs
-    twice has one, and only if a column has two boxes."""
+    """Coordinates of the kernel generators in each dominant mod-2 skew
+    block: its R-representatives with a repeated column entry. Only a
+    block in which some letter occurs twice has one, and only if a column
+    has two boxes.
+
+    The other repeated-column tabloids need no straightening. The
+    surjection onto the dual Weyl module kills a tabloid with a repeated
+    column entry and keeps the others, so on R-coordinates it is the
+    projection onto the semistandard ones, which are R for the dual Weyl
+    module. Its kernel on the block is therefore spanned, modulo the
+    relations, by the coordinates of these representatives alone."""
     out: dict[tuple[int, ...], list[int]] = {}
     if len(shape) < 2:
         return out
@@ -390,56 +447,66 @@ def u_lambda_dim(shape: Partition, d: int) -> int:
 
 def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     """Express the alternating tabloid of t over semistandard
-    representatives by repeatedly subtracting the basic snake relation at
-    the greatest non-row-semistandard term."""
+    representatives modulo the basic snake relations."""
     if t.shape != shape:
         raise ValueError("tableau does not have the stated shape")
     basis = build_basis(shape, d, ALT_COLUMN)
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:
         return TabloidVector(basis, p, {})
-    return _straighten_terms({cols: sign % p}, basis, p)
+    terms = _straighten_terms({cols: sign}, ALT_COLUMN, p)
+    return TabloidVector(basis, p, {basis.index[c]: v for c, v in terms.items()})
 
 
 def _straighten_terms(
-    terms: dict[Cols, int], basis: TabloidBasis, p: int
-) -> TabloidVector:
-    guard = 0
-    while True:
-        guard += 1
-        if guard >= 100_000:
-            raise InvariantError("straightening failed to terminate")
-        target = box = None
-        for cols, c in terms.items():
-            if c % p == 0:
-                continue
-            snake = snake_box(cols)
-            if snake is not None and (target is None or _col_greater(cols, target)):
-                target, box = cols, snake
-        if target is None:
-            break
-        coeff = terms[target] % p
-        rel = snake_terms(target, *box, ALT_COLUMN)
-        if rel.get(target) != 1:
+    terms: dict[Cols, int], kind: TabloidKind, p: int
+) -> dict[Cols, int]:
+    """A combination of canonical representatives of ``kind`` expressed
+    over the row-semistandard ones modulo the basic snakes, with
+    coefficients in [1, p). The greatest term that is not row
+    semistandard is replaced by the rest of its basic snake, until none is
+    left. Each basic snake must lead with its source, with coefficient 1,
+    and bring in only smaller terms, so a term once replaced never comes
+    back (the basic snakes are unitriangular)."""
+    out = {t: c % p for t, c in terms.items() if c % p}
+    heap = []
+    for cols in out:
+        box = snake_box(cols)
+        if box is not None:
+            heap.append((_col_key(cols), cols, box))
+    heapify(heap)
+    while heap:
+        key, target, box = heappop(heap)
+        coeff = out.pop(target, None)
+        if coeff is None:  # cancelled, or queued twice
+            continue
+        rel = snake_terms(target, *box, kind)
+        if rel.pop(target, 0) % p != 1:
             raise InvariantError(f"basic snake of {target} does not lead with it")
         for cols, c in rel.items():
-            v = (terms.get(cols, 0) - coeff * c) % p
+            old = out.get(cols)
+            v = ((old or 0) - coeff * c) % p
             if v:
-                terms[cols] = v
-            else:
-                terms.pop(cols, None)
-    return TabloidVector(
-        basis, p, {basis.index[cols]: c % p for cols, c in terms.items() if c % p}
-    )
+                out[cols] = v
+                if old is None and (snake := snake_box(cols)) is not None:
+                    k = _col_key(cols)
+                    if k <= key:
+                        raise InvariantError(
+                            f"basic snake of {target} brings in {cols}, "
+                            "which is not below it"
+                        )
+                    heappush(heap, (k, cols, snake))
+            elif old is not None:
+                del out[cols]
+    return out
 
 
-def _col_greater(a: Cols, b: Cols) -> bool:
-    """Column order, ties broken by the column reading (for equal shapes,
-    the lexicographic order of the column tuples)."""
-    order = col_order(a, b)
-    if order is ColOrderResult.EQUIVALENT:
-        return a > b
-    return order is ColOrderResult.GREATER
+def _col_key(cols: Cols) -> tuple[tuple[int, int], ...]:
+    """Sort key of the column order among tableaux of one content, with
+    sorted columns: the entries from the largest down, each with its
+    column, leftmost first. A smaller key is a greater tableau: at the
+    first difference, it holds the larger entry in an earlier column."""
+    return tuple(sorted((-x, j) for j, col in enumerate(cols) for x in col))
 
 
 def restrict_entries(
@@ -450,7 +517,7 @@ def restrict_entries(
     (restricted, direct); the two must agree. The restricted side sums
     the quotient dimensions of those weight blocks of the full degree-d
     build; the direct side is `module_dim` at d_sub, which reads only
-    dominant blocks and scales them over S_d-orbits."""
+    dominant blocks, in R-coordinates, and scales them over S_d-orbits."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
     module = build_gtensor_specht(shape, d, p)

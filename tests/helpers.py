@@ -161,9 +161,11 @@ def family_rank(which, shape, d, p, families):
 
 
 def straighten_vector(vec: TabloidVector) -> TabloidVector:
-    """Straighten every term of a vector of alternating tabloids."""
-    terms = {vec.basis.cols[i]: c for i, c in vec.coords.items()}
-    return _straighten_terms(terms, vec.basis, vec.p)
+    """Straighten every term of a vector of tabloids."""
+    basis = vec.basis
+    terms = {basis.cols[i]: c for i, c in vec.coords.items()}
+    out = _straighten_terms(terms, basis.kind, vec.p)
+    return TabloidVector(basis, vec.p, {basis.index[c]: v for c, v in out.items()})
 
 
 def unit_vector(basis: TabloidBasis, p: int, t: Tableau) -> TabloidVector:

@@ -51,6 +51,58 @@ def test_dim_nabla_and_gtensor(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize(
+    "lam, d, expected", [("7", 7, "1716"), ("8", 8, "6435"), ("100", 2, "101")]
+)
+def test_dim_nabla_one_row_answers_at_once(lam, d, expected):
+    # At odd p the dual Weyl dimension is a count of semistandard tableaux
+    # in the dominant blocks, with no elimination; and only the partitions
+    # of n with at most d parts are enumerated (p(100) is about 2e8).
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualweyl.cli", "dim", "--which", "nabla",
+         "--lambda", lam, "--d", str(d), "--p", "3"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+def test_dim_refuses_work_over_the_budget(capsys):
+    code, out, err = run(
+        capsys, "dim", "--which", "nabla", "--lambda", "15,15", "--d", "30", "--p", "3"
+    )
+    assert code == 2 and out == ""
+    assert "budget" in err
+
+
+def test_dim_budget_admits_the_documented_queries():
+    # Every query of the benchmark's dim-queries workload and every `dim`
+    # example of the README stays under the budget.
+    from dualweyl import cli
+    from dualweyl.partitions import Partition, parse_partition
+    from dualweyl.quotients import dominant_rep_bound
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run as perfbench_run
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    queries = [
+        (which, Partition(shape), d, p)
+        for which, shape, d, p in perfbench_run.DIM_QUERIES
+    ]
+    readme = (SRC.parent / "README.md").read_text()
+    for line in readme.splitlines():
+        if line.startswith("dualweyl dim "):
+            args = line.split("#")[0].split()
+            opts = dict(zip(args[2::2], args[3::2]))
+            queries.append((opts["--which"], parse_partition(opts["--lambda"]),
+                            int(opts["--d"]), int(opts["--p"])))
+    assert len(queries) == 15
+    for query in queries:
+        assert dominant_rep_bound(*query) <= cli.DIM_REP_BUDGET, query
+
+
 def test_dim_json_report(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, out, _ = run(

@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from dualweyl.partitions import Partition, partitions_of
 from dualweyl.quotients import (
+    _build,
+    _dominant_block,
     _kernel_dims,
+    _straighten_terms,
+    dominant_rep_bound,
     build_dual_weyl,
     build_gtensor_specht,
     module_dim,
@@ -20,6 +24,8 @@ from dualweyl.quotients import (
     u_lambda_weight_table,
     verify_iso,
 )
+from dualweyl.tableaux import TableauClass, enumerate_tableaux
+from dualweyl.tabloids import has_column_repeat, skew_column
 from helpers import kernel_table_all_blocks
 
 CASES = [
@@ -48,6 +54,59 @@ def test_dominant_path_matches_all_blocks(n):
             assert u_lambda_dim(shape, d) == sum(oracle.values())
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_dominant_blocks_match_the_full_build_block_by_block(p):
+    # A dominant block holds the row-semistandard representatives R_beta
+    # and the supplementary snakes straightened onto them; |R_beta| less
+    # their rank must be the quotient dimension of the beta block of the
+    # full elimination build at d = len(beta).
+    blocks = 0
+    for n in range(1, 6):
+        for beta in partitions_of(n):
+            for shape in partitions_of(n):
+                for model in ("nabla", "gtensor"):
+                    block = _dominant_block(shape, p, model, beta)
+                    full = _build(shape, len(beta), p, model)._blocks.get(beta)
+                    expected = full.size - full.span.dim if full else 0
+                    got = block.size - block.span.rank
+                    assert got == expected, (shape, model, beta)
+                    blocks += bool(full)
+    assert blocks == {2: 141, 3: 106, 5: 106}[p]
+
+
+def test_r_coordinates_of_the_kernel_generators():
+    # The kernel probes adjoin only the R-representatives with a repeated
+    # column entry. That is enough because the surjection onto the dual
+    # Weyl module is, on R-coordinates, the projection that drops them:
+    # every straightened supplementary snake lies in their coordinates,
+    # and every other repeated-column tabloid straightens into their span
+    # modulo the relations.
+    kind = skew_column(2)
+    checked = 0
+    for n in range(2, 7):
+        for beta in partitions_of(n):
+            for shape in partitions_of(n):
+                block = _dominant_block(shape, 2, "gtensor", beta)
+                reps = list(block.pos)
+                repeat = [has_column_repeat(cols) for cols in reps]
+                for row in block.span.subspace().basis_rows():
+                    assert all(repeat[j] for j, c in enumerate(row) if c), beta
+                probe = block.span.copy()
+                for j, rep in enumerate(repeat):
+                    if rep:
+                        probe.add_mask(1 << j)
+                full = enumerate_tableaux(
+                    shape, len(beta), TableauClass.COLUMN_SEMISTANDARD, tuple(beta)
+                )
+                for cols in full:
+                    if has_column_repeat(cols):
+                        terms = _straighten_terms({cols: 1}, kind, 2)
+                        mask = sum(1 << block.pos[t] for t in terms)
+                        assert not probe.residual_mask(mask)
+                        checked += 1
+    assert checked == 965
+
+
 def test_kernel_dimension_is_the_exact_polynomial():
     # dim U(d) is the sum over dominant beta of dim U_beta times the number
     # of rearrangements of beta over d letters, d(d-1)...(d-l+1) / prod_i
@@ -68,6 +127,24 @@ def test_kernel_dimension_is_the_exact_polynomial():
     assert poly == [0, 0, Fraction(5, 6), 0, Fraction(1, 6), 0]  # (d^4 + 5d^2)/6
     for d in range(1, 7):
         assert u_lambda_dim(Partition((2, 2, 1)), d) == (d**4 + 5 * d**2) // 6
+
+
+def test_dominant_rep_bound_holds():
+    # The closed form `dim` checks against its budget must bound the
+    # dominant weights and the R-representatives their blocks hold.
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for d in range(1, n + 2):
+                for which, p in (("nabla", 3), ("nabla", 2), ("gtensor", 2),
+                                 ("gtensor", 3), ("u", 2)):
+                    model = "gtensor" if which == "u" else which
+                    held = sum(
+                        1 + _dominant_block(shape, p, model, beta).size
+                        for beta in partitions_of(n)
+                        if len(beta) <= d
+                    )
+                    bound = dominant_rep_bound(which, shape, d, p)
+                    assert held <= bound, (which, shape, d, p)
 
 
 def test_module_dim_rejects_bad_input():
@@ -105,8 +182,10 @@ def test_final_block_ranks_are_orbit_invariant_and_stable_in_d(
 
 
 def test_basic_rank_is_not_orbit_invariant():
-    # Only the final rank is constant on an orbit, which is why the
-    # supplementary rank gain still needs every block.
+    # Only the final rank is constant on an orbit, so the supplementary
+    # rank gain is no sum of dominant-block gains over orbits. It is a
+    # count instead: the basic rank of a block is its number of tabloids
+    # that are not row semistandard, whatever the weight.
     blocks = build_gtensor_specht(Partition((2, 2, 1)), 3, 2)._blocks
     orbit = set(permutations((4, 1, 0)))
     assert {blocks[w].basic_rank for w in orbit} == {0, 1}

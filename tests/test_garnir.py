@@ -9,13 +9,28 @@ from dualweyl.garnir import (
     default_snake_rule,
     garnir_terms,
     iter_relation_labels,
+    snake_box,
     snake_label,
     snake_terms,
 )
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
-from dualweyl.quotients import build_gtensor_specht
-from dualweyl.tableaux import ColOrderResult, Tableau, TableauClass, col_compare, enumerate_tableaux
-from dualweyl.tabloids import ALT_COLUMN, build_basis, skew_column, vector_from_terms
+from dualweyl.quotients import _col_key, build_gtensor_specht
+from dualweyl.tableaux import (
+    ColOrderResult,
+    Tableau,
+    TableauClass,
+    col_compare,
+    col_order,
+    enumerate_tableaux,
+    weight_of,
+)
+from dualweyl.tabloids import (
+    ALT_COLUMN,
+    basis_class,
+    build_basis,
+    skew_column,
+    vector_from_terms,
+)
 from helpers import apply_e_map, family_rank, garnir_oracle
 
 
@@ -123,6 +138,54 @@ def test_leading_term_alternating():
                 for u in terms:
                     if u != t:
                         assert col_compare(u, t) is ColOrderResult.LESS
+
+
+@pytest.mark.parametrize(
+    "kind, sources",
+    [(ALT_COLUMN, 2170), (skew_column(2), 3184), (skew_column(3), 2170)],
+    ids=repr,
+)
+def test_basic_snakes_are_unitriangular(kind, sources):
+    # Straightening (and the dominant blocks in row-semistandard
+    # coordinates) rest on this: the basic snake of every canonical
+    # representative that is not row semistandard has that representative
+    # as a term with coefficient 1 (so 1 mod every p), and every other
+    # term strictly below it in the column order.
+    seen = 0
+    for n in range(2, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                for cols in enumerate_tableaux(shape, d, basis_class(kind)):
+                    box = snake_box(cols)
+                    if box is None:
+                        continue
+                    terms = snake_terms(cols, *box, kind)
+                    assert terms.pop(cols, 0) == 1, cols
+                    for other in terms:
+                        assert col_order(other, cols) is ColOrderResult.LESS
+                    seen += 1
+    assert seen == sources
+
+
+def test_col_key_sorts_by_the_column_order():
+    # Straightening pops the greatest term by this key; among canonical
+    # representatives of one content a smaller key is a greater tableau.
+    pairs = 0
+    for n in range(2, 6):
+        for shape in partitions_of(n):
+            reps = enumerate_tableaux(shape, 3, TableauClass.COLUMN_SEMISTANDARD)
+            by_weight = {}
+            for cols in reps:
+                by_weight.setdefault(weight_of(cols, 3), []).append(cols)
+            for block in by_weight.values():
+                for a in block:
+                    for b in block:
+                        if a == b:
+                            continue
+                        greater = col_order(a, b) is ColOrderResult.GREATER
+                        assert (_col_key(a) < _col_key(b)) == greater, (a, b)
+                        pairs += 1
+    assert pairs == 8328
 
 
 def test_leading_term_skew_equal_pair():

@@ -175,6 +175,18 @@ def test_supplementary_rank_gain():
     assert supplementary_rank_gain(Partition((1, 1, 1)), 2) == 0
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_supplementary_rank_gain_matches_the_full_build(n):
+    # The count (row-and-column-semistandard tableaux less the dimension)
+    # against the rank the supplementary stage of the full mod-2 build
+    # adds on top of its basic snakes.
+    for shape in partitions_of(n):
+        for d in range(1, n + 1):
+            full = build_gtensor_specht(shape, d, 2).supplementary_rank_gain
+            assert supplementary_rank_gain(shape, d) == full, (shape, d)
+            assert supplementary_rank_gain(shape, d, 3) == 0
+
+
 def test_min_interpolation_degree():
     assert min_interpolation_degree([5, 5, 5, 5]) == 0
     assert min_interpolation_degree([0, 0, 0]) == -1
