@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from importlib import resources
-from math import comb
 from pathlib import Path
 
 from . import decomposition as dc
@@ -40,7 +39,6 @@ from .quotients import (
 from .tableaux import kostka_numbers
 
 SCHEMA = "dualweyl-report/1"
-SUITES = ("thm1", "thm2", "d1", "hooks-d2", "tables", "example61", "all")
 
 EXPECTED_NON_ISO = {
     4: {Partition((1, 1, 1, 1)), Partition((2, 1, 1))},
@@ -75,10 +73,11 @@ def _u_dim_expected(d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Check units. Each is a primitive tuple so the pool can ship it to workers;
-# the first element names a handler below.
+# the first element names a handler below, which returns the report items of
+# its unit.
 
 
-def _run_check(check: tuple) -> dict:
+def _run_check(check: tuple) -> list[dict]:
     kind = check[0]
     handler = _HANDLERS[kind]
     return handler(*check[1:])
@@ -90,14 +89,14 @@ def _item(kind: str, *, expected, got, **fields) -> dict:
     return out
 
 
-def _check_verify_iso_true(lam: str, d: int, p: int) -> dict:
+def _check_verify_iso_true(lam: str, d: int, p: int) -> list[dict]:
     shape = parse_partition(lam)
-    return _item(
+    return [_item(
         "verify_iso", lam=lam, d=d, p=p, expected=True, got=verify_iso(shape, d, p)
-    )
+    )]
 
 
-def _check_dims_match_weyl(lam: str, d: int, p: int) -> dict:
+def _check_dims_match_weyl(lam: str, d: int, p: int) -> list[dict]:
     """The full skew build against the hook-content dimension and the
     semistandard-tableau census by weight: the Kostka number of each
     dominant weight, repeated over its S_d-orbit (Kostka numbers are
@@ -119,79 +118,91 @@ def _check_dims_match_weyl(lam: str, d: int, p: int) -> dict:
         for w in _orbit(beta, d)
     }
     item["pass"] = item["pass"] and image.weight_table() == kostka
-    return item
+    return [item]
 
 
-def _check_predict_vs_verify(lam: str, d: int) -> dict:
+def _check_predict_vs_verify(lam: str, d: int) -> list[dict]:
     shape = parse_partition(lam)
-    return _item(
+    return [_item(
         "predicted_iso_matches_construction",
         lam=lam,
         d=d,
         p=2,
         expected=pred.predict_iso(shape),
         got=verify_iso(shape, d, 2),
-    )
+    )]
 
 
-def _check_supp_gain(lam: str, d: int) -> dict:
+def _check_supp_gain(lam: str, d: int) -> list[dict]:
     gain = pred.supplementary_rank_gain(parse_partition(lam), d)
     item = _item(
         "supplementary_rank_gain", lam=lam, d=d, p=2, expected=None, got=gain
     )
     item["pass"] = True  # informational
-    return item
+    return [item]
 
 
-def _check_d1(lam: str) -> dict:
+def _check_non_iso_set(n: int) -> list[dict]:
+    d = n - 2
+    return [_item(
+        "non_iso_set",
+        n=n,
+        d=d,
+        p=2,
+        expected=sorted(format_partition(s) for s in EXPECTED_NON_ISO[n]),
+        got=sorted(format_partition(s) for s in pred.non_iso_shapes(n, d)),
+    )]
+
+
+def _check_d1(lam: str) -> list[dict]:
     shape = parse_partition(lam)
     predicted = 0 if pred.d1_predict(shape) is pred.D1Result.ZERO else 1
-    return _item(
+    return [_item(
         "one_letter_dim",
         lam=lam,
         d=1,
         p=2,
         expected=predicted,
         got=build_gtensor_specht(shape, 1, 2).dim,
-    )
+    )]
 
 
-def _check_hook_dim(a: int, l: int) -> dict:
+def _check_hook_dim(a: int, l: int) -> list[dict]:
     shape = pred.hook_partition(a, l)
-    return _item(
+    return [_item(
         "hook_two_letter_dim",
         lam=format_partition(shape),
         d=2,
         p=2,
         expected=pred.hook_d2_dim(a, l),
         got=build_gtensor_specht(shape, 2, 2).dim,
-    )
+    )]
 
 
-def _check_hook_frobenius(a: int, l: int) -> dict:
+def _check_hook_frobenius(a: int, l: int) -> list[dict]:
     shape = pred.hook_partition(a, l)
-    return _item(
+    return [_item(
         "hook_frobenius_weights",
         lam=format_partition(shape),
         d=2,
         p=2,
         expected=True,
         got=pred.frobenius_weight_check(a, l),
-    )
+    )]
 
 
-def _check_u_dim_formula(d: int) -> dict:
-    return _item(
+def _check_u_dim_formula(d: int) -> list[dict]:
+    return [_item(
         "kernel_dim_formula",
         lam=format_partition(U_DIM_FORMULA_SHAPE),
         d=d,
         p=2,
         expected=_u_dim_expected(d),
         got=u_lambda_dim(U_DIM_FORMULA_SHAPE, d),
-    )
+    )]
 
 
-def _check_u_degree(lam: str) -> dict:
+def _check_u_degree(lam: str) -> list[dict]:
     shape = parse_partition(lam)
     n = shape.n
     degree = pred.u_dim_degree(shape, list(range(n - 1, n + 5)))
@@ -199,128 +210,32 @@ def _check_u_degree(lam: str) -> dict:
         "kernel_dim_degree", lam=lam, p=2, expected=f"<= {n - 1}", got=degree
     )
     item["pass"] = degree <= n - 1
-    return item
+    return [item]
 
 
-def _check_table1(d: int) -> dict:
-    return _item(
+def _check_table1(d: int) -> list[dict]:
+    return [_item(
         "kernel_weight_census",
         lam=format_partition(U_DIM_FORMULA_SHAPE),
         d=d,
         p=2,
         expected=_encode_counts(pred.table1_expected(d)),
         got=_encode_counts(pred.table1_weight_counts(d)),
-    )
+    )]
 
 
 def _encode_counts(counts: dict[Partition, int]) -> dict[str, int]:
     return {format_partition(k): v for k, v in sorted(counts.items())}
 
 
-_HANDLERS = {
-    "verify_iso_true": _check_verify_iso_true,
-    "dims_match_weyl": _check_dims_match_weyl,
-    "predict_vs_verify": _check_predict_vs_verify,
-    "supp_gain": _check_supp_gain,
-    "d1": _check_d1,
-    "hook_dim": _check_hook_dim,
-    "hook_frobenius": _check_hook_frobenius,
-    "u_dim_formula": _check_u_dim_formula,
-    "u_degree": _check_u_degree,
-    "table1": _check_table1,
-}
-
-
-# ---------------------------------------------------------------------------
-# Suites
-
-
-def _suite_thm1_checks(n_max: int) -> list[tuple]:
-    checks = []
-    for n in range(1, n_max + 1):
-        for shape in partitions_of(n):
-            lam = format_partition(shape)
-            for d in range(1, 5):
-                for p in (3, 5):
-                    checks.append(("verify_iso_true", lam, d, p))
-                    checks.append(("dims_match_weyl", lam, d, p))
-    return checks
-
-
-def _suite_thm2_checks(n_max: int) -> list[tuple]:
-    checks = []
-    for n in range(1, n_max + 1):
-        for shape in partitions_of(n):
-            lam = format_partition(shape)
-            low = max(1, n - 2)
-            for d in sorted({low, n}):
-                checks.append(("predict_vs_verify", lam, d))
-            checks.append(("supp_gain", lam, low))
-    return checks
-
-
-def _thm2_set_items(n_max: int) -> list[dict]:
-    items = []
-    for n, expected in EXPECTED_NON_ISO.items():
-        if n > n_max:
-            continue
-        d = n - 2
-        got = pred.non_iso_shapes(n, d)
-        items.append(
-            _item(
-                "non_iso_set",
-                n=n,
-                d=d,
-                p=2,
-                expected=sorted(format_partition(s) for s in expected),
-                got=sorted(format_partition(s) for s in got),
-            )
-        )
-    return items
-
-
-def _suite_d1_checks(n_max: int) -> list[tuple]:
-    return [
-        ("d1", format_partition(shape))
-        for n in range(1, n_max + 1)
-        for shape in partitions_of(n)
-    ]
-
-
-def _suite_hooks_checks() -> list[tuple]:
-    checks = []
-    for a in range(2, 7):
-        for l in range(2, 7):
-            checks.append(("hook_dim", a, l))
-            if l % 2 == 0:
-                checks.append(("hook_frobenius", a, l))
-    return checks
-
-
-def _suite_tables_checks() -> list[tuple]:
-    checks = [("table1", d) for d in (4, 5, 6)]
-    checks += [("u_dim_formula", d) for d in (4, 5, 6, 7)]
-    checks += [
-        ("u_degree", format_partition(shape))
-        for n in (4, 5)
-        for shape in partitions_of(n)
-    ]
-    return checks
-
-
-def _tables_data_items(data_path: str | None) -> list[dict]:
-    """Decomposition gates, the factor table, and filtration feasibility."""
-    items = []
+def _check_decomposition(data_path: str | None) -> list[dict]:
+    """Decomposition gates, the factor table, and filtration feasibility;
+    only the gates item when the data fails them."""
     try:
         data = dc.DecompositionData.load(data_path)
-        items.append(
-            _item("decomposition_data_gates", expected="valid", got="valid")
-        )
     except dc.DecompositionDataError as exc:
-        items.append(
-            _item("decomposition_data_gates", expected="valid", got=str(exc))
-        )
-        return items
+        return [_item("decomposition_data_gates", expected="valid", got=str(exc))]
+    items = [_item("decomposition_data_gates", expected="valid", got="valid")]
     golden = _load_table3_golden()
     for lam, expected_row in golden.items():
         shape = parse_partition(lam)
@@ -350,7 +265,7 @@ def _tables_data_items(data_path: str | None) -> list[dict]:
     return items
 
 
-def _suite_example61_items() -> list[dict]:
+def _check_example61() -> list[dict]:
     shape = Partition((4, 3, 2, 1, 1))
     lam = format_partition(shape)
     return [
@@ -370,6 +285,95 @@ def _suite_example61_items() -> list[dict]:
             got=pred.predict_iso(shape),
         ),
     ]
+
+
+_HANDLERS = {
+    "verify_iso_true": _check_verify_iso_true,
+    "dims_match_weyl": _check_dims_match_weyl,
+    "predict_vs_verify": _check_predict_vs_verify,
+    "supp_gain": _check_supp_gain,
+    "non_iso_set": _check_non_iso_set,
+    "d1": _check_d1,
+    "hook_dim": _check_hook_dim,
+    "hook_frobenius": _check_hook_frobenius,
+    "u_dim_formula": _check_u_dim_formula,
+    "u_degree": _check_u_degree,
+    "table1": _check_table1,
+    "decomposition": _check_decomposition,
+    "example61": _check_example61,
+}
+
+
+# ---------------------------------------------------------------------------
+# Suites
+
+
+def _suite_thm1_checks(n_max: int) -> list[tuple]:
+    checks = []
+    for n in range(1, n_max + 1):
+        for shape in partitions_of(n):
+            lam = format_partition(shape)
+            for d in range(1, 5):
+                for p in (3, 5):
+                    checks.append(("verify_iso_true", lam, d, p))
+                    checks.append(("dims_match_weyl", lam, d, p))
+    return checks
+
+
+def _suite_thm2_checks(n_max: int) -> list[tuple]:
+    checks = []
+    for n in range(1, n_max + 1):
+        for shape in partitions_of(n):
+            lam = format_partition(shape)
+            low = max(1, n - 2)
+            for d in sorted({low, n}):
+                checks.append(("predict_vs_verify", lam, d))
+            checks.append(("supp_gain", lam, low))
+    checks += [("non_iso_set", n) for n in EXPECTED_NON_ISO if n <= n_max]
+    return checks
+
+
+def _suite_d1_checks(n_max: int) -> list[tuple]:
+    return [
+        ("d1", format_partition(shape))
+        for n in range(1, n_max + 1)
+        for shape in partitions_of(n)
+    ]
+
+
+def _suite_hooks_checks() -> list[tuple]:
+    checks = []
+    for a in range(2, 7):
+        for l in range(2, 7):
+            checks.append(("hook_dim", a, l))
+            if l % 2 == 0:
+                checks.append(("hook_frobenius", a, l))
+    return checks
+
+
+def _suite_tables_checks(data_path: str | None) -> list[tuple]:
+    checks = [("table1", d) for d in (4, 5, 6)]
+    checks += [("u_dim_formula", d) for d in (4, 5, 6, 7)]
+    checks += [
+        ("u_degree", format_partition(shape))
+        for n in (4, 5)
+        for shape in partitions_of(n)
+    ]
+    checks.append(("decomposition", data_path))
+    return checks
+
+
+# The units of each suite, from its capped --n-max and the --data path, in
+# the order `verify --suite all` runs them.
+_SUITE_UNITS = {
+    "thm1": lambda n_max, data: _suite_thm1_checks(n_max),
+    "thm2": lambda n_max, data: _suite_thm2_checks(n_max),
+    "d1": lambda n_max, data: _suite_d1_checks(n_max),
+    "hooks-d2": lambda n_max, data: _suite_hooks_checks(),
+    "tables": lambda n_max, data: _suite_tables_checks(data),
+    "example61": lambda n_max, data: [("example61",)],
+}
+SUITES = (*_SUITE_UNITS, "all")
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +396,9 @@ def _render_table1(d: int) -> tuple[str, bool]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dominant_weight", "count"])
-    ok = True
-    for shape, coeff, k in pred.TABLE1_FORMULAS:
-        expected = coeff * comb(d, k)
-        got = counts.get(shape, 0)
-        ok = ok and expected == got
-        writer.writerow([format_partition(shape), got])
-    ok = ok and sum(counts.values()) == sum(
-        coeff * comb(d, k) for _, coeff, k in pred.TABLE1_FORMULAS
-    )
-    return buf.getvalue(), ok
+    for shape, _, _ in pred.TABLE1_FORMULAS:
+        writer.writerow([format_partition(shape), counts.get(shape, 0)])
+    return buf.getvalue(), counts == pred.table1_expected(d)
 
 
 def _render_table3(data_path: str | None) -> tuple[str, bool]:
@@ -450,7 +447,7 @@ def _emit_report(args, command: str, items: list[dict], started: float) -> int:
     return 1 if failures else 0
 
 
-def _run_checks(checks: list[tuple], jobs: int) -> list[dict]:
+def _run_checks(checks: list[tuple], jobs: int) -> list[list[dict]]:
     if jobs == 1 or len(checks) <= 1:
         return [_run_check(c) for c in checks]
     # Imported here: a `dim` call never needs the pool, and the import
@@ -509,8 +506,8 @@ def cmd_verify(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if args.n_max < 1:
         raise _usage_error(f"--n-max must be positive, got {args.n_max}")
-    items: list[dict] = []
-    suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    suites = list(_SUITE_UNITS) if args.suite == "all" else [args.suite]
+    units: list[tuple] = []
     for suite in suites:
         cap = N_MAX_CAPS.get(suite, args.n_max)
         if args.n_max > cap:
@@ -518,21 +515,8 @@ def cmd_verify(args) -> int:
                 f"note: --n-max {args.n_max} is capped at {cap} for {suite}",
                 file=sys.stderr,
             )
-        capped = min(args.n_max, cap)
-        if suite == "thm1":
-            items += _run_checks(_suite_thm1_checks(capped), jobs)
-        elif suite == "thm2":
-            items += _run_checks(_suite_thm2_checks(capped), jobs)
-            items += _thm2_set_items(capped)
-        elif suite == "d1":
-            items += _run_checks(_suite_d1_checks(capped), jobs)
-        elif suite == "hooks-d2":
-            items += _run_checks(_suite_hooks_checks(), jobs)
-        elif suite == "tables":
-            items += _run_checks(_suite_tables_checks(), jobs)
-            items += _tables_data_items(args.data)
-        elif suite == "example61":
-            items += _suite_example61_items()
+        units += _SUITE_UNITS[suite](min(args.n_max, cap), args.data)
+    items = [item for unit_items in _run_checks(units, jobs) for item in unit_items]
     return _emit_report(args, f"verify --suite {args.suite}", items, started)
 
 

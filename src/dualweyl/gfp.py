@@ -116,8 +116,8 @@ def _bits(mask: int):
 class _Rows:
     """Rows over GF(p)^m keyed by pivot, the leading (lowest-index) nonzero
     coordinate, which has coefficient 1: the pivot bit at p = 2, the pivot
-    index otherwise. Stored rows are never modified in place, so copies
-    may share them."""
+    index otherwise. Stored rows are never modified in place, so a builder
+    seeded from a subspace may share them."""
 
     def __init__(self, ambient_dim: int, p: int):
         _check_prime(p)
@@ -129,12 +129,6 @@ class _Rows:
     @property
     def dim(self) -> int:
         return len(self._piv)
-
-    def _snapshot(self, cls):
-        other = cls.__new__(cls)
-        other.__dict__.update(self.__dict__)
-        other._piv = dict(self._piv)
-        return other
 
     def residual_mask(self, mask: int) -> int:
         """The GF(2) mask reduced modulo the span (zero iff contained)."""
@@ -177,8 +171,12 @@ class Subspace(_Rows):
 
     def builder(self) -> "SpanBuilder":
         """A builder that starts from this subspace (a reduced echelon basis
-        is an echelon basis), to probe rank growth."""
-        return self._snapshot(SpanBuilder)
+        is an echelon basis), to probe rank growth; the subspace stays
+        unchanged."""
+        other = SpanBuilder.__new__(SpanBuilder)
+        other.__dict__.update(self.__dict__)
+        other._piv = dict(self._piv)
+        return other
 
 
 class SpanBuilder(_Rows):
@@ -187,14 +185,12 @@ class SpanBuilder(_Rows):
     rows are never touched, so the rows are echelon but not reduced. They
     answer rank and membership; `subspace` gives the canonical form.
 
-    Single-owner while building; ``copy`` gives an independent builder
-    sharing the (immutable) stored rows.
+    Single-owner while building. Every block the package keeps is frozen;
+    to probe rank growth from a frozen span, seed a builder from it with
+    `Subspace.builder`.
     """
 
     rank = _Rows.dim
-
-    def copy(self) -> "SpanBuilder":
-        return self._snapshot(SpanBuilder)
 
     def subspace(self) -> Subspace:
         """The canonical subspace at the current rank, by one

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, min_odd_binomial_index, partitions_of
 from .quotients import (
     _gens_by_weight,
     _orbit_size,
@@ -111,9 +111,8 @@ def d1_predict(shape: Partition) -> D1Result:
     least as tall as the largest power of 2 dividing h+1."""
     conj = shape.conjugate()
     for j in range(1, shape[0]):
-        c = conj.part(j) + 1
-        low = c & (-c)
-        if low != c and conj.part(j + 1) >= low:
+        low = min_odd_binomial_index(conj.part(j) + 1)
+        if low is not None and conj.part(j + 1) >= low:
             return D1Result.ZERO
     return D1Result.LINE
 

@@ -12,9 +12,11 @@ builds nor `reduce`, `relations_contain` and the transvections create a
 A full build (`_build`) pushes the basic snakes, then the supplementary
 ones, into every weight block; its spans are `SpanBuilder`s in
 row-echelon form while relations are pushed, and each block is frozen
-once, at the end, into the canonical reduced `Subspace`. A module holds
-only frozen blocks. Module objects (reduce, quotient_indices, weight
-tables, transvections), the thm1 check and `restrict_entries` use it.
+once, at the end, into the canonical reduced `Subspace`. Every block is
+frozen, the cached dominant blocks below included, so no module or cache
+holds a builder; a kernel probe grows a builder seeded from a frozen
+span. Module objects (reduce, quotient_indices, weight tables,
+transvections), the thm1 check and `restrict_entries` use the full build.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -313,10 +315,11 @@ def _orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
 def _dominant_block(
     shape: Partition, p: int, model: str, beta: Partition
 ) -> _Block:
-    """The weight block of content beta, over the letters 1..len(beta), in
-    R-coordinates; it is the block of beta padded with zeros for every
-    larger d. Only the skew construction at p = 2 has relations left
-    there, its supplementary snakes; at odd p they all vanish."""
+    """The frozen weight block of content beta, over the letters
+    1..len(beta), in R-coordinates; it is the block of beta padded with
+    zeros for every larger d. Only the skew construction at p = 2 has
+    relations left there, its supplementary snakes; at odd p they all
+    vanish."""
     kind = _tabloid_kind(model, p)
     if kind.zero_on_column_repeats:
         r_class = TableauClass.SEMISTANDARD
@@ -331,6 +334,7 @@ def _dominant_block(
                 terms = _straighten_terms(snake_terms(cols, *box, kind), kind, p)
                 if terms:
                     _push_terms(block.span, terms, block.pos, p)
+    block.span = block.span.subspace()
     return block
 
 
@@ -342,7 +346,7 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     total = 0
     for beta in _dominant_weights(shape.n, d):
         block = _dominant_block(shape, p, which, beta)
-        total += (block.size - block.span.rank) * _orbit_size(beta, d)
+        total += (block.size - block.span.dim) * _orbit_size(beta, d)
     return total
 
 
@@ -405,14 +409,7 @@ def verify_iso(shape: Partition, d: int, p: int) -> bool:
     """Whether the canonical surjection onto the dual Weyl module is an
     isomorphism: every kernel generator must lie in the skew relation
     span. Away from characteristic 2 the kernel is zero."""
-    if p != 2:
-        return True
-    for beta, positions in _gens_by_weight(shape, d).items():
-        span = _dominant_block(shape, 2, "gtensor", beta).span
-        for pos in positions:
-            if span.residual_mask(1 << pos):
-                return False
-    return True
+    return p != 2 or not _kernel_dims(shape, d)
 
 
 def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
@@ -420,7 +417,7 @@ def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
     relation span when the kernel generators are adjoined."""
     out = {}
     for beta, positions in _gens_by_weight(shape, d).items():
-        probe = _dominant_block(shape, 2, "gtensor", beta).span.copy()
+        probe = _dominant_block(shape, 2, "gtensor", beta).span.builder()
         grown = sum(1 for pos in positions if probe.add_mask(1 << pos))
         if grown:
             out[beta] = grown

@@ -147,13 +147,22 @@ def enumerate_tableaux(
         raise ValueError(f"content {content} does not fill {shape}")
     else:
         counts = list(content)
-    # A strict column holds a letter at most once, so no letter may
-    # outnumber the columns still to fill.
-    prune = step and content is not None
     last = len(heights) - 1
     out: list[Cols] = []
     cols: list[tuple[int, ...]] = []
     col: list[int] = []
+
+    def fillable(k: int) -> bool:
+        """Whether the letters left can fill the columns after column k. A
+        strict column holds a letter at most once, so no letter may
+        outnumber the columns still to fill. When rows are ordered, every
+        later entry is at least the top of column k plus the row gap, so
+        no smaller letter may be left."""
+        if content is None:
+            return True
+        if step and max(counts) > last - k:
+            return False
+        return gap is None or not any(counts[: cols[k][0] + gap - 1])
 
     def place(k: int, i: int, low: int) -> None:
         h = heights[k]
@@ -161,7 +170,7 @@ def enumerate_tableaux(
             cols.append(tuple(col))
             if k == last:
                 out.append(tuple(cols))
-            elif not prune or max(counts) <= last - k:
+            elif fillable(k):
                 col.clear()
                 place(k + 1, 0, 1)
                 col.extend(cols[k])

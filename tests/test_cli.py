@@ -218,6 +218,38 @@ def test_verify_d1_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_verify_all_parallel_matches_serial(capsys):
+    # Every item comes from a check unit, so the pool changes nothing in
+    # the report, the multi-item units included.
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "all", "--format", "json", "--no-timing",
+            "--jobs", jobs,
+        )
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0].encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_verify_tables_reports_failed_data_gates(capsys, tmp_path):
+    bad = tmp_path / "broken.txt"
+    bad.write_text("2; 1,1:1\n1,1; 1,1:1\n")
+    code, out, _ = run(
+        capsys,
+        "verify", "--suite", "tables", "--data", str(bad),
+        "--format", "json", "--no-timing", "--jobs", "2",
+    )
+    assert code == 1
+    items = json.loads(out)["items"]
+    gates = [it for it in items if it["check"] == "decomposition_data_gates"]
+    assert len(gates) == 1 and gates[0]["pass"] is False
+    assert gates[0]["got"] != "valid"
+    assert not any(it["check"] == "kernel_composition_factors" for it in items)
+
+
 def test_pool_is_clamped_to_the_check_count(monkeypatch):
     import concurrent.futures
 
@@ -256,7 +288,7 @@ def test_thm1_check_has_an_independent_oracle(monkeypatch):
 
     monkeypatch.setattr(cli, "build_gtensor_specht", mod2_build)
     monkeypatch.setattr(cli, "build_dual_weyl", mod2_build, raising=False)
-    item = cli._check_dims_match_weyl("1,1", 2, 3)
+    [item] = cli._check_dims_match_weyl("1,1", 2, 3)
     assert (item["expected"], item["got"], item["pass"]) == (1, 3, False)
 
 
@@ -293,6 +325,47 @@ def test_benchmark_tracer_still_attaches(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "56"
+
+
+def test_verify_all_runs_one_pool(tmp_path):
+    # The whole sweep is one list of check units in one pool: the tracer
+    # sees one `_run_checks` call and one `_run_check` call per unit.
+    script = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(PERFBENCH)!r})
+import tracer
+tr = tracer.install(Path({str(tmp_path)!r}))
+from dualweyl import cli
+traced, units = cli._run_checks, []
+
+def counting(checks, jobs):
+    units.extend(checks)
+    return traced(checks, jobs)
+
+cli._run_checks = counting
+code = cli.main(["verify", "--suite", "all", "--jobs", "2", "--no-timing",
+                 "--format", "json"])
+tr.dump_own()
+print(len(units), file=sys.stderr)
+sys.exit(code)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=child_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    units = int(proc.stderr.split()[-1])
+    # the decomposition unit gives 8 items and the example61 unit 2
+    assert units == len(json.loads(proc.stdout)["items"]) - 8
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    stats = tracer.merge(sorted(tmp_path.glob("*.json")))["stats"]
+    assert stats["cli.pool"][0] == 1
+    assert stats["cli.check"][0] == units
 
 
 def test_report_is_deterministic(capsys):

@@ -68,7 +68,7 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p):
                     block = _dominant_block(shape, p, model, beta)
                     full = _build(shape, len(beta), p, model)._blocks.get(beta)
                     expected = full.size - full.span.dim if full else 0
-                    got = block.size - block.span.rank
+                    got = block.size - block.span.dim
                     assert got == expected, (shape, model, beta)
                     blocks += bool(full)
     assert blocks == {2: 141, 3: 106, 5: 106}[p]
@@ -89,9 +89,9 @@ def test_r_coordinates_of_the_kernel_generators():
                 block = _dominant_block(shape, 2, "gtensor", beta)
                 reps = list(block.pos)
                 repeat = [has_column_repeat(cols) for cols in reps]
-                for row in block.span.subspace().basis_rows():
+                for row in block.span.basis_rows():
                     assert all(repeat[j] for j, c in enumerate(row) if c), beta
-                probe = block.span.copy()
+                probe = block.span.builder()
                 for j, rep in enumerate(repeat):
                     if rep:
                         probe.add_mask(1 << j)

@@ -118,7 +118,7 @@ def test_builder_incremental_and_copy(p):
     assert builder.add([1, 0, 0]) is True
     assert builder.add([1, 0, 0]) is False
     assert builder.add([1, 1, 0]) is True
-    clone = builder.copy()
+    clone = builder.subspace().builder()
     assert clone.add([0, 0, 1]) is True
     assert clone.rank == 3 and builder.rank == 2
     assert builder.contains([0, 1, 0])
@@ -195,8 +195,9 @@ def test_span_engine_matches_oracle(p, m, data):
         assert reduced == {i: x for i, x in enumerate(oracle) if x}
         assert s.contains(v) == into
 
-    # copies are independent of their source and of what was frozen
-    clone = builder.copy()
+    # builders seeded from a frozen subspace are independent of it and of
+    # the builder it was frozen from
+    clone = builder.subspace().builder()
     seeded = s.builder()
     wider = len(rref_oracle(vectors + probes, m, p))
     for probe in (clone, seeded):
@@ -219,7 +220,7 @@ def test_pushes_after_a_freeze_leave_the_subspace_unchanged(p):
     builder.add([0, 1, 1, 0])
     frozen = builder.subspace()
     rows = frozen.basis_rows()
-    clone = builder.copy()
+    clone = builder.subspace().builder()
     assert clone.add([0, 0, 1, 1])
     assert builder.add([0, 0, 0, 1])
     assert frozen.basis_rows() == rows and frozen.pivot_indices() == [0, 1]

@@ -528,6 +528,36 @@ def test_built_module_holds_only_frozen_blocks():
         assert all(b.span is first[w] for w, b in module._blocks.items())
 
 
+def test_cached_dominant_blocks_hold_only_frozen_spans():
+    # Dimensions, the isomorphism test and the kernel read the cached
+    # dominant blocks: each holds its frozen span, and the kernel probes
+    # leave that span as it was.
+    from dualweyl.gfp import SpanBuilder, Subspace
+    from dualweyl.quotients import _dominant_block, _dominant_weights, module_dim
+
+    shape = Partition((2, 2, 1))
+    _dominant_block.cache_clear()
+    for p in (2, 3):
+        for which in ("nabla", "gtensor"):
+            module_dim(which, shape, 5, p)
+    keys = [
+        (p, which, beta)
+        for p in (2, 3)
+        for which in ("nabla", "gtensor")
+        for beta in _dominant_weights(5, 5)
+    ]
+    blocks = {key: _dominant_block(shape, *key) for key in keys}
+    assert all(type(b.span) is Subspace for b in blocks.values())
+    rows = {key: b.span.basis_rows() for key, b in blocks.items()}
+    assert not verify_iso(shape, 5, 2)
+    assert u_lambda_dim(shape, 5) == (5**4 + 5 * 5**2) // 6
+    assert _dominant_block.cache_info().misses == len(keys)
+    for key, block in blocks.items():
+        assert _dominant_block(shape, *key) is block
+        assert block.span.basis_rows() == rows[key]
+    assert not any(isinstance(x, SpanBuilder) for x in _reachable(blocks))
+
+
 def test_supplementary_rank_gain_reported():
     module = build_gtensor_specht(Partition((2, 1)), 2, 2)
     assert module.supplementary_rank_gain == 3

@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -145,6 +146,32 @@ def test_content_enumeration_matches_filtered_enumeration():
     # a content no tableau of the class realises gives nothing
     strict = TableauClass.COLUMN_STANDARD
     assert enumerate_tableaux(Partition((1, 1)), 1, strict, content=(2,)) == []
+
+
+@pytest.mark.parametrize("cls", [
+    TableauClass.SEMISTANDARD, TableauClass.ROW_AND_COLUMN_SEMISTANDARD,
+])
+@pytest.mark.parametrize("n, d", [(24, 2), (60, 3), (100, 2), (100, 4)])
+def test_content_enumeration_of_one_row_takes_linear_work(cls, n, d):
+    # A one-row shape has a single tableau of each content. Once a letter
+    # is placed while a smaller one is left, no later entry can use the
+    # smaller one, so such a branch must end at once: the recursive
+    # `place` calls grow linearly in n, not quadratically.
+    content = (n // d,) * d
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "place":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        got = enumerate_tableaux(Partition((n,)), d, cls, content)
+    finally:
+        sys.setprofile(None)
+    assert got == [tuple((x,) for x in range(1, d + 1) for _ in range(n // d))]
+    assert calls <= 2 * d * n
 
 
 def test_content_enumeration_rejects_bad_requests():
