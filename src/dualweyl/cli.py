@@ -72,15 +72,14 @@ def _u_dim_expected(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Check units. Each is a primitive tuple so the pool can ship it to workers;
-# the first element names a handler below, which returns the report items of
-# its unit.
+# Check units. Each is a tuple of a module-level handler below and its
+# primitive arguments, so the pool can ship it to workers (functions pickle
+# by reference); the handler returns the report items of its unit.
 
 
 def _run_check(check: tuple) -> list[dict]:
-    kind = check[0]
-    handler = _HANDLERS[kind]
-    return handler(*check[1:])
+    handler, *args = check
+    return handler(*args)
 
 
 def _item(kind: str, *, expected, got, **fields) -> dict:
@@ -205,7 +204,7 @@ def _check_u_dim_formula(d: int) -> list[dict]:
 def _check_u_degree(lam: str) -> list[dict]:
     shape = parse_partition(lam)
     n = shape.n
-    degree = pred.u_dim_degree(shape, list(range(n - 1, n + 5)))
+    degree = pred.u_dim_degree(shape)
     item = _item(
         "kernel_dim_degree", lam=lam, p=2, expected=f"<= {n - 1}", got=degree
     )
@@ -287,23 +286,6 @@ def _check_example61() -> list[dict]:
     ]
 
 
-_HANDLERS = {
-    "verify_iso_true": _check_verify_iso_true,
-    "dims_match_weyl": _check_dims_match_weyl,
-    "predict_vs_verify": _check_predict_vs_verify,
-    "supp_gain": _check_supp_gain,
-    "non_iso_set": _check_non_iso_set,
-    "d1": _check_d1,
-    "hook_dim": _check_hook_dim,
-    "hook_frobenius": _check_hook_frobenius,
-    "u_dim_formula": _check_u_dim_formula,
-    "u_degree": _check_u_degree,
-    "table1": _check_table1,
-    "decomposition": _check_decomposition,
-    "example61": _check_example61,
-}
-
-
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -315,8 +297,8 @@ def _suite_thm1_checks(n_max: int) -> list[tuple]:
             lam = format_partition(shape)
             for d in range(1, 5):
                 for p in (3, 5):
-                    checks.append(("verify_iso_true", lam, d, p))
-                    checks.append(("dims_match_weyl", lam, d, p))
+                    checks.append((_check_verify_iso_true, lam, d, p))
+                    checks.append((_check_dims_match_weyl, lam, d, p))
     return checks
 
 
@@ -327,15 +309,15 @@ def _suite_thm2_checks(n_max: int) -> list[tuple]:
             lam = format_partition(shape)
             low = max(1, n - 2)
             for d in sorted({low, n}):
-                checks.append(("predict_vs_verify", lam, d))
-            checks.append(("supp_gain", lam, low))
-    checks += [("non_iso_set", n) for n in EXPECTED_NON_ISO if n <= n_max]
+                checks.append((_check_predict_vs_verify, lam, d))
+            checks.append((_check_supp_gain, lam, low))
+    checks += [(_check_non_iso_set, n) for n in EXPECTED_NON_ISO if n <= n_max]
     return checks
 
 
 def _suite_d1_checks(n_max: int) -> list[tuple]:
     return [
-        ("d1", format_partition(shape))
+        (_check_d1, format_partition(shape))
         for n in range(1, n_max + 1)
         for shape in partitions_of(n)
     ]
@@ -345,21 +327,21 @@ def _suite_hooks_checks() -> list[tuple]:
     checks = []
     for a in range(2, 7):
         for l in range(2, 7):
-            checks.append(("hook_dim", a, l))
+            checks.append((_check_hook_dim, a, l))
             if l % 2 == 0:
-                checks.append(("hook_frobenius", a, l))
+                checks.append((_check_hook_frobenius, a, l))
     return checks
 
 
 def _suite_tables_checks(data_path: str | None) -> list[tuple]:
-    checks = [("table1", d) for d in (4, 5, 6)]
-    checks += [("u_dim_formula", d) for d in (4, 5, 6, 7)]
+    checks = [(_check_table1, d) for d in (4, 5, 6)]
+    checks += [(_check_u_dim_formula, d) for d in (4, 5, 6, 7)]
     checks += [
-        ("u_degree", format_partition(shape))
+        (_check_u_degree, format_partition(shape))
         for n in (4, 5)
         for shape in partitions_of(n)
     ]
-    checks.append(("decomposition", data_path))
+    checks.append((_check_decomposition, data_path))
     return checks
 
 
@@ -371,7 +353,7 @@ _SUITE_UNITS = {
     "d1": lambda n_max, data: _suite_d1_checks(n_max),
     "hooks-d2": lambda n_max, data: _suite_hooks_checks(),
     "tables": lambda n_max, data: _suite_tables_checks(data),
-    "example61": lambda n_max, data: [("example61",)],
+    "example61": lambda n_max, data: [(_check_example61,)],
 }
 SUITES = (*_SUITE_UNITS, "all")
 

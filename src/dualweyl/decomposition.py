@@ -199,9 +199,10 @@ def composition_factors_U(
     dual Weyl module.
 
     Solved from the per-dominant-weight dimensions of the kernel at d = n;
-    the weight multiplicities of the simples form a unitriangular, hence
-    invertible, system, so the solution is unique. The total-dimension
-    equations at d = 1..#partitions(n) are checked afterwards.
+    the weight multiplicities of the simples form a unit lower triangular
+    system in `partitions_of` order, solved by forward substitution over
+    the integers. The total-dimension equations at d = 1..#partitions(n)
+    are checked afterwards.
     """
     n = shape.n
     if n > 5:
@@ -216,15 +217,15 @@ def composition_factors_U(
         beta: {mu: data.simple_weight_multiplicity(mu, beta) for mu in labels}
         for beta in labels
     }
-    solution = _solve_unique(labels, matrix, rhs)
+    solution = _solve_unitriangular(labels, matrix, rhs)
     factors = {}
     for mu, value in solution.items():
-        if value.denominator != 1 or value < 0:
+        if value < 0:
             raise DecompositionDataError(
                 f"factor solve for {shape} produced {value} at {mu}"
             )
         if value:
-            factors[mu] = int(value)
+            factors[mu] = value
     points = range(1, len(labels) + 1)
     for d in points:
         total = sum(m * data.dim_simple(mu, d) for mu, m in factors.items())
@@ -235,25 +236,18 @@ def composition_factors_U(
     return factors
 
 
-def _solve_unique(labels, matrix, rhs) -> dict[Partition, Fraction]:
-    """Exact Gaussian elimination; raises if the system is singular."""
-    m = len(labels)
-    rows = [
-        [Fraction(matrix[beta][mu]) for mu in labels] + [Fraction(rhs[beta])]
-        for beta in labels
-    ]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            raise DecompositionDataError("weight system is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return {mu: rows[i][m] for i, mu in enumerate(labels)}
+def _solve_unitriangular(labels, matrix, rhs) -> dict[Partition, int]:
+    """Forward substitution over the integers; raises unless the system is
+    unit lower triangular in the order of ``labels``."""
+    solution: dict[Partition, int] = {}
+    for i, beta in enumerate(labels):
+        row = matrix[beta]
+        if row[beta] != 1 or any(row[mu] for mu in labels[i + 1:]):
+            raise DecompositionDataError(
+                f"weight system is not unit lower triangular at {beta}"
+            )
+        solution[beta] = rhs[beta] - sum(row[mu] * solution[mu] for mu in labels[:i])
+    return solution
 
 
 def nabla_filtration_feasible(

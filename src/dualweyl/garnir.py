@@ -20,7 +20,6 @@ once and runs the same expansion, `_expand`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -155,18 +154,19 @@ def _expand(
     j2 must already be canonical for ``kind``; those two are sorted per
     term. Coefficients are reduced mod 2 for the mod-2 skew kind, whose
     signs are not tracked; only their parity is canonical."""
-    zero_on_repeat, signed = kind.zero_on_column_repeats, kind.signed
+    alternating = kind.zero_on_column_repeats
     pair = cols[j] + cols[j2]
     head, mid, tail = cols[:j], cols[j + 1:j2], cols[j2 + 1:]
     out: dict[Cols, int] = {}
     for pos_a, pos_b, parity in template:
         a, inv_a, rep_a = sort_column(tuple([pair[x] for x in pos_a]))
         b, inv_b, rep_b = sort_column(tuple([pair[x] for x in pos_b]))
-        if zero_on_repeat and (rep_a or rep_b):
+        if alternating and (rep_a or rep_b):
             continue
         key = head + (a,) + mid + (b,) + tail
-        out[key] = out.get(key, 0) + (-1 if signed and parity ^ inv_a ^ inv_b else 1)
-    if not signed:
+        sign = -1 if alternating and parity ^ inv_a ^ inv_b else 1
+        out[key] = out.get(key, 0) + sign
+    if not alternating:
         return {t: 1 for t, c in out.items() if c % 2}
     return {t: c for t, c in out.items() if c}
 
@@ -179,62 +179,28 @@ def snake_terms(cols: Cols, i: int, j: int, kind: TabloidKind) -> dict[Cols, int
     return _expand(cols, j, j + 1, template, kind)
 
 
-def garnir_terms(
-    label: GarnirLabel,
-    kind: TabloidKind,
-    _shuffle: random.Random | None = None,
-) -> dict[Tableau, int]:
+def garnir_terms(label: GarnirLabel, kind: TabloidKind) -> dict[Tableau, int]:
     """Integer coefficients of the relation of an arbitrary label on
     canonical representatives of a column kind (mod 2 for the mod-2 skew
-    kind). ``_shuffle`` composes each coset representative of the template
-    with a random element of the group permuting A and B separately, which
-    must not change the result."""
+    kind)."""
     label.validate()
     cols = label.t.cols
     j, j2 = label.A[0][1] - 1, label.B[0][1] - 1
     rows_a = tuple(sorted(i - 1 for i, _ in label.A))
     rows_b = tuple(sorted(i - 1 for i, _ in label.B))
     template = _template(len(cols[j]), len(cols[j2]), rows_a, rows_b)
-    if _shuffle is not None:
-        template = _shuffled(template, rows_a, rows_b, _shuffle)
+    alternating = kind.zero_on_column_repeats
     canonical, parity = [], 0
     for c, col in enumerate(cols):
         if c not in (j, j2):
             col, inv, repeat = sort_column(col)
-            if repeat and kind.zero_on_column_repeats:
+            if repeat and alternating:
                 return {}
             parity ^= inv
         canonical.append(col)
-    sign = -1 if parity and kind.signed else 1
+    sign = -1 if parity and alternating else 1
     terms = _expand(tuple(canonical), j, j2, template, kind)
     return {Tableau(t): sign * c for t, c in terms.items()}
-
-
-def _shuffled(
-    template: Template,
-    rows_a: tuple[int, ...],
-    rows_b: tuple[int, ...],
-    rng: random.Random,
-) -> Template:
-    """The template with each representative composed with a random
-    permutation of the A boxes and one of the B boxes."""
-    out = []
-    for first, second, parity in template:
-        first, parity_a = _permuted(first, rows_a, rng)
-        second, parity_b = _permuted(second, rows_b, rng)
-        out.append((first, second, parity ^ parity_a ^ parity_b))
-    return tuple(out)
-
-
-def _permuted(
-    col: tuple[int, ...], rows: tuple[int, ...], rng: random.Random
-) -> tuple[tuple[int, ...], int]:
-    perm = list(range(len(rows)))
-    rng.shuffle(perm)
-    out = list(col)
-    for r, src in zip(rows, perm):
-        out[r] = col[rows[src]]
-    return tuple(out), sum(1 for a, b in combinations(perm, 2) if a > b) & 1
 
 
 class RelationKind(Enum):

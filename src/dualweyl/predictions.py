@@ -11,6 +11,7 @@ from math import comb
 from .partitions import Partition, min_odd_binomial_index, partitions_of
 from .quotients import (
     _gens_by_weight,
+    _kernel_dims,
     _orbit_size,
     build_gtensor_specht,
     module_dim,
@@ -203,11 +204,10 @@ def min_interpolation_degree(values: list[int]) -> int:
     return degree
 
 
-def u_dim_degree(shape: Partition, d_values: list[int]) -> int:
-    """Interpolation degree of the kernel dimension over consecutive
-    alphabet sizes."""
-    if any(b - a != 1 for a, b in zip(d_values, d_values[1:])):
-        raise ValueError("d values must be consecutive")
-    from .quotients import u_lambda_dim
-
-    return min_interpolation_degree([u_lambda_dim(shape, d) for d in d_values])
+def u_dim_degree(shape: Partition) -> int:
+    """Degree in d of the kernel dimension (-1 when the kernel is zero):
+    the greatest length of a dominant weight beta where the kernel is
+    nonzero. The dimension sums dim U_beta times the orbit size of beta
+    over d letters, a polynomial of degree len(beta) with a positive
+    leading coefficient, so no leading term cancels."""
+    return max((len(beta) for beta in _kernel_dims(shape, shape.n)), default=-1)

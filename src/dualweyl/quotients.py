@@ -34,11 +34,13 @@ with it, with coefficient 1, and all its other terms are smaller in the
 column order; so the row-semistandard representatives R are a basis of
 the block modulo the basic snakes (the standard-basis theorem:
 Desarmenien, Kung and Rota, Adv. Math. 27, 1978; James, LNM 682, section
-8). `_straighten_terms` expresses a combination over R. At odd p, and
-for the dual Weyl module at every p, no relation is left and the block
-dimension is |R_beta|; the skew construction at p = 2 straightens its
-supplementary snakes onto R and eliminates only those. The rank of the
-basic relations is then the number of tabloids outside R, which is how
+8). `_straighten_terms` expresses a combination over R. A dominant
+block depends on the tabloid kind, not on the construction or the prime:
+an alternating block, which serves the dual Weyl module at every p and
+the skew construction at odd p, has no relation left, and its dimension
+is |R_beta|; a mod-2 skew block straightens its supplementary snakes
+onto R and eliminates only those. The rank of the basic relations is
+then the number of tabloids outside R, which is how
 `predictions.supplementary_rank_gain` counts the rank the supplementary
 snakes add without a full build.
 """
@@ -163,6 +165,8 @@ class QuotientModule:
 
 
 def _tabloid_kind(model: str, p: int) -> TabloidKind:
+    """The tabloid kind of a construction at p: the one place that maps a
+    (model, p) pair to a kind."""
     if model == "nabla":
         return ALT_COLUMN
     if model == "gtensor":
@@ -219,14 +223,13 @@ def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
     """Every weight block of the tabloid space with the relations of one
     construction pushed. Each block takes the basic snake of every
     tableau that is not row semistandard and records its rank; then, for
-    the skew construction at p = 2, it takes the supplementary snakes of
-    the row-semistandard ones (at odd p every one of them is zero).
-    Relations are expanded straight from the column tuples of the
+    the mod-2 skew kind, it takes the supplementary snakes of the
+    row-semistandard ones (on alternating tabloids every one of them is
+    zero). Relations are expanded straight from the column tuples of the
     representatives, and each block is frozen at the end."""
     kind = _tabloid_kind(model, p)
     basis = build_basis(shape, d, kind)
     blocks = _make_blocks(basis.cols, d, p)
-    supplementary = model == "gtensor" and p == 2
     for block in blocks.values():
         row_semistandard = []
         for cols in block.pos:
@@ -238,7 +241,7 @@ def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
             if terms:
                 _push_terms(block.span, terms, block.pos, p)
         block.basic_rank = block.span.rank
-        if supplementary:
+        if not kind.zero_on_column_repeats:
             for cols in row_semistandard:
                 for box in equal_boxes(cols):
                     terms = snake_terms(cols, *box, kind)
@@ -312,28 +315,25 @@ def _orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=4096)
-def _dominant_block(
-    shape: Partition, p: int, model: str, beta: Partition
-) -> _Block:
+def _dominant_block(shape: Partition, kind: TabloidKind, beta: Partition) -> _Block:
     """The frozen weight block of content beta, over the letters
     1..len(beta), in R-coordinates; it is the block of beta padded with
-    zeros for every larger d. Only the skew construction at p = 2 has
-    relations left there, its supplementary snakes; at odd p they all
-    vanish."""
-    kind = _tabloid_kind(model, p)
+    zeros for every larger d. Only the mod-2 skew kind has relations left
+    there, its supplementary snakes, over GF(2); an alternating block has
+    none at any prime, so its empty span serves every p."""
     if kind.zero_on_column_repeats:
         r_class = TableauClass.SEMISTANDARD
     else:
         r_class = TableauClass.ROW_AND_COLUMN_SEMISTANDARD
     reps = enumerate_tableaux(shape, len(beta), r_class, content=tuple(beta))
-    blocks = _make_blocks(reps, len(beta), p)
-    block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, p))
-    if model == "gtensor" and p == 2:
+    blocks = _make_blocks(reps, len(beta), 2)
+    block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, 2))
+    if not kind.zero_on_column_repeats:
         for cols in reps:
             for box in equal_boxes(cols):
-                terms = _straighten_terms(snake_terms(cols, *box, kind), kind, p)
+                terms = _straighten_terms(snake_terms(cols, *box, kind), kind, 2)
                 if terms:
-                    _push_terms(block.span, terms, block.pos, p)
+                    _push_terms(block.span, terms, block.pos, 2)
     block.span = block.span.subspace()
     return block
 
@@ -342,10 +342,10 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     """Dimension of the dual Weyl module (``"nabla"``) or of the skew
     construction (``"gtensor"``), summed over dominant blocks times their
     orbit sizes."""
-    _tabloid_kind(which, p)  # rejects an unknown module
+    kind = _tabloid_kind(which, p)
     total = 0
     for beta in _dominant_weights(shape.n, d):
-        block = _dominant_block(shape, p, which, beta)
+        block = _dominant_block(shape, kind, beta)
         total += (block.size - block.span.dim) * _orbit_size(beta, d)
     return total
 
@@ -400,7 +400,7 @@ def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]
     for beta in _dominant_weights(shape.n, d):
         if beta[0] < 2:
             continue
-        block = _dominant_block(shape, 2, "gtensor", beta)
+        block = _dominant_block(shape, skew_column(2), beta)
         out[beta] = [j for cols, j in block.pos.items() if has_column_repeat(cols)]
     return out
 
@@ -417,7 +417,7 @@ def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
     relation span when the kernel generators are adjoined."""
     out = {}
     for beta, positions in _gens_by_weight(shape, d).items():
-        probe = _dominant_block(shape, 2, "gtensor", beta).span.builder()
+        probe = _dominant_block(shape, skew_column(2), beta).span.builder()
         grown = sum(1 for pos in positions if probe.add_mask(1 << pos))
         if grown:
             out[beta] = grown

@@ -3,50 +3,46 @@ spaces.
 
 Alternating column tabloids model a product of exterior powers, and skew
 column tabloids model the product that agrees with the exterior power away
-from characteristic 2 but keeps repeated column entries alive mod 2. A
-basis holds its representatives as column tuples; `Tableau` objects are
-made only at the API boundary (`rep`, `terms`, `canonicalize`).
+from characteristic 2 but keeps repeated column entries alive mod 2. At
+odd p the two are one space, so there are two kinds: the alternating kind
+and the mod-2 skew kind. A basis holds its representatives as column
+tuples; `Tableau` objects are made only at the API boundary (`rep`,
+`terms`, `canonicalize`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 
 from .partitions import Partition
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
 
 
-@dataclass(frozen=True)
-class TabloidKind:
-    family: str  # "alt" | "skew"
-    p: int | None = None
+class TabloidKind(Enum):
+    """The two column tabloid spaces. Each carries one predicate,
+    ``zero_on_column_repeats``: whether a repeated column entry kills a
+    tabloid, which is exactly when column sorting carries a sign. It is a
+    plain attribute because canonicalization reads it once per term."""
 
-    def __post_init__(self):
-        if self.family not in ("alt", "skew"):
-            raise ValueError(f"unknown tabloid family {self.family!r}")
-        if (self.family == "skew") != (self.p is not None):
-            raise ValueError("exactly the skew kind carries a prime")
+    ALTERNATING = ("alt", True)
+    SKEW_MOD_2 = ("skew(p=2)", False)
 
-    @property
-    def zero_on_column_repeats(self) -> bool:
-        return self.family == "alt" or (self.family == "skew" and self.p != 2)
-
-    @property
-    def signed(self) -> bool:
-        """Whether column sorting carries a sign; the mod-2 skew kind does
-        not track signs."""
-        return not (self.family == "skew" and self.p == 2)
+    def __init__(self, label: str, zero_on_column_repeats: bool):
+        self.label = label
+        self.zero_on_column_repeats = zero_on_column_repeats
 
     def __repr__(self) -> str:
-        return self.family if self.p is None else f"{self.family}(p={self.p})"
+        return self.label
 
 
-ALT_COLUMN = TabloidKind("alt")
+ALT_COLUMN = TabloidKind.ALTERNATING
 
 
 def skew_column(p: int) -> TabloidKind:
-    return TabloidKind("skew", p)
+    """The skew column kind at p: the alternating kind at every odd p."""
+    return TabloidKind.SKEW_MOD_2 if p == 2 else ALT_COLUMN
 
 
 @dataclass(frozen=True)
@@ -75,10 +71,10 @@ def sort_column(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
 
 def canonical_cols(cols: Cols, kind: TabloidKind) -> tuple[Cols, int, bool]:
     """(sorted columns, sign, is zero) of the tabloid class of a filling
-    given by its columns. Columns sort ascending, the sign being the parity
-    of the sorting permutation (always +1 for the mod-2 skew kind). The
-    alternating kind flags classes with a repeated column entry as zero,
-    and the skew kind does the same exactly when its prime is odd."""
+    given by its columns. Columns sort ascending. For the alternating kind
+    the sign is the parity of the sorting permutation, and a class with a
+    repeated column entry is zero; the mod-2 skew kind keeps every class,
+    with sign +1."""
     parity = 0
     any_repeat = False
     out = []
@@ -87,9 +83,11 @@ def canonical_cols(cols: Cols, kind: TabloidKind) -> tuple[Cols, int, bool]:
         out.append(sorted_c)
         parity ^= inv
         any_repeat = any_repeat or repeat
-    if any_repeat and kind.zero_on_column_repeats:
+    if not kind.zero_on_column_repeats:
+        return tuple(out), 1, False
+    if any_repeat:
         return tuple(out), 1, True
-    return tuple(out), -1 if parity and kind.signed else 1, False
+    return tuple(out), -1 if parity else 1, False
 
 
 def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:

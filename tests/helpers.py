@@ -6,6 +6,7 @@ canonicalizes its terms with `canonicalize`. The label-level relation rank
 (`family_rank`), the span helpers and the row tabloids have no caller in
 the package; they live here as references for the tests."""
 
+import random
 from itertools import combinations, permutations, product
 
 from dualweyl.garnir import garnir_terms, iter_relation_labels
@@ -21,6 +22,7 @@ from dualweyl.quotients import (
 from dualweyl.tableaux import Box, Tableau
 from dualweyl.tabloids import (
     TabloidBasis,
+    TabloidKind,
     TabloidVector,
     build_basis,
     canonicalize,
@@ -120,9 +122,30 @@ def garnir_oracle(label, kind):
             continue
         inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
         out[st.rep] = out.get(st.rep, 0) + (-1) ** inversions * st.sign
-    if kind.family == "skew" and kind.p == 2:
+    if kind is TabloidKind.SKEW_MOD_2:
         return {rep: 1 for rep, c in out.items() if c % 2}
     return {rep: c for rep, c in out.items() if c}
+
+
+def shuffled_template(template, rows_a, rows_b, rng: random.Random):
+    """A Garnir template (see `garnir._template`) with each coset
+    representative composed with a random permutation of the A boxes and
+    one of the B boxes."""
+    out = []
+    for first, second, parity in template:
+        first, parity_a = _permuted(first, rows_a, rng)
+        second, parity_b = _permuted(second, rows_b, rng)
+        out.append((first, second, parity ^ parity_a ^ parity_b))
+    return tuple(out)
+
+
+def _permuted(col, rows, rng: random.Random):
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    out = list(col)
+    for r, src in zip(rows, perm):
+        out[r] = col[rows[src]]
+    return tuple(out), sum(1 for a, b in combinations(perm, 2) if a > b) & 1
 
 
 def kernel_table_all_blocks(shape, d, p=2):
@@ -241,6 +264,7 @@ __all__ = [
     "prod",
     "reduce_oracle",
     "row_sort",
+    "shuffled_template",
     "rref_oracle",
     "span",
     "straighten_vector",

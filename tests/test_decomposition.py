@@ -6,6 +6,7 @@ from dualweyl.decomposition import (
     DEGREE5_DIM_POLYS,
     DecompositionData,
     DecompositionDataError,
+    _solve_unitriangular,
     composition_factors_U,
     default_data_path,
     dim_L,
@@ -93,6 +94,24 @@ def test_composition_factors_match_tables(data):
     }
     for shape, factors in expected.items():
         assert composition_factors_U(shape, data) == factors, shape
+
+
+def test_factor_solve_needs_a_unit_lower_triangular_system(data):
+    # The weight multiplicities of the simples are unit lower triangular in
+    # `partitions_of` order at every shipped degree; the integer solve
+    # relies on it and refuses any other system.
+    for n in range(1, 6):
+        labels = list(partitions_of(n))
+        for i, beta in enumerate(labels):
+            row = [data.simple_weight_multiplicity(mu, beta) for mu in labels]
+            assert row[i] == 1 and not any(row[i + 1:]), beta
+    a, b = P((2,)), P((1, 1))
+    rhs = {a: 2, b: 5}
+    good = {a: {a: 1, b: 0}, b: {a: 1, b: 1}}
+    assert _solve_unitriangular([a, b], good, rhs) == {a: 2, b: 3}
+    for bad in ({a: {a: 2, b: 0}, b: {a: 1, b: 1}}, {a: {a: 1, b: 1}, b: {a: 0, b: 1}}):
+        with pytest.raises(DecompositionDataError):
+            _solve_unitriangular([a, b], bad, rhs)
 
 
 def test_composition_factors_small_degrees(data):

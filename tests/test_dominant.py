@@ -10,12 +10,14 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.partitions import Partition, partitions_of
+from dualweyl.partitions import Partition, hook_content_dim, partitions_of
 from dualweyl.quotients import (
     _build,
     _dominant_block,
+    _dominant_weights,
     _kernel_dims,
     _straighten_terms,
+    _tabloid_kind,
     dominant_rep_bound,
     build_dual_weyl,
     build_gtensor_specht,
@@ -25,7 +27,12 @@ from dualweyl.quotients import (
     verify_iso,
 )
 from dualweyl.tableaux import TableauClass, enumerate_tableaux
-from dualweyl.tabloids import has_column_repeat, skew_column
+from dualweyl.tabloids import (
+    ALT_COLUMN,
+    build_basis,
+    has_column_repeat,
+    skew_column,
+)
 from helpers import kernel_table_all_blocks
 
 CASES = [
@@ -65,7 +72,7 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
                 for model in ("nabla", "gtensor"):
-                    block = _dominant_block(shape, p, model, beta)
+                    block = _dominant_block(shape, _tabloid_kind(model, p), beta)
                     full = _build(shape, len(beta), p, model)._blocks.get(beta)
                     expected = full.size - full.span.dim if full else 0
                     got = block.size - block.span.dim
@@ -86,7 +93,7 @@ def test_r_coordinates_of_the_kernel_generators():
     for n in range(2, 7):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
-                block = _dominant_block(shape, 2, "gtensor", beta)
+                block = _dominant_block(shape, kind, beta)
                 reps = list(block.pos)
                 repeat = [has_column_repeat(cols) for cols in reps]
                 for row in block.span.basis_rows():
@@ -129,6 +136,21 @@ def test_kernel_dimension_is_the_exact_polynomial():
         assert u_lambda_dim(Partition((2, 2, 1)), d) == (d**4 + 5 * d**2) // 6
 
 
+def test_constructions_share_the_alternating_kind():
+    # At odd p the skew column tabloids are the alternating ones: one kind,
+    # one basis, and one dominant block per content, built once for the
+    # dual Weyl module at every p and for the skew construction at odd p.
+    for p in (3, 5, 7):
+        assert skew_column(p) is ALT_COLUMN
+    shape = Partition((3, 2))
+    assert build_basis(shape, 3, skew_column(3)) is build_basis(shape, 3, ALT_COLUMN)
+    _dominant_block.cache_clear()
+    for which, p in (("nabla", 2), ("nabla", 3), ("nabla", 5),
+                     ("gtensor", 3), ("gtensor", 5)):
+        assert module_dim(which, shape, 5, p) == hook_content_dim(shape, 5)
+    assert _dominant_block.cache_info().misses == len(_dominant_weights(5, 5))
+
+
 def test_dominant_rep_bound_holds():
     # The closed form `dim` checks against its budget must bound the
     # dominant weights and the R-representatives their blocks hold.
@@ -137,9 +159,9 @@ def test_dominant_rep_bound_holds():
             for d in range(1, n + 2):
                 for which, p in (("nabla", 3), ("nabla", 2), ("gtensor", 2),
                                  ("gtensor", 3), ("u", 2)):
-                    model = "gtensor" if which == "u" else which
+                    kind = _tabloid_kind("gtensor" if which == "u" else which, p)
                     held = sum(
-                        1 + _dominant_block(shape, p, model, beta).size
+                        1 + _dominant_block(shape, kind, beta).size
                         for beta in partitions_of(n)
                         if len(beta) <= d
                     )

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from dualweyl import garnir
 from dualweyl.garnir import (
     GarnirLabel,
     RelationKind,
@@ -26,12 +27,13 @@ from dualweyl.tableaux import (
 )
 from dualweyl.tabloids import (
     ALT_COLUMN,
+    TabloidKind,
     basis_class,
     build_basis,
     skew_column,
     vector_from_terms,
 )
-from helpers import apply_e_map, family_rank, garnir_oracle
+from helpers import apply_e_map, family_rank, garnir_oracle, shuffled_template
 
 
 def snake_vector(t, i, j, kind, basis, p):
@@ -142,7 +144,7 @@ def test_leading_term_alternating():
 
 @pytest.mark.parametrize(
     "kind, sources",
-    [(ALT_COLUMN, 2170), (skew_column(2), 3184), (skew_column(3), 2170)],
+    [(ALT_COLUMN, 2170), (skew_column(2), 3184)],
     ids=repr,
 )
 def test_basic_snakes_are_unitriangular(kind, sources):
@@ -201,7 +203,7 @@ def test_leading_term_skew_equal_pair():
 
 @pytest.mark.parametrize(
     "kind, snake_count",
-    [(ALT_COLUMN, 9034), (skew_column(2), 13080), (skew_column(3), 9034)],
+    [(ALT_COLUMN, 9034), (skew_column(2), 13080)],
     ids=repr,
 )
 def test_kernel_matches_the_brute_force_oracle(kind, snake_count):
@@ -234,8 +236,18 @@ def test_kernel_matches_the_brute_force_oracle(kind, snake_count):
     assert (snakes, exhaustive) == (snake_count, 1200)
 
 
-def test_transversal_independence():
+def test_transversal_independence(monkeypatch):
+    # Composing each coset representative of a template with a random
+    # element of the group permuting A and B separately must not change
+    # the relation.
     rng = random.Random(2024)
+    real_template, shuffles = garnir._template, []
+
+    def shuffling(hj, hj2, rows_a, rows_b):
+        template = real_template(hj, hj2, rows_a, rows_b)
+        shuffles.append(template)
+        return shuffled_template(template, rows_a, rows_b, rng)
+
     shapes = [s for n in (3, 4) for s in partitions_of(n) if s[0] > 1]
     checked = 0
     while checked < 100:
@@ -264,9 +276,12 @@ def test_transversal_independence():
                 tuple((i, j + 1) for i in sorted(rng.sample(range(1, hj2 + 1), kb))),
             )
         reference = garnir_terms(label, kind)
-        shuffled = garnir_terms(label, kind, _shuffle=rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(garnir, "_template", shuffling)
+            shuffled = garnir_terms(label, kind)
         assert reference == shuffled
         checked += 1
+    assert len(shuffles) == checked
 
 
 def test_snake_summands_never_exceed_label():
@@ -355,7 +370,7 @@ def test_basic_snake_labels_leave_the_semistandard_census(kind, census):
         labels = _count_labels(shape, d, kind)
         count = len(enumerate_tableaux(shape, d, census))
         assert ambient - labels == count, (shape, d)
-        if kind.family == "skew" and (shape, d) == (Partition((5, 1)), 6):
+        if kind is TabloidKind.SKEW_MOD_2 and (shape, d) == (Partition((5, 1)), 6):
             assert (ambient, labels, count) == (27216, 25914, 1302)
 
 

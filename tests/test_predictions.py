@@ -21,7 +21,7 @@ from dualweyl.predictions import (
     u_dim_degree,
     verify_characterization,
 )
-from dualweyl.quotients import build_gtensor_specht
+from dualweyl.quotients import build_gtensor_specht, u_lambda_dim
 from dualweyl.tableaux import weight_of
 from dualweyl.tabloids import ker_q_generators
 
@@ -197,7 +197,18 @@ def test_min_interpolation_degree():
 def test_u_dim_degree_bound():
     for n in (4, 5):
         for shape in partitions_of(n):
-            degree = u_dim_degree(shape, list(range(n - 1, n + 5)))
+            degree = u_dim_degree(shape)
             assert degree <= n - 1, (shape, degree)
-    with pytest.raises(ValueError):
-        u_dim_degree(Partition((2, 2)), [1, 3, 5])
+
+
+def test_u_dim_degree_matches_interpolation():
+    # The exact degree, read off the dominant weights where the kernel is
+    # nonzero, against the interpolation degree of the dimensions over
+    # consecutive alphabet sizes.
+    degrees = []
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            dims = [u_lambda_dim(shape, d) for d in range(max(1, n - 1), n + 5)]
+            degrees.append(u_dim_degree(shape))
+            assert degrees[-1] == min_interpolation_degree(dims), shape
+    assert sorted(set(degrees)) == [-1, 1, 2, 3, 4]

@@ -437,7 +437,7 @@ def test_cold_builds_create_no_tableau(monkeypatch):
     quotients._dominant_block.cache_clear()
     for p in (2, 3):
         basis = build_basis.__wrapped__(shape, 4, skew_column(p))
-        block = quotients._dominant_block.__wrapped__(shape, p, "gtensor", shape)
+        block = quotients._dominant_block.__wrapped__(shape, skew_column(p), shape)
         # the block holds its row-semistandard representatives only: 4 of
         # the 5 skew tabloids of content (2,2,1) at p = 2
         assert (basis.dim, block.size) == {2: (200, 4), 3: (24, 1)}[p]
@@ -469,6 +469,31 @@ def test_package_has_no_bare_asserts():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_functions_take_no_private_parameters():
+    # A parameter named with a leading underscore is a test hook; the
+    # package keeps none, and the tests patch module attributes instead.
+    import ast
+    from pathlib import Path
+
+    import dualweyl
+
+    sources = sorted(Path(dualweyl.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                found += [
+                    f"{path.name}:{node.lineno}:{a.arg}"
+                    for a in params
+                    if a.arg.startswith("_")
+                ]
+    assert len(sources) >= 10
     assert found == []
 
 
@@ -541,9 +566,8 @@ def test_cached_dominant_blocks_hold_only_frozen_spans():
         for which in ("nabla", "gtensor"):
             module_dim(which, shape, 5, p)
     keys = [
-        (p, which, beta)
-        for p in (2, 3)
-        for which in ("nabla", "gtensor")
+        (kind, beta)
+        for kind in (ALT_COLUMN, skew_column(2))
         for beta in _dominant_weights(5, 5)
     ]
     blocks = {key: _dominant_block(shape, *key) for key in keys}

@@ -18,10 +18,8 @@ from helpers import brute_fillings, place_permute, row_sort, unit_vector
 
 
 def test_kind_validation():
-    with pytest.raises(ValueError):
-        TabloidKind("alt", 2)
-    with pytest.raises(ValueError):
-        TabloidKind("skew")
+    # Two spaces: the skew kind is the alternating one at every odd p.
+    assert list(TabloidKind) == [ALT_COLUMN, skew_column(2)]
     with pytest.raises(ValueError):
         TabloidKind("row")
     assert skew_column(3).zero_on_column_repeats
