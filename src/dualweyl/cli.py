@@ -444,7 +444,7 @@ def _resolve_jobs(value: int | None) -> int:
     if value is None or value == 0:
         return os.cpu_count() or 1
     if value < 1:
-        raise _usage_error(f"--jobs must be 0 (all cores) or positive, got {value}")
+        raise ValueError(f"--jobs must be 0 (all cores) or positive, got {value}")
     return value
 
 
@@ -452,12 +452,12 @@ def cmd_dim(args) -> int:
     started = time.monotonic()
     shape = parse_partition(args.lam)
     if not is_prime(args.p) or (args.p not in (2, 3, 5) and not args.any_prime):
-        raise _usage_error(f"p={args.p} not allowed (pass --any-prime to override)")
+        raise ValueError(f"p={args.p} not allowed (pass --any-prime to override)")
     if args.which == "u" and args.p != 2:
-        raise _usage_error("the kernel dimension is a characteristic-2 notion")
+        raise ValueError("the kernel dimension is a characteristic-2 notion")
     bound = dominant_rep_bound(args.which, shape, args.d, args.p)
     if bound > DIM_REP_BUDGET:
-        raise _usage_error(
+        raise ValueError(
             f"{args.which} of {args.lam} at d={args.d}, p={args.p} may need "
             f"{bound} weights and representatives, over the budget of "
             f"{DIM_REP_BUDGET}"
@@ -487,7 +487,7 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     jobs = _resolve_jobs(args.jobs)
     if args.n_max < 1:
-        raise _usage_error(f"--n-max must be positive, got {args.n_max}")
+        raise ValueError(f"--n-max must be positive, got {args.n_max}")
     suites = list(_SUITE_UNITS) if args.suite == "all" else [args.suite]
     units: list[tuple] = []
     for suite in suites:
@@ -515,15 +515,6 @@ def cmd_table(args) -> int:
         print("golden mismatch", file=sys.stderr)
         return 1
     return 0
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _usage_error(message: str) -> _UsageError:
-    print(f"error: {message}", file=sys.stderr)
-    return _UsageError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -582,8 +573,6 @@ def main(argv: list[str] | None = None) -> int:
         args.n_max = 10 if args.suite == "d1" else THM_N_MAX
     try:
         return args.func(args)
-    except _UsageError:
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .quotients import u_lambda_dim, u_lambda_weight_table
+from .quotients import _kernel_dims, u_lambda_dim
 from .tableaux import kostka_numbers
 
 ENV_DATA_PATH = "DUALWEYL_DATA"
@@ -208,11 +208,8 @@ def composition_factors_U(
     if n > 5:
         raise ValueError("composition factors are tabulated for n <= 5 only")
     labels = list(partitions_of(n))
-    u_weights = u_lambda_weight_table(shape, n)
-    rhs = {
-        beta: u_weights.get(tuple(beta) + (0,) * (n - len(beta)), 0)
-        for beta in labels
-    }
+    kernel = _kernel_dims(shape, n)
+    rhs = {beta: kernel.get(beta, 0) for beta in labels}
     matrix = {
         beta: {mu: data.simple_weight_multiplicity(mu, beta) for mu in labels}
         for beta in labels

@@ -17,7 +17,8 @@ from .quotients import (
     module_dim,
     verify_iso,
 )
-from .tableaux import TableauClass, enumerate_tableaux
+from .tableaux import enumerate_tableaux
+from .tabloids import row_semistandard_class, skew_column
 
 
 def predict_iso(shape: Partition) -> bool:
@@ -178,16 +179,14 @@ def table1_expected(d: int) -> dict[Partition, int]:
     return {shape: coeff * comb(d, k) for shape, coeff, k in TABLE1_FORMULAS}
 
 
-def supplementary_rank_gain(shape: Partition, d: int, p: int = 2) -> int:
-    """Rank added by the supplementary relations on top of the basic ones,
-    without a full build. The basic snakes are unitriangular, so their
-    rank is the number of skew tabloids that are not row semistandard,
-    and the gain is the number R of row-and-column-semistandard ones less
-    the dimension. At odd p every supplementary snake is zero."""
-    if p != 2:
-        return 0
-    rcs = TableauClass.ROW_AND_COLUMN_SEMISTANDARD
-    return len(enumerate_tableaux(shape, d, rcs)) - module_dim("gtensor", shape, d, 2)
+def supplementary_rank_gain(shape: Partition, d: int) -> int:
+    """Rank the supplementary relations add on top of the basic ones in the
+    mod-2 skew construction, without a full build. The basic snakes are
+    unitriangular, so their rank is the number of skew tabloids that are
+    not row semistandard, and the gain is the number of row-semistandard
+    ones, R, less the dimension."""
+    reps = enumerate_tableaux(shape, d, row_semistandard_class(skew_column(2)))
+    return len(reps) - module_dim("gtensor", shape, d, 2)
 
 
 def min_interpolation_degree(values: list[int]) -> int:

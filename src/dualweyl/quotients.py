@@ -16,7 +16,9 @@ once, at the end, into the canonical reduced `Subspace`. Every block is
 frozen, the cached dominant blocks below included, so no module or cache
 holds a builder; a kernel probe grows a builder seeded from a frozen
 span. Module objects (reduce, quotient_indices, weight tables,
-transvections), the thm1 check and `restrict_entries` use the full build.
+transvections), the thm1 check and `restrict_entries` use the full build,
+which, like a dominant block, is keyed by tabloid kind and so shared by
+the two constructions at odd p.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -65,7 +67,7 @@ from .partitions import (
     hook_content_dim,
     partitions_of,
 )
-from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
+from .tableaux import Cols, Tableau, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
@@ -74,6 +76,7 @@ from .tabloids import (
     build_basis,
     canonical_cols,
     has_column_repeat,
+    row_semistandard_class,
     skew_column,
 )
 
@@ -101,12 +104,18 @@ class QuotientModule:
         ambient: TabloidBasis,
         p: int,
         blocks: dict[tuple[int, ...], _Block],
-        supplementary_rank_gain: int | None = None,
     ):
         self.ambient = ambient
         self.p = p
         self._blocks = blocks
-        self.supplementary_rank_gain = supplementary_rank_gain
+
+    @property
+    def supplementary_rank_gain(self) -> int | None:
+        """Rank the supplementary snakes add to the basic ones; None only
+        for the alternating build at p = 2, which is not a skew build."""
+        if self.ambient.kind is not skew_column(self.p):
+            return None
+        return sum(b.span.dim - b.basic_rank for b in self._blocks.values())
 
     @property
     def relation_rank(self) -> int:
@@ -179,17 +188,13 @@ def _make_blocks(
 ) -> dict[tuple[int, ...], _Block]:
     """Group tableaux, given by their column tuples, by weight, keeping
     their order, each group with an empty span."""
-    blocks: dict[tuple[int, ...], _Block] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for i, cols in enumerate(reps):
-        w = weight_of(cols, d)
-        block = blocks.get(w)
-        if block is None:
-            block = blocks[w] = _Block([], {}, SpanBuilder(0, p))
-        block.pos[cols] = len(block.indices)
-        block.indices.append(i)
-    for block in blocks.values():
-        block.span = SpanBuilder(block.size, p)
-    return blocks
+        groups.setdefault(weight_of(cols, d), []).append(i)
+    return {
+        w: _Block(ix, {reps[i]: j for j, i in enumerate(ix)}, SpanBuilder(len(ix), p))
+        for w, ix in groups.items()
+    }
 
 
 def _push_terms(
@@ -219,15 +224,15 @@ def _push_terms(
 
 
 @lru_cache(maxsize=256)
-def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
-    """Every weight block of the tabloid space with the relations of one
-    construction pushed. Each block takes the basic snake of every
+def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModule:
+    """Every weight block of the tabloid space of one kind with its
+    relations pushed; at odd p both constructions are the alternating kind
+    and share this build. Each block takes the basic snake of every
     tableau that is not row semistandard and records its rank; then, for
     the mod-2 skew kind, it takes the supplementary snakes of the
     row-semistandard ones (on alternating tabloids every one of them is
     zero). Relations are expanded straight from the column tuples of the
     representatives, and each block is frozen at the end."""
-    kind = _tabloid_kind(model, p)
     basis = build_basis(shape, d, kind)
     blocks = _make_blocks(basis.cols, d, p)
     for block in blocks.values():
@@ -247,24 +252,21 @@ def _build(shape: Partition, d: int, p: int, model: str) -> QuotientModule:
                     terms = snake_terms(cols, *box, kind)
                     if terms:
                         _push_terms(block.span, terms, block.pos, p)
-    gain = None
-    if model == "gtensor":
-        gain = sum(b.span.rank - b.basic_rank for b in blocks.values())
     for block in blocks.values():
         block.span = block.span.subspace()
-    return QuotientModule(basis, p, blocks, supplementary_rank_gain=gain)
+    return QuotientModule(basis, p, blocks)
 
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:
     """Alternating column tabloids modulo the basic snake relations."""
-    return _build(shape, d, p, "nabla")
+    return _build(shape, d, p, _tabloid_kind("nabla", p))
 
 
 def build_gtensor_specht(shape: Partition, d: int, p: int) -> QuotientModule:
     """Skew column tabloids modulo the basic and supplementary skew snake
-    relations; away from characteristic 2 this coincides with the dual
-    Weyl construction."""
-    return _build(shape, d, p, "gtensor")
+    relations; away from characteristic 2 this is the dual Weyl module,
+    the same cached object."""
+    return _build(shape, d, p, _tabloid_kind("gtensor", p))
 
 
 def weight_table(module: QuotientModule) -> WeightTable:
@@ -321,11 +323,9 @@ def _dominant_block(shape: Partition, kind: TabloidKind, beta: Partition) -> _Bl
     zeros for every larger d. Only the mod-2 skew kind has relations left
     there, its supplementary snakes, over GF(2); an alternating block has
     none at any prime, so its empty span serves every p."""
-    if kind.zero_on_column_repeats:
-        r_class = TableauClass.SEMISTANDARD
-    else:
-        r_class = TableauClass.ROW_AND_COLUMN_SEMISTANDARD
-    reps = enumerate_tableaux(shape, len(beta), r_class, content=tuple(beta))
+    reps = enumerate_tableaux(
+        shape, len(beta), row_semistandard_class(kind), content=tuple(beta)
+    )
     blocks = _make_blocks(reps, len(beta), 2)
     block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, 2))
     if not kind.zero_on_column_repeats:

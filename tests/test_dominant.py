@@ -72,8 +72,9 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
                 for model in ("nabla", "gtensor"):
-                    block = _dominant_block(shape, _tabloid_kind(model, p), beta)
-                    full = _build(shape, len(beta), p, model)._blocks.get(beta)
+                    kind = _tabloid_kind(model, p)
+                    block = _dominant_block(shape, kind, beta)
+                    full = _build(shape, len(beta), p, kind)._blocks.get(beta)
                     expected = full.size - full.span.dim if full else 0
                     got = block.size - block.span.dim
                     assert got == expected, (shape, model, beta)

@@ -184,7 +184,6 @@ def test_supplementary_rank_gain_matches_the_full_build(n):
         for d in range(1, n + 1):
             full = build_gtensor_specht(shape, d, 2).supplementary_rank_gain
             assert supplementary_rank_gain(shape, d) == full, (shape, d)
-            assert supplementary_rank_gain(shape, d, 3) == 0
 
 
 def test_min_interpolation_degree():

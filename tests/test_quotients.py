@@ -408,7 +408,7 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p, pushes):
         return real_push(*args)
 
     monkeypatch.setattr(quotients, "_push_terms", push)
-    module = quotients._build.__wrapped__(shape, 6, p, "gtensor")
+    module = quotients._build.__wrapped__(shape, 6, p, skew_column(p))
     assert created == []
     assert len(calls) == pushes and set(calls) == {p}
     assert module.dim == 1050
@@ -446,7 +446,7 @@ def test_cold_builds_create_no_tableau(monkeypatch):
                 76 if (which, p) == ("gtensor", 2) else hook_content_dim(shape, 4)
             )
         assert verify_iso(shape, 4, p) is (p != 2)
-        module = quotients._build.__wrapped__(shape, 4, p, "gtensor")
+        module = quotients._build.__wrapped__(shape, 4, p, skew_column(p))
         probe = TabloidVector(module.ambient, p, {0: 1, 7: p - 1, basis.dim - 1: 1})
         assert module.reduce(module.reduce(probe)).coords == module.reduce(probe).coords
     assert u_lambda_dim(shape, 4) == 56
@@ -537,7 +537,7 @@ def test_built_module_holds_only_frozen_blocks():
     from dualweyl.quotients import _build
 
     for p in (2, 3):
-        module = _build.__wrapped__(Partition((2, 1)), 3, p, "gtensor")
+        module = _build.__wrapped__(Partition((2, 1)), 3, p, skew_column(p))
         assert module._blocks
         assert all(type(b.span) is Subspace for b in module._blocks.values())
         reachable = _reachable(module._blocks)
@@ -586,6 +586,26 @@ def test_supplementary_rank_gain_reported():
     module = build_gtensor_specht(Partition((2, 1)), 2, 2)
     assert module.supplementary_rank_gain == 3
     assert build_dual_weyl(Partition((2, 1)), 2, 2).supplementary_rank_gain is None
+
+
+def test_full_builds_are_shared_at_odd_p():
+    # A full build is keyed by tabloid kind: at odd p both constructions are
+    # the alternating kind, so the second one is a cache hit on the same
+    # frozen module, whose gain is that of a skew build. At p = 2 the two
+    # kinds differ, and only the skew build has a gain.
+    from dualweyl.quotients import _build
+
+    shape = Partition((2, 2, 1))
+    _build.cache_clear()
+    a = build_dual_weyl(shape, 4, 3)
+    b = build_gtensor_specht(shape, 4, 3)
+    assert _build.cache_info().misses == 1
+    assert a is b and a.supplementary_rank_gain == 0
+    nabla = build_dual_weyl(Partition((2, 1)), 2, 2)
+    gtensor = build_gtensor_specht(Partition((2, 1)), 2, 2)
+    assert nabla is not gtensor
+    assert _build.cache_info().misses == 3
+    assert (nabla.supplementary_rank_gain, gtensor.supplementary_rank_gain) == (None, 3)
 
 
 def test_degenerate_shapes_flow_through():
