@@ -20,7 +20,6 @@ from .tabloids import (
     TabloidVector,
     build_basis,
     canonicalize,
-    ker_q_generators,
     skew_column,
 )
 from .garnir import GarnirLabel, RelationKind
@@ -35,7 +34,6 @@ from .quotients import (
     u_lambda_dim,
     u_lambda_weight_table,
     verify_iso,
-    weight_table,
 )
 from .predictions import (
     D1Result,
@@ -51,7 +49,6 @@ from .decomposition import (
     DecompositionData,
     DecompositionDataError,
     composition_factors_U,
-    dim_L,
     load_default_data,
     nabla_filtration_feasible,
 )

@@ -2,7 +2,7 @@
 reports with machine-readable output.
 
 Exit codes: 0 on success, 1 on a failed assertion or golden mismatch,
-2 on usage errors.
+2 on usage errors, refused input and unreadable or unwritable paths.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ def _run_check(check: tuple) -> list[dict]:
     return handler(*args)
 
 
-def _item(kind: str, *, expected, got, **fields) -> dict:
-    out = {"check": kind, **fields, "expected": expected, "got": got}
-    out["pass"] = expected == got
+def _item(check: str, *, expected, got, **fields) -> dict:
+    """A report item; it passes when ``got`` is ``expected``, and always
+    when ``expected`` is None, which marks it informational."""
+    out = {"check": check, **fields, "expected": expected, "got": got}
+    out["pass"] = expected is None or expected == got
     return out
 
 
@@ -134,11 +136,9 @@ def _check_predict_vs_verify(lam: str, d: int) -> list[dict]:
 
 def _check_supp_gain(lam: str, d: int) -> list[dict]:
     gain = pred.supplementary_rank_gain(parse_partition(lam), d)
-    item = _item(
+    return [_item(
         "supplementary_rank_gain", lam=lam, d=d, p=2, expected=None, got=gain
-    )
-    item["pass"] = True  # informational
-    return [item]
+    )]
 
 
 def _check_non_iso_set(n: int) -> list[dict]:
@@ -441,10 +441,14 @@ def _run_checks(checks: list[tuple], jobs: int) -> list[list[dict]]:
 
 
 def _resolve_jobs(value: int | None) -> int:
+    cores = os.cpu_count() or 1
     if value is None or value == 0:
-        return os.cpu_count() or 1
+        return cores
     if value < 1:
         raise ValueError(f"--jobs must be 0 (all cores) or positive, got {value}")
+    if value > cores:
+        print(f"note: --jobs {value} is capped at {cores} cores", file=sys.stderr)
+        return cores
     return value
 
 
@@ -466,19 +470,12 @@ def cmd_dim(args) -> int:
         value = module_dim(args.which, shape, args.d, args.p)
     else:
         value = u_lambda_dim(shape, args.d)
-    item = {
-        "check": "dim",
-        "kind": args.which,
-        "lam": args.lam,
-        "d": args.d,
-        "p": args.p,
-        "expected": None,
-        "got": value,
-        "pass": True,
-    }
     if args.format == "json" or args.out:
-        code = _emit_report(args, "dim", [item], started)
-        return code
+        item = _item(
+            "dim", kind=args.which, lam=args.lam, d=args.d, p=args.p,
+            expected=None, got=value,
+        )
+        return _emit_report(args, "dim", [item], started)
     print(value)
     return 0
 
@@ -573,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
         args.n_max = 10 if args.suite == "d1" else THM_N_MAX
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -188,10 +188,6 @@ class DecompositionData:
         return total
 
 
-def dim_L(mu: Partition, d: int, data: DecompositionData) -> int:
-    return data.dim_simple(mu, d)
-
-
 def composition_factors_U(
     shape: Partition, data: DecompositionData
 ) -> dict[Partition, int]:

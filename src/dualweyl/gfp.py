@@ -117,7 +117,7 @@ class _Rows:
     """Rows over GF(p)^m keyed by pivot, the leading (lowest-index) nonzero
     coordinate, which has coefficient 1: the pivot bit at p = 2, the pivot
     index otherwise. Stored rows are never modified in place, so a builder
-    seeded from a subspace may share them."""
+    and the subspace frozen from it may share them."""
 
     def __init__(self, ambient_dim: int, p: int):
         _check_prime(p)
@@ -169,15 +169,6 @@ class Subspace(_Rows):
         r = self._residual(vec)
         return {i: 1 for i in _bits(r)} if self.p == 2 else r
 
-    def builder(self) -> "SpanBuilder":
-        """A builder that starts from this subspace (a reduced echelon basis
-        is an echelon basis), to probe rank growth; the subspace stays
-        unchanged."""
-        other = SpanBuilder.__new__(SpanBuilder)
-        other.__dict__.update(self.__dict__)
-        other._piv = dict(self._piv)
-        return other
-
 
 class SpanBuilder(_Rows):
     """Incremental row-echelon builder: push a vector, learn whether rank
@@ -185,9 +176,7 @@ class SpanBuilder(_Rows):
     rows are never touched, so the rows are echelon but not reduced. They
     answer rank and membership; `subspace` gives the canonical form.
 
-    Single-owner while building. Every block the package keeps is frozen;
-    to probe rank growth from a frozen span, seed a builder from it with
-    `Subspace.builder`.
+    Single-owner while building; every block the package keeps is frozen.
     """
 
     rank = _Rows.dim

@@ -79,21 +79,25 @@ def format_partition(shape: Partition) -> str:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n in descending lexicographic order, with parts at
+    most max_part when it is given. The next one lowers the last part
+    above 1 and refills greedily after it; there is no recursion, so a
+    partition may have any number of parts."""
     if n <= 0:
         raise ValueError("n must be positive")
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for a in range(min(cap, remaining), 0, -1):
-            prefix.append(a)
-            yield from rec(remaining - a, a, prefix)
-            prefix.pop()
-
-    for parts in rec(n, max_part if max_part is not None else n, []):
+    parts: list[int] = []
+    rest, cap = n, n if max_part is None else max_part
+    while cap >= 1:
+        while rest:
+            parts.append(min(cap, rest))
+            rest -= parts[-1]
         yield Partition(parts)
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        rest, cap = rest + 1, parts[-1]
 
 
 def dominates(mu: Partition, nu: Partition) -> bool:

@@ -14,8 +14,7 @@ ones, into every weight block; its spans are `SpanBuilder`s in
 row-echelon form while relations are pushed, and each block is frozen
 once, at the end, into the canonical reduced `Subspace`. Every block is
 frozen, the cached dominant blocks below included, so no module or cache
-holds a builder; a kernel probe grows a builder seeded from a frozen
-span. Module objects (reduce, quotient_indices, weight tables,
+holds a builder. Module objects (reduce, quotient_indices, weight tables,
 transvections), the thm1 check and `restrict_entries` use the full build,
 which, like a dominant block, is keyed by tabloid kind and so shared by
 the two constructions at odd p.
@@ -45,6 +44,9 @@ onto R and eliminates only those. The rank of the basic relations is
 then the number of tabloids outside R, which is how
 `predictions.supplementary_rank_gain` counts the rank the supplementary
 snakes add without a full build.
+
+The kernel U is then a count in the same coordinates, with no
+elimination: see `_kernel_dims`.
 """
 
 from __future__ import annotations
@@ -269,10 +271,6 @@ def build_gtensor_specht(shape: Partition, d: int, p: int) -> QuotientModule:
     return _build(shape, d, p, _tabloid_kind("gtensor", p))
 
 
-def weight_table(module: QuotientModule) -> WeightTable:
-    return module.weight_table()
-
-
 # ---------------------------------------------------------------------------
 # Dominant blocks
 
@@ -322,16 +320,23 @@ def _dominant_block(shape: Partition, kind: TabloidKind, beta: Partition) -> _Bl
     1..len(beta), in R-coordinates; it is the block of beta padded with
     zeros for every larger d. Only the mod-2 skew kind has relations left
     there, its supplementary snakes, over GF(2); an alternating block has
-    none at any prime, so its empty span serves every p."""
+    none at any prime, so its empty span serves every p. Every term of a
+    straightened supplementary snake must repeat a column entry: the
+    kernel count of `_kernel_dims` rests on it."""
     reps = enumerate_tableaux(
         shape, len(beta), row_semistandard_class(kind), content=tuple(beta)
     )
     blocks = _make_blocks(reps, len(beta), 2)
     block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, 2))
     if not kind.zero_on_column_repeats:
+        semistandard = {cols for cols in reps if not has_column_repeat(cols)}
         for cols in reps:
             for box in equal_boxes(cols):
                 terms = _straighten_terms(snake_terms(cols, *box, kind), kind, 2)
+                if not semistandard.isdisjoint(terms):
+                    raise InvariantError(
+                        f"snake at {box} of {cols} straightens onto no column repeat"
+                    )
                 if terms:
                     _push_terms(block.span, terms, block.pos, 2)
     block.span = block.span.subspace()
@@ -384,9 +389,9 @@ def _partition_count(n: int, k: int) -> int:
 
 def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]]:
     """Coordinates of the kernel generators in each dominant mod-2 skew
-    block: its R-representatives with a repeated column entry. Only a
-    block in which some letter occurs twice has one, and only if a column
-    has two boxes.
+    block: its R-representatives with a repeated column entry, G_beta.
+    Only a block in which some letter occurs twice has one, and only if a
+    column has two boxes.
 
     The other repeated-column tabloids need no straightening. The
     surjection onto the dual Weyl module kills a tabloid with a repeated
@@ -407,18 +412,20 @@ def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]
 
 def verify_iso(shape: Partition, d: int, p: int) -> bool:
     """Whether the canonical surjection onto the dual Weyl module is an
-    isomorphism: every kernel generator must lie in the skew relation
-    span. Away from characteristic 2 the kernel is zero."""
+    isomorphism: every repeated-column-entry tabloid must lie in the skew
+    relation span. Away from characteristic 2 the kernel is zero."""
     return p != 2 or not _kernel_dims(shape, d)
 
 
 def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
-    """Kernel dimension at each dominant weight, as the rank growth of the
-    relation span when the kernel generators are adjoined."""
-    out = {}
+    """Kernel dimension at each dominant weight where it is not zero, by
+    counting. The surjection onto the dual Weyl module is the projection
+    that drops the kernel generators G_beta, and the relations of a mod-2
+    skew dominant block lie in their coordinates (`_dominant_block` checks
+    this), so the kernel there is |G_beta| less the rank of the span."""
+    out, kind = {}, skew_column(2)
     for beta, positions in _gens_by_weight(shape, d).items():
-        probe = _dominant_block(shape, skew_column(2), beta).span.builder()
-        grown = sum(1 for pos in positions if probe.add_mask(1 << pos))
+        grown = len(positions) - _dominant_block(shape, kind, beta).span.dim
         if grown:
             out[beta] = grown
     return out

@@ -148,46 +148,65 @@ def enumerate_tableaux(
     else:
         counts = list(content)
     last = len(heights) - 1
+    # The boxes in column-reading order, each with its column, its row, the
+    # largest entry that leaves room below it, the index of the top box of
+    # its column, and how far back its left neighbour is when rows are
+    # ordered (else 0). They are filled by backtracking with an explicit
+    # position, not by recursion, so no shape is too long for the stack.
+    boxes, start = [], 0
+    for k, h in enumerate(heights):
+        shift = heights[k - 1] if k and gap is not None else 0
+        boxes += [(k, i, d - step * (h - 1 - i), start, shift) for i in range(h)]
+        start += h
     out: list[Cols] = []
-    cols: list[tuple[int, ...]] = []
-    col: list[int] = []
+    cols: list[tuple[int, ...]] = []  # the columns before the current one
+    grid = [0] * start
 
-    def fillable(k: int) -> bool:
-        """Whether the letters left can fill the columns after column k. A
-        strict column holds a letter at most once, so no letter may
-        outnumber the columns still to fill. When rows are ordered, every
-        later entry is at least the top of column k plus the row gap, so
-        no smaller letter may be left."""
+    def fillable(k: int, top: int) -> bool:
+        """Whether the letters left can fill the columns after column k,
+        whose top entry is ``top``. A strict column holds a letter at most
+        once, so no letter may outnumber the columns still to fill. When
+        rows are ordered, every later entry is at least that top plus the
+        row gap, so no smaller letter may be left."""
         if content is None:
             return True
         if step and max(counts) > last - k:
             return False
-        return gap is None or not any(counts[: cols[k][0] + gap - 1])
+        return gap is None or not any(counts[: top + gap - 1])
 
-    def place(k: int, i: int, low: int) -> None:
-        h = heights[k]
-        if i == h:
-            cols.append(tuple(col))
-            if k == last:
-                out.append(tuple(cols))
-            elif fillable(k):
-                col.clear()
-                place(k + 1, 0, 1)
-                col.extend(cols[k])
-            cols.pop()
-            return
-        if gap is not None and k:
-            low = max(low, cols[k - 1][i] + gap)
-        for x in range(low, d - step * (h - 1 - i) + 1):
-            if counts[x - 1]:
-                counts[x - 1] -= 1
-                col.append(x)
-                place(k, i + 1, x + step)
-                col.pop()
+    b, x = 0, 1
+    while True:
+        k, i, high, first, _ = boxes[b]
+        while x <= high and not counts[x - 1]:
+            x += 1
+        # Back up when box b is exhausted, or when it lies in the last column
+        # and a letter below x is left over: the boxes below take x or more.
+        if x > high or (k == last and content is not None and any(counts[: x - 1])):
+            if b == 0:
+                return out
+            if i == 0:
+                cols.pop()
+            b -= 1
+            x = grid[b]
+            counts[x - 1] += 1
+            x += 1
+            continue
+        grid[b] = x
+        if b == start - 1:
+            out.append((*cols, tuple(grid[first:])))
+            x += 1
+            continue
+        counts[x - 1] -= 1
+        if boxes[b + 1][1] == 0:  # box b ends its column
+            if not fillable(k, grid[first]):
                 counts[x - 1] += 1
-
-    place(0, 0, 1)
-    return out
+                x += 1
+                continue
+            cols.append(tuple(grid[first:b + 1]))
+        b += 1
+        x = grid[b - 1] + step if boxes[b][1] else 1
+        if boxes[b][4]:
+            x = max(x, grid[b - boxes[b][4]] + gap)
 
 
 def kostka_numbers(shape: Partition) -> dict[Partition, int]:

@@ -193,13 +193,3 @@ def has_column_repeat(cols: Cols) -> bool:
     repeats an entry."""
     return any(len(set(c)) < len(c) for c in cols)
 
-
-def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
-    """Unit vectors on the mod-2 skew representatives with a repeated column
-    entry; these span the kernel of the reduction onto alternating tabloids."""
-    basis = build_basis(shape, d, skew_column(2))
-    return [
-        TabloidVector(basis, 2, {i: 1})
-        for i, cols in enumerate(basis.cols)
-        if has_column_repeat(cols)
-    ]

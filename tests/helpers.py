@@ -1,10 +1,12 @@
 """Shared brute-force oracles and test-only references for the test suite.
 The oracles deliberately avoid the library's canonicalization and span
 machinery so they can check it, except the all-blocks kernel probe, which
-is the reference for the dominant-block path, and the Garnir oracle, which
-canonicalizes its terms with `canonicalize`. The label-level relation rank
-(`family_rank`), the span helpers and the row tabloids have no caller in
-the package; they live here as references for the tests."""
+is the elimination reference for the counted kernel of the dominant-block
+path, and the Garnir oracle, which canonicalizes its terms with
+`canonicalize`. The label-level relation rank (`family_rank`), the kernel
+generators over the whole tabloid space (`ker_q_generators`), the span
+helpers and the row tabloids have no caller in the package; they live
+here as references for the tests."""
 
 import random
 from itertools import combinations, permutations, product
@@ -27,6 +29,7 @@ from dualweyl.tabloids import (
     build_basis,
     canonicalize,
     has_column_repeat,
+    skew_column,
 )
 
 
@@ -150,12 +153,13 @@ def _permuted(col, rows, rng: random.Random):
 
 def kernel_table_all_blocks(shape, d, p=2):
     """Kernel of the surjection onto the dual Weyl module at every weight,
-    by probing every block of the full skew build with its
-    repeated-column-entry representatives (none exist at odd p)."""
+    by elimination: every block of the full skew build is probed with its
+    repeated-column-entry representatives (none exist at odd p), in a
+    builder seeded from the block's frozen basis rows."""
     module = build_gtensor_specht(shape, d, p)
     table = {}
     for w, block in sorted(module._blocks.items()):
-        probe = block.span.builder()
+        probe = probe_builder(block.span)
         grown = sum(
             1
             for cols, j in block.pos.items()
@@ -164,6 +168,27 @@ def kernel_table_all_blocks(shape, d, p=2):
         if grown:
             table[w] = grown
     return table
+
+
+def probe_builder(subspace: Subspace) -> SpanBuilder:
+    """A fresh builder holding the span of a frozen subspace, from its
+    basis rows, to probe rank growth by elimination."""
+    builder = SpanBuilder(subspace.ambient_dim, subspace.p)
+    for row in subspace.basis_rows():
+        builder.add(row)
+    return builder
+
+
+def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
+    """Unit vectors on the mod-2 skew representatives with a repeated column
+    entry, over the whole tabloid space; these span the kernel of the
+    reduction onto alternating tabloids."""
+    basis = build_basis(shape, d, skew_column(2))
+    return [
+        TabloidVector(basis, 2, {i: 1})
+        for i, cols in enumerate(basis.cols)
+        if has_column_repeat(cols)
+    ]
 
 
 def family_rank(which, shape, d, p, families):
@@ -259,8 +284,10 @@ __all__ = [
     "family_rank",
     "garnir_oracle",
     "kernel_table_all_blocks",
+    "ker_q_generators",
     "matrix_rank",
     "place_permute",
+    "probe_builder",
     "prod",
     "reduce_oracle",
     "row_sort",

@@ -36,7 +36,6 @@ from dualweyl.quotients import (
     straighten,
     u_lambda_dim,
     verify_iso,
-    weight_table,
 )
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
@@ -265,7 +264,7 @@ def test_criterion_11_structural_suite():
     # (f) the all-distinct weight space of the image has the standard count
     for n in range(1, 6):
         for shape in partitions_of(n):
-            table = weight_table(build_gtensor_specht(shape, n, 2))
+            table = build_gtensor_specht(shape, n, 2).weight_table()
             assert table.get((1,) * n, 0) == count_syt(shape), shape
 
     # (g) entry restriction commutes with the construction

@@ -139,6 +139,33 @@ def test_any_prime_override(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_dim_answers_a_long_row_or_column(capsys):
+    # The enumerators backtrack without recursion, so a row of 600 boxes
+    # or a column of 1200 is no deeper than the interpreter allows.
+    code, out, err = run(
+        capsys, "dim", "--which", "nabla", "--lambda", "600", "--d", "1", "--p", "3"
+    )
+    assert (code, out.strip(), err) == (0, "1", "")
+    code, out, err = run(
+        capsys, "dim", "--which", "nabla", "--lambda", "1^1200", "--d", "1"
+    )
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
+def test_unreadable_paths_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    for argv in (
+        ["verify", "--suite", "tables", "--jobs", "1", "--data", missing],
+        ["verify", "--suite", "tables", "--jobs", "1", "--data", str(tmp_path)],
+        ["table", "--which", "table3", "--data", missing],
+        ["dim", "--which", "u", "--lambda", "2,2,1", "--d", "4",
+         "--out", str(tmp_path / "no-such-dir" / "x.json")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_verify_example61(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "example61")
     assert code == 0
@@ -250,10 +277,11 @@ def test_verify_tables_reports_failed_data_gates(capsys, tmp_path):
     assert not any(it["check"] == "kernel_composition_factors" for it in items)
 
 
-def test_pool_is_clamped_to_the_check_count(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool the CLI opens; the pools run
+    their checks inline, so no process starts."""
     import concurrent.futures
-
-    from dualweyl import cli
 
     sizes = []
 
@@ -271,9 +299,30 @@ def test_pool_is_clamped_to_the_check_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_is_clamped_to_the_check_count(pool_sizes):
+    from dualweyl import cli
+
     checks = cli._suite_d1_checks(2)
     assert cli._run_checks(checks, 8) == [cli._run_check(c) for c in checks]
-    assert sizes == [len(checks)]
+    assert pool_sizes == [len(checks)]
+
+
+def test_pool_is_capped_at_the_cores(capsys, monkeypatch, pool_sizes):
+    # --jobs beyond the cores forks no more interpreters than there are
+    # cores, with a note; the report is the serial one.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["verify", "--suite", "thm2", "--n-max", "3", "--format", "json",
+            "--no-timing", "--jobs"]
+    code, serial, _ = run(capsys, *argv, "1")
+    assert code == 0 and pool_sizes == []
+    code, out, err = run(capsys, *argv, "1000")
+    assert code == 0 and out == serial and pool_sizes == [3]
+    assert "note: --jobs 1000 is capped at 3 cores" in err
+    code, out, err = run(capsys, *argv, "2")
+    assert code == 0 and out == serial and pool_sizes == [3, 2] and err == ""
 
 
 def test_thm1_check_has_an_independent_oracle(monkeypatch):

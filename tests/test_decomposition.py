@@ -9,7 +9,6 @@ from dualweyl.decomposition import (
     _solve_unitriangular,
     composition_factors_U,
     default_data_path,
-    dim_L,
     load_default_data,
     nabla_filtration_feasible,
 )
@@ -38,13 +37,13 @@ def test_dim_identity(data):
 
 
 def test_dim_L_examples(data):
-    assert [dim_L(P((5,)), d, data) for d in range(1, 9)] == [
+    assert [data.dim_simple(P((5,)), d) for d in range(1, 9)] == [
         d * d for d in range(1, 9)
     ]
-    assert dim_L(P((4, 1)), 3, data) == 24
-    assert dim_L(P((1, 1, 1, 1, 1)), 4, data) == 0
+    assert data.dim_simple(P((4, 1)), 3) == 24
+    assert data.dim_simple(P((1, 1, 1, 1, 1)), 4) == 0
     with pytest.raises(DecompositionDataError):
-        dim_L(P((6,)), 3, data)
+        data.dim_simple(P((6,)), 3)
 
 
 def test_degree5_polynomials_match(data):

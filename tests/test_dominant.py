@@ -10,7 +10,13 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.partitions import Partition, hook_content_dim, partitions_of
+from dualweyl import quotients
+from dualweyl.partitions import (
+    InvariantError,
+    Partition,
+    hook_content_dim,
+    partitions_of,
+)
 from dualweyl.quotients import (
     _build,
     _dominant_block,
@@ -33,7 +39,7 @@ from dualweyl.tabloids import (
     has_column_repeat,
     skew_column,
 )
-from helpers import kernel_table_all_blocks
+from helpers import kernel_table_all_blocks, probe_builder
 
 CASES = [
     (shape, d, p)
@@ -83,7 +89,7 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p):
 
 
 def test_r_coordinates_of_the_kernel_generators():
-    # The kernel probes adjoin only the R-representatives with a repeated
+    # The kernel count uses only the R-representatives with a repeated
     # column entry. That is enough because the surjection onto the dual
     # Weyl module is, on R-coordinates, the projection that drops them:
     # every straightened supplementary snake lies in their coordinates,
@@ -99,7 +105,7 @@ def test_r_coordinates_of_the_kernel_generators():
                 repeat = [has_column_repeat(cols) for cols in reps]
                 for row in block.span.basis_rows():
                     assert all(repeat[j] for j, c in enumerate(row) if c), beta
-                probe = block.span.builder()
+                probe = probe_builder(block.span)
                 for j, rep in enumerate(repeat):
                     if rep:
                         probe.add_mask(1 << j)
@@ -113,6 +119,44 @@ def test_r_coordinates_of_the_kernel_generators():
                         assert not probe.residual_mask(mask)
                         checked += 1
     assert checked == 965
+
+
+def test_kernel_count_matches_an_elimination_probe():
+    # The counted kernel, |G_beta| less the rank of the block's span,
+    # against elimination: a builder seeded from the span's basis rows
+    # takes the unit vectors of the repeated-column representatives, and
+    # the rank they add is the kernel.
+    kind = skew_column(2)
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            grown = {}
+            for beta in partitions_of(n):
+                block = _dominant_block(shape, kind, beta)
+                probe = probe_builder(block.span)
+                grown[beta] = sum(
+                    probe.add_mask(1 << j)
+                    for cols, j in block.pos.items()
+                    if has_column_repeat(cols)
+                )
+            for d in range(1, n + 1):
+                expected = {
+                    beta: g for beta, g in grown.items() if g and len(beta) <= d
+                }
+                assert _kernel_dims(shape, d) == expected, (shape, d)
+
+
+def test_a_supplementary_snake_off_the_kernel_generators_is_refused(monkeypatch):
+    # The kernel count is exact only if every straightened supplementary
+    # snake lies in the repeated-column coordinates. Straighten one onto
+    # the semistandard representative of (2,2) with content (2,2), and the
+    # block must refuse to build.
+    shape = beta = Partition((2, 2))
+    semistandard = ((1, 2), (1, 2))
+    monkeypatch.setattr(
+        quotients, "_straighten_terms", lambda terms, kind, p: {semistandard: 1}
+    )
+    with pytest.raises(InvariantError, match="no column repeat"):
+        _dominant_block.__wrapped__(shape, skew_column(2), beta)
 
 
 def test_kernel_dimension_is_the_exact_polynomial():

@@ -23,7 +23,7 @@ from dualweyl.predictions import (
 )
 from dualweyl.quotients import build_gtensor_specht, u_lambda_dim
 from dualweyl.tableaux import weight_of
-from dualweyl.tabloids import ker_q_generators
+from helpers import ker_q_generators
 
 
 def test_predict_iso_examples():

@@ -16,7 +16,6 @@ from dualweyl.quotients import (
     u_lambda_dim,
     u_lambda_weight_table,
     verify_iso,
-    weight_table,
 )
 from dualweyl.tableaux import Tableau, weight_of
 from dualweyl.tabloids import (
@@ -175,7 +174,7 @@ def test_weight_tables():
     for n in range(1, 5):
         for shape in partitions_of(n):
             module = build_gtensor_specht(shape, n, 2)
-            table = weight_table(module)
+            table = module.weight_table()
             assert sum(table.values()) == module.dim
             assert table.get((1,) * n, 0) == count_syt(shape), shape
     row = build_dual_weyl(Partition((4,)), 3, 2)

@@ -10,11 +10,16 @@ from dualweyl.tabloids import (
     build_basis,
     canonicalize,
     has_column_repeat,
-    ker_q_generators,
     skew_column,
     vector_from_terms,
 )
-from helpers import brute_fillings, place_permute, row_sort, unit_vector
+from helpers import (
+    brute_fillings,
+    ker_q_generators,
+    place_permute,
+    row_sort,
+    unit_vector,
+)
 
 
 def test_kind_validation():
