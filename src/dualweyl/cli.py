@@ -448,8 +448,7 @@ def _resolve_jobs(value: int | None) -> int:
         raise ValueError(f"--jobs must be 0 (all cores) or positive, got {value}")
     if value > cores:
         print(f"note: --jobs {value} is capped at {cores} cores", file=sys.stderr)
-        return cores
-    return value
+    return min(value, cores)
 
 
 def cmd_dim(args) -> int:
@@ -570,7 +569,8 @@ def main(argv: list[str] | None = None) -> int:
         args.n_max = 10 if args.suite == "d1" else THM_N_MAX
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from dualweyl import cli
 from dualweyl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -164,6 +165,17 @@ def test_unreadable_paths_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_other_os_errors_are_not_reported_as_usage_errors(capsys, monkeypatch):
+    # Only the errors of a path the user gave exit 2; an operating-system
+    # failure of the program itself, such as a closed pipe, propagates.
+    def broken(shape, d):
+        raise BrokenPipeError("closed")
+
+    monkeypatch.setattr(cli, "u_lambda_dim", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["dim", "--which", "u", "--lambda", "2,1", "--d", "2"])
 
 
 def test_verify_example61(capsys):

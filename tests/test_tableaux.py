@@ -148,6 +148,30 @@ def test_content_enumeration_matches_filtered_enumeration():
     assert enumerate_tableaux(Partition((1, 1)), 1, strict, content=(2,)) == []
 
 
+def lines_run(shape, d, cls, content):
+    """The tableaux of one content, and the number of lines the enumerator
+    executed to find them (a measure of its work)."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def enter(frame, event, arg):
+        if frame.f_code.co_name in ("enumerate_tableaux", "fillable"):
+            return local
+        return None
+
+    sys.settrace(enter)
+    try:
+        got = enumerate_tableaux(shape, d, cls, content)
+    finally:
+        sys.settrace(None)
+    return got, lines
+
+
 @pytest.mark.parametrize("cls", [
     TableauClass.SEMISTANDARD, TableauClass.ROW_AND_COLUMN_SEMISTANDARD,
 ])
@@ -155,23 +179,29 @@ def test_content_enumeration_matches_filtered_enumeration():
 def test_content_enumeration_of_one_row_takes_linear_work(cls, n, d):
     # A one-row shape has a single tableau of each content. Once a letter
     # is placed while a smaller one is left, no later entry can use the
-    # smaller one, so such a branch must end at once: the recursive
-    # `place` calls grow linearly in n, not quadratically.
+    # smaller one, so such a branch must end at once: the work grows
+    # linearly in n, not quadratically. The bound is about 1.5 times the
+    # work seen; without the row-gap check in `fillable` it is exceeded
+    # 3 to 2000 times over.
     content = (n // d,) * d
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "place":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        got = enumerate_tableaux(Partition((n,)), d, cls, content)
-    finally:
-        sys.setprofile(None)
+    got, lines = lines_run(Partition((n,)), d, cls, content)
     assert got == [tuple((x,) for x in range(1, d + 1) for _ in range(n // d))]
-    assert calls <= 2 * d * n
+    assert lines <= 30 * d * n
+
+
+@pytest.mark.parametrize("cls", [
+    TableauClass.COLUMN_SEMISTANDARD, TableauClass.ROW_AND_COLUMN_SEMISTANDARD,
+])
+@pytest.mark.parametrize("n, d", [(24, 2), (60, 3), (100, 2), (100, 4)])
+def test_content_enumeration_of_one_column_takes_linear_work(cls, n, d):
+    # A weak column has a single filling of each content. Once the last
+    # column holds a letter while a smaller one is left, the boxes below
+    # cannot use it, so the branch must end at once. Without that check
+    # the work exceeds the bound 2 to 1000 times over.
+    content = (n // d,) * d
+    got, lines = lines_run(Partition((1,) * n), d, cls, content)
+    assert got == [(tuple(x for x in range(1, d + 1) for _ in range(n // d)),)]
+    assert lines <= 30 * d * n
 
 
 def test_content_enumeration_rejects_bad_requests():
