@@ -334,6 +334,8 @@ def _suite_hooks_checks() -> list[tuple]:
 
 
 def _suite_tables_checks(data_path: str | None) -> list[tuple]:
+    # Open the data file now: an unreadable path stops the sweep before it runs.
+    open(dc.default_data_path() if data_path is None else data_path).close()
     checks = [(_check_table1, d) for d in (4, 5, 6)]
     checks += [(_check_u_dim_formula, d) for d in (4, 5, 6, 7)]
     checks += [

@@ -81,7 +81,6 @@ class DecompositionData:
 
     def __post_init__(self):
         self._dim_cache: dict[tuple[Partition, int], int] = {}
-        self._weight_counts: dict[Partition, dict[Partition, int]] = {}
 
     @classmethod
     def load(cls, path: Path | str | None = None) -> "DecompositionData":
@@ -172,19 +171,11 @@ class DecompositionData:
                 out[rho] = out.get(rho, 0) - mult * c
         return {rho: c for rho, c in out.items() if c}
 
-    def _kostka_row(self, nu: Partition) -> dict[Partition, int]:
-        """Semistandard fillings of nu counted at each dominant weight (the
-        weakly decreasing composition representing its class)."""
-        cached = self._weight_counts.get(nu)
-        if cached is None:
-            cached = self._weight_counts[nu] = kostka_numbers(nu)
-        return cached
-
     def simple_weight_multiplicity(self, mu: Partition, beta: Partition) -> int:
         """Multiplicity of the dominant weight beta in the mu-simple."""
         total = 0
         for nu, c in self.simple_character(mu).items():
-            total += c * self._kostka_row(nu).get(beta, 0)
+            total += c * kostka_numbers(nu).get(beta, 0)
         return total
 
 

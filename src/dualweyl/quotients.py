@@ -10,14 +10,16 @@ builds nor `reduce`, `relations_contain` and the transvections create a
 `Tableau`.
 
 A full build (`_build`) pushes the basic snakes, then the supplementary
-ones, into every weight block; its spans are `SpanBuilder`s in
-row-echelon form while relations are pushed, and each block is frozen
-once, at the end, into the canonical reduced `Subspace`. Every block is
-frozen, the cached dominant blocks below included, so no module or cache
-holds a builder. Module objects (reduce, quotient_indices, weight tables,
-transvections), the thm1 check and `restrict_entries` use the full build,
-which, like a dominant block, is keyed by tabloid kind and so shared by
-the two constructions at odd p.
+ones, into a `SpanBuilder` and freezes it into the canonical `Subspace`
+once per packed weight (the nonzero entries of the weight, in order). A
+block reads its letters only through comparisons, so renaming the
+letters it uses, in order, onto 1..k maps its representatives, in order,
+and its snakes, term for term, onto those of the first block of its
+packed weight: the spans are equal, and shared. Rearrangements such as
+(1,2,0) and (2,1,0) pack differently, so the full build still checks the
+S_d-symmetry that the dominant path assumes. No module or cache holds a
+builder. Module objects, the thm1 check and `restrict_entries` use the
+full build, keyed by tabloid kind, so one for both constructions at odd p.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -89,7 +91,7 @@ WeightTable = dict[tuple[int, ...], int]
 class _Block:
     indices: list[int]  # positions in the grouped sequence (ambient indices)
     pos: dict[Cols, int]  # columns of a representative -> local coordinate
-    span: SpanBuilder | Subspace  # a builder until the block is frozen
+    span: SpanBuilder | Subspace  # frozen once built, shared per packed weight
     basic_rank: int = 0
 
     @property
@@ -99,7 +101,7 @@ class _Block:
 
 class QuotientModule:
     """A tabloid space together with a relation span, graded by weight;
-    every block holds its frozen `Subspace`."""
+    every block holds a frozen `Subspace`, shared per packed weight."""
 
     def __init__(
         self,
@@ -228,16 +230,29 @@ def _push_terms(
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModule:
     """Every weight block of the tabloid space of one kind with its
-    relations pushed; at odd p both constructions are the alternating kind
-    and share this build. Each block takes the basic snake of every
-    tableau that is not row semistandard and records its rank; then, for
-    the mod-2 skew kind, it takes the supplementary snakes of the
-    row-semistandard ones (on alternating tabloids every one of them is
-    zero). Relations are expanded straight from the column tuples of the
-    representatives, and each block is frozen at the end."""
+    relations pushed and frozen; at odd p both constructions are the
+    alternating kind and share this build. A block takes the basic snake
+    of every tableau that is not row semistandard, records its rank, and
+    for the mod-2 skew kind then takes the supplementary snakes of the
+    row-semistandard ones (zero on alternating tabloids). Blocks of one
+    packed weight are equal in local coordinates (see above): only the
+    first is eliminated, and the others, once their sizes and packed first
+    representatives agree with it, share its frozen span and basic rank."""
+    def packed(block: _Block) -> Cols:  # the first representative over 1..k
+        cols = next(iter(block.pos))
+        rank = {x: i for i, x in enumerate(sorted({x for c in cols for x in c}), 1)}
+        return tuple(tuple(rank[x] for x in c) for c in cols)
+
     basis = build_basis(shape, d, kind)
     blocks = _make_blocks(basis.cols, d, p)
-    for block in blocks.values():
+    eliminated: dict[tuple[int, ...], _Block] = {}
+    for w, block in blocks.items():
+        first = eliminated.setdefault(tuple(x for x in w if x), block)
+        if first is not block:
+            if first.size != block.size or packed(first) != packed(block):
+                raise InvariantError(f"block {w} does not pack onto its pattern")
+            block.span, block.basic_rank = first.span, first.basic_rank
+            continue
         row_semistandard = []
         for cols in block.pos:
             box = snake_box(cols)
@@ -254,7 +269,6 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
                     terms = snake_terms(cols, *box, kind)
                     if terms:
                         _push_terms(block.span, terms, block.pos, p)
-    for block in blocks.values():
         block.span = block.span.subspace()
     return QuotientModule(basis, p, blocks)
 

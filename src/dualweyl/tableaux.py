@@ -7,8 +7,10 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .partitions import Partition, partitions_of
 
@@ -209,16 +211,17 @@ def enumerate_tableaux(
             x = max(x, grid[b - boxes[b][4]] + gap)
 
 
-def kostka_numbers(shape: Partition) -> dict[Partition, int]:
+@lru_cache(maxsize=256)
+def kostka_numbers(shape: Partition) -> Mapping[Partition, int]:
     """The number of semistandard tableaux of ``shape`` with content beta,
-    for every partition beta of n that has one (the Kostka numbers); a
-    weight that rearranges beta has the same count."""
+    for every partition beta of n that has one (the Kostka numbers), read
+    only and cached; a weight that rearranges beta has the same count."""
     semistandard = TableauClass.SEMISTANDARD
     counts = {
         beta: len(enumerate_tableaux(shape, len(beta), semistandard, tuple(beta)))
         for beta in partitions_of(shape.n)
     }
-    return {beta: count for beta, count in counts.items() if count}
+    return MappingProxyType({beta: count for beta, count in counts.items() if count})
 
 
 def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:

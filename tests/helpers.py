@@ -3,15 +3,22 @@ The oracles deliberately avoid the library's canonicalization and span
 machinery so they can check it, except the all-blocks kernel probe, which
 is the elimination reference for the counted kernel of the dominant-block
 path, and the Garnir oracle, which canonicalizes its terms with
-`canonicalize`. The label-level relation rank (`family_rank`), the kernel
-generators over the whole tabloid space (`ker_q_generators`), the span
-helpers and the row tabloids have no caller in the package; they live
-here as references for the tests."""
+`canonicalize`. The label-level relation rank (`family_rank`), the
+unshared full build (`unshared_build`), the kernel generators over the
+whole tabloid space (`ker_q_generators`), the span helpers and the row
+tabloids have no caller in the package; they live here as references for
+the tests."""
 
 import random
 from itertools import combinations, permutations, product
 
-from dualweyl.garnir import garnir_terms, iter_relation_labels
+from dualweyl.garnir import (
+    equal_boxes,
+    garnir_terms,
+    iter_relation_labels,
+    snake_box,
+    snake_terms,
+)
 from dualweyl.gfp import SpanBuilder, Subspace
 from dualweyl.partitions import Partition
 from dualweyl.quotients import (
@@ -208,6 +215,41 @@ def family_rank(which, shape, d, p, families):
     return sum(b.span.rank for b in blocks.values())
 
 
+def unshared_build(shape, d, p, kind):
+    """The full build with every weight block eliminated on its own, with
+    no span shared between blocks of one packed weight: the reference for
+    that sharing in `quotients._build`. Returns the frozen blocks by weight
+    and the number of relations each block pushed."""
+    blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
+    pushes = dict.fromkeys(blocks, 0)
+    for w, block in blocks.items():
+        row_semistandard = []
+        for cols in block.pos:
+            box = snake_box(cols)
+            if box is None:
+                row_semistandard.append(cols)
+                continue
+            terms = snake_terms(cols, *box, kind)
+            if terms:
+                _push_terms(block.span, terms, block.pos, p)
+                pushes[w] += 1
+        block.basic_rank = block.span.rank
+        if not kind.zero_on_column_repeats:
+            for cols in row_semistandard:
+                for box in equal_boxes(cols):
+                    terms = snake_terms(cols, *box, kind)
+                    if terms:
+                        _push_terms(block.span, terms, block.pos, p)
+                        pushes[w] += 1
+        block.span = block.span.subspace()
+    return blocks, pushes
+
+
+def packed_weight(w):
+    """The nonzero entries of a weight, in order."""
+    return tuple(x for x in w if x)
+
+
 def straighten_vector(vec: TabloidVector) -> TabloidVector:
     """Straighten every term of a vector of tabloids."""
     basis = vec.basis
@@ -286,6 +328,7 @@ __all__ = [
     "kernel_table_all_blocks",
     "ker_q_generators",
     "matrix_rank",
+    "packed_weight",
     "place_permute",
     "probe_builder",
     "prod",
@@ -296,4 +339,5 @@ __all__ = [
     "span",
     "straighten_vector",
     "unit_vector",
+    "unshared_build",
 ]

@@ -167,6 +167,28 @@ def test_unreadable_paths_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_verify_refuses_a_missing_data_file_before_the_sweep(
+    capsys, monkeypatch, tmp_path
+):
+    # The data file is read by the last suite's decomposition unit; an
+    # unreadable path is refused before any unit runs.
+    def no_sweep(checks, jobs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_run_checks", no_sweep)
+    missing = str(tmp_path / "missing.txt")
+    for argv in (
+        ["--suite", "all", "--data", missing, "--jobs", "2"],
+        ["--suite", "tables", "--data", str(tmp_path), "--jobs", "1"],
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    monkeypatch.setenv("DUALWEYL_DATA", missing)
+    code, _, err = run(capsys, "verify", "--suite", "all", "--jobs", "2")
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_other_os_errors_are_not_reported_as_usage_errors(capsys, monkeypatch):
     # Only the errors of a path the user gave exit 2; an operating-system
     # failure of the program itself, such as a closed pipe, propagates.

@@ -25,7 +25,15 @@ from dualweyl.tabloids import (
     skew_column,
     vector_from_terms,
 )
-from helpers import brute_fillings, family_rank, span, straighten_vector, unit_vector
+from helpers import (
+    brute_fillings,
+    family_rank,
+    packed_weight,
+    span,
+    straighten_vector,
+    unit_vector,
+    unshared_build,
+)
 
 
 def relation_vectors(module, rel_kinds):
@@ -365,17 +373,26 @@ def test_large_gtensor_build_is_pinned(p, relation_rank, gain):
     assert module.supplementary_rank_gain == gain
 
 
-@pytest.mark.parametrize("p, pushes", [(2, 26544), (3, 18390)])
-def test_build_creates_no_objects_per_relation(monkeypatch, p, pushes):
+@pytest.mark.parametrize("p", [2, 3])
+def test_build_creates_no_objects_per_relation(monkeypatch, p):
     # With the basis built, the full build expands every relation from
     # column tuples: no Tableau, Partition or GarnirLabel is created, and
     # each nonempty relation goes through _push_terms(span, terms, pos, p),
     # positionally (the benchmark tracer hooks that name and argument order).
+    # Only the first block of each packed weight pushes its relations, so
+    # the pushes are those of the unshared build over one block per packed
+    # weight (26544 and 18390 over every block).
     from dualweyl import quotients
     from dualweyl.garnir import GarnirLabel
 
     shape = Partition((5, 1))
     build_basis(shape, 6, skew_column(p))
+    _, unshared = unshared_build(shape, 6, p, skew_column(p))
+    assert sum(unshared.values()) == {2: 26544, 3: 18390}[p]
+    first = {}
+    for w, count in unshared.items():
+        first.setdefault(packed_weight(w), count)
+    pushes = sum(first.values())
     created = []
 
     def counting(name, real):
@@ -411,6 +428,67 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p, pushes):
     assert created == []
     assert len(calls) == pushes and set(calls) == {p}
     assert module.dim == 1050
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shared_blocks_match_the_unshared_build(p):
+    # Blocks whose weights have the same nonzero entries in order are one
+    # block in local coordinates: every block of the full build matches the
+    # block eliminated on its own, and two blocks hold the same frozen span
+    # exactly when their packed weights are equal. Every shape with n <= 5,
+    # d <= 5, both tabloid kinds (one kind at odd p).
+    from dualweyl.gfp import Subspace
+    from dualweyl.quotients import _build
+
+    shared = 0
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 6):
+                for kind in dict.fromkeys((skew_column(p), ALT_COLUMN)):
+                    module = _build.__wrapped__(shape, d, p, kind)
+                    oracle, _ = unshared_build(shape, d, p, kind)
+                    assert module._blocks.keys() == oracle.keys()
+                    spans = {}
+                    for w, block in module._blocks.items():
+                        want = oracle[w]
+                        assert type(block.span) is Subspace
+                        assert block.span.pivot_indices() == want.span.pivot_indices()
+                        assert block.span.basis_rows() == want.span.basis_rows()
+                        assert block.basic_rank == want.basic_rank
+                        assert block.pos == want.pos
+                        assert spans.setdefault(packed_weight(w), block.span) is block.span
+                    assert len({id(s) for s in spans.values()}) == len(spans)
+                    shared += len(module._blocks) - len(spans)
+    assert shared > 0
+
+
+@pytest.mark.parametrize("forge", ["drop", "rotate"])
+def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, forge):
+    # Forge a later block of a packed weight: one representative fewer, or
+    # the same representatives starting at another one. The build reuses
+    # the first block's span only after checking both.
+    from dualweyl import quotients
+    from dualweyl.gfp import SpanBuilder
+    from dualweyl.partitions import InvariantError
+
+    real = quotients._make_blocks
+
+    def forged(reps, d, p):
+        blocks = real(reps, d, p)
+        groups = {}
+        for w in blocks:
+            groups.setdefault(packed_weight(w), []).append(w)
+        w = next(ws for ws in groups.values() if len(ws) > 1 and blocks[ws[0]].size > 1)[-1]
+        ix = blocks[w].indices
+        ix = ix[:-1] if forge == "drop" else ix[1:] + ix[:1]
+        blocks[w] = quotients._Block(
+            ix, {reps[i]: j for j, i in enumerate(ix)}, SpanBuilder(len(ix), p)
+        )
+        return blocks
+
+    monkeypatch.setattr(quotients, "_make_blocks", forged)
+    with pytest.raises(InvariantError, match="does not pack"):
+        quotients._build.__wrapped__(Partition((2, 1)), 3, 2, skew_column(2))
 
 
 def test_cold_builds_create_no_tableau(monkeypatch):
@@ -509,7 +587,12 @@ def test_every_cache_is_bounded():
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
                 caches.append(f"{info.name}.{name}")
                 assert obj.cache_parameters()["maxsize"] is not None, name
-    assert {"tabloids.build_basis", "quotients._build", "garnir._snake_template"} <= set(caches)
+    assert {
+        "tabloids.build_basis",
+        "quotients._build",
+        "garnir._snake_template",
+        "tableaux.kostka_numbers",
+    } <= set(caches)
 
 
 def _reachable(root):
@@ -541,15 +624,22 @@ def test_built_module_holds_only_frozen_blocks():
         assert all(type(b.span) is Subspace for b in module._blocks.values())
         reachable = _reachable(module._blocks)
         assert not any(isinstance(x, SpanBuilder) for x in reachable)
-        # every read uses the frozen blocks, with no refreezing
+        # (2,1,0), (2,0,1) and (0,2,1) share one frozen span, and so on
+        spans = {id(b.span) for b in module._blocks.values()}
+        assert len(spans) < len(module._blocks)
+        # every read uses the frozen blocks, shared ones included, with no
+        # refreezing and no change to their rows
         first = {w: b.span for w, b in module._blocks.items()}
+        rows = {w: b.span.basis_rows() for w, b in module._blocks.items()}
         basis = module.ambient
-        probe = vector_from_terms(basis, p, {basis.rep(0): 1, basis.rep(3): 2})
-        module.reduce(probe)
-        module.quotient_indices()
-        reduced = module.reduce(probe)
-        assert module.relations_contain(probe.add(reduced.scale(-1)))
+        for i, j in ((0, 3), (1, basis.dim - 1), (basis.dim - 2, 5)):
+            probe = vector_from_terms(basis, p, {basis.rep(i): 1, basis.rep(j): 2})
+            module.reduce(probe)
+            module.quotient_indices()
+            reduced = module.reduce(probe)
+            assert module.relations_contain(probe.add(reduced.scale(-1)))
         assert all(b.span is first[w] for w, b in module._blocks.items())
+        assert all(b.span.basis_rows() == rows[w] for w, b in module._blocks.items())
 
 
 def test_cached_dominant_blocks_hold_only_frozen_spans():

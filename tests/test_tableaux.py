@@ -123,6 +123,10 @@ def test_kostka_numbers_count_semistandard_tableaux_by_dominant_weight():
                         beta = Partition(x for x in w if x)
                         census[beta] = census.get(beta, 0) + 1
             assert kostka_numbers(shape) == census, shape
+            # computed once per shape, and read-only since it is shared
+            assert kostka_numbers(shape) is kostka_numbers(shape)
+            with pytest.raises(TypeError):
+                kostka_numbers(shape)[shape] = 0
 
 
 def test_content_enumeration_matches_filtered_enumeration():
