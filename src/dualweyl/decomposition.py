@@ -1,6 +1,7 @@
 """Decomposition data for characteristic 2 at degrees up to 5, simple-module
-dimensions, composition factors of the surjection kernel, and the
-filtration feasibility search.
+dimensions, composition factors of the surjection kernel (its Schur
+coefficients times the data rows; the decomposition matrix is never
+inverted), and the filtration feasibility search.
 
 The multiplicity table ships as a data file and is never trusted blindly:
 loading fails unless unitriangularity, nonnegativity of the derived simple
@@ -26,7 +27,7 @@ from .partitions import (
     partitions_of,
 )
 from .quotients import _kernel_dims, u_lambda_dim
-from .tableaux import kostka_numbers
+from .tableaux import kostka_number
 
 ENV_DATA_PATH = "DUALWEYL_DATA"
 
@@ -161,23 +162,6 @@ class DecompositionData:
         self._dim_cache[key] = value
         return value
 
-    def simple_character(self, mu: Partition) -> dict[Partition, int]:
-        """Coefficients of the mu-simple's character on the Schur basis."""
-        out = {mu: 1}
-        for nu, mult in self.row(mu).items():
-            if nu == mu:
-                continue
-            for rho, c in self.simple_character(nu).items():
-                out[rho] = out.get(rho, 0) - mult * c
-        return {rho: c for rho, c in out.items() if c}
-
-    def simple_weight_multiplicity(self, mu: Partition, beta: Partition) -> int:
-        """Multiplicity of the dominant weight beta in the mu-simple."""
-        total = 0
-        for nu, c in self.simple_character(mu).items():
-            total += c * kostka_numbers(nu).get(beta, 0)
-        return total
-
 
 def composition_factors_U(
     shape: Partition, data: DecompositionData
@@ -185,10 +169,13 @@ def composition_factors_U(
     """Multiset of simple labels in the kernel of the surjection onto the
     dual Weyl module.
 
-    Solved from the per-dominant-weight dimensions of the kernel at d = n;
-    the weight multiplicities of the simples form a unit lower triangular
-    system in `partitions_of` order, solved by forward substitution over
-    the integers. The total-dimension equations at d = 1..#partitions(n)
+    The per-dominant-weight dimensions of the kernel at d = n are solved
+    for its Schur coefficients: the Kostka numbers form a unit lower
+    triangular system in `partitions_of` order, solved by forward
+    substitution over the integers. A Schur function is the character of
+    a dual Weyl module, whose factors are its data row, so the factors
+    are the Schur coefficients times the data rows and must come out
+    nonnegative. The total-dimension equations at d = 1..#partitions(n)
     are checked afterwards.
     """
     n = shape.n
@@ -198,12 +185,13 @@ def composition_factors_U(
     kernel = _kernel_dims(shape, n)
     rhs = {beta: kernel.get(beta, 0) for beta in labels}
     matrix = {
-        beta: {mu: data.simple_weight_multiplicity(mu, beta) for mu in labels}
+        beta: {rho: kostka_number(rho, beta) for rho in labels}
         for beta in labels
     }
-    solution = _solve_unitriangular(labels, matrix, rhs)
+    schur = _solve_unitriangular(labels, matrix, rhs)
     factors = {}
-    for mu, value in solution.items():
+    for mu in labels:
+        value = sum(c * data.row(rho).get(mu, 0) for rho, c in schur.items())
         if value < 0:
             raise DecompositionDataError(
                 f"factor solve for {shape} produced {value} at {mu}"

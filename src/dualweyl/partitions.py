@@ -113,10 +113,6 @@ def dominates(mu: Partition, nu: Partition) -> bool:
     return True
 
 
-def hook_length(shape: Partition, i: int, j: int) -> int:
-    return (shape.part(i) - j) + (shape.conjugate().part(j) - i) + 1
-
-
 def hook_content_dim(shape: Partition, d: int) -> int:
     """Number of semistandard fillings of shape with entries in {1..d}.
 
@@ -137,9 +133,10 @@ def hook_content_dim(shape: Partition, d: int) -> int:
 
 def count_syt(shape: Partition) -> int:
     """Number of standard fillings with entries 1..n each used once."""
+    conj = shape.conjugate()
     hooks = 1
     for i, j in shape.boxes():
-        hooks *= hook_length(shape, i, j)
+        hooks *= (shape.part(i) - j) + (conj.part(j) - i) + 1
     count, rem = divmod(math.factorial(shape.n), hooks)
     if rem:
         raise InvariantError(f"hook product of {shape} does not divide n!")

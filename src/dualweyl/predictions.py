@@ -17,8 +17,7 @@ from .quotients import (
     module_dim,
     verify_iso,
 )
-from .tableaux import enumerate_tableaux
-from .tabloids import row_semistandard_class, skew_column
+from .tableaux import TableauClass, enumerate_tableaux
 
 
 def predict_iso(shape: Partition) -> bool:
@@ -185,7 +184,7 @@ def supplementary_rank_gain(shape: Partition, d: int) -> int:
     unitriangular, so their rank is the number of skew tabloids that are
     not row semistandard, and the gain is the number of row-semistandard
     ones, R, less the dimension."""
-    reps = enumerate_tableaux(shape, d, row_semistandard_class(skew_column(2)))
+    reps = enumerate_tableaux(shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD)
     return len(reps) - module_dim("gtensor", shape, d, 2)
 
 

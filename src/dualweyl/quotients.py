@@ -23,27 +23,27 @@ full build, keyed by tabloid kind, so one for both constructions at odd p.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
-blocks, of content beta a partition of n with at most d parts. This is
-exact for two reasons. Both modules and U are polynomial GL_d-modules, so
-a weight multiplicity is constant on the S_d-orbit of the weight (Green,
+weights beta, the partitions of n with at most d parts. This is exact for
+two reasons. Both modules and U are polynomial GL_d-modules, so a weight
+multiplicity is constant on the S_d-orbit of the weight (Green,
 Polynomial Representations of GL_n, LNM 830). And a block of content
 beta padded with zeros uses only the letters 1..len(beta), so it is the
-same block for every d >= len(beta); dominant blocks are built per
-content and shared across d.
+same block for every d >= len(beta), and is read once per content.
 
-A dominant block is built in R-coordinates, without eliminating a basic
-snake. The basic snake of a tableau that is not row semistandard leads
-with it, with coefficient 1, and all its other terms are smaller in the
-column order; so the row-semistandard representatives R are a basis of
-the block modulo the basic snakes (the standard-basis theorem:
-Desarmenien, Kung and Rota, Adv. Math. 27, 1978; James, LNM 682, section
-8). `_straighten_terms` expresses a combination over R. A dominant
-block depends on the tabloid kind, not on the construction or the prime:
-an alternating block, which serves the dual Weyl module at every p and
-the skew construction at odd p, has no relation left, and its dimension
-is |R_beta|; a mod-2 skew block straightens its supplementary snakes
-onto R and eliminates only those. The rank of the basic relations is
-then the number of tabloids outside R, which is how
+Nothing there eliminates a basic snake. The basic snake of a tableau
+that is not row semistandard leads with it, with coefficient 1, and all
+its other terms are smaller in the column order; so the row-semistandard
+representatives R are a basis of the block modulo the basic snakes (the
+standard-basis theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978;
+James, LNM 682, section 8). `_straighten_terms` expresses a combination
+over R. The alternating kind, which serves the dual Weyl module at every
+p and the skew construction at odd p, has no relation left, so its
+dimension at beta is the number of semistandard tableaux, the Kostka
+number (`tableaux.kostka_number`). Only a mod-2 skew dominant block is
+built (`_dominant_block`): its R are the row-and-column-semistandard
+tableaux, and it straightens its supplementary snakes onto R and
+eliminates only those. The rank of the basic relations is then the
+number of tabloids outside R, which is how
 `predictions.supplementary_rank_gain` counts the rank the supplementary
 snakes add without a full build.
 
@@ -63,7 +63,7 @@ from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
-from .gfp import SpanBuilder, Subspace
+from .gfp import SpanBuilder, Subspace, _check_prime
 from .partitions import (
     InvariantError,
     Partition,
@@ -71,7 +71,14 @@ from .partitions import (
     hook_content_dim,
     partitions_of,
 )
-from .tableaux import Cols, Tableau, enumerate_tableaux, weight_of
+from .tableaux import (
+    Cols,
+    Tableau,
+    TableauClass,
+    enumerate_tableaux,
+    kostka_number,
+    weight_of,
+)
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
@@ -80,7 +87,6 @@ from .tabloids import (
     build_basis,
     canonical_cols,
     has_column_repeat,
-    row_semistandard_class,
     skew_column,
 )
 
@@ -139,6 +145,8 @@ class QuotientModule:
     def _split(self, vec: TabloidVector) -> dict[tuple[int, ...], dict[int, int]]:
         if vec.basis is not self.ambient:
             raise ValueError("vector lives over a different basis")
+        if vec.p != self.p:
+            raise ValueError(f"vector over GF({vec.p}) in a module over GF({self.p})")
         parts: dict[tuple[int, ...], dict[int, int]] = {}
         cols, d = self.ambient.cols, self.ambient.d
         for i, c in vec.coords.items():
@@ -180,6 +188,7 @@ class QuotientModule:
 def _tabloid_kind(model: str, p: int) -> TabloidKind:
     """The tabloid kind of a construction at p: the one place that maps a
     (model, p) pair to a kind."""
+    _check_prime(p)
     if model == "nabla":
         return ALT_COLUMN
     if model == "gtensor":
@@ -329,50 +338,55 @@ def _orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=4096)
-def _dominant_block(shape: Partition, kind: TabloidKind, beta: Partition) -> _Block:
-    """The frozen weight block of content beta, over the letters
+def _dominant_block(shape: Partition, beta: Partition) -> _Block:
+    """The frozen mod-2 skew weight block of content beta, over the letters
     1..len(beta), in R-coordinates; it is the block of beta padded with
-    zeros for every larger d. Only the mod-2 skew kind has relations left
-    there, its supplementary snakes, over GF(2); an alternating block has
-    none at any prime, so its empty span serves every p. Every term of a
-    straightened supplementary snake must repeat a column entry: the
-    kernel count of `_kernel_dims` rests on it."""
+    zeros for every larger d. Its only relations are the supplementary
+    snakes, straightened onto R, over GF(2). Every term of a straightened
+    supplementary snake must repeat a column entry: the kernel count of
+    `_kernel_dims` rests on it."""
+    kind = skew_column(2)
     reps = enumerate_tableaux(
-        shape, len(beta), row_semistandard_class(kind), content=tuple(beta)
+        shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, tuple(beta)
     )
     blocks = _make_blocks(reps, len(beta), 2)
     block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, 2))
-    if not kind.zero_on_column_repeats:
-        semistandard = {cols for cols in reps if not has_column_repeat(cols)}
-        for cols in reps:
-            for box in equal_boxes(cols):
-                terms = _straighten_terms(snake_terms(cols, *box, kind), kind, 2)
-                if not semistandard.isdisjoint(terms):
-                    raise InvariantError(
-                        f"snake at {box} of {cols} straightens onto no column repeat"
-                    )
-                if terms:
-                    _push_terms(block.span, terms, block.pos, 2)
+    semistandard = {cols for cols in reps if not has_column_repeat(cols)}
+    for cols in reps:
+        for box in equal_boxes(cols):
+            terms = _straighten_terms(snake_terms(cols, *box, kind), kind, 2)
+            if not semistandard.isdisjoint(terms):
+                raise InvariantError(
+                    f"snake at {box} of {cols} straightens onto no column repeat"
+                )
+            if terms:
+                _push_terms(block.span, terms, block.pos, 2)
     block.span = block.span.subspace()
     return block
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     """Dimension of the dual Weyl module (``"nabla"``) or of the skew
-    construction (``"gtensor"``), summed over dominant blocks times their
-    orbit sizes."""
+    construction (``"gtensor"``), summed over dominant weights times their
+    orbit sizes: the Kostka number for the alternating kind, the quotient
+    dimension of the dominant block for mod-2 skew."""
     kind = _tabloid_kind(which, p)
     total = 0
     for beta in _dominant_weights(shape.n, d):
-        block = _dominant_block(shape, kind, beta)
-        total += (block.size - block.span.dim) * _orbit_size(beta, d)
+        if kind is ALT_COLUMN:
+            dim = kostka_number(shape, beta)
+        else:
+            block = _dominant_block(shape, beta)
+            dim = block.size - block.span.dim
+        total += dim * _orbit_size(beta, d)
     return total
 
 
 def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     """A closed-form upper bound on the work of the dominant path of
     `module_dim` (and, through the mod-2 skew blocks, of the kernel): the
-    number of dominant weights plus the R-representatives of their blocks.
+    number of dominant weights plus the R-representatives enumerated at
+    them, counted for a Kostka number or held by a mod-2 skew block.
 
     Standardizing the letters one at a time (the boxes holding letter k
     form a skew shape) maps each R_beta injectively to the standard
@@ -419,7 +433,7 @@ def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]
     for beta in _dominant_weights(shape.n, d):
         if beta[0] < 2:
             continue
-        block = _dominant_block(shape, skew_column(2), beta)
+        block = _dominant_block(shape, beta)
         out[beta] = [j for cols, j in block.pos.items() if has_column_repeat(cols)]
     return out
 
@@ -428,6 +442,7 @@ def verify_iso(shape: Partition, d: int, p: int) -> bool:
     """Whether the canonical surjection onto the dual Weyl module is an
     isomorphism: every repeated-column-entry tabloid must lie in the skew
     relation span. Away from characteristic 2 the kernel is zero."""
+    _check_prime(p)
     return p != 2 or not _kernel_dims(shape, d)
 
 
@@ -437,9 +452,9 @@ def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
     that drops the kernel generators G_beta, and the relations of a mod-2
     skew dominant block lie in their coordinates (`_dominant_block` checks
     this), so the kernel there is |G_beta| less the rank of the span."""
-    out, kind = {}, skew_column(2)
+    out = {}
     for beta, positions in _gens_by_weight(shape, d).items():
-        grown = len(positions) - _dominant_block(shape, kind, beta).span.dim
+        grown = len(positions) - _dominant_block(shape, beta).span.dim
         if grown:
             out[beta] = grown
     return out
@@ -468,6 +483,9 @@ def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     representatives modulo the basic snake relations."""
     if t.shape != shape:
         raise ValueError("tableau does not have the stated shape")
+    _check_prime(p)
+    if (top := max(map(max, t.cols))) > d:
+        raise ValueError(f"entry {top} exceeds d={d}")
     basis = build_basis(shape, d, ALT_COLUMN)
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:
@@ -535,7 +553,7 @@ def restrict_entries(
     (restricted, direct); the two must agree. The restricted side sums
     the quotient dimensions of those weight blocks of the full degree-d
     build; the direct side is `module_dim` at d_sub, which reads only
-    dominant blocks, in R-coordinates, and scales them over S_d-orbits."""
+    dominant weights, in R-coordinates, and scales them over S_d-orbits."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
     module = build_gtensor_specht(shape, d, p)
@@ -558,6 +576,8 @@ def apply_transvection(
 ) -> TabloidVector:
     """Expand the substitution sending the source letter to source plus
     target multilinearly over the boxes, canonicalizing each term."""
+    if p != vec.p:
+        raise ValueError(f"transvection over GF({p}) of a vector over GF({vec.p})")
     basis = vec.basis
     d = basis.d
     if not (1 <= source <= d and 1 <= target <= d) or source == target:

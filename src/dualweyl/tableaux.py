@@ -9,10 +9,9 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 class TableauClass(Enum):
@@ -211,17 +210,14 @@ def enumerate_tableaux(
             x = max(x, grid[b - boxes[b][4]] + gap)
 
 
-@lru_cache(maxsize=256)
-def kostka_numbers(shape: Partition) -> Mapping[Partition, int]:
-    """The number of semistandard tableaux of ``shape`` with content beta,
-    for every partition beta of n that has one (the Kostka numbers), read
-    only and cached; a weight that rearranges beta has the same count."""
-    semistandard = TableauClass.SEMISTANDARD
-    counts = {
-        beta: len(enumerate_tableaux(shape, len(beta), semistandard, tuple(beta)))
-        for beta in partitions_of(shape.n)
-    }
-    return MappingProxyType({beta: count for beta, count in counts.items() if count})
+@lru_cache(maxsize=4096)
+def kostka_number(shape: Partition, beta: Partition) -> int:
+    """The number of semistandard tableaux of ``shape`` with content beta
+    (the Kostka number), cached; a weight that rearranges beta has the
+    same count."""
+    return len(enumerate_tableaux(
+        shape, len(beta), TableauClass.SEMISTANDARD, content=tuple(beta)
+    ))
 
 
 def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:

@@ -104,14 +104,6 @@ def basis_class(kind: TabloidKind) -> TableauClass:
     return TableauClass.COLUMN_SEMISTANDARD
 
 
-def row_semistandard_class(kind: TabloidKind) -> TableauClass:
-    """Tableau class of the row-semistandard representatives R of a
-    tabloid kind, a basis modulo the basic snakes."""
-    if kind.zero_on_column_repeats:
-        return TableauClass.SEMISTANDARD
-    return TableauClass.ROW_AND_COLUMN_SEMISTANDARD
-
-
 @dataclass(frozen=True)
 class TabloidBasis:
     """Indexed family of canonical representatives for one tabloid space,

@@ -5,9 +5,10 @@ is the elimination reference for the counted kernel of the dominant-block
 path, and the Garnir oracle, which canonicalizes its terms with
 `canonicalize`. The label-level relation rank (`family_rank`), the
 unshared full build (`unshared_build`), the kernel generators over the
-whole tabloid space (`ker_q_generators`), the span helpers and the row
-tabloids have no caller in the package; they live here as references for
-the tests."""
+whole tabloid space (`ker_q_generators`), the composition factors solved
+through the simple characters (`factors_by_simple_characters`), the span
+helpers and the row tabloids have no caller in the package; they live
+here as references for the tests."""
 
 import random
 from itertools import combinations, permutations, product
@@ -19,16 +20,18 @@ from dualweyl.garnir import (
     snake_box,
     snake_terms,
 )
+from dualweyl.decomposition import _solve_unitriangular
 from dualweyl.gfp import SpanBuilder, Subspace
-from dualweyl.partitions import Partition
+from dualweyl.partitions import Partition, partitions_of
 from dualweyl.quotients import (
+    _kernel_dims,
     _make_blocks,
     _push_terms,
     _straighten_terms,
     _tabloid_kind,
     build_gtensor_specht,
 )
-from dualweyl.tableaux import Box, Tableau
+from dualweyl.tableaux import Box, Tableau, kostka_number
 from dualweyl.tabloids import (
     TabloidBasis,
     TabloidKind,
@@ -243,6 +246,39 @@ def unshared_build(shape, d, p, kind):
                         pushes[w] += 1
         block.span = block.span.subspace()
     return blocks, pushes
+
+
+def simple_character(data, mu):
+    """Coefficients of the mu-simple's character on the Schur basis, by
+    inverting the unitriangular decomposition matrix row by row."""
+    out = {mu: 1}
+    for nu, mult in data.row(mu).items():
+        if nu == mu:
+            continue
+        for rho, c in simple_character(data, nu).items():
+            out[rho] = out.get(rho, 0) - mult * c
+    return {rho: c for rho, c in out.items() if c}
+
+
+def factors_by_simple_characters(shape, data):
+    """Composition factors of the kernel solved against the weight
+    multiplicities of the simples at d = n (their Schur characters read
+    through the Kostka numbers), a unit lower triangular system in
+    `partitions_of` order."""
+    n = shape.n
+    labels = list(partitions_of(n))
+    kernel = _kernel_dims(shape, n)
+    chars = {mu: simple_character(data, mu) for mu in labels}
+    matrix = {
+        beta: {
+            mu: sum(c * kostka_number(rho, beta) for rho, c in chars[mu].items())
+            for mu in labels
+        }
+        for beta in labels
+    }
+    rhs = {beta: kernel.get(beta, 0) for beta in labels}
+    solution = _solve_unitriangular(labels, matrix, rhs)
+    return {mu: v for mu, v in solution.items() if v}
 
 
 def packed_weight(w):

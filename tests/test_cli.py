@@ -56,9 +56,9 @@ def test_dim_nabla_and_gtensor(capsys):
     "lam, d, expected", [("7", 7, "1716"), ("8", 8, "6435"), ("100", 2, "101")]
 )
 def test_dim_nabla_one_row_answers_at_once(lam, d, expected):
-    # At odd p the dual Weyl dimension is a count of semistandard tableaux
-    # in the dominant blocks, with no elimination; and only the partitions
-    # of n with at most d parts are enumerated (p(100) is about 2e8).
+    # At odd p the dual Weyl dimension is a sum of Kostka numbers over the
+    # dominant weights, with no elimination; and only the partitions of n
+    # with at most d parts are enumerated (p(100) is about 2e8).
     proc = subprocess.run(
         [sys.executable, "-m", "dualweyl.cli", "dim", "--which", "nabla",
          "--lambda", lam, "--d", str(d), "--p", "3"],
@@ -102,6 +102,18 @@ def test_dim_budget_admits_the_documented_queries():
     assert len(queries) == 15
     for query in queries:
         assert dominant_rep_bound(*query) <= cli.DIM_REP_BUDGET, query
+
+
+def test_readme_dim_examples_print_their_values(capsys):
+    readme = (SRC.parent / "README.md").read_text()
+    examples = [
+        line for line in readme.splitlines() if line.startswith("dualweyl dim ")
+    ]
+    assert len(examples) == 3
+    for line in examples:
+        command, expected = line.split("# ->")
+        code, out, _ = run(capsys, *command.split()[1:])
+        assert (code, out.strip()) == (0, expected.strip()), line
 
 
 def test_dim_json_report(capsys, tmp_path):

@@ -14,6 +14,8 @@ from dualweyl.decomposition import (
 )
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
 from dualweyl.quotients import u_lambda_dim
+from dualweyl.tableaux import kostka_number
+from helpers import factors_by_simple_characters
 
 P = Partition
 
@@ -95,14 +97,15 @@ def test_composition_factors_match_tables(data):
         assert composition_factors_U(shape, data) == factors, shape
 
 
-def test_factor_solve_needs_a_unit_lower_triangular_system(data):
-    # The weight multiplicities of the simples are unit lower triangular in
-    # `partitions_of` order at every shipped degree; the integer solve
-    # relies on it and refuses any other system.
+def test_factor_solve_needs_a_unit_lower_triangular_system():
+    # The Kostka numbers K_{rho,beta}, row beta and column rho, are unit
+    # lower triangular in `partitions_of` order at every shipped degree;
+    # the integer solve for the kernel's Schur coefficients relies on it
+    # and refuses any other system.
     for n in range(1, 6):
         labels = list(partitions_of(n))
         for i, beta in enumerate(labels):
-            row = [data.simple_weight_multiplicity(mu, beta) for mu in labels]
+            row = [kostka_number(rho, beta) for rho in labels]
             assert row[i] == 1 and not any(row[i + 1:]), beta
     a, b = P((2,)), P((1, 1))
     rhs = {a: 2, b: 5}
@@ -111,6 +114,18 @@ def test_factor_solve_needs_a_unit_lower_triangular_system(data):
     for bad in ({a: {a: 2, b: 0}, b: {a: 1, b: 1}}, {a: {a: 1, b: 1}, b: {a: 0, b: 1}}):
         with pytest.raises(DecompositionDataError):
             _solve_unitriangular([a, b], bad, rhs)
+
+
+def test_factors_match_the_simple_character_solve(data):
+    # Schur coefficients times the data rows against the solve through the
+    # simples' characters, which inverts the decomposition matrix.
+    nonzero = 0
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            factors = composition_factors_U(shape, data)
+            assert factors == factors_by_simple_characters(shape, data), shape
+            nonzero += bool(factors)
+    assert nonzero == 8
 
 
 def test_composition_factors_small_degrees(data):

@@ -32,7 +32,7 @@ from dualweyl.quotients import (
     u_lambda_weight_table,
     verify_iso,
 )
-from dualweyl.tableaux import TableauClass, enumerate_tableaux
+from dualweyl.tableaux import TableauClass, enumerate_tableaux, kostka_number
 from dualweyl.tabloids import (
     ALT_COLUMN,
     build_basis,
@@ -69,20 +69,25 @@ def test_dominant_path_matches_all_blocks(n):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_dominant_blocks_match_the_full_build_block_by_block(p):
-    # A dominant block holds the row-semistandard representatives R_beta
-    # and the supplementary snakes straightened onto them; |R_beta| less
-    # their rank must be the quotient dimension of the beta block of the
-    # full elimination build at d = len(beta).
+    # At the alternating kind the quotient dimension at beta is the Kostka
+    # number; a mod-2 skew dominant block holds the row-and-column-
+    # semistandard representatives R_beta and the supplementary snakes
+    # straightened onto them, and |R_beta| less their rank is its
+    # dimension. Either must be the quotient dimension of the beta block
+    # of the full elimination build at d = len(beta).
     blocks = 0
     for n in range(1, 6):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
                 for model in ("nabla", "gtensor"):
                     kind = _tabloid_kind(model, p)
-                    block = _dominant_block(shape, kind, beta)
                     full = _build(shape, len(beta), p, kind)._blocks.get(beta)
                     expected = full.size - full.span.dim if full else 0
-                    got = block.size - block.span.dim
+                    if kind is ALT_COLUMN:
+                        got = kostka_number(shape, beta)
+                    else:
+                        block = _dominant_block(shape, beta)
+                        got = block.size - block.span.dim
                     assert got == expected, (shape, model, beta)
                     blocks += bool(full)
     assert blocks == {2: 141, 3: 106, 5: 106}[p]
@@ -100,7 +105,7 @@ def test_r_coordinates_of_the_kernel_generators():
     for n in range(2, 7):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
-                block = _dominant_block(shape, kind, beta)
+                block = _dominant_block(shape, beta)
                 reps = list(block.pos)
                 repeat = [has_column_repeat(cols) for cols in reps]
                 for row in block.span.basis_rows():
@@ -126,12 +131,11 @@ def test_kernel_count_matches_an_elimination_probe():
     # against elimination: a builder seeded from the span's basis rows
     # takes the unit vectors of the repeated-column representatives, and
     # the rank they add is the kernel.
-    kind = skew_column(2)
     for n in range(1, 8):
         for shape in partitions_of(n):
             grown = {}
             for beta in partitions_of(n):
-                block = _dominant_block(shape, kind, beta)
+                block = _dominant_block(shape, beta)
                 probe = probe_builder(block.span)
                 grown[beta] = sum(
                     probe.add_mask(1 << j)
@@ -156,7 +160,7 @@ def test_a_supplementary_snake_off_the_kernel_generators_is_refused(monkeypatch)
         quotients, "_straighten_terms", lambda terms, kind, p: {semistandard: 1}
     )
     with pytest.raises(InvariantError, match="no column repeat"):
-        _dominant_block.__wrapped__(shape, skew_column(2), beta)
+        _dominant_block.__wrapped__(shape, beta)
 
 
 def test_kernel_dimension_is_the_exact_polynomial():
@@ -183,17 +187,20 @@ def test_kernel_dimension_is_the_exact_polynomial():
 
 def test_constructions_share_the_alternating_kind():
     # At odd p the skew column tabloids are the alternating ones: one kind,
-    # one basis, and one dominant block per content, built once for the
-    # dual Weyl module at every p and for the skew construction at odd p.
+    # one basis, and one Kostka number per content, counted once for the
+    # dual Weyl module at every p and for the skew construction at odd p,
+    # with no dominant block built.
     for p in (3, 5, 7):
         assert skew_column(p) is ALT_COLUMN
     shape = Partition((3, 2))
     assert build_basis(shape, 3, skew_column(3)) is build_basis(shape, 3, ALT_COLUMN)
+    kostka_number.cache_clear()
     _dominant_block.cache_clear()
     for which, p in (("nabla", 2), ("nabla", 3), ("nabla", 5),
                      ("gtensor", 3), ("gtensor", 5)):
         assert module_dim(which, shape, 5, p) == hook_content_dim(shape, 5)
-    assert _dominant_block.cache_info().misses == len(_dominant_weights(5, 5))
+    assert kostka_number.cache_info().misses == len(_dominant_weights(5, 5))
+    assert _dominant_block.cache_info().misses == 0
 
 
 def test_dominant_rep_bound_holds():
@@ -206,7 +213,11 @@ def test_dominant_rep_bound_holds():
                                  ("gtensor", 3), ("u", 2)):
                     kind = _tabloid_kind("gtensor" if which == "u" else which, p)
                     held = sum(
-                        1 + _dominant_block(shape, kind, beta).size
+                        1 + (
+                            kostka_number(shape, beta)
+                            if kind is ALT_COLUMN
+                            else _dominant_block(shape, beta).size
+                        )
                         for beta in partitions_of(n)
                         if len(beta) <= d
                     )

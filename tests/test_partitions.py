@@ -95,6 +95,23 @@ def test_count_syt():
             assert count_syt(shape) == _count_syt_brute(shape)
 
 
+def test_count_syt_conjugates_once(monkeypatch):
+    # The hook lengths read the conjugate, computed once per call, so the
+    # count is linear in the boxes; the `dim` budget check of a one-row
+    # shape with thousands of boxes counts its standard tableaux.
+    calls = []
+    conjugate = Partition.conjugate
+
+    def counting(self):
+        calls.append(self)
+        return conjugate(self)
+
+    monkeypatch.setattr(Partition, "conjugate", counting)
+    assert count_syt(Partition((2000,))) == 1
+    assert count_syt(Partition((2, 2, 1))) == 5
+    assert calls == [Partition((2000,)), Partition((2, 2, 1))]
+
+
 @given(st.integers(0, 64), st.integers(0, 64))
 def test_binom_parity_matches_comb(a, b):
     assert binom_parity(a, b) == math.comb(a + b, a) % 2

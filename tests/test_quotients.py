@@ -11,13 +11,15 @@ from dualweyl.quotients import (
     apply_transvection,
     build_dual_weyl,
     build_gtensor_specht,
+    dominant_rep_bound,
+    module_dim,
     restrict_entries,
     straighten,
     u_lambda_dim,
     u_lambda_weight_table,
     verify_iso,
 )
-from dualweyl.tableaux import Tableau, weight_of
+from dualweyl.tableaux import Tableau, kostka_number, weight_of
 from dualweyl.tabloids import (
     ALT_COLUMN,
     TabloidVector,
@@ -122,6 +124,41 @@ def test_verify_iso_examples():
     assert verify_iso(Partition((2, 2, 1)), 4, 3) is True  # vacuous away from 2
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_a_non_prime_p_is_refused(p):
+    # There is no field GF(p) for such a p: every entry point refuses it
+    # rather than pass vacuously, count as at an odd prime, or straighten
+    # modulo p.
+    shape = Partition((2, 1))
+    calls = [
+        lambda: verify_iso(Partition((2, 2, 1)), 3, p),
+        lambda: module_dim("nabla", shape, 2, p),
+        lambda: module_dim("gtensor", shape, 2, p),
+        lambda: dominant_rep_bound("nabla", shape, 2, p),
+        lambda: build_dual_weyl(shape, 2, p),
+        lambda: build_gtensor_specht(shape, 2, p),
+        lambda: straighten(Tableau(((2, 3), (1,))), shape, 3, p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="prime"):
+            call()
+
+
+def test_a_vector_over_another_prime_is_refused():
+    # Bases are keyed by tabloid kind, not by p, so a vector over GF(5)
+    # shares its basis with a module over GF(3).
+    module = build_dual_weyl(Partition((2, 1)), 3, 3)
+    alien = TabloidVector(module.ambient, 5, {0: 4, 1: 3})
+    for read in (module.reduce, module.relations_contain):
+        with pytest.raises(ValueError, match=r"GF\(5\).*GF\(3\)"):
+            read(alien)
+    vec = TabloidVector(module.ambient, 3, {0: 1, 1: 2})
+    assert module.reduce(vec).p == 3
+    with pytest.raises(ValueError, match=r"GF\(5\).*GF\(3\)"):
+        apply_transvection(vec, 1, 2, 5)
+    assert apply_transvection(vec, 1, 2, 3).p == 3
+
+
 def test_straighten_semistandard_fixed_point():
     basis = build_basis(Partition((2, 1)), 3, ALT_COLUMN)
     for i in range(basis.dim):
@@ -143,6 +180,11 @@ def test_straighten_worked_example():
         basis.index_of(plus): 1,
         basis.index_of(minus): p - 1,
     }
+
+
+def test_straighten_refuses_an_entry_above_d():
+    with pytest.raises(ValueError, match="entry 3 exceeds d=2"):
+        straighten(Tableau(((1, 3), (1,))), Partition((2, 1)), 2, 3)
 
 
 def test_straighten_zero_on_repeated_column():
@@ -512,12 +554,17 @@ def test_cold_builds_create_no_tableau(monkeypatch):
     shape = Partition((2, 2, 1))
     build_basis.cache_clear()
     quotients._dominant_block.cache_clear()
+    kostka_number.cache_clear()
     for p in (2, 3):
         basis = build_basis.__wrapped__(shape, 4, skew_column(p))
-        block = quotients._dominant_block.__wrapped__(shape, skew_column(p), shape)
-        # the block holds its row-semistandard representatives only: 4 of
-        # the 5 skew tabloids of content (2,2,1) at p = 2
-        assert (basis.dim, block.size) == {2: (200, 4), 3: (24, 1)}[p]
+        # only the row-semistandard representatives of content (2,2,1) are
+        # enumerated: the mod-2 skew block holds 4 of its 5 skew tabloids,
+        # and the Kostka number counts the one semistandard tableau
+        if p == 2:
+            reps = quotients._dominant_block.__wrapped__(shape, shape).size
+        else:
+            reps = kostka_number.__wrapped__(shape, shape)
+        assert (basis.dim, reps) == {2: (200, 4), 3: (24, 1)}[p]
         for which in ("nabla", "gtensor"):
             assert quotients.module_dim(which, shape, 4, p) == (
                 76 if (which, p) == ("gtensor", 2) else hook_content_dim(shape, 4)
@@ -591,7 +638,7 @@ def test_every_cache_is_bounded():
         "tabloids.build_basis",
         "quotients._build",
         "garnir._snake_template",
-        "tableaux.kostka_numbers",
+        "tableaux.kostka_number",
     } <= set(caches)
 
 
@@ -643,9 +690,10 @@ def test_built_module_holds_only_frozen_blocks():
 
 
 def test_cached_dominant_blocks_hold_only_frozen_spans():
-    # Dimensions, the isomorphism test and the kernel read the cached
-    # dominant blocks: each holds its frozen span, and the kernel probes
-    # leave that span as it was.
+    # Mod-2 skew dimensions, the isomorphism test and the kernel read the
+    # cached dominant blocks, and the alternating dimensions build none:
+    # each block holds its frozen span, and the kernel probes leave that
+    # span as it was.
     from dualweyl.gfp import SpanBuilder, Subspace
     from dualweyl.quotients import _dominant_block, _dominant_weights, module_dim
 
@@ -654,20 +702,16 @@ def test_cached_dominant_blocks_hold_only_frozen_spans():
     for p in (2, 3):
         for which in ("nabla", "gtensor"):
             module_dim(which, shape, 5, p)
-    keys = [
-        (kind, beta)
-        for kind in (ALT_COLUMN, skew_column(2))
-        for beta in _dominant_weights(5, 5)
-    ]
-    blocks = {key: _dominant_block(shape, *key) for key in keys}
+    keys = _dominant_weights(5, 5)
+    blocks = {beta: _dominant_block(shape, beta) for beta in keys}
     assert all(type(b.span) is Subspace for b in blocks.values())
-    rows = {key: b.span.basis_rows() for key, b in blocks.items()}
+    rows = {beta: b.span.basis_rows() for beta, b in blocks.items()}
     assert not verify_iso(shape, 5, 2)
     assert u_lambda_dim(shape, 5) == (5**4 + 5 * 5**2) // 6
     assert _dominant_block.cache_info().misses == len(keys)
-    for key, block in blocks.items():
-        assert _dominant_block(shape, *key) is block
-        assert block.span.basis_rows() == rows[key]
+    for beta, block in blocks.items():
+        assert _dominant_block(shape, beta) is block
+        assert block.span.basis_rows() == rows[beta]
     assert not any(isinstance(x, SpanBuilder) for x in _reachable(blocks))
 
 

@@ -11,7 +11,7 @@ from dualweyl.tableaux import (
     TableauClass,
     col_compare,
     enumerate_tableaux,
-    kostka_numbers,
+    kostka_number,
     weight_of,
 )
 from helpers import brute_fillings, place_permute
@@ -113,6 +113,7 @@ def test_enumeration_order_is_column_lex():
 
 
 def test_kostka_numbers_count_semistandard_tableaux_by_dominant_weight():
+    zeros = 0
     for n in range(1, 6):
         for shape in partitions_of(n):
             census = {}
@@ -122,11 +123,11 @@ def test_kostka_numbers_count_semistandard_tableaux_by_dominant_weight():
                     if list(w) == sorted(w, reverse=True):
                         beta = Partition(x for x in w if x)
                         census[beta] = census.get(beta, 0) + 1
-            assert kostka_numbers(shape) == census, shape
-            # computed once per shape, and read-only since it is shared
-            assert kostka_numbers(shape) is kostka_numbers(shape)
-            with pytest.raises(TypeError):
-                kostka_numbers(shape)[shape] = 0
+            for beta in partitions_of(n):
+                # 0 where no semistandard tableau has content beta
+                assert kostka_number(shape, beta) == census.get(beta, 0), (shape, beta)
+                zeros += beta not in census
+    assert zeros == 35  # the pairs where shape does not dominate beta
 
 
 def test_content_enumeration_matches_filtered_enumeration():
