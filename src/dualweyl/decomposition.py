@@ -4,8 +4,9 @@ coefficients times the data rows; the decomposition matrix is never
 inverted), and the filtration feasibility search.
 
 The multiplicity table ships as a data file and is never trusted blindly:
-loading fails unless unitriangularity, nonnegativity of the derived simple
-dimensions, and the known dimension polynomials at degree 5 all hold.
+loading fails unless every line parses whole, and unitriangularity,
+nonnegativity of the derived simple dimensions, and the known dimension
+polynomials at degree 5 all hold.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .partitions import (
     InvariantError,
@@ -71,47 +73,44 @@ def default_data_path() -> Path:
     return Path(resources.files("dualweyl").joinpath("data/decomposition_p2.txt"))
 
 
-_PAIR_RE = re.compile(r"([\d,^]+)\s*:\s*(\d+)")
+_PAIR = re.compile(r"(\d[\d,^]*)\s*:\s*(\d+)")
+_ENTRIES = re.compile(rf"\s*{_PAIR.pattern}(?:\s*,\s*{_PAIR.pattern})*\s*")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionData:
-    """Rows mu -> {nu: multiplicity of the nu-simple in the mu dual Weyl}."""
+    """Rows mu -> {nu: multiplicity of the nu-simple in the mu dual Weyl},
+    held as read-only views."""
 
-    rows: dict[Partition, dict[Partition, int]]
-
-    def __post_init__(self):
-        self._dim_cache: dict[tuple[Partition, int], int] = {}
+    rows: MappingProxyType[Partition, MappingProxyType[Partition, int]]
 
     @classmethod
     def load(cls, path: Path | str | None = None) -> "DecompositionData":
         path = Path(path) if path is not None else default_data_path()
-        rows: dict[Partition, dict[Partition, int]] = {}
+        rows: dict[Partition, MappingProxyType[Partition, int]] = {}
         for line in path.read_text().splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            mu_text, sep, rest = line.partition(";")
+            if not sep or not _ENTRIES.fullmatch(rest):
+                raise DecompositionDataError(f"line {line!r} is not 'mu; nu:mult, ...'")
             try:
-                mu_text, rest = line.split(";", 1)
-            except ValueError:
-                raise DecompositionDataError(f"missing ';' in line {line!r}")
-            mu = parse_partition(mu_text)
-            entries: dict[Partition, int] = {}
-            for m in _PAIR_RE.finditer(rest):
-                entries[parse_partition(m.group(1))] = int(m.group(2))
-            if not entries:
-                raise DecompositionDataError(f"no entries in line {line!r}")
+                mu = parse_partition(mu_text)
+                entries = {parse_partition(nu): int(m) for nu, m in _PAIR.findall(rest)}
+            except ValueError as exc:
+                raise DecompositionDataError(f"{exc} in line {line!r}") from None
             if mu in rows:
                 raise DecompositionDataError(f"duplicate row for {mu}")
-            rows[mu] = entries
-        data = cls(rows)
+            rows[mu] = MappingProxyType(entries)
+        data = cls(MappingProxyType(rows))
         data.validate()
         return data
 
     def degrees(self) -> list[int]:
         return sorted({mu.n for mu in self.rows})
 
-    def row(self, mu: Partition) -> dict[Partition, int]:
+    def row(self, mu: Partition) -> MappingProxyType[Partition, int]:
         try:
             return self.rows[mu]
         except KeyError:
@@ -132,35 +131,33 @@ class DecompositionData:
             missing = [mu for mu in partitions_of(n) if mu not in self.rows]
             if missing:
                 raise DecompositionDataError(f"degree {n} misses rows {missing}")
-        for mu in self.rows:
+        for n in self.degrees():
             for d in _VALIDATION_D_RANGE:
-                if self.dim_simple(mu, d) < 0:
-                    raise DecompositionDataError(
-                        f"derived dimension of {mu} is negative at d={d}"
-                    )
-        if 5 in self.degrees():
-            for mu, coeffs in DEGREE5_DIM_POLYS.items():
-                for d in _VALIDATION_D_RANGE:
-                    expected = _eval_poly(coeffs, d)
-                    if self.dim_simple(mu, d) != expected:
+                dims = self.simple_dims(n, d)
+                for mu, value in dims.items():
+                    if value < 0:
+                        raise DecompositionDataError(
+                            f"derived dimension of {mu} is negative at d={d}"
+                        )
+                for mu, coeffs in DEGREE5_DIM_POLYS.items() if n == 5 else ():
+                    if dims[mu] != _eval_poly(coeffs, d):
                         raise DecompositionDataError(
                             f"dimension of {mu} at d={d} disagrees with the "
                             f"degree-5 polynomial table"
                         )
 
+    def simple_dims(self, n: int, d: int) -> dict[Partition, int]:
+        """Dimension of every simple module of degree n over a
+        d-dimensional space. The data rows, least dominant label first,
+        are unit lower triangular, and a dual Weyl module has the
+        hook-content dimension, so one forward substitution solves them."""
+        labels = list(partitions_of(n))[::-1]
+        hook = {mu: hook_content_dim(mu, d) for mu in labels}
+        return _solve_unitriangular(labels, {mu: self.row(mu) for mu in labels}, hook)
+
     def dim_simple(self, mu: Partition, d: int) -> int:
-        """Dimension of the simple module labelled mu over a d-dimensional
-        space, by unitriangular inversion against the hook content count."""
-        key = (mu, d)
-        cached = self._dim_cache.get(key)
-        if cached is not None:
-            return cached
-        value = hook_content_dim(mu, d)
-        for nu, mult in self.row(mu).items():
-            if nu != mu:
-                value -= mult * self.dim_simple(nu, d)
-        self._dim_cache[key] = value
-        return value
+        """Dimension of the simple module labelled mu over d letters."""
+        return self.simple_dims(mu.n, d)[mu]
 
 
 def composition_factors_U(
@@ -198,9 +195,9 @@ def composition_factors_U(
             )
         if value:
             factors[mu] = value
-    points = range(1, len(labels) + 1)
-    for d in points:
-        total = sum(m * data.dim_simple(mu, d) for mu, m in factors.items())
+    for d in range(1, len(labels) + 1):
+        dims = data.simple_dims(n, d)
+        total = sum(m * dims[mu] for mu, m in factors.items())
         if total != u_lambda_dim(shape, d):
             raise DecompositionDataError(
                 f"factor multiset for {shape} fails the dimension check at d={d}"
@@ -214,11 +211,13 @@ def _solve_unitriangular(labels, matrix, rhs) -> dict[Partition, int]:
     solution: dict[Partition, int] = {}
     for i, beta in enumerate(labels):
         row = matrix[beta]
-        if row[beta] != 1 or any(row[mu] for mu in labels[i + 1:]):
+        if row.get(beta) != 1 or any(row.get(mu) for mu in labels[i + 1:]):
             raise DecompositionDataError(
                 f"weight system is not unit lower triangular at {beta}"
             )
-        solution[beta] = rhs[beta] - sum(row[mu] * solution[mu] for mu in labels[:i])
+        solution[beta] = rhs[beta] - sum(
+            row.get(mu, 0) * solution[mu] for mu in labels[:i]
+        )
     return solution
 
 

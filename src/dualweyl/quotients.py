@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -93,9 +93,9 @@ from .tabloids import (
 WeightTable = dict[tuple[int, ...], int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Block:
-    indices: list[int]  # positions in the grouped sequence (ambient indices)
+    indices: tuple[int, ...]  # positions in the grouped sequence (ambient indices)
     pos: dict[Cols, int]  # columns of a representative -> local coordinate
     span: SpanBuilder | Subspace  # frozen once built, shared per packed weight
     basic_rank: int = 0
@@ -105,19 +105,14 @@ class _Block:
         return len(self.indices)
 
 
+@dataclass(frozen=True, eq=False)
 class QuotientModule:
     """A tabloid space together with a relation span, graded by weight;
     every block holds a frozen `Subspace`, shared per packed weight."""
 
-    def __init__(
-        self,
-        ambient: TabloidBasis,
-        p: int,
-        blocks: dict[tuple[int, ...], _Block],
-    ):
-        self.ambient = ambient
-        self.p = p
-        self._blocks = blocks
+    ambient: TabloidBasis
+    p: int
+    _blocks: dict[tuple[int, ...], _Block] = field(repr=False)
 
     @property
     def supplementary_rank_gain(self) -> int | None:
@@ -205,7 +200,9 @@ def _make_blocks(
     for i, cols in enumerate(reps):
         groups.setdefault(weight_of(cols, d), []).append(i)
     return {
-        w: _Block(ix, {reps[i]: j for j, i in enumerate(ix)}, SpanBuilder(len(ix), p))
+        w: _Block(
+            tuple(ix), {reps[i]: j for j, i in enumerate(ix)}, SpanBuilder(len(ix), p)
+        )
         for w, ix in groups.items()
     }
 
@@ -256,13 +253,14 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     blocks = _make_blocks(basis.cols, d, p)
     eliminated: dict[tuple[int, ...], _Block] = {}
     for w, block in blocks.items():
-        first = eliminated.setdefault(tuple(x for x in w if x), block)
-        if first is not block:
+        key = tuple(x for x in w if x)
+        first = eliminated.get(key)
+        if first is not None:
             if first.size != block.size or packed(first) != packed(block):
                 raise InvariantError(f"block {w} does not pack onto its pattern")
-            block.span, block.basic_rank = first.span, first.basic_rank
+            blocks[w] = replace(block, span=first.span, basic_rank=first.basic_rank)
             continue
-        row_semistandard = []
+        span, row_semistandard = block.span, []
         for cols in block.pos:
             box = snake_box(cols)
             if box is None:
@@ -270,15 +268,17 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
                 continue
             terms = snake_terms(cols, *box, kind)
             if terms:
-                _push_terms(block.span, terms, block.pos, p)
-        block.basic_rank = block.span.rank
+                _push_terms(span, terms, block.pos, p)
+        basic_rank = span.rank
         if not kind.zero_on_column_repeats:
             for cols in row_semistandard:
                 for box in equal_boxes(cols):
                     terms = snake_terms(cols, *box, kind)
                     if terms:
-                        _push_terms(block.span, terms, block.pos, p)
-        block.span = block.span.subspace()
+                        _push_terms(span, terms, block.pos, p)
+        blocks[w] = eliminated[key] = replace(
+            block, span=span.subspace(), basic_rank=basic_rank
+        )
     return QuotientModule(basis, p, blocks)
 
 
@@ -350,19 +350,20 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
         shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, tuple(beta)
     )
     blocks = _make_blocks(reps, len(beta), 2)
-    block = blocks.get(beta) or _Block([], {}, SpanBuilder(0, 2))
+    block = blocks.get(beta) or _Block((), {}, SpanBuilder(0, 2))
     semistandard = {cols for cols in reps if not has_column_repeat(cols)}
     for cols in reps:
-        for box in equal_boxes(cols):
-            terms = _straighten_terms(snake_terms(cols, *box, kind), kind, 2)
+        for i, j in equal_boxes(cols):
+            if len(cols[j]) == 1:  # on columns of height 1: t + t, zero mod 2
+                continue
+            terms = _straighten_terms(snake_terms(cols, i, j, kind), kind, 2)
             if not semistandard.isdisjoint(terms):
                 raise InvariantError(
-                    f"snake at {box} of {cols} straightens onto no column repeat"
+                    f"snake at {(i, j)} of {cols} straightens onto no column repeat"
                 )
             if terms:
                 _push_terms(block.span, terms, block.pos, 2)
-    block.span = block.span.subspace()
-    return block
+    return replace(block, span=block.span.subspace())
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:

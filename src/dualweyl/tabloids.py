@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 from .partitions import Partition
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
@@ -113,7 +114,7 @@ class TabloidBasis:
     shape: Partition
     d: int
     cols: tuple[Cols, ...]
-    index: dict[Cols, int] = field(compare=False, repr=False)
+    index: MappingProxyType[Cols, int] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -129,9 +130,10 @@ class TabloidBasis:
 @lru_cache(maxsize=256)
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives in the deterministic tableau
-    order, indexed by their column tuples."""
+    order, indexed by their column tuples through a read-only view."""
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
-    return TabloidBasis(kind, shape, d, cols, {c: i for i, c in enumerate(cols)})
+    index = MappingProxyType({c: i for i, c in enumerate(cols)})
+    return TabloidBasis(kind, shape, d, cols, index)
 
 
 @dataclass(frozen=True)

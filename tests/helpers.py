@@ -11,6 +11,7 @@ helpers and the row tabloids have no caller in the package; they live
 here as references for the tests."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 from dualweyl.garnir import (
@@ -226,7 +227,7 @@ def unshared_build(shape, d, p, kind):
     blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
     pushes = dict.fromkeys(blocks, 0)
     for w, block in blocks.items():
-        row_semistandard = []
+        span, row_semistandard = block.span, []
         for cols in block.pos:
             box = snake_box(cols)
             if box is None:
@@ -234,17 +235,17 @@ def unshared_build(shape, d, p, kind):
                 continue
             terms = snake_terms(cols, *box, kind)
             if terms:
-                _push_terms(block.span, terms, block.pos, p)
+                _push_terms(span, terms, block.pos, p)
                 pushes[w] += 1
-        block.basic_rank = block.span.rank
+        basic_rank = span.rank
         if not kind.zero_on_column_repeats:
             for cols in row_semistandard:
                 for box in equal_boxes(cols):
                     terms = snake_terms(cols, *box, kind)
                     if terms:
-                        _push_terms(block.span, terms, block.pos, p)
+                        _push_terms(span, terms, block.pos, p)
                         pushes[w] += 1
-        block.span = block.span.subspace()
+        blocks[w] = replace(block, span=span.subspace(), basic_rank=basic_rank)
     return blocks, pushes
 
 

@@ -137,19 +137,32 @@ def test_dim_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "dim", "--which", "u", "--lambda", "2,1", "--d", "2", "--p", "3")
     assert code == 2
-    code, _, _ = run(capsys, "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2", "--p", "7")
-    assert code == 2
+    for p in ("4", "1"):
+        code, _, err = run(
+            capsys, "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2", "--p", p
+        )
+        assert code == 2 and "prime" in err, p
     code, _, _ = run(capsys, "bogus")
     assert code == 2
 
 
-def test_any_prime_override(capsys):
-    code, out, _ = run(
+def test_every_odd_prime_gives_the_odd_answer(capsys):
+    # p only selects the mod-2 kind or the odd kind, so every odd prime is
+    # accepted and answers as p = 3 does; there is no override flag.
+    answers = set()
+    for p in ("3", "7", "11"):
+        code, out, _ = run(
+            capsys, "dim", "--which", "gtensor", "--lambda", "2,1", "--d", "3", "--p", p
+        )
+        assert code == 0, p
+        answers.add(out.strip())
+    assert answers == {"8"}
+    code, _, _ = run(
         capsys,
         "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2", "--p", "7",
         "--any-prime",
     )
-    assert code == 0 and out.strip() == "2"
+    assert code == 2
 
 
 def test_dim_answers_a_long_row_or_column(capsys):
@@ -308,19 +321,39 @@ def test_verify_all_parallel_matches_serial(capsys):
 
 
 def test_verify_tables_reports_failed_data_gates(capsys, tmp_path):
-    bad = tmp_path / "broken.txt"
-    bad.write_text("2; 1,1:1\n1,1; 1,1:1\n")
-    code, out, _ = run(
-        capsys,
-        "verify", "--suite", "tables", "--data", str(bad),
-        "--format", "json", "--no-timing", "--jobs", "2",
-    )
-    assert code == 1
-    items = json.loads(out)["items"]
-    gates = [it for it in items if it["check"] == "decomposition_data_gates"]
-    assert len(gates) == 1 and gates[0]["pass"] is False
-    assert gates[0]["got"] != "valid"
-    assert not any(it["check"] == "kernel_composition_factors" for it in items)
+    # A file the gates refuse on load, one with trailing junk after an
+    # entry, one with a bad partition token, and one that passes the load
+    # gates but has no rows for the factor solve at degrees 4 and 5.
+    from dualweyl.decomposition import default_data_path
+    from dualweyl.partitions import parse_partition
+
+    shipped = default_data_path().read_text().splitlines()
+    low_degrees = [
+        line for line in shipped
+        if line.startswith("#") or parse_partition(line.split(";")[0]).n <= 3
+    ]
+    files = {
+        "broken": "2; 1,1:1\n1,1; 1,1:1\n",
+        "junk": "\n".join(
+            line + " garbage 7" if line.startswith("2;") else line for line in shipped
+        ),
+        "token": "2,x; 2,1:1\n",
+        "low_degrees": "\n".join(low_degrees),
+    }
+    for name, text in files.items():
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text(text)
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "tables", "--data", str(bad),
+            "--format", "json", "--no-timing", "--jobs", "2",
+        )
+        assert code == 1, name
+        items = json.loads(out)["items"]
+        gates = [it for it in items if it["check"] == "decomposition_data_gates"]
+        assert len(gates) == 1 and gates[0]["pass"] is False, name
+        assert gates[0]["got"] != "valid", name
+        assert not any(it["check"] == "kernel_composition_factors" for it in items)
 
 
 @pytest.fixture
@@ -493,6 +526,13 @@ def test_table1_at_a_large_alphabet(capsys, d):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1] == ["2,1,1,1", str(4 * comb(d, 4))]
     assert rows[6] == ["5", str(d)]
+
+
+def test_table_refuses_report_options(capsys):
+    # table writes CSV only: the JSON report options belong to dim and verify.
+    for extra in (("--format", "json"), ("--no-timing",)):
+        code, out, _ = run(capsys, "table", "--which", "table1", "--d", "5", *extra)
+        assert code == 2 and out == "", extra
 
 
 def test_table3_matches_golden(capsys, tmp_path):

@@ -163,6 +163,34 @@ def test_a_supplementary_snake_off_the_kernel_generators_is_refused(monkeypatch)
         _dominant_block.__wrapped__(shape, beta)
 
 
+def test_skipped_supplementary_snakes_are_zero_mod_2(monkeypatch):
+    # A dominant block expands no supplementary snake on two columns of
+    # height 1: it swaps two equal boxes, so its terms cancel mod 2. Every
+    # equal box the block does not expand must give the empty relation.
+    from dualweyl.garnir import equal_boxes, snake_terms
+
+    expanded = set()
+
+    def recording(cols, i, j, kind):
+        expanded.add((cols, i, j))
+        return snake_terms(cols, i, j, kind)
+
+    monkeypatch.setattr(quotients, "snake_terms", recording)
+    skipped = 0
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for beta in partitions_of(n):
+                _dominant_block.__wrapped__(shape, beta)
+                for cols in enumerate_tableaux(
+                    shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, beta
+                ):
+                    for i, j in equal_boxes(cols):
+                        if (cols, i, j) not in expanded:
+                            skipped += 1
+                            assert snake_terms(cols, i, j, skew_column(2)) == {}
+    assert skipped
+
+
 def test_kernel_dimension_is_the_exact_polynomial():
     # dim U(d) is the sum over dominant beta of dim U_beta times the number
     # of rearrangements of beta over d letters, d(d-1)...(d-l+1) / prod_i

@@ -621,25 +621,79 @@ def test_package_functions_take_no_private_parameters():
     assert found == []
 
 
-def test_every_cache_is_bounded():
+def _package_caches():
+    """Every `lru_cache` defined in a module of the package, by
+    ``module.name``."""
     import importlib
     import pkgutil
 
     import dualweyl
 
-    caches = []
+    caches = {}
     for info in pkgutil.iter_modules(dualweyl.__path__):
         module = importlib.import_module(f"dualweyl.{info.name}")
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
-                caches.append(f"{info.name}.{name}")
-                assert obj.cache_parameters()["maxsize"] is not None, name
+                caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
+def test_every_cache_is_bounded():
+    caches = _package_caches()
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name
     assert {
         "tabloids.build_basis",
         "quotients._build",
         "garnir._snake_template",
         "tableaux.kostka_number",
     } <= set(caches)
+
+
+def test_every_cached_value_is_frozen():
+    # Every caller of a cache gets the same object, so none may change it:
+    # attribute assignment fails on the module, its blocks, a dominant
+    # block, a basis and the decomposition data, and item assignment on
+    # the data rows and the basis index. Each assignment writes back the
+    # value it finds, so a mutable object would not be spoilt for later
+    # callers. The template is a tuple and the Kostka number an int. A new
+    # cache must join this test.
+    from dataclasses import FrozenInstanceError
+
+    from dualweyl.decomposition import load_default_data
+    from dualweyl.garnir import _snake_template
+    from dualweyl.quotients import _build, _dominant_block
+
+    shape = Partition((2, 1))
+    module = _build(shape, 3, 2, skew_column(2))
+    dominant = _dominant_block(Partition((2, 2)), Partition((2, 2)))
+    basis = build_basis(shape, 3, ALT_COLUMN)
+    data = load_default_data()
+    assert isinstance(_snake_template(2, 1, 0), tuple)
+    assert isinstance(kostka_number(shape, Partition((1, 1, 1))), int)
+    frozen = [
+        (module, "ambient"),
+        *((block, "span") for block in module._blocks.values()),
+        (dominant, "span"),
+        (basis, "index"),
+        (data, "rows"),
+    ]
+    for obj, attr in frozen:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, attr, getattr(obj, attr))
+    mu = Partition((2, 1))
+    for mapping in (data.rows, data.row(mu), basis.index):
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+    assert set(_package_caches()) == {
+        "quotients._build",
+        "quotients._dominant_block",
+        "tabloids.build_basis",
+        "decomposition.load_default_data",
+        "garnir._snake_template",
+        "tableaux.kostka_number",
+    }
 
 
 def _reachable(root):
