@@ -46,11 +46,11 @@ from .predictions import (
     verify_characterization,
 )
 from .decomposition import (
-    DecompositionData,
-    DecompositionDataError,
     composition_factors_U,
-    load_default_data,
+    decomposition_rows,
+    dim_simple,
     nabla_filtration_feasible,
+    simple_dims,
 )
 
 __version__ = "0.1.0"

@@ -228,19 +228,19 @@ def _encode_counts(counts: dict[Partition, int]) -> dict[str, int]:
     return {format_partition(k): v for k, v in sorted(counts.items())}
 
 
-def _check_decomposition(data_path: str | None) -> list[dict]:
+def _check_decomposition() -> list[dict]:
     """Decomposition gates, the factor table, and filtration feasibility;
-    only the gates item when the data fails them, on load or in a solve."""
+    only the gates item when a derived row or a factor solve fails its
+    checks."""
     golden = _load_table3_golden()
     try:
-        data = dc.DecompositionData.load(data_path)
+        rows = [dc.decomposition_rows(n) for n in range(1, 6)]
         got = {
-            lam: dc.composition_factors_U(parse_partition(lam), data)
-            for lam in golden
+            lam: dc.composition_factors_U(parse_partition(lam)) for lam in golden
         }
-        factors = Counter(data.row(U_DIM_FORMULA_SHAPE))
-        factors.update(dc.composition_factors_U(U_DIM_FORMULA_SHAPE, data))
-    except dc.DecompositionDataError as exc:
+        factors = Counter(rows[-1][U_DIM_FORMULA_SHAPE])
+        factors.update(dc.composition_factors_U(U_DIM_FORMULA_SHAPE))
+    except InvariantError as exc:
         return [_item("decomposition_data_gates", expected="valid", got=str(exc))]
     items = [_item("decomposition_data_gates", expected="valid", got="valid")]
     items += [
@@ -259,7 +259,7 @@ def _check_decomposition(data_path: str | None) -> list[dict]:
             lam=format_partition(U_DIM_FORMULA_SHAPE),
             p=2,
             expected=False,
-            got=dc.nabla_filtration_feasible(factors, data),
+            got=dc.nabla_filtration_feasible(factors),
         )
     )
     return items
@@ -334,9 +334,7 @@ def _suite_hooks_checks() -> list[tuple]:
     return checks
 
 
-def _suite_tables_checks(data_path: str | None) -> list[tuple]:
-    # Open the data file now: an unreadable path stops the sweep before it runs.
-    open(dc.default_data_path() if data_path is None else data_path).close()
+def _suite_tables_checks() -> list[tuple]:
     checks = [(_check_table1, d) for d in (4, 5, 6)]
     checks += [(_check_u_dim_formula, d) for d in (4, 5, 6, 7)]
     checks += [
@@ -344,19 +342,19 @@ def _suite_tables_checks(data_path: str | None) -> list[tuple]:
         for n in (4, 5)
         for shape in partitions_of(n)
     ]
-    checks.append((_check_decomposition, data_path))
+    checks.append((_check_decomposition,))
     return checks
 
 
-# The units of each suite, from its capped --n-max and the --data path, in
-# the order `verify --suite all` runs them.
+# The units of each suite, from its capped --n-max, in the order
+# `verify --suite all` runs them.
 _SUITE_UNITS = {
-    "thm1": lambda n_max, data: _suite_thm1_checks(n_max),
-    "thm2": lambda n_max, data: _suite_thm2_checks(n_max),
-    "d1": lambda n_max, data: _suite_d1_checks(n_max),
-    "hooks-d2": lambda n_max, data: _suite_hooks_checks(),
-    "tables": lambda n_max, data: _suite_tables_checks(data),
-    "example61": lambda n_max, data: [(_check_example61,)],
+    "thm1": _suite_thm1_checks,
+    "thm2": _suite_thm2_checks,
+    "d1": _suite_d1_checks,
+    "hooks-d2": lambda n_max: _suite_hooks_checks(),
+    "tables": lambda n_max: _suite_tables_checks(),
+    "example61": lambda n_max: [(_check_example61,)],
 }
 SUITES = (*_SUITE_UNITS, "all")
 
@@ -386,15 +384,14 @@ def _render_table1(d: int) -> tuple[str, bool]:
     return buf.getvalue(), counts == pred.table1_expected(d)
 
 
-def _render_table3(data_path: str | None) -> tuple[str, bool]:
-    data = dc.DecompositionData.load(data_path)
+def _render_table3() -> tuple[str, bool]:
     golden = _load_table3_golden()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda", "mu", "multiplicity"])
     ok = True
     for lam, expected_row in golden.items():
-        got = dc.composition_factors_U(parse_partition(lam), data)
+        got = dc.composition_factors_U(parse_partition(lam))
         ok = ok and got == expected_row
         for mu in sorted(got):
             writer.writerow([lam, format_partition(mu), got[mu]])
@@ -459,7 +456,7 @@ def cmd_dim(args) -> int:
     shape = parse_partition(args.lam)
     if args.which == "u" and args.p != 2:
         raise ValueError("the kernel dimension is a characteristic-2 notion")
-    bound = dominant_rep_bound(args.which, shape, args.d, args.p)
+    bound = dominant_rep_bound(args.which, shape, args.d, args.p, DIM_REP_BUDGET)
     if bound > DIM_REP_BUDGET:
         raise ValueError(
             f"{args.which} of {args.lam} at d={args.d}, p={args.p} may need "
@@ -494,7 +491,7 @@ def cmd_verify(args) -> int:
                 f"note: --n-max {args.n_max} is capped at {cap} for {suite}",
                 file=sys.stderr,
             )
-        units += _SUITE_UNITS[suite](min(args.n_max, cap), args.data)
+        units += _SUITE_UNITS[suite](min(args.n_max, cap))
     items = [item for unit_items in _run_checks(units, jobs) for item in unit_items]
     return _emit_report(args, f"verify --suite {args.suite}", items, started)
 
@@ -503,7 +500,7 @@ def cmd_table(args) -> int:
     if args.which == "table1":
         text, ok = _render_table1(args.d)
     else:
-        text, ok = _render_table3(args.data)
+        text, ok = _render_table3()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -546,14 +543,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--jobs", type=int, default=None, help="0 or omitted = all cores"
     )
-    p_verify.add_argument("--data", help="decomposition data file")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a CSV table and check it")
     p_table.add_argument("--which", choices=("table1", "table3"), required=True)
     p_table.add_argument("--out", help="write the CSV here")
     p_table.add_argument("--d", type=int, default=5)
-    p_table.add_argument("--data", help="decomposition data file")
     p_table.set_defaults(func=cmd_table)
     return parser
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterator
@@ -20,12 +21,12 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts) -> "Partition":
-        parts = tuple(int(a) for a in parts)
+        parts = tuple(map(int, parts))
         if not parts:
             raise ValueError("empty partition is not allowed")
-        if any(a <= 0 for a in parts):
+        if min(parts) <= 0:
             raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         return super().__new__(cls, parts)
 

@@ -383,7 +383,9 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     return total
 
 
-def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
+def dominant_rep_bound(
+    which: str, shape: Partition, d: int, p: int, budget: int | None = None
+) -> int:
     """A closed-form upper bound on the work of the dominant path of
     `module_dim` (and, through the mod-2 skew blocks, of the kernel): the
     number of dominant weights plus the R-representatives enumerated at
@@ -396,21 +398,24 @@ def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     representatives over m letters: the hook-content count for
     semistandard ones, and for the row-and-column-semistandard ones of
     mod-2 skew the hook-content count over m + len(shape) - 1 letters,
-    since adding i - 1 to row i makes them semistandard."""
+    since adding i - 1 to row i makes them semistandard. Past ``budget``
+    weights, their count is returned at once, without the closed forms."""
     if d < 1:
         raise ValueError("d must be positive")
     kind = _tabloid_kind("gtensor" if which == "u" else which, p)
     m = min(d, shape.n)
     letters = m if kind.zero_on_column_repeats else m + len(shape) - 1
     weights = _partition_count(shape.n, m)
+    if budget is not None and weights > budget:
+        return weights
     return weights + min(hook_content_dim(shape, letters), weights * count_syt(shape))
 
 
 def _partition_count(n: int, k: int) -> int:
     """The number of partitions of n with at most k parts (equivalently,
     with parts at most k)."""
-    counts = [1] + [0] * n
-    for part in range(1, min(k, n) + 1):
+    counts = [1] * (n + 1)  # parts of size 1 only
+    for part in range(2, min(k, n) + 1):
         for s in range(part, n + 1):
             counts[s] += counts[s - part]
     return counts[n]

@@ -5,9 +5,9 @@ import random
 from math import comb
 
 from dualweyl.decomposition import (
-    DEGREE5_DIM_POLYS,
-    load_default_data,
     composition_factors_U,
+    decomposition_rows,
+    dim_simple,
     nabla_filtration_feasible,
 )
 from dualweyl.garnir import RelationKind, garnir_terms, iter_relation_labels
@@ -46,7 +46,7 @@ from dualweyl.tabloids import (
     skew_column,
     vector_from_terms,
 )
-from helpers import brute_fillings, family_rank, straighten_vector
+from helpers import DEGREE5_DIM_POLYS, brute_fillings, family_rank, straighten_vector
 
 P = Partition
 
@@ -107,14 +107,13 @@ def test_criterion_05_weight_census():
 
 
 def test_criterion_06_decomposition_data_and_factor_table():
-    data = load_default_data()  # loading runs the dimension-identity gates
     for mu, coeffs in DEGREE5_DIM_POLYS.items():
         for d in range(1, 9):
             value = 0
             for c in coeffs:
                 value = value * d + c
             value *= d
-            assert data.dim_simple(mu, d) == value, (mu, d)
+            assert dim_simple(mu, d) == value, (mu, d)
     expected = {
         P((1, 1, 1, 1)): {P((2, 2)): 1, P((3, 1)): 1, P((4,)): 1},
         P((2, 1, 1)): {P((2, 2)): 2, P((3, 1)): 1, P((4,)): 1},
@@ -124,17 +123,16 @@ def test_criterion_06_decomposition_data_and_factor_table():
         P((3, 1, 1)): {P((3, 1, 1)): 1, P((3, 2)): 2, P((5,)): 1},
     }
     for shape, factors in expected.items():
-        assert composition_factors_U(shape, data) == factors, shape
+        assert composition_factors_U(shape) == factors, shape
     _report(6, "decomposition gates pass and all six factor rows reproduce")
 
 
 def test_criterion_07_no_weyl_filtration():
-    data = load_default_data()
     shape = P((2, 2, 1))
-    factors = dict(composition_factors_U(shape, data))
-    for nu, mult in data.row(shape).items():
+    factors = dict(composition_factors_U(shape))
+    for nu, mult in decomposition_rows(5)[shape].items():
         factors[nu] = factors.get(nu, 0) + mult
-    assert nabla_filtration_feasible(factors, data) is False
+    assert nabla_filtration_feasible(factors) is False
     _report(7, "the image for (2,2,1) admits no dual-Weyl filtration")
 
 

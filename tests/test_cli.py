@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -165,6 +166,40 @@ def test_every_odd_prime_gives_the_odd_answer(capsys):
     assert code == 2
 
 
+def _timed_child(*argv):
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualweyl.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    return proc, time.monotonic() - started
+
+
+def test_dim_answers_a_huge_prime_at_once(capsys):
+    # A p near 10^18 is tested by Miller-Rabin, not by trial division.
+    proc, elapsed = _timed_child(
+        "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2",
+        "--p", "1000000000000000003",
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
+    assert elapsed < 1, elapsed
+    code, out, err = run(
+        capsys, "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2",
+        "--p", str(10**25),
+    )
+    assert (code, out) == (2, "") and "below" in err
+
+
+def test_dim_refuses_a_huge_shape_at_once():
+    # Half a million dominant weights are over the budget on their own;
+    # the closed forms of the bound are not evaluated.
+    for lam in ("1000000", "1^1000000"):
+        proc, elapsed = _timed_child("dim", "--which", "nabla", "--lambda", lam, "--d", "2")
+        assert proc.returncode == 2 and proc.stdout == "", lam
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr, lam
+        assert elapsed < 1, (lam, elapsed)
+
+
 def test_dim_answers_a_long_row_or_column(capsys):
     # The enumerators backtrack without recursion, so a row of 600 boxes
     # or a column of 1200 is no deeper than the interpreter allows.
@@ -179,39 +214,13 @@ def test_dim_answers_a_long_row_or_column(capsys):
 
 
 def test_unreadable_paths_exit_2(capsys, tmp_path):
-    missing = str(tmp_path / "missing.txt")
     for argv in (
-        ["verify", "--suite", "tables", "--jobs", "1", "--data", missing],
-        ["verify", "--suite", "tables", "--jobs", "1", "--data", str(tmp_path)],
-        ["table", "--which", "table3", "--data", missing],
         ["dim", "--which", "u", "--lambda", "2,2,1", "--d", "4",
          "--out", str(tmp_path / "no-such-dir" / "x.json")],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
-
-
-def test_verify_refuses_a_missing_data_file_before_the_sweep(
-    capsys, monkeypatch, tmp_path
-):
-    # The data file is read by the last suite's decomposition unit; an
-    # unreadable path is refused before any unit runs.
-    def no_sweep(checks, jobs):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(cli, "_run_checks", no_sweep)
-    missing = str(tmp_path / "missing.txt")
-    for argv in (
-        ["--suite", "all", "--data", missing, "--jobs", "2"],
-        ["--suite", "tables", "--data", str(tmp_path), "--jobs", "1"],
-    ):
-        code, out, err = run(capsys, "verify", *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: ") and "Traceback" not in err, argv
-    monkeypatch.setenv("DUALWEYL_DATA", missing)
-    code, _, err = run(capsys, "verify", "--suite", "all", "--jobs", "2")
-    assert code == 2 and err.startswith("error: ")
 
 
 def test_other_os_errors_are_not_reported_as_usage_errors(capsys, monkeypatch):
@@ -320,34 +329,32 @@ def test_verify_all_parallel_matches_serial(capsys):
     assert hashlib.sha256(reports[0].encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
-def test_verify_tables_reports_failed_data_gates(capsys, tmp_path):
-    # A file the gates refuse on load, one with trailing junk after an
-    # entry, one with a bad partition token, and one that passes the load
-    # gates but has no rows for the factor solve at degrees 4 and 5.
-    from dualweyl.decomposition import default_data_path
-    from dualweyl.partitions import parse_partition
+def test_verify_tables_reports_failed_data_gates(capsys, monkeypatch):
+    # Each fault breaks the checks of one derived row: a weight space of a
+    # simple module read too large (a negative multiplicity, at degree 2
+    # and at degree 5) or a Kostka number read as 0 (no 1 on the
+    # diagonal). The sweep runs in this process, so the patch reaches it.
+    from dualweyl import decomposition as dc
+    from dualweyl.partitions import Partition as P
+    from helpers import patch_values
 
-    shipped = default_data_path().read_text().splitlines()
-    low_degrees = [
-        line for line in shipped
-        if line.startswith("#") or parse_partition(line.split(";")[0]).n <= 3
-    ]
-    files = {
-        "broken": "2; 1,1:1\n1,1; 1,1:1\n",
-        "junk": "\n".join(
-            line + " garbage 7" if line.startswith("2;") else line for line in shipped
-        ),
-        "token": "2,x; 2,1:1\n",
-        "low_degrees": "\n".join(low_degrees),
+    faults = {
+        "degree 2": ("_simple_weight_dim", (P((2,)), P((1, 1))), 2),
+        "degree 5": ("_simple_weight_dim", (P((3, 2)), P((3, 1, 1))), 2),
+        "diagonal": ("kostka_number", (P((4, 1)), P((4, 1))), 0),
     }
-    for name, text in files.items():
-        bad = tmp_path / f"{name}.txt"
-        bad.write_text(text)
-        code, out, _ = run(
-            capsys,
-            "verify", "--suite", "tables", "--data", str(bad),
-            "--format", "json", "--no-timing", "--jobs", "2",
-        )
+    for name, (attr, key, value) in faults.items():
+        patch_values(monkeypatch, dc, attr, {key: value})
+        dc.decomposition_rows.cache_clear()
+        try:
+            code, out, _ = run(
+                capsys,
+                "verify", "--suite", "tables",
+                "--format", "json", "--no-timing", "--jobs", "1",
+            )
+        finally:
+            monkeypatch.undo()
+            dc.decomposition_rows.cache_clear()
         assert code == 1, name
         items = json.loads(out)["items"]
         gates = [it for it in items if it["check"] == "decomposition_data_gates"]
@@ -558,17 +565,3 @@ def test_console_script_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "2"
-
-
-def test_env_var_data_path(capsys, tmp_path, monkeypatch):
-    bad = tmp_path / "broken.txt"
-    bad.write_text("2; 1,1:1\n1,1; 1,1:1\n")
-    monkeypatch.setenv("DUALWEYL_DATA", str(bad))
-    import dualweyl.decomposition as dc
-
-    dc.load_default_data.cache_clear()
-    with pytest.raises(dc.DecompositionDataError):
-        dc.load_default_data()
-    monkeypatch.delenv("DUALWEYL_DATA")
-    dc.load_default_data.cache_clear()
-    assert dc.load_default_data().degrees() == [1, 2, 3, 4, 5]

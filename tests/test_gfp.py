@@ -18,6 +18,30 @@ def test_is_prime():
     assert not is_prime(1)
 
 
+def test_is_prime_agrees_with_a_sieve_below_10_5():
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for k in range(2, 317):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, 10**5, k)))
+    assert [p for p in range(-3, 10**5) if is_prime(p)] == [
+        p for p in range(10**5) if sieve[p]
+    ]
+
+
+def test_is_prime_is_exact_for_large_p_and_refuses_past_its_bound():
+    # Strong pseudoprimes to the first 4, 9 and 12 prime bases, a 61-bit
+    # Mersenne prime, the prime just above 2^64, and a prime near 10^18.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(2**64 + 13)
+    assert is_prime(1000000000000000003)
+    assert not is_prime(1000000007 * 998244353)
+    with pytest.raises(ValueError, match="below"):
+        is_prime(3317044064679887385961981)
+
+
 def test_span_examples():
     assert span([], 5, 2).dim == 0
     units = [[1 if i == j else 0 for j in range(4)] for i in range(4)]

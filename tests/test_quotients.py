@@ -653,14 +653,14 @@ def test_every_cache_is_bounded():
 def test_every_cached_value_is_frozen():
     # Every caller of a cache gets the same object, so none may change it:
     # attribute assignment fails on the module, its blocks, a dominant
-    # block, a basis and the decomposition data, and item assignment on
-    # the data rows and the basis index. Each assignment writes back the
+    # block and a basis, and item assignment on the decomposition rows,
+    # one row and the basis index. Each assignment writes back the
     # value it finds, so a mutable object would not be spoilt for later
     # callers. The template is a tuple and the Kostka number an int. A new
     # cache must join this test.
     from dataclasses import FrozenInstanceError
 
-    from dualweyl.decomposition import load_default_data
+    from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_template
     from dualweyl.quotients import _build, _dominant_block
 
@@ -668,7 +668,7 @@ def test_every_cached_value_is_frozen():
     module = _build(shape, 3, 2, skew_column(2))
     dominant = _dominant_block(Partition((2, 2)), Partition((2, 2)))
     basis = build_basis(shape, 3, ALT_COLUMN)
-    data = load_default_data()
+    rows = decomposition_rows(3)
     assert isinstance(_snake_template(2, 1, 0), tuple)
     assert isinstance(kostka_number(shape, Partition((1, 1, 1))), int)
     frozen = [
@@ -676,13 +676,12 @@ def test_every_cached_value_is_frozen():
         *((block, "span") for block in module._blocks.values()),
         (dominant, "span"),
         (basis, "index"),
-        (data, "rows"),
     ]
     for obj, attr in frozen:
         with pytest.raises(FrozenInstanceError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
-    for mapping in (data.rows, data.row(mu), basis.index):
+    for mapping in (rows, rows[mu], basis.index):
         key = next(iter(mapping))
         with pytest.raises(TypeError):
             mapping[key] = mapping[key]
@@ -690,7 +689,7 @@ def test_every_cached_value_is_frozen():
         "quotients._build",
         "quotients._dominant_block",
         "tabloids.build_basis",
-        "decomposition.load_default_data",
+        "decomposition.decomposition_rows",
         "garnir._snake_template",
         "tableaux.kostka_number",
     }
