@@ -29,6 +29,7 @@ from .partitions import (
     partitions_of,
 )
 from .quotients import (
+    DIM_REP_BUDGET,
     _dominant_weights,
     _orbit,
     build_gtensor_specht,
@@ -59,10 +60,6 @@ THM_N_MAX = 6
 # this many boxes that takes minutes and then hours, so it stops here.
 D1_N_MAX = 15
 N_MAX_CAPS = {"thm1": THM_N_MAX, "thm2": THM_N_MAX, "d1": D1_N_MAX}
-# `dim` refuses a query whose dominant weights and their row-semistandard
-# representatives may number more than this (`quotients.dominant_rep_bound`);
-# near it a query takes seconds.
-DIM_REP_BUDGET = 100_000
 
 
 def _u_dim_expected(d: int) -> int:
@@ -456,7 +453,7 @@ def cmd_dim(args) -> int:
     shape = parse_partition(args.lam)
     if args.which == "u" and args.p != 2:
         raise ValueError("the kernel dimension is a characteristic-2 notion")
-    bound = dominant_rep_bound(args.which, shape, args.d, args.p, DIM_REP_BUDGET)
+    bound = dominant_rep_bound(args.which, shape, args.d, args.p)
     if bound > DIM_REP_BUDGET:
         raise ValueError(
             f"{args.which} of {args.lam} at d={args.d}, p={args.p} may need "

@@ -72,6 +72,9 @@ def decomposition_rows(n: int) -> Rows:
     read-only views. Each row solves K_{mu,beta} = sum_nu d_{mu,nu}
     dim L(nu)_beta; it must have 1 at mu and nonnegative entries only at
     the partitions that mu dominates."""
+    if n > 7:
+        # A cost bound: deriving the rows of degree 8 takes about 13 s.
+        raise ValueError("decomposition rows are derived for n <= 7 only")
     labels = list(partitions_of(n))
     weights = {
         beta: {nu: _simple_weight_dim(nu, beta) for nu in labels}
@@ -122,9 +125,6 @@ def composition_factors_U(shape: Partition) -> dict[Partition, int]:
     are checked afterwards.
     """
     n = shape.n
-    if n > 7:
-        # A cost bound: deriving the rows of degree 8 takes about 13 s.
-        raise ValueError("composition factors are computed for n <= 7 only")
     labels = list(partitions_of(n))
     rows = decomposition_rows(n)
     kernel = _kernel_dims(shape, n)

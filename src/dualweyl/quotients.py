@@ -92,6 +92,11 @@ from .tabloids import (
 
 WeightTable = dict[tuple[int, ...], int]
 
+# `dim` refuses a query whose dominant weights and their row-semistandard
+# representatives may number more than this (`dominant_rep_bound`); near
+# it a query takes seconds.
+DIM_REP_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class _Block:
@@ -383,9 +388,7 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     return total
 
 
-def dominant_rep_bound(
-    which: str, shape: Partition, d: int, p: int, budget: int | None = None
-) -> int:
+def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     """A closed-form upper bound on the work of the dominant path of
     `module_dim` (and, through the mod-2 skew blocks, of the kernel): the
     number of dominant weights plus the R-representatives enumerated at
@@ -398,15 +401,16 @@ def dominant_rep_bound(
     representatives over m letters: the hook-content count for
     semistandard ones, and for the row-and-column-semistandard ones of
     mod-2 skew the hook-content count over m + len(shape) - 1 letters,
-    since adding i - 1 to row i makes them semistandard. Past ``budget``
-    weights, their count is returned at once, without the closed forms."""
+    since adding i - 1 to row i makes them semistandard. Past
+    `DIM_REP_BUDGET` weights, their count is returned at once, without the
+    closed forms: it is already over the budget."""
     if d < 1:
         raise ValueError("d must be positive")
     kind = _tabloid_kind("gtensor" if which == "u" else which, p)
     m = min(d, shape.n)
     letters = m if kind.zero_on_column_repeats else m + len(shape) - 1
     weights = _partition_count(shape.n, m)
-    if budget is not None and weights > budget:
+    if weights > DIM_REP_BUDGET:
         return weights
     return weights + min(hook_content_dim(shape, letters), weights * count_syt(shape))
 

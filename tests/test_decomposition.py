@@ -215,5 +215,9 @@ def test_filtration_feasibility():
 
 
 def test_unknown_degree_rejected():
+    # The cost bound sits in the derivation, so every reader of the rows
+    # shares it.
     with pytest.raises(ValueError):
         composition_factors_U(P((8,)))
+    with pytest.raises(ValueError):
+        dim_simple(P((8,)), 2)
