@@ -37,13 +37,11 @@ from .quotients import (
 )
 from .predictions import (
     D1Result,
-    IsoVerdict,
     d1_predict,
     frobenius_weight_check,
     hook_d2_dim,
     predict_iso,
     table1_weight_counts,
-    verify_characterization,
 )
 from .decomposition import (
     composition_factors_U,

@@ -54,12 +54,13 @@ EXPECTED_NON_ISO = {
 
 U_DIM_FORMULA_SHAPE = Partition((2, 2, 1))
 
-# The thm1 and thm2 sweeps stop at this many boxes whatever --n-max says.
+# The default --n-max of the sweeps but d1, and the cap of thm1, whose full
+# builds grow fastest; thm2 reads only dominant blocks: seconds at 9 boxes.
 THM_N_MAX = 6
 # The d1 sweep walks every partition of each n up to its --n-max; past
 # this many boxes that takes minutes and then hours, so it stops here.
 D1_N_MAX = 15
-N_MAX_CAPS = {"thm1": THM_N_MAX, "thm2": THM_N_MAX, "d1": D1_N_MAX}
+N_MAX_CAPS = {"thm1": THM_N_MAX, "thm2": 9, "d1": D1_N_MAX}
 
 
 def _u_dim_expected(d: int) -> int:
@@ -457,8 +458,8 @@ def cmd_dim(args) -> int:
     if bound > DIM_REP_BUDGET:
         raise ValueError(
             f"{args.which} of {args.lam} at d={args.d}, p={args.p} may need "
-            f"{bound} weights and representatives, over the budget of "
-            f"{DIM_REP_BUDGET}"
+            f"{bound} steps (boxes, or dominant weights and representatives), "
+            f"over the budget of {DIM_REP_BUDGET}"
         )
     if args.which in ("nabla", "gtensor"):
         value = module_dim(args.which, shape, args.d, args.p)

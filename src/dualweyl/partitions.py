@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from fractions import Fraction
-from typing import Iterator
+from bisect import bisect_left
+from typing import Iterable, Iterator
 
 
 class InvariantError(RuntimeError):
@@ -40,8 +40,10 @@ class Partition(tuple):
         return self[i - 1] if 1 <= i <= len(self) else 0
 
     def conjugate(self) -> "Partition":
+        """The column lengths: column j holds the rows of length at least j."""
+        ascending = self[::-1]
         return Partition(
-            sum(1 for a in self if a >= i) for i in range(1, self[0] + 1)
+            len(self) - bisect_left(ascending, j) for j in range(1, self[0] + 1)
         )
 
     def is_two_regular(self) -> bool:
@@ -59,9 +61,14 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
+# `parse_partition` refuses more parts than this before expanding any
+# exponent, so "1^100000000" is an error, not an out-of-memory crash.
+MAX_PARTS = 1_000_000
+
+
 def parse_partition(text: str) -> Partition:
     """Parse "4,3,2,1,1" or the exponent shorthand "2^2,1"."""
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []
     for token in text.strip().split(","):
         token = token.strip()
         if not token:
@@ -69,10 +76,10 @@ def parse_partition(text: str) -> Partition:
         m = re.fullmatch(r"(\d+)(?:\^(\d+))?", token)
         if not m:
             raise ValueError(f"bad partition token: {token!r}")
-        a = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) else 1
-        parts.extend([a] * k)
-    return Partition(parts)
+        runs.append((int(m.group(1)), int(m.group(2)) if m.group(2) else 1))
+    if (count := sum(k for _, k in runs)) > MAX_PARTS:
+        raise ValueError(f"{count} parts, over the limit of {MAX_PARTS}")
+    return Partition(a for a, k in runs for _ in range(k))
 
 
 def format_partition(shape: Partition) -> str:
@@ -122,26 +129,35 @@ def hook_content_dim(shape: Partition, d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    conj = shape.conjugate()
-    value = Fraction(1)
-    for i, j in shape.boxes():
-        hook = (shape.part(i) - j) + (conj.part(j) - i) + 1
-        value *= Fraction(d + j - i, hook)
-    if value.denominator != 1:
-        raise InvariantError(f"hook content product for {shape} is {value}")
-    return int(value)
+    value, rem = divmod(
+        _product(d + j - i for i, j in shape.boxes()), _hook_product(shape)
+    )
+    if rem:
+        raise InvariantError(f"hook product of {shape} does not divide its contents")
+    return value
 
 
 def count_syt(shape: Partition) -> int:
     """Number of standard fillings with entries 1..n each used once."""
-    conj = shape.conjugate()
-    hooks = 1
-    for i, j in shape.boxes():
-        hooks *= (shape.part(i) - j) + (conj.part(j) - i) + 1
-    count, rem = divmod(math.factorial(shape.n), hooks)
+    count, rem = divmod(math.factorial(shape.n), _hook_product(shape))
     if rem:
         raise InvariantError(f"hook product of {shape} does not divide n!")
     return count
+
+
+def _hook_product(shape: Partition) -> int:
+    conj = shape.conjugate()
+    return _product(
+        (shape.part(i) - j) + (conj.part(j) - i) + 1 for i, j in shape.boxes()
+    )
+
+
+def _product(factors: Iterable[int]) -> int:
+    """The product, pairwise in rounds: a running product is quadratic."""
+    xs = list(factors)
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) // 2 * 2 :]
+    return xs[0] if xs else 1
 
 
 def binom_parity(a: int, b: int) -> int:

@@ -1,10 +1,9 @@
-"""Closed-form predictors and sweep verification for the characteristic-2
-isomorphism question and the small special cases (d = 1, hooks at d = 2)."""
+"""Closed-form predictors for the characteristic-2 isomorphism question
+and the small special cases (d = 1, hooks at d = 2)."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
@@ -34,65 +33,6 @@ def predict_iso(shape: Partition) -> bool:
         and shape.part(2) >= shape.part(3) + 2
         and tail.is_two_regular()
     )
-
-
-def characterization_threshold(shape: Partition, weak: bool = False) -> int:
-    """Least alphabet size from which a negative prediction is guaranteed
-    to be witnessed. The default bound is n - 2; the weak variant uses the
-    per-shape bound coming from the three rows that absorb the repeated
-    letters."""
-    n = shape.n
-    if not weak:
-        return max(1, n - 2)
-    if predict_iso(shape):
-        return 1
-    tail = shape.remove_first_part()
-    if tail is not None and not tail.is_two_regular():
-        r = next(
-            r
-            for r in range(2, len(shape))
-            if shape.part(r) == shape.part(r + 1) > 0
-        )
-        bound = n + 1 - (shape.part(r - 1) + shape.part(r) + shape.part(r + 1))
-    else:
-        bound = n + 1 - (shape.part(1) + shape.part(2) + shape.part(3))
-    return max(1, bound)
-
-
-@dataclass
-class IsoVerdict:
-    shape: Partition
-    predicted: bool
-    verified_at: list[tuple[int, bool]] = field(default_factory=list)
-
-    def mismatches(self) -> list[int]:
-        return [d for d, got in self.verified_at if got != self.predicted]
-
-
-def verify_characterization(
-    n: int,
-    d_values: list[int] | None = None,
-    weak_threshold: bool = False,
-) -> list[IsoVerdict]:
-    """Compare the prediction with the construction for every shape of n
-    boxes at the given alphabet sizes (default: the guarantee threshold).
-    Disagreements below the threshold are recorded, not errors; at or
-    above it they falsify the characterization."""
-    verdicts = []
-    for shape in partitions_of(n):
-        ds = d_values if d_values is not None else [max(1, n - 2)]
-        verdict = IsoVerdict(shape, predict_iso(shape))
-        for d in ds:
-            verdict.verified_at.append((d, verify_iso(shape, d, 2)))
-        verdicts.append(verdict)
-    for verdict in verdicts:
-        threshold = characterization_threshold(verdict.shape, weak_threshold)
-        bad = [d for d in verdict.mismatches() if d >= threshold]
-        if bad:
-            raise AssertionError(
-                f"characterization fails for {verdict.shape} at d in {bad}"
-            )
-    return verdicts
 
 
 def non_iso_shapes(n: int, d: int) -> set[Partition]:

@@ -21,11 +21,11 @@ S_d-symmetry that the dominant path assumes. No module or cache holds a
 builder. Module objects, the thm1 check and `restrict_entries` use the
 full build, keyed by tabloid kind, so one for both constructions at odd p.
 
-Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
-kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
-weights beta, the partitions of n with at most d parts. This is exact for
-two reasons. Both modules and U are polynomial GL_d-modules, so a weight
-multiplicity is constant on the S_d-orbit of the weight (Green,
+Mod-2 skew dimensions (`module_dim`), the isomorphism test (`verify_iso`)
+and the kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the
+dominant weights beta, the partitions of n with at most d parts. This is
+exact for two reasons. Both modules and U are polynomial GL_d-modules, so
+a weight multiplicity is constant on the S_d-orbit of the weight (Green,
 Polynomial Representations of GL_n, LNM 830). And a block of content
 beta padded with zeros uses only the letters 1..len(beta), so it is the
 same block for every d >= len(beta), and is read once per content.
@@ -37,13 +37,13 @@ representatives R are a basis of the block modulo the basic snakes (the
 standard-basis theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978;
 James, LNM 682, section 8). `_straighten_terms` expresses a combination
 over R. The alternating kind, which serves the dual Weyl module at every
-p and the skew construction at odd p, has no relation left, so its
-dimension at beta is the number of semistandard tableaux, the Kostka
-number (`tableaux.kostka_number`). Only a mod-2 skew dominant block is
-built (`_dominant_block`): its R are the row-and-column-semistandard
-tableaux, and it straightens its supplementary snakes onto R and
-eliminates only those. The rank of the basic relations is then the
-number of tabloids outside R, which is how
+p and the skew construction at odd p, has no relation left: its
+dimension is the number of semistandard tableaux, the hook-content count
+(`partitions.hook_content_dim`), and no weight is read. Only a mod-2
+skew dominant block is built (`_dominant_block`): its R are the
+row-and-column-semistandard tableaux, and it straightens its
+supplementary snakes onto R and eliminates only those. The rank of the
+basic relations is then the number of tabloids outside R, which is how
 `predictions.supplementary_rank_gain` counts the rank the supplementary
 snakes add without a full build.
 
@@ -64,21 +64,8 @@ from typing import Iterator, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
 from .gfp import SpanBuilder, Subspace, _check_prime
-from .partitions import (
-    InvariantError,
-    Partition,
-    count_syt,
-    hook_content_dim,
-    partitions_of,
-)
-from .tableaux import (
-    Cols,
-    Tableau,
-    TableauClass,
-    enumerate_tableaux,
-    kostka_number,
-    weight_of,
-)
+from .partitions import InvariantError, Partition, count_syt, hook_content_dim
+from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
     TabloidBasis,
@@ -92,9 +79,8 @@ from .tabloids import (
 
 WeightTable = dict[tuple[int, ...], int]
 
-# `dim` refuses a query whose dominant weights and their row-semistandard
-# representatives may number more than this (`dominant_rep_bound`); near
-# it a query takes seconds.
+# `dim` refuses a query whose forecast work (`dominant_rep_bound`) is more
+# than this; near it a query takes seconds.
 DIM_REP_BUDGET = 100_000
 
 
@@ -304,12 +290,24 @@ def build_gtensor_specht(shape: Partition, d: int, p: int) -> QuotientModule:
 
 
 def _dominant_weights(n: int, d: int) -> list[Partition]:
-    """The partitions of n with at most d parts, in descending
-    lexicographic order, as conjugates of those with parts at most d (so
-    that no other partition of n is enumerated)."""
+    """The partitions of n with at most d parts, in descending lexicographic
+    order, O(d) work each: the next lowers by 1 the last part that can drop
+    with the rest still fitting in d parts, and refills greedily after it."""
     if d < 1:
         raise ValueError("d must be positive")
-    return sorted((mu.conjugate() for mu in partitions_of(n, d)), reverse=True)
+    out, parts = [], [n]
+    while True:
+        out.append(Partition(parts))
+        rest = 0
+        for i in range(len(parts) - 1, -1, -1):
+            rest += parts[i]
+            cap = parts[i] - 1
+            if cap and rest - cap <= cap * (d - i - 1):
+                break
+        else:
+            return out
+        full, last = divmod(rest - cap, cap)
+        parts[i:] = [cap] * (full + 1) + ([last] if last else [])
 
 
 def _orbit_size(beta: Partition, d: int) -> int:
@@ -373,55 +371,53 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     """Dimension of the dual Weyl module (``"nabla"``) or of the skew
-    construction (``"gtensor"``), summed over dominant weights times their
-    orbit sizes: the Kostka number for the alternating kind, the quotient
-    dimension of the dominant block for mod-2 skew."""
-    kind = _tabloid_kind(which, p)
+    construction (``"gtensor"``): the hook-content count for the
+    alternating kind; for mod-2 skew, the quotient dimension of each
+    dominant block times the orbit size of its weight."""
+    if _tabloid_kind(which, p) is ALT_COLUMN:
+        return hook_content_dim(shape, d)
     total = 0
     for beta in _dominant_weights(shape.n, d):
-        if kind is ALT_COLUMN:
-            dim = kostka_number(shape, beta)
-        else:
-            block = _dominant_block(shape, beta)
-            dim = block.size - block.span.dim
-        total += dim * _orbit_size(beta, d)
+        block = _dominant_block(shape, beta)
+        total += (block.size - block.span.dim) * _orbit_size(beta, d)
     return total
 
 
 def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
-    """A closed-form upper bound on the work of the dominant path of
-    `module_dim` (and, through the mod-2 skew blocks, of the kernel): the
-    number of dominant weights plus the R-representatives enumerated at
-    them, counted for a Kostka number or held by a mod-2 skew block.
-
-    Standardizing the letters one at a time (the boxes holding letter k
-    form a skew shape) maps each R_beta injectively to the standard
-    tableaux, so |R_beta| <= f^shape. And every R_beta uses at most
-    m = min(d, n) letters, so all of them together are at most the
-    representatives over m letters: the hook-content count for
-    semistandard ones, and for the row-and-column-semistandard ones of
-    mod-2 skew the hook-content count over m + len(shape) - 1 letters,
-    since adding i - 1 to row i makes them semistandard. Past
-    `DIM_REP_BUDGET` weights, their count is returned at once, without the
-    closed forms: it is already over the budget."""
+    """A closed-form forecast of the work of `module_dim`, and through the
+    mod-2 skew blocks of the kernel. An alternating dimension costs the n
+    factors of its hook-content product, each once per 30-bit digit (the
+    digit of Python's integers) of d + n. On the mod-2 skew path every
+    representative holds the n boxes, and past the budget they are the
+    forecast; below it, the dominant weights plus the R-representatives
+    their blocks hold. Standardizing the letters one at a time maps each
+    R_beta into the standard tableaux, so |R_beta| <= f^shape; and all
+    R_beta together, over at most m = min(d, n) letters, are at most the
+    row-and-column-semistandard tableaux over m letters, which adding
+    i - 1 to row i makes semistandard over m + len(shape) - 1."""
     if d < 1:
         raise ValueError("d must be positive")
-    kind = _tabloid_kind("gtensor" if which == "u" else which, p)
+    if _tabloid_kind("gtensor" if which == "u" else which, p) is ALT_COLUMN:
+        return shape.n * (((d + shape.n).bit_length() + 29) // 30)
+    if shape.n > DIM_REP_BUDGET:
+        return shape.n
     m = min(d, shape.n)
-    letters = m if kind.zero_on_column_repeats else m + len(shape) - 1
     weights = _partition_count(shape.n, m)
     if weights > DIM_REP_BUDGET:
         return weights
+    letters = m + len(shape) - 1
     return weights + min(hook_content_dim(shape, letters), weights * count_syt(shape))
 
 
 def _partition_count(n: int, k: int) -> int:
     """The number of partitions of n with at most k parts (equivalently,
-    with parts at most k)."""
+    with parts at most k); past `DIM_REP_BUDGET`, a smaller count over it."""
     counts = [1] * (n + 1)  # parts of size 1 only
     for part in range(2, min(k, n) + 1):
         for s in range(part, n + 1):
             counts[s] += counts[s - part]
+        if counts[n] > DIM_REP_BUDGET:
+            break
     return counts[n]
 
 
@@ -562,8 +558,9 @@ def restrict_entries(
     with no letter above d_sub, with the dimension at d_sub. Returns
     (restricted, direct); the two must agree. The restricted side sums
     the quotient dimensions of those weight blocks of the full degree-d
-    build; the direct side is `module_dim` at d_sub, which reads only
-    dominant weights, in R-coordinates, and scales them over S_d-orbits."""
+    build; the direct side is `module_dim` at d_sub: the hook-content count
+    at odd p, and at p = 2 the dominant blocks, in R-coordinates, scaled
+    over S_d-orbits."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
     module = build_gtensor_specht(shape, d, p)

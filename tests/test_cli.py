@@ -57,9 +57,8 @@ def test_dim_nabla_and_gtensor(capsys):
     "lam, d, expected", [("7", 7, "1716"), ("8", 8, "6435"), ("100", 2, "101")]
 )
 def test_dim_nabla_one_row_answers_at_once(lam, d, expected):
-    # At odd p the dual Weyl dimension is a sum of Kostka numbers over the
-    # dominant weights, with no elimination; and only the partitions of n
-    # with at most d parts are enumerated (p(100) is about 2e8).
+    # The dual Weyl dimension is the hook-content count, with no
+    # elimination and no partition of n enumerated (p(100) is about 2e8).
     proc = subprocess.run(
         [sys.executable, "-m", "dualweyl.cli", "dim", "--which", "nabla",
          "--lambda", lam, "--d", str(d), "--p", "3"],
@@ -71,10 +70,56 @@ def test_dim_nabla_one_row_answers_at_once(lam, d, expected):
 
 def test_dim_refuses_work_over_the_budget(capsys):
     code, out, err = run(
-        capsys, "dim", "--which", "nabla", "--lambda", "15,15", "--d", "30", "--p", "3"
+        capsys, "dim", "--which", "gtensor", "--lambda", "15,15", "--d", "30", "--p", "2"
     )
     assert code == 2 and out == ""
     assert "budget" in err
+
+
+def test_dim_refuses_many_weights_at_once(capsys):
+    # The partition count stops once it passes the budget: the 8 million
+    # partitions of 10000 with at most 3 parts are enough, and the ones
+    # with up to 10000 parts, a quadratic count, are not counted.
+    from dualweyl.partitions import Partition
+    from dualweyl.quotients import dominant_rep_bound
+
+    started = time.perf_counter()
+    bound = dominant_rep_bound("gtensor", Partition((10000,)), 10000, 2)
+    assert time.perf_counter() - started < 1
+    assert bound > cli.DIM_REP_BUDGET
+    code, out, err = run(
+        capsys, "dim", "--which", "gtensor", "--lambda", "10000", "--d", "10000",
+        "--p", "2",
+    )
+    assert (code, out) == (2, "") and "budget" in err
+
+
+def test_dim_nabla_is_the_hook_content_count(capsys):
+    # An alternating dimension is one hook-content product over its
+    # boxes, so a row of 10000 boxes answers at once.
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "dim", "--which", "nabla", "--lambda", "10000", "--d", "2", "--p", "3"
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out, err) == (0, "10001\n", "")
+
+
+def test_dim_refuses_too_many_parts_before_expanding_them(capsys):
+    # The exponents are summed before any part is made, so a hundred
+    # million parts are refused with exit 2, not a MemoryError.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "dim", "--which", "nabla", "--lambda", "1^100000000", "--d", "2"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "") and "limit" in err
+    assert peak < 4 * 2**20
 
 
 def test_dim_budget_admits_the_documented_queries():
@@ -187,9 +232,8 @@ def test_dim_answers_a_huge_prime_at_once(capsys):
 
 
 def test_dim_refuses_a_huge_shape_at_once(capsys):
-    # Half a million dominant weights are over the budget on their own;
-    # the closed forms of the bound, which took 10 s and more at this
-    # size, are not evaluated.
+    # A million boxes are over the budget on their own; the hook-content
+    # product is not evaluated.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
 
@@ -200,6 +244,12 @@ def test_dim_refuses_a_huge_shape_at_once(capsys):
         assert time.perf_counter() - started < 2, lam
         code, out, err = run(capsys, "dim", "--which", "nabla", "--lambda", lam, "--d", "2")
         assert (code, out) == (2, "") and "budget" in err, lam
+    # A mod-2 skew representative holds every box, so a shape of 10^11
+    # boxes is refused before any count of its weights is allocated.
+    code, out, err = run(
+        capsys, "dim", "--which", "gtensor", "--lambda", "100000000000", "--d", "1"
+    )
+    assert (code, out) == (2, "") and "budget" in err
 
 
 def test_dim_answers_a_long_row_or_column(capsys):
@@ -256,6 +306,19 @@ def test_verify_thm2_small_json(capsys):
     assert "non_iso_set" in checks
 
 
+def test_verify_thm2_runs_to_nine_boxes(capsys):
+    # thm2 reads only mod-2 skew dominant blocks, so its cap is 9 boxes,
+    # not the 6 of thm1's full builds.
+    code, out, err = run(
+        capsys,
+        "verify", "--suite", "thm2", "--n-max", "9",
+        "--format", "json", "--no-timing", "--jobs", "2",
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert len(report["items"]) == 289 and report["failures"] == []
+
+
 def test_verify_usage_errors(capsys):
     code, out, err = run(capsys, "verify", "--suite", "d1", "--n-max", "0")
     assert code == 2 and out == "" and "--n-max" in err
@@ -265,9 +328,9 @@ def test_verify_usage_errors(capsys):
 
 def test_verify_reports_the_n_max_cap(capsys):
     code, _, err = run(
-        capsys, "verify", "--suite", "thm2", "--n-max", "7", "--jobs", "1"
+        capsys, "verify", "--suite", "thm1", "--n-max", "7", "--jobs", "1"
     )
-    assert code == 0 and "capped at 6" in err
+    assert code == 0 and "capped at 6 for thm1" in err
     code, _, err = run(
         capsys, "verify", "--suite", "thm2", "--n-max", "3", "--jobs", "1"
     )

@@ -2,6 +2,7 @@
 it rests on: final block ranks are constant on S_d-orbits of weights and do
 not depend on d, while the rank of the basic relations alone is not."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -10,7 +11,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl import quotients
+from dualweyl import quotients, tableaux
 from dualweyl.partitions import (
     InvariantError,
     Partition,
@@ -215,9 +216,9 @@ def test_kernel_dimension_is_the_exact_polynomial():
 
 def test_constructions_share_the_alternating_kind():
     # At odd p the skew column tabloids are the alternating ones: one kind,
-    # one basis, and one Kostka number per content, counted once for the
-    # dual Weyl module at every p and for the skew construction at odd p,
-    # with no dominant block built.
+    # one basis, and one hook-content count for the dual Weyl module at
+    # every p and for the skew construction at odd p, with no Kostka
+    # number read and no dominant block built.
     for p in (3, 5, 7):
         assert skew_column(p) is ALT_COLUMN
     shape = Partition((3, 2))
@@ -227,30 +228,71 @@ def test_constructions_share_the_alternating_kind():
     for which, p in (("nabla", 2), ("nabla", 3), ("nabla", 5),
                      ("gtensor", 3), ("gtensor", 5)):
         assert module_dim(which, shape, 5, p) == hook_content_dim(shape, 5)
-    assert kostka_number.cache_info().misses == len(_dominant_weights(5, 5))
+    assert kostka_number.cache_info().misses == 0
     assert _dominant_block.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_alternating_dim_is_the_hook_content_count(monkeypatch, p):
+    # The semistandard tableaux are a basis of the alternating quotient at
+    # every p, so `module_dim` answers it with the hook-content count. It
+    # must equal the full elimination build, and list no tableau to get it.
+    cases = [
+        (shape, d)
+        for n in range(1, 7)
+        for shape in partitions_of(n)
+        for d in range(1, n + 2)
+    ]
+    expected = {case: build_dual_weyl(*case, p).dim for case in cases}
+
+    def refuse(*args):
+        raise AssertionError("an alternating dimension listed tableaux")
+
+    monkeypatch.setattr(quotients, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(tableaux, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(tableaux, "kostka_number", refuse)
+    models = ("nabla", "gtensor") if p % 2 else ("nabla",)
+    for case, dim in expected.items():
+        for model in models:
+            assert module_dim(model, *case, p) == dim, (model, case)
+
+
+def test_dominant_weights_list_only_short_partitions():
+    # The partitions of n with at most d parts, in the order of the
+    # conjugates of those with parts at most d. They are listed directly:
+    # 10000 boxes over two letters give 5001 weights at once.
+    for n in range(1, 13):
+        for d in range(1, n + 2):
+            conjugates = sorted(
+                (mu.conjugate() for mu in partitions_of(n, d)), reverse=True
+            )
+            assert _dominant_weights(n, d) == conjugates, (n, d)
+    started = time.perf_counter()
+    weights = _dominant_weights(10000, 2)
+    assert time.perf_counter() - started < 0.5
+    assert len(weights) == 5001 and weights[-1] == Partition((5000, 5000))
+
+
 def test_dominant_rep_bound_holds():
-    # The closed form `dim` checks against its budget must bound the
-    # dominant weights and the R-representatives their blocks hold.
+    # The closed form `dim` checks against its budget: an alternating
+    # dimension costs its boxes (below 2^30 letters), and on the mod-2
+    # skew path the form must bound the dominant weights and the
+    # R-representatives their blocks hold.
     for n in range(1, 7):
         for shape in partitions_of(n):
             for d in range(1, n + 2):
-                for which, p in (("nabla", 3), ("nabla", 2), ("gtensor", 2),
-                                 ("gtensor", 3), ("u", 2)):
-                    kind = _tabloid_kind("gtensor" if which == "u" else which, p)
-                    held = sum(
-                        1 + (
-                            kostka_number(shape, beta)
-                            if kind is ALT_COLUMN
-                            else _dominant_block(shape, beta).size
-                        )
-                        for beta in partitions_of(n)
-                        if len(beta) <= d
-                    )
-                    bound = dominant_rep_bound(which, shape, d, p)
-                    assert held <= bound, (which, shape, d, p)
+                for which, p in (("nabla", 3), ("nabla", 2), ("gtensor", 3)):
+                    assert dominant_rep_bound(which, shape, d, p) == n
+                held = sum(
+                    1 + _dominant_block(shape, beta).size
+                    for beta in partitions_of(n)
+                    if len(beta) <= d
+                )
+                for which in ("gtensor", "u"):
+                    bound = dominant_rep_bound(which, shape, d, 2)
+                    assert held <= bound, (which, shape, d)
+    # Past 2^30 letters a factor of the product takes two digits.
+    assert dominant_rep_bound("nabla", Partition((10,)), 2**40, 3) == 20
 
 
 def test_module_dim_rejects_bad_input():

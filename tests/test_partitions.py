@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -43,6 +44,12 @@ def test_conjugate_examples():
     assert Partition((4, 4, 4, 2, 1)).conjugate() == Partition((5, 4, 3, 3))
     assert Partition((6,)).conjugate() == Partition((1,) * 6)
     assert Partition((1,) * 5).conjugate() == Partition((5,))
+    # Linear in rows plus columns: a hook of 100000 boxes, which a count
+    # of the rows at least j for each column j takes minutes over.
+    started = time.perf_counter()
+    hook = Partition((50000,) + (1,) * 50000)
+    assert hook.conjugate() == Partition((50001,) + (1,) * 49999)
+    assert time.perf_counter() - started < 1
 
 
 @given(partition_strategy())
@@ -64,6 +71,8 @@ def test_hook_content_closed_forms():
             assert hook_content_dim(Partition((n,)), d) == math.comb(d + n - 1, n)
             assert hook_content_dim(Partition((1,) * n), d) == math.comb(d, n)
     assert hook_content_dim(Partition((2, 2, 1)), 3) == 3
+    assert hook_content_dim(Partition((3000,)), 3000) == math.comb(5999, 3000)
+    assert hook_content_dim(Partition((1,) * 3000), 4000) == math.comb(4000, 3000)
 
 
 def _count_syt_brute(shape):

@@ -7,7 +7,6 @@ from dualweyl.partitions import Partition, partitions_of
 from dualweyl.predictions import (
     D1Result,
     TABLE1_FORMULAS,
-    characterization_threshold,
     d1_predict,
     frobenius_weight_check,
     hook_d2_dim,
@@ -19,7 +18,6 @@ from dualweyl.predictions import (
     table1_expected,
     table1_weight_counts,
     u_dim_degree,
-    verify_characterization,
 )
 from dualweyl.quotients import build_gtensor_specht, u_lambda_dim
 from dualweyl.tableaux import weight_of
@@ -54,33 +52,6 @@ def test_verified_non_iso_sets_match():
     assert non_iso_shapes(5, 3) == {
         s for s in partitions_of(5) if not predict_iso(s)
     }
-
-
-def test_verify_characterization_small():
-    verdicts = verify_characterization(4, d_values=[2, 4])
-    assert len(verdicts) == 5
-    for verdict in verdicts:
-        assert verdict.mismatches() == []
-
-
-def test_below_threshold_mismatch_is_recorded_not_fatal():
-    # The long shape (4,3,2,1,1) agrees with the construction only above the
-    # guarantee threshold; at two letters the construction is still an
-    # isomorphism although the prediction says otherwise.
-    verdicts = verify_characterization(11, d_values=[2])
-    verdict = next(v for v in verdicts if v.shape == Partition((4, 3, 2, 1, 1)))
-    assert verdict.predicted is False
-    assert verdict.verified_at == [(2, True)]
-    assert verdict.mismatches() == [2]
-    assert characterization_threshold(verdict.shape) == 9
-    assert characterization_threshold(verdict.shape, weak=True) == 8
-
-
-def test_weak_threshold_for_flat_top():
-    shape = Partition((3, 3, 2))
-    # first two parts tie one above the third: the bound uses the top three rows
-    assert characterization_threshold(shape, weak=True) == max(1, 9 - 8)
-    assert characterization_threshold(Partition((2, 2, 1)), weak=True) == 1
 
 
 def test_d1_predict_examples():
