@@ -4,7 +4,6 @@ images as quotients of tabloid spaces over prime fields."""
 from .partitions import (
     InvariantError,
     Partition,
-    binom_parity,
     count_syt,
     dominates,
     hook_content_dim,

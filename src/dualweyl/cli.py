@@ -25,13 +25,12 @@ from .partitions import (
     Partition,
     format_partition,
     hook_content_dim,
+    orbit,
     parse_partition,
     partitions_of,
 )
 from .quotients import (
     DIM_REP_BUDGET,
-    _dominant_weights,
-    _orbit,
     build_gtensor_specht,
     dominant_rep_bound,
     module_dim,
@@ -113,9 +112,9 @@ def _check_dims_match_weyl(lam: str, d: int, p: int) -> list[dict]:
     )
     kostka = {
         w: count
-        for beta in _dominant_weights(shape.n, d)
+        for beta in partitions_of(shape.n, d)
         if (count := kostka_number(shape, beta))
-        for w in _orbit(beta, d)
+        for w in orbit(beta, d)
     }
     item["pass"] = item["pass"] and image.weight_table() == kostka
     return [item]
@@ -454,17 +453,21 @@ def cmd_dim(args) -> int:
     shape = parse_partition(args.lam)
     if args.which == "u" and args.p != 2:
         raise ValueError("the kernel dimension is a characteristic-2 notion")
+    query = f"{args.which} of {args.lam} at d={args.d}, p={args.p}"
     bound = dominant_rep_bound(args.which, shape, args.d, args.p)
     if bound > DIM_REP_BUDGET:
         raise ValueError(
-            f"{args.which} of {args.lam} at d={args.d}, p={args.p} may need "
-            f"{bound} steps (boxes, or dominant weights and representatives), "
-            f"over the budget of {DIM_REP_BUDGET}"
+            f"{query} may need {bound} steps (boxes, or snake terms, weights "
+            f"and representatives), over the budget of {DIM_REP_BUDGET}"
         )
     if args.which in ("nabla", "gtensor"):
         value = module_dim(args.which, shape, args.d, args.p)
     else:
         value = u_lambda_dim(shape, args.d)
+    # 0 means no limit, as does an interpreter older than the limit (3.10.7).
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and value >= 10**digits:
+        raise ValueError(f"{query} has over {digits} digits, more than dim prints")
     if args.format == "json" or args.out:
         item = _item(
             "dim", kind=args.which, lam=args.lam, d=args.d, p=args.p,

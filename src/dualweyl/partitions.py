@@ -1,4 +1,5 @@
-"""Partitions, hook/content counting, and small binomial parity facts."""
+"""Partitions, dominant weights and their S_d-orbits, hook/content
+counting, and the binomial parity fact of the one-letter case."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 import operator
 import re
 from bisect import bisect_left
+from collections import Counter
 from typing import Iterable, Iterator
 
 
@@ -86,26 +88,55 @@ def format_partition(shape: Partition) -> str:
     return ",".join(str(a) for a in shape)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order, with parts at
-    most max_part when it is given. The next one lowers the last part
-    above 1 and refills greedily after it; there is no recursion, so a
-    partition may have any number of parts."""
+def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
+    """All partitions of n, with at most max_parts parts when it is given, in
+    descending lexicographic order, O(max_parts) work each and no recursion:
+    the next lowers by 1 the last part that can drop with the rest still
+    fitting in max_parts parts, and refills greedily after it. With at most
+    d parts these are the dominant weights over d letters."""
     if n <= 0:
         raise ValueError("n must be positive")
-    parts: list[int] = []
-    rest, cap = n, n if max_part is None else max_part
-    while cap >= 1:
-        while rest:
-            parts.append(min(cap, rest))
-            rest -= parts[-1]
+    d = n if max_parts is None else max_parts
+    if d < 1:
+        raise ValueError("max_parts must be positive")
+    parts = [n]
+    while True:
         yield Partition(parts)
-        while parts and parts[-1] == 1:
-            rest += parts.pop()
-        if not parts:
+        rest = 0
+        for i in range(len(parts) - 1, -1, -1):
+            rest += parts[i]
+            cap = parts[i] - 1
+            if cap and rest - cap <= cap * (d - i - 1):
+                break
+        else:
             return
-        parts[-1] -= 1
-        rest, cap = rest + 1, parts[-1]
+        full, last = divmod(rest - cap, cap)
+        parts[i:] = [cap] * (full + 1) + ([last] if last else [])
+
+
+def orbit_size(beta: Partition, d: int) -> int:
+    """Number of distinct weights over d letters that rearrange beta."""
+    mults = Counter(beta).values()
+    return math.perm(d, len(beta)) // _product(map(math.factorial, mults))
+
+
+def orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
+    """The distinct rearrangements of beta padded with zeros to d letters,
+    in ascending lexicographic order, each from the one before by the
+    next-permutation step."""
+    weight = [0] * (d - len(beta)) + list(reversed(beta))
+    while True:
+        yield tuple(weight)
+        i = d - 2
+        while i >= 0 and weight[i] >= weight[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = d - 1
+        while weight[j] <= weight[i]:
+            j -= 1
+        weight[i], weight[j] = weight[j], weight[i]
+        weight[i + 1 :] = reversed(weight[i + 1 :])
 
 
 def dominates(mu: Partition, nu: Partition) -> bool:
@@ -158,13 +189,6 @@ def _product(factors: Iterable[int]) -> int:
     while len(xs) > 1:
         xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) // 2 * 2 :]
     return xs[0] if xs else 1
-
-
-def binom_parity(a: int, b: int) -> int:
-    """Parity of C(a+b, a): 1 iff the binary addition of a and b is carry-free."""
-    if a < 0 or b < 0:
-        raise ValueError("arguments must be nonnegative")
-    return 1 if (a & b) == 0 else 0
 
 
 def min_odd_binomial_index(c: int) -> int | None:

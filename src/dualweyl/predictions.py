@@ -7,11 +7,10 @@ from collections import Counter
 from enum import Enum
 from math import comb
 
-from .partitions import Partition, min_odd_binomial_index, partitions_of
+from .partitions import Partition, min_odd_binomial_index, orbit_size, partitions_of
 from .quotients import (
     _gens_by_weight,
     _kernel_dims,
-    _orbit_size,
     build_gtensor_specht,
     module_dim,
     verify_iso,
@@ -108,7 +107,7 @@ def table1_weight_counts(d: int) -> dict[Partition, int]:
     if d < 4:
         raise ValueError("the class census needs d >= 4")
     return {
-        beta: _orbit_size(beta, d)
+        beta: orbit_size(beta, d)
         for beta, positions in _gens_by_weight(Partition((2, 2, 1)), d).items()
         if positions
     }

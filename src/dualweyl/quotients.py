@@ -54,17 +54,23 @@ elimination: see `_kernel_dims`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import factorial, perm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
 from .gfp import SpanBuilder, Subspace, _check_prime
-from .partitions import InvariantError, Partition, count_syt, hook_content_dim
+from .partitions import (
+    InvariantError,
+    Partition,
+    count_syt,
+    hook_content_dim,
+    orbit,
+    orbit_size,
+    partitions_of,
+)
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
@@ -289,57 +295,6 @@ def build_gtensor_specht(shape: Partition, d: int, p: int) -> QuotientModule:
 # Dominant blocks
 
 
-def _dominant_weights(n: int, d: int) -> list[Partition]:
-    """The partitions of n with at most d parts, in descending lexicographic
-    order, O(d) work each: the next lowers by 1 the last part that can drop
-    with the rest still fitting in d parts, and refills greedily after it."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    out, parts = [], [n]
-    while True:
-        out.append(Partition(parts))
-        rest = 0
-        for i in range(len(parts) - 1, -1, -1):
-            rest += parts[i]
-            cap = parts[i] - 1
-            if cap and rest - cap <= cap * (d - i - 1):
-                break
-        else:
-            return out
-        full, last = divmod(rest - cap, cap)
-        parts[i:] = [cap] * (full + 1) + ([last] if last else [])
-
-
-def _orbit_size(beta: Partition, d: int) -> int:
-    """Number of distinct weights over d letters that rearrange beta."""
-    size = perm(d, len(beta))
-    for mult in Counter(beta).values():
-        size //= factorial(mult)
-    return size
-
-
-def _orbit(beta: Partition, d: int) -> Iterator[tuple[int, ...]]:
-    """The distinct rearrangements of beta padded with zeros to d letters."""
-    counts = Counter(beta)
-    counts[0] += d - len(beta)
-    values = sorted(counts)
-    weight: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(weight) == d:
-            yield tuple(weight)
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                weight.append(v)
-                yield from rec()
-                weight.pop()
-                counts[v] += 1
-
-    return rec()
-
-
 @lru_cache(maxsize=4096)
 def _dominant_block(shape: Partition, beta: Partition) -> _Block:
     """The frozen mod-2 skew weight block of content beta, over the letters
@@ -377,9 +332,9 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     if _tabloid_kind(which, p) is ALT_COLUMN:
         return hook_content_dim(shape, d)
     total = 0
-    for beta in _dominant_weights(shape.n, d):
+    for beta in partitions_of(shape.n, d):
         block = _dominant_block(shape, beta)
-        total += (block.size - block.span.dim) * _orbit_size(beta, d)
+        total += (block.size - block.span.dim) * orbit_size(beta, d)
     return total
 
 
@@ -389,12 +344,13 @@ def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     factors of its hook-content product, each once per 30-bit digit (the
     digit of Python's integers) of d + n. On the mod-2 skew path every
     representative holds the n boxes, and past the budget they are the
-    forecast; below it, the dominant weights plus the R-representatives
-    their blocks hold. Standardizing the letters one at a time maps each
-    R_beta into the standard tableaux, so |R_beta| <= f^shape; and all
-    R_beta together, over at most m = min(d, n) letters, are at most the
-    row-and-column-semistandard tableaux over m letters, which adding
-    i - 1 to row i makes semistandard over m + len(shape) - 1."""
+    forecast; below it, the largest snake template, the dominant weights
+    and the R-representatives their blocks hold. Standardizing the
+    letters one at a time maps each R_beta into the standard tableaux, so
+    |R_beta| <= f^shape; and all R_beta together, over at most
+    m = min(d, n) letters, are at most the row-and-column-semistandard
+    tableaux over m letters, which adding i - 1 to row i makes
+    semistandard over m + len(shape) - 1."""
     if d < 1:
         raise ValueError("d must be positive")
     if _tabloid_kind("gtensor" if which == "u" else which, p) is ALT_COLUMN:
@@ -403,10 +359,28 @@ def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
         return shape.n
     m = min(d, shape.n)
     weights = _partition_count(shape.n, m)
-    if weights > DIM_REP_BUDGET:
-        return weights
+    fixed = _largest_snake_template(shape) + weights
+    if fixed > DIM_REP_BUDGET:
+        return fixed
     letters = m + len(shape) - 1
-    return weights + min(hook_content_dim(shape, letters), weights * count_syt(shape))
+    return fixed + min(hook_content_dim(shape, letters), weights * count_syt(shape))
+
+
+def _largest_snake_template(shape: Partition) -> int:
+    """The most terms a snake lists: at row i of adjacent columns of
+    heights h >= h', C(h + 1, i + 1) for i < h'. It grows with i + 1 up to
+    (h + 1) // 2, and is built one factor at a time and left once past
+    `DIM_REP_BUDGET`, so a tall column makes no huge integer."""
+    conj = shape.conjugate()
+    largest = 0
+    for h, low in set(zip(conj, conj[1:])):
+        size = 1
+        for k in range(1, min(low, (h + 1) // 2) + 1):
+            size = size * (h + 2 - k) // k
+            if size > DIM_REP_BUDGET:
+                break
+        largest = max(largest, size)
+    return largest
 
 
 def _partition_count(n: int, k: int) -> int:
@@ -436,7 +410,7 @@ def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]
     out: dict[tuple[int, ...], list[int]] = {}
     if len(shape) < 2:
         return out
-    for beta in _dominant_weights(shape.n, d):
+    for beta in partitions_of(shape.n, d):
         if beta[0] < 2:
             continue
         block = _dominant_block(shape, beta)
@@ -472,14 +446,14 @@ def u_lambda_weight_table(shape: Partition, d: int) -> WeightTable:
     table = {
         w: grown
         for beta, grown in _kernel_dims(shape, d).items()
-        for w in _orbit(beta, d)
+        for w in orbit(beta, d)
     }
     return dict(sorted(table.items()))
 
 
 def u_lambda_dim(shape: Partition, d: int) -> int:
     return sum(
-        grown * _orbit_size(beta, d)
+        grown * orbit_size(beta, d)
         for beta, grown in _kernel_dims(shape, d).items()
     )
 

@@ -76,6 +76,37 @@ def test_dim_refuses_work_over_the_budget(capsys):
     assert "budget" in err
 
 
+def test_dim_refuses_a_tall_snake_template_at_once(capsys):
+    # A snake on two columns of height 300 lists C(301, 150) terms, so the
+    # forecast is past the budget before any block is built; two columns
+    # of height 12 (a template of 1716 terms) stay under it.
+    from dualweyl.partitions import parse_partition
+    from dualweyl.quotients import dominant_rep_bound
+
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "dim", "--which", "u", "--lambda", "2^300", "--d", "2"
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "") and "budget" in err
+    bound = dominant_rep_bound("u", parse_partition("2^12"), 2, 2)
+    assert 1716 < bound <= cli.DIM_REP_BUDGET
+
+
+def test_dim_refuses_an_answer_too_long_to_print(capsys):
+    # The answer has more digits than the interpreter converts to text; the
+    # error names the query, not the interpreter's limit.
+    d = "1" + "0" * 1500
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "dim", "--which", "nabla", "--lambda", "2,1", "--d", d,
+            "--format", fmt,
+        )
+        assert (code, out) == (2, ""), fmt
+        assert "digits" in err and "2,1" in err
+        assert "set_int_max_str_digits" not in err
+
+
 def test_dim_refuses_many_weights_at_once(capsys):
     # The partition count stops once it passes the budget: the 8 million
     # partitions of 10000 with at most 3 parts are enough, and the ones

@@ -5,7 +5,7 @@ not depend on d, while the rank of the basic relations alone is not."""
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
 import pytest
@@ -21,7 +21,6 @@ from dualweyl.partitions import (
 from dualweyl.quotients import (
     _build,
     _dominant_block,
-    _dominant_weights,
     _kernel_dims,
     _straighten_terms,
     _tabloid_kind,
@@ -258,17 +257,25 @@ def test_alternating_dim_is_the_hook_content_count(monkeypatch, p):
 
 
 def test_dominant_weights_list_only_short_partitions():
-    # The partitions of n with at most d parts, in the order of the
-    # conjugates of those with parts at most d. They are listed directly:
-    # 10000 boxes over two letters give 5001 weights at once.
+    # `partitions_of(n, k)` lists the partitions of n with at most k parts,
+    # the dominant weights over k letters, in descending lexicographic
+    # order, against the multisets of r <= k parts (each at most
+    # n - r + 1) that sum to n. They are listed directly: 10000 boxes over
+    # two letters give 5001 weights at once.
     for n in range(1, 13):
-        for d in range(1, n + 2):
-            conjugates = sorted(
-                (mu.conjugate() for mu in partitions_of(n, d)), reverse=True
+        for k in range(1, n + 2):
+            brute = sorted(
+                (
+                    Partition(reversed(parts))
+                    for r in range(1, min(k, n) + 1)
+                    for parts in combinations_with_replacement(range(1, n - r + 2), r)
+                    if sum(parts) == n
+                ),
+                reverse=True,
             )
-            assert _dominant_weights(n, d) == conjugates, (n, d)
+            assert list(partitions_of(n, k)) == brute, (n, k)
     started = time.perf_counter()
-    weights = _dominant_weights(10000, 2)
+    weights = list(partitions_of(10000, 2))
     assert time.perf_counter() - started < 0.5
     assert len(weights) == 5001 and weights[-1] == Partition((5000, 5000))
 

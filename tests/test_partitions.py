@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 
 from dualweyl.partitions import (
     Partition,
-    binom_parity,
     count_syt,
     dominates,
     format_partition,
     hook_content_dim,
     min_odd_binomial_index,
+    orbit,
+    orbit_size,
     parse_partition,
     partitions_of,
 )
@@ -121,17 +122,6 @@ def test_count_syt_conjugates_once(monkeypatch):
     assert calls == [Partition((2000,)), Partition((2, 2, 1))]
 
 
-@given(st.integers(0, 64), st.integers(0, 64))
-def test_binom_parity_matches_comb(a, b):
-    assert binom_parity(a, b) == math.comb(a + b, a) % 2
-
-
-def test_binom_parity_examples():
-    assert binom_parity(2, 2) == 0
-    assert binom_parity(1, 3) == 0
-    assert binom_parity(0, 17) == 1
-
-
 def test_min_odd_binomial_index():
     assert min_odd_binomial_index(4) is None
     assert min_odd_binomial_index(6) == 2
@@ -150,6 +140,19 @@ def test_partitions_of_counts_and_order():
         assert len(shapes) == expected
         assert shapes == sorted(shapes, reverse=True)
         assert all(s.n == n for s in shapes)
+
+
+def test_orbit_lists_each_rearrangement_once():
+    # The S_d-orbit of a dominant weight, padded with zeros, against the
+    # distinct permutations of the padded tuple.
+    for n in range(1, 6):
+        for d in range(1, 7):
+            for beta in partitions_of(n, d):
+                padded = tuple(beta) + (0,) * (d - len(beta))
+                weights = list(orbit(beta, d))
+                assert len(set(weights)) == len(weights)
+                assert set(weights) == set(permutations(padded)), (beta, d)
+                assert orbit_size(beta, d) == len(weights), (beta, d)
 
 
 def test_dominance():

@@ -748,14 +748,14 @@ def test_cached_dominant_blocks_hold_only_frozen_spans():
     # each block holds its frozen span, and the kernel probes leave that
     # span as it was.
     from dualweyl.gfp import SpanBuilder, Subspace
-    from dualweyl.quotients import _dominant_block, _dominant_weights, module_dim
+    from dualweyl.quotients import _dominant_block, module_dim
 
     shape = Partition((2, 2, 1))
     _dominant_block.cache_clear()
     for p in (2, 3):
         for which in ("nabla", "gtensor"):
             module_dim(which, shape, 5, p)
-    keys = _dominant_weights(5, 5)
+    keys = list(partitions_of(5, 5))
     blocks = {beta: _dominant_block(shape, beta) for beta in keys}
     assert all(type(b.span) is Subspace for b in blocks.values())
     rows = {beta: b.span.basis_rows() for beta, b in blocks.items()}
