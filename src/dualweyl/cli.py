@@ -3,28 +3,25 @@ reports with machine-readable output.
 
 Exit codes: 0 on success, 1 on a failed assertion or golden mismatch,
 2 on usage errors, refused input and unreadable or unwritable paths.
+
+A `dim` call runs in a fresh process, so the module imports at the top
+only what `dim` runs; the verification suites, the tables and the reports
+import the rest where they use it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 import time
-from collections import Counter
-from importlib import resources
-from pathlib import Path
 
-from . import decomposition as dc
-from . import predictions as pred
 from .partitions import (
     InvariantError,
     Partition,
     format_partition,
     hook_content_dim,
+    hook_content_log10,
     orbit,
     parse_partition,
     partitions_of,
@@ -37,7 +34,6 @@ from .quotients import (
     u_lambda_dim,
     verify_iso,
 )
-from .tableaux import kostka_number
 
 SCHEMA = "dualweyl-report/1"
 
@@ -100,6 +96,8 @@ def _check_dims_match_weyl(lam: str, d: int, p: int) -> list[dict]:
     semistandard-tableau census by weight: the Kostka number of each
     dominant weight, repeated over its S_d-orbit (Kostka numbers are
     symmetric in the letters)."""
+    from .tableaux import kostka_number
+
     shape = parse_partition(lam)
     image = build_gtensor_specht(shape, d, p)
     item = _item(
@@ -121,6 +119,8 @@ def _check_dims_match_weyl(lam: str, d: int, p: int) -> list[dict]:
 
 
 def _check_predict_vs_verify(lam: str, d: int) -> list[dict]:
+    from . import predictions as pred
+
     shape = parse_partition(lam)
     return [_item(
         "predicted_iso_matches_construction",
@@ -133,6 +133,8 @@ def _check_predict_vs_verify(lam: str, d: int) -> list[dict]:
 
 
 def _check_supp_gain(lam: str, d: int) -> list[dict]:
+    from . import predictions as pred
+
     gain = pred.supplementary_rank_gain(parse_partition(lam), d)
     return [_item(
         "supplementary_rank_gain", lam=lam, d=d, p=2, expected=None, got=gain
@@ -140,6 +142,8 @@ def _check_supp_gain(lam: str, d: int) -> list[dict]:
 
 
 def _check_non_iso_set(n: int) -> list[dict]:
+    from . import predictions as pred
+
     d = n - 2
     return [_item(
         "non_iso_set",
@@ -152,6 +156,8 @@ def _check_non_iso_set(n: int) -> list[dict]:
 
 
 def _check_d1(lam: str) -> list[dict]:
+    from . import predictions as pred
+
     shape = parse_partition(lam)
     predicted = 0 if pred.d1_predict(shape) is pred.D1Result.ZERO else 1
     return [_item(
@@ -165,6 +171,8 @@ def _check_d1(lam: str) -> list[dict]:
 
 
 def _check_hook_dim(a: int, l: int) -> list[dict]:
+    from . import predictions as pred
+
     shape = pred.hook_partition(a, l)
     return [_item(
         "hook_two_letter_dim",
@@ -177,6 +185,8 @@ def _check_hook_dim(a: int, l: int) -> list[dict]:
 
 
 def _check_hook_frobenius(a: int, l: int) -> list[dict]:
+    from . import predictions as pred
+
     shape = pred.hook_partition(a, l)
     return [_item(
         "hook_frobenius_weights",
@@ -200,6 +210,8 @@ def _check_u_dim_formula(d: int) -> list[dict]:
 
 
 def _check_u_degree(lam: str) -> list[dict]:
+    from . import predictions as pred
+
     shape = parse_partition(lam)
     n = shape.n
     degree = pred.u_dim_degree(shape)
@@ -211,6 +223,8 @@ def _check_u_degree(lam: str) -> list[dict]:
 
 
 def _check_table1(d: int) -> list[dict]:
+    from . import predictions as pred
+
     return [_item(
         "kernel_weight_census",
         lam=format_partition(U_DIM_FORMULA_SHAPE),
@@ -229,6 +243,10 @@ def _check_decomposition() -> list[dict]:
     """Decomposition gates, the factor table, and filtration feasibility;
     only the gates item when a derived row or a factor solve fails its
     checks."""
+    from collections import Counter
+
+    from . import decomposition as dc
+
     golden = _load_table3_golden()
     try:
         rows = [dc.decomposition_rows(n) for n in range(1, 6)]
@@ -263,6 +281,8 @@ def _check_decomposition() -> list[dict]:
 
 
 def _check_example61() -> list[dict]:
+    from . import predictions as pred
+
     shape = Partition((4, 3, 2, 1, 1))
     lam = format_partition(shape)
     return [
@@ -361,6 +381,10 @@ SUITES = (*_SUITE_UNITS, "all")
 
 
 def _load_table3_golden() -> dict[str, dict[Partition, int]]:
+    import csv
+    import io
+    from importlib import resources
+
     text = resources.files("dualweyl").joinpath("data/table3.csv").read_text()
     out: dict[str, dict[Partition, int]] = {}
     for row in csv.DictReader(io.StringIO(text)):
@@ -372,6 +396,11 @@ def _load_table3_golden() -> dict[str, dict[Partition, int]]:
 
 
 def _render_table1(d: int) -> tuple[str, bool]:
+    import csv
+    import io
+
+    from . import predictions as pred
+
     counts = pred.table1_weight_counts(d)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -382,6 +411,11 @@ def _render_table1(d: int) -> tuple[str, bool]:
 
 
 def _render_table3() -> tuple[str, bool]:
+    import csv
+    import io
+
+    from . import decomposition as dc
+
     golden = _load_table3_golden()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -400,6 +434,9 @@ def _render_table3() -> tuple[str, bool]:
 
 
 def _emit_report(args, command: str, items: list[dict], started: float) -> int:
+    import json
+    from pathlib import Path
+
     failures = [it for it in items if not it["pass"]]
     report = {
         "schema": SCHEMA,
@@ -460,14 +497,21 @@ def cmd_dim(args) -> int:
             f"{query} may need {bound} steps (boxes, or snake terms, weights "
             f"and representatives), over the budget of {DIM_REP_BUDGET}"
         )
+    # 0 means no limit, as does an interpreter older than the limit (3.10.7).
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    too_long = f"{query} has over {digits} digits, more than dim prints"
+    # Both module dimensions are at least the hook-content count, whose
+    # digits a float sum forecasts: a forecast clear of its rounding over
+    # the limit is refused before any product is taken.
+    if (digits and args.which != "u"
+            and hook_content_log10(shape, args.d) >= digits + 1):
+        raise ValueError(too_long)
     if args.which in ("nabla", "gtensor"):
         value = module_dim(args.which, shape, args.d, args.p)
     else:
         value = u_lambda_dim(shape, args.d)
-    # 0 means no limit, as does an interpreter older than the limit (3.10.7).
-    digits = getattr(sys, "get_int_max_str_digits", int)()
     if digits and value >= 10**digits:
-        raise ValueError(f"{query} has over {digits} digits, more than dim prints")
+        raise ValueError(too_long)
     if args.format == "json" or args.out:
         item = _item(
             "dim", kind=args.which, lam=args.lam, d=args.d, p=args.p,
@@ -483,6 +527,10 @@ def cmd_verify(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if args.n_max < 1:
         raise ValueError(f"--n-max must be positive, got {args.n_max}")
+    # Loaded here, in the parent, so the pool workers the checks fork
+    # inherit them instead of each importing them again.
+    from . import decomposition, predictions  # noqa: F401
+
     suites = list(_SUITE_UNITS) if args.suite == "all" else [args.suite]
     units: list[tuple] = []
     for suite in suites:
@@ -498,6 +546,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from pathlib import Path
+
     if args.which == "table1":
         text, ok = _render_table1(args.d)
     else:

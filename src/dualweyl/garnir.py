@@ -20,13 +20,13 @@ once and runs the same expansion, `_expand`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
 from .partitions import InvariantError, Partition
+from .records import Record
 from .tableaux import Box, Cols, Tableau, TableauClass, enumerate_tableaux
 from .tabloids import TabloidKind, basis_class, sort_column
 
@@ -35,14 +35,16 @@ from .tabloids import TabloidKind, basis_class, sort_column
 Template = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class GarnirLabel:
+class GarnirLabel(Record):
     """A tableau with box subsets A, B of two columns j < j' such that
     |A| + |B| exceeds the height of column j."""
 
-    t: Tableau
-    A: tuple[Box, ...]
-    B: tuple[Box, ...]
+    __slots__ = ("t", "A", "B")
+
+    def __init__(self, t: Tableau, A: tuple[Box, ...], B: tuple[Box, ...]):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     def validate(self) -> None:
         shape = self.t.shape

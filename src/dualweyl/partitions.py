@@ -160,12 +160,21 @@ def hook_content_dim(shape: Partition, d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    value, rem = divmod(
-        _product(d + j - i for i, j in shape.boxes()), _hook_product(shape)
-    )
+    value, rem = divmod(_product(_contents(shape, d)), _hook_product(shape))
     if rem:
         raise InvariantError(f"hook product of {shape} does not divide its contents")
     return value
+
+
+def hook_content_log10(shape: Partition, d: int) -> float:
+    """log10 of `hook_content_dim` (-inf for the dimension 0), summed
+    from the same factors in floating point: the digit count of the
+    dimension, to within rounding, without taking the product."""
+    if d < len(shape):
+        return -math.inf
+    return math.fsum(map(math.log10, _contents(shape, d))) - math.fsum(
+        map(math.log10, _hooks(shape))
+    )
 
 
 def count_syt(shape: Partition) -> int:
@@ -176,11 +185,18 @@ def count_syt(shape: Partition) -> int:
     return count
 
 
-def _hook_product(shape: Partition) -> int:
+def _contents(shape: Partition, d: int) -> Iterator[int]:
+    """d plus the content of each box."""
+    return (d + j - i for i, j in shape.boxes())
+
+
+def _hooks(shape: Partition) -> Iterator[int]:
     conj = shape.conjugate()
-    return _product(
-        (shape.part(i) - j) + (conj.part(j) - i) + 1 for i, j in shape.boxes()
-    )
+    return ((shape.part(i) - j) + (conj.part(j) - i) + 1 for i, j in shape.boxes())
+
+
+def _hook_product(shape: Partition) -> int:
+    return _product(_hooks(shape))
 
 
 def _product(factors: Iterable[int]) -> int:

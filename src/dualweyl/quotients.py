@@ -54,7 +54,6 @@ elimination: see `_kernel_dims`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -71,6 +70,7 @@ from .partitions import (
     orbit_size,
     partitions_of,
 )
+from .records import Record
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
@@ -90,26 +90,50 @@ WeightTable = dict[tuple[int, ...], int]
 DIM_REP_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class _Block:
-    indices: tuple[int, ...]  # positions in the grouped sequence (ambient indices)
-    pos: dict[Cols, int]  # columns of a representative -> local coordinate
-    span: SpanBuilder | Subspace  # frozen once built, shared per packed weight
-    basic_rank: int = 0
+class _Block(Record):
+    """One weight block: ``indices``, its positions in the grouped sequence
+    (ambient indices); ``pos``, the columns of each representative to its
+    local coordinate; ``span``, frozen once built and shared per packed
+    weight."""
+
+    __slots__ = ("indices", "pos", "span", "basic_rank")
+
+    def __init__(
+        self,
+        indices: tuple[int, ...],
+        pos: dict[Cols, int],
+        span: SpanBuilder | Subspace,
+        basic_rank: int = 0,
+    ):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "basic_rank", basic_rank)
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
+    def with_span(self, span: Subspace, basic_rank: int) -> "_Block":
+        """This block with its frozen span and basic rank."""
+        return _Block(self.indices, self.pos, span, basic_rank)
 
-@dataclass(frozen=True, eq=False)
-class QuotientModule:
+
+class QuotientModule(Record, hidden=("_blocks",)):
     """A tabloid space together with a relation span, graded by weight;
-    every block holds a frozen `Subspace`, shared per packed weight."""
+    every block holds a frozen `Subspace`, shared per packed weight.
+    Modules compare by identity."""
 
-    ambient: TabloidBasis
-    p: int
-    _blocks: dict[tuple[int, ...], _Block] = field(repr=False)
+    __slots__ = ("ambient", "p", "_blocks")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, ambient: TabloidBasis, p: int, blocks: dict[tuple[int, ...], _Block]
+    ):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_blocks", blocks)
 
     @property
     def supplementary_rank_gain(self) -> int | None:
@@ -255,7 +279,7 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
         if first is not None:
             if first.size != block.size or packed(first) != packed(block):
                 raise InvariantError(f"block {w} does not pack onto its pattern")
-            blocks[w] = replace(block, span=first.span, basic_rank=first.basic_rank)
+            blocks[w] = block.with_span(first.span, first.basic_rank)
             continue
         span, row_semistandard = block.span, []
         for cols in block.pos:
@@ -273,9 +297,7 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
                     terms = snake_terms(cols, *box, kind)
                     if terms:
                         _push_terms(span, terms, block.pos, p)
-        blocks[w] = eliminated[key] = replace(
-            block, span=span.subspace(), basic_rank=basic_rank
-        )
+        blocks[w] = eliminated[key] = block.with_span(span.subspace(), basic_rank)
     return QuotientModule(basis, p, blocks)
 
 
@@ -321,7 +343,7 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
                 )
             if terms:
                 _push_terms(block.span, terms, block.pos, 2)
-    return replace(block, span=block.span.subspace())
+    return block.with_span(block.span.subspace(), 0)
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:

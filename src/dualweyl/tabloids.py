@@ -12,12 +12,12 @@ tuples; `Tableau` objects are made only at the API boundary (`rep`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
 from .partitions import Partition
+from .records import Record
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
 
 
@@ -46,11 +46,13 @@ def skew_column(p: int) -> TabloidKind:
     return TabloidKind.SKEW_MOD_2 if p == 2 else ALT_COLUMN
 
 
-@dataclass(frozen=True)
-class SignedTabloid:
-    rep: Tableau
-    sign: int
-    is_zero: bool = False
+class SignedTabloid(Record):
+    __slots__ = ("rep", "sign", "is_zero")
+
+    def __init__(self, rep: Tableau, sign: int, is_zero: bool = False):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "is_zero", is_zero)
 
 
 def sort_column(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
@@ -105,16 +107,26 @@ def basis_class(kind: TabloidKind) -> TableauClass:
     return TableauClass.COLUMN_SEMISTANDARD
 
 
-@dataclass(frozen=True)
-class TabloidBasis:
+class TabloidBasis(Record, hidden=("index",)):
     """Indexed family of canonical representatives for one tabloid space,
-    held as column tuples."""
+    held as column tuples. Bases compare by all but the index, which
+    follows from the columns."""
 
-    kind: TabloidKind
-    shape: Partition
-    d: int
-    cols: tuple[Cols, ...]
-    index: MappingProxyType[Cols, int] = field(compare=False, repr=False)
+    __slots__ = ("kind", "shape", "d", "cols", "index")
+
+    def __init__(
+        self,
+        kind: TabloidKind,
+        shape: Partition,
+        d: int,
+        cols: tuple[Cols, ...],
+        index: MappingProxyType[Cols, int],
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "index", index)
 
     @property
     def dim(self) -> int:
@@ -136,13 +148,16 @@ def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     return TabloidBasis(kind, shape, d, cols, index)
 
 
-@dataclass(frozen=True)
-class TabloidVector:
-    """Sparse GF(p) vector over a tabloid basis."""
+class TabloidVector(Record):
+    """Sparse GF(p) vector over a tabloid basis; unhashable, as its
+    coordinates are a dict."""
 
-    basis: TabloidBasis
-    p: int
-    coords: dict[int, int]
+    __slots__ = ("basis", "p", "coords")
+
+    def __init__(self, basis: TabloidBasis, p: int, coords: dict[int, int]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coords", coords)
 
     def is_zero(self) -> bool:
         return not self.coords

@@ -14,7 +14,6 @@ derived decomposition rows: the characteristic-2 rows of degrees 1 to 5
 polynomials of the degree-5 simple modules (`DEGREE5_DIM_POLYS`)."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -250,7 +249,7 @@ def unshared_build(shape, d, p, kind):
                     if terms:
                         _push_terms(span, terms, block.pos, p)
                         pushes[w] += 1
-        blocks[w] = replace(block, span=span.subspace(), basic_rank=basic_rank)
+        blocks[w] = block.with_span(span.subspace(), basic_rank)
     return blocks, pushes
 
 

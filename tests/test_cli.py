@@ -107,6 +107,33 @@ def test_dim_refuses_an_answer_too_long_to_print(capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_dim_forecasts_an_answer_too_long_to_print(capsys):
+    # A forecast of the digits refuses 33000 boxes at d = 10^21 before the
+    # product of their contents is taken (seconds of work).
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "dim", "--which", "nabla", "--lambda", "33000",
+        "--d", str(10**21), "--p", "3",
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "") and "over 4300 digits" in err
+
+
+def test_dim_checks_the_digits_exactly_near_the_limit(capsys):
+    # Near the limit the forecast defers to the exact value: a one-row
+    # dimension d(d+1)/2 of 4300 digits prints, one of 4301 is refused,
+    # and a one-box answer of 4300 nines prints.
+    d = 14 * 10**2149
+    code, out, _ = run(capsys, "dim", "--which", "nabla", "--lambda", "2", "--d", str(d))
+    assert code == 0 and len(out.strip()) == 4300
+    d = 15 * 10**2149
+    code, out, err = run(capsys, "dim", "--which", "nabla", "--lambda", "2", "--d", str(d))
+    assert (code, out) == (2, "") and "over 4300 digits" in err
+    d = 10**4300 - 1
+    code, out, _ = run(capsys, "dim", "--which", "gtensor", "--lambda", "1", "--d", str(d))
+    assert (code, out) == (0, f"{d}\n")
+
+
 def test_dim_refuses_many_weights_at_once(capsys):
     # The partition count stops once it passes the budget: the 8 million
     # partitions of 10000 with at most 3 parts are enough, and the ones
@@ -536,6 +563,48 @@ def test_cli_import_leaves_out_numpy_and_the_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_dim_imports_only_what_it_runs():
+    # A `dim` process compiles only the modules a query runs: the reports'
+    # formats, the suites' modules and `dataclasses` (with the `inspect`
+    # it pulls in) stay unloaded, after the import and after a query.
+    code = (
+        "import sys, dualweyl.cli as cli; "
+        "unused = ('dataclasses', 'inspect', 'json', 'csv', "
+        "'dualweyl.predictions', 'dualweyl.decomposition'); "
+        "print([m for m in unused if m in sys.modules]); "
+        "cli.main(['dim', '--which', 'u', '--lambda', '2,2,1', '--d', '4']); "
+        "cli.main(['dim', '--which', 'gtensor', '--lambda', '4,2', '--d', '5', '--p', '3']); "
+        "print([m for m in unused if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "56", "420", "[]", ""]
+
+
+def test_checks_hold_under_optimization():
+    # `python -O` drops assert statements: the README example still
+    # answers, and a built module still refuses an assignment.
+    code = (
+        "import sys; from dualweyl import cli; "
+        "from dualweyl.partitions import Partition; "
+        "from dualweyl.quotients import build_dual_weyl; "
+        "from dualweyl.records import FrozenRecordError; "
+        "assert False, 'asserts run'; "
+        "cli.main(['dim', '--which', 'u', '--lambda', '2,2,1', '--d', '4', '--p', '2']); "
+        "module = build_dual_weyl(Partition((2, 1)), 3, 3)\n"
+        "try:\n    module.p = 5\nexcept FrozenRecordError:\n    print('frozen')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["56", "frozen"]
 
 
 def test_benchmark_tracer_still_attaches(tmp_path):

@@ -658,11 +658,10 @@ def test_every_cached_value_is_frozen():
     # value it finds, so a mutable object would not be spoilt for later
     # callers. The template is a tuple and the Kostka number an int. A new
     # cache must join this test.
-    from dataclasses import FrozenInstanceError
-
     from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_template
     from dualweyl.quotients import _build, _dominant_block
+    from dualweyl.records import FrozenRecordError
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
@@ -678,7 +677,7 @@ def test_every_cached_value_is_frozen():
         (basis, "index"),
     ]
     for obj, attr in frozen:
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenRecordError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
     for mapping in (rows, rows[mu], basis.index):
@@ -709,7 +708,9 @@ def _reachable(root):
         seen[id(obj)] = obj
         if isinstance(obj, (dict, list, tuple, set)):
             todo.extend(gc.get_referents(obj))
-        elif isinstance(obj, (_Block, Subspace, SpanBuilder)):
+        elif isinstance(obj, _Block):
+            todo.extend(getattr(obj, f) for f in obj.__slots__)
+        elif isinstance(obj, (Subspace, SpanBuilder)):
             todo.append(vars(obj))
     return seen.values()
 
