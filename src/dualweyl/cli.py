@@ -84,60 +84,59 @@ def _item(check: str, *, expected, got, **fields) -> dict:
     return out
 
 
-def _check_verify_iso_true(lam: str, d: int, p: int) -> list[dict]:
-    shape = parse_partition(lam)
-    return [_item(
-        "verify_iso", lam=lam, d=d, p=p, expected=True, got=verify_iso(shape, d, p)
-    )]
-
-
-def _check_dims_match_weyl(lam: str, d: int, p: int) -> list[dict]:
-    """The full skew build against the hook-content dimension and the
-    semistandard-tableau census by weight: the Kostka number of each
-    dominant weight, repeated over its S_d-orbit (Kostka numbers are
-    symmetric in the letters)."""
+def _check_thm1(lam: str) -> list[dict]:
+    """The skew builds at p = 3 and 5 against the hook-content dimension
+    and the semistandard-tableau census by weight, at each d up to 4: the
+    Kostka number of each dominant weight, repeated over its S_d-orbit
+    (Kostka numbers are symmetric in the letters). A block depends only on
+    the letters of its weight, so each prime is built once, at d = 4, and
+    a smaller d reads the weights with no letter past d."""
     from .tableaux import kostka_number
 
     shape = parse_partition(lam)
-    image = build_gtensor_specht(shape, d, p)
-    item = _item(
-        "gtensor_matches_weyl",
-        lam=lam,
-        d=d,
-        p=p,
-        expected=hook_content_dim(shape, d),
-        got=image.dim,
-    )
-    kostka = {
-        w: count
-        for beta in partitions_of(shape.n, d)
-        if (count := kostka_number(shape, beta))
-        for w in orbit(beta, d)
-    }
-    item["pass"] = item["pass"] and image.weight_table() == kostka
-    return [item]
+    tables = {p: build_gtensor_specht(shape, 4, p).weight_table() for p in (3, 5)}
+    items = []
+    for d in range(1, 5):
+        kostka = {
+            w: count
+            for beta in partitions_of(shape.n, d)
+            if (count := kostka_number(shape, beta))
+            for w in orbit(beta, d)
+        }
+        for p, table in tables.items():
+            items.append(_item(
+                "verify_iso", lam=lam, d=d, p=p, expected=True,
+                got=verify_iso(shape, d, p),
+            ))
+            restricted = {w[:d]: v for w, v in table.items() if not any(w[d:])}
+            item = _item(
+                "gtensor_matches_weyl", lam=lam, d=d, p=p,
+                expected=hook_content_dim(shape, d), got=sum(restricted.values()),
+            )
+            item["pass"] = item["pass"] and restricted == kostka
+            items.append(item)
+    return items
 
 
-def _check_predict_vs_verify(lam: str, d: int) -> list[dict]:
+def _check_thm2(lam: str) -> list[dict]:
+    """The characteristic-2 prediction against the construction at
+    d = max(1, n - 2) and d = n, and the rank the supplementary snakes add
+    at the smaller d."""
     from . import predictions as pred
 
     shape = parse_partition(lam)
-    return [_item(
-        "predicted_iso_matches_construction",
-        lam=lam,
-        d=d,
-        p=2,
-        expected=pred.predict_iso(shape),
-        got=verify_iso(shape, d, 2),
-    )]
-
-
-def _check_supp_gain(lam: str, d: int) -> list[dict]:
-    from . import predictions as pred
-
-    gain = pred.supplementary_rank_gain(parse_partition(lam), d)
-    return [_item(
-        "supplementary_rank_gain", lam=lam, d=d, p=2, expected=None, got=gain
+    low = max(1, shape.n - 2)
+    predicted = pred.predict_iso(shape)
+    items = [
+        _item(
+            "predicted_iso_matches_construction", lam=lam, d=d, p=2,
+            expected=predicted, got=verify_iso(shape, d, 2),
+        )
+        for d in sorted({low, shape.n})
+    ]
+    gain = pred.supplementary_rank_gain(shape, low)
+    return items + [_item(
+        "supplementary_rank_gain", lam=lam, d=low, p=2, expected=None, got=gain
     )]
 
 
@@ -309,26 +308,19 @@ def _check_example61() -> list[dict]:
 
 
 def _suite_thm1_checks(n_max: int) -> list[tuple]:
-    checks = []
-    for n in range(1, n_max + 1):
-        for shape in partitions_of(n):
-            lam = format_partition(shape)
-            for d in range(1, 5):
-                for p in (3, 5):
-                    checks.append((_check_verify_iso_true, lam, d, p))
-                    checks.append((_check_dims_match_weyl, lam, d, p))
-    return checks
+    return [
+        (_check_thm1, format_partition(shape))
+        for n in range(1, n_max + 1)
+        for shape in partitions_of(n)
+    ]
 
 
 def _suite_thm2_checks(n_max: int) -> list[tuple]:
-    checks = []
-    for n in range(1, n_max + 1):
-        for shape in partitions_of(n):
-            lam = format_partition(shape)
-            low = max(1, n - 2)
-            for d in sorted({low, n}):
-                checks.append((_check_predict_vs_verify, lam, d))
-            checks.append((_check_supp_gain, lam, low))
+    checks = [
+        (_check_thm2, format_partition(shape))
+        for n in range(1, n_max + 1)
+        for shape in partitions_of(n)
+    ]
     checks += [(_check_non_iso_set, n) for n in EXPECTED_NON_ISO if n <= n_max]
     return checks
 

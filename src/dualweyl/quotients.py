@@ -48,7 +48,10 @@ basic relations is then the number of tabloids outside R, which is how
 snakes add without a full build.
 
 The kernel U is then a count in the same coordinates, with no
-elimination: see `_kernel_dims`.
+elimination: see `_kernel_dims`. A mod-2 skew dimension is the
+hook-content count plus dim U, because the surjection onto the dual Weyl
+module is onto; so only blocks in which some letter occurs twice are
+built.
 """
 
 from __future__ import annotations
@@ -349,15 +352,10 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     """Dimension of the dual Weyl module (``"nabla"``) or of the skew
     construction (``"gtensor"``): the hook-content count for the
-    alternating kind; for mod-2 skew, the quotient dimension of each
-    dominant block times the orbit size of its weight."""
-    if _tabloid_kind(which, p) is ALT_COLUMN:
-        return hook_content_dim(shape, d)
-    total = 0
-    for beta in partitions_of(shape.n, d):
-        block = _dominant_block(shape, beta)
-        total += (block.size - block.span.dim) * orbit_size(beta, d)
-    return total
+    alternating kind; for mod-2 skew, that count plus the kernel
+    dimension, since the surjection onto the dual Weyl module is onto."""
+    alternating = _tabloid_kind(which, p) is ALT_COLUMN
+    return hook_content_dim(shape, d) + (0 if alternating else u_lambda_dim(shape, d))
 
 
 def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
@@ -554,9 +552,9 @@ def restrict_entries(
     with no letter above d_sub, with the dimension at d_sub. Returns
     (restricted, direct); the two must agree. The restricted side sums
     the quotient dimensions of those weight blocks of the full degree-d
-    build; the direct side is `module_dim` at d_sub: the hook-content count
-    at odd p, and at p = 2 the dominant blocks, in R-coordinates, scaled
-    over S_d-orbits."""
+    build; the direct side is `module_dim` at d_sub: the hook-content count,
+    plus at p = 2 the kernel dimension, read from the dominant blocks in
+    R-coordinates and scaled over S_d-orbits."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
     module = build_gtensor_specht(shape, d, p)

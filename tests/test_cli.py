@@ -17,6 +17,10 @@ from dualweyl.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = SRC.parent / "perfbench"
 VERIFY_ALL_SHA256 = "4651521214fa13f502de04c267f2259a433e062f1682606ae85bfcef7231d4cf"
+# `verify --suite thm2 --n-max 5 --no-timing --format json`, 55 items
+VERIFY_THM2_PROBE_SHA256 = (
+    "56b9d102dee31e1e31d4b5e1723b64f93c1505385bc96b5197f69ba7d5cdec14"
+)
 
 
 def child_env():
@@ -420,6 +424,32 @@ def test_verify_all_report_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
 
 
+def test_verify_thm2_probe_is_pinned(capsys):
+    # The thm2 slice the benchmark times is fixed too; a reshuffle of the
+    # thm2 units or their items shows here.
+    for jobs in ("1", "2"):
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "thm2", "--n-max", "5", "--jobs", jobs,
+            "--no-timing", "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(out)["items"]) == 55
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_THM2_PROBE_SHA256
+
+
+def test_thm1_builds_each_shape_once_per_prime(capsys):
+    # A smaller d reads the d = 4 build: 11 shapes of at most 4 boxes, at
+    # p = 3 and 5, make 22 builds, not one per (shape, d, p).
+    from dualweyl import quotients
+
+    quotients._build.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "thm1", "--n-max", "4",
+                       "--jobs", "1")
+    assert code == 0 and out.strip().endswith("176/176 checks passed")
+    assert quotients._build.cache_info().misses == 22
+
+
 def test_verify_d1_parallel_matches_serial(capsys):
     code, serial, _ = run(
         capsys,
@@ -546,7 +576,10 @@ def test_thm1_check_has_an_independent_oracle(monkeypatch):
 
     monkeypatch.setattr(cli, "build_gtensor_specht", mod2_build)
     monkeypatch.setattr(cli, "build_dual_weyl", mod2_build, raising=False)
-    [item] = cli._check_dims_match_weyl("1,1", 2, 3)
+    [item] = [
+        it for it in cli._check_thm1("1,1")
+        if (it["check"], it["d"], it["p"]) == ("gtensor_matches_weyl", 2, 3)
+    ]
     assert (item["expected"], item["got"], item["pass"]) == (1, 3, False)
 
 
@@ -656,8 +689,11 @@ sys.exit(code)
     )
     assert proc.returncode == 0, proc.stderr
     units = int(proc.stderr.split()[-1])
-    # the decomposition unit gives 8 items and the example61 unit 2
-    assert units == len(json.loads(proc.stdout)["items"]) - 8
+    # one unit per shape of thm1 (29) and of thm2 (29, and the 2
+    # non-isomorphism lists), of d1 (29); 40 hooks-d2, 20 tables and one
+    # example61 unit
+    assert units == 29 + 31 + 29 + 40 + 20 + 1
+    assert len(json.loads(proc.stdout)["items"]) == 650
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracer

@@ -248,6 +248,24 @@ def test_restrict_entries():
     assert restrict_entries(Partition((3, 1, 1)), 5, 2, 2) == (8, 8)
 
 
+def test_d4_weight_table_restricts_to_every_smaller_d():
+    # The thm1 suite reads a smaller d from the d = 4 build: the weights
+    # with no letter past d, truncated to d letters, are the weight table
+    # of the build at d, for both constructions.
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for p in (2, 3):
+                for build in (build_dual_weyl, build_gtensor_specht):
+                    table = build(shape, 4, p).weight_table()
+                    for d in range(1, 5):
+                        restricted = {
+                            w[:d]: v for w, v in table.items() if not any(w[d:])
+                        }
+                        assert restricted == build(shape, d, p).weight_table(), (
+                            shape, d, p, build.__name__
+                        )
+
+
 @pytest.mark.parametrize("side", ["full", "dominant"])
 def test_restrict_entries_check_has_an_independent_oracle(monkeypatch, side):
     # The two sides come from different computations: the weight blocks of
