@@ -169,32 +169,27 @@ def _check_d1(lam: str) -> list[dict]:
     )]
 
 
-def _check_hook_dim(a: int, l: int) -> list[dict]:
+def _check_hook(a: int, l: int) -> list[dict]:
+    """The two-letter dimension of the hook with arm a and leg l and, for
+    an even leg, its weight multiset."""
     from . import predictions as pred
 
     shape = pred.hook_partition(a, l)
-    return [_item(
+    fields = {"lam": format_partition(shape), "d": 2, "p": 2}
+    items = [_item(
         "hook_two_letter_dim",
-        lam=format_partition(shape),
-        d=2,
-        p=2,
+        **fields,
         expected=pred.hook_d2_dim(a, l),
         got=build_gtensor_specht(shape, 2, 2).dim,
     )]
-
-
-def _check_hook_frobenius(a: int, l: int) -> list[dict]:
-    from . import predictions as pred
-
-    shape = pred.hook_partition(a, l)
-    return [_item(
-        "hook_frobenius_weights",
-        lam=format_partition(shape),
-        d=2,
-        p=2,
-        expected=True,
-        got=pred.frobenius_weight_check(a, l),
-    )]
+    if l % 2 == 0:
+        items.append(_item(
+            "hook_frobenius_weights",
+            **fields,
+            expected=True,
+            got=pred.frobenius_weight_check(a, l),
+        ))
+    return items
 
 
 def _check_u_dim_formula(d: int) -> list[dict]:
@@ -307,62 +302,36 @@ def _check_example61() -> list[dict]:
 # Suites
 
 
-def _suite_thm1_checks(n_max: int) -> list[tuple]:
+def _per_shape(handler, n_max: int) -> list[tuple]:
+    """One unit of the handler per shape of at most n_max boxes."""
     return [
-        (_check_thm1, format_partition(shape))
+        (handler, format_partition(shape))
         for n in range(1, n_max + 1)
         for shape in partitions_of(n)
     ]
-
-
-def _suite_thm2_checks(n_max: int) -> list[tuple]:
-    checks = [
-        (_check_thm2, format_partition(shape))
-        for n in range(1, n_max + 1)
-        for shape in partitions_of(n)
-    ]
-    checks += [(_check_non_iso_set, n) for n in EXPECTED_NON_ISO if n <= n_max]
-    return checks
-
-
-def _suite_d1_checks(n_max: int) -> list[tuple]:
-    return [
-        (_check_d1, format_partition(shape))
-        for n in range(1, n_max + 1)
-        for shape in partitions_of(n)
-    ]
-
-
-def _suite_hooks_checks() -> list[tuple]:
-    checks = []
-    for a in range(2, 7):
-        for l in range(2, 7):
-            checks.append((_check_hook_dim, a, l))
-            if l % 2 == 0:
-                checks.append((_check_hook_frobenius, a, l))
-    return checks
-
-
-def _suite_tables_checks() -> list[tuple]:
-    checks = [(_check_table1, d) for d in (4, 5, 6)]
-    checks += [(_check_u_dim_formula, d) for d in (4, 5, 6, 7)]
-    checks += [
-        (_check_u_degree, format_partition(shape))
-        for n in (4, 5)
-        for shape in partitions_of(n)
-    ]
-    checks.append((_check_decomposition,))
-    return checks
 
 
 # The units of each suite, from its capped --n-max, in the order
 # `verify --suite all` runs them.
 _SUITE_UNITS = {
-    "thm1": _suite_thm1_checks,
-    "thm2": _suite_thm2_checks,
-    "d1": _suite_d1_checks,
-    "hooks-d2": lambda n_max: _suite_hooks_checks(),
-    "tables": lambda n_max: _suite_tables_checks(),
+    "thm1": lambda n_max: _per_shape(_check_thm1, n_max),
+    "thm2": lambda n_max: _per_shape(_check_thm2, n_max) + [
+        (_check_non_iso_set, n) for n in EXPECTED_NON_ISO if n <= n_max
+    ],
+    "d1": lambda n_max: _per_shape(_check_d1, n_max),
+    "hooks-d2": lambda n_max: [
+        (_check_hook, a, l) for a in range(2, 7) for l in range(2, 7)
+    ],
+    "tables": lambda n_max: [
+        *((_check_table1, d) for d in (4, 5, 6)),
+        *((_check_u_dim_formula, d) for d in (4, 5, 6, 7)),
+        *(
+            (_check_u_degree, format_partition(shape))
+            for n in (4, 5)
+            for shape in partitions_of(n)
+        ),
+        (_check_decomposition,),
+    ],
     "example61": lambda n_max: [(_check_example61,)],
 }
 SUITES = (*_SUITE_UNITS, "all")
@@ -387,38 +356,23 @@ def _load_table3_golden() -> dict[str, dict[Partition, int]]:
     return out
 
 
-def _render_table1(d: int) -> tuple[str, bool]:
-    import csv
-    import io
-
-    from . import predictions as pred
-
-    counts = pred.table1_weight_counts(d)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dominant_weight", "count"])
-    for shape, _, _ in pred.TABLE1_FORMULAS:
-        writer.writerow([format_partition(shape), counts.get(shape, 0)])
-    return buf.getvalue(), counts == pred.table1_expected(d)
+def _render_table1(d: int) -> tuple[list[tuple], bool]:
+    """The census item of the tables suite at d, one row per weight class
+    of the stored formulas, in their sorted order."""
+    [item] = _check_table1(d)
+    rows = [("dominant_weight", "count")]
+    rows += [(lam, item["got"].get(lam, 0)) for lam in item["expected"]]
+    return rows, item["pass"]
 
 
-def _render_table3() -> tuple[str, bool]:
-    import csv
-    import io
-
-    from . import decomposition as dc
-
-    golden = _load_table3_golden()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda", "mu", "multiplicity"])
-    ok = True
-    for lam, expected_row in golden.items():
-        got = dc.composition_factors_U(parse_partition(lam))
-        ok = ok and got == expected_row
-        for mu in sorted(got):
-            writer.writerow([lam, format_partition(mu), got[mu]])
-    return buf.getvalue(), ok
+def _render_table3() -> tuple[list[tuple], bool]:
+    """The factor items of the decomposition unit, one row per factor; none
+    when its gates item fails."""
+    gates, *items = _check_decomposition()
+    factors = [it for it in items if it["check"] == "kernel_composition_factors"]
+    rows = [("lambda", "mu", "multiplicity")]
+    rows += [(it["lam"], mu, n) for it in factors for mu, n in it["got"].items()]
+    return rows, gates["pass"] and all(it["pass"] for it in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +492,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    import csv
+    import io
     from pathlib import Path
 
     if args.which == "table1":
-        text, ok = _render_table1(args.d)
+        rows, ok = _render_table1(args.d)
     else:
-        text, ok = _render_table3()
+        rows, ok = _render_table3()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

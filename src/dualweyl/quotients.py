@@ -551,18 +551,14 @@ def restrict_entries(
     """Compare the degree-d skew construction, truncated to the weights
     with no letter above d_sub, with the dimension at d_sub. Returns
     (restricted, direct); the two must agree. The restricted side sums
-    the quotient dimensions of those weight blocks of the full degree-d
-    build; the direct side is `module_dim` at d_sub: the hook-content count,
-    plus at p = 2 the kernel dimension, read from the dominant blocks in
-    R-coordinates and scaled over S_d-orbits."""
+    the weight table of the full degree-d build over those weights, the
+    restriction the thm1 check reads; the direct side is `module_dim` at
+    d_sub: the hook-content count, plus at p = 2 the kernel dimension, read
+    from the dominant blocks in R-coordinates and scaled over S_d-orbits."""
     if not 1 <= d_sub <= d:
         raise ValueError("need 1 <= d_sub <= d")
-    module = build_gtensor_specht(shape, d, p)
-    restricted = sum(
-        b.size - b.span.dim
-        for w, b in module._blocks.items()
-        if not any(w[d_sub:])
-    )
+    table = build_gtensor_specht(shape, d, p).weight_table()
+    restricted = sum(v for w, v in table.items() if not any(w[d_sub:]))
     direct = module_dim("gtensor", shape, d_sub, p)
     if restricted != direct:
         raise InvariantError(

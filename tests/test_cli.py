@@ -212,16 +212,24 @@ def test_dim_budget_admits_the_documented_queries():
         assert dominant_rep_bound(*query) <= cli.DIM_REP_BUDGET, query
 
 
-def test_readme_dim_examples_print_their_values(capsys):
+def test_readme_commands_run_as_written(capsys, monkeypatch, tmp_path):
+    # Every command of the README's block exits 0, and a `dim` line prints
+    # the value its comment gives. They run in a scratch directory, since
+    # one writes table3.csv, and the pool is held to two workers.
     readme = (SRC.parent / "README.md").read_text()
-    examples = [
-        line for line in readme.splitlines() if line.startswith("dualweyl dim ")
-    ]
-    assert len(examples) == 3
-    for line in examples:
-        command, expected = line.split("# ->")
-        code, out, _ = run(capsys, *command.split()[1:])
-        assert (code, out.strip()) == (0, expected.strip()), line
+    lines = [line for line in readme.splitlines() if line.startswith("dualweyl ")]
+    assert [line.split()[1] for line in lines] == (
+        ["dim"] * 3 + ["verify"] * 2 + ["table"] * 2
+    )
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for line in lines:
+        command, _, expected = line.partition("# ->")
+        code, out, err = run(capsys, *command.split()[1:])
+        assert code == 0, (line, err)
+        if expected:
+            assert out.strip() == expected.strip(), line
+    assert (tmp_path / "table3.csv").is_file()
 
 
 def test_dim_json_report(capsys, tmp_path):
@@ -544,7 +552,7 @@ def pool_sizes(monkeypatch):
 def test_pool_is_clamped_to_the_check_count(pool_sizes):
     from dualweyl import cli
 
-    checks = cli._suite_d1_checks(2)
+    checks = cli._SUITE_UNITS["d1"](2)
     assert cli._run_checks(checks, 8) == [cli._run_check(c) for c in checks]
     assert pool_sizes == [len(checks)]
 
@@ -690,9 +698,9 @@ sys.exit(code)
     assert proc.returncode == 0, proc.stderr
     units = int(proc.stderr.split()[-1])
     # one unit per shape of thm1 (29) and of thm2 (29, and the 2
-    # non-isomorphism lists), of d1 (29); 40 hooks-d2, 20 tables and one
-    # example61 unit
-    assert units == 29 + 31 + 29 + 40 + 20 + 1
+    # non-isomorphism lists), of d1 (29); one per hook (25), 20 tables and
+    # one example61 unit
+    assert units == 29 + 31 + 29 + 25 + 20 + 1
     assert len(json.loads(proc.stdout)["items"]) == 650
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -713,6 +721,22 @@ def test_report_is_deterministic(capsys):
     code2, second, _ = run(capsys, *args)
     assert code == code2 == 0
     assert first == second
+
+
+def test_table3_reports_a_failed_derivation(capsys, monkeypatch):
+    # A derived row that fails its checks is a golden mismatch, as a
+    # drifted count is, not a traceback.
+    from dualweyl import decomposition as dc
+    from dualweyl.partitions import InvariantError
+
+    def broken(n):
+        raise InvariantError(f"row of degree {n} fails its checks")
+
+    monkeypatch.setattr(dc, "decomposition_rows", broken)
+    code, out, err = run(capsys, "table", "--which", "table3")
+    assert code == 1
+    assert out == "lambda,mu,multiplicity\n"
+    assert "golden mismatch" in err
 
 
 def test_table1_csv(capsys):
