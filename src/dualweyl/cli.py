@@ -379,9 +379,20 @@ def _render_table3() -> tuple[list[tuple], bool]:
 # Command plumbing
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write to the ``--out`` path. Any failure there, a full device
+    included, is an error in the user's input (exit 2); an OSError of the
+    program itself, such as a closed pipe, propagates."""
+    from pathlib import Path
+
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit_report(args, command: str, items: list[dict], started: float) -> int:
     import json
-    from pathlib import Path
 
     failures = [it for it in items if not it["pass"]]
     report = {
@@ -394,7 +405,7 @@ def _emit_report(args, command: str, items: list[dict], started: float) -> int:
         report["timing_ms"] = int((time.monotonic() - started) * 1000)
     text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -441,7 +452,8 @@ def cmd_dim(args) -> int:
     if bound > DIM_REP_BUDGET:
         raise ValueError(
             f"{query} may need {bound} steps (boxes, or snake terms, weights "
-            f"and representatives), over the budget of {DIM_REP_BUDGET}"
+            f"with their boxes, and representatives), over the budget of "
+            f"{DIM_REP_BUDGET}"
         )
     # 0 means no limit, as does an interpreter older than the limit (3.10.7).
     digits = getattr(sys, "get_int_max_str_digits", int)()
@@ -494,7 +506,6 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     import csv
     import io
-    from pathlib import Path
 
     if args.which == "table1":
         rows, ok = _render_table1(args.d)
@@ -504,7 +515,7 @@ def cmd_table(args) -> int:
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = buf.getvalue()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     if not ok:
@@ -565,8 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         args.n_max = 10 if args.suite == "d1" else THM_N_MAX
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ as they are. Builds expand the snakes of basis representatives, whose
 columns are already sorted, with `snake_terms`, keying every term by its
 column tuple. `garnir_terms` is the entry point for an arbitrary
 `GarnirLabel`; it validates the label, canonicalizes the untouched columns
-once and runs the same expansion, `_expand`.
+once with `tabloids.canonical_cols` and runs the same expansion, `_expand`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterator
 from .partitions import InvariantError, Partition
 from .records import Record
 from .tableaux import Box, Cols, Tableau, TableauClass, enumerate_tableaux
-from .tabloids import TabloidKind, basis_class, sort_column
+from .tabloids import TabloidKind, basis_class, canonical_cols, sort_column
 
 # Per coset representative: the positions in (first column + second column)
 # that fill the new first and second columns, and the parity.
@@ -191,16 +191,13 @@ def garnir_terms(label: GarnirLabel, kind: TabloidKind) -> dict[Tableau, int]:
     rows_a = tuple(sorted(i - 1 for i, _ in label.A))
     rows_b = tuple(sorted(i - 1 for i, _ in label.B))
     template = _template(len(cols[j]), len(cols[j2]), rows_a, rows_b)
-    alternating = kind.zero_on_column_repeats
-    canonical, parity = [], 0
-    for c, col in enumerate(cols):
-        if c not in (j, j2):
-            col, inv, repeat = sort_column(col)
-            if repeat and alternating:
-                return {}
-            parity ^= inv
-        canonical.append(col)
-    sign = -1 if parity and alternating else 1
+    untouched = tuple(col for c, col in enumerate(cols) if c not in (j, j2))
+    rest, sign, is_zero = canonical_cols(untouched, kind)
+    if is_zero:
+        return {}
+    canonical = list(rest)
+    canonical.insert(j, cols[j])
+    canonical.insert(j2, cols[j2])
     terms = _expand(tuple(canonical), j, j2, template, kind)
     return {Tableau(t): sign * c for t, c in terms.items()}
 

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over GF(p) for small primes.
 
-GF(2) vectors are Python ints used as bit masks (bit i = coordinate i),
-which keeps row reduction at word-XOR speed. Odd primes use sparse rows,
-dicts from coordinate to a coefficient in [1, p). A `SpanBuilder` holds
-its span in row-echelon form that is not reduced: a push clears the
+Vectors come in as sparse dicts {coordinate: coefficient} at every p.
+Inside, GF(2) rows are Python ints used as bit masks (bit i = coordinate
+i), which keeps row reduction at word-XOR speed, and a caller holding a
+mask passes it to `add_mask` or `residual_mask`. Odd primes use sparse
+rows, dicts from coordinate to a coefficient in [1, p). A `SpanBuilder`
+holds its span in row-echelon form that is not reduced: a push clears the
 pivots of the new vector in increasing order and stores it without
 touching earlier rows. `SpanBuilder.subspace` back-substitutes once, from
 the highest pivot down, into the reduced row-echelon form of a frozen
@@ -41,38 +43,6 @@ def is_prime(p: int) -> bool:
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-
-
-def _items(vec, ambient_dim: int):
-    """(coordinate, coefficient) pairs of a sequence or sparse dict."""
-    if isinstance(vec, dict):
-        for i in vec:
-            if not 0 <= i < ambient_dim:
-                raise ValueError("coordinate out of range")
-        return vec.items()
-    seq = list(vec)
-    if len(seq) != ambient_dim:
-        raise ValueError(f"expected length {ambient_dim}, got {len(seq)}")
-    return enumerate(seq)
-
-
-def as_mask(vec, ambient_dim: int) -> int:
-    """Coerce a GF(2) vector (int mask, sequence, or sparse dict) to a mask."""
-    if isinstance(vec, int):
-        if vec >> ambient_dim:
-            raise ValueError("vector exceeds ambient dimension")
-        return vec
-    mask = 0
-    for i, c in _items(vec, ambient_dim):
-        if c % 2:
-            mask |= 1 << i
-    return mask
-
-
-def as_dict(vec, ambient_dim: int, p: int) -> dict[int, int]:
-    """Coerce a vector (sequence or sparse dict) to a fresh sparse row with
-    coefficients in [1, p)."""
-    return {i: c % p for i, c in _items(vec, ambient_dim) if c % p}
 
 
 def _reduce_mask(mask: int, piv: dict[int, int], pivmask: int) -> int:
@@ -146,12 +116,29 @@ class _Rows:
         """The GF(2) mask reduced modulo the span (zero iff contained)."""
         return _reduce_mask(mask, self._piv, self._pivmask)
 
+    def _coerce(self, vec):
+        """A sparse dict {coordinate: coefficient} as a row of this space:
+        a mask at p = 2, a fresh dict with coefficients in [1, p) otherwise."""
+        if not isinstance(vec, dict):
+            raise TypeError(f"expected a sparse dict, got {type(vec).__name__}")
+        m, p = self.ambient_dim, self.p
+        if vec and (min(vec) < 0 or max(vec) >= m):
+            raise ValueError(f"coordinate out of range({m})")
+        if p == 2:
+            mask = 0
+            for i, c in vec.items():
+                if c % 2:
+                    mask |= 1 << i
+            return mask
+        return {i: c % p for i, c in vec.items() if c % p}
+
     def _residual(self, vec):
         """vec modulo the span: a mask at p = 2, a sparse dict otherwise;
         zero on every pivot coordinate."""
+        v = self._coerce(vec)
         if self.p == 2:
-            return self.residual_mask(as_mask(vec, self.ambient_dim))
-        return _clear_dict(as_dict(vec, self.ambient_dim, self.p), self._piv, self.p)
+            return self.residual_mask(v)
+        return _clear_dict(v, self._piv, self.p)
 
     def contains(self, vec) -> bool:
         return not self._residual(vec)
@@ -229,6 +216,5 @@ class SpanBuilder(_Rows):
         return True
 
     def add(self, vec) -> bool:
-        if self.p == 2:
-            return self.add_mask(as_mask(vec, self.ambient_dim))
-        return self._add_dict(as_dict(vec, self.ambient_dim, self.p))
+        v = self._coerce(vec)
+        return self.add_mask(v) if self.p == 2 else self._add_dict(v)

@@ -18,8 +18,8 @@ and its snakes, term for term, onto those of the first block of its
 packed weight: the spans are equal, and shared. Rearrangements such as
 (1,2,0) and (2,1,0) pack differently, so the full build still checks the
 S_d-symmetry that the dominant path assumes. No module or cache holds a
-builder. Module objects, the thm1 check and `restrict_entries` use the
-full build, keyed by tabloid kind, so one for both constructions at odd p.
+builder. Module objects and the thm1 check use the full build, keyed by
+tabloid kind, so one for both constructions at odd p.
 
 Mod-2 skew dimensions (`module_dim`), the isomorphism test (`verify_iso`)
 and the kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the
@@ -238,8 +238,10 @@ def _push_terms(
     p: int,
 ) -> bool:
     """Push one relation into the span of the block with local coordinates
-    ``pos``. Relations are weight homogeneous, so every term must lie in
-    that block; building blocks one content at a time rests on this."""
+    ``pos``, over GF(p), the prime of ``span`` (the benchmark's tracer
+    books pushes by it). Relations are weight homogeneous, so every term
+    must lie in that block; building blocks one content at a time rests
+    on this."""
     if not terms:
         return False
     try:
@@ -248,12 +250,6 @@ def _push_terms(
         raise InvariantError(
             f"relation term {exc.args[0]} lies outside its weight block"
         ) from None
-    if p == 2:
-        mask = 0
-        for j, c in local.items():
-            if c % 2:
-                mask |= 1 << j
-        return span.add_mask(mask)
     return span.add(local)
 
 
@@ -364,8 +360,10 @@ def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     factors of its hook-content product, each once per 30-bit digit (the
     digit of Python's integers) of d + n. On the mod-2 skew path every
     representative holds the n boxes, and past the budget they are the
-    forecast; below it, the largest snake template, the dominant weights
-    and the R-representatives their blocks hold. Standardizing the
+    forecast; below it, the largest snake template, the dominant weights,
+    the n boxes that each weight's block places when the shape has two
+    rows or more (a one-row shape builds no block), and, within the
+    budget, the R-representatives the blocks hold. Standardizing the
     letters one at a time maps each R_beta into the standard tableaux, so
     |R_beta| <= f^shape; and all R_beta together, over at most
     m = min(d, n) letters, are at most the row-and-column-semistandard
@@ -380,6 +378,8 @@ def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     m = min(d, shape.n)
     weights = _partition_count(shape.n, m)
     fixed = _largest_snake_template(shape) + weights
+    if len(shape) > 1:  # each weight's block is built and places n boxes
+        fixed += weights * shape.n
     if fixed > DIM_REP_BUDGET:
         return fixed
     letters = m + len(shape) - 1
@@ -543,29 +543,6 @@ def _col_key(cols: Cols) -> tuple[tuple[int, int], ...]:
     column, leftmost first. A smaller key is a greater tableau: at the
     first difference, it holds the larger entry in an earlier column."""
     return tuple(sorted((-x, j) for j, col in enumerate(cols) for x in col))
-
-
-def restrict_entries(
-    shape: Partition, d: int, d_sub: int, p: int
-) -> tuple[int, int]:
-    """Compare the degree-d skew construction, truncated to the weights
-    with no letter above d_sub, with the dimension at d_sub. Returns
-    (restricted, direct); the two must agree. The restricted side sums
-    the weight table of the full degree-d build over those weights, the
-    restriction the thm1 check reads; the direct side is `module_dim` at
-    d_sub: the hook-content count, plus at p = 2 the kernel dimension, read
-    from the dominant blocks in R-coordinates and scaled over S_d-orbits."""
-    if not 1 <= d_sub <= d:
-        raise ValueError("need 1 <= d_sub <= d")
-    table = build_gtensor_specht(shape, d, p).weight_table()
-    restricted = sum(v for w, v in table.items() if not any(w[d_sub:]))
-    direct = module_dim("gtensor", shape, d_sub, p)
-    if restricted != direct:
-        raise InvariantError(
-            f"restriction of {shape} from d={d} to {d_sub} gives {restricted}, "
-            f"the direct build {direct}"
-        )
-    return restricted, direct
 
 
 def apply_transvection(

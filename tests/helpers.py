@@ -11,7 +11,10 @@ helpers and the row tabloids have no caller in the package; they live
 here as references for the tests. So do the literature oracles for the
 derived decomposition rows: the characteristic-2 rows of degrees 1 to 5
 (`literature_rows`, read from `decomposition_p2.txt`) and the dimension
-polynomials of the degree-5 simple modules (`DEGREE5_DIM_POLYS`)."""
+polynomials of the degree-5 simple modules (`DEGREE5_DIM_POLYS`), and the
+GF(2) endomorphism ring of a Specht module built from its standard
+polytabloids (`specht_endomorphisms`), the oracle of the indecomposability
+corollary."""
 
 import random
 from fractions import Fraction
@@ -190,7 +193,7 @@ def probe_builder(subspace: Subspace) -> SpanBuilder:
     basis rows, to probe rank growth by elimination."""
     builder = SpanBuilder(subspace.ambient_dim, subspace.p)
     for row in subspace.basis_rows():
-        builder.add(row)
+        builder.add(sparse(row))
     return builder
 
 
@@ -353,8 +356,14 @@ def unit_vector(basis: TabloidBasis, p: int, t: Tableau) -> TabloidVector:
     return TabloidVector(basis, p, {basis.index_of(t): 1})
 
 
+def sparse(row) -> dict[int, int]:
+    """A dense row as the sparse dict {coordinate: coefficient} that the
+    span engine takes."""
+    return {i: c for i, c in enumerate(row) if c}
+
+
 def span(vectors, ambient_dim: int, p: int) -> Subspace:
-    """Reduced row-echelon span of the given vectors."""
+    """Reduced row-echelon span of the given sparse vectors."""
     builder = SpanBuilder(ambient_dim, p)
     for v in vectors:
         builder.add(v)
@@ -369,7 +378,8 @@ def dim_sum_and_intersection(s: Subspace, t: Subspace) -> tuple[int, int]:
     """(dim(S+T), dim(S∩T)) via rank of the stacked bases."""
     if s.ambient_dim != t.ambient_dim or s.p != t.p:
         raise ValueError("subspaces must share ambient space and prime")
-    dim_sum = span(s.basis_rows() + t.basis_rows(), s.ambient_dim, s.p).dim
+    rows = [sparse(row) for row in s.basis_rows() + t.basis_rows()]
+    dim_sum = span(rows, s.ambient_dim, s.p).dim
     return dim_sum, s.dim + t.dim - dim_sum
 
 
@@ -401,6 +411,142 @@ def reduce_oracle(basis, v, p):
     return v
 
 
+def _standard_tableaux(parts):
+    """The standard tableaux of a shape, as lists of rows."""
+    n, out = sum(parts), []
+
+    def grow(rows, k):
+        if k > n:
+            out.append([list(r) for r in rows])
+            return
+        for i, part in enumerate(parts):
+            if len(rows[i]) < part and (i == 0 or len(rows[i - 1]) > len(rows[i])):
+                rows[i].append(k)
+                grow(rows, k + 1)
+                rows[i].pop()
+
+    grow([[] for _ in parts], 1)
+    return out
+
+
+def _gf2_pivots(vectors):
+    """GF(2) bit masks in echelon form keyed by lowest set bit, each with
+    the combination of the inputs it is, as a mask over their positions;
+    the inputs must be independent."""
+    pivots = {}
+    for k, v in enumerate(vectors):
+        combo = 1 << k
+        while v:
+            low = v & -v
+            if low not in pivots:
+                pivots[low] = (v, combo)
+                break
+            m, c = pivots[low]
+            v, combo = v ^ m, combo ^ c
+        else:
+            raise AssertionError("the vectors are dependent")
+    return pivots
+
+
+def specht_endomorphisms(shape) -> tuple[int, list[int]]:
+    """(f, a basis of End(S^shape) over GF(2)), with no use of the package's
+    constructions. S^shape is spanned inside the permutation module of row
+    tabloids by the f standard polytabloids (James, LNM 682, section 8);
+    mod 2 a polytabloid is the set of the tabloids {sigma t}, sigma in the
+    column group, which are distinct. An endomorphism is an f x f matrix
+    that commutes with the action of (1 2) and of (1 2 ... n), which
+    generate S_n; entry (i, k) is bit i*f + k of its mask."""
+    parts = tuple(shape)
+    n = sum(parts)
+    tabloids: dict[tuple[int, ...], int] = {}
+
+    def polytabloid(rows):
+        row_of_entry = {x: i for i, r in enumerate(rows) for x in r}
+        cols = [[r[j] for r in rows if j < len(r)] for j in range(len(rows[0]))]
+        mask = 0
+        for images in product(*(permutations(c) for c in cols)):
+            row_of = [0] * n
+            for col, image in zip(cols, images):
+                for x, y in zip(col, image):
+                    row_of[y - 1] = row_of_entry[x]
+            mask |= 1 << tabloids.setdefault(tuple(row_of), len(tabloids))
+        return mask
+
+    basis = _standard_tableaux(parts)
+    f = len(basis)
+    pivots = _gf2_pivots([polytabloid(rows) for rows in basis])
+
+    def coordinates(v):  # over the standard polytabloids
+        combo = 0
+        while v:
+            m, c = pivots[v & -v]
+            v, combo = v ^ m, combo ^ c
+        return combo
+
+    # One equation per entry (i, j) of A M - M A, for the matrix M of each
+    # generator, whose column j is the coordinates of g e_t = e_{g t}.
+    equations = []
+    generators = [[2, 1] + list(range(3, n + 1)), list(range(2, n + 1)) + [1]]
+    for g in generators if n > 1 else []:
+        cols = [coordinates(polytabloid([[g[x - 1] for x in r] for r in rows]))
+                for rows in basis]
+        for i in range(f):
+            m_row = 0  # the entries M[i][k], at bits k*f
+            for k in range(f):
+                if cols[k] >> i & 1:
+                    m_row |= 1 << (k * f)
+            equations += [(cols[j] << (i * f)) ^ (m_row << j) for j in range(f)]
+    # Echelon form of the equations, keyed by lowest bit, then reduced from
+    # the highest pivot down; each free unknown gives one solution.
+    echelon: dict[int, int] = {}
+    for v in equations:
+        while v and (low := v & -v) in echelon:
+            v ^= echelon[low]
+        if v:
+            echelon[low] = v
+    reduced: dict[int, int] = {}
+    pivot_mask = 0
+    for low in sorted(echelon, reverse=True):
+        row, todo = echelon[low], echelon[low] & pivot_mask
+        while todo:  # a reduced row holds its pivot and free unknowns only
+            q = todo & -todo
+            row ^= reduced[q]
+            todo ^= q
+        reduced[low] = row
+        pivot_mask |= low
+    ends = []
+    for v in range(f * f):
+        free = 1 << v
+        if not free & pivot_mask:
+            ends.append(free | sum(low for low, row in reduced.items() if row & free))
+    return f, ends
+
+
+def nontrivial_idempotents(f: int, basis: list[int]) -> list[int]:
+    """The idempotents other than 0 and 1 among the GF(2) combinations of
+    f x f matrices given as masks, entry (i, k) at bit i*f + k."""
+    if len(basis) > 12:
+        raise ValueError("too many combinations to list")
+    full, one = (1 << f) - 1, sum(1 << (i * f + i) for i in range(f))
+    out = []
+    for choice in range(1, 1 << len(basis)):
+        x = 0
+        for k, b in enumerate(basis):
+            if choice >> k & 1:
+                x ^= b
+        rows = [x >> (i * f) & full for i in range(f)]
+        square = 0
+        for i, row in enumerate(rows):
+            acc = 0
+            for k in range(f):
+                if row >> k & 1:
+                    acc ^= rows[k]
+            square |= acc << (i * f)
+        if square == x != one:
+            out.append(x)
+    return out
+
+
 def prod(items):
     result = 1
     for x in items:
@@ -419,6 +565,7 @@ __all__ = [
     "kernel_table_all_blocks",
     "ker_q_generators",
     "matrix_rank",
+    "nontrivial_idempotents",
     "packed_weight",
     "place_permute",
     "probe_builder",
@@ -426,8 +573,10 @@ __all__ = [
     "reduce_oracle",
     "row_sort",
     "shuffled_template",
+    "specht_endomorphisms",
     "rref_oracle",
     "span",
+    "sparse",
     "straighten_vector",
     "unit_vector",
     "unshared_build",

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -95,6 +96,32 @@ def test_dim_refuses_a_tall_snake_template_at_once(capsys):
     assert (code, out) == (2, "") and "budget" in err
     bound = dominant_rep_bound("u", parse_partition("2^12"), 2, 2)
     assert 1716 < bound <= cli.DIM_REP_BUDGET
+
+
+def test_dim_refuses_a_long_column_at_once(capsys):
+    # Each of the 25001 dominant weights of 1^50000 at d = 2 builds a block
+    # whose enumeration places the 50000 boxes, so the forecast refuses it
+    # before the hook-content count over 50001 letters is taken. A one-row
+    # shape builds no block, and a long row still answers.
+    from dualweyl.partitions import parse_partition
+    from dualweyl.quotients import dominant_rep_bound
+
+    column = parse_partition("1^50000")
+    for which in ("gtensor", "u"):
+        # First the forecast alone: one that admits the query fails here
+        # instead of running it for minutes.
+        assert dominant_rep_bound(which, column, 2, 2) > cli.DIM_REP_BUDGET, which
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "dim", "--which", which, "--lambda", "1^50000", "--d", "2",
+            "--p", "2",
+        )
+        assert time.perf_counter() - started < 1, which
+        assert (code, out) == (2, "") and "budget" in err, which
+    code, out, err = run(
+        capsys, "dim", "--which", "gtensor", "--lambda", "10000", "--d", "2", "--p", "2"
+    )
+    assert (code, out.strip(), err) == (0, "10001", "")
 
 
 def test_dim_refuses_an_answer_too_long_to_print(capsys):
@@ -343,6 +370,18 @@ def test_unreadable_paths_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_out_path_that_fills_up_exits_2(capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC.
+    for argv in (
+        ["dim", "--which", "u", "--lambda", "2,2,1", "--d", "4"],
+        ["table", "--which", "table1"],
+    ):
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write /dev/full"), argv
 
 
 def test_other_os_errors_are_not_reported_as_usage_errors(capsys, monkeypatch):
@@ -666,6 +705,24 @@ def test_benchmark_tracer_still_attaches(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "56"
+
+
+def test_a_module_ops_job_runs_untraced_and_traced(tmp_path):
+    # One seeded job of the benchmark's module-ops workload, each time in
+    # a fresh interpreter: once as it is and once under `tracer.install`.
+    # Every answer checks out, and the planted wrong answer is caught.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run as perfbench_run
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    job = perfbench_run.modops_job(random.Random(1))
+    for trace_dir in (None, tmp_path):
+        result = perfbench_run.modops_worker(job, trace_dir)
+        assert result["failed"] == [], trace_dir
+        assert result["canary_caught"], trace_dir
+        assert len(result["latencies"]) == len(job["ops"]), trace_dir
+    assert list(tmp_path.glob("*.json"))
 
 
 def test_verify_all_runs_one_pool(tmp_path):

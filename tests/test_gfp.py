@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.gfp import SpanBuilder, as_mask, is_prime
+from dualweyl.gfp import SpanBuilder, is_prime
 from helpers import (
     dim_sum_and_intersection,
     matrix_rank,
     reduce_oracle,
     rref_oracle,
     span,
+    sparse,
 )
 
 
@@ -44,31 +45,32 @@ def test_is_prime_is_exact_for_large_p_and_refuses_past_its_bound():
 
 def test_span_examples():
     assert span([], 5, 2).dim == 0
-    units = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    units = [{i: 1} for i in range(4)]
     assert span(units, 4, 3).dim == 4
-    v = [1, 0, 2]
+    v = {0: 1, 2: 2}
     assert span([v, v], 3, 3).dim == 1
 
 
 def test_contains_examples():
-    s = span([[1, 0], [0, 1]], 2, 2)
-    assert s.contains([1, 1])
-    assert span([[0, 1]], 2, 2).contains([0, 0])
-    assert not span([[0, 1]], 2, 2).contains([1, 0])
+    s = span([{0: 1}, {1: 1}], 2, 2)
+    assert s.contains({0: 1, 1: 1})
+    assert span([{1: 1}], 2, 2).contains({})
+    assert span([{1: 1}], 2, 2).contains({0: 0, 1: 2})
+    assert not span([{1: 1}], 2, 2).contains({0: 1})
 
 
 def test_dim_sum_and_intersection_examples():
-    s = span([[1, 0, 0], [0, 1, 0]], 3, 5)
+    s = span([{0: 1}, {1: 1}], 3, 5)
     assert dim_sum_and_intersection(s, s) == (2, 2)
-    a = span([[1, 0]], 2, 3)
-    b = span([[0, 1]], 2, 3)
+    a = span([{0: 1}], 2, 3)
+    b = span([{1: 1}], 2, 3)
     assert dim_sum_and_intersection(a, b) == (2, 0)
-    t = span([[1, 0, 0]], 3, 5)
+    t = span([{0: 1}], 3, 5)
     assert dim_sum_and_intersection(s, t) == (2, 1)
 
 
 def _random_vectors(rng, count, m, p):
-    return [[rng.randrange(p) for _ in range(m)] for _ in range(count)]
+    return [sparse([rng.randrange(p) for _ in range(m)]) for _ in range(count)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,7 +105,7 @@ def test_grassmann_identity_large_ambient(p):
 def test_rank_equals_transpose_rank(p, size):
     rng = random.Random(size * p)
     rows = _random_vectors(rng, size, size, p)
-    cols = [[rows[i][j] for i in range(size)] for j in range(size)]
+    cols = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(size)]
     assert matrix_rank(rows, size, p) == matrix_rank(cols, size, p)
 
 
@@ -112,7 +114,7 @@ def test_span_idempotent_and_order_independent(p):
     rng = random.Random(p)
     vectors = _random_vectors(rng, 12, 8, p)
     s = span(vectors, 8, p)
-    again = span(s.basis_rows(), 8, p)
+    again = span(map(sparse, s.basis_rows()), 8, p)
     assert again.basis_rows() == s.basis_rows()
     shuffled = vectors[:]
     rng.shuffle(shuffled)
@@ -139,25 +141,25 @@ def test_rref_invariants(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_builder_incremental_and_copy(p):
     builder = SpanBuilder(3, p)
-    assert builder.add([1, 0, 0]) is True
-    assert builder.add([1, 0, 0]) is False
-    assert builder.add([1, 1, 0]) is True
+    assert builder.add({0: 1}) is True
+    assert builder.add({0: 1}) is False
+    assert builder.add({0: 1, 1: 1}) is True
     frozen = builder.subspace()
-    assert builder.contains([0, 1, 0])
-    assert not builder.contains([0, 0, 1])
-    assert builder.add([0, 0, 1]) is True
+    assert builder.contains({1: 1})
+    assert not builder.contains({2: 1})
+    assert builder.add({2: 1}) is True
     assert builder.rank == 3 and frozen.dim == 2
-    assert not frozen.contains([0, 0, 1])
+    assert not frozen.contains({2: 1})
 
 
 def _assert_canonical(s, v):
-    """reduce(v) is idempotent, differs from v by a member of the span, and
-    is zero on every pivot coordinate."""
+    """reduce(v) of a sparse v is idempotent, differs from v by a member of
+    the span, and is zero on every pivot coordinate."""
     p, m = s.p, s.ambient_dim
     reduced = s.reduce(v)
     assert all(0 < c < p for c in reduced.values())
     assert s.reduce(dict(reduced)) == reduced
-    diff = [(v[i] - reduced.get(i, 0)) % p for i in range(m)]
+    diff = {i: (v.get(i, 0) - reduced.get(i, 0)) % p for i in range(m)}
     assert s.contains(diff)
     assert not set(reduced) & set(s.pivot_indices())
     return reduced
@@ -165,9 +167,9 @@ def _assert_canonical(s, v):
 
 def test_reduce_is_canonical():
     for p in (2, 3, 5, 7):
-        s = span([[1, 1, 0], [0, 0, 1]], 3, p)
-        assert s.reduce([1, 1, 1]) == {}
-        reduced = _assert_canonical(s, [1, 0, 1])
+        s = span([{0: 1, 1: 1}, {2: 1}], 3, p)
+        assert s.reduce({0: 1, 1: 1, 2: 1}) == {}
+        reduced = _assert_canonical(s, {0: 1, 2: 1})
         assert reduced == {1: p - 1}
         rng = random.Random(p)
         s = span(_random_vectors(rng, 5, 10, p), 10, p)
@@ -198,60 +200,78 @@ def test_span_engine_matches_oracle(p, m, data):
         )
     ]
 
+    # The engine takes sparse dicts; the oracles, dense lists.
+    rows = [sparse(v) for v in vectors]
     builder = SpanBuilder(m, p)
-    grew = [builder.add(v) for v in vectors]
-    assert builder.rank == sum(grew) == len(expected) == matrix_rank(vectors, m, p)
+    grew = [builder.add(v) for v in rows]
+    assert builder.rank == sum(grew) == len(expected) == matrix_rank(rows, m, p)
     for v in members:
-        assert builder.contains(v)
+        assert builder.contains(sparse(v))
     inside = [not any(reduce_oracle(expected, v, p)) for v in probes]
-    assert [builder.contains(v) for v in probes] == inside
+    assert [builder.contains(sparse(v)) for v in probes] == inside
     if p == 2:
-        assert [not builder.residual_mask(as_mask(v, m)) for v in probes] == inside
+        masks = [sum(1 << i for i, c in enumerate(v) if c % 2) for v in probes]
+        assert [not builder.residual_mask(mask) for mask in masks] == inside
 
     s = builder.subspace()
     assert s.dim == len(expected)
     assert s.basis_rows() == expected
     assert s.pivot_indices() == [next(i for i, x in enumerate(r) if x) for r in expected]
     for v in members:
-        assert s.contains(v) and s.reduce(v) == {}
+        assert s.contains(sparse(v)) and s.reduce(sparse(v)) == {}
     for v, into in zip(probes, inside):
-        reduced = _assert_canonical(s, v)
+        reduced = _assert_canonical(s, sparse(v))
         oracle = reduce_oracle(expected, v, p)
-        assert reduced == {i: x for i, x in enumerate(oracle) if x}
-        assert s.contains(v) == into
+        assert reduced == sparse(oracle)
+        assert s.contains(sparse(v)) == into
 
     # the builder keeps growing after a freeze, and the frozen subspace,
     # which may share its rows, stays as it was
     wider = [tuple(row) for row in rref_oracle(vectors + probes, m, p)]
     for v in probes:
-        builder.add(v)
+        builder.add(sparse(v))
     assert builder.rank == len(wider)
     assert builder.subspace().basis_rows() == wider
     assert s.dim == len(expected)
     assert s.basis_rows() == expected
     for v, into in zip(probes, inside):
-        assert s.contains(v) == into
+        assert s.contains(sparse(v)) == into
 
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_pushes_after_a_freeze_leave_the_subspace_unchanged(p):
     builder = SpanBuilder(4, p)
-    builder.add([1, 1, 0, 0])
-    builder.add([0, 1, 1, 0])
+    builder.add({0: 1, 1: 1})
+    builder.add({1: 1, 2: 1})
     frozen = builder.subspace()
     rows = frozen.basis_rows()
-    assert builder.add([0, 0, 0, 1])
+    assert builder.add({3: 1})
     assert frozen.basis_rows() == rows and frozen.pivot_indices() == [0, 1]
-    assert frozen.reduce([0, 0, 0, 1]) == {3: 1}
+    assert frozen.reduce({3: 1}) == {3: 1}
     assert builder.rank == 3
-    assert not builder.contains([0, 0, 1, 1])
-    assert builder.add([0, 0, 1, 1])
+    assert not builder.contains({2: 1, 3: 1})
+    assert builder.add({2: 1, 3: 1})
     assert frozen.basis_rows() == rows
 
 
 def test_vector_input_validation():
-    s = span([[1, 0]], 2, 2)
+    # Vectors are sparse dicts at every p: a dense list or an int mask is
+    # refused, as is a coordinate outside the ambient space, by every
+    # entry point, and a refused vector changes nothing.
+    for p in (2, 5):
+        builder = SpanBuilder(2, p)
+        builder.add({0: 1})
+        frozen = builder.subspace()
+        for call in (builder.add, builder.contains, frozen.contains, frozen.reduce):
+            for vec in ([1, 0], [1, 0, 0], 1, 0b10):
+                with pytest.raises(TypeError):
+                    call(vec)
+            for key in (2, -1):
+                with pytest.raises(ValueError):
+                    call({key: 1})
+                with pytest.raises(ValueError):
+                    call({0: 1, key: 2})
+        assert builder.rank == frozen.dim == 1
+        assert builder.contains({0: 1}) and not builder.contains({1: 1})
     with pytest.raises(ValueError):
-        s.contains([1, 0, 0])
-    with pytest.raises(ValueError):
-        span([[1, 0]], 2, 4)
+        span([{0: 1}], 2, 4)

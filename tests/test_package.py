@@ -44,7 +44,7 @@ EXPORTS = {
     "garnir": ["GarnirLabel", "RelationKind"],
     "quotients": [
         "QuotientModule", "apply_transvection", "build_dual_weyl",
-        "build_gtensor_specht", "module_dim", "restrict_entries", "straighten",
+        "build_gtensor_specht", "module_dim", "straighten",
         "u_lambda_dim", "u_lambda_weight_table", "verify_iso",
     ],
     "predictions": [

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from dualweyl.partitions import Partition, partitions_of
+from dualweyl.partitions import Partition, count_syt, partitions_of
 from dualweyl.predictions import (
     D1Result,
     TABLE1_FORMULAS,
@@ -21,7 +21,31 @@ from dualweyl.predictions import (
 )
 from dualweyl.quotients import build_gtensor_specht, u_lambda_dim
 from dualweyl.tableaux import weight_of
-from helpers import ker_q_generators
+from helpers import ker_q_generators, nontrivial_idempotents, specht_endomorphisms
+
+
+def test_predicted_shapes_give_indecomposable_specht_modules():
+    # The paper's corollary: the inverse Schur functor is additive, and
+    # where the image of S^shape is the dual Weyl module, whose socle is
+    # simple, S^shape cannot split. Checked without the package's
+    # constructions: End(S^shape) over GF(2), from the standard
+    # polytabloids, is one-dimensional for every shape with n <= 7 where
+    # `predict_iso` holds. Not vacuous: S^(5,1,1) and S^(3,1,1,1,1), where
+    # it does not hold, split (Murphy, J. Algebra 66, 1980).
+    predicted = 0
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            f, ends = specht_endomorphisms(shape)
+            assert f == count_syt(shape), shape
+            if predict_iso(shape):
+                assert len(ends) == 1, shape
+                predicted += 1
+    assert predicted == 21
+    for parts in ((5, 1, 1), (3, 1, 1, 1, 1)):
+        shape = Partition(parts)
+        assert not predict_iso(shape)
+        f, ends = specht_endomorphisms(shape)
+        assert len(nontrivial_idempotents(f, ends)) == 2, parts  # e and 1 + e
 
 
 def test_predict_iso_examples():

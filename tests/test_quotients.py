@@ -13,7 +13,6 @@ from dualweyl.quotients import (
     build_gtensor_specht,
     dominant_rep_bound,
     module_dim,
-    restrict_entries,
     straighten,
     u_lambda_dim,
     u_lambda_weight_table,
@@ -241,11 +240,17 @@ def test_u_weight_table():
 
 
 def test_restrict_entries():
-    assert restrict_entries(Partition((2, 2, 1)), 5, 4, 2) == (76, 76)
-    assert restrict_entries(Partition((1, 1, 1)), 3, 1, 2) == (1, 1)
-    module_dim = build_gtensor_specht(Partition((2, 1)), 3, 2).dim
-    assert restrict_entries(Partition((2, 1)), 3, 3, 2) == (module_dim, module_dim)
-    assert restrict_entries(Partition((3, 1, 1)), 5, 2, 2) == (8, 8)
+    # The full build at d, restricted to the weights with no letter past
+    # d_sub, has the dimension at d_sub, which `module_dim` reads from the
+    # dominant blocks at d_sub scaled over S_d-orbits instead.
+    full_21 = build_gtensor_specht(Partition((2, 1)), 3, 2).dim
+    cases = [((2, 2, 1), 5, 4, 76), ((1, 1, 1), 3, 1, 1), ((2, 1), 3, 3, full_21),
+             ((3, 1, 1), 5, 2, 8)]
+    for parts, d, d_sub, expected in cases:
+        shape = Partition(parts)
+        table = build_gtensor_specht(shape, d, 2).weight_table()
+        restricted = sum(v for w, v in table.items() if not any(w[d_sub:]))
+        assert restricted == module_dim("gtensor", shape, d_sub, 2) == expected
 
 
 def test_d4_weight_table_restricts_to_every_smaller_d():
@@ -264,32 +269,6 @@ def test_d4_weight_table_restricts_to_every_smaller_d():
                         assert restricted == build(shape, d, p).weight_table(), (
                             shape, d, p, build.__name__
                         )
-
-
-@pytest.mark.parametrize("side", ["full", "dominant"])
-def test_restrict_entries_check_has_an_independent_oracle(monkeypatch, side):
-    # The two sides come from different computations: the weight blocks of
-    # the full degree-d build, and the dominant blocks at d_sub scaled over
-    # S_d-orbits. Breaking either one must trip the check.
-    from dualweyl import quotients
-    from dualweyl.partitions import InvariantError
-
-    if side == "full":
-        real_build = quotients.build_gtensor_specht
-
-        def build(shape, d, p):
-            module = real_build(shape, d, p)
-            blocks = {w: b for w, b in module._blocks.items() if w[0] != 2}
-            return quotients.QuotientModule(module.ambient, p, blocks)
-
-        monkeypatch.setattr(quotients, "build_gtensor_specht", build)
-    else:
-        real_dim = quotients.module_dim
-        monkeypatch.setattr(
-            quotients, "module_dim", lambda *args: real_dim(*args) + 1
-        )
-    with pytest.raises(InvariantError):
-        restrict_entries(Partition((2, 2, 1)), 5, 4, 2)
 
 
 def test_transvection_examples():
