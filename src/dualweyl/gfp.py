@@ -9,7 +9,8 @@ holds its span in row-echelon form that is not reduced: a push clears the
 pivots of the new vector in increasing order and stores it without
 touching earlier rows. `SpanBuilder.subspace` back-substitutes once, from
 the highest pivot down, into the reduced row-echelon form of a frozen
-`Subspace`, which is canonical.
+`Subspace`, which is canonical. `Subspace.from_reduced_rows` freezes rows
+a caller already has in that form, after checking that they are.
 """
 
 from __future__ import annotations
@@ -148,6 +149,42 @@ class Subspace(_Rows):
     """A frozen subspace of GF(p)^m held as a reduced row-echelon basis:
     each pivot coordinate is also zero in every other basis row, so the
     representation is canonical."""
+
+    @classmethod
+    def from_reduced_rows(cls, ambient_dim: int, p: int, rows) -> "Subspace":
+        """The subspace of rows already in reduced row-echelon form: bit
+        masks at p = 2, sparse dicts with coefficients in [1, p) otherwise.
+        Each row's lowest coordinate is its pivot, with coefficient 1, and
+        no pivot coordinate occurs in another row; other rows are refused.
+        The rows are kept as given, so the caller must not change them."""
+        out = cls(ambient_dim, p)
+        piv = out._piv
+        for row in rows:
+            if p == 2:
+                key = row & (-row)
+                bad = row <= 0 or row >> ambient_dim
+            else:
+                key = min(row, default=-1)
+                bad = (
+                    key < 0
+                    or row[key] != 1
+                    or max(row) >= ambient_dim
+                    or min(row.values()) < 1
+                    or max(row.values()) >= p
+                )
+            if bad or key in piv:
+                raise ValueError(
+                    f"{row!r} is not a reduced echelon row of GF({p})^{ambient_dim}"
+                )
+            piv[key] = row
+        if p == 2:
+            out._pivmask = mask = sum(piv)
+            clash = [k.bit_length() - 1 for k, row in piv.items() if row & mask != k]
+        else:
+            clash = [k for k, row in piv.items() if len(row.keys() & piv.keys()) > 1]
+        if clash:
+            raise ValueError(f"the row of pivot {clash[0]} holds another pivot")
+        return out
 
     def basis_rows(self) -> list[tuple[int, ...]]:
         """Dense basis rows with entries in [0, p), in pivot order."""

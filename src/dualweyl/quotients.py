@@ -1,25 +1,31 @@
 """Quotient-module assembly: dual Weyl modules and inverse-Schur images.
 
 Both modules are quotients of a tabloid space by a relation span. Every
-relation reaches a span by one routine, `_push_terms`, which pushes it
-into the weight block of its source tableau: relations are weight
-homogeneous, and a term outside that block is an error. Blocks key their
-representatives by column tuple, and relations are expanded straight
-from the columns with the template kernel of `garnir`, so neither the
-builds nor `reduce`, `relations_contain` and the transvections create a
-`Tableau`.
+relation that is eliminated reaches a span by one routine, `_push_terms`,
+which pushes it into the weight block of its source tableau: relations
+are weight homogeneous, and a term outside that block is an error. Blocks
+key their representatives by column tuple, and relations are expanded
+straight from the columns with the template kernel of `garnir`, so
+neither the builds nor `reduce`, `relations_contain` and the
+transvections create a `Tableau`.
 
-A full build (`_build`) pushes the basic snakes, then the supplementary
-ones, into a `SpanBuilder` and freezes it into the canonical `Subspace`
-once per packed weight (the nonzero entries of the weight, in order). A
-block reads its letters only through comparisons, so renaming the
-letters it uses, in order, onto 1..k maps its representatives, in order,
-and its snakes, term for term, onto those of the first block of its
-packed weight: the spans are equal, and shared. Rearrangements such as
-(1,2,0) and (2,1,0) pack differently, so the full build still checks the
-S_d-symmetry that the dominant path assumes. No module or cache holds a
-builder. Module objects and the thm1 check use the full build, keyed by
-tabloid kind, so one for both constructions at odd p.
+A full build (`_build`) eliminates no basic snake: they are
+unitriangular (see below), so the row-semistandard representatives R are
+a basis of each block modulo them. The first block of each packed weight
+(the nonzero entries of the weight, in order) is straightened over the
+integers, once for every p (`_straightened_block`): from the smallest
+representative up in the column order, one in R is its own coordinate
+and any other is minus the images of the other terms of its basic snake. The mod-2 skew kind then straightens its supplementary
+snakes onto R and eliminates only those, in R-coordinates, and `_freeze`
+reads the canonical span off the images mod p. A block reads its letters
+only through comparisons, so renaming the letters it uses, in order,
+onto 1..k maps its representatives, in order, and its snakes, term for
+term, onto those of its packed weight: the spans are equal, and shared.
+Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
+build still checks the S_d-symmetry that the dominant path assumes. No
+module or cache holds a builder. Module objects and the thm1 check use
+the full build, keyed by tabloid kind, so one for both constructions at
+odd p.
 
 Mod-2 skew dimensions (`module_dim`), the isomorphism test (`verify_iso`)
 and the kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the
@@ -60,10 +66,11 @@ from bisect import bisect_left
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
-from .gfp import SpanBuilder, Subspace, _check_prime
+from .gfp import SpanBuilder, Subspace, _check_prime, _clear_dict, _reduce_mask
 from .partitions import (
     InvariantError,
     Partition,
@@ -91,6 +98,9 @@ WeightTable = dict[tuple[int, ...], int]
 # `dim` refuses a query whose forecast work (`dominant_rep_bound`) is more
 # than this; near it a query takes seconds.
 DIM_REP_BUDGET = 100_000
+# A full build (`_build`) refuses a tabloid space larger than this before it
+# lists it; near it a build takes seconds.
+BUILD_BUDGET = 500_000
 
 
 class _Block(Record):
@@ -253,50 +263,204 @@ def _push_terms(
     return span.add(local)
 
 
+def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
+    """The number of tabloids of ``kind`` over d letters, in closed form: a
+    column of height h holds a set of h letters, or for mod-2 skew a
+    multiset, so the count is the product of C(d, h) or C(d + h - 1, h)
+    over the columns; lambda_h - lambda_{h+1} of them have height h. The
+    tallest come first, where an empty alternating space shows; the count
+    is left once past `BUILD_BUDGET` (a factor of 2 or more to the power
+    of the budget's bit length is past it), and is then a smaller count
+    over the budget."""
+    count, parts = 1, (*shape, 0)
+    for h in range(len(shape), 0, -1):
+        factor = comb(d, h) if kind.zero_on_column_repeats else comb(d + h - 1, h)
+        count *= factor ** min(parts[h - 1] - parts[h], BUILD_BUDGET.bit_length())
+        if not count or count > BUILD_BUDGET:
+            break
+    return count
+
+
+class _Pattern(Record):
+    """The first weight block of a packed weight, straightened once for
+    every prime: ``first``, its first representative with its letters
+    packed onto 1..k; ``images``, the coordinates over R of each
+    representative, in local order, as (R-coordinate, integer coefficient)
+    pairs (mod 2 for the mod-2 skew kind); ``r_cols``, the representatives
+    in R, in local order; ``supplementary``, the nonzero straightened
+    supplementary snakes of the mod-2 skew kind, in R-coordinates."""
+
+    __slots__ = ("first", "images", "r_cols", "supplementary")
+
+    def __init__(
+        self,
+        first: Cols,
+        images: tuple[tuple[tuple[int, int], ...], ...],
+        r_cols: tuple[Cols, ...],
+        supplementary: tuple[tuple[tuple[int, int], ...], ...],
+    ):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "r_cols", r_cols)
+        object.__setattr__(self, "supplementary", supplementary)
+
+    @property
+    def size(self) -> int:
+        return len(self.images)
+
+    @property
+    def basic_rank(self) -> int:
+        return len(self.images) - len(self.r_cols)
+
+
+def _packed(cols: Cols) -> Cols:
+    """A tableau with the letters it uses renamed, in order, onto 1..k."""
+    rank = {x: i for i, x in enumerate(sorted({x for c in cols for x in c}), 1)}
+    return tuple(tuple(rank[x] for x in c) for c in cols)
+
+
+@lru_cache(maxsize=256)
+def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
+    """The weight block of ``kind`` with representatives ``reps``, in
+    order, straightened over the integers, so that every prime reads it:
+    an image depends on p only through reduction mod p. The image over R
+    of each representative is found from the smallest to the greatest in
+    the column order: one in R is its own coordinate, and any other is
+    minus the images of the other terms of its basic snake. This is also
+    the check that the basic snakes are unitriangular, which makes R a
+    basis modulo them: each must lead with its source, with coefficient 1,
+    and bring in only terms of the block that are below it."""
+    mod2 = not kind.zero_on_column_repeats
+    pos = {cols: j for j, cols in enumerate(reps)}
+    boxes = [snake_box(cols) for cols in reps]
+    images: list[dict[int, int] | None] = [None] * len(reps)
+    r_cols = []
+    for j, box in enumerate(boxes):
+        if box is None:
+            images[j] = {len(r_cols): 1}
+            r_cols.append(reps[j])
+
+    def image_of(terms: dict[Cols, int], source: Cols) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for cols, c in terms.items():
+            k = pos.get(cols)
+            if k is None:
+                raise InvariantError(
+                    f"relation term {cols} lies outside its weight block"
+                )
+            sub = images[k]
+            if sub is None:
+                raise InvariantError(
+                    f"basic snake of {source} brings in {cols}, which is not below it"
+                )
+            for r, a in sub.items():
+                v = out.get(r, 0) + c * a
+                if mod2:
+                    v &= 1
+                if v:
+                    out[r] = v
+                else:
+                    del out[r]
+        return out
+
+    for j in sorted(
+        (j for j, box in enumerate(boxes) if box is not None),
+        key=lambda j: _col_key(reps[j]),
+        reverse=True,
+    ):
+        source = reps[j]
+        terms = snake_terms(source, *boxes[j], kind)
+        if terms.pop(source, 0) != 1:
+            raise InvariantError(f"basic snake of {source} does not lead with it")
+        images[j] = image_of({cols: -c for cols, c in terms.items()}, source)
+    supplementary = []
+    if mod2:
+        for source in r_cols:
+            for box in equal_boxes(source):
+                image = image_of(snake_terms(source, *box, kind), source)
+                if image:
+                    supplementary.append(tuple(image.items()))
+    return _Pattern(
+        _packed(reps[0]),
+        tuple(tuple(image.items()) for image in images),
+        tuple(r_cols),
+        tuple(supplementary),
+    )
+
+
+def _freeze(pattern: _Pattern, p: int) -> Subspace:
+    """The canonical span of a straightened block over GF(p): the vectors
+    whose image over R lies in the span Q of the supplementary snakes.
+    Walking the local coordinates from the highest down, each image is
+    reduced modulo Q and the images kept so far, with the combination of
+    local coordinates it came from carried above the R-coordinates. An
+    image that is left nonzero is kept; one that reduces to zero makes its
+    coordinate i a pivot, with row e_i less a combination of kept, higher
+    coordinates. These rows are the reduced row-echelon basis."""
+    shift = len(pattern.r_cols)
+    rows: list = []
+    piv: dict = {}
+    if p == 2:
+        q = SpanBuilder(shift, 2)
+        if pattern.supplementary:
+            pos = {cols: r for r, cols in enumerate(pattern.r_cols)}
+            for snake in pattern.supplementary:
+                _push_terms(q, {pattern.r_cols[r]: c for r, c in snake}, pos, 2)
+        pivmask = 0
+        for i in reversed(range(pattern.size)):
+            mask = sum(1 << r for r, c in pattern.images[i] if c & 1)
+            mask = _reduce_mask(q.residual_mask(mask) | 1 << (shift + i), piv, pivmask)
+            if (low := mask & -mask).bit_length() <= shift:
+                piv[low] = mask
+                pivmask |= low
+            else:
+                rows.append(mask >> shift)
+    else:
+        for i in reversed(range(pattern.size)):
+            v = {r: c % p for r, c in pattern.images[i] if c % p}
+            v[shift + i] = 1
+            v = _clear_dict(v, piv, p)
+            if (low := min(v)) < shift:
+                inv = pow(v[low], -1, p)
+                piv[low] = v if inv == 1 else {k: c * inv % p for k, c in v.items()}
+            else:
+                rows.append({k - shift: c for k, c in v.items()})
+    return Subspace.from_reduced_rows(pattern.size, p, rows)
+
+
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModule:
     """Every weight block of the tabloid space of one kind with its
-    relations pushed and frozen; at odd p both constructions are the
-    alternating kind and share this build. A block takes the basic snake
-    of every tableau that is not row semistandard, records its rank, and
-    for the mod-2 skew kind then takes the supplementary snakes of the
-    row-semistandard ones (zero on alternating tabloids). Blocks of one
-    packed weight are equal in local coordinates (see above): only the
-    first is eliminated, and the others, once their sizes and packed first
-    representatives agree with it, share its frozen span and basic rank."""
-    def packed(block: _Block) -> Cols:  # the first representative over 1..k
-        cols = next(iter(block.pos))
-        rank = {x: i for i, x in enumerate(sorted({x for c in cols for x in c}), 1)}
-        return tuple(tuple(rank[x] for x in c) for c in cols)
-
+    relation span frozen; at odd p both constructions are the alternating
+    kind and share this build. The relations are the basic snake of every
+    tableau that is not row semistandard and, for the mod-2 skew kind, the
+    supplementary snakes of the row-semistandard ones (zero on alternating
+    tabloids). Blocks of one packed weight are equal in local coordinates
+    (see above): each block, once its size and packed first representative
+    agree with its pattern's, takes the span frozen from that pattern and
+    the pattern's basic rank. A space of more than `BUILD_BUDGET` tabloids
+    is refused before it is listed."""
+    count = _ambient_count(shape, d, kind)
+    if count > BUILD_BUDGET:
+        raise ValueError(
+            f"the full build of {shape} at d={d}, p={p} lists at least {count} "
+            f"{kind!r} tabloids, over the budget of {BUILD_BUDGET}"
+        )
     basis = build_basis(shape, d, kind)
     blocks = _make_blocks(basis.cols, d, p)
-    eliminated: dict[tuple[int, ...], _Block] = {}
+    shared: dict[tuple[int, ...], tuple[_Pattern, Subspace]] = {}
     for w, block in blocks.items():
         key = tuple(x for x in w if x)
-        first = eliminated.get(key)
-        if first is not None:
-            if first.size != block.size or packed(first) != packed(block):
+        if key in shared:
+            pattern, span = shared[key]
+            first = _packed(next(iter(block.pos)))
+            if pattern.size != block.size or pattern.first != first:
                 raise InvariantError(f"block {w} does not pack onto its pattern")
-            blocks[w] = block.with_span(first.span, first.basic_rank)
-            continue
-        span, row_semistandard = block.span, []
-        for cols in block.pos:
-            box = snake_box(cols)
-            if box is None:
-                row_semistandard.append(cols)
-                continue
-            terms = snake_terms(cols, *box, kind)
-            if terms:
-                _push_terms(span, terms, block.pos, p)
-        basic_rank = span.rank
-        if not kind.zero_on_column_repeats:
-            for cols in row_semistandard:
-                for box in equal_boxes(cols):
-                    terms = snake_terms(cols, *box, kind)
-                    if terms:
-                        _push_terms(span, terms, block.pos, p)
-        blocks[w] = eliminated[key] = block.with_span(span.subspace(), basic_rank)
+        else:
+            pattern = _straightened_block(tuple(block.pos), kind)
+            span = _freeze(pattern, p)
+            shared[key] = pattern, span
+        blocks[w] = block.with_span(span, pattern.basic_rank)
     return QuotientModule(basis, p, blocks)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.gfp import SpanBuilder, is_prime
+from dualweyl.gfp import SpanBuilder, Subspace, is_prime
 from helpers import (
     dim_sum_and_intersection,
     matrix_rank,
@@ -136,6 +136,44 @@ def test_rref_invariants(p):
             for other in range(len(rows)):
                 if other != k:
                     assert rows[other][lead] == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_subspace_from_reduced_rows_is_the_frozen_span(p):
+    # Rows already in reduced row-echelon form freeze as they are, into the
+    # subspace the builder gives for their span; the rows go in as masks
+    # at p = 2 and as sparse dicts otherwise.
+    rng = random.Random(5 * p)
+    for count in (3, 6, 9):
+        want = span(_random_vectors(rng, count, 9, p), 9, p)
+        rows = [sparse(row) for row in want.basis_rows()]
+        if p == 2:
+            rows = [sum(1 << i for i in row) for row in rows]
+        got = Subspace.from_reduced_rows(9, p, reversed(rows))
+        assert got.pivot_indices() == want.pivot_indices()
+        assert got.basis_rows() == want.basis_rows()
+        assert got.reduce({0: 1, 4: 1, 8: 1}) == want.reduce({0: 1, 4: 1, 8: 1})
+    assert Subspace.from_reduced_rows(4, p, []).dim == 0
+
+
+@pytest.mark.parametrize(
+    "rows, p",
+    [
+        ([{0: 2, 1: 1}], 3),  # the pivot coefficient is not 1
+        ([{0: 1, 1: 3}], 3),  # a coefficient outside [1, p)
+        ([{0: 1, 2: 1}, {2: 1}], 3),  # pivot 2 occurs in the row of pivot 0
+        ([{1: 1}, {1: 1, 2: 1}], 5),  # two rows with one pivot
+        ([{}], 3),  # an empty row
+        ([{0: 1, 4: 1}], 3),  # a coordinate past the ambient space
+        ([0b101, 0b100], 2),  # bit 2 is a pivot and lies in the row of bit 0
+        ([0b10, 0b110], 2),  # two rows with one pivot
+        ([0], 2),  # an empty row
+        ([0b10001], 2),  # a coordinate past the ambient space
+    ],
+)
+def test_rows_that_are_not_reduced_echelon_are_refused(rows, p):
+    with pytest.raises(ValueError, match="reduced echelon row|holds another pivot"):
+        Subspace.from_reduced_rows(4, p, rows)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 from math import comb
 
 import pytest
@@ -412,26 +413,50 @@ def test_large_gtensor_build_is_pinned(p, relation_rank, gain):
     assert module.supplementary_rank_gain == gain
 
 
+def _pattern_snakes(shape, d, kind):
+    """(basic, supplementary, nonzero supplementary) over one block of
+    each packed weight: the tabloids outside R, whose basic snakes are
+    expanded; the supplementary snakes of the mod-2 skew kind (one per
+    entry equal to its right neighbour in an R representative); and those
+    of them that `_straighten_terms` straightens to a nonzero combination."""
+    from dualweyl.garnir import equal_boxes, snake_box, snake_terms
+    from dualweyl.quotients import _straighten_terms
+
+    blocks, patterns = {}, {}
+    for cols in build_basis(shape, d, kind).cols:
+        blocks.setdefault(weight_of(cols, d), []).append(cols)
+    for w, reps in blocks.items():
+        patterns.setdefault(packed_weight(w), reps)
+    basic = supplementary = nonzero = 0
+    for cols in (cols for reps in patterns.values() for cols in reps):
+        if snake_box(cols) is not None:
+            basic += 1
+        elif not kind.zero_on_column_repeats:
+            for box in equal_boxes(cols):
+                supplementary += 1
+                terms = snake_terms(cols, *box, kind)
+                nonzero += bool(_straighten_terms(terms, kind, 2))
+    return basic, supplementary, nonzero
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_build_creates_no_objects_per_relation(monkeypatch, p):
     # With the basis built, the full build expands every relation from
-    # column tuples: no Tableau, Partition or GarnirLabel is created, and
-    # each nonempty relation goes through _push_terms(span, terms, pos, p),
-    # positionally (the benchmark tracer hooks that name and argument order).
-    # Only the first block of each packed weight pushes its relations, so
-    # the pushes are those of the unshared build over one block per packed
-    # weight (26544 and 18390 over every block).
+    # column tuples: no Tableau, Partition or GarnirLabel is created. It
+    # straightens one block of each packed weight once, expanding
+    # the basic snake of each tabloid there that is not row semistandard
+    # (and at p = 2 the supplementary snakes), and eliminates no basic
+    # snake: at odd p nothing is pushed, and at p = 2 each nonzero
+    # straightened supplementary snake goes through
+    # _push_terms(span, terms, pos, p), positionally (the benchmark tracer
+    # hooks that name and argument order).
     from dualweyl import quotients
     from dualweyl.garnir import GarnirLabel
 
-    shape = Partition((5, 1))
-    build_basis(shape, 6, skew_column(p))
-    _, unshared = unshared_build(shape, 6, p, skew_column(p))
-    assert sum(unshared.values()) == {2: 26544, 3: 18390}[p]
-    first = {}
-    for w, count in unshared.items():
-        first.setdefault(packed_weight(w), count)
-    pushes = sum(first.values())
+    shape, kind = Partition((5, 1)), skew_column(p)
+    basic, supplementary, nonzero = _pattern_snakes(shape, 6, kind)
+    assert (basic, supplementary, nonzero) == {2: (2516, 160, 40), 3: (1991, 0, 0)}[p]
+    quotients._straightened_block.cache_clear()
     created = []
 
     def counting(name, real):
@@ -454,19 +479,132 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     assert created[-1] == "Partition"
     created.clear()
 
-    real_push = quotients._push_terms
-    calls = []
+    real_push, real_snake = quotients._push_terms, quotients.snake_terms
+    pushes, snakes = [], []
 
     def push(*args, **kwargs):
         assert not kwargs and len(args) == 4 and args[1]
-        calls.append(args[3])
+        pushes.append(args[3])
         return real_push(*args)
 
+    def snake(*args):
+        snakes.append(args)
+        return real_snake(*args)
+
     monkeypatch.setattr(quotients, "_push_terms", push)
-    module = quotients._build.__wrapped__(shape, 6, p, skew_column(p))
+    monkeypatch.setattr(quotients, "snake_terms", snake)
+    module = quotients._build.__wrapped__(shape, 6, p, kind)
     assert created == []
-    assert len(calls) == pushes and set(calls) == {p}
+    assert len(snakes) == basic + supplementary == len(set(snakes))
+    assert len(pushes) == nonzero and set(pushes) <= {2}
     assert module.dim == 1050
+
+
+def test_straightening_refuses_a_snake_that_is_not_unitriangular(monkeypatch):
+    # Straightening a block is the check that its basic snakes are
+    # unitriangular, on which the build rests: a basic snake must lead
+    # with its source with coefficient 1, and bring in only terms of the
+    # block that are below it. Each fault is refused by name.
+    from dualweyl import quotients
+    from dualweyl.garnir import snake_box, snake_terms
+    from dualweyl.partitions import InvariantError
+    from helpers import patch_values
+
+    shape, d = Partition((3, 1)), 3
+    cols = build_basis(shape, d, ALT_COLUMN).cols
+    block = [c for c in cols if weight_of(c, d) == (2, 1, 1)]
+    outside = next(c for c in cols if c not in block)
+    # the smallest and the greatest of the three tabloids of the block that
+    # are not row semistandard (a greater column key is a smaller tableau)
+    low, _, high = sorted(
+        (c for c in block if snake_box(c) is not None),
+        key=quotients._col_key,
+        reverse=True,
+    )
+    args = (low, *snake_box(low), ALT_COLUMN)
+    terms = snake_terms(*args)
+    faults = {
+        "does not lead with it": {**terms, low: 2},
+        f"brings in {high}, which is not below it": {**terms, high: 1},
+        f"relation term {outside} lies outside its weight block": {**terms, outside: 1},
+    }
+    for message, fault in faults.items():
+        quotients._straightened_block.cache_clear()
+        with monkeypatch.context() as m:
+            patch_values(m, quotients, "snake_terms", {args: fault})
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                quotients._build.__wrapped__(shape, d, 3, ALT_COLUMN)
+    quotients._straightened_block.cache_clear()
+    module = quotients._build.__wrapped__(shape, d, 3, ALT_COLUMN)
+    assert module.dim == hook_content_dim(shape, d)
+
+
+def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
+    # The thm1 sweep: every shape of at most 6 boxes at d = 4, built at
+    # p = 3 and then p = 5. The blocks are straightened over the integers
+    # once, so each basic snake is expanded once in all, and every block
+    # at both primes equals the block eliminated on its own.
+    from dualweyl import quotients
+
+    real = quotients.snake_terms
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    quotients._straightened_block.cache_clear()
+    monkeypatch.setattr(quotients, "snake_terms", counting)
+    expected = 0
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            expected += _pattern_snakes(shape, 4, ALT_COLUMN)[0]
+            for p in (3, 5):
+                module = quotients._build.__wrapped__(shape, 4, p, ALT_COLUMN)
+                oracle, _ = unshared_build(shape, 4, p, ALT_COLUMN)
+                for w, block in module._blocks.items():
+                    want = oracle[w]
+                    assert block.span.pivot_indices() == want.span.pivot_indices()
+                    assert block.span.basis_rows() == want.span.basis_rows()
+                    assert block.basic_rank == want.basic_rank
+    assert len(calls) == len(set(calls)) == expected
+
+
+def test_an_oversized_full_build_is_refused_before_it_lists_a_tableau(monkeypatch):
+    # A full build counts its tabloids in closed form, the product over the
+    # columns of C(d, h) (alternating) or C(d + h - 1, h) (mod-2 skew), and
+    # refuses a space past BUILD_BUDGET before it lists one.
+    from dualweyl import quotients, tableaux, tabloids
+
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 6):
+                for kind in (ALT_COLUMN, skew_column(2)):
+                    got = quotients._ambient_count(shape, d, kind)
+                    assert got == build_basis(shape, d, kind).dim, (shape, d, kind)
+
+    def refuse(*args):
+        raise AssertionError("an oversized build listed tableaux")
+
+    for module in (quotients, tableaux, tabloids):
+        monkeypatch.setattr(module, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(quotients, "build_basis", refuse)
+    budget = quotients.BUILD_BUDGET
+    cases = [
+        (build_dual_weyl, Partition((6,)), 10, 3, 10**6),
+        (build_gtensor_specht, Partition((3, 3)), 13, 2, comb(14, 2) ** 3),
+        (build_dual_weyl, Partition((10**9,)), 2, 2, None),
+    ]
+    for build, shape, d, p, count in cases:
+        assert count is None or count > budget
+        match = f"full build of .* at d={d}, p={p}"
+        with pytest.raises(ValueError, match=match) as info:
+            build(shape, d, p)
+        if count is not None:
+            assert f"{count} " in str(info.value)
+        assert str(budget) in str(info.value)
+    # an empty alternating space is no build over the budget
+    assert quotients._ambient_count(Partition((10**9,) * 4), 3, ALT_COLUMN) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -642,6 +780,7 @@ def test_every_cache_is_bounded():
     assert {
         "tabloids.build_basis",
         "quotients._build",
+        "quotients._straightened_block",
         "garnir._snake_template",
         "tableaux.kostka_number",
     } <= set(caches)
@@ -650,19 +789,25 @@ def test_every_cache_is_bounded():
 def test_every_cached_value_is_frozen():
     # Every caller of a cache gets the same object, so none may change it:
     # attribute assignment fails on the module, its blocks, a dominant
-    # block and a basis, and item assignment on the decomposition rows,
-    # one row and the basis index. Each assignment writes back the
-    # value it finds, so a mutable object would not be spoilt for later
-    # callers. The template is a tuple and the Kostka number an int. A new
-    # cache must join this test.
+    # block, a straightened block (whose fields are tuples) and a basis,
+    # and item assignment on the decomposition rows, one row and the basis
+    # index. Each assignment writes back the value it finds, so a mutable
+    # object would not be spoilt for later callers. The template is a tuple
+    # and the Kostka number an int. A new cache must join this test.
     from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_template
-    from dualweyl.quotients import _build, _dominant_block
+    from dualweyl.quotients import _build, _dominant_block, _straightened_block
     from dualweyl.records import FrozenRecordError
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
     dominant = _dominant_block(Partition((2, 2)), Partition((2, 2)))
+    block = next(b for b in module._blocks.values() if b.size > 1)
+    pattern = _straightened_block(tuple(block.pos), skew_column(2))
+    assert all(
+        isinstance(getattr(pattern, f), tuple)
+        for f in ("first", "images", "r_cols", "supplementary")
+    )
     basis = build_basis(shape, 3, ALT_COLUMN)
     rows = decomposition_rows(3)
     assert isinstance(_snake_template(2, 1, 0), tuple)
@@ -671,6 +816,7 @@ def test_every_cached_value_is_frozen():
         (module, "ambient"),
         *((block, "span") for block in module._blocks.values()),
         (dominant, "span"),
+        *((pattern, f) for f in pattern.__slots__),
         (basis, "index"),
     ]
     for obj, attr in frozen:
@@ -684,6 +830,7 @@ def test_every_cached_value_is_frozen():
     assert set(_package_caches()) == {
         "quotients._build",
         "quotients._dominant_block",
+        "quotients._straightened_block",
         "tabloids.build_basis",
         "decomposition.decomposition_rows",
         "garnir._snake_template",
