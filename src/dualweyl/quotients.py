@@ -1,31 +1,30 @@
 """Quotient-module assembly: dual Weyl modules and inverse-Schur images.
 
-Both modules are quotients of a tabloid space by a relation span. Every
-relation that is eliminated reaches a span by one routine, `_push_terms`,
-which pushes it into the weight block of its source tableau: relations
-are weight homogeneous, and a term outside that block is an error. Blocks
-key their representatives by column tuple, and relations are expanded
-straight from the columns with the template kernel of `garnir`, so
-neither the builds nor `reduce`, `relations_contain` and the
-transvections create a `Tableau`.
+Both modules are quotients of a tabloid space by a relation span, built
+one weight block at a time: relations are weight homogeneous, and a term
+outside the block of its source tableau is an error. Blocks key their
+representatives by column tuple, and relations are expanded straight
+from the columns with the template kernel of `garnir`, so neither the
+builds nor `reduce`, `relations_contain` and the transvections create a
+`Tableau`.
 
 A full build (`_build`) eliminates no basic snake: they are
 unitriangular (see below), so the row-semistandard representatives R are
 a basis of each block modulo them. The first block of each packed weight
-(the nonzero entries of the weight, in order) is straightened over the
-integers, once for every p (`_straightened_block`): from the smallest
-representative up in the column order, one in R is its own coordinate
-and any other is minus the images of the other terms of its basic snake. The mod-2 skew kind then straightens its supplementary
-snakes onto R and eliminates only those, in R-coordinates, and `_freeze`
-reads the canonical span off the images mod p. A block reads its letters
-only through comparisons, so renaming the letters it uses, in order,
-onto 1..k maps its representatives, in order, and its snakes, term for
-term, onto those of its packed weight: the spans are equal, and shared.
-Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
-build still checks the S_d-symmetry that the dominant path assumes. No
-module or cache holds a builder. Module objects and the thm1 check use
-the full build, keyed by tabloid kind, so one for both constructions at
-odd p.
+(the nonzero entries of the weight, in order) is straightened once for
+every p (`_straightened_block`), over the integers or, for the mod-2
+skew kind, as bit masks: from the smallest representative up in the
+column order, each image stands in for its tabloid in the images above
+it. The mod-2 skew kind then straightens its supplementary snakes onto R
+and eliminates only those, and `_freeze` reads the canonical span off
+the images mod p. A block reads its letters only through comparisons, so
+renaming the letters it uses, in order, onto 1..k maps its
+representatives, in order, and its snakes, term for term, onto those of
+its packed weight: the spans are equal, and shared. Rearrangements such
+as (1,2,0) and (2,1,0) pack differently, so the full build still checks
+the S_d-symmetry that the dominant path assumes. No module or cache
+holds a builder. Module objects and the thm1 check use the full build,
+keyed by tabloid kind, so one for both constructions at odd p.
 
 Mod-2 skew dimensions (`module_dim`), the isomorphism test (`verify_iso`)
 and the kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the
@@ -41,17 +40,19 @@ that is not row semistandard leads with it, with coefficient 1, and all
 its other terms are smaller in the column order; so the row-semistandard
 representatives R are a basis of the block modulo the basic snakes (the
 standard-basis theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978;
-James, LNM 682, section 8). `_straighten_terms` expresses a combination
-over R. The alternating kind, which serves the dual Weyl module at every
-p and the skew construction at odd p, has no relation left: its
-dimension is the number of semistandard tableaux, the hook-content count
-(`partitions.hook_content_dim`), and no weight is read. Only a mod-2
-skew dominant block is built (`_dominant_block`): its R are the
-row-and-column-semistandard tableaux, and it straightens its
-supplementary snakes onto R and eliminates only those. The rank of the
-basic relations is then the number of tabloids outside R, which is how
-`predictions.supplementary_rank_gain` counts the rank the supplementary
-snakes add without a full build.
+James, LNM 682, section 8). `_straighten`, which the full build, the
+dominant blocks and `straighten` share, replaces the greatest term
+outside R by the rest of its basic snake until none is left, and checks
+this unitriangularity. The alternating kind, which serves the dual Weyl
+module at every p and the skew construction at odd p, has no relation
+left: its dimension is the number of semistandard tableaux, the
+hook-content count (`partitions.hook_content_dim`), and no weight is
+read. Only a mod-2 skew dominant block is built (`_dominant_block`): its
+R are the row-and-column-semistandard tableaux, and it straightens its
+supplementary snakes onto R, as bit masks, and eliminates only those.
+The rank of the basic relations is then the number of tabloids outside
+R, which is how `predictions.supplementary_rank_gain` counts the rank
+the supplementary snakes add without a full build.
 
 The kernel U is then a count in the same coordinates, with no
 elimination: see `_kernel_dims`. A mod-2 skew dimension is the
@@ -64,10 +65,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
 from .gfp import SpanBuilder, Subspace, _check_prime, _clear_dict, _reduce_mask
@@ -250,8 +251,8 @@ def _push_terms(
     """Push one relation into the span of the block with local coordinates
     ``pos``, over GF(p), the prime of ``span`` (the benchmark's tracer
     books pushes by it). Relations are weight homogeneous, so every term
-    must lie in that block; building blocks one content at a time rests
-    on this."""
+    must lie in that block. The builds straighten instead of pushing; this
+    is the elimination path of the test suite's reference builds."""
     if not terms:
         return False
     try:
@@ -261,6 +262,21 @@ def _push_terms(
             f"relation term {exc.args[0]} lies outside its weight block"
         ) from None
     return span.add(local)
+
+
+def _listed_basis(
+    job: str, shape: Partition, d: int, p: int, kind: TabloidKind
+) -> TabloidBasis:
+    """The tabloid basis that ``job`` lists, refused with `ValueError`
+    before any tabloid is listed when `_ambient_count` puts it past
+    `BUILD_BUDGET`."""
+    count = _ambient_count(shape, d, kind)
+    if count > BUILD_BUDGET:
+        raise ValueError(
+            f"{job} of {shape} at d={d}, p={p} lists at least {count} "
+            f"{kind!r} tabloids, over the budget of {BUILD_BUDGET}"
+        )
+    return build_basis(shape, d, kind)
 
 
 def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
@@ -284,20 +300,21 @@ def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
 class _Pattern(Record):
     """The first weight block of a packed weight, straightened once for
     every prime: ``first``, its first representative with its letters
-    packed onto 1..k; ``images``, the coordinates over R of each
-    representative, in local order, as (R-coordinate, integer coefficient)
-    pairs (mod 2 for the mod-2 skew kind); ``r_cols``, the representatives
-    in R, in local order; ``supplementary``, the nonzero straightened
-    supplementary snakes of the mod-2 skew kind, in R-coordinates."""
+    packed onto 1..k; ``images``, the image over R of each
+    representative, in local order: a bit mask of R-coordinates for the
+    mod-2 skew kind, (R-coordinate, integer coefficient) pairs for the
+    alternating kind; ``r_cols``, the representatives in R, in local
+    order; ``supplementary``, the masks of the nonzero straightened
+    supplementary snakes of the mod-2 skew kind."""
 
     __slots__ = ("first", "images", "r_cols", "supplementary")
 
     def __init__(
         self,
         first: Cols,
-        images: tuple[tuple[tuple[int, int], ...], ...],
+        images: tuple[int | tuple[tuple[int, int], ...], ...],
         r_cols: tuple[Cols, ...],
-        supplementary: tuple[tuple[tuple[int, int], ...], ...],
+        supplementary: tuple[int, ...],
     ):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "images", images)
@@ -322,69 +339,29 @@ def _packed(cols: Cols) -> Cols:
 @lru_cache(maxsize=256)
 def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     """The weight block of ``kind`` with representatives ``reps``, in
-    order, straightened over the integers, so that every prime reads it:
-    an image depends on p only through reduction mod p. The image over R
-    of each representative is found from the smallest to the greatest in
-    the column order: one in R is its own coordinate, and any other is
-    minus the images of the other terms of its basic snake. This is also
-    the check that the basic snakes are unitriangular, which makes R a
-    basis modulo them: each must lead with its source, with coefficient 1,
-    and bring in only terms of the block that are below it."""
+    order, straightened so that every prime reads it: over the integers,
+    where an image depends on p only through reduction mod p, or as masks
+    for the mod-2 skew kind. One in R is its own coordinate. The others
+    are straightened from the smallest to the greatest in the column
+    order, each image kept in ``known``, so a basic snake brings in only
+    terms whose image is known and each is expanded once."""
     mod2 = not kind.zero_on_column_repeats
-    pos = {cols: j for j, cols in enumerate(reps)}
-    boxes = [snake_box(cols) for cols in reps]
-    images: list[dict[int, int] | None] = [None] * len(reps)
-    r_cols = []
-    for j, box in enumerate(boxes):
-        if box is None:
-            images[j] = {len(r_cols): 1}
-            r_cols.append(reps[j])
-
-    def image_of(terms: dict[Cols, int], source: Cols) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for cols, c in terms.items():
-            k = pos.get(cols)
-            if k is None:
-                raise InvariantError(
-                    f"relation term {cols} lies outside its weight block"
-                )
-            sub = images[k]
-            if sub is None:
-                raise InvariantError(
-                    f"basic snake of {source} brings in {cols}, which is not below it"
-                )
-            for r, a in sub.items():
-                v = out.get(r, 0) + c * a
-                if mod2:
-                    v &= 1
-                if v:
-                    out[r] = v
-                else:
-                    del out[r]
-        return out
-
-    for j in sorted(
-        (j for j, box in enumerate(boxes) if box is not None),
-        key=lambda j: _col_key(reps[j]),
-        reverse=True,
-    ):
-        source = reps[j]
-        terms = snake_terms(source, *boxes[j], kind)
-        if terms.pop(source, 0) != 1:
-            raise InvariantError(f"basic snake of {source} does not lead with it")
-        images[j] = image_of({cols: -c for cols, c in terms.items()}, source)
-    supplementary = []
+    r_cols = tuple(cols for cols in reps if snake_box(cols) is None)
+    r = {cols: j for j, cols in enumerate(r_cols)}
+    known = {cols: 1 << j if mod2 else ((j, 1),) for cols, j in r.items()}
+    for cols in sorted((c for c in reps if c not in r), key=_col_key, reverse=True):
+        image = _straighten({cols: 1}, kind, r, known)
+        known[cols] = image if mod2 else tuple(image.items())
+    supplementary = ()
     if mod2:
-        for source in r_cols:
-            for box in equal_boxes(source):
-                image = image_of(snake_terms(source, *box, kind), source)
-                if image:
-                    supplementary.append(tuple(image.items()))
+        snakes = (
+            _straighten(snake_terms(source, *box, kind), kind, r, known)
+            for source in r_cols
+            for box in equal_boxes(source)
+        )
+        supplementary = tuple(mask for mask in snakes if mask)
     return _Pattern(
-        _packed(reps[0]),
-        tuple(tuple(image.items()) for image in images),
-        tuple(r_cols),
-        tuple(supplementary),
+        _packed(reps[0]), tuple(known[cols] for cols in reps), r_cols, supplementary
     )
 
 
@@ -402,13 +379,13 @@ def _freeze(pattern: _Pattern, p: int) -> Subspace:
     piv: dict = {}
     if p == 2:
         q = SpanBuilder(shift, 2)
-        if pattern.supplementary:
-            pos = {cols: r for r, cols in enumerate(pattern.r_cols)}
-            for snake in pattern.supplementary:
-                _push_terms(q, {pattern.r_cols[r]: c for r, c in snake}, pos, 2)
+        for mask in pattern.supplementary:
+            q.add_mask(mask)
         pivmask = 0
         for i in reversed(range(pattern.size)):
-            mask = sum(1 << r for r, c in pattern.images[i] if c & 1)
+            mask = pattern.images[i]
+            if not isinstance(mask, int):  # the alternating kind at p = 2
+                mask = sum(1 << r for r, c in mask if c & 1)
             mask = _reduce_mask(q.residual_mask(mask) | 1 << (shift + i), piv, pivmask)
             if (low := mask & -mask).bit_length() <= shift:
                 piv[low] = mask
@@ -440,13 +417,7 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     agree with its pattern's, takes the span frozen from that pattern and
     the pattern's basic rank. A space of more than `BUILD_BUDGET` tabloids
     is refused before it is listed."""
-    count = _ambient_count(shape, d, kind)
-    if count > BUILD_BUDGET:
-        raise ValueError(
-            f"the full build of {shape} at d={d}, p={p} lists at least {count} "
-            f"{kind!r} tabloids, over the budget of {BUILD_BUDGET}"
-        )
-    basis = build_basis(shape, d, kind)
+    basis = _listed_basis("the full build", shape, d, p, kind)
     blocks = _make_blocks(basis.cols, d, p)
     shared: dict[tuple[int, ...], tuple[_Pattern, Subspace]] = {}
     for w, block in blocks.items():
@@ -494,18 +465,19 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
     )
     blocks = _make_blocks(reps, len(beta), 2)
     block = blocks.get(beta) or _Block((), {}, SpanBuilder(0, 2))
-    semistandard = {cols for cols in reps if not has_column_repeat(cols)}
+    semistandard = sum(
+        1 << j for cols, j in block.pos.items() if not has_column_repeat(cols)
+    )
     for cols in reps:
         for i, j in equal_boxes(cols):
             if len(cols[j]) == 1:  # on columns of height 1: t + t, zero mod 2
                 continue
-            terms = _straighten_terms(snake_terms(cols, i, j, kind), kind, 2)
-            if not semistandard.isdisjoint(terms):
+            mask = _straighten(snake_terms(cols, i, j, kind), kind, block.pos, {})
+            if mask & semistandard:
                 raise InvariantError(
                     f"snake at {(i, j)} of {cols} straightens onto no column repeat"
                 )
-            if terms:
-                _push_terms(block.span, terms, block.pos, 2)
+            block.span.add_mask(mask)
     return block.with_span(block.span.subspace(), 0)
 
 
@@ -644,69 +616,95 @@ def u_lambda_dim(shape: Partition, d: int) -> int:
 
 def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     """Express the alternating tabloid of t over semistandard
-    representatives modulo the basic snake relations."""
+    representatives modulo the basic snake relations. Its basis is listed
+    first, so a space past `BUILD_BUDGET` is refused as a full build is."""
     if t.shape != shape:
         raise ValueError("tableau does not have the stated shape")
     _check_prime(p)
     if (top := max(map(max, t.cols))) > d:
         raise ValueError(f"entry {top} exceeds d={d}")
-    basis = build_basis(shape, d, ALT_COLUMN)
+    basis = _listed_basis("straightening", shape, d, p, ALT_COLUMN)
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:
         return TabloidVector(basis, p, {})
-    terms = _straighten_terms({cols: sign}, ALT_COLUMN, p)
-    return TabloidVector(basis, p, {basis.index[c]: v for c, v in terms.items()})
+    image = _straighten({cols: sign}, ALT_COLUMN, basis.index, {})
+    return TabloidVector(basis, p, {i: c % p for i, c in image.items() if c % p})
 
 
-def _straighten_terms(
-    terms: dict[Cols, int], kind: TabloidKind, p: int
-) -> dict[Cols, int]:
-    """A combination of canonical representatives of ``kind`` expressed
-    over the row-semistandard ones modulo the basic snakes, with
-    coefficients in [1, p). The greatest term that is not row
-    semistandard is replaced by the rest of its basic snake, until none is
-    left. Each basic snake must lead with its source, with coefficient 1,
-    and bring in only smaller terms, so a term once replaced never comes
-    back (the basic snakes are unitriangular)."""
-    out = {t: c % p for t, c in terms.items() if c % p}
-    heap = []
-    for cols in out:
-        box = snake_box(cols)
-        if box is not None:
-            heap.append((_col_key(cols), cols, box))
-    heapify(heap)
-    while heap:
-        key, target, box = heappop(heap)
-        coeff = out.pop(target, None)
-        if coeff is None:  # cancelled, or queued twice
-            continue
-        rel = snake_terms(target, *box, kind)
-        if rel.pop(target, 0) % p != 1:
-            raise InvariantError(f"basic snake of {target} does not lead with it")
-        for cols, c in rel.items():
-            old = out.get(cols)
-            v = ((old or 0) - coeff * c) % p
-            if v:
-                out[cols] = v
-                if old is None and (snake := snake_box(cols)) is not None:
+def _straighten(
+    terms: dict[Cols, int], kind: TabloidKind, r: Mapping[Cols, int], known: dict
+) -> int | dict[int, int]:
+    """The image over R of a combination of canonical tabloids of ``kind``
+    modulo the basic snakes, in the R-coordinates ``r``: a bit mask for
+    the mod-2 skew kind, integer coefficients otherwise. A term in
+    ``known`` is replaced by its image there (a mask, or coordinate and
+    coefficient pairs), and the greatest other term outside R by minus the
+    rest of its basic snake, until none is left. This checks that the
+    basic snakes are unitriangular, which makes R a basis modulo them:
+    each leads with its source, with coefficient 1, and brings in only
+    smaller terms; and each term in R must have a coordinate, in the block."""
+    mod2 = not kind.zero_on_column_repeats
+    out: int | dict[int, int] = 0 if mod2 else {}
+    todo: dict[Cols, int] = {}
+    heap: list = []
+    items, scale, key = terms.items(), 1, None
+    while True:
+        for cols, c in items:
+            c *= scale
+            image = known.get(cols)
+            if image is None:
+                if cols in todo:
+                    todo[cols] += c
+                    continue
+                box = snake_box(cols)
+                if box is not None:
                     k = _col_key(cols)
-                    if k <= key:
+                    if key is not None and k <= key:
                         raise InvariantError(
-                            f"basic snake of {target} brings in {cols}, "
+                            f"basic snake of {source} brings in {cols}, "
                             "which is not below it"
                         )
-                    heappush(heap, (k, cols, snake))
-            elif old is not None:
-                del out[cols]
-    return out
+                    todo[cols] = c
+                    heappush(heap, (k, cols, box))
+                    continue
+                j = r.get(cols)
+                if j is None:
+                    raise InvariantError(
+                        f"relation term {cols} lies outside its weight block"
+                    )
+                image = 1 << j if mod2 else ((j, 1),)
+            if mod2:
+                if c & 1:
+                    out ^= image
+            else:
+                for j, a in image:
+                    v = out.get(j, 0) + c * a
+                    if v:
+                        out[j] = v
+                    else:
+                        del out[j]
+        while heap:
+            key, source, box = heappop(heap)
+            scale = -todo.pop(source)
+            if scale & 1 if mod2 else scale:
+                break
+        else:
+            return out
+        snake = snake_terms(source, *box, kind)
+        if snake.pop(source, 0) != 1:
+            raise InvariantError(f"basic snake of {source} does not lead with it")
+        items = snake.items()
 
 
-def _col_key(cols: Cols) -> tuple[tuple[int, int], ...]:
-    """Sort key of the column order among tableaux of one content, with
-    sorted columns: the entries from the largest down, each with its
-    column, leftmost first. A smaller key is a greater tableau: at the
-    first difference, it holds the larger entry in an earlier column."""
-    return tuple(sorted((-x, j) for j, col in enumerate(cols) for x in col))
+def _col_key(cols: Cols) -> tuple[int, ...]:
+    """Sort key of the column order among tableaux of one shape and
+    content, with sorted columns: the entries from the largest down, each
+    with its column, leftmost first, the pair (x, j) encoded as the
+    integer j - x * w over w columns, which orders the pairs alike. A
+    smaller key is a greater tableau: at the first difference, it holds
+    the larger entry in an earlier column."""
+    w = len(cols)
+    return tuple(sorted([j - x * w for j, col in enumerate(cols) for x in col]))
 
 
 def apply_transvection(

@@ -4,20 +4,23 @@ machinery so they can check it, except the all-blocks kernel probe, which
 is the elimination reference for the counted kernel of the dominant-block
 path, and the Garnir oracle, which canonicalizes its terms with
 `canonicalize`. The label-level relation rank (`family_rank`), the
-unshared full build (`unshared_build`), the kernel generators over the
-whole tabloid space (`ker_q_generators`), the composition factors solved
-through the simple characters (`factors_by_simple_characters`), the span
-helpers and the row tabloids have no caller in the package; they live
-here as references for the tests. So do the literature oracles for the
-derived decomposition rows: the characteristic-2 rows of degrees 1 to 5
-(`literature_rows`, read from `decomposition_p2.txt`) and the dimension
-polynomials of the degree-5 simple modules (`DEGREE5_DIM_POLYS`), and the
-GF(2) endomorphism ring of a Specht module built from its standard
-polytabloids (`specht_endomorphisms`), the oracle of the indecomposability
-corollary."""
+unshared full build (`unshared_build`), the straightening of each call
+from scratch (`straighten_terms`), the three numbers that the inverse
+Schur functor's definition makes equal (`inverse_schur_numbers`), the
+kernel generators over the whole tabloid space (`ker_q_generators`), the
+composition factors solved through the simple characters
+(`factors_by_simple_characters`), the span helpers and the row tabloids
+have no caller in the package; they live here as references for the tests.
+So do the literature oracles for the derived decomposition rows: the
+characteristic-2 rows of degrees 1 to 5 (`literature_rows`, read from
+`decomposition_p2.txt`) and the dimension polynomials of the degree-5
+simple modules (`DEGREE5_DIM_POLYS`), and the GF(2) endomorphism ring of a
+Specht module built from its standard polytabloids
+(`specht_endomorphisms`), the oracle of the indecomposability corollary."""
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -30,21 +33,36 @@ from dualweyl.garnir import (
 )
 from dualweyl.decomposition import _solve_unitriangular, decomposition_rows
 from dualweyl.gfp import SpanBuilder, Subspace
-from dualweyl.partitions import Partition, parse_partition, partitions_of
+from dualweyl.partitions import (
+    InvariantError,
+    Partition,
+    parse_partition,
+    partitions_of,
+)
 from dualweyl.quotients import (
+    _col_key,
+    _dominant_block,
     _kernel_dims,
     _make_blocks,
     _push_terms,
-    _straighten_terms,
+    _straighten,
     _tabloid_kind,
     build_gtensor_specht,
 )
-from dualweyl.tableaux import Box, Tableau, kostka_number
+from dualweyl.tableaux import (
+    Box,
+    Cols,
+    Tableau,
+    TableauClass,
+    enumerate_tableaux,
+    kostka_number,
+)
 from dualweyl.tabloids import (
     TabloidBasis,
     TabloidKind,
     TabloidVector,
     build_basis,
+    canonical_cols,
     canonicalize,
     has_column_repeat,
     skew_column,
@@ -344,12 +362,124 @@ def packed_weight(w):
     return tuple(x for x in w if x)
 
 
+def straighten_terms(
+    terms: dict[Cols, int], kind: TabloidKind, p: int
+) -> dict[Cols, int]:
+    """A combination of canonical representatives of ``kind`` expressed
+    over the row-semistandard ones modulo the basic snakes, with
+    coefficients in [1, p). The greatest term that is not row
+    semistandard is replaced by the rest of its basic snake, until none is
+    left. Each basic snake must lead with its source, with coefficient 1,
+    and bring in only smaller terms, so a term once replaced never comes
+    back (the basic snakes are unitriangular). The reference for
+    `quotients._straighten`: it straightens every call from scratch, mod
+    p, and reads no image it has met before."""
+    out = {t: c % p for t, c in terms.items() if c % p}
+    heap = []
+    for cols in out:
+        box = snake_box(cols)
+        if box is not None:
+            heap.append((_col_key(cols), cols, box))
+    heapify(heap)
+    while heap:
+        key, target, box = heappop(heap)
+        coeff = out.pop(target, None)
+        if coeff is None:  # cancelled, or queued twice
+            continue
+        rel = snake_terms(target, *box, kind)
+        if rel.pop(target, 0) % p != 1:
+            raise InvariantError(f"basic snake of {target} does not lead with it")
+        for cols, c in rel.items():
+            old = out.get(cols)
+            v = ((old or 0) - coeff * c) % p
+            if v:
+                out[cols] = v
+                if old is None and (snake := snake_box(cols)) is not None:
+                    k = _col_key(cols)
+                    if k <= key:
+                        raise InvariantError(
+                            f"basic snake of {target} brings in {cols}, "
+                            "which is not below it"
+                        )
+                    heappush(heap, (k, cols, snake))
+            elif old is not None:
+                del out[cols]
+    return out
+
+
 def straighten_vector(vec: TabloidVector) -> TabloidVector:
     """Straighten every term of a vector of tabloids."""
     basis = vec.basis
     terms = {basis.cols[i]: c for i, c in vec.coords.items()}
-    out = _straighten_terms(terms, basis.kind, vec.p)
+    out = straighten_terms(terms, basis.kind, vec.p)
     return TabloidVector(basis, vec.p, {basis.index[c]: v for c, v in out.items()})
+
+
+def inverse_schur_numbers(shape: Partition, p: int) -> dict:
+    """For every beta |- n, three numbers that the definition of the
+    inverse Schur functor makes equal, if the construction is its image of
+    the Specht module S: the dimension of the construction's weight-beta
+    block; the rank of the map onto that block from its (1^n) block at
+    d = n, which merges the letters of each block of beta (1..beta_1 onto
+    1, and so on); and f^shape less dim sum_i im(1 - s_i), over the
+    transpositions s_i of adjacent letters inside one block of beta. The
+    (1^n) block is S, with S_n permuting its letters, and has no
+    supplementary snake; its R are the standard tableaux. The weight-beta
+    space of E^{(x)n} (x)_{FS_n} S is F[S_beta \\ S_n] (x)_{FS_n} S, the
+    coinvariants S / (1 - S_beta) S, which the third number counts and the
+    merge map sends onto the block. Every tabloid is straightened with
+    `quotients._straighten`; each s_i acts on distinct letters only."""
+    n, kind = shape.n, skew_column(p)
+    standard = enumerate_tableaux(shape, n, TableauClass.STANDARD, (1,) * n)
+    r = {cols: j for j, cols in enumerate(standard)}
+
+    def renamed(letters, cols, coords):
+        moved = tuple(tuple(letters[x] for x in col) for col in cols)
+        moved, sign, is_zero = canonical_cols(moved, kind)
+        return _straighten({} if is_zero else {moved: sign}, kind, coords, {})
+
+    def push(builder, image):
+        if isinstance(image, int):
+            return builder.add_mask(image)
+        return builder.add(image)
+
+    moved_less_fixed = {}  # s_i T - T, per i, over the standard T
+    for i in range(1, n):
+        letters = list(range(n + 1))
+        letters[i], letters[i + 1] = i + 1, i
+        moved_less_fixed[i] = []
+        for j, cols in enumerate(standard):
+            image = renamed(letters, cols, r)
+            if isinstance(image, int):
+                image ^= 1 << j
+            else:
+                image[j] = image.get(j, 0) - 1
+            moved_less_fixed[i].append(image)
+    out = {}
+    for beta in partitions_of(n):
+        merge = [0] + [k for k, part in enumerate(beta, 1) for _ in range(part)]
+        coinvariants = SpanBuilder(len(standard), p)
+        for i in range(1, n):
+            if merge[i] == merge[i + 1]:
+                for image in moved_less_fixed[i]:
+                    push(coinvariants, image)
+        if p == 2:
+            block = _dominant_block(shape, beta)
+            coords, relations = block.pos, block.span
+        else:  # the alternating kind: no relation is left on R
+            reps = enumerate_tableaux(
+                shape, len(beta), TableauClass.SEMISTANDARD, tuple(beta)
+            )
+            coords = {cols: j for j, cols in enumerate(reps)}
+            relations = Subspace(len(reps), p)
+        merged = probe_builder(relations)  # the rank it gains is the map's
+        rank = sum(push(merged, renamed(merge, cols, coords)) for cols in standard)
+        out[beta] = (
+            len(coords) - relations.dim,
+            rank,
+            len(standard) - coinvariants.rank,
+        )
+    return out
 
 
 def unit_vector(basis: TabloidBasis, p: int, t: Tableau) -> TabloidVector:
@@ -562,6 +692,7 @@ __all__ = [
     "dim_sum_and_intersection",
     "family_rank",
     "garnir_oracle",
+    "inverse_schur_numbers",
     "kernel_table_all_blocks",
     "ker_q_generators",
     "matrix_rank",
@@ -577,6 +708,7 @@ __all__ = [
     "rref_oracle",
     "span",
     "sparse",
+    "straighten_terms",
     "straighten_vector",
     "unit_vector",
     "unshared_build",

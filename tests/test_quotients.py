@@ -32,6 +32,7 @@ from helpers import (
     family_rank,
     packed_weight,
     span,
+    straighten_terms,
     straighten_vector,
     unit_vector,
     unshared_build,
@@ -418,9 +419,9 @@ def _pattern_snakes(shape, d, kind):
     each packed weight: the tabloids outside R, whose basic snakes are
     expanded; the supplementary snakes of the mod-2 skew kind (one per
     entry equal to its right neighbour in an R representative); and those
-    of them that `_straighten_terms` straightens to a nonzero combination."""
+    of them that the reference `straighten_terms` straightens to a nonzero
+    combination."""
     from dualweyl.garnir import equal_boxes, snake_box, snake_terms
-    from dualweyl.quotients import _straighten_terms
 
     blocks, patterns = {}, {}
     for cols in build_basis(shape, d, kind).cols:
@@ -435,7 +436,7 @@ def _pattern_snakes(shape, d, kind):
             for box in equal_boxes(cols):
                 supplementary += 1
                 terms = snake_terms(cols, *box, kind)
-                nonzero += bool(_straighten_terms(terms, kind, 2))
+                nonzero += bool(straighten_terms(terms, kind, 2))
     return basic, supplementary, nonzero
 
 
@@ -446,10 +447,8 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     # straightens one block of each packed weight once, expanding
     # the basic snake of each tabloid there that is not row semistandard
     # (and at p = 2 the supplementary snakes), and eliminates no basic
-    # snake: at odd p nothing is pushed, and at p = 2 each nonzero
-    # straightened supplementary snake goes through
-    # _push_terms(span, terms, pos, p), positionally (the benchmark tracer
-    # hooks that name and argument order).
+    # snake: at odd p no pattern holds a supplementary snake, and at p = 2
+    # the patterns hold each nonzero straightened supplementary snake.
     from dualweyl import quotients
     from dualweyl.garnir import GarnirLabel
 
@@ -479,32 +478,33 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     assert created[-1] == "Partition"
     created.clear()
 
-    real_push, real_snake = quotients._push_terms, quotients.snake_terms
-    pushes, snakes = [], []
-
-    def push(*args, **kwargs):
-        assert not kwargs and len(args) == 4 and args[1]
-        pushes.append(args[3])
-        return real_push(*args)
+    real_snake = quotients.snake_terms
+    snakes = []
 
     def snake(*args):
         snakes.append(args)
         return real_snake(*args)
 
-    monkeypatch.setattr(quotients, "_push_terms", push)
     monkeypatch.setattr(quotients, "snake_terms", snake)
     module = quotients._build.__wrapped__(shape, 6, p, kind)
     assert created == []
     assert len(snakes) == basic + supplementary == len(set(snakes))
-    assert len(pushes) == nonzero and set(pushes) <= {2}
+    firsts = {}
+    for w, block in module._blocks.items():
+        firsts.setdefault(packed_weight(w), tuple(block.pos))
+    patterns = [quotients._straightened_block(reps, kind) for reps in firsts.values()]
+    assert sum(len(pattern.supplementary) for pattern in patterns) == nonzero
     assert module.dim == 1050
 
 
 def test_straightening_refuses_a_snake_that_is_not_unitriangular(monkeypatch):
-    # Straightening a block is the check that its basic snakes are
-    # unitriangular, on which the build rests: a basic snake must lead
-    # with its source with coefficient 1, and bring in only terms of the
-    # block that are below it. Each fault is refused by name.
+    # Straightening is the check that the basic snakes are unitriangular,
+    # on which the full build and `straighten` rest: a basic snake must
+    # lead with its source with coefficient 1, and bring in only terms of
+    # the block that are below it. One routine serves both callers, and
+    # each fault is refused by name through each of them. A term outside
+    # the block shows only in a build: `straighten` has an R-coordinate
+    # for every semistandard tableau of the basis.
     from dualweyl import quotients
     from dualweyl.garnir import snake_box, snake_terms
     from dualweyl.partitions import InvariantError
@@ -523,20 +523,105 @@ def test_straightening_refuses_a_snake_that_is_not_unitriangular(monkeypatch):
     )
     args = (low, *snake_box(low), ALT_COLUMN)
     terms = snake_terms(*args)
-    faults = {
-        "does not lead with it": {**terms, low: 2},
-        f"brings in {high}, which is not below it": {**terms, high: 1},
-        f"relation term {outside} lies outside its weight block": {**terms, outside: 1},
-    }
-    for message, fault in faults.items():
+
+    def build():
         quotients._straightened_block.cache_clear()
-        with monkeypatch.context() as m:
-            patch_values(m, quotients, "snake_terms", {args: fault})
-            with pytest.raises(InvariantError, match=re.escape(message)):
-                quotients._build.__wrapped__(shape, d, 3, ALT_COLUMN)
-    quotients._straightened_block.cache_clear()
-    module = quotients._build.__wrapped__(shape, d, 3, ALT_COLUMN)
-    assert module.dim == hook_content_dim(shape, d)
+        return quotients._build.__wrapped__(shape, d, 3, ALT_COLUMN)
+
+    def straighten_low():
+        return straighten(Tableau(low), shape, d, 3)
+
+    faults = {
+        "does not lead with it": ({**terms, low: 2}, (build, straighten_low)),
+        f"brings in {high}, which is not below it": (
+            {**terms, high: 1},
+            (build, straighten_low),
+        ),
+        f"relation term {outside} lies outside its weight block": (
+            {**terms, outside: 1},
+            (build,),
+        ),
+    }
+    for message, (fault, callers) in faults.items():
+        for call in callers:
+            with monkeypatch.context() as m:
+                patch_values(m, quotients, "snake_terms", {args: dict(fault)})
+                with pytest.raises(InvariantError, match=re.escape(message)):
+                    call()
+    assert build().dim == hook_content_dim(shape, d)
+    unit = unit_vector(build_basis(shape, d, ALT_COLUMN), 3, Tableau(low))
+    assert straighten_low() == straighten_vector(unit)
+
+
+@pytest.mark.parametrize(
+    "kind, p", [(ALT_COLUMN, 2), (ALT_COLUMN, 3), (skew_column(2), 2)], ids=repr
+)
+def test_pattern_images_match_straightening_from_scratch(kind, p):
+    # A pattern block straightens its representatives from the smallest up,
+    # each through the images of the smaller ones it has kept, and its
+    # supplementary snakes through all of them. Reduced mod p, every image
+    # must equal the reference straightening of the same tabloid or snake
+    # from scratch, and the supplementary images must be the nonzero ones,
+    # in order (none for the alternating kind, on which the supplementary
+    # snakes vanish): every pattern block of every shape with n <= 6 and
+    # d <= n, for each kind at each prime that reads it. The first block
+    # of a packed weight of k letters uses the letters 1..k, as checked
+    # here at d = n, so it is the pattern block at every d >= k.
+    from dualweyl import quotients
+    from dualweyl.garnir import equal_boxes, snake_terms
+
+    patterns = 0
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            blocks = {}
+            for cols in build_basis(shape, n, kind).cols:
+                blocks.setdefault(weight_of(cols, n), []).append(cols)
+            firsts = {}
+            for w, reps in blocks.items():
+                firsts.setdefault(packed_weight(w), (w, tuple(reps)))
+            for key, (w, reps) in firsts.items():
+                assert w[: len(key)] == key, (shape, w)
+                pattern = quotients._straightened_block(reps, kind)
+                r_cols = pattern.r_cols
+                snakes = [
+                    snake_terms(source, *box, kind)
+                    for source in r_cols
+                    for box in equal_boxes(source)
+                ]
+
+                def over_r(image):
+                    if isinstance(image, int):
+                        return {c: 1 for j, c in enumerate(r_cols) if image >> j & 1}
+                    return {r_cols[j]: a % p for j, a in image if a % p}
+
+                for cols, image in zip(reps, pattern.images, strict=True):
+                    assert over_r(image) == straighten_terms({cols: 1}, kind, p)
+                images = (straighten_terms(snake, kind, p) for snake in snakes)
+                assert list(map(over_r, pattern.supplementary)) == [
+                    image for image in images if image
+                ]
+                patterns += 1
+    assert patterns == {ALT_COLUMN: 319, skew_column(2): 521}[kind]
+
+
+def test_straighten_refuses_an_oversized_basis_before_it_lists_a_tableau(
+    monkeypatch,
+):
+    # `straighten` answers over the alternating basis, which it lists, so it
+    # is refused past the full build's budget, counted in closed form: here
+    # 200^3 tabloids, before one is listed.
+    from dualweyl import quotients, tableaux, tabloids
+
+    def refuse(*args):
+        raise AssertionError("an oversized straightening listed tableaux")
+
+    for module in (quotients, tableaux, tabloids):
+        monkeypatch.setattr(module, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(quotients, "build_basis", refuse)
+    t = Tableau(((2,), (1,), (1,)))
+    match = f"straightening of .* at d=200, p=3 lists at least {200**3} "
+    with pytest.raises(ValueError, match=match):
+        straighten(t, Partition((3,)), 200, 3)
 
 
 def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
