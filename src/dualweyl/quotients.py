@@ -85,20 +85,20 @@ from .records import Record
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
+    DIM_REP_BUDGET,
     TabloidBasis,
     TabloidKind,
     TabloidVector,
+    alternating_forecast,
     build_basis,
     canonical_cols,
     has_column_repeat,
     skew_column,
+    tabloid_kind,
 )
 
 WeightTable = dict[tuple[int, ...], int]
 
-# `dim` refuses a query whose forecast work (`dominant_rep_bound`) is more
-# than this; near it a query takes seconds.
-DIM_REP_BUDGET = 100_000
 # A full build (`_build`) refuses a tabloid space larger than this before it
 # lists it; near it a build takes seconds.
 BUILD_BUDGET = 500_000
@@ -213,17 +213,6 @@ class QuotientModule(Record, hidden=("_blocks",)):
                 idx for j, idx in enumerate(block.indices) if j not in pivots
             )
         return sorted(out)
-
-
-def _tabloid_kind(model: str, p: int) -> TabloidKind:
-    """The tabloid kind of a construction at p: the one place that maps a
-    (model, p) pair to a kind."""
-    _check_prime(p)
-    if model == "nabla":
-        return ALT_COLUMN
-    if model == "gtensor":
-        return skew_column(p)
-    raise ValueError(f"unknown module {model!r}")
 
 
 def _make_blocks(
@@ -437,14 +426,14 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:
     """Alternating column tabloids modulo the basic snake relations."""
-    return _build(shape, d, p, _tabloid_kind("nabla", p))
+    return _build(shape, d, p, tabloid_kind("nabla", p))
 
 
 def build_gtensor_specht(shape: Partition, d: int, p: int) -> QuotientModule:
     """Skew column tabloids modulo the basic and supplementary skew snake
     relations; away from characteristic 2 this is the dual Weyl module,
     the same cached object."""
-    return _build(shape, d, p, _tabloid_kind("gtensor", p))
+    return _build(shape, d, p, tabloid_kind("gtensor", p))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +475,14 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     construction (``"gtensor"``): the hook-content count for the
     alternating kind; for mod-2 skew, that count plus the kernel
     dimension, since the surjection onto the dual Weyl module is onto."""
-    alternating = _tabloid_kind(which, p) is ALT_COLUMN
+    alternating = tabloid_kind(which, p) is ALT_COLUMN
     return hook_content_dim(shape, d) + (0 if alternating else u_lambda_dim(shape, d))
 
 
 def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     """A closed-form forecast of the work of `module_dim`, and through the
-    mod-2 skew blocks of the kernel. An alternating dimension costs the n
-    factors of its hook-content product, each once per 30-bit digit (the
-    digit of Python's integers) of d + n. On the mod-2 skew path every
+    mod-2 skew blocks of the kernel: `tabloids.alternating_forecast` for
+    an alternating dimension. On the mod-2 skew path every
     representative holds the n boxes, and past the budget they are the
     forecast; below it, the largest snake template, the dominant weights,
     the n boxes that each weight's block places when the shape has two
@@ -505,10 +493,9 @@ def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
     m = min(d, n) letters, are at most the row-and-column-semistandard
     tableaux over m letters, which adding i - 1 to row i makes
     semistandard over m + len(shape) - 1."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if _tabloid_kind("gtensor" if which == "u" else which, p) is ALT_COLUMN:
-        return shape.n * (((d + shape.n).bit_length() + 29) // 30)
+    alternating = alternating_forecast(which, shape, d, p)
+    if alternating is not None:
+        return alternating
     if shape.n > DIM_REP_BUDGET:
         return shape.n
     m = min(d, shape.n)

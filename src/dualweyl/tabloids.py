@@ -7,7 +7,9 @@ from characteristic 2 but keeps repeated column entries alive mod 2. At
 odd p the two are one space, so there are two kinds: the alternating kind
 and the mod-2 skew kind. A basis holds its representatives as column
 tuples; `Tableau` objects are made only at the API boundary (`rep`,
-`terms`, `canonicalize`).
+`terms`, `canonicalize`). `tabloid_kind` maps a construction at p to its
+kind, and `alternating_forecast` forecasts a `dim` query on the
+alternating kind, which `dim` answers without the constructions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
+from .gfp import _check_prime
 from .partitions import Partition
 from .records import Record
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
@@ -44,6 +47,36 @@ ALT_COLUMN = TabloidKind.ALTERNATING
 def skew_column(p: int) -> TabloidKind:
     """The skew column kind at p: the alternating kind at every odd p."""
     return TabloidKind.SKEW_MOD_2 if p == 2 else ALT_COLUMN
+
+
+def tabloid_kind(model: str, p: int) -> TabloidKind:
+    """The tabloid kind of a construction at p: the one place that maps a
+    (model, p) pair to a kind."""
+    _check_prime(p)
+    if model == "nabla":
+        return ALT_COLUMN
+    if model == "gtensor":
+        return skew_column(p)
+    raise ValueError(f"unknown module {model!r}")
+
+
+# `dim` refuses a query whose forecast work (this forecast, or on the mod-2
+# skew kind `quotients.dominant_rep_bound`) is more than this; near it a
+# query takes seconds.
+DIM_REP_BUDGET = 100_000
+
+
+def alternating_forecast(which: str, shape: Partition, d: int, p: int) -> int | None:
+    """The forecast work of a `dim` query (``"nabla"``, ``"gtensor"``, or
+    ``"u"`` on the skew construction) whose kind is alternating, and None
+    on the mod-2 skew kind. The alternating kind has no relation left, so
+    the dimension is the hook-content count, which costs its n factors,
+    each once per 30-bit digit (the digit of Python's integers) of d + n."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    if tabloid_kind("gtensor" if which == "u" else which, p) is not ALT_COLUMN:
+        return None
+    return shape.n * (((d + shape.n).bit_length() + 29) // 30)
 
 
 class SignedTabloid(Record):

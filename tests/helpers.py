@@ -46,7 +46,6 @@ from dualweyl.quotients import (
     _make_blocks,
     _push_terms,
     _straighten,
-    _tabloid_kind,
     build_gtensor_specht,
 )
 from dualweyl.tableaux import (
@@ -66,6 +65,7 @@ from dualweyl.tabloids import (
     canonicalize,
     has_column_repeat,
     skew_column,
+    tabloid_kind,
 )
 
 
@@ -232,7 +232,7 @@ def family_rank(which, shape, d, p, families):
     ``which`` ("nabla" or "gtensor"), expanding every `GarnirLabel` of the
     label stream through `garnir_terms`: the label-level reference for the
     builds, which expand snakes straight from column tuples."""
-    kind = _tabloid_kind(which, p)
+    kind = tabloid_kind(which, p)
     blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
     for family in families:
         for label in iter_relation_labels(shape, d, family, kind):

@@ -87,6 +87,7 @@ def test_dim_refuses_a_tall_snake_template_at_once(capsys):
     # of height 12 (a template of 1716 terms) stay under it.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
+    from dualweyl.tabloids import DIM_REP_BUDGET
 
     started = time.perf_counter()
     code, out, err = run(
@@ -95,7 +96,7 @@ def test_dim_refuses_a_tall_snake_template_at_once(capsys):
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "") and "budget" in err
     bound = dominant_rep_bound("u", parse_partition("2^12"), 2, 2)
-    assert 1716 < bound <= cli.DIM_REP_BUDGET
+    assert 1716 < bound <= DIM_REP_BUDGET
 
 
 def test_dim_refuses_a_long_column_at_once(capsys):
@@ -105,12 +106,13 @@ def test_dim_refuses_a_long_column_at_once(capsys):
     # shape builds no block, and a long row still answers.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
+    from dualweyl.tabloids import DIM_REP_BUDGET
 
     column = parse_partition("1^50000")
     for which in ("gtensor", "u"):
         # First the forecast alone: one that admits the query fails here
         # instead of running it for minutes.
-        assert dominant_rep_bound(which, column, 2, 2) > cli.DIM_REP_BUDGET, which
+        assert dominant_rep_bound(which, column, 2, 2) > DIM_REP_BUDGET, which
         started = time.perf_counter()
         code, out, err = run(
             capsys, "dim", "--which", which, "--lambda", "1^50000", "--d", "2",
@@ -171,11 +173,12 @@ def test_dim_refuses_many_weights_at_once(capsys):
     # with up to 10000 parts, a quadratic count, are not counted.
     from dualweyl.partitions import Partition
     from dualweyl.quotients import dominant_rep_bound
+    from dualweyl.tabloids import DIM_REP_BUDGET
 
     started = time.perf_counter()
     bound = dominant_rep_bound("gtensor", Partition((10000,)), 10000, 2)
     assert time.perf_counter() - started < 1
-    assert bound > cli.DIM_REP_BUDGET
+    assert bound > DIM_REP_BUDGET
     code, out, err = run(
         capsys, "dim", "--which", "gtensor", "--lambda", "10000", "--d", "10000",
         "--p", "2",
@@ -214,9 +217,9 @@ def test_dim_refuses_too_many_parts_before_expanding_them(capsys):
 def test_dim_budget_admits_the_documented_queries():
     # Every query of the benchmark's dim-queries workload and every `dim`
     # example of the README stays under the budget.
-    from dualweyl import cli
     from dualweyl.partitions import Partition, parse_partition
     from dualweyl.quotients import dominant_rep_bound
+    from dualweyl.tabloids import DIM_REP_BUDGET
 
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -236,7 +239,7 @@ def test_dim_budget_admits_the_documented_queries():
                             int(opts["--d"]), int(opts["--p"])))
     assert len(queries) == 15
     for query in queries:
-        assert dominant_rep_bound(*query) <= cli.DIM_REP_BUDGET, query
+        assert dominant_rep_bound(*query) <= DIM_REP_BUDGET, query
 
 
 def test_readme_commands_run_as_written(capsys, monkeypatch, tmp_path):
@@ -333,11 +336,12 @@ def test_dim_refuses_a_huge_shape_at_once(capsys):
     # product is not evaluated.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
+    from dualweyl.tabloids import DIM_REP_BUDGET
 
     for lam in ("1000000", "1^1000000"):
         shape = parse_partition(lam)
         started = time.perf_counter()
-        assert dominant_rep_bound("nabla", shape, 2, 2) > cli.DIM_REP_BUDGET
+        assert dominant_rep_bound("nabla", shape, 2, 2) > DIM_REP_BUDGET
         assert time.perf_counter() - started < 2, lam
         code, out, err = run(capsys, "dim", "--which", "nabla", "--lambda", lam, "--d", "2")
         assert (code, out) == (2, "") and "budget" in err, lam
@@ -347,6 +351,18 @@ def test_dim_refuses_a_huge_shape_at_once(capsys):
         capsys, "dim", "--which", "gtensor", "--lambda", "100000000000", "--d", "1"
     )
     assert (code, out) == (2, "") and "budget" in err
+
+
+def test_dim_refuses_a_non_positive_d(capsys):
+    # An alternating query is answered without the constructions, after
+    # the same check of d.
+    for which in ("nabla", "gtensor"):
+        for d in ("0", "-2"):
+            code, out, err = run(
+                capsys, "dim", "--which", which, "--lambda", "2,1", "--d", d,
+                "--p", "3",
+            )
+            assert (code, out) == (2, "") and "d must be positive" in err, (which, d)
 
 
 def test_dim_answers_a_long_row_or_column(capsys):
@@ -390,7 +406,9 @@ def test_other_os_errors_are_not_reported_as_usage_errors(capsys, monkeypatch):
     def broken(shape, d):
         raise BrokenPipeError("closed")
 
-    monkeypatch.setattr(cli, "u_lambda_dim", broken)
+    from dualweyl import quotients
+
+    monkeypatch.setattr(quotients, "u_lambda_dim", broken)
     with pytest.raises(BrokenPipeError):
         main(["dim", "--which", "u", "--lambda", "2,1", "--d", "2"])
 
@@ -589,9 +607,9 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_is_clamped_to_the_check_count(pool_sizes):
-    from dualweyl import cli
+    from dualweyl import cli, suites
 
-    checks = cli._SUITE_UNITS["d1"](2)
+    checks = suites.SUITE_UNITS["d1"](2)
     assert cli._run_checks(checks, 8) == [cli._run_check(c) for c in checks]
     assert pool_sizes == [len(checks)]
 
@@ -615,16 +633,16 @@ def test_thm1_check_has_an_independent_oracle(monkeypatch):
     # The thm1 item judges the construction against closed forms, not
     # against a second build: with every builder returning the p = 2 skew
     # build, (1,1) at d = 2 has dimension 3 where the dual Weyl module has 1.
-    from dualweyl import cli
+    from dualweyl import quotients, suites
     from dualweyl.quotients import build_gtensor_specht
 
     def mod2_build(shape, d, p):
         return build_gtensor_specht(shape, d, 2)
 
-    monkeypatch.setattr(cli, "build_gtensor_specht", mod2_build)
-    monkeypatch.setattr(cli, "build_dual_weyl", mod2_build, raising=False)
+    monkeypatch.setattr(quotients, "build_gtensor_specht", mod2_build)
+    monkeypatch.setattr(quotients, "build_dual_weyl", mod2_build)
     [item] = [
-        it for it in cli._check_thm1("1,1")
+        it for it in suites._check_thm1("1,1")
         if (it["check"], it["d"], it["p"]) == ("gtensor_matches_weyl", 2, 3)
     ]
     assert (item["expected"], item["got"], item["pass"]) == (1, 3, False)
@@ -664,6 +682,70 @@ def test_dim_imports_only_what_it_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "56", "420", "[]", ""]
+
+
+def test_each_command_imports_only_what_it_runs():
+    # `import dualweyl.cli` loads no construction and no suite; an
+    # alternating `dim` query is the hook-content count and loads no
+    # construction either; a mod-2 skew query loads `quotients` but not
+    # the suites.
+    script = """
+import sys
+import dualweyl.cli as cli
+
+def loaded(*names):
+    return [m for m in names if "dualweyl." + m in sys.modules]
+
+print(loaded("quotients", "garnir", "tableaux", "suites", "predictions",
+             "decomposition"))
+cli.main(["dim", "--which", "nabla", "--lambda", "2,2,1", "--d", "3"])
+cli.main(["dim", "--which", "gtensor", "--lambda", "4,2", "--d", "5", "--p", "3"])
+print(loaded("quotients", "garnir"))
+cli.main(["dim", "--which", "u", "--lambda", "2,2,1", "--d", "4"])
+print(loaded("quotients", "suites"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "[]", "3", "420", "[]", "56", "['quotients']", ""
+    ]
+
+
+def test_verify_under_python_m_loads_the_cli_once():
+    # `python -m dualweyl.cli` runs the file as __main__; the suites must
+    # not import `dualweyl.cli`, which would compile it a second time.
+    script = """
+import runpy, sys
+sys.argv = ["dualweyl", "verify", "--suite", "example61", "--jobs", "1",
+            "--no-timing", "--format", "json"]
+try:
+    runpy.run_module("dualweyl.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "dualweyl.cli" in sys.modules, file=sys.stderr)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=child_env(), timeout=60,
+    )
+    assert proc.stderr.split() == ["0", "False"], proc.stderr
+    assert len(json.loads(proc.stdout)["items"]) == 2
+
+
+def test_suite_choices_are_the_suites_units():
+    # The parser names the suites without loading them.
+    import argparse
+
+    from dualweyl import suites
+
+    [sub] = [
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    [suite] = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == (*suites.SUITE_UNITS, "all")
 
 
 def test_checks_hold_under_optimization():
@@ -723,6 +805,48 @@ def test_a_module_ops_job_runs_untraced_and_traced(tmp_path):
         assert result["canary_caught"], trace_dir
         assert len(result["latencies"]) == len(job["ops"]), trace_dir
     assert list(tmp_path.glob("*.json"))
+
+
+def test_the_tracer_sees_the_suites_calls(tmp_path):
+    # The suites call the package through module attributes, which the
+    # tracer rewrites. They are loaded here before the tracer goes in, so
+    # a name the suites bound at import would keep the untraced function,
+    # and the per-layer numbers would read 0.
+    script = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(PERFBENCH)!r})
+import dualweyl.suites
+import tracer
+tr = tracer.install(Path({str(tmp_path)!r}))
+from dualweyl import cli
+code = cli.main(["verify", "--suite", "thm2", "--n-max", "4", "--jobs", "1",
+                 "--no-timing", "--format", "json"])
+tr.dump_own()
+sys.exit(code)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from dualweyl import suites
+
+    stats = tracer.merge(sorted(tmp_path.glob("*.json")))["stats"]
+    checks = [it["check"] for it in json.loads(proc.stdout)["items"]]
+    # A shape's unit asks `predict_iso` and `supplementary_rank_gain`, a
+    # list unit `non_iso_shapes`; each construction item is one
+    # `verify_iso` call of a handler (`non_iso_shapes` makes more).
+    assert stats["predictions.sweep"][0] == (
+        2 * checks.count("supplementary_rank_gain") + checks.count("non_iso_set")
+    )
+    assert stats["gfp.probe"][0] >= checks.count("predicted_iso_matches_construction") > 0
+    assert stats["cli.check"][0] == len(suites.SUITE_UNITS["thm2"](4))
 
 
 def test_verify_all_runs_one_pool(tmp_path):
@@ -835,15 +959,28 @@ def test_table3_matches_golden(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    # The `[project.scripts]` target of pyproject.toml, called as the
+    # installed script calls it, and the script itself when it is on PATH.
+    import re
     import shutil
-    import subprocess
 
-    exe = shutil.which("dualweyl")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run(
-        [exe, "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2"],
-        capture_output=True,
-        text=True,
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    target = re.search(
+        r'^\[project\.scripts\]\ndualweyl = "([\w.]+):(\w+)"$', pyproject, re.M
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "2"
+    assert target, "no dualweyl script in pyproject.toml"
+    argv = ["dim", "--which", "nabla", "--lambda", "2,1", "--d", "2"]
+    script = (
+        "import importlib, sys; "
+        f"sys.argv = ['dualweyl', *{argv!r}]; "
+        f"sys.exit(importlib.import_module({target[1]!r}).{target[2]}())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
+    exe = shutil.which("dualweyl")
+    if exe is not None:
+        proc = subprocess.run([exe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "2"

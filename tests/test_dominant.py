@@ -22,7 +22,6 @@ from dualweyl.quotients import (
     _build,
     _dominant_block,
     _kernel_dims,
-    _tabloid_kind,
     dominant_rep_bound,
     build_dual_weyl,
     build_gtensor_specht,
@@ -37,6 +36,7 @@ from dualweyl.tabloids import (
     build_basis,
     has_column_repeat,
     skew_column,
+    tabloid_kind,
 )
 from helpers import (
     inverse_schur_numbers,
@@ -84,7 +84,7 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
                 for model in ("nabla", "gtensor"):
-                    kind = _tabloid_kind(model, p)
+                    kind = tabloid_kind(model, p)
                     full = _build(shape, len(beta), p, kind)._blocks.get(beta)
                     expected = full.size - full.span.dim if full else 0
                     if kind is ALT_COLUMN:
