@@ -4,7 +4,9 @@ Vectors come in as sparse dicts {coordinate: coefficient} at every p.
 Inside, GF(2) rows are Python ints used as bit masks (bit i = coordinate
 i), which keeps row reduction at word-XOR speed, and a caller holding a
 mask passes it to `add_mask` or `residual_mask`. Odd primes use sparse
-rows, dicts from coordinate to a coefficient in [1, p). A `SpanBuilder`
+rows, dicts from coordinate to a coefficient in [1, p), and a caller
+holding such a dict, already in range, passes it to `residual_dict`,
+which reduces it in place with no second check or copy. A `SpanBuilder`
 holds its span in row-echelon form that is not reduced: a push clears the
 pivots of the new vector in increasing order and stores it without
 touching earlier rows. `SpanBuilder.subspace` back-substitutes once, from
@@ -117,6 +119,12 @@ class _Rows:
         """The GF(2) mask reduced modulo the span (zero iff contained)."""
         return _reduce_mask(mask, self._piv, self._pivmask)
 
+    def residual_dict(self, v: dict[int, int]) -> dict[int, int]:
+        """The odd-p twin of `residual_mask`: a sparse dict, with
+        coordinates in range and coefficients in [1, p), reduced modulo
+        the span in place (empty iff contained)."""
+        return _clear_dict(v, self._piv, self.p)
+
     def _coerce(self, vec):
         """A sparse dict {coordinate: coefficient} as a row of this space:
         a mask at p = 2, a fresh dict with coefficients in [1, p) otherwise."""
@@ -137,9 +145,7 @@ class _Rows:
         """vec modulo the span: a mask at p = 2, a sparse dict otherwise;
         zero on every pivot coordinate."""
         v = self._coerce(vec)
-        if self.p == 2:
-            return self.residual_mask(v)
-        return _clear_dict(v, self._piv, self.p)
+        return self.residual_mask(v) if self.p == 2 else self.residual_dict(v)
 
     def contains(self, vec) -> bool:
         return not self._residual(vec)

@@ -6,7 +6,12 @@ outside the block of its source tableau is an error. Blocks key their
 representatives by column tuple, and relations are expanded straight
 from the columns with the template kernel of `garnir`, so neither the
 builds nor `reduce`, `relations_contain` and the transvections create a
-`Tableau`.
+`Tableau`. A module indexes its blocks once, when it is made: each
+ambient coordinate to its block and its local coordinate there. So a
+read groups a vector by block in one pass, taking each coefficient mod p
+once, and reduces each block's row straight against the block's frozen
+reduced echelon rows (`residual_mask` at p = 2, `residual_dict` at odd
+p), with no weight worked out and no second check or copy of the row.
 
 A full build (`_build`) eliminates no basic snake: they are
 unitriangular (see below), so the row-semistandard representatives R are
@@ -63,15 +68,15 @@ built.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
-from .gfp import SpanBuilder, Subspace, _check_prime, _clear_dict, _reduce_mask
+from .gfp import SpanBuilder, Subspace, _bits, _check_prime, _clear_dict, _reduce_mask
 from .partitions import (
     InvariantError,
     Partition,
@@ -94,6 +99,7 @@ from .tabloids import (
     canonical_cols,
     has_column_repeat,
     skew_column,
+    sort_column,
     tabloid_kind,
 )
 
@@ -133,21 +139,44 @@ class _Block(Record):
         return _Block(self.indices, self.pos, span, basic_rank)
 
 
-class QuotientModule(Record, hidden=("_blocks",)):
+def _out_of_range(i: int, dim: int) -> ValueError:
+    return ValueError(f"coordinate {i!r} is not in range({dim})")
+
+
+class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")):
     """A tabloid space together with a relation span, graded by weight;
     every block holds a frozen `Subspace`, shared per packed weight.
-    Modules compare by identity."""
+    Modules compare by identity. The constructor indexes the blocks, in
+    ``_order``: ``_block_no`` and ``_local`` give each ambient coordinate
+    the number of its block and its local coordinate there, 4 bytes each,
+    so that a read finds a coordinate's block by two lookups."""
 
-    __slots__ = ("ambient", "p", "_blocks")
+    __slots__ = ("ambient", "p", "_blocks", "_order", "_block_no", "_local")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(
         self, ambient: TabloidBasis, p: int, blocks: dict[tuple[int, ...], _Block]
     ):
+        order = tuple(blocks.values())
+        block_no: list = [None] * ambient.dim
+        local = [0] * ambient.dim
+        for k, block in enumerate(order):
+            for j, i in enumerate(block.indices):
+                block_no[i] = k
+                local[i] = j
+        if None in block_no or sum(b.size for b in order) != ambient.dim:
+            raise InvariantError("the blocks do not partition the ambient coordinates")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_block_no", array("I", block_no))
+        object.__setattr__(self, "_local", array("I", local))
+
+    def __reduce__(self):
+        # The index follows from the blocks, and is rebuilt from them.
+        return type(self), (self.ambient, self.p, self._blocks)
 
     @property
     def supplementary_rank_gain(self) -> int | None:
@@ -155,11 +184,11 @@ class QuotientModule(Record, hidden=("_blocks",)):
         for the alternating build at p = 2, which is not a skew build."""
         if self.ambient.kind is not skew_column(self.p):
             return None
-        return sum(b.span.dim - b.basic_rank for b in self._blocks.values())
+        return sum(b.span.dim - b.basic_rank for b in self._order)
 
     @property
     def relation_rank(self) -> int:
-        return sum(b.span.dim for b in self._blocks.values())
+        return sum(b.span.dim for b in self._order)
 
     @property
     def dim(self) -> int:
@@ -172,35 +201,53 @@ class QuotientModule(Record, hidden=("_blocks",)):
         }
         return {w: v for w, v in table.items() if v}
 
-    def _split(self, vec: TabloidVector) -> dict[tuple[int, ...], dict[int, int]]:
+    def _rows(self, vec: TabloidVector) -> dict[int, int | dict[int, int]]:
+        """vec split into local rows, keyed by block number, in one pass
+        through the index: a bit mask at p = 2, a fresh sparse dict with
+        coefficients in [1, p) otherwise. A coordinate out of range is
+        refused."""
         if vec.basis is not self.ambient:
             raise ValueError("vector lives over a different basis")
-        if vec.p != self.p:
-            raise ValueError(f"vector over GF({vec.p}) in a module over GF({self.p})")
-        parts: dict[tuple[int, ...], dict[int, int]] = {}
-        cols, d = self.ambient.cols, self.ambient.d
+        p = self.p
+        if vec.p != p:
+            raise ValueError(f"vector over GF({vec.p}) in a module over GF({p})")
+        block_no, local = self._block_no, self._local
+        dim = len(local)
+        rows: dict = {}
         for i, c in vec.coords.items():
-            w = weight_of(cols[i], d)
-            # A block's ambient indices are increasing, so the local
-            # coordinate of i is its rank among them.
-            parts.setdefault(w, {})[bisect_left(self._blocks[w].indices, i)] = c
-        return parts
+            if not 0 <= i < dim:
+                raise _out_of_range(i, dim)
+            if not (c := c % p):
+                continue
+            k = block_no[i]
+            if p == 2:
+                rows[k] = rows.get(k, 0) | 1 << local[i]
+            elif (row := rows.get(k)) is None:
+                rows[k] = {local[i]: c}
+            else:
+                row[local[i]] = c
+        return rows
 
     def relations_contain(self, vec: TabloidVector) -> bool:
-        return all(
-            self._blocks[w].span.contains(local)
-            for w, local in self._split(vec).items()
-        )
+        order, rows = self._order, self._rows(vec)
+        if self.p == 2:
+            return not any(order[k].span.residual_mask(m) for k, m in rows.items())
+        return not any(order[k].span.residual_dict(v) for k, v in rows.items())
 
     def reduce(self, vec: TabloidVector) -> TabloidVector:
         """Canonical representative of vec in the quotient (zero iff the
-        vector lies in the relation span)."""
+        vector lies in the relation span): each block's row reduced against
+        the block's reduced echelon rows, mapped back to ambient indices."""
         coords: dict[int, int] = {}
-        for w, local in self._split(vec).items():
-            block = self._blocks[w]
-            reduced = block.span.reduce(local)
-            for j, c in reduced.items():
-                coords[block.indices[j]] = c
+        for k, row in self._rows(vec).items():
+            block = self._order[k]
+            indices = block.indices
+            if self.p == 2:
+                for j in _bits(block.span.residual_mask(row)):
+                    coords[indices[j]] = 1
+            else:
+                for j, c in block.span.residual_dict(row).items():
+                    coords[indices[j]] = c
         return TabloidVector(self.ambient, self.p, coords)
 
     def quotient_indices(self) -> list[int]:
@@ -698,32 +745,52 @@ def apply_transvection(
     vec: TabloidVector, source: int, target: int, p: int
 ) -> TabloidVector:
     """Expand the substitution sending the source letter to source plus
-    target multilinearly over the boxes, canonicalizing each term."""
+    target multilinearly over the boxes, canonicalizing each term. It acts
+    column by column (`_column_options`), so the terms of a tabloid are
+    the choices of one option per column, signed by the product of theirs."""
     if p != vec.p:
         raise ValueError(f"transvection over GF({p}) of a vector over GF({vec.p})")
     basis = vec.basis
-    d = basis.d
+    d, dim = basis.d, basis.dim
     if not (1 <= source <= d and 1 <= target <= d) or source == target:
         raise ValueError("source and target must be distinct letters in range")
+    alternating = basis.kind.zero_on_column_repeats
+    options: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     out: dict[Cols, int] = {}
     for idx, coeff in vec.coords.items():
-        cols = basis.cols[idx]
-        spots = [
-            (j, i)
-            for j, col in enumerate(cols)
-            for i, x in enumerate(col)
-            if x == source
-        ]
-        for r in range(len(spots) + 1):
-            for subset in combinations(spots, r):
-                term = [list(c) for c in cols]
-                for j, i in subset:
-                    term[j][i] = target
-                key, sign, is_zero = canonical_cols(
-                    tuple(map(tuple, term)), basis.kind
-                )
-                if not is_zero:
-                    out[key] = out.get(key, 0) + coeff * sign
+        if not 0 <= idx < dim:
+            raise _out_of_range(idx, dim)
+        per_column = []
+        for col in basis.cols[idx]:
+            if (opts := options.get(col)) is None:
+                opts = options[col] = _column_options(col, source, target, alternating)
+            per_column.append(opts)
+        for choice in product(*per_column):
+            key, signs = zip(*choice)
+            out[key] = out.get(key, 0) + coeff * prod(signs)
     return TabloidVector(
         basis, p, {basis.index[k]: c % p for k, c in out.items() if c % p}
     )
+
+
+def _column_options(
+    col: tuple[int, ...], source: int, target: int, alternating: bool
+) -> list[tuple[tuple[int, ...], int]]:
+    """The sorted columns, with signs, that substituting target for the
+    source letter at some of the positions of a sorted column gives, one
+    per subset of those positions: a column without the source letter is
+    its own only option. On the alternating kind the sign is that of the
+    sort, and a column that repeats an entry is zero and left out."""
+    spots = [i for i, x in enumerate(col) if x == source]
+    if not spots:
+        return [(col, 1)]
+    out = []
+    for r in range(len(spots) + 1):
+        for subset in combinations(spots, r):
+            term = list(col)
+            for i in subset:
+                term[i] = target
+            term, inv, repeat = sort_column(tuple(term))
+            if not (alternating and repeat):
+                out.append((term, -1 if alternating and inv else 1))
+    return out

@@ -44,5 +44,7 @@ class Record:
 
     def __reduce__(self):
         # Pickling and copying rebuild a record through its constructor,
-        # which takes the fields in slot order.
+        # which takes the fields in slot order; a class with a field that
+        # follows from the others (a basis index, a module's block index)
+        # rebuilds that field instead.
         return type(self), tuple(getattr(self, f) for f in self.__slots__)

@@ -165,6 +165,11 @@ class TabloidBasis(Record, hidden=("index",)):
     def dim(self) -> int:
         return len(self.cols)
 
+    def __reduce__(self):
+        # A read-only view does not pickle; the index follows from the
+        # columns, so a copy rebuilds it from them.
+        return _indexed_basis, (self.kind, self.shape, self.d, self.cols)
+
     def index_of(self, t: Tableau) -> int:
         return self.index[t.cols]
 
@@ -177,6 +182,12 @@ def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives in the deterministic tableau
     order, indexed by their column tuples through a read-only view."""
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
+    return _indexed_basis(kind, shape, d, cols)
+
+
+def _indexed_basis(
+    kind: TabloidKind, shape: Partition, d: int, cols: tuple[Cols, ...]
+) -> TabloidBasis:
     index = MappingProxyType({c: i for i, c in enumerate(cols)})
     return TabloidBasis(kind, shape, d, cols, index)
 

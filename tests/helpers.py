@@ -5,7 +5,8 @@ is the elimination reference for the counted kernel of the dominant-block
 path, and the Garnir oracle, which canonicalizes its terms with
 `canonicalize`. The label-level relation rank (`family_rank`), the
 unshared full build (`unshared_build`), the straightening of each call
-from scratch (`straighten_terms`), the three numbers that the inverse
+from scratch (`straighten_terms`), the transvection expanded over whole
+fillings (`transvection_oracle`), the three numbers that the inverse
 Schur functor's definition makes equal (`inverse_schur_numbers`), the
 kernel generators over the whole tabloid space (`ker_q_generators`), the
 composition factors solved through the simple characters
@@ -541,6 +542,33 @@ def reduce_oracle(basis, v, p):
     return v
 
 
+def transvection_oracle(
+    vec: TabloidVector, source: int, target: int, p: int
+) -> TabloidVector:
+    """The transvection expanded box by box: every subset of the source
+    positions of a tabloid, over all its columns at once, substituted on a
+    copy of the whole filling and canonicalized; `apply_transvection`
+    works column by column instead."""
+    basis = vec.basis
+    out: dict[Cols, int] = {}
+    for idx, coeff in vec.coords.items():
+        cols = basis.cols[idx]
+        spots = [
+            (j, i) for j, col in enumerate(cols) for i, x in enumerate(col) if x == source
+        ]
+        for r in range(len(spots) + 1):
+            for subset in combinations(spots, r):
+                term = [list(c) for c in cols]
+                for j, i in subset:
+                    term[j][i] = target
+                key, sign, is_zero = canonical_cols(tuple(map(tuple, term)), basis.kind)
+                if not is_zero:
+                    out[key] = out.get(key, 0) + coeff * sign
+    return TabloidVector(
+        basis, p, {basis.index[k]: c % p for k, c in out.items() if c % p}
+    )
+
+
 def _standard_tableaux(parts):
     """The standard tableaux of a shape, as lists of rows."""
     n, out = sum(parts), []
@@ -710,6 +738,7 @@ __all__ = [
     "sparse",
     "straighten_terms",
     "straighten_vector",
+    "transvection_oracle",
     "unit_vector",
     "unshared_build",
 ]

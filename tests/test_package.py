@@ -167,3 +167,16 @@ def test_records_copy_and_show_their_fields():
     assert "index" not in repr(basis) and repr(basis).startswith("TabloidBasis(kind=")
     module = _records()[-1][0]
     assert repr(module) == f"QuotientModule(ambient={module.ambient!r}, p=3)"
+    # A basis, a vector and a module pickle, and a module copies, rebuilding
+    # the basis index and the module's block index from what they hold.
+    for twin in (pickle.loads(pickle.dumps(basis)), copy.copy(basis)):
+        assert twin == basis and twin.index == basis.index
+    vector = _records()[2][0]
+    assert pickle.loads(pickle.dumps(vector)) == vector
+    probes = [{0: 1}, {1: 2, 4: 1}, {i: i + 1 for i in range(basis.dim)}]
+    for twin in (pickle.loads(pickle.dumps(module)), copy.copy(module)):
+        assert repr(twin) == repr(module)
+        for coords in probes:
+            ours = module.reduce(TabloidVector(module.ambient, 3, coords))
+            theirs = twin.reduce(TabloidVector(twin.ambient, 3, coords))
+            assert theirs.coords == ours.coords

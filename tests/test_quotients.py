@@ -25,15 +25,18 @@ from dualweyl.tabloids import (
     TabloidVector,
     build_basis,
     skew_column,
+    tabloid_kind,
     vector_from_terms,
 )
 from helpers import (
     brute_fillings,
     family_rank,
     packed_weight,
+    reduce_oracle,
     span,
     straighten_terms,
     straighten_vector,
+    transvection_oracle,
     unit_vector,
     unshared_build,
 )
@@ -289,6 +292,32 @@ def test_transvection_examples():
     assert apply_transvection(image, 1, 2, 2).coords == v.coords
 
 
+def test_transvection_matches_the_whole_filling_expansion():
+    # Column by column, each column substituted once per subset of its own
+    # source positions, gives the coordinates of the expansion over whole
+    # fillings: the module-ops spaces and two small mod-2 skew ones.
+    rng = random.Random(29)
+    spaces = [
+        ("nabla", (4, 2), 5, 3),
+        ("gtensor", (3, 3), 6, 5),
+        ("nabla", (3, 2, 1), 5, 3),
+        ("gtensor", (2, 2, 1), 6, 2),
+        ("gtensor", (3, 1), 4, 2),
+        ("gtensor", (2, 2), 4, 2),
+    ]
+    for which, lam, d, p in spaces:
+        basis = build_basis(Partition(lam), d, tabloid_kind(which, p))
+        for _ in range(400):
+            coords = {
+                rng.randrange(basis.dim): rng.randrange(1, p)
+                for _ in range(rng.randint(1, 4))
+            }
+            vec = TabloidVector(basis, p, coords)
+            src, tgt = rng.sample(range(1, d + 1), 2)
+            expected = transvection_oracle(vec, src, tgt, p).coords
+            assert apply_transvection(vec, src, tgt, p).coords == expected, (lam, coords)
+
+
 def test_transvection_closure_of_relation_span():
     for shape in [Partition((2, 1)), Partition((2, 2)), Partition((2, 1, 1))]:
         for d in (2, 3):
@@ -330,6 +359,89 @@ def test_quotient_reduce_at_odd_prime():
     diff = reduced.add(probe.scale(p - 1))
     assert module.relations_contain(diff) or diff.is_zero()
     assert len(module.quotient_indices()) == module.dim
+
+
+def _reduce_by_weight(module, coords: dict[int, int]) -> dict[int, int]:
+    """reduce as it was read before the index: each coordinate's block
+    found by the weight of its tabloid, and its local coordinate by
+    position, reduced densely against the block's reduced echelon rows."""
+    basis, p = module.ambient, module.p
+    parts: dict[tuple[int, ...], dict[int, int]] = {}
+    for i, c in coords.items():
+        parts.setdefault(weight_of(basis.cols[i], basis.d), {})[i] = c
+    out = {}
+    for w, part in parts.items():
+        block = module._blocks[w]
+        dense = [0] * block.size
+        for i, c in part.items():
+            dense[block.indices.index(i)] = c
+        reduced = reduce_oracle(block.span.basis_rows(), dense, p)
+        out.update({block.indices[j]: c for j, c in enumerate(reduced) if c})
+    return out
+
+
+def test_reads_match_the_block_found_by_weight():
+    # Reads find a coordinate's block and local coordinate through the
+    # module's index. Every ambient unit vector and some seeded sparse
+    # vectors, with coefficients outside [0, p), reduce as the weight
+    # route says; v - reduce(v) lies in the relations, and no quotient
+    # unit vector does.
+    rng = random.Random(30)
+    modules = {
+        id(m): m
+        for n in range(1, 5)
+        for shape in partitions_of(n)
+        for d in range(1, 5)
+        for p in (2, 3, 5)
+        for m in (build_dual_weyl(shape, d, p), build_gtensor_specht(shape, d, p))
+    }
+    for module in modules.values():
+        basis, p = module.ambient, module.p
+        vectors = [{i: 1} for i in range(basis.dim)] + [
+            {rng.randrange(basis.dim): rng.randrange(-p, 2 * p) for _ in range(5)}
+            for _ in range(5 if basis.dim else 0)
+        ]
+        for coords in vectors:
+            v = TabloidVector(basis, p, coords)
+            r = module.reduce(v)
+            assert r.coords == _reduce_by_weight(module, coords), (module, coords)
+            assert module.relations_contain(v.add(r.scale(-1)))
+        for i in module.quotient_indices():
+            assert not module.relations_contain(TabloidVector(basis, p, {i: 1}))
+
+
+@pytest.mark.parametrize("build, p", [(build_dual_weyl, 3), (build_gtensor_specht, 2)])
+def test_a_coordinate_out_of_range_is_refused(build, p):
+    # A negative coordinate is not a tabloid counted from the end, and one
+    # at dim or past it is refused alike, with a zero coefficient too.
+    module = build(Partition((2, 1)), 3, p)
+    dim = module.ambient.dim
+    reads = (
+        module.reduce,
+        module.relations_contain,
+        lambda v: apply_transvection(v, 1, 2, p),
+    )
+    for read in reads:
+        for i in (-1, -dim, dim, dim + 1):
+            for c in (1, p):
+                vec = TabloidVector(module.ambient, p, {0: 1, i: c})
+                with pytest.raises(ValueError, match=rf"coordinate {i} is not in range\({dim}\)"):
+                    read(vec)
+
+
+def test_module_index_needs_blocks_that_partition_the_coordinates():
+    from dualweyl.partitions import InvariantError
+    from dualweyl.quotients import QuotientModule
+
+    module = build_gtensor_specht(Partition((2, 1)), 3, 2)
+    blocks = dict(module._blocks)
+    blocks.popitem()
+    with pytest.raises(InvariantError, match="partition"):
+        QuotientModule(module.ambient, 2, blocks)
+    w, block = next(iter(blocks.items()))
+    blocks[w + (0,)] = block  # one block twice
+    with pytest.raises(InvariantError, match="partition"):
+        QuotientModule(module.ambient, 2, blocks)
 
 
 def test_block_spans_match_full_ambient_spans():
