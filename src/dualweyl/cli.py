@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
     from . import suites
 
     if args.n_max is None:
-        args.n_max = 10 if args.suite == "d1" else suites.THM_N_MAX
+        args.n_max = 10 if args.suite == "d1" else suites.N_MAX_DEFAULT
     if args.n_max < 1:
         raise ValueError(f"--n-max must be positive, got {args.n_max}")
     names = list(suites.SUITE_UNITS) if args.suite == "all" else [args.suite]

@@ -5,14 +5,14 @@ Inside, GF(2) rows are Python ints used as bit masks (bit i = coordinate
 i), which keeps row reduction at word-XOR speed, and a caller holding a
 mask passes it to `add_mask` or `residual_mask`. Odd primes use sparse
 rows, dicts from coordinate to a coefficient in [1, p), and a caller
-holding such a dict, already in range, passes it to `residual_dict`,
-which reduces it in place with no second check or copy. A `SpanBuilder`
-holds its span in row-echelon form that is not reduced: a push clears the
-pivots of the new vector in increasing order and stores it without
-touching earlier rows. `SpanBuilder.subspace` back-substitutes once, from
-the highest pivot down, into the reduced row-echelon form of a frozen
-`Subspace`, which is canonical. `Subspace.from_reduced_rows` freezes rows
-a caller already has in that form, after checking that they are.
+holding such a dict, already in range, passes it to `residual_dict` or
+`add_dict`, with no second check or copy. A `SpanBuilder` holds its span
+in row-echelon form that is not reduced: a push clears the pivots of the
+new vector in increasing order and stores it without touching earlier
+rows. `SpanBuilder.subspace` back-substitutes once, from the highest
+pivot down, into the reduced row-echelon form of a frozen `Subspace`,
+which is canonical. `Subspace.from_reduced_rows` freezes rows a caller
+already has in that form, after checking that they are.
 """
 
 from __future__ import annotations
@@ -248,7 +248,9 @@ class SpanBuilder(_Rows):
         self._pivmask |= low
         return True
 
-    def _add_dict(self, v: dict[int, int]) -> bool:
+    def add_dict(self, v: dict[int, int]) -> bool:
+        """The odd-p twin of `add_mask`: push a sparse dict in range, with
+        coefficients in [1, p), which it may change in place and keep."""
         p = self.p
         v = _clear_dict(v, self._piv, p)
         if not v:
@@ -260,4 +262,4 @@ class SpanBuilder(_Rows):
 
     def add(self, vec) -> bool:
         v = self._coerce(vec)
-        return self.add_mask(v) if self.p == 2 else self._add_dict(v)
+        return self.add_mask(v) if self.p == 2 else self.add_dict(v)

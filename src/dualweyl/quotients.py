@@ -3,67 +3,55 @@
 Both modules are quotients of a tabloid space by a relation span, built
 one weight block at a time: relations are weight homogeneous, and a term
 outside the block of its source tableau is an error. Blocks key their
-representatives by column tuple, and relations are expanded straight
-from the columns with the template kernel of `garnir`, so neither the
-builds nor `reduce`, `relations_contain` and the transvections create a
-`Tableau`. A module indexes its blocks once, when it is made: each
-ambient coordinate to its block and its local coordinate there. So a
-read groups a vector by block in one pass, taking each coefficient mod p
-once, and reduces each block's row straight against the block's frozen
-reduced echelon rows (`residual_mask` at p = 2, `residual_dict` at odd
-p), with no weight worked out and no second check or copy of the row.
+representatives by column tuple and expand relations straight from the
+columns with the template kernel of `garnir`, so no build or read makes a
+`Tableau`.
 
-A full build (`_build`) eliminates no basic snake: they are
-unitriangular (see below), so the row-semistandard representatives R are
-a basis of each block modulo them. The first block of each packed weight
-(the nonzero entries of the weight, in order) is straightened once for
-every p (`_straightened_block`), over the integers or, for the mod-2
-skew kind, as bit masks: from the smallest representative up in the
-column order, each image stands in for its tabloid in the images above
-it. The mod-2 skew kind then straightens its supplementary snakes onto R
-and eliminates only those, and `_freeze` reads the canonical span off
-the images mod p. A block reads its letters only through comparisons, so
-renaming the letters it uses, in order, onto 1..k maps its
-representatives, in order, and its snakes, term for term, onto those of
-its packed weight: the spans are equal, and shared. Rearrangements such
-as (1,2,0) and (2,1,0) pack differently, so the full build still checks
-the S_d-symmetry that the dominant path assumes. No module or cache
-holds a builder. Module objects and the thm1 check use the full build,
-keyed by tabloid kind, so one for both constructions at odd p.
-
-Mod-2 skew dimensions (`module_dim`), the isomorphism test (`verify_iso`)
-and the kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the
-dominant weights beta, the partitions of n with at most d parts. This is
-exact for two reasons. Both modules and U are polynomial GL_d-modules, so
-a weight multiplicity is constant on the S_d-orbit of the weight (Green,
-Polynomial Representations of GL_n, LNM 830). And a block of content
-beta padded with zeros uses only the letters 1..len(beta), so it is the
-same block for every d >= len(beta), and is read once per content.
-
-Nothing there eliminates a basic snake. The basic snake of a tableau
-that is not row semistandard leads with it, with coefficient 1, and all
-its other terms are smaller in the column order; so the row-semistandard
+Every block goes through one pipeline. `_make_blocks` groups it, with an
+empty frozen span. No basic snake is eliminated: that of a tableau that
+is not row semistandard leads with it, with coefficient 1, and its other
+terms are smaller in the column order, so the row-semistandard
 representatives R are a basis of the block modulo the basic snakes (the
 standard-basis theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978;
-James, LNM 682, section 8). `_straighten`, which the full build, the
-dominant blocks and `straighten` share, replaces the greatest term
-outside R by the rest of its basic snake until none is left, and checks
-this unitriangularity. The alternating kind, which serves the dual Weyl
-module at every p and the skew construction at odd p, has no relation
-left: its dimension is the number of semistandard tableaux, the
-hook-content count (`partitions.hook_content_dim`), and no weight is
-read. Only a mod-2 skew dominant block is built (`_dominant_block`): its
-R are the row-and-column-semistandard tableaux, and it straightens its
-supplementary snakes onto R, as bit masks, and eliminates only those.
-The rank of the basic relations is then the number of tabloids outside
-R, which is how `predictions.supplementary_rank_gain` counts the rank
-the supplementary snakes add without a full build.
+James, LNM 682, section 8). `_straighten`, which full builds, dominant
+blocks and `straighten` share, replaces the greatest term outside R by
+the rest of its basic snake until none is left, and checks this
+unitriangularity. For the mod-2 skew kind, `_supplementary` straightens
+the supplementary snakes onto R as bit masks. The block is then frozen
+on a `gfp.SpanBuilder`, which exists only while it freezes: no block,
+module or cache holds a builder, and no elimination happens here.
 
-The kernel U is then a count in the same coordinates, with no
-elimination: see `_kernel_dims`. A mod-2 skew dimension is the
-hook-content count plus dim U, because the surjection onto the dual Weyl
-module is onto; so only blocks in which some letter occurs twice are
-built.
+A full build (`_build`) straightens the first block of each packed
+weight (the nonzero entries of the weight, in order) once for every p
+(`_straightened_block`), over the integers or as masks, and `_freeze`
+reads its canonical span off the images mod p. A block reads its letters
+only through comparisons, so renaming them, in order, onto 1..k maps its
+representatives and snakes onto those of its packed weight: the spans
+are equal, and shared. Rearrangements such as (1,2,0) and (2,1,0) pack
+differently, so the full build still checks the S_d-symmetry that the
+dominant path assumes. Module objects and the thm1 check use the full
+build, keyed by tabloid kind, so one for both constructions at odd p. A
+module maps each ambient coordinate to its block and local coordinate
+once, so a read reduces each block's row straight against the frozen
+reduced echelon rows (`residual_mask` at p = 2, `residual_dict` at odd p).
+
+Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
+kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
+weights beta, the partitions of n with at most d parts. Both modules and
+U are polynomial GL_d-modules, so a weight multiplicity is constant on
+the S_d-orbit of the weight (Green, Polynomial Representations of GL_n,
+LNM 830), and a block of content beta padded with zeros is the same
+block for every d >= len(beta). The alternating kind, which serves the
+dual Weyl module at every p and the skew construction at odd p, has no
+relation left on R: its dimension is the hook-content count
+(`partitions.hook_content_dim`). A mod-2 skew dominant block
+(`_dominant_block`) has the row-and-column-semistandard tableaux as R and
+its supplementary snakes as its only relations. The kernel U is a count
+in those coordinates (`_kernel_dims`), and a mod-2 skew dimension is the
+hook-content count plus dim U, as the surjection onto the dual Weyl
+module is onto. The basic rank is the number of tabloids outside R, which
+is how `predictions.supplementary_rank_gain` counts the rank the
+supplementary snakes add without a full build.
 """
 
 from __future__ import annotations
@@ -76,7 +64,7 @@ from math import comb, prod
 from typing import Mapping, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
-from .gfp import SpanBuilder, Subspace, _bits, _check_prime, _clear_dict, _reduce_mask
+from .gfp import SpanBuilder, Subspace, _bits, _check_prime
 from .partitions import (
     InvariantError,
     Partition,
@@ -94,6 +82,7 @@ from .tabloids import (
     TabloidBasis,
     TabloidKind,
     TabloidVector,
+    _out_of_range,
     alternating_forecast,
     build_basis,
     canonical_cols,
@@ -113,8 +102,8 @@ BUILD_BUDGET = 500_000
 class _Block(Record):
     """One weight block: ``indices``, its positions in the grouped sequence
     (ambient indices); ``pos``, the columns of each representative to its
-    local coordinate; ``span``, frozen once built and shared per packed
-    weight."""
+    local coordinate; ``span``, its frozen relation span, shared per packed
+    weight (empty as `_make_blocks` groups the block)."""
 
     __slots__ = ("indices", "pos", "span", "basic_rank")
 
@@ -122,7 +111,7 @@ class _Block(Record):
         self,
         indices: tuple[int, ...],
         pos: dict[Cols, int],
-        span: SpanBuilder | Subspace,
+        span: Subspace,
         basic_rank: int = 0,
     ):
         object.__setattr__(self, "indices", indices)
@@ -137,10 +126,6 @@ class _Block(Record):
     def with_span(self, span: Subspace, basic_rank: int) -> "_Block":
         """This block with its frozen span and basic rank."""
         return _Block(self.indices, self.pos, span, basic_rank)
-
-
-def _out_of_range(i: int, dim: int) -> ValueError:
-    return ValueError(f"coordinate {i!r} is not in range({dim})")
 
 
 class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")):
@@ -205,8 +190,9 @@ class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")
         """vec split into local rows, keyed by block number, in one pass
         through the index: a bit mask at p = 2, a fresh sparse dict with
         coefficients in [1, p) otherwise. A coordinate out of range is
-        refused."""
-        if vec.basis is not self.ambient:
+        refused, and so is a vector over a basis that is neither the
+        module's nor equal to it (a copy's)."""
+        if vec.basis is not self.ambient and vec.basis != self.ambient:
             raise ValueError("vector lives over a different basis")
         p = self.p
         if vec.p != p:
@@ -252,27 +238,23 @@ class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")
 
     def quotient_indices(self) -> list[int]:
         """Ambient indices of the non-pivot coordinates, one per quotient
-        basis element."""
-        out = []
-        for _, block in sorted(self._blocks.items()):
-            pivots = set(block.span.pivot_indices())
-            out.extend(
-                idx for j, idx in enumerate(block.indices) if j not in pivots
-            )
-        return sorted(out)
+        basis element, in increasing order: one pass through the index."""
+        pivots = [set(block.span.pivot_indices()) for block in self._order]
+        pairs = zip(self._block_no, self._local)
+        return [i for i, (k, j) in enumerate(pairs) if j not in pivots[k]]
 
 
 def _make_blocks(
     reps: Sequence[Cols], d: int, p: int
 ) -> dict[tuple[int, ...], _Block]:
     """Group tableaux, given by their column tuples, by weight, keeping
-    their order, each group with an empty span."""
+    their order, each group with an empty frozen span over GF(p)."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, cols in enumerate(reps):
         groups.setdefault(weight_of(cols, d), []).append(i)
     return {
         w: _Block(
-            tuple(ix), {reps[i]: j for j, i in enumerate(ix)}, SpanBuilder(len(ix), p)
+            tuple(ix), {reps[i]: j for j, i in enumerate(ix)}, Subspace(len(ix), p)
         )
         for w, ix in groups.items()
     }
@@ -284,11 +266,9 @@ def _push_terms(
     pos: dict[Cols, int],
     p: int,
 ) -> bool:
-    """Push one relation into the span of the block with local coordinates
-    ``pos``, over GF(p), the prime of ``span`` (the benchmark's tracer
-    books pushes by it). Relations are weight homogeneous, so every term
-    must lie in that block. The builds straighten instead of pushing; this
-    is the elimination path of the test suite's reference builds."""
+    """Push one relation, all of whose terms must lie in the block with
+    local coordinates ``pos``, into ``span`` over GF(p) (the benchmark's
+    tracer books pushes by p). No build pushes; the reference builds do."""
     if not terms:
         return False
     try:
@@ -388,54 +368,61 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     for cols in sorted((c for c in reps if c not in r), key=_col_key, reverse=True):
         image = _straighten({cols: 1}, kind, r, known)
         known[cols] = image if mod2 else tuple(image.items())
-    supplementary = ()
-    if mod2:
-        snakes = (
-            _straighten(snake_terms(source, *box, kind), kind, r, known)
-            for source in r_cols
-            for box in equal_boxes(source)
-        )
-        supplementary = tuple(mask for mask in snakes if mask)
     return _Pattern(
-        _packed(reps[0]), tuple(known[cols] for cols in reps), r_cols, supplementary
+        _packed(reps[0]),
+        tuple(known[cols] for cols in reps),
+        r_cols,
+        _supplementary(r, known) if mod2 else (),
     )
+
+
+def _supplementary(r: dict[Cols, int], known: dict) -> tuple[int, ...]:
+    """The nonzero supplementary snakes of a mod-2 skew block, one per box
+    of an R representative equal to its right neighbour, in the order of
+    the R-coordinates ``r``, straightened onto R as bit masks given the
+    images ``known``. One on two columns of height 1 swaps two equal
+    boxes, so it is zero mod 2 and not expanded."""
+    kind = skew_column(2)
+    out = []
+    for cols in r:
+        for i, j in equal_boxes(cols):
+            if len(cols[j]) > 1:
+                mask = _straighten(snake_terms(cols, i, j, kind), kind, r, known)
+                if mask:
+                    out.append(mask)
+    return tuple(out)
 
 
 def _freeze(pattern: _Pattern, p: int) -> Subspace:
     """The canonical span of a straightened block over GF(p): the vectors
-    whose image over R lies in the span Q of the supplementary snakes.
-    Walking the local coordinates from the highest down, each image is
-    reduced modulo Q and the images kept so far, with the combination of
-    local coordinates it came from carried above the R-coordinates. An
-    image that is left nonzero is kept; one that reduces to zero makes its
-    coordinate i a pivot, with row e_i less a combination of kept, higher
-    coordinates. These rows are the reduced row-echelon basis."""
+    whose image over R lies in the span Q of the supplementary snakes. One
+    builder, seeded with Q, holds the R-coordinates and, above them, the
+    local ones. From the highest local coordinate i down, the image plus
+    e_i is reduced modulo the builder, which carries the combination it
+    came from above R. A residual nonzero on R is pushed; one zero there
+    is the pivot row of i, e_i less pushed, higher coordinates, of the
+    reduced row-echelon basis."""
     shift = len(pattern.r_cols)
+    span = SpanBuilder(shift + pattern.size, p)
+    for mask in pattern.supplementary:
+        span.add_mask(mask)
     rows: list = []
-    piv: dict = {}
-    if p == 2:
-        q = SpanBuilder(shift, 2)
-        for mask in pattern.supplementary:
-            q.add_mask(mask)
-        pivmask = 0
-        for i in reversed(range(pattern.size)):
-            mask = pattern.images[i]
-            if not isinstance(mask, int):  # the alternating kind at p = 2
-                mask = sum(1 << r for r, c in mask if c & 1)
-            mask = _reduce_mask(q.residual_mask(mask) | 1 << (shift + i), piv, pivmask)
-            if (low := mask & -mask).bit_length() <= shift:
-                piv[low] = mask
-                pivmask |= low
+    for i in reversed(range(pattern.size)):
+        image = pattern.images[i]
+        if p == 2:
+            if not isinstance(image, int):  # the alternating kind at p = 2
+                image = sum(1 << r for r, c in image if c & 1)
+            v = span.residual_mask(image | 1 << (shift + i))
+            if (v & -v).bit_length() <= shift:
+                span.add_mask(v)
             else:
-                rows.append(mask >> shift)
-    else:
-        for i in reversed(range(pattern.size)):
-            v = {r: c % p for r, c in pattern.images[i] if c % p}
+                rows.append(v >> shift)
+        else:
+            v = {r: c % p for r, c in image if c % p}
             v[shift + i] = 1
-            v = _clear_dict(v, piv, p)
-            if (low := min(v)) < shift:
-                inv = pow(v[low], -1, p)
-                piv[low] = v if inv == 1 else {k: c * inv % p for k, c in v.items()}
+            v = span.residual_dict(v)
+            if min(v) < shift:
+                span.add_dict(v)
             else:
                 rows.append({k - shift: c for k, c in v.items()})
     return Subspace.from_reduced_rows(pattern.size, p, rows)
@@ -492,29 +479,26 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
     """The frozen mod-2 skew weight block of content beta, over the letters
     1..len(beta), in R-coordinates; it is the block of beta padded with
     zeros for every larger d. Its only relations are the supplementary
-    snakes, straightened onto R, over GF(2). Every term of a straightened
-    supplementary snake must repeat a column entry: the kernel count of
+    snakes, straightened onto R (`_supplementary`), over GF(2). Every
+    straightened supplementary snake must lie in the coordinates of the
+    representatives that repeat a column entry: the kernel count of
     `_kernel_dims` rests on it."""
-    kind = skew_column(2)
     reps = enumerate_tableaux(
         shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, tuple(beta)
     )
-    blocks = _make_blocks(reps, len(beta), 2)
-    block = blocks.get(beta) or _Block((), {}, SpanBuilder(0, 2))
+    block = _make_blocks(reps, len(beta), 2).get(beta) or _Block((), {}, Subspace(0, 2))
     semistandard = sum(
         1 << j for cols, j in block.pos.items() if not has_column_repeat(cols)
     )
-    for cols in reps:
-        for i, j in equal_boxes(cols):
-            if len(cols[j]) == 1:  # on columns of height 1: t + t, zero mod 2
-                continue
-            mask = _straighten(snake_terms(cols, i, j, kind), kind, block.pos, {})
-            if mask & semistandard:
-                raise InvariantError(
-                    f"snake at {(i, j)} of {cols} straightens onto no column repeat"
-                )
-            block.span.add_mask(mask)
-    return block.with_span(block.span.subspace(), 0)
+    span = SpanBuilder(block.size, 2)
+    for mask in _supplementary(block.pos, {}):
+        if off := mask & semistandard:
+            raise InvariantError(
+                f"a supplementary snake of {beta} lands on "
+                f"{reps[off.bit_length() - 1]}, which has no column repeat"
+            )
+        span.add_mask(mask)
+    return block.with_span(span.subspace(), 0)
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:

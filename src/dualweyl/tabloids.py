@@ -140,6 +140,10 @@ def basis_class(kind: TabloidKind) -> TableauClass:
     return TableauClass.COLUMN_SEMISTANDARD
 
 
+def _out_of_range(i: int, dim: int) -> ValueError:
+    return ValueError(f"coordinate {i!r} is not in range({dim})")
+
+
 class TabloidBasis(Record, hidden=("index",)):
     """Indexed family of canonical representatives for one tabloid space,
     held as column tuples. Bases compare by all but the index, which
@@ -174,6 +178,10 @@ class TabloidBasis(Record, hidden=("index",)):
         return self.index[t.cols]
 
     def rep(self, i: int) -> Tableau:
+        """The representative of coordinate i; an i outside range(dim),
+        -1 included, is refused."""
+        if not 0 <= i < len(self.cols):
+            raise _out_of_range(i, len(self.cols))
         return Tableau(self.cols[i])
 
 
@@ -207,7 +215,9 @@ class TabloidVector(Record):
         return not self.coords
 
     def add(self, other: "TabloidVector") -> "TabloidVector":
-        if other.basis is not self.basis or other.p != self.p:
+        # the same basis, or failing that an equal one (a copy's)
+        basis = other.basis
+        if (basis is not self.basis and basis != self.basis) or other.p != self.p:
             raise ValueError("vectors live over different bases")
         coords = dict(self.coords)
         for i, c in other.coords.items():

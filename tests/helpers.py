@@ -216,6 +216,18 @@ def probe_builder(subspace: Subspace) -> SpanBuilder:
     return builder
 
 
+def quotient_indices(module) -> list[int]:
+    """`QuotientModule.quotient_indices` as it was read before the block
+    index: block by block in weight order, the ambient indices of the
+    coordinates that are not pivots, sorted at the end. The reference for
+    the one-pass read."""
+    out = []
+    for _, block in sorted(module._blocks.items()):
+        pivots = set(block.span.pivot_indices())
+        out.extend(idx for j, idx in enumerate(block.indices) if j not in pivots)
+    return sorted(out)
+
+
 def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
     """Unit vectors on the mod-2 skew representatives with a repeated column
     entry, over the whole tabloid space; these span the kernel of the
@@ -235,14 +247,15 @@ def family_rank(which, shape, d, p, families):
     builds, which expand snakes straight from column tuples."""
     kind = tabloid_kind(which, p)
     blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
+    spans = {w: SpanBuilder(block.size, p) for w, block in blocks.items()}
     for family in families:
         for label in iter_relation_labels(shape, d, family, kind):
             terms = garnir_terms(label, kind)
             if terms:
-                block = blocks[label.t.weight(d)]
+                w = label.t.weight(d)
                 local = {t.cols: c for t, c in terms.items()}
-                _push_terms(block.span, local, block.pos, p)
-    return sum(b.span.rank for b in blocks.values())
+                _push_terms(spans[w], local, blocks[w].pos, p)
+    return sum(span.rank for span in spans.values())
 
 
 def unshared_build(shape, d, p, kind):
@@ -253,7 +266,7 @@ def unshared_build(shape, d, p, kind):
     blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
     pushes = dict.fromkeys(blocks, 0)
     for w, block in blocks.items():
-        span, row_semistandard = block.span, []
+        span, row_semistandard = SpanBuilder(block.size, p), []
         for cols in block.pos:
             box = snake_box(cols)
             if box is None:
@@ -729,6 +742,7 @@ __all__ = [
     "place_permute",
     "probe_builder",
     "prod",
+    "quotient_indices",
     "reduce_oracle",
     "row_sort",
     "shuffled_template",

@@ -435,7 +435,7 @@ def test_verify_thm2_small_json(capsys):
 
 def test_verify_thm2_runs_to_nine_boxes(capsys):
     # thm2 reads only mod-2 skew dominant blocks, so its cap is 9 boxes,
-    # not the 6 of thm1's full builds.
+    # not the 8 of thm1's full builds.
     code, out, err = run(
         capsys,
         "verify", "--suite", "thm2", "--n-max", "9",
@@ -453,11 +453,20 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and out == "" and "--jobs" in err
 
 
-def test_verify_reports_the_n_max_cap(capsys):
+def test_verify_reports_the_n_max_cap(capsys, monkeypatch):
+    # The note names the cap, and the units reach it and stop there. The
+    # pool is stubbed: thm1 at 8 boxes takes seconds, and
+    # `test_thm1_passes_at_seven_boxes` runs its checks.
+    from dualweyl.partitions import parse_partition
+
+    asked = []
+    monkeypatch.setattr(cli, "_run_checks", lambda units, jobs: asked.extend(units) or [])
     code, _, err = run(
-        capsys, "verify", "--suite", "thm1", "--n-max", "7", "--jobs", "1"
+        capsys, "verify", "--suite", "thm1", "--n-max", "9", "--jobs", "1"
     )
-    assert code == 0 and "capped at 6 for thm1" in err
+    assert code == 0 and "note: --n-max 9 is capped at 8 for thm1" in err
+    assert max(parse_partition(lam).n for _, lam in asked) == 8
+    monkeypatch.undo()
     code, _, err = run(
         capsys, "verify", "--suite", "thm2", "--n-max", "3", "--jobs", "1"
     )
@@ -627,6 +636,20 @@ def test_pool_is_capped_at_the_cores(capsys, monkeypatch, pool_sizes):
     assert "note: --jobs 1000 is capped at 3 cores" in err
     code, out, err = run(capsys, *argv, "2")
     assert code == 0 and out == serial and pool_sizes == [3, 2] and err == ""
+
+
+def test_thm1_passes_at_seven_boxes():
+    # thm1's cap is 8 boxes; every shape of 7 passes every item.
+    from dualweyl import suites
+    from dualweyl.partitions import format_partition, partitions_of
+
+    items = [
+        item
+        for shape in partitions_of(7)
+        for item in suites._check_thm1(format_partition(shape))
+    ]
+    assert len(items) == 15 * 16
+    assert [item for item in items if not item["pass"]] == []
 
 
 def test_thm1_check_has_an_independent_oracle(monkeypatch):

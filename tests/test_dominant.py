@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualweyl import quotients, tableaux
+from dualweyl.garnir import equal_boxes
 from dualweyl.partitions import (
     InvariantError,
     Partition,
@@ -71,15 +72,58 @@ def test_dominant_path_matches_all_blocks(n):
             assert u_lambda_dim(shape, d) == sum(oracle.values())
 
 
+def _one_snake_loop(shape, beta, full, monkeypatch) -> int:
+    """Check the premise of the one supplementary-snake loop on the mod-2
+    skew block of content beta: the dominant block and the full-build
+    pattern of that content (``full``, at d = len(beta)) have the same R,
+    in the same order, and both take from `quotients._supplementary` the
+    masks of the reference straightening of every supplementary snake
+    that is nonzero, those on two columns of height 1 included; neither
+    expands a snake on two columns of height 1. Returns how many of those
+    the reference met."""
+    kind = skew_column(2)
+    real_loop, real_snake = quotients._supplementary, quotients.snake_terms
+    taken, expanded = [], []
+
+    def loop(r, known):
+        taken.append(real_loop(r, known))
+        return taken[-1]
+
+    def snake(cols, i, j, kind):
+        if cols[j][i] == cols[j + 1][i]:  # a supplementary snake
+            expanded.append(len(cols[j]))
+        return real_snake(cols, i, j, kind)
+
+    with monkeypatch.context() as m:
+        m.setattr(quotients, "_supplementary", loop)
+        m.setattr(quotients, "snake_terms", snake)
+        block = _dominant_block.__wrapped__(shape, beta)
+        pattern = quotients._straightened_block.__wrapped__(tuple(full.pos), kind)
+    assert tuple(block.pos) == pattern.r_cols, (shape, beta)
+    reference, flat = [], 0
+    for cols in pattern.r_cols:
+        for i, j in equal_boxes(cols):
+            flat += len(cols[j]) == 1
+            image = straighten_terms(real_snake(cols, i, j, kind), kind, 2)
+            if mask := sum(1 << block.pos[t] for t in image):
+                reference.append(mask)
+    assert taken == [tuple(reference)] * 2, (shape, beta)
+    assert pattern.supplementary == tuple(reference)
+    assert 1 not in expanded
+    return flat
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_dominant_blocks_match_the_full_build_block_by_block(p):
+def test_dominant_blocks_match_the_full_build_block_by_block(p, monkeypatch):
     # At the alternating kind the quotient dimension at beta is the Kostka
     # number; a mod-2 skew dominant block holds the row-and-column-
     # semistandard representatives R_beta and the supplementary snakes
     # straightened onto them, and |R_beta| less their rank is its
     # dimension. Either must be the quotient dimension of the beta block
-    # of the full elimination build at d = len(beta).
-    blocks = 0
+    # of the full elimination build at d = len(beta). Both take their
+    # supplementary snakes from one loop, which skips those on columns of
+    # height 1 and keeps every nonzero one (`_one_snake_loop`).
+    blocks = flat = 0
     for n in range(1, 6):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
@@ -92,9 +136,12 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p):
                     else:
                         block = _dominant_block(shape, beta)
                         got = block.size - block.span.dim
+                        if full:
+                            flat += _one_snake_loop(shape, beta, full, monkeypatch)
                     assert got == expected, (shape, model, beta)
                     blocks += bool(full)
     assert blocks == {2: 141, 3: 106, 5: 106}[p]
+    assert (flat > 0) == (p == 2)
 
 
 def test_r_coordinates_of_the_kernel_generators():

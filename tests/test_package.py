@@ -180,3 +180,12 @@ def test_records_copy_and_show_their_fields():
             ours = module.reduce(TabloidVector(module.ambient, 3, coords))
             theirs = twin.reduce(TabloidVector(twin.ambient, 3, coords))
             assert theirs.coords == ours.coords
+            # a vector over the original basis reads in the twin, whose
+            # basis is equal to it (the same object only in a copy)
+            vec = TabloidVector(module.ambient, 3, coords)
+            assert twin.reduce(vec).coords == ours.coords
+            assert twin.relations_contain(vec) == module.relations_contain(vec)
+            assert vec.add(theirs).coords == vec.add(ours).coords
+    other = TabloidVector(build_basis(Partition((2, 1)), 4, ALT_COLUMN), 3, {0: 1})
+    with pytest.raises(ValueError, match="different basis"):
+        module.reduce(other)

@@ -32,6 +32,7 @@ from helpers import (
     brute_fillings,
     family_rank,
     packed_weight,
+    quotient_indices,
     reduce_oracle,
     span,
     straighten_terms,
@@ -345,6 +346,24 @@ def test_quotient_reduce_and_indices():
     assert module.reduce(one).coords == one.coords
 
 
+def test_quotient_indices_match_the_reference():
+    # One pass through the block index gives the non-pivot coordinates in
+    # increasing order, as the sort over the blocks did, for every module
+    # with n <= 4, d <= 4 and p in {2, 3, 5}, both constructions.
+    checked = 0
+    for n in range(1, 5):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                for p in (2, 3, 5):
+                    for build in (build_dual_weyl, build_gtensor_specht):
+                        module = build(shape, d, p)
+                        got = module.quotient_indices()
+                        assert got == quotient_indices(module), (shape, d, p)
+                        assert len(got) == module.dim
+                        checked += bool(got)
+    assert checked
+
+
 def test_quotient_reduce_at_odd_prime():
     shape, d, p = Partition((2, 1)), 3, 3
     module = build_dual_weyl(shape, d, p)
@@ -529,10 +548,11 @@ def test_large_gtensor_build_is_pinned(p, relation_rank, gain):
 def _pattern_snakes(shape, d, kind):
     """(basic, supplementary, nonzero supplementary) over one block of
     each packed weight: the tabloids outside R, whose basic snakes are
-    expanded; the supplementary snakes of the mod-2 skew kind (one per
-    entry equal to its right neighbour in an R representative); and those
-    of them that the reference `straighten_terms` straightens to a nonzero
-    combination."""
+    expanded; the supplementary snakes of the mod-2 skew kind that are
+    expanded (one per entry equal to its right neighbour in an R
+    representative, in a column of height 2 or more); and those of all the
+    supplementary snakes, on columns of height 1 too, that the reference
+    `straighten_terms` straightens to a nonzero combination."""
     from dualweyl.garnir import equal_boxes, snake_box, snake_terms
 
     blocks, patterns = {}, {}
@@ -546,7 +566,7 @@ def _pattern_snakes(shape, d, kind):
             basic += 1
         elif not kind.zero_on_column_repeats:
             for box in equal_boxes(cols):
-                supplementary += 1
+                supplementary += len(cols[box[1]]) > 1
                 terms = snake_terms(cols, *box, kind)
                 nonzero += bool(straighten_terms(terms, kind, 2))
     return basic, supplementary, nonzero
@@ -558,15 +578,16 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     # column tuples: no Tableau, Partition or GarnirLabel is created. It
     # straightens one block of each packed weight once, expanding
     # the basic snake of each tabloid there that is not row semistandard
-    # (and at p = 2 the supplementary snakes), and eliminates no basic
-    # snake: at odd p no pattern holds a supplementary snake, and at p = 2
-    # the patterns hold each nonzero straightened supplementary snake.
+    # (and at p = 2 the supplementary snakes, but none on two columns of
+    # height 1, which is zero mod 2), and eliminates no basic snake: at odd
+    # p no pattern holds a supplementary snake, and at p = 2 the patterns
+    # hold each nonzero straightened supplementary snake.
     from dualweyl import quotients
     from dualweyl.garnir import GarnirLabel
 
     shape, kind = Partition((5, 1)), skew_column(p)
     basic, supplementary, nonzero = _pattern_snakes(shape, 6, kind)
-    assert (basic, supplementary, nonzero) == {2: (2516, 160, 40), 3: (1991, 0, 0)}[p]
+    assert (basic, supplementary, nonzero) == {2: (2516, 40, 40), 3: (1991, 0, 0)}[p]
     quotients._straightened_block.cache_clear()
     created = []
 
@@ -842,7 +863,7 @@ def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, for
     # the same representatives starting at another one. The build reuses
     # the first block's span only after checking both.
     from dualweyl import quotients
-    from dualweyl.gfp import SpanBuilder
+    from dualweyl.gfp import Subspace
     from dualweyl.partitions import InvariantError
 
     real = quotients._make_blocks
@@ -856,7 +877,7 @@ def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, for
         ix = blocks[w].indices
         ix = ix[:-1] if forge == "drop" else ix[1:] + ix[:1]
         blocks[w] = quotients._Block(
-            ix, {reps[i]: j for j, i in enumerate(ix)}, SpanBuilder(len(ix), p)
+            ix, {reps[i]: j for j, i in enumerate(ix)}, Subspace(len(ix), p)
         )
         return blocks
 
@@ -1144,6 +1165,7 @@ def test_degenerate_shapes_flow_through():
 
 
 def test_inhomogeneous_relation_is_refused():
+    from dualweyl.gfp import SpanBuilder
     from dualweyl.partitions import InvariantError
     from dualweyl.quotients import _make_blocks, _push_terms
 
@@ -1153,4 +1175,4 @@ def test_inhomogeneous_relation_is_refused():
     other = next(cols for cols in basis.cols if weight_of(cols, 2) == (1, 2))
     terms = {next(iter(block.pos)): 1, other: 1}
     with pytest.raises(InvariantError):
-        _push_terms(block.span, terms, block.pos, 2)
+        _push_terms(SpanBuilder(block.size, 2), terms, block.pos, 2)

@@ -7,6 +7,7 @@ from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
     ALT_COLUMN,
     TabloidKind,
+    TabloidVector,
     build_basis,
     canonicalize,
     has_column_repeat,
@@ -132,6 +133,17 @@ def test_index_round_trip():
         t = Tableau(cols)
         assert basis.index_of(t) == i
         assert basis.rep(i) == t
+
+
+def test_a_representative_out_of_range_is_refused():
+    # -1 is not the last tabloid, and dim is past the end: `rep` refuses
+    # both, and so does `terms()` of a vector holding either coordinate.
+    basis = build_basis(Partition((2, 1)), 3, ALT_COLUMN)
+    for i in (-1, basis.dim):
+        with pytest.raises(ValueError, match=rf"coordinate {i} is not in range\({basis.dim}\)"):
+            basis.rep(i)
+        with pytest.raises(ValueError, match="not in range"):
+            TabloidVector(basis, 3, {0: 1, i: 1}).terms()
 
 
 def test_alt_plus_kernel_matches_skew_dim():
