@@ -10,10 +10,11 @@ representative, the positions of the two columns that fill the two new
 columns, and the parity; it is validated when it is built, and the snake
 at row i of columns of heights h_j, h_{j+1} has one cached template. A
 term differs from its source only in those two columns, so only they are
-sorted (with their parity and repeat flag); the other columns are reused
-as they are. Builds expand the snakes of basis representatives, whose
-columns are already sorted, with `snake_terms`, keying every term by its
-column tuple. `garnir_terms` is the entry point for an arbitrary
+sorted, by `tabloids.sort_column`, which also gives each its sign (0 for
+an alternating column that repeats an entry); the other columns are
+reused as they are. Builds expand the snakes of basis representatives,
+whose columns are already sorted, with `snake_terms`, keying every term
+by its column tuple. `garnir_terms` is the entry point for an arbitrary
 `GarnirLabel`; it validates the label, canonicalizes the untouched columns
 once with `tabloids.canonical_cols` and runs the same expansion, `_expand`.
 """
@@ -154,21 +155,20 @@ def _expand(
     """The relation of a template on columns j < j2 of ``cols``, keyed by
     column tuples, with zero coefficients dropped. Every column but j and
     j2 must already be canonical for ``kind``; those two are sorted per
-    term. Coefficients are reduced mod 2 for the mod-2 skew kind, whose
-    signs are not tracked; only their parity is canonical."""
-    alternating = kind.zero_on_column_repeats
+    term by `tabloids.sort_column`, and a term adds the product of their
+    signs, with the template's parity, or nothing when that product is 0.
+    Coefficients are reduced mod 2 for the mod-2 skew kind, whose signs
+    are not tracked; only their parity is canonical."""
     pair = cols[j] + cols[j2]
     head, mid, tail = cols[:j], cols[j + 1:j2], cols[j2 + 1:]
     out: dict[Cols, int] = {}
     for pos_a, pos_b, parity in template:
-        a, inv_a, rep_a = sort_column(tuple([pair[x] for x in pos_a]))
-        b, inv_b, rep_b = sort_column(tuple([pair[x] for x in pos_b]))
-        if alternating and (rep_a or rep_b):
-            continue
-        key = head + (a,) + mid + (b,) + tail
-        sign = -1 if alternating and parity ^ inv_a ^ inv_b else 1
-        out[key] = out.get(key, 0) + sign
-    if not alternating:
+        a, sa = sort_column(tuple([pair[x] for x in pos_a]), kind)
+        b, sb = sort_column(tuple([pair[x] for x in pos_b]), kind)
+        if sign := sa * sb:
+            key = head + (a,) + mid + (b,) + tail
+            out[key] = out.get(key, 0) + (-sign if parity else sign)
+    if not kind.zero_on_column_repeats:
         return {t: 1 for t, c in out.items() if c % 2}
     return {t: c for t, c in out.items() if c}
 

@@ -738,7 +738,6 @@ def apply_transvection(
     d, dim = basis.d, basis.dim
     if not (1 <= source <= d and 1 <= target <= d) or source == target:
         raise ValueError("source and target must be distinct letters in range")
-    alternating = basis.kind.zero_on_column_repeats
     options: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     out: dict[Cols, int] = {}
     for idx, coeff in vec.coords.items():
@@ -747,7 +746,7 @@ def apply_transvection(
         per_column = []
         for col in basis.cols[idx]:
             if (opts := options.get(col)) is None:
-                opts = options[col] = _column_options(col, source, target, alternating)
+                opts = options[col] = _column_options(col, source, target, basis.kind)
             per_column.append(opts)
         for choice in product(*per_column):
             key, signs = zip(*choice)
@@ -758,13 +757,12 @@ def apply_transvection(
 
 
 def _column_options(
-    col: tuple[int, ...], source: int, target: int, alternating: bool
+    col: tuple[int, ...], source: int, target: int, kind: TabloidKind
 ) -> list[tuple[tuple[int, ...], int]]:
-    """The sorted columns, with signs, that substituting target for the
-    source letter at some of the positions of a sorted column gives, one
-    per subset of those positions: a column without the source letter is
-    its own only option. On the alternating kind the sign is that of the
-    sort, and a column that repeats an entry is zero and left out."""
+    """The sorted columns, with their `sort_column` signs, that
+    substituting target for the source letter at some of the positions of
+    a sorted column gives, one per subset of those positions, less those
+    of sign 0: a column without the source letter is its own only option."""
     spots = [i for i, x in enumerate(col) if x == source]
     if not spots:
         return [(col, 1)]
@@ -774,7 +772,7 @@ def _column_options(
             term = list(col)
             for i in subset:
                 term[i] = target
-            term, inv, repeat = sort_column(tuple(term))
-            if not (alternating and repeat):
-                out.append((term, -1 if alternating and inv else 1))
+            term, sign = sort_column(tuple(term), kind)
+            if sign:
+                out.append((term, sign))
     return out

@@ -6,7 +6,8 @@ raises `FrozenRecordError`, under ``python -O`` as well. Two records are
 equal when they are of one class and their compared fields are equal, and
 the hash is the hash of those fields, so a record that compares a dict is
 unhashable. A class names the fields it neither compares nor shows in its
-repr with ``hidden``: ``class TabloidBasis(Record, hidden=("index",))``.
+repr with ``hidden``: a basis, which (kind, shape, d) fix, is declared
+``class TabloidBasis(Record, hidden=("cols", "index"))``.
 """
 
 from operator import attrgetter
@@ -44,7 +45,7 @@ class Record:
 
     def __reduce__(self):
         # Pickling and copying rebuild a record through its constructor,
-        # which takes the fields in slot order; a class with a field that
-        # follows from the others (a basis index, a module's block index)
-        # rebuilds that field instead.
+        # which takes the fields in slot order; a class whose fields follow
+        # from a few of them (a basis from its kind, shape and d, a module's
+        # block index from its blocks) rebuilds from those instead.
         return type(self), tuple(getattr(self, f) for f in self.__slots__)

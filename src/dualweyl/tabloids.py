@@ -28,7 +28,7 @@ class TabloidKind(Enum):
     """The two column tabloid spaces. Each carries one predicate,
     ``zero_on_column_repeats``: whether a repeated column entry kills a
     tabloid, which is exactly when column sorting carries a sign. It is a
-    plain attribute because canonicalization reads it once per term."""
+    plain attribute because `sort_column` reads it once per column."""
 
     ALTERNATING = ("alt", True)
     SKEW_MOD_2 = ("skew(p=2)", False)
@@ -88,42 +88,37 @@ class SignedTabloid(Record):
         object.__setattr__(self, "is_zero", is_zero)
 
 
-def sort_column(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
-    """(sorted tuple, inversion parity, had repeats). Parity counts strict
-    inversions, which is the sorting permutation's parity when entries are
-    distinct."""
-    out = tuple(sorted(seq))
-    n = len(seq)
-    if out == seq:
-        return seq, 0, len(set(seq)) < n
+def sort_column(seq: tuple[int, ...], kind: TabloidKind) -> tuple[tuple[int, ...], int]:
+    """(sorted column, sign): the one column rule. The mod-2 skew kind
+    keeps repeated entries, and every sign is 1. On the alternating kind a
+    column that repeats an entry is zero (sign 0); otherwise the sign is
+    that of the sorting permutation, from its strict inversions."""
+    col = tuple(sorted(seq))
+    if not kind.zero_on_column_repeats:
+        return col, 1
+    if len(set(col)) < len(col):
+        return col, 0
+    if col == seq:
+        return col, 1
     inv = 0
-    for a in range(n - 1):
-        x = seq[a]
-        for b in range(a + 1, n):
-            if x > seq[b]:
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if x > y:
                 inv ^= 1
-    return out, inv, len(set(out)) < n
+    return col, -1 if inv else 1
 
 
 def canonical_cols(cols: Cols, kind: TabloidKind) -> tuple[Cols, int, bool]:
     """(sorted columns, sign, is zero) of the tabloid class of a filling
-    given by its columns. Columns sort ascending. For the alternating kind
-    the sign is the parity of the sorting permutation, and a class with a
-    repeated column entry is zero; the mod-2 skew kind keeps every class,
-    with sign +1."""
-    parity = 0
-    any_repeat = False
+    given by its columns: the product of the columns' `sort_column` signs,
+    with a zero class given sign +1."""
     out = []
+    sign = 1
     for c in cols:
-        sorted_c, inv, repeat = sort_column(c)
-        out.append(sorted_c)
-        parity ^= inv
-        any_repeat = any_repeat or repeat
-    if not kind.zero_on_column_repeats:
-        return tuple(out), 1, False
-    if any_repeat:
-        return tuple(out), 1, True
-    return tuple(out), -1 if parity else 1, False
+        col, s = sort_column(c, kind)
+        out.append(col)
+        sign *= s
+    return tuple(out), sign or 1, not sign
 
 
 def canonicalize(t: Tableau, kind: TabloidKind) -> SignedTabloid:
@@ -144,10 +139,10 @@ def _out_of_range(i: int, dim: int) -> ValueError:
     return ValueError(f"coordinate {i!r} is not in range({dim})")
 
 
-class TabloidBasis(Record, hidden=("index",)):
+class TabloidBasis(Record, hidden=("cols", "index")):
     """Indexed family of canonical representatives for one tabloid space,
-    held as column tuples. Bases compare by all but the index, which
-    follows from the columns."""
+    held as column tuples. Bases compare, hash and show themselves by
+    (kind, shape, d) alone, which fix the columns and the index."""
 
     __slots__ = ("kind", "shape", "d", "cols", "index")
 
@@ -170,12 +165,17 @@ class TabloidBasis(Record, hidden=("index",)):
         return len(self.cols)
 
     def __reduce__(self):
-        # A read-only view does not pickle; the index follows from the
-        # columns, so a copy rebuilds it from them.
-        return _indexed_basis, (self.kind, self.shape, self.d, self.cols)
+        # A basis follows from (kind, shape, d): a copy is `build_basis`'s.
+        return build_basis, (self.shape, self.d, self.kind)
 
     def index_of(self, t: Tableau) -> int:
-        return self.index[t.cols]
+        """The coordinate of t, which must be one of the representatives:
+        anything else (an unsorted column, a letter above d, another shape,
+        or an alternating column repeat) is refused."""
+        try:
+            return self.index[t.cols]
+        except KeyError:
+            raise ValueError(f"{t!r} is not a representative of {self!r}") from None
 
     def rep(self, i: int) -> Tableau:
         """The representative of coordinate i; an i outside range(dim),
@@ -190,12 +190,6 @@ def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives in the deterministic tableau
     order, indexed by their column tuples through a read-only view."""
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
-    return _indexed_basis(kind, shape, d, cols)
-
-
-def _indexed_basis(
-    kind: TabloidKind, shape: Partition, d: int, cols: tuple[Cols, ...]
-) -> TabloidBasis:
     index = MappingProxyType({c: i for i, c in enumerate(cols)})
     return TabloidBasis(kind, shape, d, cols, index)
 

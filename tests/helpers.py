@@ -167,6 +167,57 @@ def garnir_oracle(label, kind):
     return {rep: c for rep, c in out.items() if c}
 
 
+def naive_sort_column(seq, kind):
+    """The column rule by hand: the sorted column and its sign, 1 on the
+    mod-2 skew kind; on the alternating kind 0 when a set of the entries
+    is smaller than the column, else -1 to the strict inversions, counted
+    pair by pair."""
+    col = tuple(sorted(seq))
+    if kind is TabloidKind.SKEW_MOD_2:
+        return col, 1
+    if len(set(seq)) < len(seq):
+        return col, 0
+    return col, (-1) ** sum(1 for a, b in combinations(seq, 2) if a > b)
+
+
+def naive_snake_terms(cols, i, j, kind):
+    """The snake at the 0-based box (i, j) of a canonical tableau, with no
+    template: every refilling of A (column j from row i down) and B
+    (column j + 1 down to row i) by their entries, order-preserving within
+    each, signed by the refilling's strict inversions and by both columns'
+    `naive_sort_column` signs (only the parity kept for mod-2 skew)."""
+    left, right = cols[j], cols[j + 1]
+    rows_a, rows_b = range(i, len(left)), range(i + 1)
+    entries = [left[r] for r in rows_a] + [right[r] for r in rows_b]
+    out = {}
+    for chosen in combinations(range(len(entries)), len(rows_a)):
+        rest = [x for x in range(len(entries)) if x not in chosen]
+        first, second = list(left), list(right)
+        for r, e in zip(rows_a, chosen):
+            first[r] = entries[e]
+        for r, e in zip(rows_b, rest):
+            second[r] = entries[e]
+        a, sa = naive_sort_column(first, kind)
+        b, sb = naive_sort_column(second, kind)
+        shuffle = sum(1 for x in chosen for y in rest if x > y)
+        key = cols[:j] + (a, b) + cols[j + 2:]
+        out[key] = out.get(key, 0) + (-1) ** shuffle * sa * sb
+    if kind is TabloidKind.SKEW_MOD_2:
+        return {t: 1 for t, c in out.items() if c % 2}
+    return {t: c for t, c in out.items() if c}
+
+
+class CountingLetter(int):
+    """A letter that counts the ``>`` comparisons made on it, in the
+    class attribute ``greater``."""
+
+    greater = 0
+
+    def __gt__(self, other):
+        CountingLetter.greater += 1
+        return int(self) > int(other)
+
+
 def shuffled_template(template, rows_a, rows_b, rng: random.Random):
     """A Garnir template (see `garnir._template`) with each coset
     representative composed with a random permutation of the A boxes and

@@ -33,7 +33,13 @@ from dualweyl.tabloids import (
     skew_column,
     vector_from_terms,
 )
-from helpers import apply_e_map, family_rank, garnir_oracle, shuffled_template
+from helpers import (
+    apply_e_map,
+    family_rank,
+    garnir_oracle,
+    naive_snake_terms,
+    shuffled_template,
+)
 
 
 def snake_vector(t, i, j, kind, basis, p):
@@ -234,6 +240,42 @@ def test_kernel_matches_the_brute_force_oracle(kind, snake_count):
                     assert garnir_terms(label, kind) == garnir_oracle(label, kind), label
                     exhaustive += 1
     assert (snakes, exhaustive) == (snake_count, 1200)
+
+
+@pytest.mark.parametrize("kind", list(TabloidKind))
+def test_snake_terms_match_the_naive_expansion(kind):
+    # Every snake of every canonical tableau with n <= 6 and d <= n (those
+    # over d = n letters hold the rest). A snake passes the columns it does
+    # not touch through as they are, so past n = 4 each snake is checked
+    # once per shape, column and pair of columns, on the first tableau
+    # that holds it.
+    seen = set()
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            for cols in enumerate_tableaux(shape, n, basis_class(kind)):
+                for j in range(len(cols) - 1):
+                    for i in range(len(cols[j + 1])):
+                        if n > 4:
+                            key = (shape, j, cols[j], cols[j + 1], i)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                        want = naive_snake_terms(cols, i, j, kind)
+                        assert snake_terms(cols, i, j, kind) == want, (cols, i, j)
+    # The snakes at rows 0 and 1 of two seeded columns of heights up to 40.
+    rng = random.Random(40)
+    for h in (2, 3, 5, 9, 17, 28, 40):
+        for h2 in sorted({2, rng.randint(2, h), h}):
+            for _ in range(2):
+                if kind is ALT_COLUMN:
+                    left = tuple(sorted(rng.sample(range(1, 2 * h + 1), h)))
+                    right = tuple(sorted(rng.sample(range(1, 2 * h + 1), h2)))
+                else:
+                    left = tuple(sorted(rng.choices(range(1, h + 2), k=h)))
+                    right = tuple(sorted(rng.choices(range(1, h + 2), k=h2)))
+                for i in (0, 1):
+                    want = naive_snake_terms((left, right), i, 0, kind)
+                    assert snake_terms((left, right), i, 0, kind) == want, (left, right, i)
 
 
 def test_transversal_independence(monkeypatch):

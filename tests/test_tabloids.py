@@ -1,22 +1,33 @@
+import copy
+import pickle
 import random
+import re
+from itertools import product
+from types import MappingProxyType
 
 import pytest
 
+from dualweyl.garnir import snake_terms
 from dualweyl.partitions import Partition, partitions_of
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
     ALT_COLUMN,
+    TabloidBasis,
     TabloidKind,
     TabloidVector,
     build_basis,
+    canonical_cols,
     canonicalize,
     has_column_repeat,
     skew_column,
+    sort_column,
     vector_from_terms,
 )
 from helpers import (
+    CountingLetter,
     brute_fillings,
     ker_q_generators,
+    naive_sort_column,
     place_permute,
     row_sort,
     unit_vector,
@@ -173,3 +184,70 @@ def test_vector_arithmetic():
     assert v.add(w).coords == {basis.index_of(u): 1}
     assert v.scale(0).is_zero()
     assert v.scale(2).coords[basis.index_of(t)] == 1
+
+
+def test_sort_column_matches_the_naive_rule():
+    # Every column of length at most 5 over 5 letters, then seeded columns
+    # up to height 40, with and without repeated entries.
+    rng = random.Random(32)
+    seqs = [seq for h in range(6) for seq in product(range(1, 6), repeat=h)]
+    for _ in range(300):
+        h = rng.randint(1, 40)
+        letters = range(1, 2 * h + 2)
+        seqs.append(tuple(rng.choices(letters, k=h)))
+        seqs.append(tuple(rng.sample(letters, h)))
+    for kind in TabloidKind:
+        for seq in seqs:
+            assert sort_column(seq, kind) == naive_sort_column(seq, kind), (kind, seq)
+
+
+def test_the_mod_2_rule_counts_no_inversions():
+    # Letters that count their `>` comparisons: the mod-2 skew kind only
+    # sorts, in `sort_column`, `canonical_cols` and a snake expansion,
+    # while the alternating kind counts the inversions of the same column.
+    mod2 = skew_column(2)
+    down = tuple(map(CountingLetter, range(12, 0, -1)))
+    CountingLetter.greater = 0
+    assert sort_column(down, mod2) == (tuple(sorted(down)), 1)
+    assert canonical_cols((down, down[:5]), mod2)[1:] == (1, False)
+    left = tuple(map(CountingLetter, (1, 2, 2, 3, 5)))
+    right = tuple(map(CountingLetter, (1, 2, 4, 4)))
+    assert snake_terms((left, right), 2, 0, mod2)
+    assert CountingLetter.greater == 0
+    assert sort_column(down, ALT_COLUMN) == (tuple(sorted(down)), 1)
+    assert CountingLetter.greater == 12 * 11 // 2
+
+
+def test_a_basis_compares_by_kind_shape_and_d():
+    # Other columns and index do not change what a basis equals, hashes
+    # to or shows; a copy or a pickle is the `build_basis` basis.
+    basis = build_basis(Partition((2, 1)), 3, ALT_COLUMN)
+    other = TabloidBasis(
+        ALT_COLUMN, Partition((2, 1)), 3, basis.cols[:1], MappingProxyType({})
+    )
+    assert other == basis and hash(other) == hash(basis)
+    assert repr(other) == repr(basis) == (
+        "TabloidBasis(kind=alt, shape=Partition((2, 1)), d=3)"
+    )
+    for kind, d in ((skew_column(2), 3), (ALT_COLUMN, 4)):
+        assert build_basis(Partition((2, 1)), d, kind) != basis
+    for twin in (pickle.loads(pickle.dumps(other)), copy.copy(other)):
+        assert twin is basis
+
+
+@pytest.mark.parametrize("kind", list(TabloidKind))
+def test_a_tableau_outside_the_basis_is_a_value_error(kind):
+    basis = build_basis(Partition((2, 1)), 3, kind)
+    outside = [
+        Tableau(((2, 1), (3,))),  # an unsorted column
+        Tableau(((1, 2), (4,))),  # a letter above d
+        Tableau(((1, 2, 3),)),  # another shape
+    ]
+    if kind is ALT_COLUMN:
+        outside.append(Tableau(((1, 1), (2,))))  # a repeated column entry
+    for t in outside:
+        message = f"{t!r} is not a representative of {basis!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            basis.index_of(t)
+        with pytest.raises(ValueError, match="is not a representative"):
+            vector_from_terms(basis, 3, {t: 1})
