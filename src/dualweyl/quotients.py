@@ -7,33 +7,39 @@ representatives by column tuple and expand relations straight from the
 columns with the template kernel of `garnir`, so no build or read makes a
 `Tableau`.
 
-Every block goes through one pipeline. `_make_blocks` groups it, with an
-empty frozen span. No basic snake is eliminated: that of a tableau that
-is not row semistandard leads with it, with coefficient 1, and its other
-terms are smaller in the column order, so the row-semistandard
-representatives R are a basis of the block modulo the basic snakes (the
-standard-basis theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978;
-James, LNM 682, section 8). `_straighten`, which full builds, dominant
-blocks and `straighten` share, replaces the greatest term outside R by
-the rest of its basic snake until none is left, and checks this
-unitriangularity. For the mod-2 skew kind, `_supplementary` straightens
-the supplementary snakes onto R as bit masks. The block is then frozen
-on a `gfp.SpanBuilder`, which exists only while it freezes: no block,
-module or cache holds a builder, and no elimination happens here.
+Every block goes through one pipeline. `_make_blocks` groups it, with no
+span. No basic snake is eliminated: that of a tableau that is not row
+semistandard leads with it, with coefficient 1, and its other terms are
+smaller in the column order, so the row-semistandard representatives R
+are a basis of the block modulo the basic snakes (the standard-basis
+theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978; James, LNM
+682, section 8). `_straighten`, which pattern walks and dominant blocks
+share, replaces the greatest term outside R by the rest of its basic
+snake until none is left, and checks this unitriangularity. For the
+mod-2 skew kind, `_supplementary` straightens the supplementary snakes
+onto R as bit masks. The block is then frozen on a `gfp.SpanBuilder`,
+which exists only while it freezes: no block, module or cache holds a
+builder, and no elimination happens here.
 
-A full build (`_build`) straightens the first block of each packed
-weight (the nonzero entries of the weight, in order) once for every p
-(`_straightened_block`), over the integers or as masks, and `_freeze`
-reads its canonical span off the images mod p. A block reads its letters
-only through comparisons, so renaming them, in order, onto 1..k maps its
-representatives and snakes onto those of its packed weight: the spans
-are equal, and shared. Rearrangements such as (1,2,0) and (2,1,0) pack
-differently, so the full build still checks the S_d-symmetry that the
-dominant path assumes. Module objects and the thm1 check use the full
-build, keyed by tabloid kind, so one for both constructions at odd p. A
-module maps each ambient coordinate to its block and local coordinate
-once, so a read reduces each block's row straight against the frozen
-reduced echelon rows (`residual_mask` at p = 2, `residual_dict` at odd p).
+Nothing before the freeze depends on p, and two bounded caches hold it.
+`_layout` lists a tabloid space once and groups it, read-only, into its
+weight blocks. `_pattern` straightens the block of each packed weight
+(the nonzero entries of the weight, in order) padded with zeros, over
+the integers or as masks. A block reads its letters only through
+comparisons, so renaming them, in order, onto 1..k maps its
+representatives and snakes onto those of its packed weight: every block
+of that packed weight reads the pattern, once checked to pack onto it.
+Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
+build still checks the S_d-symmetry that the dominant path assumes. A
+full build (`_build`) only reads `_freeze`'s canonical span of each
+pattern off its images mod p, so the builds of one kind at every prime
+share one grouping and one set of patterns; `straighten` reads the image
+of its tabloid off its pattern. Module objects and the thm1 check use the
+full build, keyed by tabloid kind, so one for both constructions at odd
+p. A module maps each ambient coordinate to its block and local
+coordinate once, so a read reduces each block's row straight against the
+frozen reduced echelon rows (`residual_mask` at p = 2, `residual_dict`
+at odd p).
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -61,6 +67,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import comb, prod
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
@@ -103,7 +110,7 @@ class _Block(Record):
     """One weight block: ``indices``, its positions in the grouped sequence
     (ambient indices); ``pos``, the columns of each representative to its
     local coordinate; ``span``, its frozen relation span, shared per packed
-    weight (empty as `_make_blocks` groups the block)."""
+    weight (None as `_make_blocks` groups the block)."""
 
     __slots__ = ("indices", "pos", "span", "basic_rank")
 
@@ -111,7 +118,7 @@ class _Block(Record):
         self,
         indices: tuple[int, ...],
         pos: dict[Cols, int],
-        span: Subspace,
+        span: Subspace | None = None,
         basic_rank: int = 0,
     ):
         object.__setattr__(self, "indices", indices)
@@ -244,18 +251,14 @@ class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")
         return [i for i, (k, j) in enumerate(pairs) if j not in pivots[k]]
 
 
-def _make_blocks(
-    reps: Sequence[Cols], d: int, p: int
-) -> dict[tuple[int, ...], _Block]:
+def _make_blocks(reps: Sequence[Cols], d: int) -> dict[tuple[int, ...], _Block]:
     """Group tableaux, given by their column tuples, by weight, keeping
-    their order, each group with an empty frozen span over GF(p)."""
+    their order, each group with no span."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, cols in enumerate(reps):
         groups.setdefault(weight_of(cols, d), []).append(i)
     return {
-        w: _Block(
-            tuple(ix), {reps[i]: j for j, i in enumerate(ix)}, Subspace(len(ix), p)
-        )
+        w: _Block(tuple(ix), {reps[i]: j for j, i in enumerate(ix)})
         for w, ix in groups.items()
     }
 
@@ -280,19 +283,31 @@ def _push_terms(
     return span.add(local)
 
 
-def _listed_basis(
+Layout = tuple[TabloidBasis, Mapping[tuple[int, ...], _Block]]
+
+
+def _listed_layout(
     job: str, shape: Partition, d: int, p: int, kind: TabloidKind
-) -> TabloidBasis:
-    """The tabloid basis that ``job`` lists, refused with `ValueError`
-    before any tabloid is listed when `_ambient_count` puts it past
-    `BUILD_BUDGET`."""
+) -> Layout:
+    """The layout that ``job`` lists, refused with `ValueError` before any
+    tabloid is listed when `_ambient_count` puts it past `BUILD_BUDGET`."""
     count = _ambient_count(shape, d, kind)
     if count > BUILD_BUDGET:
         raise ValueError(
             f"{job} of {shape} at d={d}, p={p} lists at least {count} "
             f"{kind!r} tabloids, over the budget of {BUILD_BUDGET}"
         )
-    return build_basis(shape, d, kind)
+    return _layout(shape, d, kind)
+
+
+@lru_cache(maxsize=256)
+def _layout(shape: Partition, d: int, kind: TabloidKind) -> Layout:
+    """The tabloid basis of ``kind`` over d letters and its weight blocks,
+    read-only and with no span: no prime enters, so the builds at every p
+    and `straighten` share one grouping. Reached through `_listed_layout`,
+    which refuses a space past the budget first."""
+    basis = build_basis(shape, d, kind)
+    return basis, MappingProxyType(_make_blocks(basis.cols, d))
 
 
 def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
@@ -314,27 +329,29 @@ def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
 
 
 class _Pattern(Record):
-    """The first weight block of a packed weight, straightened once for
-    every prime: ``first``, its first representative with its letters
-    packed onto 1..k; ``images``, the image over R of each
-    representative, in local order: a bit mask of R-coordinates for the
-    mod-2 skew kind, (R-coordinate, integer coefficient) pairs for the
-    alternating kind; ``r_cols``, the representatives in R, in local
-    order; ``supplementary``, the masks of the nonzero straightened
-    supplementary snakes of the mod-2 skew kind."""
+    """The weight block of a packed weight, padded with zeros, straightened
+    once for every prime: ``first``, its first representative; ``images``,
+    the image over R of each representative, in local order: a bit mask of
+    R-coordinates for the mod-2 skew kind, (R-coordinate, integer
+    coefficient) pairs for the alternating kind; ``r_cols`` and ``r_pos``,
+    the representatives in R and their local coordinates, in local order;
+    ``supplementary``, the masks of the nonzero straightened supplementary
+    snakes of the mod-2 skew kind."""
 
-    __slots__ = ("first", "images", "r_cols", "supplementary")
+    __slots__ = ("first", "images", "r_cols", "r_pos", "supplementary")
 
     def __init__(
         self,
         first: Cols,
         images: tuple[int | tuple[tuple[int, int], ...], ...],
         r_cols: tuple[Cols, ...],
+        r_pos: tuple[int, ...],
         supplementary: tuple[int, ...],
     ):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "r_cols", r_cols)
+        object.__setattr__(self, "r_pos", r_pos)
         object.__setattr__(self, "supplementary", supplementary)
 
     @property
@@ -345,6 +362,13 @@ class _Pattern(Record):
     def basic_rank(self) -> int:
         return len(self.images) - len(self.r_cols)
 
+    def check_packs(self, w: tuple[int, ...], block: _Block) -> None:
+        """Refuse block w unless it packs onto this pattern: the same size,
+        and its first representative with its letters packed equal to
+        this pattern's."""
+        if self.size != block.size or self.first != _packed(next(iter(block.pos))):
+            raise InvariantError(f"block {w} does not pack onto its pattern")
+
 
 def _packed(cols: Cols) -> Cols:
     """A tableau with the letters it uses renamed, in order, onto 1..k."""
@@ -352,7 +376,18 @@ def _packed(cols: Cols) -> Cols:
     return tuple(tuple(rank[x] for x in c) for c in cols)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
+def _pattern(
+    shape: Partition, d: int, key: tuple[int, ...], kind: TabloidKind
+) -> _Pattern:
+    """The pattern of the packed weight ``key``: the block of the layout
+    whose weight is ``key`` padded with zeros, straightened. Its letters
+    are 1..k already, and it holds no prime, so the builds at every p and
+    `straighten` share it."""
+    block = _layout(shape, d, kind)[1][(*key, *(0,) * (d - len(key)))]
+    return _straightened_block(tuple(block.pos), kind)
+
+
 def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     """The weight block of ``kind`` with representatives ``reps``, in
     order, straightened so that every prime reads it: over the integers,
@@ -362,8 +397,8 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     order, each image kept in ``known``, so a basic snake brings in only
     terms whose image is known and each is expanded once."""
     mod2 = not kind.zero_on_column_repeats
-    r_cols = tuple(cols for cols in reps if snake_box(cols) is None)
-    r = {cols: j for j, cols in enumerate(r_cols)}
+    r_pos = tuple(j for j, cols in enumerate(reps) if snake_box(cols) is None)
+    r = {reps[i]: j for j, i in enumerate(r_pos)}
     known = {cols: 1 << j if mod2 else ((j, 1),) for cols, j in r.items()}
     for cols in sorted((c for c in reps if c not in r), key=_col_key, reverse=True):
         image = _straighten({cols: 1}, kind, r, known)
@@ -371,7 +406,8 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     return _Pattern(
         _packed(reps[0]),
         tuple(known[cols] for cols in reps),
-        r_cols,
+        tuple(r),
+        r_pos,
         _supplementary(r, known) if mod2 else (),
     )
 
@@ -435,25 +471,22 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     kind and share this build. The relations are the basic snake of every
     tableau that is not row semistandard and, for the mod-2 skew kind, the
     supplementary snakes of the row-semistandard ones (zero on alternating
-    tabloids). Blocks of one packed weight are equal in local coordinates
-    (see above): each block, once its size and packed first representative
-    agree with its pattern's, takes the span frozen from that pattern and
-    the pattern's basic rank. A space of more than `BUILD_BUDGET` tabloids
-    is refused before it is listed."""
-    basis = _listed_basis("the full build", shape, d, p, kind)
-    blocks = _make_blocks(basis.cols, d, p)
+    tabloids). The blocks are the layout's (`_layout`), and blocks of one
+    packed weight are equal in local coordinates (see above): each block,
+    once it packs onto its pattern (`_pattern`), takes the span frozen from
+    that pattern at p and the pattern's basic rank. So a build at a second
+    prime groups nothing and expands no snake; it only freezes. A space of
+    more than `BUILD_BUDGET` tabloids is refused before it is listed."""
+    basis, layout = _listed_layout("the full build", shape, d, p, kind)
     shared: dict[tuple[int, ...], tuple[_Pattern, Subspace]] = {}
-    for w, block in blocks.items():
+    blocks = {}
+    for w, block in layout.items():
         key = tuple(x for x in w if x)
-        if key in shared:
-            pattern, span = shared[key]
-            first = _packed(next(iter(block.pos)))
-            if pattern.size != block.size or pattern.first != first:
-                raise InvariantError(f"block {w} does not pack onto its pattern")
-        else:
-            pattern = _straightened_block(tuple(block.pos), kind)
-            span = _freeze(pattern, p)
-            shared[key] = pattern, span
+        if key not in shared:
+            pattern = _pattern(shape, d, key, kind)
+            shared[key] = pattern, _freeze(pattern, p)
+        pattern, span = shared[key]
+        pattern.check_packs(w, block)
         blocks[w] = block.with_span(span, pattern.basic_rank)
     return QuotientModule(basis, p, blocks)
 
@@ -486,7 +519,7 @@ def _dominant_block(shape: Partition, beta: Partition) -> _Block:
     reps = enumerate_tableaux(
         shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, tuple(beta)
     )
-    block = _make_blocks(reps, len(beta), 2).get(beta) or _Block((), {}, Subspace(0, 2))
+    block = _make_blocks(reps, len(beta)).get(beta) or _Block((), {})
     semistandard = sum(
         1 << j for cols, j in block.pos.items() if not has_column_repeat(cols)
     )
@@ -634,19 +667,31 @@ def u_lambda_dim(shape: Partition, d: int) -> int:
 
 def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     """Express the alternating tabloid of t over semistandard
-    representatives modulo the basic snake relations. Its basis is listed
-    first, so a space past `BUILD_BUDGET` is refused as a full build is."""
+    representatives modulo the basic snake relations. The basis is listed
+    and grouped first (`_layout`), so a space past `BUILD_BUDGET` is
+    refused as a full build is. The answer is then read off the pattern of
+    t's block: the image of t's local coordinate, mapped through the local
+    coordinates of the pattern's R and the block's ambient indices. R is a
+    basis modulo the basic snakes, so this is the one straightening of t."""
     if t.shape != shape:
         raise ValueError("tableau does not have the stated shape")
     _check_prime(p)
     if (top := max(map(max, t.cols))) > d:
         raise ValueError(f"entry {top} exceeds d={d}")
-    basis = _listed_basis("straightening", shape, d, p, ALT_COLUMN)
+    basis, layout = _listed_layout("straightening", shape, d, p, ALT_COLUMN)
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:
         return TabloidVector(basis, p, {})
-    image = _straighten({cols: sign}, ALT_COLUMN, basis.index, {})
-    return TabloidVector(basis, p, {i: c % p for i, c in image.items() if c % p})
+    w = weight_of(cols, d)
+    block = layout[w]
+    pattern = _pattern(shape, d, tuple(x for x in w if x), ALT_COLUMN)
+    pattern.check_packs(w, block)
+    indices, r_pos = block.indices, pattern.r_pos
+    coords = {}
+    for j, c in pattern.images[block.pos[cols]]:
+        if c := c * sign % p:
+            coords[indices[r_pos[j]]] = c
+    return TabloidVector(basis, p, coords)
 
 
 def _straighten(

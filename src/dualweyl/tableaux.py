@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable
 
 from .partitions import Partition
@@ -126,12 +126,14 @@ def enumerate_tableaux(
     """The column tuples of all tableaux of the requested class, each once,
     in column-reading lexicographic order.
 
-    Every class but ALL has sorted columns and is generated column by
-    column, top to bottom: an entry is at least the one above it plus the
-    class's column step and, when the class orders rows, at least its left
-    neighbour plus the row gap. With ``content`` (length d) letter k is
-    used exactly content[k-1] times, consumed as the entries are placed
-    rather than by filtering.
+    Every class but ALL has sorted columns. With no row order and no
+    content, like ALL, the tableaux are the product of their columns' lex
+    lists. Otherwise they are generated column by column, top to bottom: an
+    entry is at least the one above it plus the class's column step and,
+    when the class orders rows, at least its left neighbour plus the row
+    gap. With ``content`` (length d) letter k is used exactly
+    content[k-1] times, consumed as the entries are placed rather than by
+    filtering.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -142,6 +144,9 @@ def enumerate_tableaux(
         alphabet = range(1, d + 1)
         return list(product(*(product(alphabet, repeat=h) for h in heights)))
     step, gap = _SORTED_CLASSES[cls]
+    if content is None and gap is None:
+        column = combinations if step else combinations_with_replacement
+        return list(product(*(column(range(1, d + 1), h) for h in heights)))
     if content is None:
         counts = [shape.n] * d  # never binding
     elif len(content) != d or min(content) < 0 or sum(content) != shape.n:

@@ -297,7 +297,7 @@ def family_rank(which, shape, d, p, families):
     label stream through `garnir_terms`: the label-level reference for the
     builds, which expand snakes straight from column tuples."""
     kind = tabloid_kind(which, p)
-    blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
+    blocks = _make_blocks(build_basis(shape, d, kind).cols, d)
     spans = {w: SpanBuilder(block.size, p) for w, block in blocks.items()}
     for family in families:
         for label in iter_relation_labels(shape, d, family, kind):
@@ -314,7 +314,7 @@ def unshared_build(shape, d, p, kind):
     no span shared between blocks of one packed weight: the reference for
     that sharing in `quotients._build`. Returns the frozen blocks by weight
     and the number of relations each block pushed."""
-    blocks = _make_blocks(build_basis(shape, d, kind).cols, d, p)
+    blocks = _make_blocks(build_basis(shape, d, kind).cols, d)
     pushes = dict.fromkeys(blocks, 0)
     for w, block in blocks.items():
         span, row_semistandard = SpanBuilder(block.size, p), []

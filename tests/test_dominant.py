@@ -98,7 +98,7 @@ def _one_snake_loop(shape, beta, full, monkeypatch) -> int:
         m.setattr(quotients, "_supplementary", loop)
         m.setattr(quotients, "snake_terms", snake)
         block = _dominant_block.__wrapped__(shape, beta)
-        pattern = quotients._straightened_block.__wrapped__(tuple(full.pos), kind)
+        pattern = quotients._pattern.__wrapped__(shape, len(beta), tuple(beta), kind)
     assert tuple(block.pos) == pattern.r_cols, (shape, beta)
     reference, flat = [], 0
     for cols in pattern.r_cols:

@@ -588,7 +588,7 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     shape, kind = Partition((5, 1)), skew_column(p)
     basic, supplementary, nonzero = _pattern_snakes(shape, 6, kind)
     assert (basic, supplementary, nonzero) == {2: (2516, 40, 40), 3: (1991, 0, 0)}[p]
-    quotients._straightened_block.cache_clear()
+    quotients._pattern.cache_clear()
     created = []
 
     def counting(name, real):
@@ -622,10 +622,8 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     module = quotients._build.__wrapped__(shape, 6, p, kind)
     assert created == []
     assert len(snakes) == basic + supplementary == len(set(snakes))
-    firsts = {}
-    for w, block in module._blocks.items():
-        firsts.setdefault(packed_weight(w), tuple(block.pos))
-    patterns = [quotients._straightened_block(reps, kind) for reps in firsts.values()]
+    keys = {packed_weight(w) for w in module._blocks}
+    patterns = [quotients._pattern(shape, 6, key, kind) for key in keys]
     assert sum(len(pattern.supplementary) for pattern in patterns) == nonzero
     assert module.dim == 1050
 
@@ -658,10 +656,11 @@ def test_straightening_refuses_a_snake_that_is_not_unitriangular(monkeypatch):
     terms = snake_terms(*args)
 
     def build():
-        quotients._straightened_block.cache_clear()
+        quotients._pattern.cache_clear()
         return quotients._build.__wrapped__(shape, d, 3, ALT_COLUMN)
 
     def straighten_low():
+        quotients._pattern.cache_clear()
         return straighten(Tableau(low), shape, d, 3)
 
     faults = {
@@ -737,6 +736,51 @@ def test_pattern_images_match_straightening_from_scratch(kind, p):
     assert patterns == {ALT_COLUMN: 319, skew_column(2): 521}[kind]
 
 
+def test_straighten_matches_straightening_from_scratch():
+    # `straighten` reads the image of its tabloid off the pattern of its
+    # block and maps it through the block's ambient indices. R is a basis
+    # modulo the basic snakes, so that must be the reference straightening
+    # of the signed canonical tabloid from scratch: every canonical
+    # alternating representative with n <= 5 and d <= n at p = 2 and 3, and
+    # seeded unsorted fillings with n = 6 and d <= 7 at p = 5. Both sets
+    # hold blocks that are only renamed copies of their pattern's block,
+    # and the fillings zero tabloids.
+    from dualweyl.tabloids import canonical_cols
+
+    cases = renamed = 0
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, n + 1):
+                basis = build_basis(shape, d, ALT_COLUMN)
+                for p in (2, 3):
+                    for i, cols in enumerate(basis.cols):
+                        want = straighten_vector(TabloidVector(basis, p, {i: 1}))
+                        assert straighten(Tableau(cols), shape, d, p) == want
+                        w = weight_of(cols, d)
+                        renamed += w[: len(packed_weight(w))] != packed_weight(w)
+                        cases += 1
+    assert (cases, renamed) == (15806, 11258)
+    rng = random.Random(20261020)
+    cases = renamed = zero = 0
+    for shape in partitions_of(6):
+        heights = shape.conjugate()
+        for d in range(1, 8):
+            basis = build_basis(shape, d, ALT_COLUMN)
+            for _ in range(30):
+                t = Tableau(
+                    tuple(rng.randint(1, d) for _ in range(h)) for h in heights
+                )
+                cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
+                want = {} if is_zero else straighten_terms({cols: sign}, ALT_COLUMN, 5)
+                got = straighten(t, shape, d, 5)
+                assert got.coords == {basis.index[c]: v for c, v in want.items()}
+                w = weight_of(cols, d)
+                renamed += w[: len(packed_weight(w))] != packed_weight(w)
+                zero += is_zero
+                cases += 1
+    assert cases == 11 * 7 * 30 and renamed > 0 and zero > 0
+
+
 def test_straighten_refuses_an_oversized_basis_before_it_lists_a_tableau(
     monkeypatch,
 ):
@@ -759,32 +803,48 @@ def test_straighten_refuses_an_oversized_basis_before_it_lists_a_tableau(
 
 def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
     # The thm1 sweep: every shape of at most 6 boxes at d = 4, built at
-    # p = 3 and then p = 5. The blocks are straightened over the integers
-    # once, so each basic snake is expanded once in all, and every block
-    # at both primes equals the block eliminated on its own.
+    # p = 3 and then p = 5. The builds share one layout and one set of
+    # patterns, straightened over the integers once, so each basic snake is
+    # expanded once in all: the p = 5 build expands no snake and groups no
+    # tabloid, and neither does a `straighten` of any tabloid of the built
+    # space. Every block at both primes equals the block eliminated on its
+    # own.
     from dualweyl import quotients
 
-    real = quotients.snake_terms
-    calls = []
+    real_snake, real_group = quotients.snake_terms, quotients._make_blocks
+    calls, grouped = [], []
 
     def counting(*args):
         calls.append(args)
-        return real(*args)
+        return real_snake(*args)
 
-    quotients._straightened_block.cache_clear()
+    def grouping(reps, d):
+        grouped.extend(reps)
+        return real_group(reps, d)
+
+    quotients._layout.cache_clear()
+    quotients._pattern.cache_clear()
     monkeypatch.setattr(quotients, "snake_terms", counting)
+    monkeypatch.setattr(quotients, "_make_blocks", grouping)
     expected = 0
     for n in range(1, 7):
         for shape in partitions_of(n):
             expected += _pattern_snakes(shape, 4, ALT_COLUMN)[0]
             for p in (3, 5):
+                before = len(calls), len(grouped)
                 module = quotients._build.__wrapped__(shape, 4, p, ALT_COLUMN)
+                if p == 5:
+                    assert (len(calls), len(grouped)) == before, shape
                 oracle, _ = unshared_build(shape, 4, p, ALT_COLUMN)
                 for w, block in module._blocks.items():
                     want = oracle[w]
                     assert block.span.pivot_indices() == want.span.pivot_indices()
                     assert block.span.basis_rows() == want.span.basis_rows()
                     assert block.basic_rank == want.basic_rank
+            before = len(calls), len(grouped)
+            for cols in module.ambient.cols:
+                straighten(Tableau(cols), shape, 4, 5)
+            assert (len(calls), len(grouped)) == before, shape
     assert len(calls) == len(set(calls)) == expected
 
 
@@ -861,29 +921,42 @@ def test_shared_blocks_match_the_unshared_build(p):
 def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, forge):
     # Forge a later block of a packed weight: one representative fewer, or
     # the same representatives starting at another one. The build reuses
-    # the first block's span only after checking both.
+    # the first block's span, and `straighten` reads the pattern of its
+    # tabloid's block, only after checking both.
     from dualweyl import quotients
-    from dualweyl.gfp import Subspace
     from dualweyl.partitions import InvariantError
 
     real = quotients._make_blocks
+    weights = []
 
-    def forged(reps, d, p):
-        blocks = real(reps, d, p)
+    def forged(reps, d):
+        blocks = real(reps, d)
         groups = {}
         for w in blocks:
             groups.setdefault(packed_weight(w), []).append(w)
         w = next(ws for ws in groups.values() if len(ws) > 1 and blocks[ws[0]].size > 1)[-1]
         ix = blocks[w].indices
         ix = ix[:-1] if forge == "drop" else ix[1:] + ix[:1]
-        blocks[w] = quotients._Block(
-            ix, {reps[i]: j for j, i in enumerate(ix)}, Subspace(len(ix), p)
-        )
+        blocks[w] = quotients._Block(ix, {reps[i]: j for j, i in enumerate(ix)})
+        weights.append(w)
         return blocks
 
+    # the forged layouts must not outlive the test in the caches
     monkeypatch.setattr(quotients, "_make_blocks", forged)
-    with pytest.raises(InvariantError, match="does not pack"):
-        quotients._build.__wrapped__(Partition((2, 1)), 3, 2, skew_column(2))
+    quotients._layout.cache_clear()
+    quotients._pattern.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="does not pack"):
+            quotients._build.__wrapped__(Partition((2, 1)), 3, 2, skew_column(2))
+        shape, d = Partition((2, 1)), 4
+        quotients._layout(shape, d, ALT_COLUMN)
+        cols = build_basis(shape, d, ALT_COLUMN).cols
+        t = Tableau(next(c for c in cols if weight_of(c, d) == weights[-1]))
+        with pytest.raises(InvariantError, match="does not pack"):
+            straighten(t, shape, d, 3)
+    finally:
+        quotients._layout.cache_clear()
+        quotients._pattern.cache_clear()
 
 
 def test_cold_builds_create_no_tableau(monkeypatch):
@@ -998,7 +1071,8 @@ def test_every_cache_is_bounded():
     assert {
         "tabloids.build_basis",
         "quotients._build",
-        "quotients._straightened_block",
+        "quotients._layout",
+        "quotients._pattern",
         "garnir._snake_template",
         "tableaux.kostka_number",
     } <= set(caches)
@@ -1007,25 +1081,25 @@ def test_every_cache_is_bounded():
 def test_every_cached_value_is_frozen():
     # Every caller of a cache gets the same object, so none may change it:
     # attribute assignment fails on the module, its blocks, a dominant
-    # block, a straightened block (whose fields are tuples) and a basis,
-    # and item assignment on the decomposition rows, one row and the basis
-    # index. Each assignment writes back the value it finds, so a mutable
-    # object would not be spoilt for later callers. The template is a tuple
-    # and the Kostka number an int. A new cache must join this test.
+    # block, a pattern (whose fields are tuples), a basis and the blocks of
+    # a layout, and item assignment on the decomposition rows, one row, the
+    # basis index and a layout's block mapping (the layout is a tuple).
+    # Each assignment writes back the value it finds, so a mutable object
+    # would not be spoilt for later callers. The template is a tuple and the
+    # Kostka number an int. A new cache must join this test.
     from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_template
-    from dualweyl.quotients import _build, _dominant_block, _straightened_block
+    from dualweyl.quotients import _build, _dominant_block, _layout, _pattern
     from dualweyl.records import FrozenRecordError
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
     dominant = _dominant_block(Partition((2, 2)), Partition((2, 2)))
-    block = next(b for b in module._blocks.values() if b.size > 1)
-    pattern = _straightened_block(tuple(block.pos), skew_column(2))
-    assert all(
-        isinstance(getattr(pattern, f), tuple)
-        for f in ("first", "images", "r_cols", "supplementary")
-    )
+    w = next(w for w, b in module._blocks.items() if b.size > 1)
+    pattern = _pattern(shape, 3, packed_weight(w), skew_column(2))
+    assert all(isinstance(getattr(pattern, f), tuple) for f in pattern.__slots__)
+    layout = _layout(shape, 3, skew_column(2))
+    assert isinstance(layout, tuple) and layout[0] == module.ambient
     basis = build_basis(shape, 3, ALT_COLUMN)
     rows = decomposition_rows(3)
     assert isinstance(_snake_template(2, 1, 0), tuple)
@@ -1036,19 +1110,21 @@ def test_every_cached_value_is_frozen():
         (dominant, "span"),
         *((pattern, f) for f in pattern.__slots__),
         (basis, "index"),
+        *((block, "pos") for block in layout[1].values()),
     ]
     for obj, attr in frozen:
         with pytest.raises(FrozenRecordError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
-    for mapping in (rows, rows[mu], basis.index):
+    for mapping in (rows, rows[mu], basis.index, layout[1]):
         key = next(iter(mapping))
         with pytest.raises(TypeError):
             mapping[key] = mapping[key]
     assert set(_package_caches()) == {
         "quotients._build",
         "quotients._dominant_block",
-        "quotients._straightened_block",
+        "quotients._layout",
+        "quotients._pattern",
         "tabloids.build_basis",
         "decomposition.decomposition_rows",
         "garnir._snake_template",
@@ -1170,7 +1246,7 @@ def test_inhomogeneous_relation_is_refused():
     from dualweyl.quotients import _make_blocks, _push_terms
 
     basis = build_basis(Partition((2, 1)), 2, skew_column(2))
-    blocks = _make_blocks(basis.cols, 2, 2)
+    blocks = _make_blocks(basis.cols, 2)
     block = blocks[(2, 1)]
     other = next(cols for cols in basis.cols if weight_of(cols, 2) == (1, 2))
     terms = {next(iter(block.pos)): 1, other: 1}
