@@ -2,28 +2,28 @@
 
 Both modules are quotients of a tabloid space by a relation span, built
 one weight block at a time: relations are weight homogeneous, and a term
-outside the block of its source tableau is an error. Blocks key their
-representatives by column tuple and expand relations straight from the
-columns with the template kernel of `garnir`, so no build or read makes a
-`Tableau`.
+outside the block of its source tableau is an error. Relations are
+expanded straight from column tuples with the template kernel of
+`garnir`, so no build or read makes a `Tableau`.
 
-Every block goes through one pipeline. `_make_blocks` groups it, with no
-span. No basic snake is eliminated: that of a tableau that is not row
-semistandard leads with it, with coefficient 1, and its other terms are
-smaller in the column order, so the row-semistandard representatives R
-are a basis of the block modulo the basic snakes (the standard-basis
-theorem: Desarmenien, Kung and Rota, Adv. Math. 27, 1978; James, LNM
-682, section 8). `_straighten`, which pattern walks and dominant blocks
-share, replaces the greatest term outside R by the rest of its basic
-snake until none is left, and checks this unitriangularity. For the
-mod-2 skew kind, `_supplementary` straightens the supplementary snakes
-onto R as bit masks. The block is then frozen on a `gfp.SpanBuilder`,
-which exists only while it freezes: no block, module or cache holds a
-builder, and no elimination happens here.
+Every block goes through one pipeline. No basic snake is eliminated:
+that of a tableau that is not row semistandard leads with it, with
+coefficient 1, and its other terms are smaller in the column order, so
+the row-semistandard representatives R are a basis of the block modulo
+the basic snakes (the standard-basis theorem: Desarmenien, Kung and
+Rota, Adv. Math. 27, 1978; James, LNM 682, section 8). `_straighten`,
+which pattern walks and dominant blocks share, replaces the greatest
+term outside R by the rest of its basic snake until none is left, and
+checks this unitriangularity. For the mod-2 skew kind, `_supplementary`
+straightens the supplementary snakes onto R as bit masks. The block is
+then frozen on a `gfp.SpanBuilder`, which exists only while it freezes:
+no block, module or cache holds a builder, and no elimination happens
+here.
 
 Nothing before the freeze depends on p, and two bounded caches hold it.
-`_layout` lists a tabloid space once and groups it, read-only, into its
-weight blocks. `_pattern` straightens the block of each packed weight
+`_layout` lists a tabloid space once, groups it into its weight blocks
+(`_make_blocks`) and indexes each ambient coordinate by its block and
+local coordinate. `_pattern` straightens the block of each packed weight
 (the nonzero entries of the weight, in order) padded with zeros, over
 the integers or as masks. A block reads its letters only through
 comparisons, so renaming them, in order, onto 1..k maps its
@@ -31,15 +31,13 @@ representatives and snakes onto those of its packed weight: every block
 of that packed weight reads the pattern, once checked to pack onto it.
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
-full build (`_build`) only reads `_freeze`'s canonical span of each
-pattern off its images mod p, so the builds of one kind at every prime
-share one grouping and one set of patterns; `straighten` reads the image
-of its tabloid off its pattern. Module objects and the thm1 check use the
-full build, keyed by tabloid kind, so one for both constructions at odd
-p. A module maps each ambient coordinate to its block and local
-coordinate once, so a read reduces each block's row straight against the
-frozen reduced echelon rows (`residual_mask` at p = 2, `residual_dict`
-at odd p).
+full build (`_build`) adds to the layout only `_freeze`'s canonical span
+of each pattern mod p, so the builds of one kind at every prime share one
+layout and one set of patterns, and a read reduces each block's row
+straight against the frozen reduced echelon rows (`residual_mask` at
+p = 2, `residual_dict` at odd p); `straighten` reads the image of its
+tabloid off its pattern. Module objects and the thm1 check use the full
+build, keyed by tabloid kind, so one for both constructions at odd p.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -107,68 +105,73 @@ BUILD_BUDGET = 500_000
 
 
 class _Block(Record):
-    """One weight block: ``indices``, its positions in the grouped sequence
-    (ambient indices); ``pos``, the columns of each representative to its
-    local coordinate; ``span``, its frozen relation span, shared per packed
-    weight (None as `_make_blocks` groups the block)."""
+    """One weight block of a layout: ``indices``, the ambient indices of
+    its representatives, in order, the j-th at local coordinate j;
+    ``key``, its packed weight, which names its pattern and its span."""
 
-    __slots__ = ("indices", "pos", "span", "basic_rank")
+    __slots__ = ("indices", "key")
 
-    def __init__(
-        self,
-        indices: tuple[int, ...],
-        pos: dict[Cols, int],
-        span: Subspace | None = None,
-        basic_rank: int = 0,
-    ):
+    def __init__(self, indices: tuple[int, ...], key: tuple[int, ...]):
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "basic_rank", basic_rank)
+        object.__setattr__(self, "key", key)
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
-    def with_span(self, span: Subspace, basic_rank: int) -> "_Block":
-        """This block with its frozen span and basic rank."""
-        return _Block(self.indices, self.pos, span, basic_rank)
 
+class _Layout(Record, hidden=("blocks", "order", "block_no", "local")):
+    """A tabloid ``basis`` grouped into weight ``blocks`` (read-only),
+    numbered in ``order``; ``block_no`` and ``local``, read-only 4-byte
+    arrays, give each coordinate its block's number and its local
+    coordinate there. The basis index is the only map from a tabloid to a
+    coordinate. Layouts compare and show themselves by their basis."""
 
-class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")):
-    """A tabloid space together with a relation span, graded by weight;
-    every block holds a frozen `Subspace`, shared per packed weight.
-    Modules compare by identity. The constructor indexes the blocks, in
-    ``_order``: ``_block_no`` and ``_local`` give each ambient coordinate
-    the number of its block and its local coordinate there, 4 bytes each,
-    so that a read finds a coordinate's block by two lookups."""
+    __slots__ = ("basis", "blocks", "order", "block_no", "local")
 
-    __slots__ = ("ambient", "p", "_blocks", "_order", "_block_no", "_local")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self, ambient: TabloidBasis, p: int, blocks: dict[tuple[int, ...], _Block]
-    ):
+    def __init__(self, basis: TabloidBasis, blocks: dict[tuple[int, ...], _Block]):
         order = tuple(blocks.values())
-        block_no: list = [None] * ambient.dim
-        local = [0] * ambient.dim
+        unset = 2**32 - 1
+        block_no = array("I", [unset]) * basis.dim
+        local = array("I", [0]) * basis.dim
         for k, block in enumerate(order):
             for j, i in enumerate(block.indices):
                 block_no[i] = k
                 local[i] = j
-        if None in block_no or sum(b.size for b in order) != ambient.dim:
+        if unset in block_no or sum(b.size for b in order) != basis.dim:
             raise InvariantError("the blocks do not partition the ambient coordinates")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_block_no", array("I", block_no))
-        object.__setattr__(self, "_local", array("I", local))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "blocks", MappingProxyType(blocks))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "block_no", memoryview(block_no).toreadonly())
+        object.__setattr__(self, "local", memoryview(local).toreadonly())
 
     def __reduce__(self):
-        # The index follows from the blocks, and is rebuilt from them.
-        return type(self), (self.ambient, self.p, self._blocks)
+        # The views do not pickle; the index follows from the blocks.
+        return type(self), (self.basis, dict(self.blocks))
+
+
+class QuotientModule(Record, hidden=("_layout", "_spans", "_basic_ranks")):
+    """A tabloid space modulo a relation span, graded by weight: the
+    layout of its basis, which every prime shares, and the frozen
+    `Subspace` and basic rank of each packed weight, read by each block of
+    it in local coordinates. Modules compare by identity."""
+
+    __slots__ = ("ambient", "p", "_layout", "_spans", "_basic_ranks")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, layout: _Layout, p: int, spans: dict, basic_ranks: dict):
+        object.__setattr__(self, "ambient", layout.basis)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_spans", MappingProxyType(spans))
+        object.__setattr__(self, "_basic_ranks", MappingProxyType(basic_ranks))
+
+    def __reduce__(self):
+        # Read-only mappings do not pickle; their dicts do.
+        args = self._layout, self.p, dict(self._spans), dict(self._basic_ranks)
+        return type(self), args
 
     @property
     def supplementary_rank_gain(self) -> int | None:
@@ -176,11 +179,12 @@ class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")
         for the alternating build at p = 2, which is not a skew build."""
         if self.ambient.kind is not skew_column(self.p):
             return None
-        return sum(b.span.dim - b.basic_rank for b in self._order)
+        spans, ranks = self._spans, self._basic_ranks
+        return sum(spans[b.key].dim - ranks[b.key] for b in self._layout.order)
 
     @property
     def relation_rank(self) -> int:
-        return sum(b.span.dim for b in self._order)
+        return sum(self._spans[b.key].dim for b in self._layout.order)
 
     @property
     def dim(self) -> int:
@@ -188,23 +192,23 @@ class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")
 
     def weight_table(self) -> WeightTable:
         table = {
-            w: b.size - b.span.dim
-            for w, b in sorted(self._blocks.items())
+            w: b.size - self._spans[b.key].dim
+            for w, b in sorted(self._layout.blocks.items())
         }
         return {w: v for w, v in table.items() if v}
 
     def _rows(self, vec: TabloidVector) -> dict[int, int | dict[int, int]]:
         """vec split into local rows, keyed by block number, in one pass
-        through the index: a bit mask at p = 2, a fresh sparse dict with
-        coefficients in [1, p) otherwise. A coordinate out of range is
-        refused, and so is a vector over a basis that is neither the
-        module's nor equal to it (a copy's)."""
+        through the layout's index: a bit mask at p = 2, a fresh sparse
+        dict with coefficients in [1, p) otherwise. A coordinate out of
+        range is refused, and so is a vector over a basis that is neither
+        the module's nor equal to it (a copy's)."""
         if vec.basis is not self.ambient and vec.basis != self.ambient:
             raise ValueError("vector lives over a different basis")
         p = self.p
         if vec.p != p:
             raise ValueError(f"vector over GF({vec.p}) in a module over GF({p})")
-        block_no, local = self._block_no, self._local
+        block_no, local = self._layout.block_no, self._layout.local
         dim = len(local)
         rows: dict = {}
         for i, c in vec.coords.items():
@@ -222,45 +226,45 @@ class QuotientModule(Record, hidden=("_blocks", "_order", "_block_no", "_local")
         return rows
 
     def relations_contain(self, vec: TabloidVector) -> bool:
-        order, rows = self._order, self._rows(vec)
+        order, spans = self._layout.order, self._spans
+        rows = self._rows(vec).items()
         if self.p == 2:
-            return not any(order[k].span.residual_mask(m) for k, m in rows.items())
-        return not any(order[k].span.residual_dict(v) for k, v in rows.items())
+            return not any(spans[order[k].key].residual_mask(m) for k, m in rows)
+        return not any(spans[order[k].key].residual_dict(v) for k, v in rows)
 
     def reduce(self, vec: TabloidVector) -> TabloidVector:
         """Canonical representative of vec in the quotient (zero iff the
         vector lies in the relation span): each block's row reduced against
         the block's reduced echelon rows, mapped back to ambient indices."""
+        order, spans = self._layout.order, self._spans
         coords: dict[int, int] = {}
         for k, row in self._rows(vec).items():
-            block = self._order[k]
-            indices = block.indices
+            block = order[k]
+            indices, span = block.indices, spans[block.key]
             if self.p == 2:
-                for j in _bits(block.span.residual_mask(row)):
+                for j in _bits(span.residual_mask(row)):
                     coords[indices[j]] = 1
             else:
-                for j, c in block.span.residual_dict(row).items():
+                for j, c in span.residual_dict(row).items():
                     coords[indices[j]] = c
         return TabloidVector(self.ambient, self.p, coords)
 
     def quotient_indices(self) -> list[int]:
         """Ambient indices of the non-pivot coordinates, one per quotient
         basis element, in increasing order: one pass through the index."""
-        pivots = [set(block.span.pivot_indices()) for block in self._order]
-        pairs = zip(self._block_no, self._local)
+        layout = self._layout
+        pivots = [set(self._spans[b.key].pivot_indices()) for b in layout.order]
+        pairs = zip(layout.block_no, layout.local)
         return [i for i, (k, j) in enumerate(pairs) if j not in pivots[k]]
 
 
 def _make_blocks(reps: Sequence[Cols], d: int) -> dict[tuple[int, ...], _Block]:
     """Group tableaux, given by their column tuples, by weight, keeping
-    their order, each group with no span."""
+    their order."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, cols in enumerate(reps):
         groups.setdefault(weight_of(cols, d), []).append(i)
-    return {
-        w: _Block(tuple(ix), {reps[i]: j for j, i in enumerate(ix)})
-        for w, ix in groups.items()
-    }
+    return {w: _Block(tuple(ix), tuple(x for x in w if x)) for w, ix in groups.items()}
 
 
 def _push_terms(
@@ -283,12 +287,9 @@ def _push_terms(
     return span.add(local)
 
 
-Layout = tuple[TabloidBasis, Mapping[tuple[int, ...], _Block]]
-
-
 def _listed_layout(
     job: str, shape: Partition, d: int, p: int, kind: TabloidKind
-) -> Layout:
+) -> _Layout:
     """The layout that ``job`` lists, refused with `ValueError` before any
     tabloid is listed when `_ambient_count` puts it past `BUILD_BUDGET`."""
     count = _ambient_count(shape, d, kind)
@@ -301,13 +302,13 @@ def _listed_layout(
 
 
 @lru_cache(maxsize=256)
-def _layout(shape: Partition, d: int, kind: TabloidKind) -> Layout:
-    """The tabloid basis of ``kind`` over d letters and its weight blocks,
-    read-only and with no span: no prime enters, so the builds at every p
-    and `straighten` share one grouping. Reached through `_listed_layout`,
-    which refuses a space past the budget first."""
+def _layout(shape: Partition, d: int, kind: TabloidKind) -> _Layout:
+    """The tabloid basis of ``kind`` over d letters, grouped into its
+    weight blocks and indexed by coordinate: no prime enters, so the builds
+    at every p and `straighten` share one layout. Reached through
+    `_listed_layout`, which refuses a space past the budget first."""
     basis = build_basis(shape, d, kind)
-    return basis, MappingProxyType(_make_blocks(basis.cols, d))
+    return _Layout(basis, _make_blocks(basis.cols, d))
 
 
 def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
@@ -358,16 +359,13 @@ class _Pattern(Record):
     def size(self) -> int:
         return len(self.images)
 
-    @property
-    def basic_rank(self) -> int:
-        return len(self.images) - len(self.r_cols)
-
-    def check_packs(self, w: tuple[int, ...], block: _Block) -> None:
-        """Refuse block w unless it packs onto this pattern: the same size,
-        and its first representative with its letters packed equal to
-        this pattern's."""
-        if self.size != block.size or self.first != _packed(next(iter(block.pos))):
-            raise InvariantError(f"block {w} does not pack onto its pattern")
+    def check_packs(self, block: _Block, cols: Sequence[Cols]) -> None:
+        """Refuse a block over the basis columns ``cols`` unless it packs
+        onto this pattern: the same size, and its first representative with
+        its letters packed equal to this pattern's."""
+        first = cols[block.indices[0]]
+        if self.size != block.size or self.first != _packed(first):
+            raise InvariantError(f"the block of {first} does not pack onto its pattern")
 
 
 def _packed(cols: Cols) -> Cols:
@@ -384,8 +382,10 @@ def _pattern(
     whose weight is ``key`` padded with zeros, straightened. Its letters
     are 1..k already, and it holds no prime, so the builds at every p and
     `straighten` share it."""
-    block = _layout(shape, d, kind)[1][(*key, *(0,) * (d - len(key)))]
-    return _straightened_block(tuple(block.pos), kind)
+    layout = _layout(shape, d, kind)
+    block = layout.blocks[(*key, *(0,) * (d - len(key)))]
+    cols = layout.basis.cols
+    return _straightened_block(tuple(cols[i] for i in block.indices), kind)
 
 
 def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
@@ -471,24 +471,22 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     kind and share this build. The relations are the basic snake of every
     tableau that is not row semistandard and, for the mod-2 skew kind, the
     supplementary snakes of the row-semistandard ones (zero on alternating
-    tabloids). The blocks are the layout's (`_layout`), and blocks of one
-    packed weight are equal in local coordinates (see above): each block,
-    once it packs onto its pattern (`_pattern`), takes the span frozen from
-    that pattern at p and the pattern's basic rank. So a build at a second
-    prime groups nothing and expands no snake; it only freezes. A space of
-    more than `BUILD_BUDGET` tabloids is refused before it is listed."""
-    basis, layout = _listed_layout("the full build", shape, d, p, kind)
-    shared: dict[tuple[int, ...], tuple[_Pattern, Subspace]] = {}
-    blocks = {}
-    for w, block in layout.items():
-        key = tuple(x for x in w if x)
-        if key not in shared:
-            pattern = _pattern(shape, d, key, kind)
-            shared[key] = pattern, _freeze(pattern, p)
-        pattern, span = shared[key]
-        pattern.check_packs(w, block)
-        blocks[w] = block.with_span(span, pattern.basic_rank)
-    return QuotientModule(basis, p, blocks)
+    tabloids). The module adds to the layout (`_layout`) the span frozen
+    at p from the pattern of each packed weight (`_pattern`) and the
+    pattern's basic rank, once each block of it packs onto the pattern.
+    So a build at a second prime shares the layout, index included, and
+    only freezes. A space of more than `BUILD_BUDGET` tabloids is refused
+    before it is listed."""
+    layout = _listed_layout("the full build", shape, d, p, kind)
+    patterns, spans, basic_ranks = {}, {}, {}
+    for block in layout.order:
+        key = block.key
+        if key not in patterns:
+            pattern = patterns[key] = _pattern(shape, d, key, kind)
+            spans[key] = _freeze(pattern, p)
+            basic_ranks[key] = pattern.size - len(pattern.r_cols)
+        patterns[key].check_packs(block, layout.basis.cols)
+    return QuotientModule(layout, p, spans, basic_ranks)
 
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:
@@ -508,30 +506,30 @@ def build_gtensor_specht(shape: Partition, d: int, p: int) -> QuotientModule:
 
 
 @lru_cache(maxsize=4096)
-def _dominant_block(shape: Partition, beta: Partition) -> _Block:
-    """The frozen mod-2 skew weight block of content beta, over the letters
-    1..len(beta), in R-coordinates; it is the block of beta padded with
+def _dominant_block(shape: Partition, beta: Partition) -> tuple[tuple, Subspace]:
+    """The mod-2 skew weight block of content beta, over the letters
+    1..len(beta), in R-coordinates: its R-representatives, the j-th at
+    coordinate j, and its frozen span. It is the block of beta padded with
     zeros for every larger d. Its only relations are the supplementary
     snakes, straightened onto R (`_supplementary`), over GF(2). Every
     straightened supplementary snake must lie in the coordinates of the
     representatives that repeat a column entry: the kernel count of
     `_kernel_dims` rests on it."""
-    reps = enumerate_tableaux(
+    reps = tuple(enumerate_tableaux(
         shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, tuple(beta)
-    )
-    block = _make_blocks(reps, len(beta)).get(beta) or _Block((), {})
+    ))
     semistandard = sum(
-        1 << j for cols, j in block.pos.items() if not has_column_repeat(cols)
+        1 << j for j, cols in enumerate(reps) if not has_column_repeat(cols)
     )
-    span = SpanBuilder(block.size, 2)
-    for mask in _supplementary(block.pos, {}):
+    span = SpanBuilder(len(reps), 2)
+    for mask in _supplementary({cols: j for j, cols in enumerate(reps)}, {}):
         if off := mask & semistandard:
             raise InvariantError(
                 f"a supplementary snake of {beta} lands on "
                 f"{reps[off.bit_length() - 1]}, which has no column repeat"
             )
         span.add_mask(mask)
-    return block.with_span(span.subspace(), 0)
+    return reps, span.subspace()
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
@@ -620,8 +618,8 @@ def _gens_by_weight(shape: Partition, d: int) -> dict[tuple[int, ...], list[int]
     for beta in partitions_of(shape.n, d):
         if beta[0] < 2:
             continue
-        block = _dominant_block(shape, beta)
-        out[beta] = [j for cols, j in block.pos.items() if has_column_repeat(cols)]
+        reps, _ = _dominant_block(shape, beta)
+        out[beta] = [j for j, cols in enumerate(reps) if has_column_repeat(cols)]
     return out
 
 
@@ -641,7 +639,7 @@ def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
     this), so the kernel there is |G_beta| less the rank of the span."""
     out = {}
     for beta, positions in _gens_by_weight(shape, d).items():
-        grown = len(positions) - _dominant_block(shape, beta).span.dim
+        grown = len(positions) - _dominant_block(shape, beta)[1].dim
         if grown:
             out[beta] = grown
     return out
@@ -673,22 +671,23 @@ def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     t's block: the image of t's local coordinate, mapped through the local
     coordinates of the pattern's R and the block's ambient indices. R is a
     basis modulo the basic snakes, so this is the one straightening of t."""
-    if t.shape != shape:
+    if tuple(map(len, t.cols)) != shape.conjugate():
         raise ValueError("tableau does not have the stated shape")
     _check_prime(p)
     if (top := max(map(max, t.cols))) > d:
         raise ValueError(f"entry {top} exceeds d={d}")
-    basis, layout = _listed_layout("straightening", shape, d, p, ALT_COLUMN)
+    layout = _listed_layout("straightening", shape, d, p, ALT_COLUMN)
+    basis = layout.basis
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:
         return TabloidVector(basis, p, {})
-    w = weight_of(cols, d)
-    block = layout[w]
-    pattern = _pattern(shape, d, tuple(x for x in w if x), ALT_COLUMN)
-    pattern.check_packs(w, block)
+    i = basis.index[cols]
+    block = layout.order[layout.block_no[i]]
+    pattern = _pattern(shape, d, block.key, ALT_COLUMN)
+    pattern.check_packs(block, basis.cols)
     indices, r_pos = block.indices, pattern.r_pos
     coords = {}
-    for j, c in pattern.images[block.pos[cols]]:
+    for j, c in pattern.images[layout.local[i]]:
         if c := c * sign % p:
             coords[indices[r_pos[j]]] = c
     return TabloidVector(basis, p, coords)

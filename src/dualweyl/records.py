@@ -46,6 +46,6 @@ class Record:
     def __reduce__(self):
         # Pickling and copying rebuild a record through its constructor,
         # which takes the fields in slot order; a class whose fields follow
-        # from a few of them (a basis from its kind, shape and d, a module's
-        # block index from its blocks) rebuilds from those instead.
+        # from a few of them (a basis from its kind, shape and d, a layout's
+        # coordinate index from its blocks) rebuilds from those instead.
         return type(self), tuple(getattr(self, f) for f in self.__slots__)

@@ -56,6 +56,7 @@ from dualweyl.tableaux import (
     TableauClass,
     enumerate_tableaux,
     kostka_number,
+    weight_of,
 )
 from dualweyl.tabloids import (
     TabloidBasis,
@@ -245,17 +246,31 @@ def kernel_table_all_blocks(shape, d, p=2):
     repeated-column-entry representatives (none exist at odd p), in a
     builder seeded from the block's frozen basis rows."""
     module = build_gtensor_specht(shape, d, p)
+    spans = block_spans(module)
     table = {}
-    for w, block in sorted(module._blocks.items()):
-        probe = probe_builder(block.span)
+    for w, block in sorted(module._layout.blocks.items()):
+        probe = probe_builder(spans[w])
         grown = sum(
             1
-            for cols, j in block.pos.items()
+            for cols, j in block_pos(module.ambient.cols, block).items()
             if has_column_repeat(cols) and probe.add({j: 1})
         )
         if grown:
             table[w] = grown
     return table
+
+
+def block_spans(module) -> dict[tuple[int, ...], Subspace]:
+    """The frozen span of each weight block of a module, by weight: the
+    span of the block's packed weight."""
+    return {w: module._spans[b.key] for w, b in module._layout.blocks.items()}
+
+
+def block_pos(cols, block) -> dict:
+    """The local coordinate of each representative of a layout block,
+    keyed by its columns, given the basis columns ``cols``: the key of
+    `_push_terms` in the reference builds."""
+    return {cols[i]: j for j, i in enumerate(block.indices)}
 
 
 def probe_builder(subspace: Subspace) -> SpanBuilder:
@@ -273,8 +288,8 @@ def quotient_indices(module) -> list[int]:
     coordinates that are not pivots, sorted at the end. The reference for
     the one-pass read."""
     out = []
-    for _, block in sorted(module._blocks.items()):
-        pivots = set(block.span.pivot_indices())
+    for _, block in sorted(module._layout.blocks.items()):
+        pivots = set(module._spans[block.key].pivot_indices())
         out.extend(idx for j, idx in enumerate(block.indices) if j not in pivots)
     return sorted(out)
 
@@ -297,7 +312,9 @@ def family_rank(which, shape, d, p, families):
     label stream through `garnir_terms`: the label-level reference for the
     builds, which expand snakes straight from column tuples."""
     kind = tabloid_kind(which, p)
-    blocks = _make_blocks(build_basis(shape, d, kind).cols, d)
+    cols = build_basis(shape, d, kind).cols
+    blocks = _make_blocks(cols, d)
+    pos = {w: block_pos(cols, block) for w, block in blocks.items()}
     spans = {w: SpanBuilder(block.size, p) for w, block in blocks.items()}
     for family in families:
         for label in iter_relation_labels(shape, d, family, kind):
@@ -305,27 +322,32 @@ def family_rank(which, shape, d, p, families):
             if terms:
                 w = label.t.weight(d)
                 local = {t.cols: c for t, c in terms.items()}
-                _push_terms(spans[w], local, blocks[w].pos, p)
+                _push_terms(spans[w], local, pos[w], p)
     return sum(span.rank for span in spans.values())
 
 
 def unshared_build(shape, d, p, kind):
     """The full build with every weight block eliminated on its own, with
     no span shared between blocks of one packed weight: the reference for
-    that sharing in `quotients._build`. Returns the frozen blocks by weight
-    and the number of relations each block pushed."""
-    blocks = _make_blocks(build_basis(shape, d, kind).cols, d)
-    pushes = dict.fromkeys(blocks, 0)
-    for w, block in blocks.items():
-        span, row_semistandard = SpanBuilder(block.size, p), []
-        for cols in block.pos:
+    that sharing in `quotients._build`. The basis is grouped here by the
+    weight of each representative, in basis order. Returns, by weight, the
+    block's local coordinates keyed by column tuple, its frozen span and
+    its basic rank, and the number of relations each block pushed."""
+    grouped: dict[tuple[int, ...], dict] = {}
+    for cols in build_basis(shape, d, kind).cols:
+        pos = grouped.setdefault(weight_of(cols, d), {})
+        pos[cols] = len(pos)
+    blocks, pushes = {}, dict.fromkeys(grouped, 0)
+    for w, pos in grouped.items():
+        span, row_semistandard = SpanBuilder(len(pos), p), []
+        for cols in pos:
             box = snake_box(cols)
             if box is None:
                 row_semistandard.append(cols)
                 continue
             terms = snake_terms(cols, *box, kind)
             if terms:
-                _push_terms(span, terms, block.pos, p)
+                _push_terms(span, terms, pos, p)
                 pushes[w] += 1
         basic_rank = span.rank
         if not kind.zero_on_column_repeats:
@@ -333,9 +355,9 @@ def unshared_build(shape, d, p, kind):
                 for box in equal_boxes(cols):
                     terms = snake_terms(cols, *box, kind)
                     if terms:
-                        _push_terms(span, terms, block.pos, p)
+                        _push_terms(span, terms, pos, p)
                         pushes[w] += 1
-        blocks[w] = block.with_span(span.subspace(), basic_rank)
+        blocks[w] = pos, span.subspace(), basic_rank
     return blocks, pushes
 
 
@@ -529,8 +551,8 @@ def inverse_schur_numbers(shape: Partition, p: int) -> dict:
                 for image in moved_less_fixed[i]:
                     push(coinvariants, image)
         if p == 2:
-            block = _dominant_block(shape, beta)
-            coords, relations = block.pos, block.span
+            reps, relations = _dominant_block(shape, beta)
+            coords = {cols: j for j, cols in enumerate(reps)}
         else:  # the alternating kind: no relation is left on R
             reps = enumerate_tableaux(
                 shape, len(beta), TableauClass.SEMISTANDARD, tuple(beta)
@@ -779,6 +801,8 @@ def prod(items):
 __all__ = [
     "Partition",
     "apply_e_map",
+    "block_pos",
+    "block_spans",
     "brute_fillings",
     "column_antisymmetrization",
     "dim_sum_and_intersection",

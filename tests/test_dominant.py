@@ -40,6 +40,7 @@ from dualweyl.tabloids import (
     tabloid_kind,
 )
 from helpers import (
+    block_spans,
     inverse_schur_numbers,
     kernel_table_all_blocks,
     probe_builder,
@@ -97,15 +98,16 @@ def _one_snake_loop(shape, beta, full, monkeypatch) -> int:
     with monkeypatch.context() as m:
         m.setattr(quotients, "_supplementary", loop)
         m.setattr(quotients, "snake_terms", snake)
-        block = _dominant_block.__wrapped__(shape, beta)
+        reps, _ = _dominant_block.__wrapped__(shape, beta)
         pattern = quotients._pattern.__wrapped__(shape, len(beta), tuple(beta), kind)
-    assert tuple(block.pos) == pattern.r_cols, (shape, beta)
+    assert reps == pattern.r_cols, (shape, beta)
+    pos = {cols: j for j, cols in enumerate(reps)}
     reference, flat = [], 0
     for cols in pattern.r_cols:
         for i, j in equal_boxes(cols):
             flat += len(cols[j]) == 1
             image = straighten_terms(real_snake(cols, i, j, kind), kind, 2)
-            if mask := sum(1 << block.pos[t] for t in image):
+            if mask := sum(1 << pos[t] for t in image):
                 reference.append(mask)
     assert taken == [tuple(reference)] * 2, (shape, beta)
     assert pattern.supplementary == tuple(reference)
@@ -129,13 +131,14 @@ def test_dominant_blocks_match_the_full_build_block_by_block(p, monkeypatch):
             for shape in partitions_of(n):
                 for model in ("nabla", "gtensor"):
                     kind = tabloid_kind(model, p)
-                    full = _build(shape, len(beta), p, kind)._blocks.get(beta)
-                    expected = full.size - full.span.dim if full else 0
+                    module = _build(shape, len(beta), p, kind)
+                    full = module._layout.blocks.get(beta)
+                    expected = full.size - module._spans[full.key].dim if full else 0
                     if kind is ALT_COLUMN:
                         got = kostka_number(shape, beta)
                     else:
-                        block = _dominant_block(shape, beta)
-                        got = block.size - block.span.dim
+                        reps, span = _dominant_block(shape, beta)
+                        got = len(reps) - span.dim
                         if full:
                             flat += _one_snake_loop(shape, beta, full, monkeypatch)
                     assert got == expected, (shape, model, beta)
@@ -156,12 +159,12 @@ def test_r_coordinates_of_the_kernel_generators():
     for n in range(2, 7):
         for beta in partitions_of(n):
             for shape in partitions_of(n):
-                block = _dominant_block(shape, beta)
-                reps = list(block.pos)
+                reps, span = _dominant_block(shape, beta)
+                pos = {cols: j for j, cols in enumerate(reps)}
                 repeat = [has_column_repeat(cols) for cols in reps]
-                for row in block.span.basis_rows():
+                for row in span.basis_rows():
                     assert all(repeat[j] for j, c in enumerate(row) if c), beta
-                probe = probe_builder(block.span)
+                probe = probe_builder(span)
                 for j, rep in enumerate(repeat):
                     if rep:
                         probe.add_mask(1 << j)
@@ -171,7 +174,7 @@ def test_r_coordinates_of_the_kernel_generators():
                 for cols in full:
                     if has_column_repeat(cols):
                         terms = straighten_terms({cols: 1}, kind, 2)
-                        mask = sum(1 << block.pos[t] for t in terms)
+                        mask = sum(1 << pos[t] for t in terms)
                         assert not probe.residual_mask(mask)
                         checked += 1
     assert checked == 965
@@ -195,7 +198,7 @@ def test_the_construction_is_the_inverse_schur_image_by_definition():
                     assert block == merged == coinvariants, (shape, beta, p)
                     cases += 1
                     if p == 2:
-                        supplementary += bool(_dominant_block(shape, beta).span.dim)
+                        supplementary += bool(_dominant_block(shape, beta)[1].dim)
     assert (cases, supplementary) == (868, 303)
 
 
@@ -208,11 +211,11 @@ def test_kernel_count_matches_an_elimination_probe():
         for shape in partitions_of(n):
             grown = {}
             for beta in partitions_of(n):
-                block = _dominant_block(shape, beta)
-                probe = probe_builder(block.span)
+                reps, span = _dominant_block(shape, beta)
+                probe = probe_builder(span)
                 grown[beta] = sum(
                     probe.add_mask(1 << j)
-                    for cols, j in block.pos.items()
+                    for j, cols in enumerate(reps)
                     if has_column_repeat(cols)
                 )
             for d in range(1, n + 1):
@@ -364,7 +367,7 @@ def test_dominant_rep_bound_holds():
                 for which, p in (("nabla", 3), ("nabla", 2), ("gtensor", 3)):
                     assert dominant_rep_bound(which, shape, d, p) == n
                 held = sum(
-                    1 + _dominant_block(shape, beta).size
+                    1 + len(_dominant_block(shape, beta)[0])
                     for beta in partitions_of(n)
                     if len(beta) <= d
                 )
@@ -385,7 +388,7 @@ def test_module_dim_rejects_bad_input():
 
 
 def _ranks(module):
-    return {w: block.span.dim for w, block in module._blocks.items()}
+    return {w: span.dim for w, span in block_spans(module).items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,7 +417,7 @@ def test_basic_rank_is_not_orbit_invariant():
     # rank gain is no sum of dominant-block gains over orbits. It is a
     # count instead: the basic rank of a block is its number of tabloids
     # that are not row semistandard, whatever the weight.
-    blocks = build_gtensor_specht(Partition((2, 2, 1)), 3, 2)._blocks
-    orbit = set(permutations((4, 1, 0)))
-    assert {blocks[w].basic_rank for w in orbit} == {0, 1}
-    assert {blocks[w].span.dim for w in orbit} == {1}
+    module = build_gtensor_specht(Partition((2, 2, 1)), 3, 2)
+    keys = {module._layout.blocks[w].key for w in permutations((4, 1, 0))}
+    assert {module._basic_ranks[key] for key in keys} == {0, 1}
+    assert {module._spans[key].dim for key in keys} == {1}

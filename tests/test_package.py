@@ -13,7 +13,7 @@ import pytest
 import dualweyl
 from dualweyl.garnir import GarnirLabel
 from dualweyl.partitions import Partition
-from dualweyl.quotients import QuotientModule, _Block, build_dual_weyl
+from dualweyl.quotients import QuotientModule, _Block, _Layout, build_dual_weyl
 from dualweyl.records import FrozenRecordError
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
@@ -107,7 +107,9 @@ def _records():
     basis = build_basis(shape, 3, ALT_COLUMN)
     t = basis.rep(0)
     module = build_dual_weyl(shape, 3, 3)
-    block = next(iter(module._blocks.values()))
+    layout = module._layout
+    block = layout.order[0]
+    spans, basic_ranks = dict(module._spans), dict(module._basic_ranks)
     label = (t, ((1, 1), (2, 1)), ((1, 2),))
     return [
         (SignedTabloid(t, -1), SignedTabloid(Tableau(t.cols), -1), True),
@@ -118,8 +120,9 @@ def _records():
         ),
         (TabloidVector(basis, 3, {0: 1}), TabloidVector(basis, 3, {0: 1}), False),
         (GarnirLabel(*label), GarnirLabel(*label), True),
-        (block, _Block(block.indices, dict(block.pos), block.span), False),
-        (module, QuotientModule(module.ambient, module.p, module._blocks), None),
+        (block, _Block(block.indices, block.key), True),
+        (layout, _Layout(basis, dict(layout.blocks)), True),
+        (module, QuotientModule(layout, 3, spans, basic_ranks), None),
     ]
 
 
@@ -137,9 +140,9 @@ def test_records_refuse_assignment_and_deletion():
 
 
 def test_records_compare_as_the_dataclasses_did():
-    # Equal fields make equal records, but the basis index is not
-    # compared, a vector or a block (a dict field) is unhashable, and a
-    # module is equal only to itself.
+    # Equal fields make equal records, but the basis index and a layout's
+    # blocks and index are not compared, a vector (a dict field) is
+    # unhashable, and a module is equal only to itself.
     for record, twin, hashable in _records():
         assert record == record and not record != record
         assert record != object()
@@ -168,7 +171,7 @@ def test_records_copy_and_show_their_fields():
     module = _records()[-1][0]
     assert repr(module) == f"QuotientModule(ambient={module.ambient!r}, p=3)"
     # A basis, a vector and a module pickle, and a module copies, rebuilding
-    # the basis index and the module's block index from what they hold.
+    # the basis index and the layout's coordinate index from what they hold.
     for twin in (pickle.loads(pickle.dumps(basis)), copy.copy(basis)):
         assert twin == basis and twin.index == basis.index
     vector = _records()[2][0]

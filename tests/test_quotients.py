@@ -29,6 +29,8 @@ from dualweyl.tabloids import (
     vector_from_terms,
 )
 from helpers import (
+    block_pos,
+    block_spans,
     brute_fillings,
     family_rank,
     packed_weight,
@@ -190,6 +192,14 @@ def test_straighten_worked_example():
 def test_straighten_refuses_an_entry_above_d():
     with pytest.raises(ValueError, match="entry 3 exceeds d=2"):
         straighten(Tableau(((1, 3), (1,))), Partition((2, 1)), 2, 3)
+
+
+def test_straighten_refuses_a_tableau_of_another_shape():
+    # The column heights must be those of the stated shape: a tableau of
+    # another shape with as many boxes, or with more, is refused.
+    for cols in (((1, 2), (1,)), ((1,), (1,), (2,), (3,)), ((1, 2, 3),)):
+        with pytest.raises(ValueError, match="does not have the stated shape"):
+            straighten(Tableau(cols), Partition((3,)), 3, 3)
 
 
 def test_straighten_zero_on_repeated_column():
@@ -390,11 +400,11 @@ def _reduce_by_weight(module, coords: dict[int, int]) -> dict[int, int]:
         parts.setdefault(weight_of(basis.cols[i], basis.d), {})[i] = c
     out = {}
     for w, part in parts.items():
-        block = module._blocks[w]
+        block = module._layout.blocks[w]
         dense = [0] * block.size
         for i, c in part.items():
             dense[block.indices.index(i)] = c
-        reduced = reduce_oracle(block.span.basis_rows(), dense, p)
+        reduced = reduce_oracle(module._spans[block.key].basis_rows(), dense, p)
         out.update({block.indices[j]: c for j, c in enumerate(reduced) if c})
     return out
 
@@ -449,18 +459,21 @@ def test_a_coordinate_out_of_range_is_refused(build, p):
 
 
 def test_module_index_needs_blocks_that_partition_the_coordinates():
+    # The layout indexes the coordinates of its blocks, which must be a
+    # partition: a forged layout that drops a block, or that then holds
+    # one block twice, is refused.
     from dualweyl.partitions import InvariantError
-    from dualweyl.quotients import QuotientModule
+    from dualweyl.quotients import _Layout
 
-    module = build_gtensor_specht(Partition((2, 1)), 3, 2)
-    blocks = dict(module._blocks)
+    layout = build_gtensor_specht(Partition((2, 1)), 3, 2)._layout
+    blocks = dict(layout.blocks)
     blocks.popitem()
     with pytest.raises(InvariantError, match="partition"):
-        QuotientModule(module.ambient, 2, blocks)
+        _Layout(layout.basis, blocks)
     w, block = next(iter(blocks.items()))
     blocks[w + (0,)] = block  # one block twice
     with pytest.raises(InvariantError, match="partition"):
-        QuotientModule(module.ambient, 2, blocks)
+        _Layout(layout.basis, blocks)
 
 
 def test_block_spans_match_full_ambient_spans():
@@ -506,8 +519,7 @@ def test_block_spans_are_pinned():
                         module = build(shape, d, p)
                         if build is build_gtensor_specht:
                             assert module.supplementary_rank_gain == 0
-                        for w, block in sorted(module._blocks.items()):
-                            s = block.span
+                        for w, s in sorted(block_spans(module).items()):
                             key = (build.__name__, tuple(shape), d, p, w,
                                    s.pivot_indices(), s.basis_rows())
                             digest.update(repr(key).encode())
@@ -524,10 +536,10 @@ def test_block_spans_are_pinned_at_two():
             for shape in partitions_of(n):
                 for d in range(1, 5):
                     module = build(shape, d, 2)
-                    for w, block in sorted(module._blocks.items()):
-                        s = block.span
+                    for w, block in sorted(module._layout.blocks.items()):
+                        s = module._spans[block.key]
                         key = (build.__name__, tuple(shape), d, w, s.pivot_indices(),
-                               s.basis_rows(), block.basic_rank)
+                               s.basis_rows(), module._basic_ranks[block.key])
                         digest.update(repr(key).encode())
                         blocks += 1
     assert blocks == 685
@@ -622,7 +634,7 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     module = quotients._build.__wrapped__(shape, 6, p, kind)
     assert created == []
     assert len(snakes) == basic + supplementary == len(set(snakes))
-    keys = {packed_weight(w) for w in module._blocks}
+    keys = {packed_weight(w) for w in module._layout.blocks}
     patterns = [quotients._pattern(shape, 6, key, kind) for key in keys]
     assert sum(len(pattern.supplementary) for pattern in patterns) == nonzero
     assert module.dim == 1050
@@ -805,14 +817,16 @@ def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
     # The thm1 sweep: every shape of at most 6 boxes at d = 4, built at
     # p = 3 and then p = 5. The builds share one layout and one set of
     # patterns, straightened over the integers once, so each basic snake is
-    # expanded once in all: the p = 5 build expands no snake and groups no
-    # tabloid, and neither does a `straighten` of any tabloid of the built
-    # space. Every block at both primes equals the block eliminated on its
-    # own.
+    # expanded once in all: the p = 5 build expands no snake, groups no
+    # tabloid and makes no block record, and reads the p = 3 module's
+    # coordinate index itself; neither does a `straighten` of any tabloid
+    # of the built space expand or group. Every block at both primes equals
+    # the block eliminated on its own.
     from dualweyl import quotients
 
     real_snake, real_group = quotients.snake_terms, quotients._make_blocks
-    calls, grouped = [], []
+    real_block = quotients._Block.__init__
+    calls, grouped, made = [], [], []
 
     def counting(*args):
         calls.append(args)
@@ -822,29 +836,39 @@ def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
         grouped.extend(reps)
         return real_group(reps, d)
 
+    def making(self, *args):
+        made.append(args)
+        real_block(self, *args)
+
     quotients._layout.cache_clear()
     quotients._pattern.cache_clear()
     monkeypatch.setattr(quotients, "snake_terms", counting)
     monkeypatch.setattr(quotients, "_make_blocks", grouping)
+    monkeypatch.setattr(quotients._Block, "__init__", making)
     expected = 0
     for n in range(1, 7):
         for shape in partitions_of(n):
             expected += _pattern_snakes(shape, 4, ALT_COLUMN)[0]
             for p in (3, 5):
-                before = len(calls), len(grouped)
+                before = len(calls), len(grouped), len(made)
                 module = quotients._build.__wrapped__(shape, 4, p, ALT_COLUMN)
                 if p == 5:
-                    assert (len(calls), len(grouped)) == before, shape
+                    assert (len(calls), len(grouped), len(made)) == before, shape
+                    assert module._layout.block_no is first.block_no, shape
+                    assert module._layout.local is first.local, shape
+                first = module._layout
                 oracle, _ = unshared_build(shape, 4, p, ALT_COLUMN)
-                for w, block in module._blocks.items():
-                    want = oracle[w]
-                    assert block.span.pivot_indices() == want.span.pivot_indices()
-                    assert block.span.basis_rows() == want.span.basis_rows()
-                    assert block.basic_rank == want.basic_rank
+                for w, block in module._layout.blocks.items():
+                    _, want, basic_rank = oracle[w]
+                    span = module._spans[block.key]
+                    assert span.pivot_indices() == want.pivot_indices()
+                    assert span.basis_rows() == want.basis_rows()
+                    assert module._basic_ranks[block.key] == basic_rank
             before = len(calls), len(grouped)
             for cols in module.ambient.cols:
                 straighten(Tableau(cols), shape, 4, 5)
             assert (len(calls), len(grouped)) == before, shape
+    assert made
     assert len(calls) == len(set(calls)) == expected
 
 
@@ -902,27 +926,35 @@ def test_shared_blocks_match_the_unshared_build(p):
                 for kind in dict.fromkeys((skew_column(p), ALT_COLUMN)):
                     module = _build.__wrapped__(shape, d, p, kind)
                     oracle, _ = unshared_build(shape, d, p, kind)
-                    assert module._blocks.keys() == oracle.keys()
+                    layout = module._layout
+                    assert layout.blocks.keys() == oracle.keys()
                     spans = {}
-                    for w, block in module._blocks.items():
-                        want = oracle[w]
-                        assert type(block.span) is Subspace
-                        assert block.span.pivot_indices() == want.span.pivot_indices()
-                        assert block.span.basis_rows() == want.span.basis_rows()
-                        assert block.basic_rank == want.basic_rank
-                        assert block.pos == want.pos
-                        assert spans.setdefault(packed_weight(w), block.span) is block.span
+                    for w, block in layout.blocks.items():
+                        pos, want, basic_rank = oracle[w]
+                        span = module._spans[block.key]
+                        assert type(span) is Subspace
+                        assert span.pivot_indices() == want.pivot_indices()
+                        assert span.basis_rows() == want.basis_rows()
+                        assert module._basic_ranks[block.key] == basic_rank
+                        # the coordinate index against the reference grouping
+                        assert {
+                            layout.basis.cols[i]: layout.local[i] for i in block.indices
+                        } == pos
+                        assert all(layout.order[layout.block_no[i]] is block
+                                   for i in block.indices)
+                        assert spans.setdefault(packed_weight(w), span) is span
                     assert len({id(s) for s in spans.values()}) == len(spans)
-                    shared += len(module._blocks) - len(spans)
+                    shared += len(layout.blocks) - len(spans)
     assert shared > 0
 
 
 @pytest.mark.parametrize("forge", ["drop", "rotate"])
 def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, forge):
-    # Forge a later block of a packed weight: one representative fewer, or
-    # the same representatives starting at another one. The build reuses
-    # the first block's span, and `straighten` reads the pattern of its
-    # tabloid's block, only after checking both.
+    # Forge a later block of a packed weight: one representative fewer (the
+    # last one gets a block of its own, so the layout still partitions the
+    # coordinates), or the same representatives starting at another one.
+    # The build reuses the first block's span, and `straighten` reads the
+    # pattern of its tabloid's block, only after checking both.
     from dualweyl import quotients
     from dualweyl.partitions import InvariantError
 
@@ -935,9 +967,13 @@ def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, for
         for w in blocks:
             groups.setdefault(packed_weight(w), []).append(w)
         w = next(ws for ws in groups.values() if len(ws) > 1 and blocks[ws[0]].size > 1)[-1]
-        ix = blocks[w].indices
-        ix = ix[:-1] if forge == "drop" else ix[1:] + ix[:1]
-        blocks[w] = quotients._Block(ix, {reps[i]: j for j, i in enumerate(ix)})
+        ix, key = blocks[w].indices, blocks[w].key
+        if forge == "drop":
+            blocks[w + (0,)] = quotients._Block(ix[-1:], key)
+            ix = ix[:-1]
+        else:
+            ix = ix[1:] + ix[:1]
+        blocks[w] = quotients._Block(ix, key)
         weights.append(w)
         return blocks
 
@@ -987,7 +1023,7 @@ def test_cold_builds_create_no_tableau(monkeypatch):
         # enumerated: the mod-2 skew block holds 4 of its 5 skew tabloids,
         # and the Kostka number counts the one semistandard tableau
         if p == 2:
-            reps = quotients._dominant_block.__wrapped__(shape, shape).size
+            reps = len(quotients._dominant_block.__wrapped__(shape, shape)[0])
         else:
             reps = kostka_number.__wrapped__(shape, shape)
         assert (basis.dim, reps) == {2: (200, 4), 3: (24, 1)}[p]
@@ -1080,46 +1116,50 @@ def test_every_cache_is_bounded():
 
 def test_every_cached_value_is_frozen():
     # Every caller of a cache gets the same object, so none may change it:
-    # attribute assignment fails on the module, its blocks, a dominant
-    # block, a pattern (whose fields are tuples), a basis and the blocks of
-    # a layout, and item assignment on the decomposition rows, one row, the
-    # basis index and a layout's block mapping (the layout is a tuple).
-    # Each assignment writes back the value it finds, so a mutable object
-    # would not be spoilt for later callers. The template is a tuple and the
-    # Kostka number an int. A new cache must join this test.
+    # attribute assignment fails on the module, a layout and its blocks, a
+    # pattern (whose fields are tuples) and a basis, and item assignment
+    # on the decomposition rows, one row, the basis index, a layout's block
+    # mapping and both arrays of its coordinate index, a module's spans and
+    # basic ranks, and a dominant block (a tuple). Each assignment writes
+    # back the value it finds, so a mutable object would not be spoilt for
+    # later callers. The template is a tuple and the Kostka number an int.
+    # A new cache must join this test.
     from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_template
-    from dualweyl.quotients import _build, _dominant_block, _layout, _pattern
+    from dualweyl.quotients import _Layout, _build, _dominant_block, _layout, _pattern
     from dualweyl.records import FrozenRecordError
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
     dominant = _dominant_block(Partition((2, 2)), Partition((2, 2)))
-    w = next(w for w, b in module._blocks.items() if b.size > 1)
+    layout = _layout(shape, 3, skew_column(2))
+    assert isinstance(layout, _Layout) and layout.basis == module.ambient
+    w = next(w for w, b in layout.blocks.items() if b.size > 1)
     pattern = _pattern(shape, 3, packed_weight(w), skew_column(2))
     assert all(isinstance(getattr(pattern, f), tuple) for f in pattern.__slots__)
-    layout = _layout(shape, 3, skew_column(2))
-    assert isinstance(layout, tuple) and layout[0] == module.ambient
     basis = build_basis(shape, 3, ALT_COLUMN)
     rows = decomposition_rows(3)
     assert isinstance(_snake_template(2, 1, 0), tuple)
     assert isinstance(kostka_number(shape, Partition((1, 1, 1))), int)
     frozen = [
-        (module, "ambient"),
-        *((block, "span") for block in module._blocks.values()),
-        (dominant, "span"),
+        *((module, f) for f in module.__slots__),
+        *((lay, f) for lay in (layout, module._layout) for f in lay.__slots__),
+        *((block, f) for block in layout.order for f in block.__slots__),
         *((pattern, f) for f in pattern.__slots__),
         (basis, "index"),
-        *((block, "pos") for block in layout[1].values()),
     ]
     for obj, attr in frozen:
         with pytest.raises(FrozenRecordError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
-    for mapping in (rows, rows[mu], basis.index, layout[1]):
-        key = next(iter(mapping))
+    mappings = (rows, rows[mu], basis.index, layout.blocks, module._spans,
+                module._basic_ranks, layout.block_no, layout.local)
+    for mapping in mappings:
+        key = 0 if isinstance(mapping, memoryview) else next(iter(mapping))
         with pytest.raises(TypeError):
             mapping[key] = mapping[key]
+    with pytest.raises(TypeError):
+        dominant[1] = dominant[1]
     assert set(_package_caches()) == {
         "quotients._build",
         "quotients._dominant_block",
@@ -1133,10 +1173,12 @@ def test_every_cached_value_is_frozen():
 
 
 def _reachable(root):
-    """Every object reachable from root through containers, blocks and
+    """Every object reachable from root through containers, records and
     spans (not through classes or modules)."""
+    from types import MappingProxyType
+
     from dualweyl.gfp import SpanBuilder, Subspace
-    from dualweyl.quotients import _Block
+    from dualweyl.records import Record
 
     seen, todo = {}, [root]
     while todo:
@@ -1144,13 +1186,17 @@ def _reachable(root):
         if id(obj) in seen:
             continue
         seen[id(obj)] = obj
-        if isinstance(obj, (dict, list, tuple, set)):
+        if isinstance(obj, (dict, list, tuple, set, MappingProxyType)):
             todo.extend(gc.get_referents(obj))
-        elif isinstance(obj, _Block):
+        elif isinstance(obj, Record):
             todo.extend(getattr(obj, f) for f in obj.__slots__)
         elif isinstance(obj, (Subspace, SpanBuilder)):
             todo.append(vars(obj))
     return seen.values()
+
+
+def _is_cols(key) -> bool:
+    return isinstance(key, tuple) and bool(key) and isinstance(key[0], tuple)
 
 
 def test_built_module_holds_only_frozen_blocks():
@@ -1159,17 +1205,22 @@ def test_built_module_holds_only_frozen_blocks():
 
     for p in (2, 3):
         module = _build.__wrapped__(Partition((2, 1)), 3, p, skew_column(p))
-        assert module._blocks
-        assert all(type(b.span) is Subspace for b in module._blocks.values())
-        reachable = _reachable(module._blocks)
+        first = block_spans(module)
+        assert first
+        assert all(type(s) is Subspace for s in first.values())
+        reachable = _reachable(module)
         assert not any(isinstance(x, SpanBuilder) for x in reachable)
+        # the basis index is the only map from a tabloid to a coordinate
+        by_tabloid = [
+            x for x in reachable
+            if isinstance(x, dict) and x and _is_cols(next(iter(x)))
+        ]
+        assert by_tabloid == gc.get_referents(module.ambient.index)
         # (2,1,0), (2,0,1) and (0,2,1) share one frozen span, and so on
-        spans = {id(b.span) for b in module._blocks.values()}
-        assert len(spans) < len(module._blocks)
+        assert len({id(s) for s in first.values()}) < len(first)
         # every read uses the frozen blocks, shared ones included, with no
         # refreezing and no change to their rows
-        first = {w: b.span for w, b in module._blocks.items()}
-        rows = {w: b.span.basis_rows() for w, b in module._blocks.items()}
+        rows = {w: s.basis_rows() for w, s in first.items()}
         basis = module.ambient
         for i, j in ((0, 3), (1, basis.dim - 1), (basis.dim - 2, 5)):
             probe = vector_from_terms(basis, p, {basis.rep(i): 1, basis.rep(j): 2})
@@ -1177,8 +1228,8 @@ def test_built_module_holds_only_frozen_blocks():
             module.quotient_indices()
             reduced = module.reduce(probe)
             assert module.relations_contain(probe.add(reduced.scale(-1)))
-        assert all(b.span is first[w] for w, b in module._blocks.items())
-        assert all(b.span.basis_rows() == rows[w] for w, b in module._blocks.items())
+        assert all(s is first[w] for w, s in block_spans(module).items())
+        assert all(s.basis_rows() == rows[w] for w, s in block_spans(module).items())
 
 
 def test_cached_dominant_blocks_hold_only_frozen_spans():
@@ -1196,14 +1247,14 @@ def test_cached_dominant_blocks_hold_only_frozen_spans():
             module_dim(which, shape, 5, p)
     keys = list(partitions_of(5, 5))
     blocks = {beta: _dominant_block(shape, beta) for beta in keys}
-    assert all(type(b.span) is Subspace for b in blocks.values())
-    rows = {beta: b.span.basis_rows() for beta, b in blocks.items()}
+    assert all(type(span) is Subspace for _, span in blocks.values())
+    rows = {beta: span.basis_rows() for beta, (_, span) in blocks.items()}
     assert not verify_iso(shape, 5, 2)
     assert u_lambda_dim(shape, 5) == (5**4 + 5 * 5**2) // 6
     assert _dominant_block.cache_info().misses == len(keys)
     for beta, block in blocks.items():
         assert _dominant_block(shape, beta) is block
-        assert block.span.basis_rows() == rows[beta]
+        assert block[1].basis_rows() == rows[beta]
     assert not any(isinstance(x, SpanBuilder) for x in _reachable(blocks))
 
 
@@ -1248,7 +1299,8 @@ def test_inhomogeneous_relation_is_refused():
     basis = build_basis(Partition((2, 1)), 2, skew_column(2))
     blocks = _make_blocks(basis.cols, 2)
     block = blocks[(2, 1)]
+    pos = block_pos(basis.cols, block)
     other = next(cols for cols in basis.cols if weight_of(cols, 2) == (1, 2))
-    terms = {next(iter(block.pos)): 1, other: 1}
+    terms = {next(iter(pos)): 1, other: 1}
     with pytest.raises(InvariantError):
-        _push_terms(SpanBuilder(block.size, 2), terms, block.pos, 2)
+        _push_terms(SpanBuilder(block.size, 2), terms, pos, 2)
