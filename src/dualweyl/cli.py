@@ -7,9 +7,9 @@ Exit codes: 0 on success, 1 on a failed assertion or golden mismatch,
 A `dim` call runs in a fresh process, so the module imports at the top
 only `argparse` and `partitions`. An alternating `dim` query (the dual
 Weyl module at every p, the skew construction at odd p) is the
-hook-content count and loads `tabloids` for its kind only; a mod-2 skew
-query loads `quotients`; `verify` and `table` load `suites` and the
-modules it runs.
+hook-content count, with its kind and forecast from `partitions`, and
+loads nothing more; a mod-2 skew query loads `quotients`; `verify` and
+`table` load `suites` and the modules it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ import os
 import sys
 import time
 
-from .partitions import hook_content_dim, hook_content_log10, parse_partition
+from .partitions import (
+    DIM_REP_BUDGET,
+    alternating_forecast,
+    hook_content_dim,
+    hook_content_log10,
+    parse_partition,
+)
 
 SCHEMA = "dualweyl-report/1"
 # The keys of `suites.SUITE_UNITS`, in order, and "all".
@@ -103,8 +109,6 @@ def cmd_dim(args) -> int:
     if args.which == "u" and args.p != 2:
         raise ValueError("the kernel dimension is a characteristic-2 notion")
     query = f"{args.which} of {args.lam} at d={args.d}, p={args.p}"
-    from .tabloids import DIM_REP_BUDGET, alternating_forecast
-
     # An alternating dimension is the hook-content count: no construction
     # is loaded for it.
     bound = alternating_forecast(args.which, shape, args.d, args.p)

@@ -19,33 +19,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-
-# Miller-Rabin to these bases is exact below _PRIME_LIMIT (Sorenson and
-# Webster, Math. Comp. 86, 2017).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; refuses p at or above _PRIME_LIMIT."""
-    if p in _WITNESSES:  # the primes that builds check, answered at once
-        return True
-    if p >= _PRIME_LIMIT:
-        raise ValueError(f"p must be below {_PRIME_LIMIT}, got {p}")
-    if p < 2 or any(p % a == 0 for a in _WITNESSES):
-        return False
-    twos = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2^twos
-    odd = (p - 1) >> twos
-    for a in _WITNESSES:
-        x = pow(a, odd, p)
-        if x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(twos)):
-            return False
-    return True
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+from .partitions import _check_prime
 
 
 def _reduce_mask(mask: int, piv: dict[int, int], pivmask: int) -> int:

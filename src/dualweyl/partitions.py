@@ -1,5 +1,9 @@
 """Partitions, dominant weights and their S_d-orbits, hook/content
-counting, and the binomial parity fact of the one-letter case."""
+counting, and the binomial parity fact of the one-letter case; and what an
+alternating `dim` query reads besides: the prime check, the rule that
+gives a construction at p its tabloid kind, and the query's forecast
+(`alternating_forecast`, `DIM_REP_BUDGET`). `cli` loads this module and
+no other to answer such a query."""
 
 from __future__ import annotations
 
@@ -216,3 +220,65 @@ def min_odd_binomial_index(c: int) -> int | None:
         raise ValueError("c must be at least 2")
     low = c & (-c)
     return None if low == c else low
+
+
+# ---------------------------------------------------------------------------
+# Primes, the tabloid kind of a construction, and the alternating forecast:
+# an alternating `dim` query needs nothing else.
+
+# Miller-Rabin to these bases is exact below _PRIME_LIMIT (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; refuses p at or above _PRIME_LIMIT."""
+    if p in _WITNESSES:  # the primes that builds check, answered at once
+        return True
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"p must be below {_PRIME_LIMIT}, got {p}")
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return False
+    twos = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2^twos
+    odd = (p - 1) >> twos
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(twos)):
+            return False
+    return True
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def is_alternating(model: str, p: int) -> bool:
+    """Whether the construction ``model`` (``"nabla"`` or ``"gtensor"``)
+    lives at p on the alternating tabloid kind: every one but the skew
+    construction at p = 2. The one rule from a (model, p) pair to a kind,
+    which `tabloids.tabloid_kind` reads."""
+    _check_prime(p)
+    if model not in ("nabla", "gtensor"):
+        raise ValueError(f"unknown module {model!r}")
+    return model == "nabla" or p != 2
+
+
+# `dim` refuses a query whose forecast work (this forecast, or on the mod-2
+# skew kind `quotients.dominant_rep_bound`) is more than this; near it a
+# query takes seconds.
+DIM_REP_BUDGET = 100_000
+
+
+def alternating_forecast(which: str, shape: Partition, d: int, p: int) -> int | None:
+    """The forecast work of a `dim` query (``"nabla"``, ``"gtensor"``, or
+    ``"u"`` on the skew construction) whose kind is alternating, and None
+    on the mod-2 skew kind. The alternating kind has no relation left, so
+    the dimension is the hook-content count, which costs its n factors,
+    each once per 30-bit digit (the digit of Python's integers) of d + n."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    if not is_alternating("gtensor" if which == "u" else which, p):
+        return None
+    return shape.n * (((d + shape.n).bit_length() + 29) // 30)

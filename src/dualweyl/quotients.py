@@ -22,22 +22,26 @@ here.
 
 Nothing before the freeze depends on p, and two bounded caches hold it.
 `_layout` lists a tabloid space once, groups it into its weight blocks
-(`_make_blocks`) and indexes each ambient coordinate by its block and
+(`_make_blocks`), and those by packed weight (the nonzero entries of the
+weight, in order), and indexes each ambient coordinate by its block and
 local coordinate. `_pattern` straightens the block of each packed weight
-(the nonzero entries of the weight, in order) padded with zeros, over
-the integers or as masks. A block reads its letters only through
-comparisons, so renaming them, in order, onto 1..k maps its
-representatives and snakes onto those of its packed weight: every block
-of that packed weight reads the pattern, once checked to pack onto it.
+padded with zeros, over the integers or as masks. A block reads its
+letters only through comparisons, so renaming them, in order, onto 1..k
+maps its representatives and snakes onto those of its packed weight:
+every block of that packed weight reads the pattern, which `_pattern`
+checks each of them to pack onto once, when it is made.
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
 full build (`_build`) adds to the layout only `_freeze`'s canonical span
 of each pattern mod p, so the builds of one kind at every prime share one
 layout and one set of patterns, and a read reduces each block's row
 straight against the frozen reduced echelon rows (`residual_mask` at
-p = 2, `residual_dict` at odd p); `straighten` reads the image of its
-tabloid off its pattern. Module objects and the thm1 check use the full
-build, keyed by tabloid kind, so one for both constructions at odd p.
+p = 2, `residual_dict` at odd p); `straighten` ranks its tabloid
+(`TabloidBasis.rank`) and reads its image off its pattern. No read looks
+a tabloid up in a table: `apply_transvection` moves a coordinate by the
+cached rank moves of the columns that hold the source letter
+(`_column_moves`). Module objects and the thm1 check use the full build,
+keyed by tabloid kind, so one for both constructions at odd p.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -63,16 +67,18 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations, product
-from math import comb, prod
+from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .garnir import equal_boxes, snake_box, snake_terms
-from .gfp import SpanBuilder, Subspace, _bits, _check_prime
+from .gfp import SpanBuilder, Subspace, _bits
 from .partitions import (
+    DIM_REP_BUDGET,
     InvariantError,
     Partition,
+    _check_prime,
+    alternating_forecast,
     count_syt,
     hook_content_dim,
     orbit,
@@ -83,14 +89,14 @@ from .records import Record
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux, weight_of
 from .tabloids import (
     ALT_COLUMN,
-    DIM_REP_BUDGET,
     TabloidBasis,
     TabloidKind,
     TabloidVector,
     _out_of_range,
-    alternating_forecast,
     build_basis,
     canonical_cols,
+    column_count,
+    column_rank,
     has_column_repeat,
     skew_column,
     sort_column,
@@ -120,17 +126,21 @@ class _Block(Record):
         return len(self.indices)
 
 
-class _Layout(Record, hidden=("blocks", "order", "block_no", "local")):
+class _Layout(Record, hidden=("blocks", "packs", "order", "block_no", "local")):
     """A tabloid ``basis`` grouped into weight ``blocks`` (read-only),
-    numbered in ``order``; ``block_no`` and ``local``, read-only 4-byte
-    arrays, give each coordinate its block's number and its local
-    coordinate there. The basis index is the only map from a tabloid to a
-    coordinate. Layouts compare and show themselves by their basis."""
+    numbered in ``order``, and the same blocks grouped by packed weight in
+    ``packs`` (read-only, tuples); ``block_no`` and ``local``, read-only
+    4-byte arrays, give each coordinate its block's number and its local
+    coordinate there. A tabloid's coordinate is its rank in the basis.
+    Layouts compare and show themselves by their basis."""
 
-    __slots__ = ("basis", "blocks", "order", "block_no", "local")
+    __slots__ = ("basis", "blocks", "packs", "order", "block_no", "local")
 
     def __init__(self, basis: TabloidBasis, blocks: dict[tuple[int, ...], _Block]):
         order = tuple(blocks.values())
+        packs: dict[tuple[int, ...], list[_Block]] = {}
+        for block in order:
+            packs.setdefault(block.key, []).append(block)
         unset = 2**32 - 1
         block_no = array("I", [unset]) * basis.dim
         local = array("I", [0]) * basis.dim
@@ -142,6 +152,8 @@ class _Layout(Record, hidden=("blocks", "order", "block_no", "local")):
             raise InvariantError("the blocks do not partition the ambient coordinates")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "blocks", MappingProxyType(blocks))
+        packs = {key: tuple(group) for key, group in packs.items()}
+        object.__setattr__(self, "packs", MappingProxyType(packs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "block_no", memoryview(block_no).toreadonly())
         object.__setattr__(self, "local", memoryview(local).toreadonly())
@@ -251,11 +263,17 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_basic_ranks")):
 
     def quotient_indices(self) -> list[int]:
         """Ambient indices of the non-pivot coordinates, one per quotient
-        basis element, in increasing order: one pass through the index."""
-        layout = self._layout
-        pivots = [set(self._spans[b.key].pivot_indices()) for b in layout.order]
-        pairs = zip(layout.block_no, layout.local)
-        return [i for i, (k, j) in enumerate(pairs) if j not in pivots[k]]
+        basis element, in increasing order: the non-pivot local coordinates
+        of each packed weight, found once, mapped through the ambient
+        indices of each block of it."""
+        out: list[int] = []
+        for key, blocks in self._layout.packs.items():
+            pivots = set(self._spans[key].pivot_indices())
+            free = [j for j in range(blocks[0].size) if j not in pivots]
+            for block in blocks:
+                out += map(block.indices.__getitem__, free)
+        out.sort()
+        return out
 
 
 def _make_blocks(reps: Sequence[Cols], d: int) -> dict[tuple[int, ...], _Block]:
@@ -291,7 +309,9 @@ def _listed_layout(
     job: str, shape: Partition, d: int, p: int, kind: TabloidKind
 ) -> _Layout:
     """The layout that ``job`` lists, refused with `ValueError` before any
-    tabloid is listed when `_ambient_count` puts it past `BUILD_BUDGET`."""
+    tabloid is listed when `_ambient_count` puts it past `BUILD_BUDGET`.
+    Both the count and the layout are cached, so a repeated call lists and
+    counts nothing."""
     count = _ambient_count(shape, d, kind)
     if count > BUILD_BUDGET:
         raise ValueError(
@@ -311,6 +331,7 @@ def _layout(shape: Partition, d: int, kind: TabloidKind) -> _Layout:
     return _Layout(basis, _make_blocks(basis.cols, d))
 
 
+@lru_cache(maxsize=256)
 def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
     """The number of tabloids of ``kind`` over d letters, in closed form: a
     column of height h holds a set of h letters, or for mod-2 skew a
@@ -322,7 +343,7 @@ def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
     over the budget."""
     count, parts = 1, (*shape, 0)
     for h in range(len(shape), 0, -1):
-        factor = comb(d, h) if kind.zero_on_column_repeats else comb(d + h - 1, h)
+        factor = column_count(h, d, kind.zero_on_column_repeats)
         count *= factor ** min(parts[h - 1] - parts[h], BUILD_BUDGET.bit_length())
         if not count or count > BUILD_BUDGET:
             break
@@ -362,7 +383,8 @@ class _Pattern(Record):
     def check_packs(self, block: _Block, cols: Sequence[Cols]) -> None:
         """Refuse a block over the basis columns ``cols`` unless it packs
         onto this pattern: the same size, and its first representative with
-        its letters packed equal to this pattern's."""
+        its letters packed equal to this pattern's. `_pattern` checks each
+        block of its packed weight once, when it straightens it."""
         first = cols[block.indices[0]]
         if self.size != block.size or self.first != _packed(first):
             raise InvariantError(f"the block of {first} does not pack onto its pattern")
@@ -381,11 +403,16 @@ def _pattern(
     """The pattern of the packed weight ``key``: the block of the layout
     whose weight is ``key`` padded with zeros, straightened. Its letters
     are 1..k already, and it holds no prime, so the builds at every p and
-    `straighten` share it."""
+    `straighten` share it. Every block of the layout with this packed
+    weight is checked here, once, to pack onto it, so no read checks
+    again."""
     layout = _layout(shape, d, kind)
     block = layout.blocks[(*key, *(0,) * (d - len(key)))]
     cols = layout.basis.cols
-    return _straightened_block(tuple(cols[i] for i in block.indices), kind)
+    pattern = _straightened_block(tuple(cols[i] for i in block.indices), kind)
+    for other in layout.packs[key]:
+        pattern.check_packs(other, cols)
+    return pattern
 
 
 def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
@@ -472,20 +499,17 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     tableau that is not row semistandard and, for the mod-2 skew kind, the
     supplementary snakes of the row-semistandard ones (zero on alternating
     tabloids). The module adds to the layout (`_layout`) the span frozen
-    at p from the pattern of each packed weight (`_pattern`) and the
-    pattern's basic rank, once each block of it packs onto the pattern.
-    So a build at a second prime shares the layout, index included, and
-    only freezes. A space of more than `BUILD_BUDGET` tabloids is refused
-    before it is listed."""
+    at p from the pattern of each packed weight (`_pattern`, which checks
+    that each block of it packs onto it) and the pattern's basic rank. So a
+    build at a second prime shares the layout, index included, and only
+    freezes. A space of more than `BUILD_BUDGET` tabloids is refused before
+    it is listed."""
     layout = _listed_layout("the full build", shape, d, p, kind)
-    patterns, spans, basic_ranks = {}, {}, {}
-    for block in layout.order:
-        key = block.key
-        if key not in patterns:
-            pattern = patterns[key] = _pattern(shape, d, key, kind)
-            spans[key] = _freeze(pattern, p)
-            basic_ranks[key] = pattern.size - len(pattern.r_cols)
-        patterns[key].check_packs(block, layout.basis.cols)
+    spans, basic_ranks = {}, {}
+    for key in layout.packs:
+        pattern = _pattern(shape, d, key, kind)
+        spans[key] = _freeze(pattern, p)
+        basic_ranks[key] = pattern.size - len(pattern.r_cols)
     return QuotientModule(layout, p, spans, basic_ranks)
 
 
@@ -668,10 +692,11 @@ def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     representatives modulo the basic snake relations. The basis is listed
     and grouped first (`_layout`), so a space past `BUILD_BUDGET` is
     refused as a full build is. The answer is then read off the pattern of
-    t's block: the image of t's local coordinate, mapped through the local
-    coordinates of the pattern's R and the block's ambient indices. R is a
-    basis modulo the basic snakes, so this is the one straightening of t."""
-    if tuple(map(len, t.cols)) != shape.conjugate():
+    t's block, found by t's rank: the image of t's local coordinate,
+    mapped through the local coordinates of the pattern's R and the
+    block's ambient indices. R is a basis modulo the basic snakes, so this
+    is the one straightening of t."""
+    if tuple(map(len, t.cols)) != _column_heights(shape):
         raise ValueError("tableau does not have the stated shape")
     _check_prime(p)
     if (top := max(map(max, t.cols))) > d:
@@ -681,16 +706,22 @@ def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:
         return TabloidVector(basis, p, {})
-    i = basis.index[cols]
+    i = basis.rank(cols)
     block = layout.order[layout.block_no[i]]
     pattern = _pattern(shape, d, block.key, ALT_COLUMN)
-    pattern.check_packs(block, basis.cols)
     indices, r_pos = block.indices, pattern.r_pos
     coords = {}
     for j, c in pattern.images[layout.local[i]]:
         if c := c * sign % p:
             coords[indices[r_pos[j]]] = c
     return TabloidVector(basis, p, coords)
+
+
+@lru_cache(maxsize=256)
+def _column_heights(shape: Partition) -> tuple[int, ...]:
+    """The column heights of a shape, which `straighten` checks a tableau
+    against on every call."""
+    return tuple(shape.conjugate())
 
 
 def _straighten(
@@ -774,49 +805,49 @@ def apply_transvection(
 ) -> TabloidVector:
     """Expand the substitution sending the source letter to source plus
     target multilinearly over the boxes, canonicalizing each term. It acts
-    column by column (`_column_options`), so the terms of a tabloid are
-    the choices of one option per column, signed by the product of theirs."""
+    column by column, and a column changes only the digit of the
+    coordinate that its rank gives (`TabloidBasis.rank`). So a term's
+    coordinate is the source tabloid's plus, over the columns holding the
+    source letter, the rank move chosen there (`_column_moves`) times the
+    column's weight, and its coefficient is the product of their signs."""
     if p != vec.p:
         raise ValueError(f"transvection over GF({p}) of a vector over GF({vec.p})")
     basis = vec.basis
     d, dim = basis.d, basis.dim
     if not (1 <= source <= d and 1 <= target <= d) or source == target:
         raise ValueError("source and target must be distinct letters in range")
-    options: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    out: dict[Cols, int] = {}
+    strict, cols, weights = basis.kind.zero_on_column_repeats, basis.cols, basis.weights
+    out: dict[int, int] = {}
+    get = out.get
     for idx, coeff in vec.coords.items():
         if not 0 <= idx < dim:
             raise _out_of_range(idx, dim)
-        per_column = []
-        for col in basis.cols[idx]:
-            if (opts := options.get(col)) is None:
-                opts = options[col] = _column_options(col, source, target, basis.kind)
-            per_column.append(opts)
-        for choice in product(*per_column):
-            key, signs = zip(*choice)
-            out[key] = out.get(key, 0) + coeff * prod(signs)
-    return TabloidVector(
-        basis, p, {basis.index[k]: c % p for k, c in out.items() if c % p}
-    )
+        terms = [(idx, coeff)]
+        for col, w in zip(cols[idx], weights):
+            if source in col:
+                moves = _column_moves(col, source, target, d, strict)
+                terms = [(i + move * w, c * s) for i, c in terms for move, s in moves]
+        for i, c in terms:
+            out[i] = get(i, 0) + c
+    return TabloidVector(basis, p, {i: c % p for i, c in out.items() if c % p})
 
 
-def _column_options(
-    col: tuple[int, ...], source: int, target: int, kind: TabloidKind
-) -> list[tuple[tuple[int, ...], int]]:
-    """The sorted columns, with their `sort_column` signs, that
-    substituting target for the source letter at some of the positions of
-    a sorted column gives, one per subset of those positions, less those
-    of sign 0: a column without the source letter is its own only option."""
-    spots = [i for i, x in enumerate(col) if x == source]
-    if not spots:
-        return [(col, 1)]
-    out = []
-    for r in range(len(spots) + 1):
-        for subset in combinations(spots, r):
-            term = list(col)
-            for i in subset:
-                term[i] = target
-            term, sign = sort_column(tuple(term), kind)
-            if sign:
-                out.append((term, sign))
-    return out
+@lru_cache(maxsize=1 << 14)
+def _column_moves(
+    col: tuple[int, ...], source: int, target: int, d: int, strict: bool
+) -> tuple[tuple[int, int], ...]:
+    """The (rank move, coefficient) pairs of a sorted column over d letters
+    (a set when ``strict``, else a multiset) that holds the source letter
+    m times: substituting target at r of those positions gives, for each
+    of the C(m, r) choices, one column, whose `column_rank` is the
+    column's plus the move, signed by `sort_column`; a column of sign 0 is
+    left out. On the alternating kind m is 1."""
+    kind = ALT_COLUMN if strict else skew_column(2)
+    base = column_rank(col, d, strict)
+    first, m = col.index(source), col.count(source)
+    moves = [(0, 1)]
+    for r in range(1, m + 1):
+        term, sign = sort_column((*col[:first], *(target,) * r, *col[first + r:]), kind)
+        if sign:
+            moves.append((column_rank(term, d, strict) - base, comb(m, r) * sign))
+    return tuple(moves)

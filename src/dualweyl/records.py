@@ -7,7 +7,7 @@ equal when they are of one class and their compared fields are equal, and
 the hash is the hash of those fields, so a record that compares a dict is
 unhashable. A class names the fields it neither compares nor shows in its
 repr with ``hidden``: a basis, which (kind, shape, d) fix, is declared
-``class TabloidBasis(Record, hidden=("cols", "index"))``.
+``class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights"))``.
 """
 
 from operator import attrgetter

@@ -5,21 +5,28 @@ Alternating column tabloids model a product of exterior powers, and skew
 column tabloids model the product that agrees with the exterior power away
 from characteristic 2 but keeps repeated column entries alive mod 2. At
 odd p the two are one space, so there are two kinds: the alternating kind
-and the mod-2 skew kind. A basis holds its representatives as column
-tuples; `Tableau` objects are made only at the API boundary (`rep`,
-`terms`, `canonicalize`). `tabloid_kind` maps a construction at p to its
-kind, and `alternating_forecast` forecasts a `dim` query on the
-alternating kind, which `dim` answers without the constructions.
+and the mod-2 skew kind. `tabloid_kind` maps a construction at p to its
+kind, by the rule of `partitions.is_alternating`.
+
+A basis is the product of its columns' lex lists: sets of letters
+(alternating) or multisets (mod-2 skew), each column one basis vector of
+an exterior power, or of its mod-2 skew analogue. So a tabloid's
+coordinate is a mixed-radix number whose digits are its columns' lex
+ranks (`column_rank`, a sum of binomials in the combinatorial number
+system: Knuth, TAOCP 4A, section 7.2.1.3), and `TabloidBasis.rank` reads
+it by arithmetic, with no per-tabloid table. The basis still lists its
+representatives as column tuples (``cols``), which full builds walk and
+`rep` reads; `Tableau` objects are made only at the API boundary (`rep`,
+`terms`, `canonicalize`).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from types import MappingProxyType
+from math import comb
 
-from .gfp import _check_prime
-from .partitions import Partition
+from .partitions import InvariantError, Partition, is_alternating
 from .records import Record
 from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
 
@@ -50,33 +57,8 @@ def skew_column(p: int) -> TabloidKind:
 
 
 def tabloid_kind(model: str, p: int) -> TabloidKind:
-    """The tabloid kind of a construction at p: the one place that maps a
-    (model, p) pair to a kind."""
-    _check_prime(p)
-    if model == "nabla":
-        return ALT_COLUMN
-    if model == "gtensor":
-        return skew_column(p)
-    raise ValueError(f"unknown module {model!r}")
-
-
-# `dim` refuses a query whose forecast work (this forecast, or on the mod-2
-# skew kind `quotients.dominant_rep_bound`) is more than this; near it a
-# query takes seconds.
-DIM_REP_BUDGET = 100_000
-
-
-def alternating_forecast(which: str, shape: Partition, d: int, p: int) -> int | None:
-    """The forecast work of a `dim` query (``"nabla"``, ``"gtensor"``, or
-    ``"u"`` on the skew construction) whose kind is alternating, and None
-    on the mod-2 skew kind. The alternating kind has no relation left, so
-    the dimension is the hook-content count, which costs its n factors,
-    each once per 30-bit digit (the digit of Python's integers) of d + n."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if tabloid_kind("gtensor" if which == "u" else which, p) is not ALT_COLUMN:
-        return None
-    return shape.n * (((d + shape.n).bit_length() + 29) // 30)
+    """The tabloid kind of a construction at p."""
+    return ALT_COLUMN if is_alternating(model, p) else TabloidKind.SKEW_MOD_2
 
 
 class SignedTabloid(Record):
@@ -135,63 +117,109 @@ def basis_class(kind: TabloidKind) -> TableauClass:
     return TableauClass.COLUMN_SEMISTANDARD
 
 
+def column_count(h: int, d: int, strict: bool) -> int:
+    """The number of columns of height h over d letters: sets (``strict``,
+    the alternating kind) or multisets (mod-2 skew)."""
+    return comb(d, h) if strict else comb(d + h - 1, h)
+
+
+@lru_cache(maxsize=1 << 14)
+def column_rank(col: tuple[int, ...], d: int, strict: bool) -> int | None:
+    """The lex rank of a column among those of its height over d letters,
+    or None when it is not one: a set (``strict``) or a multiset, sorted,
+    of letters in 1..d. Adding i to the i-th entry, from 0, maps the
+    multisets onto the sets over d + h - 1 letters, in order. The columns
+    after a set c in lex order agree with it before some i and hold a
+    larger letter there: C(m - c_i, h - i) of them over m letters."""
+    h = len(col)
+    letters = d if strict else d + h - 1
+    rank, last = comb(letters, h) - 1, 0
+    for i, x in enumerate(col):
+        if not strict:
+            x += i
+        if not last < x <= letters:
+            return None
+        rank -= comb(letters - x, h - i)
+        last = x
+    return rank
+
+
 def _out_of_range(i: int, dim: int) -> ValueError:
     return ValueError(f"coordinate {i!r} is not in range({dim})")
 
 
-class TabloidBasis(Record, hidden=("cols", "index")):
-    """Indexed family of canonical representatives for one tabloid space,
-    held as column tuples. Bases compare, hash and show themselves by
-    (kind, shape, d) alone, which fix the columns and the index."""
+class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights")):
+    """Indexed family of canonical representatives for one tabloid space:
+    ``cols``, the representatives as column tuples in coordinate order;
+    ``dim``, their number in closed form; ``heights``, the column heights;
+    ``weights``, the radix weight of each column's digit, the product of
+    the column counts to its right. Bases compare, hash and show
+    themselves by (kind, shape, d) alone, which fix the rest."""
 
-    __slots__ = ("kind", "shape", "d", "cols", "index")
+    __slots__ = ("kind", "shape", "d", "cols", "dim", "heights", "weights")
 
     def __init__(
-        self,
-        kind: TabloidKind,
-        shape: Partition,
-        d: int,
-        cols: tuple[Cols, ...],
-        index: MappingProxyType[Cols, int],
+        self, kind: TabloidKind, shape: Partition, d: int, cols: tuple[Cols, ...]
     ):
+        strict = kind.zero_on_column_repeats
+        heights = tuple(shape.conjugate())
+        weights, dim = [], 1
+        for h in reversed(heights):
+            weights.append(dim)
+            dim *= column_count(h, d, strict)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "index", index)
-
-    @property
-    def dim(self) -> int:
-        return len(self.cols)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "weights", tuple(reversed(weights)))
 
     def __reduce__(self):
         # A basis follows from (kind, shape, d): a copy is `build_basis`'s.
         return build_basis, (self.shape, self.d, self.kind)
 
+    def rank(self, cols: Cols) -> int | None:
+        """The coordinate of the tabloid with columns ``cols``, the sum of
+        its columns' ranks times their weights, or None when it is not a
+        representative."""
+        if len(cols) != len(self.heights):
+            return None
+        d, strict = self.d, self.kind.zero_on_column_repeats
+        index = 0
+        for col, h, w in zip(cols, self.heights, self.weights):
+            if len(col) != h or (r := column_rank(col, d, strict)) is None:
+                return None
+            index += r * w
+        return index
+
     def index_of(self, t: Tableau) -> int:
         """The coordinate of t, which must be one of the representatives:
         anything else (an unsorted column, a letter above d, another shape,
         or an alternating column repeat) is refused."""
-        try:
-            return self.index[t.cols]
-        except KeyError:
-            raise ValueError(f"{t!r} is not a representative of {self!r}") from None
+        index = self.rank(t.cols)
+        if index is None:
+            raise ValueError(f"{t!r} is not a representative of {self!r}")
+        return index
 
     def rep(self, i: int) -> Tableau:
         """The representative of coordinate i; an i outside range(dim),
         -1 included, is refused."""
-        if not 0 <= i < len(self.cols):
-            raise _out_of_range(i, len(self.cols))
+        if not 0 <= i < self.dim:
+            raise _out_of_range(i, self.dim)
         return Tableau(self.cols[i])
 
 
 @lru_cache(maxsize=256)
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
-    """Basis of canonical representatives in the deterministic tableau
-    order, indexed by their column tuples through a read-only view."""
+    """Basis of canonical representatives, listed in the deterministic
+    tableau order: the product of the columns' lex lists, which `rank`
+    reads as mixed-radix numbers."""
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
-    index = MappingProxyType({c: i for i, c in enumerate(cols)})
-    return TabloidBasis(kind, shape, d, cols, index)
+    basis = TabloidBasis(kind, shape, d, cols)
+    if len(cols) != basis.dim:
+        raise InvariantError(f"{basis!r} lists {len(cols)} tabloids, not {basis.dim}")
+    return basis
 
 
 class TabloidVector(Record):

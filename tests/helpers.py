@@ -6,7 +6,8 @@ path, and the Garnir oracle, which canonicalizes its terms with
 `canonicalize`. The label-level relation rank (`family_rank`), the
 unshared full build (`unshared_build`), the straightening of each call
 from scratch (`straighten_terms`), the transvection expanded over whole
-fillings (`transvection_oracle`), the three numbers that the inverse
+fillings (`transvection_oracle`), the unranking of a tabloid by counting
+(`unrank_tabloid`), the three numbers that the inverse
 Schur functor's definition makes equal (`inverse_schur_numbers`), the
 kernel generators over the whole tabloid space (`ker_q_generators`), the
 composition factors solved through the simple characters
@@ -23,6 +24,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
+from math import comb
 from pathlib import Path
 
 from dualweyl.garnir import (
@@ -499,7 +501,8 @@ def straighten_vector(vec: TabloidVector) -> TabloidVector:
     basis = vec.basis
     terms = {basis.cols[i]: c for i, c in vec.coords.items()}
     out = straighten_terms(terms, basis.kind, vec.p)
-    return TabloidVector(basis, vec.p, {basis.index[c]: v for c, v in out.items()})
+    coords = {basis.index_of(Tableau(c)): v for c, v in out.items()}
+    return TabloidVector(basis, vec.p, coords)
 
 
 def inverse_schur_numbers(shape: Partition, p: int) -> dict:
@@ -651,8 +654,42 @@ def transvection_oracle(
                 if not is_zero:
                     out[key] = out.get(key, 0) + coeff * sign
     return TabloidVector(
-        basis, p, {basis.index[k]: c % p for k, c in out.items() if c % p}
+        basis, p, {basis.index_of(Tableau(k)): c % p for k, c in out.items() if c % p}
     )
+
+
+def unrank_tabloid(shape: Partition, d: int, strict: bool, index: int) -> Cols:
+    """The columns of the tabloid at ``index`` in the lex listing of a
+    tabloid space, found without listing it: the index split into one
+    digit per column, the rightmost column least significant, each digit
+    the number of smaller columns of its height, and each column built
+    letter by letter, skipping past every letter whose columns all come
+    before the digit. Columns are sets of letters 1..d (``strict``) or
+    multisets."""
+
+    def count(h, low):  # columns of height h with letters low..d
+        letters = d - low + 1
+        return comb(letters, h) if strict else comb(letters + h - 1, h)
+
+    heights = shape.conjugate()
+    digits = []
+    for h in reversed(heights):
+        index, digit = divmod(index, count(h, 1))
+        digits.append(digit)
+    if index:
+        raise ValueError("index past the end of the space")
+    cols = []
+    for h, digit in zip(heights, reversed(digits)):
+        col, low = [], 1
+        for slot in range(h, 0, -1):
+            x = low
+            while digit >= (after := count(slot - 1, x + strict)):
+                digit -= after
+                x += 1
+            col.append(x)
+            low = x + strict
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
 def _standard_tableaux(parts):

@@ -87,7 +87,7 @@ def test_dim_refuses_a_tall_snake_template_at_once(capsys):
     # of height 12 (a template of 1716 terms) stay under it.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
-    from dualweyl.tabloids import DIM_REP_BUDGET
+    from dualweyl.partitions import DIM_REP_BUDGET
 
     started = time.perf_counter()
     code, out, err = run(
@@ -106,7 +106,7 @@ def test_dim_refuses_a_long_column_at_once(capsys):
     # shape builds no block, and a long row still answers.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
-    from dualweyl.tabloids import DIM_REP_BUDGET
+    from dualweyl.partitions import DIM_REP_BUDGET
 
     column = parse_partition("1^50000")
     for which in ("gtensor", "u"):
@@ -173,7 +173,7 @@ def test_dim_refuses_many_weights_at_once(capsys):
     # with up to 10000 parts, a quadratic count, are not counted.
     from dualweyl.partitions import Partition
     from dualweyl.quotients import dominant_rep_bound
-    from dualweyl.tabloids import DIM_REP_BUDGET
+    from dualweyl.partitions import DIM_REP_BUDGET
 
     started = time.perf_counter()
     bound = dominant_rep_bound("gtensor", Partition((10000,)), 10000, 2)
@@ -219,7 +219,7 @@ def test_dim_budget_admits_the_documented_queries():
     # example of the README stays under the budget.
     from dualweyl.partitions import Partition, parse_partition
     from dualweyl.quotients import dominant_rep_bound
-    from dualweyl.tabloids import DIM_REP_BUDGET
+    from dualweyl.partitions import DIM_REP_BUDGET
 
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -314,7 +314,7 @@ def test_every_odd_prime_gives_the_odd_answer(capsys):
 def test_dim_answers_a_huge_prime_at_once(capsys):
     # A p near 10^18 is tested by Miller-Rabin, not by trial division,
     # which would take hours.
-    from dualweyl.gfp import is_prime
+    from dualweyl.partitions import is_prime
 
     started = time.perf_counter()
     assert is_prime(1000000000000000003)
@@ -336,7 +336,7 @@ def test_dim_refuses_a_huge_shape_at_once(capsys):
     # product is not evaluated.
     from dualweyl.partitions import parse_partition
     from dualweyl.quotients import dominant_rep_bound
-    from dualweyl.tabloids import DIM_REP_BUDGET
+    from dualweyl.partitions import DIM_REP_BUDGET
 
     for lam in ("1000000", "1^1000000"):
         shape = parse_partition(lam)
@@ -710,8 +710,9 @@ def test_dim_imports_only_what_it_runs():
 def test_each_command_imports_only_what_it_runs():
     # `import dualweyl.cli` loads no construction and no suite; an
     # alternating `dim` query is the hook-content count and loads no
-    # construction either; a mod-2 skew query loads `quotients` but not
-    # the suites.
+    # construction either, nor the tabloids, tableaux, records or GF(p)
+    # modules: its kind, forecast and prime check live in `partitions`; a
+    # mod-2 skew query loads `quotients` but not the suites.
     script = """
 import sys
 import dualweyl.cli as cli
@@ -724,6 +725,7 @@ print(loaded("quotients", "garnir", "tableaux", "suites", "predictions",
 cli.main(["dim", "--which", "nabla", "--lambda", "2,2,1", "--d", "3"])
 cli.main(["dim", "--which", "gtensor", "--lambda", "4,2", "--d", "5", "--p", "3"])
 print(loaded("quotients", "garnir"))
+print(loaded("tabloids", "tableaux", "records", "gfp"))
 cli.main(["dim", "--which", "u", "--lambda", "2,2,1", "--d", "4"])
 print(loaded("quotients", "suites"))
 """
@@ -733,7 +735,7 @@ print(loaded("quotients", "suites"))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
-        "[]", "3", "420", "[]", "56", "['quotients']", ""
+        "[]", "3", "420", "[]", "[]", "56", "['quotients']", ""
     ]
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualweyl.gfp import SpanBuilder, Subspace, is_prime
+from dualweyl.gfp import SpanBuilder, Subspace
+from dualweyl.partitions import is_prime
 from helpers import (
     dim_sum_and_intersection,
     matrix_rank,

@@ -329,6 +329,32 @@ def test_transvection_matches_the_whole_filling_expansion():
             assert apply_transvection(vec, src, tgt, p).coords == expected, (lam, coords)
 
 
+@pytest.mark.parametrize(
+    "kind, p", [(ALT_COLUMN, 3), (skew_column(2), 2)], ids=repr
+)
+def test_transvections_of_every_unit_vector_match_the_oracle(kind, p):
+    # A transvection moves each column holding the source letter by a
+    # cached rank move and signs it: every unit vector of every space with
+    # n <= 5 and d <= 4, under every ordered pair of distinct letters, has
+    # the coordinates of the expansion over whole fillings.
+    from itertools import permutations
+
+    checked = 0
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                basis = build_basis(shape, d, kind)
+                pairs = list(permutations(range(1, d + 1), 2))
+                for i in range(basis.dim):
+                    vec = TabloidVector(basis, p, {i: 1})
+                    for src, tgt in pairs:
+                        expected = transvection_oracle(vec, src, tgt, p).coords
+                        got = apply_transvection(vec, src, tgt, p).coords
+                        assert got == expected, (shape, d, i, src, tgt)
+                        checked += 1
+    assert checked == {ALT_COLUMN: 29374, skew_column(2): 49278}[kind]
+
+
 def test_transvection_closure_of_relation_span():
     for shape in [Partition((2, 1)), Partition((2, 2)), Partition((2, 1, 1))]:
         for d in (2, 3):
@@ -785,7 +811,9 @@ def test_straighten_matches_straightening_from_scratch():
                 cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
                 want = {} if is_zero else straighten_terms({cols: sign}, ALT_COLUMN, 5)
                 got = straighten(t, shape, d, 5)
-                assert got.coords == {basis.index[c]: v for c, v in want.items()}
+                assert got.coords == {
+                    basis.index_of(Tableau(c)): v for c, v in want.items()
+                }
                 w = weight_of(cols, d)
                 renamed += w[: len(packed_weight(w))] != packed_weight(w)
                 zero += is_zero
@@ -1106,7 +1134,11 @@ def test_every_cache_is_bounded():
         assert cache.cache_parameters()["maxsize"] is not None, name
     assert {
         "tabloids.build_basis",
+        "tabloids.column_rank",
+        "quotients._ambient_count",
         "quotients._build",
+        "quotients._column_heights",
+        "quotients._column_moves",
         "quotients._layout",
         "quotients._pattern",
         "garnir._snake_template",
@@ -1117,17 +1149,30 @@ def test_every_cache_is_bounded():
 def test_every_cached_value_is_frozen():
     # Every caller of a cache gets the same object, so none may change it:
     # attribute assignment fails on the module, a layout and its blocks, a
-    # pattern (whose fields are tuples) and a basis, and item assignment
-    # on the decomposition rows, one row, the basis index, a layout's block
-    # mapping and both arrays of its coordinate index, a module's spans and
-    # basic ranks, and a dominant block (a tuple). Each assignment writes
-    # back the value it finds, so a mutable object would not be spoilt for
-    # later callers. The template is a tuple and the Kostka number an int.
-    # A new cache must join this test.
+    # pattern (whose fields are tuples) and a basis (whose listing, column
+    # heights and radix weights are tuples), and item assignment on the
+    # decomposition rows, one row, a layout's block mapping, its blocks by
+    # packed weight and both arrays of its coordinate index, a module's
+    # spans and basic ranks, and a dominant block (a tuple). Each
+    # assignment writes back the value it finds, so a mutable object would
+    # not be spoilt for later callers. The template, the column heights
+    # and a column's rank moves are tuples (of ints, or of int pairs), and
+    # the Kostka number, a column rank and a tabloid count ints. A new
+    # cache must join this test.
     from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_template
-    from dualweyl.quotients import _Layout, _build, _dominant_block, _layout, _pattern
+    from dualweyl.quotients import (
+        _Layout,
+        _ambient_count,
+        _build,
+        _column_heights,
+        _column_moves,
+        _dominant_block,
+        _layout,
+        _pattern,
+    )
     from dualweyl.records import FrozenRecordError
+    from dualweyl.tabloids import column_rank
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
@@ -1141,18 +1186,25 @@ def test_every_cached_value_is_frozen():
     rows = decomposition_rows(3)
     assert isinstance(_snake_template(2, 1, 0), tuple)
     assert isinstance(kostka_number(shape, Partition((1, 1, 1))), int)
+    assert isinstance(column_rank((1, 3), 3, True), int)
+    assert isinstance(_ambient_count(shape, 3, ALT_COLUMN), int)
+    assert _column_heights(shape) == (2, 1)
+    moves = _column_moves((1, 1, 2), 1, 3, 3, False)
+    assert isinstance(moves, tuple) and moves
+    assert all(type(m) is tuple and set(map(type, m)) == {int} for m in moves)
+    assert all(type(f) is tuple for f in (basis.cols, basis.heights, basis.weights))
     frozen = [
         *((module, f) for f in module.__slots__),
         *((lay, f) for lay in (layout, module._layout) for f in lay.__slots__),
         *((block, f) for block in layout.order for f in block.__slots__),
         *((pattern, f) for f in pattern.__slots__),
-        (basis, "index"),
+        *((basis, f) for f in basis.__slots__),
     ]
     for obj, attr in frozen:
         with pytest.raises(FrozenRecordError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
-    mappings = (rows, rows[mu], basis.index, layout.blocks, module._spans,
+    mappings = (rows, rows[mu], layout.blocks, layout.packs, module._spans,
                 module._basic_ranks, layout.block_no, layout.local)
     for mapping in mappings:
         key = 0 if isinstance(mapping, memoryview) else next(iter(mapping))
@@ -1161,11 +1213,15 @@ def test_every_cached_value_is_frozen():
     with pytest.raises(TypeError):
         dominant[1] = dominant[1]
     assert set(_package_caches()) == {
+        "quotients._ambient_count",
         "quotients._build",
+        "quotients._column_heights",
+        "quotients._column_moves",
         "quotients._dominant_block",
         "quotients._layout",
         "quotients._pattern",
         "tabloids.build_basis",
+        "tabloids.column_rank",
         "decomposition.decomposition_rows",
         "garnir._snake_template",
         "tableaux.kostka_number",
@@ -1210,12 +1266,12 @@ def test_built_module_holds_only_frozen_blocks():
         assert all(type(s) is Subspace for s in first.values())
         reachable = _reachable(module)
         assert not any(isinstance(x, SpanBuilder) for x in reachable)
-        # the basis index is the only map from a tabloid to a coordinate
+        # no map from a tabloid to a coordinate: coordinates are ranks
         by_tabloid = [
             x for x in reachable
             if isinstance(x, dict) and x and _is_cols(next(iter(x)))
         ]
-        assert by_tabloid == gc.get_referents(module.ambient.index)
+        assert by_tabloid == []
         # (2,1,0), (2,0,1) and (0,2,1) share one frozen span, and so on
         assert len({id(s) for s in first.values()}) < len(first)
         # every read uses the frozen blocks, shared ones included, with no
