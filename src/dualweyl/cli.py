@@ -21,6 +21,7 @@ import time
 
 from .partitions import (
     DIM_REP_BUDGET,
+    _check_prime,
     alternating_forecast,
     hook_content_dim,
     hook_content_log10,
@@ -106,6 +107,7 @@ def _resolve_jobs(value: int | None) -> int:
 def cmd_dim(args) -> int:
     started = time.monotonic()
     shape = parse_partition(args.lam)
+    _check_prime(args.p)
     if args.which == "u" and args.p != 2:
         raise ValueError("the kernel dimension is a characteristic-2 notion")
     query = f"{args.which} of {args.lam} at d={args.d}, p={args.p}"

@@ -21,15 +21,16 @@ no block, module or cache holds a builder, and no elimination happens
 here.
 
 Nothing before the freeze depends on p, and two bounded caches hold it.
-`_layout` lists a tabloid space once, groups it into its weight blocks
-(`_make_blocks`), and those by packed weight (the nonzero entries of the
-weight, in order), and indexes each ambient coordinate by its block and
-local coordinate. `_pattern` straightens the block of each packed weight
-padded with zeros, over the integers or as masks. A block reads its
-letters only through comparisons, so renaming them, in order, onto 1..k
-maps its representatives and snakes onto those of its packed weight:
-every block of that packed weight reads the pattern, which `_pattern`
-checks each of them to pack onto once, when it is made.
+`_layout` lists a tabloid space once (`build_basis`, the one gate that
+refuses a space past its budget before listing it), groups it into its
+weight blocks (`_make_blocks`), and those by packed weight (the nonzero
+entries of the weight, in order), and indexes each ambient coordinate by
+its block and local coordinate. `_pattern` straightens the block of each
+packed weight padded with zeros, over the integers or as masks. A block
+reads its letters only through comparisons, so renaming them, in order,
+onto 1..k maps its representatives and snakes onto those of its packed
+weight: every block of that packed weight reads the pattern, which
+`_pattern` checks each of them to pack onto once, when it is made.
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
 full build (`_build`) adds to the layout only `_freeze`'s canonical span
@@ -95,7 +96,6 @@ from .tabloids import (
     _out_of_range,
     build_basis,
     canonical_cols,
-    column_count,
     column_rank,
     has_column_repeat,
     skew_column,
@@ -104,11 +104,6 @@ from .tabloids import (
 )
 
 WeightTable = dict[tuple[int, ...], int]
-
-# A full build (`_build`) refuses a tabloid space larger than this before it
-# lists it; near it a build takes seconds.
-BUILD_BUDGET = 500_000
-
 
 class _Block(Record):
     """One weight block of a layout: ``indices``, the ambient indices of
@@ -305,49 +300,14 @@ def _push_terms(
     return span.add(local)
 
 
-def _listed_layout(
-    job: str, shape: Partition, d: int, p: int, kind: TabloidKind
-) -> _Layout:
-    """The layout that ``job`` lists, refused with `ValueError` before any
-    tabloid is listed when `_ambient_count` puts it past `BUILD_BUDGET`.
-    Both the count and the layout are cached, so a repeated call lists and
-    counts nothing."""
-    count = _ambient_count(shape, d, kind)
-    if count > BUILD_BUDGET:
-        raise ValueError(
-            f"{job} of {shape} at d={d}, p={p} lists at least {count} "
-            f"{kind!r} tabloids, over the budget of {BUILD_BUDGET}"
-        )
-    return _layout(shape, d, kind)
-
-
 @lru_cache(maxsize=256)
 def _layout(shape: Partition, d: int, kind: TabloidKind) -> _Layout:
     """The tabloid basis of ``kind`` over d letters, grouped into its
     weight blocks and indexed by coordinate: no prime enters, so the builds
-    at every p and `straighten` share one layout. Reached through
-    `_listed_layout`, which refuses a space past the budget first."""
+    at every p and `straighten` share one layout. `build_basis` refuses
+    a space past its budget before it lists one."""
     basis = build_basis(shape, d, kind)
     return _Layout(basis, _make_blocks(basis.cols, d))
-
-
-@lru_cache(maxsize=256)
-def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
-    """The number of tabloids of ``kind`` over d letters, in closed form: a
-    column of height h holds a set of h letters, or for mod-2 skew a
-    multiset, so the count is the product of C(d, h) or C(d + h - 1, h)
-    over the columns; lambda_h - lambda_{h+1} of them have height h. The
-    tallest come first, where an empty alternating space shows; the count
-    is left once past `BUILD_BUDGET` (a factor of 2 or more to the power
-    of the budget's bit length is past it), and is then a smaller count
-    over the budget."""
-    count, parts = 1, (*shape, 0)
-    for h in range(len(shape), 0, -1):
-        factor = column_count(h, d, kind.zero_on_column_repeats)
-        count *= factor ** min(parts[h - 1] - parts[h], BUILD_BUDGET.bit_length())
-        if not count or count > BUILD_BUDGET:
-            break
-    return count
 
 
 class _Pattern(Record):
@@ -502,9 +462,9 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     at p from the pattern of each packed weight (`_pattern`, which checks
     that each block of it packs onto it) and the pattern's basic rank. So a
     build at a second prime shares the layout, index included, and only
-    freezes. A space of more than `BUILD_BUDGET` tabloids is refused before
-    it is listed."""
-    layout = _listed_layout("the full build", shape, d, p, kind)
+    freezes. A space past `tabloids.BUILD_BUDGET` is refused before it is
+    listed (`build_basis`)."""
+    layout = _layout(shape, d, kind)
     spans, basic_ranks = {}, {}
     for key in layout.packs:
         pattern = _pattern(shape, d, key, kind)
@@ -690,18 +650,18 @@ def u_lambda_dim(shape: Partition, d: int) -> int:
 def straighten(t: Tableau, shape: Partition, d: int, p: int) -> TabloidVector:
     """Express the alternating tabloid of t over semistandard
     representatives modulo the basic snake relations. The basis is listed
-    and grouped first (`_layout`), so a space past `BUILD_BUDGET` is
-    refused as a full build is. The answer is then read off the pattern of
-    t's block, found by t's rank: the image of t's local coordinate,
-    mapped through the local coordinates of the pattern's R and the
-    block's ambient indices. R is a basis modulo the basic snakes, so this
-    is the one straightening of t."""
+    and grouped first (`_layout`), so `build_basis` refuses a space past
+    its budget as it does a full build's. The answer is then read off the
+    pattern of t's block, found by t's rank: the image of t's local
+    coordinate, mapped through the local coordinates of the pattern's R
+    and the block's ambient indices. R is a basis modulo the basic snakes,
+    so this is the one straightening of t."""
     if tuple(map(len, t.cols)) != _column_heights(shape):
         raise ValueError("tableau does not have the stated shape")
     _check_prime(p)
     if (top := max(map(max, t.cols))) > d:
         raise ValueError(f"entry {top} exceeds d={d}")
-    layout = _listed_layout("straightening", shape, d, p, ALT_COLUMN)
+    layout = _layout(shape, d, ALT_COLUMN)
     basis = layout.basis
     cols, sign, is_zero = canonical_cols(t.cols, ALT_COLUMN)
     if is_zero:

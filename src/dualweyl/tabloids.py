@@ -17,7 +17,9 @@ system: Knuth, TAOCP 4A, section 7.2.1.3), and `TabloidBasis.rank` reads
 it by arithmetic, with no per-tabloid table. The basis still lists its
 representatives as column tuples (``cols``), which full builds walk and
 `rep` reads; `Tableau` objects are made only at the API boundary (`rep`,
-`terms`, `canonicalize`).
+`terms`, `canonicalize`). `build_basis` is the one gate in front of every
+listing: it counts a space in closed form (`_ambient_count`) and refuses
+one past `BUILD_BUDGET` before it lists a tableau.
 """
 
 from __future__ import annotations
@@ -210,11 +212,44 @@ class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights")):
         return Tableau(self.cols[i])
 
 
+# `build_basis` refuses a tabloid space larger than this before it lists
+# it; near it a full build takes seconds.
+BUILD_BUDGET = 500_000
+
+
+@lru_cache(maxsize=256)
+def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
+    """The number of tabloids of ``kind`` over d letters, in closed form: a
+    column of height h holds a set of h letters, or for mod-2 skew a
+    multiset, so the count is the product of C(d, h) or C(d + h - 1, h)
+    over the columns; lambda_h - lambda_{h+1} of them have height h. The
+    tallest come first, where an empty alternating space shows; the count
+    is left once past `BUILD_BUDGET` (a factor of 2 or more to the power
+    of the budget's bit length is past it), and is then a smaller count
+    over the budget."""
+    count, parts = 1, (*shape, 0)
+    for h in range(len(shape), 0, -1):
+        factor = column_count(h, d, kind.zero_on_column_repeats)
+        count *= factor ** min(parts[h - 1] - parts[h], BUILD_BUDGET.bit_length())
+        if not count or count > BUILD_BUDGET:
+            break
+    return count
+
+
 @lru_cache(maxsize=256)
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives, listed in the deterministic
     tableau order: the product of the columns' lex lists, which `rank`
-    reads as mixed-radix numbers."""
+    reads as mixed-radix numbers. A space past `BUILD_BUDGET` by
+    `_ambient_count` is refused with `ValueError` before anything is
+    listed, so every full build, straightening and unpickled basis passes
+    this one gate."""
+    count = _ambient_count(shape, d, kind)
+    if count > BUILD_BUDGET:
+        raise ValueError(
+            f"the {kind!r} tabloid space of {shape} at d={d} holds at least "
+            f"{count} tabloids, over the budget of {BUILD_BUDGET}"
+        )
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
     basis = TabloidBasis(kind, shape, d, cols)
     if len(cols) != basis.dim:

@@ -281,8 +281,14 @@ def test_dim_json_report(capsys, tmp_path):
 def test_dim_usage_errors(capsys):
     code, _, err = run(capsys, "dim", "--which", "u", "--lambda", "1,2", "--d", "2")
     assert code == 2 and "error" in err
-    code, _, _ = run(capsys, "dim", "--which", "u", "--lambda", "2,1", "--d", "2", "--p", "3")
-    assert code == 2
+    # The prime is checked before the kind: 4 is no prime, and 3 is a prime
+    # away from characteristic 2.
+    for p, message in (("4", "p must be prime, got 4"),
+                       ("3", "the kernel dimension is a characteristic-2 notion")):
+        code, _, err = run(
+            capsys, "dim", "--which", "u", "--lambda", "2,1", "--d", "2", "--p", p
+        )
+        assert code == 2 and message in err, p
     for p in ("4", "1"):
         code, _, err = run(
             capsys, "dim", "--which", "nabla", "--lambda", "2,1", "--d", "2", "--p", p

@@ -1,7 +1,7 @@
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dualweyl.gfp import SpanBuilder, Subspace
 from dualweyl.partitions import is_prime
@@ -74,21 +74,14 @@ def _random_vectors(rng, count, m, p):
     return [sparse([rng.randrange(p) for _ in range(m)]) for _ in range(count)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 1),
-    st.sampled_from([2, 3, 5]),
-    st.integers(1, 6),
-    st.integers(0, 9),
-    st.integers(0, 9),
-)
-def test_grassmann_identity(seed, p, m, ks, kt):
-    rng = random.Random((seed, p, m, ks, kt).__hash__())
-    s = span(_random_vectors(rng, ks, m, p), m, p)
-    t = span(_random_vectors(rng, kt, m, p), m, p)
-    dim_sum, dim_int = dim_sum_and_intersection(s, t)
-    assert dim_sum + dim_int == s.dim + t.dim
-    assert max(s.dim, t.dim) <= dim_sum <= min(m, s.dim + t.dim)
+def test_grassmann_identity():
+    rng = random.Random(20261020)
+    for _, p, m, ks, kt in product(range(2), (2, 3, 5), range(1, 7), range(10), range(10)):
+        s = span(_random_vectors(rng, ks, m, p), m, p)
+        t = span(_random_vectors(rng, kt, m, p), m, p)
+        dim_sum, dim_int = dim_sum_and_intersection(s, t)
+        assert dim_sum + dim_int == s.dim + t.dim
+        assert max(s.dim, t.dim) <= dim_sum <= min(m, s.dim + t.dim)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -216,27 +209,30 @@ def test_reduce_is_canonical():
             _assert_canonical(s, v)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from([2, 3, 5, 7]),
-    st.integers(1, 12),
-    st.data(),
-)
-def test_span_engine_matches_oracle(p, m, data):
+def test_span_engine_matches_oracle():
+    # Every p and ambient size m <= 12, and every number of spanning
+    # vectors up to m + 2, with seeded random coefficients in [-p, 2p].
+    rng = random.Random(20261020)
+    for p, m in product((2, 3, 5, 7), range(1, 13)):
+        for count in range(m + 3):
+            vectors = [_coefficients(rng, m, p) for _ in range(count)]
+            probes = [_coefficients(rng, m, p) for _ in range(rng.randint(1, 4))]
+            combos = [_coefficients(rng, count, p) for _ in range(rng.randint(0, 3))]
+            _check_span_engine(p, m, vectors, probes, combos)
+
+
+def _coefficients(rng, count, p):
+    return [rng.randint(-p, 2 * p) for _ in range(count)]
+
+
+def _check_span_engine(p, m, vectors, probes, combos):
     # Both states of the engine against textbook Gauss-Jordan: the builder
     # (echelon, not reduced) for rank and membership, the frozen subspace
     # for the canonical reduced basis and reduction.
-    coeff = st.integers(-p, 2 * p)
-    vector = st.lists(coeff, min_size=m, max_size=m)
-    vectors = data.draw(st.lists(vector, max_size=m + 2))
-    probes = data.draw(st.lists(vector, min_size=1, max_size=4))
     expected = [tuple(row) for row in rref_oracle(vectors, m, p)]
     members = [
         [sum(c * row[i] for c, row in zip(cs, vectors)) for i in range(m)]
-        for cs in data.draw(
-            st.lists(st.lists(coeff, min_size=len(vectors), max_size=len(vectors)),
-                     max_size=3)
-        )
+        for cs in combos
     ]
 
     # The engine takes sparse dicts; the oracles, dense lists.

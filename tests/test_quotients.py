@@ -824,8 +824,8 @@ def test_straighten_matches_straightening_from_scratch():
 def test_straighten_refuses_an_oversized_basis_before_it_lists_a_tableau(
     monkeypatch,
 ):
-    # `straighten` answers over the alternating basis, which it lists, so it
-    # is refused past the full build's budget, counted in closed form: here
+    # `straighten` answers over the alternating basis, which it lists, so
+    # `build_basis` refuses it past the budget, counted in closed form: here
     # 200^3 tabloids, before one is listed.
     from dualweyl import quotients, tableaux, tabloids
 
@@ -834,9 +834,8 @@ def test_straighten_refuses_an_oversized_basis_before_it_lists_a_tableau(
 
     for module in (quotients, tableaux, tabloids):
         monkeypatch.setattr(module, "enumerate_tableaux", refuse)
-    monkeypatch.setattr(quotients, "build_basis", refuse)
     t = Tableau(((2,), (1,), (1,)))
-    match = f"straightening of .* at d=200, p=3 lists at least {200**3} "
+    match = f"alt tabloid space of .* at d=200 holds at least {200**3} "
     with pytest.raises(ValueError, match=match):
         straighten(t, Partition((3,)), 200, 3)
 
@@ -901,16 +900,17 @@ def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
 
 
 def test_an_oversized_full_build_is_refused_before_it_lists_a_tableau(monkeypatch):
-    # A full build counts its tabloids in closed form, the product over the
-    # columns of C(d, h) (alternating) or C(d + h - 1, h) (mod-2 skew), and
-    # refuses a space past BUILD_BUDGET before it lists one.
+    # `build_basis` counts a full build's tabloids in closed form, the
+    # product over the columns of C(d, h) (alternating) or C(d + h - 1, h)
+    # (mod-2 skew), and refuses a space past BUILD_BUDGET before it lists
+    # one.
     from dualweyl import quotients, tableaux, tabloids
 
     for n in range(1, 6):
         for shape in partitions_of(n):
             for d in range(1, 6):
                 for kind in (ALT_COLUMN, skew_column(2)):
-                    got = quotients._ambient_count(shape, d, kind)
+                    got = tabloids._ambient_count(shape, d, kind)
                     assert got == build_basis(shape, d, kind).dim, (shape, d, kind)
 
     def refuse(*args):
@@ -918,8 +918,7 @@ def test_an_oversized_full_build_is_refused_before_it_lists_a_tableau(monkeypatc
 
     for module in (quotients, tableaux, tabloids):
         monkeypatch.setattr(module, "enumerate_tableaux", refuse)
-    monkeypatch.setattr(quotients, "build_basis", refuse)
-    budget = quotients.BUILD_BUDGET
+    budget = tabloids.BUILD_BUDGET
     cases = [
         (build_dual_weyl, Partition((6,)), 10, 3, 10**6),
         (build_gtensor_specht, Partition((3, 3)), 13, 2, comb(14, 2) ** 3),
@@ -927,14 +926,14 @@ def test_an_oversized_full_build_is_refused_before_it_lists_a_tableau(monkeypatc
     ]
     for build, shape, d, p, count in cases:
         assert count is None or count > budget
-        match = f"full build of .* at d={d}, p={p}"
+        match = f"tabloid space of .* at d={d} holds at least"
         with pytest.raises(ValueError, match=match) as info:
             build(shape, d, p)
         if count is not None:
             assert f"{count} " in str(info.value)
         assert str(budget) in str(info.value)
     # an empty alternating space is no build over the budget
-    assert quotients._ambient_count(Partition((10**9,) * 4), 3, ALT_COLUMN) == 0
+    assert tabloids._ambient_count(Partition((10**9,) * 4), 3, ALT_COLUMN) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1133,9 +1132,9 @@ def test_every_cache_is_bounded():
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
     assert {
+        "tabloids._ambient_count",
         "tabloids.build_basis",
         "tabloids.column_rank",
-        "quotients._ambient_count",
         "quotients._build",
         "quotients._column_heights",
         "quotients._column_moves",
@@ -1163,7 +1162,6 @@ def test_every_cached_value_is_frozen():
     from dualweyl.garnir import _snake_template
     from dualweyl.quotients import (
         _Layout,
-        _ambient_count,
         _build,
         _column_heights,
         _column_moves,
@@ -1172,7 +1170,7 @@ def test_every_cached_value_is_frozen():
         _pattern,
     )
     from dualweyl.records import FrozenRecordError
-    from dualweyl.tabloids import column_rank
+    from dualweyl.tabloids import _ambient_count, column_rank
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
@@ -1213,13 +1211,13 @@ def test_every_cached_value_is_frozen():
     with pytest.raises(TypeError):
         dominant[1] = dominant[1]
     assert set(_package_caches()) == {
-        "quotients._ambient_count",
         "quotients._build",
         "quotients._column_heights",
         "quotients._column_moves",
         "quotients._dominant_block",
         "quotients._layout",
         "quotients._pattern",
+        "tabloids._ambient_count",
         "tabloids.build_basis",
         "tabloids.column_rank",
         "decomposition.decomposition_rows",

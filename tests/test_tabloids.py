@@ -304,6 +304,42 @@ def test_a_basis_compares_by_kind_shape_and_d():
         assert twin is basis
 
 
+def test_build_basis_refuses_an_oversized_space_before_it_lists_a_tableau(
+    monkeypatch,
+):
+    # The one gate in front of every listing: a library call, an unpickled
+    # basis and, through `_layout`, every build and straightening. The
+    # closed-form count is all it forms: no tableau is listed, and neither
+    # the conjugate shape nor the exact dimension is taken.
+    from dualweyl import quotients, tableaux, tabloids
+
+    oversized = [
+        (Partition((6,)), 30, ALT_COLUMN, 30**6),
+        (Partition((3, 3)), 13, skew_column(2), 91**3),
+    ]
+    copies = [pickle.dumps(TabloidBasis(k, s, d, ())) for s, d, k, _ in oversized]
+
+    def refuse(*args):
+        raise AssertionError("an oversized basis was listed")
+
+    for module in (tableaux, tabloids):
+        monkeypatch.setattr(module, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(Partition, "conjugate", refuse)
+    budget = tabloids.BUILD_BUDGET
+    for (shape, d, kind, count), copied in zip(oversized, copies):
+        assert count > budget
+        message = (
+            f"the {kind!r} tabloid space of {shape} at d={d} holds at least "
+            f"{count} tabloids, over the budget of {budget}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_basis(shape, d, kind)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pickle.loads(copied)
+    for name in ("BUILD_BUDGET", "_ambient_count", "_listed_layout"):
+        assert not hasattr(quotients, name), name
+
+
 @pytest.mark.parametrize("kind", list(TabloidKind))
 def test_a_tableau_outside_the_basis_is_a_value_error(kind):
     basis = build_basis(Partition((2, 1)), 3, kind)
