@@ -14,9 +14,11 @@ sorted, by `tabloids.sort_column`, which also gives each its sign (0 for
 an alternating column that repeats an entry); the other columns are
 reused as they are. Builds expand the snakes of basis representatives,
 whose columns are already sorted, with `snake_terms`, keying every term
-by its column tuple. `garnir_terms` is the entry point for an arbitrary
-`GarnirLabel`; it validates the label, canonicalizes the untouched columns
-once with `tabloids.canonical_cols` and runs the same expansion, `_expand`.
+by its column tuple; the expansion of the two columns is cached, so a
+snake that many tableaux share is expanded once. `garnir_terms` is the
+entry point for an arbitrary `GarnirLabel`; it validates the label,
+canonicalizes the untouched columns once with `tabloids.canonical_cols`
+and runs the same expansion, `_expand`.
 """
 
 from __future__ import annotations
@@ -176,9 +178,26 @@ def _expand(
 def snake_terms(cols: Cols, i: int, j: int, kind: TabloidKind) -> dict[Cols, int]:
     """The snake relation at the 0-based box (i, j) of a tableau whose
     columns ``cols`` are a canonical representative of ``kind`` (sorted,
-    and free of repeats when the kind kills them), keyed by column tuples."""
-    template = _snake_template(len(cols[j]), len(cols[j + 1]), i)
-    return _expand(cols, j, j + 1, template, kind)
+    and free of repeats when the kind kills them), keyed by column tuples:
+    the cached expansion of its two columns (`_snake_pair`), with the
+    other columns spliced around each term."""
+    head, tail = cols[:j], cols[j + 2:]
+    pairs = _snake_pair(cols[j], cols[j + 1], i, kind.zero_on_column_repeats)
+    return {head + pair + tail: c for pair, c in pairs}
+
+
+@lru_cache(maxsize=4096)
+def _snake_pair(
+    left: tuple[int, ...], right: tuple[int, ...], i: int, strict: bool
+) -> tuple[tuple[Cols, int], ...]:
+    """The snake at 0-based row i of two adjacent sorted columns, as
+    (two new columns, coefficient) pairs: a term changes only those two
+    columns, so every tableau that holds them shares this expansion. It is
+    keyed by the kind's ``zero_on_column_repeats`` (``strict``), a plain
+    bool, which hashes faster than the enum."""
+    kind = TabloidKind.ALTERNATING if strict else TabloidKind.SKEW_MOD_2
+    template = _snake_template(len(left), len(right), i)
+    return tuple(_expand((left, right), 0, 1, template, kind).items())
 
 
 def garnir_terms(label: GarnirLabel, kind: TabloidKind) -> dict[Tableau, int]:

@@ -14,11 +14,15 @@ the basic snakes (the standard-basis theorem: Desarmenien, Kung and
 Rota, Adv. Math. 27, 1978; James, LNM 682, section 8). `_straighten`,
 which pattern walks and dominant blocks share, replaces the greatest
 term outside R by the rest of its basic snake until none is left, and
-checks this unitriangularity. For the mod-2 skew kind, `_supplementary`
-straightens the supplementary snakes onto R as bit masks. The block is
-then frozen on a `gfp.SpanBuilder`, which exists only while it freezes:
-no block, module or cache holds a builder, and no elimination happens
-here.
+checks this unitriangularity; a pattern walk expands each basic snake
+once, from the smallest tabloid up, so every term it brings in already
+has its image. For the mod-2 skew kind, `_supplementary` straightens the
+supplementary snakes onto R as bit masks. So the relation span of a
+block is that of e_i - image(i) for each i outside R, and the span Q of
+the straightened supplementary snakes on R. `_freeze` keeps exactly
+that at p: the images reduced mod p, and Q, frozen on a
+`gfp.SpanBuilder` that exists only while it freezes, the one
+elimination left. No block, module or cache holds a builder.
 
 Nothing before the freeze depends on p, and two bounded caches hold it.
 `_layout` lists a tabloid space once (`build_basis`, the one gate that
@@ -33,11 +37,13 @@ weight: every block of that packed weight reads the pattern, which
 `_pattern` checks each of them to pack onto once, when it is made.
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
-full build (`_build`) adds to the layout only `_freeze`'s canonical span
-of each pattern mod p, so the builds of one kind at every prime share one
-layout and one set of patterns, and a read reduces each block's row
-straight against the frozen reduced echelon rows (`residual_mask` at
-p = 2, `residual_dict` at odd p); `straighten` ranks its tabloid
+full build (`_build`) adds to the layout only `_freeze`'s record of each
+pattern at p, so the builds of one kind at every prime share one layout
+and one set of patterns. The record keeps each image reduced modulo Q,
+so a read replaces each coordinate of a block by its image, sums, and
+maps the sum through R's local coordinates: the reduction against the
+reduced echelon form of the span in the order that puts the coordinates
+outside R first. `straighten` ranks its tabloid
 (`TabloidBasis.rank`) and reads its image off its pattern. No read looks
 a tabloid up in a table: `apply_transvection` moves a coordinate by the
 cached rank moves of the columns that hold the source letter
@@ -158,40 +164,78 @@ class _Layout(Record, hidden=("blocks", "packs", "order", "block_no", "local")):
         return type(self), (self.basis, dict(self.blocks))
 
 
-class QuotientModule(Record, hidden=("_layout", "_spans", "_basic_ranks")):
-    """A tabloid space modulo a relation span, graded by weight: the
-    layout of its basis, which every prime shares, and the frozen
-    `Subspace` and basic rank of each packed weight, read by each block of
-    it in local coordinates. Modules compare by identity."""
+class _Span(Record):
+    """The relation span of the blocks of one packed weight over GF(p), in
+    local coordinates, as their pattern's straightening gives it, with no
+    elimination: ``r_pos``, the local coordinates of R; ``q``, the frozen
+    span Q of the straightened supplementary snakes over the
+    R-coordinates, zero but for the mod-2 skew kind; ``images``, the
+    image over R of each local coordinate, reduced mod p and modulo Q, a
+    bit mask of R-coordinates at p = 2 and (R-coordinate, coefficient in
+    [1, p)) pairs otherwise; ``free``, the local coordinates of R that are
+    not pivots of Q. The span is that of e_i - image(i) for i outside R,
+    and Q, so its dimension is (size - |R|) + dim Q, size less the free
+    coordinates. Reduction modulo Q is linear, so a sum of images is
+    reduced modulo Q already."""
 
-    __slots__ = ("ambient", "p", "_layout", "_spans", "_basic_ranks")
+    __slots__ = ("images", "r_pos", "q", "free")
+
+    def __init__(
+        self,
+        images: tuple[int | tuple[tuple[int, int], ...], ...],
+        r_pos: tuple[int, ...],
+        q: Subspace,
+        free: tuple[int, ...],
+    ):
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "r_pos", r_pos)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "free", free)
+
+    @property
+    def dim(self) -> int:
+        return len(self.images) - len(self.free)
+
+    @property
+    def basic_rank(self) -> int:
+        """The rank of the basic snakes: the tabloids outside R."""
+        return len(self.images) - len(self.r_pos)
+
+
+class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
+    """A tabloid space modulo a relation span, graded by weight: the
+    layout of its basis, which every prime shares, and the frozen `_Span`
+    of each packed weight, read by each block of it in local coordinates;
+    ``_numbered`` holds the same spans by block number, as reads find
+    blocks. Modules compare by identity."""
+
+    __slots__ = ("ambient", "p", "_layout", "_spans", "_numbered")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, layout: _Layout, p: int, spans: dict, basic_ranks: dict):
+    def __init__(self, layout: _Layout, p: int, spans: dict):
         object.__setattr__(self, "ambient", layout.basis)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "_spans", MappingProxyType(spans))
-        object.__setattr__(self, "_basic_ranks", MappingProxyType(basic_ranks))
+        object.__setattr__(self, "_numbered", tuple(spans[b.key] for b in layout.order))
 
     def __reduce__(self):
-        # Read-only mappings do not pickle; their dicts do.
-        args = self._layout, self.p, dict(self._spans), dict(self._basic_ranks)
-        return type(self), args
+        # A read-only mapping does not pickle; its dict does.
+        return type(self), (self._layout, self.p, dict(self._spans))
 
     @property
     def supplementary_rank_gain(self) -> int | None:
-        """Rank the supplementary snakes add to the basic ones; None only
-        for the alternating build at p = 2, which is not a skew build."""
+        """Rank the supplementary snakes add to the basic ones, dim Q in
+        each block; None only for the alternating build at p = 2, which is
+        not a skew build."""
         if self.ambient.kind is not skew_column(self.p):
             return None
-        spans, ranks = self._spans, self._basic_ranks
-        return sum(spans[b.key].dim - ranks[b.key] for b in self._layout.order)
+        return sum(span.q.dim for span in self._numbered)
 
     @property
     def relation_rank(self) -> int:
-        return sum(self._spans[b.key].dim for b in self._layout.order)
+        return sum(span.dim for span in self._numbered)
 
     @property
     def dim(self) -> int:
@@ -204,17 +248,21 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_basic_ranks")):
         }
         return {w: v for w, v in table.items() if v}
 
-    def _rows(self, vec: TabloidVector) -> dict[int, int | dict[int, int]]:
-        """vec split into local rows, keyed by block number, in one pass
-        through the layout's index: a bit mask at p = 2, a fresh sparse
-        dict with coefficients in [1, p) otherwise. A coordinate out of
-        range is refused, and so is a vector over a basis that is neither
-        the module's nor equal to it (a copy's)."""
+    def _residuals(self, vec: TabloidVector) -> dict[int, int | dict[int, int]]:
+        """vec modulo the relation span, block by block, keyed by block
+        number, in R-coordinates: in one pass through the layout's index,
+        each coordinate is replaced by its image over R, the substitution
+        `straighten` makes, reduced modulo Q, so each block's sum is too.
+        A bit mask at p = 2, a sparse dict with coefficients in [1, p)
+        otherwise; zero iff the block's part of vec is a relation. A
+        coordinate out of range is refused, and so is a vector over a basis
+        that is neither the module's nor equal to it (a copy's)."""
         if vec.basis is not self.ambient and vec.basis != self.ambient:
             raise ValueError("vector lives over a different basis")
         p = self.p
         if vec.p != p:
             raise ValueError(f"vector over GF({vec.p}) in a module over GF({p})")
+        spans = self._numbered
         block_no, local = self._layout.block_no, self._layout.local
         dim = len(local)
         rows: dict = {}
@@ -224,47 +272,48 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_basic_ranks")):
             if not (c := c % p):
                 continue
             k = block_no[i]
+            image = spans[k].images[local[i]]
             if p == 2:
-                rows[k] = rows.get(k, 0) | 1 << local[i]
+                rows[k] = rows.get(k, 0) ^ image
             elif (row := rows.get(k)) is None:
-                rows[k] = {local[i]: c}
+                rows[k] = {j: c * a % p for j, a in image}  # p is prime
             else:
-                row[local[i]] = c
+                for j, a in image:
+                    if x := (row.get(j, 0) + c * a) % p:
+                        row[j] = x
+                    else:
+                        del row[j]
         return rows
 
     def relations_contain(self, vec: TabloidVector) -> bool:
-        order, spans = self._layout.order, self._spans
-        rows = self._rows(vec).items()
-        if self.p == 2:
-            return not any(spans[order[k].key].residual_mask(m) for k, m in rows)
-        return not any(spans[order[k].key].residual_dict(v) for k, v in rows)
+        return not any(self._residuals(vec).values())
 
     def reduce(self, vec: TabloidVector) -> TabloidVector:
         """Canonical representative of vec in the quotient (zero iff the
-        vector lies in the relation span): each block's row reduced against
-        the block's reduced echelon rows, mapped back to ambient indices."""
-        order, spans = self._layout.order, self._spans
+        vector lies in the relation span): each block's residual over R,
+        mapped through the local coordinates of R and the block's ambient
+        indices. It is the reduction against the reduced echelon form of
+        the span in the order that puts the coordinates outside R first."""
+        order, spans = self._layout.order, self._numbered
         coords: dict[int, int] = {}
-        for k, row in self._rows(vec).items():
-            block = order[k]
-            indices, span = block.indices, spans[block.key]
+        for k, row in self._residuals(vec).items():
+            indices, r_pos = order[k].indices, spans[k].r_pos
             if self.p == 2:
-                for j in _bits(span.residual_mask(row)):
-                    coords[indices[j]] = 1
+                for j in _bits(row):
+                    coords[indices[r_pos[j]]] = 1
             else:
-                for j, c in span.residual_dict(row).items():
-                    coords[indices[j]] = c
+                for j, c in row.items():
+                    coords[indices[r_pos[j]]] = c
         return TabloidVector(self.ambient, self.p, coords)
 
     def quotient_indices(self) -> list[int]:
-        """Ambient indices of the non-pivot coordinates, one per quotient
-        basis element, in increasing order: the non-pivot local coordinates
-        of each packed weight, found once, mapped through the ambient
+        """Ambient indices of the coordinates `reduce` lands on, one per
+        quotient basis element, in increasing order: the free local
+        coordinates of each packed weight, mapped through the ambient
         indices of each block of it."""
         out: list[int] = []
         for key, blocks in self._layout.packs.items():
-            pivots = set(self._spans[key].pivot_indices())
-            free = [j for j in range(blocks[0].size) if j not in pivots]
+            free = self._spans[key].free
             for block in blocks:
                 out += map(block.indices.__getitem__, free)
         out.sort()
@@ -381,15 +430,31 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     where an image depends on p only through reduction mod p, or as masks
     for the mod-2 skew kind. One in R is its own coordinate. The others
     are straightened from the smallest to the greatest in the column
-    order, each image kept in ``known``, so a basic snake brings in only
-    terms whose image is known and each is expanded once."""
+    order, each image kept in ``known``: the basic snake of each is
+    expanded once and must lead with it, with coefficient 1, and bring in
+    only terms already known, which are the smaller ones of the block, so
+    `_straighten` replaces each by its image and expands nothing."""
     mod2 = not kind.zero_on_column_repeats
-    r_pos = tuple(j for j, cols in enumerate(reps) if snake_box(cols) is None)
+    boxes = [snake_box(cols) for cols in reps]
+    r_pos = tuple(j for j, box in enumerate(boxes) if box is None)
     r = {reps[i]: j for j, i in enumerate(r_pos)}
     known = {cols: 1 << j if mod2 else ((j, 1),) for cols, j in r.items()}
-    for cols in sorted((c for c in reps if c not in r), key=_col_key, reverse=True):
-        image = _straighten({cols: 1}, kind, r, known)
-        known[cols] = image if mod2 else tuple(image.items())
+    rest = sorted((_col_key(reps[j]), j) for j, b in enumerate(boxes) if b is not None)
+    for _, j in reversed(rest):
+        source = reps[j]
+        snake = snake_terms(source, *boxes[j], kind)
+        if snake.pop(source, 0) != 1:
+            raise InvariantError(f"basic snake of {source} does not lead with it")
+        for cols in snake:
+            if cols in known:
+                continue
+            if cols in reps:
+                raise InvariantError(
+                    f"basic snake of {source} brings in {cols}, which is not below it"
+                )
+            raise InvariantError(f"relation term {cols} lies outside its weight block")
+        image = _straighten({t: -c for t, c in snake.items()}, kind, r, known)
+        known[source] = image if mod2 else tuple(image.items())
     return _Pattern(
         _packed(reps[0]),
         tuple(known[cols] for cols in reps),
@@ -416,39 +481,27 @@ def _supplementary(r: dict[Cols, int], known: dict) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _freeze(pattern: _Pattern, p: int) -> Subspace:
-    """The canonical span of a straightened block over GF(p): the vectors
-    whose image over R lies in the span Q of the supplementary snakes. One
-    builder, seeded with Q, holds the R-coordinates and, above them, the
-    local ones. From the highest local coordinate i down, the image plus
-    e_i is reduced modulo the builder, which carries the combination it
-    came from above R. A residual nonzero on R is pushed; one zero there
-    is the pivot row of i, e_i less pushed, higher coordinates, of the
-    reduced row-echelon basis."""
-    shift = len(pattern.r_cols)
-    span = SpanBuilder(shift + pattern.size, p)
-    for mask in pattern.supplementary:
-        span.add_mask(mask)
-    rows: list = []
-    for i in reversed(range(pattern.size)):
-        image = pattern.images[i]
-        if p == 2:
-            if not isinstance(image, int):  # the alternating kind at p = 2
-                image = sum(1 << r for r, c in image if c & 1)
-            v = span.residual_mask(image | 1 << (shift + i))
-            if (v & -v).bit_length() <= shift:
-                span.add_mask(v)
-            else:
-                rows.append(v >> shift)
-        else:
-            v = {r: c % p for r, c in image if c % p}
-            v[shift + i] = 1
-            v = span.residual_dict(v)
-            if min(v) < shift:
-                span.add_dict(v)
-            else:
-                rows.append({k - shift: c for k, c in v.items()})
-    return Subspace.from_reduced_rows(pattern.size, p, rows)
+def _freeze(pattern: _Pattern, p: int) -> _Span:
+    """The relation span of a straightened block over GF(p): Q, its
+    supplementary snakes frozen on a builder over the R-coordinates, the
+    one elimination left, and its images reduced mod p and modulo Q, as
+    masks at p = 2 (the alternating kind's pairs become masks there). The
+    vectors whose image over R lies in Q are the span, and R is a basis
+    modulo the basic snakes, so nothing else is eliminated."""
+    images, span = pattern.images, SpanBuilder(len(pattern.r_pos), p)
+    if p == 2:
+        if images and not isinstance(images[0], int):  # the alternating kind
+            images = tuple(sum(1 << r for r, c in image if c & 1) for image in images)
+        for mask in pattern.supplementary:
+            span.add_mask(mask)
+    else:  # the alternating kind, which has no supplementary snake
+        images = tuple(tuple((r, c % p) for r, c in image if c % p) for image in images)
+    q = span.subspace()
+    if q.dim:
+        images = tuple(map(q.residual_mask, images))
+    pivots = set(q.pivot_indices())
+    free = tuple(i for j, i in enumerate(pattern.r_pos) if j not in pivots)
+    return _Span(images, pattern.r_pos, q, free)
 
 
 @lru_cache(maxsize=256)
@@ -460,17 +513,13 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     supplementary snakes of the row-semistandard ones (zero on alternating
     tabloids). The module adds to the layout (`_layout`) the span frozen
     at p from the pattern of each packed weight (`_pattern`, which checks
-    that each block of it packs onto it) and the pattern's basic rank. So a
-    build at a second prime shares the layout, index included, and only
-    freezes. A space past `tabloids.BUILD_BUDGET` is refused before it is
-    listed (`build_basis`)."""
+    that each block of it packs onto it). So a build at a second prime
+    shares the layout, index included, and only reduces the patterns'
+    images mod p. A space past `tabloids.BUILD_BUDGET` is refused before
+    it is listed (`build_basis`)."""
     layout = _layout(shape, d, kind)
-    spans, basic_ranks = {}, {}
-    for key in layout.packs:
-        pattern = _pattern(shape, d, key, kind)
-        spans[key] = _freeze(pattern, p)
-        basic_ranks[key] = pattern.size - len(pattern.r_cols)
-    return QuotientModule(layout, p, spans, basic_ranks)
+    spans = {key: _freeze(_pattern(shape, d, key, kind), p) for key in layout.packs}
+    return QuotientModule(layout, p, spans)
 
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:

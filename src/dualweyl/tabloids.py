@@ -19,7 +19,9 @@ representatives as column tuples (``cols``), which full builds walk and
 `rep` reads; `Tableau` objects are made only at the API boundary (`rep`,
 `terms`, `canonicalize`). `build_basis` is the one gate in front of every
 listing: it counts a space in closed form (`_ambient_count`) and refuses
-one past `BUILD_BUDGET` before it lists a tableau.
+one past `BUILD_BUDGET` before it lists a tableau. The `TabloidBasis`
+constructor refuses such a space too, before it forms the column heights,
+so no basis over one exists.
 """
 
 from __future__ import annotations
@@ -163,6 +165,7 @@ class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights")):
     def __init__(
         self, kind: TabloidKind, shape: Partition, d: int, cols: tuple[Cols, ...]
     ):
+        _refuse_oversized(shape, d, kind)
         strict = kind.zero_on_column_repeats
         heights = tuple(shape.conjugate())
         weights, dim = [], 1
@@ -217,7 +220,6 @@ class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights")):
 BUILD_BUDGET = 500_000
 
 
-@lru_cache(maxsize=256)
 def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
     """The number of tabloids of ``kind`` over d letters, in closed form: a
     column of height h holds a set of h letters, or for mod-2 skew a
@@ -236,20 +238,27 @@ def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
     return count
 
 
-@lru_cache(maxsize=256)
-def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
-    """Basis of canonical representatives, listed in the deterministic
-    tableau order: the product of the columns' lex lists, which `rank`
-    reads as mixed-radix numbers. A space past `BUILD_BUDGET` by
-    `_ambient_count` is refused with `ValueError` before anything is
-    listed, so every full build, straightening and unpickled basis passes
-    this one gate."""
+def _refuse_oversized(shape: Partition, d: int, kind: TabloidKind) -> None:
+    """Refuse, with `ValueError`, a tabloid space past `BUILD_BUDGET` by
+    `_ambient_count`, which forms nothing but the capped count."""
     count = _ambient_count(shape, d, kind)
     if count > BUILD_BUDGET:
         raise ValueError(
             f"the {kind!r} tabloid space of {shape} at d={d} holds at least "
             f"{count} tabloids, over the budget of {BUILD_BUDGET}"
         )
+
+
+@lru_cache(maxsize=256)
+def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
+    """Basis of canonical representatives, listed in the deterministic
+    tableau order: the product of the columns' lex lists, which `rank`
+    reads as mixed-radix numbers. A space past `BUILD_BUDGET` by
+    `_ambient_count` is refused with `ValueError` before anything is
+    listed, as the `TabloidBasis` constructor refuses it before it forms
+    the column heights, so every full build, straightening and unpickled
+    basis passes this one gate."""
+    _refuse_oversized(shape, d, kind)
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
     basis = TabloidBasis(kind, shape, d, cols)
     if len(cols) != basis.dim:

@@ -263,9 +263,26 @@ def kernel_table_all_blocks(shape, d, p=2):
 
 
 def block_spans(module) -> dict[tuple[int, ...], Subspace]:
-    """The frozen span of each weight block of a module, by weight: the
-    span of the block's packed weight."""
-    return {w: module._spans[b.key] for w, b in module._layout.blocks.items()}
+    """The relation span of each weight block of a module, by weight, in
+    reduced row-echelon form over its local coordinates, rebuilt with the
+    span engine from the module's record of the block's packed weight:
+    e_i less the image of i for each local coordinate i outside R, and the
+    rows of Q, each mapped through the local coordinates of R. Blocks of
+    one packed weight get one rebuilt span."""
+    p, rebuilt = module.p, {}
+    for key, record in module._spans.items():
+        r_pos = record.r_pos
+        size = len(record.images)
+        builder = SpanBuilder(size, p)
+        for i in sorted(set(range(size)) - set(r_pos)):
+            image = record.images[i]
+            if p == 2:
+                image = [(j, 1) for j in range(len(r_pos)) if image >> j & 1]
+            builder.add({i: 1, **{r_pos[j]: -c for j, c in image}})
+        for row in record.q.basis_rows():
+            builder.add({r_pos[j]: c for j, c in enumerate(row) if c})
+        rebuilt[key] = builder.subspace()
+    return {w: rebuilt[b.key] for w, b in module._layout.blocks.items()}
 
 
 def block_pos(cols, block) -> dict:
@@ -282,18 +299,6 @@ def probe_builder(subspace: Subspace) -> SpanBuilder:
     for row in subspace.basis_rows():
         builder.add(sparse(row))
     return builder
-
-
-def quotient_indices(module) -> list[int]:
-    """`QuotientModule.quotient_indices` as it was read before the block
-    index: block by block in weight order, the ambient indices of the
-    coordinates that are not pivots, sorted at the end. The reference for
-    the one-pass read."""
-    out = []
-    for _, block in sorted(module._layout.blocks.items()):
-        pivots = set(module._spans[block.key].pivot_indices())
-        out.extend(idx for j, idx in enumerate(block.indices) if j not in pivots)
-    return sorted(out)
 
 
 def ker_q_generators(shape: Partition, d: int) -> list[TabloidVector]:
@@ -854,7 +859,6 @@ __all__ = [
     "place_permute",
     "probe_builder",
     "prod",
-    "quotient_indices",
     "reduce_oracle",
     "row_sort",
     "shuffled_template",

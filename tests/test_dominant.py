@@ -443,5 +443,5 @@ def test_basic_rank_is_not_orbit_invariant():
     # that are not row semistandard, whatever the weight.
     module = build_gtensor_specht(Partition((2, 2, 1)), 3, 2)
     keys = {module._layout.blocks[w].key for w in permutations((4, 1, 0))}
-    assert {module._basic_ranks[key] for key in keys} == {0, 1}
+    assert {module._spans[key].basic_rank for key in keys} == {0, 1}
     assert {module._spans[key].dim for key in keys} == {1}

@@ -278,6 +278,33 @@ def test_snake_terms_match_the_naive_expansion(kind):
                     assert snake_terms((left, right), i, 0, kind) == want, (left, right, i)
 
 
+@pytest.mark.parametrize("kind", [ALT_COLUMN, skew_column(2)], ids=repr)
+def test_cached_snake_pairs_match_the_whole_tableau_expansion(kind):
+    # `snake_terms` splices the cached expansion of its two columns
+    # (`garnir._snake_pair`) into the tableau. It must equal the expansion
+    # of the whole tableau by its template (`garnir._expand`), for every
+    # snake box of every canonical tableau with n <= 6 and d <= 4, read
+    # once from an empty cache and once from a full one.
+    garnir._snake_pair.cache_clear()
+    checked = 0
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                for cols in enumerate_tableaux(shape, d, basis_class(kind)):
+                    for j in range(len(cols) - 1):
+                        template_of = garnir._snake_template
+                        for i in range(len(cols[j + 1])):
+                            template = template_of(len(cols[j]), len(cols[j + 1]), i)
+                            want = garnir._expand(cols, j, j + 1, template, kind)
+                            for _ in range(2):
+                                got = snake_terms(cols, i, j, kind)
+                                assert got == want, (cols, i, j)
+                            checked += 1
+    info = garnir._snake_pair.cache_info()
+    assert info.hits >= checked and info.maxsize is not None
+    assert checked == {ALT_COLUMN: 45543, skew_column(2): 74689}[kind]
+
+
 def test_transversal_independence(monkeypatch):
     # Composing each coset representative of a template with a random
     # element of the group permuting A and B separately must not change

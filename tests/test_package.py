@@ -12,7 +12,7 @@ import pytest
 import dualweyl
 from dualweyl.garnir import GarnirLabel
 from dualweyl.partitions import Partition
-from dualweyl.quotients import QuotientModule, _Block, _Layout, build_dual_weyl
+from dualweyl.quotients import QuotientModule, _Block, _Layout, _Span, build_dual_weyl
 from dualweyl.records import FrozenRecordError
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
@@ -108,7 +108,8 @@ def _records():
     module = build_dual_weyl(shape, 3, 3)
     layout = module._layout
     block = layout.order[0]
-    spans, basic_ranks = dict(module._spans), dict(module._basic_ranks)
+    spans = dict(module._spans)
+    span = spans[block.key]
     label = (t, ((1, 1), (2, 1)), ((1, 2),))
     return [
         (SignedTabloid(t, -1), SignedTabloid(Tableau(t.cols), -1), True),
@@ -121,7 +122,8 @@ def _records():
         (GarnirLabel(*label), GarnirLabel(*label), True),
         (block, _Block(block.indices, block.key), True),
         (layout, _Layout(basis, dict(layout.blocks)), True),
-        (module, QuotientModule(layout, 3, spans, basic_ranks), None),
+        (span, _Span(span.images, span.r_pos, span.q, span.free), True),
+        (module, QuotientModule(layout, 3, spans), None),
     ]
 
 

@@ -34,8 +34,9 @@ from helpers import (
     brute_fillings,
     family_rank,
     packed_weight,
-    quotient_indices,
+    probe_builder,
     reduce_oracle,
+    rref_oracle,
     span,
     straighten_terms,
     straighten_vector,
@@ -383,9 +384,20 @@ def test_quotient_reduce_and_indices():
 
 
 def test_quotient_indices_match_the_reference():
-    # One pass through the block index gives the non-pivot coordinates in
-    # increasing order, as the sort over the blocks did, for every module
-    # with n <= 4, d <= 4 and p in {2, 3, 5}, both constructions.
+    # The quotient coordinates against the span of the relations expanded
+    # label by label over the whole ambient space: there are dim of them,
+    # in increasing order, and their unit vectors are independent modulo
+    # that span. On seeded vectors `reduce` is idempotent, moves a vector
+    # only by that span, and lands on the quotient coordinates. Every
+    # module with n <= 4, d <= 4 and p in {2, 3, 5}, both constructions.
+    families = {
+        build_dual_weyl: [RelationKind.BASIC_SNAKE],
+        build_gtensor_specht: [
+            RelationKind.BASIC_SNAKE,
+            RelationKind.SKEW_SUPPLEMENTARY,
+        ],
+    }
+    rng = random.Random(38)
     checked = 0
     for n in range(1, 5):
         for shape in partitions_of(n):
@@ -393,9 +405,22 @@ def test_quotient_indices_match_the_reference():
                 for p in (2, 3, 5):
                     for build in (build_dual_weyl, build_gtensor_specht):
                         module = build(shape, d, p)
+                        basis, dim = module.ambient, module.ambient.dim
+                        vectors = relation_vectors(module, families[build])
+                        relations = span([v.coords for v in vectors], dim, p)
                         got = module.quotient_indices()
-                        assert got == quotient_indices(module), (shape, d, p)
-                        assert len(got) == module.dim
+                        assert got == sorted(set(got)) and len(got) == module.dim
+                        probe = probe_builder(relations)
+                        assert all(probe.add({i: 1}) for i in got), (shape, d, p)
+                        assert relations.dim + len(got) == dim
+                        for _ in range(5 if dim else 0):
+                            coords = {rng.randrange(dim): rng.randrange(-p, 2 * p)
+                                      for _ in range(4)}
+                            v = TabloidVector(basis, p, coords)
+                            r = module.reduce(v)
+                            assert module.reduce(r).coords == r.coords
+                            assert relations.contains(v.add(r.scale(-1)).coords)
+                            assert set(r.coords) <= set(got)
                         checked += bool(got)
     assert checked
 
@@ -416,10 +441,15 @@ def test_quotient_reduce_at_odd_prime():
     assert len(module.quotient_indices()) == module.dim
 
 
-def _reduce_by_weight(module, coords: dict[int, int]) -> dict[int, int]:
-    """reduce as it was read before the index: each coordinate's block
-    found by the weight of its tabloid, and its local coordinate by
-    position, reduced densely against the block's reduced echelon rows."""
+def _reduce_by_weight(module, coords: dict[int, int], rrefs: dict) -> dict[int, int]:
+    """reduce as an elimination reads it: each coordinate's block found by
+    the weight of its tabloid, and its local coordinate by position,
+    reduced densely against the reduced echelon rows of the block's span
+    in the order that puts the tabloids that are not row semistandard
+    first, by textbook Gauss-Jordan elimination; ``rrefs`` keeps that
+    order and those rows per weight."""
+    from dualweyl.garnir import snake_box
+
     basis, p = module.ambient, module.p
     parts: dict[tuple[int, ...], dict[int, int]] = {}
     for i, c in coords.items():
@@ -427,11 +457,18 @@ def _reduce_by_weight(module, coords: dict[int, int]) -> dict[int, int]:
     out = {}
     for w, part in parts.items():
         block = module._layout.blocks[w]
-        dense = [0] * block.size
-        for i, c in part.items():
-            dense[block.indices.index(i)] = c
-        reduced = reduce_oracle(module._spans[block.key].basis_rows(), dense, p)
-        out.update({block.indices[j]: c for j, c in enumerate(reduced) if c})
+        if w not in rrefs:
+            order = sorted(
+                range(block.size),
+                key=lambda j: (snake_box(basis.cols[block.indices[j]]) is None, j),
+            )
+            span = block_spans(module)[w]
+            rows = [[row[j] for j in order] for row in span.basis_rows()]
+            rrefs[w] = order, rref_oracle(rows, block.size, p)
+        order, rref = rrefs[w]
+        dense = [part.get(block.indices[j], 0) for j in order]
+        reduced = reduce_oracle(rref, dense, p)
+        out.update({block.indices[order[k]]: c for k, c in enumerate(reduced) if c})
     return out
 
 
@@ -456,10 +493,12 @@ def test_reads_match_the_block_found_by_weight():
             {rng.randrange(basis.dim): rng.randrange(-p, 2 * p) for _ in range(5)}
             for _ in range(5 if basis.dim else 0)
         ]
+        rrefs = {}
         for coords in vectors:
             v = TabloidVector(basis, p, coords)
             r = module.reduce(v)
-            assert r.coords == _reduce_by_weight(module, coords), (module, coords)
+            want = _reduce_by_weight(module, coords, rrefs)
+            assert r.coords == want, (module, coords)
             assert module.relations_contain(v.add(r.scale(-1)))
         for i in module.quotient_indices():
             assert not module.relations_contain(TabloidVector(basis, p, {i: 1}))
@@ -562,10 +601,11 @@ def test_block_spans_are_pinned_at_two():
             for shape in partitions_of(n):
                 for d in range(1, 5):
                     module = build(shape, d, 2)
+                    spans = block_spans(module)
                     for w, block in sorted(module._layout.blocks.items()):
-                        s = module._spans[block.key]
+                        s = spans[w]
                         key = (build.__name__, tuple(shape), d, w, s.pivot_indices(),
-                               s.basis_rows(), module._basic_ranks[block.key])
+                               s.basis_rows(), module._spans[block.key].basic_rank)
                         digest.update(repr(key).encode())
                         blocks += 1
     assert blocks == 685
@@ -885,12 +925,13 @@ def test_builds_at_two_primes_expand_each_basic_snake_once(monkeypatch):
                     assert module._layout.local is first.local, shape
                 first = module._layout
                 oracle, _ = unshared_build(shape, 4, p, ALT_COLUMN)
+                spans = block_spans(module)
                 for w, block in module._layout.blocks.items():
                     _, want, basic_rank = oracle[w]
-                    span = module._spans[block.key]
+                    span = spans[w]
                     assert span.pivot_indices() == want.pivot_indices()
                     assert span.basis_rows() == want.basis_rows()
-                    assert module._basic_ranks[block.key] == basic_rank
+                    assert module._spans[block.key].basic_rank == basic_rank
             before = len(calls), len(grouped)
             for cols in module.ambient.cols:
                 straighten(Tableau(cols), shape, 4, 5)
@@ -943,8 +984,7 @@ def test_shared_blocks_match_the_unshared_build(p):
     # block eliminated on its own, and two blocks hold the same frozen span
     # exactly when their packed weights are equal. Every shape with n <= 5,
     # d <= 5, both tabloid kinds (one kind at odd p).
-    from dualweyl.gfp import Subspace
-    from dualweyl.quotients import _build
+    from dualweyl.quotients import _Span, _build
 
     shared = 0
     for n in range(1, 6):
@@ -955,14 +995,14 @@ def test_shared_blocks_match_the_unshared_build(p):
                     oracle, _ = unshared_build(shape, d, p, kind)
                     layout = module._layout
                     assert layout.blocks.keys() == oracle.keys()
-                    spans = {}
+                    spans, rebuilt = {}, block_spans(module)
                     for w, block in layout.blocks.items():
                         pos, want, basic_rank = oracle[w]
                         span = module._spans[block.key]
-                        assert type(span) is Subspace
-                        assert span.pivot_indices() == want.pivot_indices()
-                        assert span.basis_rows() == want.basis_rows()
-                        assert module._basic_ranks[block.key] == basic_rank
+                        assert type(span) is _Span
+                        assert rebuilt[w].pivot_indices() == want.pivot_indices()
+                        assert rebuilt[w].basis_rows() == want.basis_rows()
+                        assert span.basic_rank == basic_rank
                         # the coordinate index against the reference grouping
                         assert {
                             layout.basis.cols[i]: layout.local[i] for i in block.indices
@@ -1132,7 +1172,6 @@ def test_every_cache_is_bounded():
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
     assert {
-        "tabloids._ambient_count",
         "tabloids.build_basis",
         "tabloids.column_rank",
         "quotients._build",
@@ -1140,6 +1179,7 @@ def test_every_cache_is_bounded():
         "quotients._column_moves",
         "quotients._layout",
         "quotients._pattern",
+        "garnir._snake_pair",
         "garnir._snake_template",
         "tableaux.kostka_number",
     } <= set(caches)
@@ -1152,14 +1192,16 @@ def test_every_cached_value_is_frozen():
     # heights and radix weights are tuples), and item assignment on the
     # decomposition rows, one row, a layout's block mapping, its blocks by
     # packed weight and both arrays of its coordinate index, a module's
-    # spans and basic ranks, and a dominant block (a tuple). Each
+    # spans, and a dominant block (a tuple); attribute assignment fails on
+    # each span record too, whose images and coordinates are tuples. Each
     # assignment writes back the value it finds, so a mutable object would
     # not be spoilt for later callers. The template, the column heights
-    # and a column's rank moves are tuples (of ints, or of int pairs), and
-    # the Kostka number, a column rank and a tabloid count ints. A new
-    # cache must join this test.
+    # and a column's rank moves are tuples (of ints, or of int pairs), a
+    # two-column snake expansion a tuple of (column pair, int) pairs, and
+    # the Kostka number and a column rank ints. A new cache must join this
+    # test.
     from dualweyl.decomposition import decomposition_rows
-    from dualweyl.garnir import _snake_template
+    from dualweyl.garnir import _snake_pair, _snake_template
     from dualweyl.quotients import (
         _Layout,
         _build,
@@ -1170,7 +1212,7 @@ def test_every_cached_value_is_frozen():
         _pattern,
     )
     from dualweyl.records import FrozenRecordError
-    from dualweyl.tabloids import _ambient_count, column_rank
+    from dualweyl.tabloids import column_rank
 
     shape = Partition((2, 1))
     module = _build(shape, 3, 2, skew_column(2))
@@ -1185,7 +1227,12 @@ def test_every_cached_value_is_frozen():
     assert isinstance(_snake_template(2, 1, 0), tuple)
     assert isinstance(kostka_number(shape, Partition((1, 1, 1))), int)
     assert isinstance(column_rank((1, 3), 3, True), int)
-    assert isinstance(_ambient_count(shape, 3, ALT_COLUMN), int)
+    for strict in (True, False):
+        pair = _snake_pair((1, 2), (3,), 0, strict)
+        assert isinstance(pair, tuple) and pair
+        for cols, c in pair:
+            assert type(c) is int and type(cols) is tuple and len(cols) == 2
+            assert all(type(col) is tuple for col in cols)
     assert _column_heights(shape) == (2, 1)
     moves = _column_moves((1, 1, 2), 1, 3, 3, False)
     assert isinstance(moves, tuple) and moves
@@ -1196,14 +1243,18 @@ def test_every_cached_value_is_frozen():
         *((lay, f) for lay in (layout, module._layout) for f in lay.__slots__),
         *((block, f) for block in layout.order for f in block.__slots__),
         *((pattern, f) for f in pattern.__slots__),
+        *((span, f) for span in module._spans.values() for f in span.__slots__),
         *((basis, f) for f in basis.__slots__),
     ]
+    for span in module._spans.values():
+        fields = (span.images, span.r_pos, span.free)
+        assert all(isinstance(f, tuple) for f in fields)
     for obj, attr in frozen:
         with pytest.raises(FrozenRecordError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
     mappings = (rows, rows[mu], layout.blocks, layout.packs, module._spans,
-                module._basic_ranks, layout.block_no, layout.local)
+                layout.block_no, layout.local)
     for mapping in mappings:
         key = 0 if isinstance(mapping, memoryview) else next(iter(mapping))
         with pytest.raises(TypeError):
@@ -1217,10 +1268,10 @@ def test_every_cached_value_is_frozen():
         "quotients._dominant_block",
         "quotients._layout",
         "quotients._pattern",
-        "tabloids._ambient_count",
         "tabloids.build_basis",
         "tabloids.column_rank",
         "decomposition.decomposition_rows",
+        "garnir._snake_pair",
         "garnir._snake_template",
         "tableaux.kostka_number",
     }
@@ -1255,13 +1306,13 @@ def _is_cols(key) -> bool:
 
 def test_built_module_holds_only_frozen_blocks():
     from dualweyl.gfp import SpanBuilder, Subspace
-    from dualweyl.quotients import _build
+    from dualweyl.quotients import _Span, _build
 
     for p in (2, 3):
         module = _build.__wrapped__(Partition((2, 1)), 3, p, skew_column(p))
-        first = block_spans(module)
+        first = {w: module._spans[b.key] for w, b in module._layout.blocks.items()}
         assert first
-        assert all(type(s) is Subspace for s in first.values())
+        assert all(type(s) is _Span and type(s.q) is Subspace for s in first.values())
         reachable = _reachable(module)
         assert not any(isinstance(x, SpanBuilder) for x in reachable)
         # no map from a tabloid to a coordinate: coordinates are ranks
@@ -1273,8 +1324,10 @@ def test_built_module_holds_only_frozen_blocks():
         # (2,1,0), (2,0,1) and (0,2,1) share one frozen span, and so on
         assert len({id(s) for s in first.values()}) < len(first)
         # every read uses the frozen blocks, shared ones included, with no
-        # refreezing and no change to their rows
-        rows = {w: s.basis_rows() for w, s in first.items()}
+        # refreezing and no change to their records or to the spans they give
+        rows = {w: s.basis_rows() for w, s in block_spans(module).items()}
+        fields = {w: (s.images, s.r_pos, s.free, s.q.basis_rows())
+                  for w, s in first.items()}
         basis = module.ambient
         for i, j in ((0, 3), (1, basis.dim - 1), (basis.dim - 2, 5)):
             probe = vector_from_terms(basis, p, {basis.rep(i): 1, basis.rep(j): 2})
@@ -1282,8 +1335,11 @@ def test_built_module_holds_only_frozen_blocks():
             module.quotient_indices()
             reduced = module.reduce(probe)
             assert module.relations_contain(probe.add(reduced.scale(-1)))
-        assert all(s is first[w] for w, s in block_spans(module).items())
-        assert all(s.basis_rows() == rows[w] for w, s in block_spans(module).items())
+        for w, b in module._layout.blocks.items():
+            s = module._spans[b.key]
+            assert s is first[w]
+            assert (s.images, s.r_pos, s.free, s.q.basis_rows()) == fields[w]
+        assert {w: s.basis_rows() for w, s in block_spans(module).items()} == rows
 
 
 def test_cached_dominant_blocks_hold_only_frozen_spans():

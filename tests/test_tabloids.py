@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import time
 from itertools import product
 
 import pytest
@@ -166,32 +167,62 @@ def test_ranks_match_the_listing():
 
 
 def test_ranks_round_trip_over_a_thousand_letters(monkeypatch):
-    # Over 1000 letters no space here can be listed, and none is: seeded
-    # tabloids of both kinds rank into range(dim), unrank back by counting
-    # (`helpers.unrank_tabloid`), and keep the lex order of their columns;
-    # the least and the greatest tabloid are 0 and dim - 1. A letter above
-    # d, an unsorted column and, on the alternating kind, a repeat are
-    # refused as at small d.
+    # Over 1000 letters no space here but (1,) can be listed, and none is.
+    # A basis of one past the budget is refused when it is made, so seeded
+    # columns of every height rank over 1000 letters by `column_rank`, and
+    # seeded tabloids of both kinds rank by `TabloidBasis.rank` at the most
+    # letters the budget admits (all 1000 for (1,)). Both rank into range,
+    # unrank back by counting (`helpers.unrank_tabloid`), and keep the lex
+    # order of their columns; the least and the greatest are 0 and the
+    # count less 1. A letter above d, an unsorted column and, on the
+    # alternating kind, a repeat are refused as at small d.
     from dualweyl import tabloids
 
     def refuse(*args):
         raise AssertionError("a space over 1000 letters was listed")
 
+    def column(h, d):
+        if strict:
+            return tuple(sorted(rng.sample(range(1, d + 1), h)))
+        return tuple(sorted(rng.choices(range(1, d + 1), k=h)))
+
+    def extremes(heights, d):
+        low = tuple(tuple(range(1, h + 1)) if strict else (1,) * h for h in heights)
+        high = tuple(
+            tuple(range(d - h + 1, d + 1)) if strict else (d,) * h for h in heights
+        )
+        return low, high
+
     monkeypatch.setattr(tabloids, "enumerate_tableaux", refuse)
-    rng, d = random.Random(1000), 1000
+    rng, letters = random.Random(1000), 1000
+    budget = tabloids.BUILD_BUDGET
     for kind in TabloidKind:
         strict = kind.zero_on_column_repeats
         for parts in ((1,), (3, 2, 1), (2, 2, 2, 1), (5, 3), (4, 4, 4, 4)):
             shape = Partition(parts)
             heights = shape.conjugate()
+            d = letters
+            while tabloids._ambient_count(shape, d, kind) > budget:
+                with pytest.raises(ValueError, match=f"over the budget of {budget}"):
+                    TabloidBasis(kind, shape, d, ())
+                d -= 1
+            assert (d == letters) == (parts == (1,))
+            for h in set(heights):
+                one = Partition((1,) * h)
+                ranked = {}
+                for col in {column(h, letters) for _ in range(100)}:
+                    i = tabloids.column_rank(col, letters, strict)
+                    assert 0 <= i < tabloids.column_count(h, letters, strict)
+                    assert unrank_tabloid(one, letters, strict, i) == (col,)
+                    ranked[col] = i
+                assert sorted(ranked) == sorted(ranked, key=ranked.get)
+                (low,), (high,) = extremes((h,), letters)
+                last = tabloids.column_count(h, letters, strict) - 1
+                assert tabloids.column_rank(low, letters, strict) == 0
+                assert tabloids.column_rank(high, letters, strict) == last
+                assert unrank_tabloid(one, letters, strict, last) == (high,)
             basis = TabloidBasis(kind, shape, d, ())
-
-            def column(h):
-                if strict:
-                    return tuple(sorted(rng.sample(range(1, d + 1), h)))
-                return tuple(sorted(rng.choices(range(1, d + 1), k=h)))
-
-            sample = {tuple(column(h) for h in heights) for _ in range(100)}
+            sample = {tuple(column(h, d) for h in heights) for _ in range(100)}
             ranked = {}
             for cols in sample:
                 i = basis.index_of(Tableau(cols))
@@ -199,10 +230,7 @@ def test_ranks_round_trip_over_a_thousand_letters(monkeypatch):
                 assert unrank_tabloid(shape, d, strict, i) == cols
                 ranked[cols] = i
             assert sorted(ranked) == sorted(ranked, key=ranked.get)
-            low = tuple(tuple(range(1, h + 1)) if strict else (1,) * h for h in heights)
-            high = tuple(
-                tuple(range(d - h + 1, d + 1)) if strict else (d,) * h for h in heights
-            )
+            low, high = extremes(heights, d)
             assert basis.index_of(Tableau(low)) == 0
             assert basis.index_of(Tableau(high)) == basis.dim - 1
             assert unrank_tabloid(shape, d, strict, basis.dim - 1) == high
@@ -307,17 +335,28 @@ def test_a_basis_compares_by_kind_shape_and_d():
 def test_build_basis_refuses_an_oversized_space_before_it_lists_a_tableau(
     monkeypatch,
 ):
-    # The one gate in front of every listing: a library call, an unpickled
-    # basis and, through `_layout`, every build and straightening. The
-    # closed-form count is all it forms: no tableau is listed, and neither
-    # the conjugate shape nor the exact dimension is taken.
+    # The one gate in front of every listing: a library call, the basis
+    # constructor, an unpickled basis and, through `_layout`, every build
+    # and straightening. The closed-form count is all it forms: no tableau
+    # is listed, and neither the conjugate shape nor the exact dimension is
+    # taken. No basis over such a space can be made, so its pickle is made
+    # by hand: a pickled basis is the call of `build_basis` that makes it.
     from dualweyl import quotients, tableaux, tabloids
 
+    class Copied:
+        def __init__(self, *args):
+            self.args = args
+
+        def __reduce__(self):
+            return build_basis, self.args
+
+    small = (Partition((2, 1)), 3, ALT_COLUMN)
+    assert pickle.dumps(Copied(*small)) == pickle.dumps(build_basis(*small))
     oversized = [
         (Partition((6,)), 30, ALT_COLUMN, 30**6),
         (Partition((3, 3)), 13, skew_column(2), 91**3),
     ]
-    copies = [pickle.dumps(TabloidBasis(k, s, d, ())) for s, d, k, _ in oversized]
+    copies = [pickle.dumps(Copied(s, d, k)) for s, d, k, _ in oversized]
 
     def refuse(*args):
         raise AssertionError("an oversized basis was listed")
@@ -335,9 +374,35 @@ def test_build_basis_refuses_an_oversized_space_before_it_lists_a_tableau(
         with pytest.raises(ValueError, match=re.escape(message)):
             build_basis(shape, d, kind)
         with pytest.raises(ValueError, match=re.escape(message)):
+            TabloidBasis(kind, shape, d, ())
+        with pytest.raises(ValueError, match=re.escape(message)):
             pickle.loads(copied)
     for name in ("BUILD_BUDGET", "_ambient_count", "_listed_layout"):
         assert not hasattr(quotients, name), name
+
+
+def test_a_basis_of_an_oversized_space_is_refused_before_its_heights(monkeypatch):
+    # A shape of one row of 10^9 boxes has 10^9 column heights, too many to
+    # form. The constructor refuses its space from the capped closed-form
+    # count, with `build_basis`'s message, well inside a second; the
+    # conjugate shape is never taken, so a regression fails here at once
+    # instead of exhausting memory.
+    from dualweyl import tabloids
+
+    def refuse(*args):
+        raise AssertionError("the column heights were formed")
+
+    monkeypatch.setattr(Partition, "conjugate", refuse)
+    shape, budget = Partition((10**9,)), tabloids.BUILD_BUDGET
+    start = time.perf_counter()
+    for kind in TabloidKind:
+        message = (
+            f"the {kind!r} tabloid space of {shape} at d=2 holds at least "
+            f"{2**19} tabloids, over the budget of {budget}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabloidBasis(kind, shape, 2, ())
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("kind", list(TabloidKind))
