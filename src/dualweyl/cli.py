@@ -9,12 +9,16 @@ only `argparse` and `partitions`. An alternating `dim` query (the dual
 Weyl module at every p, the skew construction at odd p) is the
 hook-content count, with its kind and forecast from `partitions`, and
 loads nothing more; a mod-2 skew query loads `quotients`; `verify` and
-`table` load `suites` and the modules it runs.
+`table` load `suites` and the modules it runs. `verify --jobs N` runs its
+check units in N processes: this one, and N - 1 it forks after the
+suites are loaded, each with a fixed share of the units, so no executor
+or worker start-up is paid.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
 import os
 import sys
 import time
@@ -83,14 +87,85 @@ def _run_check(check: tuple) -> list[dict]:
 
 
 def _run_checks(checks: list[tuple], jobs: int) -> list[list[dict]]:
-    if jobs == 1 or len(checks) <= 1:
+    """The items of each check unit, in order, from ``jobs`` processes,
+    this one included: unit i runs in process i mod jobs. This process
+    runs its own share while it forks the others (where `os.fork` exists)
+    and reads theirs back from pipes; an exception raised in a child is
+    raised here with its type and message, and no child outlives the
+    call."""
+    jobs = min(jobs, len(checks))
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [_run_check(c) for c in checks]
-    # Imported here: a `dim` call never needs the pool, and the import
-    # is a noticeable share of start-up.
-    from concurrent.futures import ProcessPoolExecutor
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for k in range(1, jobs):
+            share = checks[k::jobs]
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(share, read, write)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        shares = [[_run_check(c) for c in checks[::jobs]]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            shares.append(_child_share(data, os.waitstatus_to_exitcode(status)))
+    finally:
+        if children:
+            import signal
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(checks))) as pool:
-        return list(pool.map(_run_check, checks, chunksize=4))
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [shares[i % jobs][i // jobs] for i in range(len(checks))]
+
+
+def _child(checks: list[tuple], read: int, write: int) -> None:
+    """A forked check process: its units' items go to the pipe by
+    `marshal`, or what it raised by `pickle`. It leaves only through
+    `os._exit`, so nothing of the parent's command runs again here."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = b"R" + marshal.dumps([_run_check(c) for c in checks])
+        except Exception as exc:
+            import pickle
+
+            payload = b"E" + pickle.dumps(exc)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _child_share(data: bytes, code: int) -> list[list[dict]]:
+    """The items a child sent, or what it raised, raised again; a pipe
+    that came back empty or cut short is an error naming its exit."""
+    if code == 0 and data[:1] == b"E":
+        import pickle
+
+        raise pickle.loads(data[1:])
+    if code == 0 and data[:1] == b"R":
+        try:
+            return marshal.loads(data[1:])
+        except (EOFError, ValueError):
+            pass
+    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+    raise RuntimeError(
+        f"a check process ended with {how} after sending {len(data)} bytes "
+        "of its results"
+    )
 
 
 def _resolve_jobs(value: int | None) -> int:
@@ -154,7 +229,7 @@ def cmd_dim(args) -> int:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     jobs = _resolve_jobs(args.jobs)
-    # Loaded here, in the parent, so the pool workers the checks fork
+    # Loaded here, before `_run_checks` forks, so the check processes
     # inherit the suites and the modules they run instead of each
     # importing them again.
     from . import suites

@@ -56,8 +56,8 @@ def _u_dim_expected(d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Check units. Each is a tuple of a module-level handler below and its
-# primitive arguments, so the pool can ship it to workers (functions pickle
-# by reference); the handler returns the report items of its unit.
+# primitive arguments; the handler returns the report items of its unit,
+# plain values that a forked check process sends back by `marshal`.
 
 
 def _item(check: str, *, expected, got, **fields) -> dict:

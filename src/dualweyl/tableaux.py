@@ -9,6 +9,7 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from typing import Iterable
 
 from .partitions import Partition
@@ -106,6 +107,45 @@ class Tableau:
         return f"Tableau[{body}]"
 
 
+# A listing by the product of its columns' lists (`enumerate_tableaux`)
+# or a tabloid basis (`tabloids.build_basis`) larger than this is refused
+# before it is listed; near it a full build takes seconds.
+BUILD_BUDGET = 500_000
+
+
+def column_count(h: int, d: int, strict: bool) -> int:
+    """The number of sorted columns of height h over d letters: sets
+    (``strict``) or multisets."""
+    return comb(d, h) if strict else comb(d + h - 1, h)
+
+
+def capped_product_count(shape: Partition, per_column) -> int:
+    """The product over the columns of ``per_column(h)``, h the column's
+    height, in closed form: lambda_h - lambda_{h+1} columns have height h.
+    The tallest come first, where an empty space shows; the count is left
+    once past `BUILD_BUDGET` (a factor of 2 or more to the power of the
+    budget's bit length is past it), and is then a smaller count over the
+    budget. The column heights are never formed."""
+    count, parts = 1, (*shape, 0)
+    for h in range(len(shape), 0, -1):
+        factor = per_column(h)
+        count *= factor ** min(parts[h - 1] - parts[h], BUILD_BUDGET.bit_length())
+        if not count or count > BUILD_BUDGET:
+            break
+    return count
+
+
+def _refuse_oversized(shape: Partition, d: int, cls: TableauClass, per_column) -> None:
+    """Refuse, with `ValueError`, a product listing past `BUILD_BUDGET` by
+    `capped_product_count`, before the column heights are formed."""
+    count = capped_product_count(shape, per_column)
+    if count > BUILD_BUDGET:
+        raise ValueError(
+            f"the {cls.value} tableaux of {shape} at d={d} number at least "
+            f"{count}, over the budget of {BUILD_BUDGET}"
+        )
+
+
 # Sorted-column classes: (step down a column, gap to the left neighbour in
 # the same row, None when rows are unordered).
 _SORTED_CLASSES = {
@@ -128,25 +168,30 @@ def enumerate_tableaux(
 
     Every class but ALL has sorted columns. With no row order and no
     content, like ALL, the tableaux are the product of their columns' lex
-    lists. Otherwise they are generated column by column, top to bottom: an
-    entry is at least the one above it plus the class's column step and,
-    when the class orders rows, at least its left neighbour plus the row
-    gap. With ``content`` (length d) letter k is used exactly
-    content[k-1] times, consumed as the entries are placed rather than by
-    filtering.
+    lists; a product counted past `BUILD_BUDGET` by `capped_product_count`
+    is refused with `ValueError` before any is listed. Otherwise they are
+    generated column by column, top to bottom: an entry is at least the
+    one above it plus the class's column step and, when the class orders
+    rows, at least its left neighbour plus the row gap. With ``content``
+    (length d) letter k is used exactly content[k-1] times, consumed as
+    the entries are placed rather than by filtering.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    heights = tuple(shape.conjugate())
     if cls is TableauClass.ALL:
         if content is not None:
             raise ValueError(f"enumeration by content needs sorted columns, not {cls}")
+        _refuse_oversized(shape, d, cls, lambda h: d**h)
         alphabet = range(1, d + 1)
+        heights = tuple(shape.conjugate())
         return list(product(*(product(alphabet, repeat=h) for h in heights)))
     step, gap = _SORTED_CLASSES[cls]
     if content is None and gap is None:
+        _refuse_oversized(shape, d, cls, lambda h: column_count(h, d, bool(step)))
         column = combinations if step else combinations_with_replacement
+        heights = tuple(shape.conjugate())
         return list(product(*(column(range(1, d + 1), h) for h in heights)))
+    heights = tuple(shape.conjugate())
     if content is None:
         counts = [shape.n] * d  # never binding
     elif len(content) != d or min(content) < 0 or sum(content) != shape.n:

@@ -18,10 +18,11 @@ it by arithmetic, with no per-tabloid table. The basis still lists its
 representatives as column tuples (``cols``), which full builds walk and
 `rep` reads; `Tableau` objects are made only at the API boundary (`rep`,
 `terms`, `canonicalize`). `build_basis` is the one gate in front of every
-listing: it counts a space in closed form (`_ambient_count`) and refuses
-one past `BUILD_BUDGET` before it lists a tableau. The `TabloidBasis`
-constructor refuses such a space too, before it forms the column heights,
-so no basis over one exists.
+basis listing: it counts a space in closed form (`_ambient_count`, the
+capped count `tableaux.enumerate_tableaux` gates its product listings
+by) and refuses one past `BUILD_BUDGET` before it lists a tableau. The
+`TabloidBasis` constructor refuses such a space too, before it forms the
+column heights, so no basis over one exists.
 """
 
 from __future__ import annotations
@@ -32,7 +33,15 @@ from math import comb
 
 from .partitions import InvariantError, Partition, is_alternating
 from .records import Record
-from .tableaux import Cols, Tableau, TableauClass, enumerate_tableaux
+from .tableaux import (
+    BUILD_BUDGET,
+    Cols,
+    Tableau,
+    TableauClass,
+    capped_product_count,
+    column_count,
+    enumerate_tableaux,
+)
 
 
 class TabloidKind(Enum):
@@ -119,12 +128,6 @@ def basis_class(kind: TabloidKind) -> TableauClass:
     if kind.zero_on_column_repeats:
         return TableauClass.COLUMN_STANDARD
     return TableauClass.COLUMN_SEMISTANDARD
-
-
-def column_count(h: int, d: int, strict: bool) -> int:
-    """The number of columns of height h over d letters: sets (``strict``,
-    the alternating kind) or multisets (mod-2 skew)."""
-    return comb(d, h) if strict else comb(d + h - 1, h)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -215,27 +218,14 @@ class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights")):
         return Tableau(self.cols[i])
 
 
-# `build_basis` refuses a tabloid space larger than this before it lists
-# it; near it a full build takes seconds.
-BUILD_BUDGET = 500_000
-
-
 def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
     """The number of tabloids of ``kind`` over d letters, in closed form: a
     column of height h holds a set of h letters, or for mod-2 skew a
     multiset, so the count is the product of C(d, h) or C(d + h - 1, h)
-    over the columns; lambda_h - lambda_{h+1} of them have height h. The
-    tallest come first, where an empty alternating space shows; the count
-    is left once past `BUILD_BUDGET` (a factor of 2 or more to the power
-    of the budget's bit length is past it), and is then a smaller count
-    over the budget."""
-    count, parts = 1, (*shape, 0)
-    for h in range(len(shape), 0, -1):
-        factor = column_count(h, d, kind.zero_on_column_repeats)
-        count *= factor ** min(parts[h - 1] - parts[h], BUILD_BUDGET.bit_length())
-        if not count or count > BUILD_BUDGET:
-            break
-    return count
+    over the columns, capped past `BUILD_BUDGET` as
+    `tableaux.capped_product_count` caps it."""
+    strict = kind.zero_on_column_repeats
+    return capped_product_count(shape, lambda h: column_count(h, d, strict))
 
 
 def _refuse_oversized(shape: Partition, d: int, kind: TabloidKind) -> None:

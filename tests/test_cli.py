@@ -491,6 +491,32 @@ def test_verify_d1_n_max_is_capped():
     assert proc.stdout.strip().endswith("683/683 checks passed")
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the check processes the CLI forks, counted around the
+    real `os.fork` (a child's own count is its copy, and is lost)."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def no_child_left():
+    """Whether every child of this process has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_verify_all_report_is_pinned():
     # The report bytes of the full sweep are fixed; any change to a
     # construction that alters a dimension, verdict or table shows here.
@@ -504,18 +530,22 @@ def test_verify_all_report_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
 
 
-def test_verify_thm2_probe_is_pinned(capsys):
+def test_verify_thm2_probe_is_pinned(capsys, monkeypatch, forks):
     # The thm2 slice the benchmark times is fixed too; a reshuffle of the
-    # thm2 units or their items shows here.
-    for jobs in ("1", "2"):
+    # thm2 units or their items shows here. Three jobs are this process
+    # and two children, each with a fixed share of the units.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for jobs in (1, 2, 3):
+        before = len(forks)
         code, out, _ = run(
             capsys,
-            "verify", "--suite", "thm2", "--n-max", "5", "--jobs", jobs,
+            "verify", "--suite", "thm2", "--n-max", "5", "--jobs", str(jobs),
             "--no-timing", "--format", "json",
         )
-        assert code == 0
+        assert code == 0 and len(forks) - before == jobs - 1
         assert len(json.loads(out)["items"]) == 55
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_THM2_PROBE_SHA256
+    assert no_child_left()
 
 
 def test_thm1_builds_each_shape_once_per_prime(capsys):
@@ -596,52 +626,91 @@ def test_verify_tables_reports_failed_data_gates(capsys, monkeypatch):
         assert not any(it["check"] == "kernel_composition_factors" for it in items)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every process pool the CLI opens; the pools run
-    their checks inline, so no process starts."""
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-def test_pool_is_clamped_to_the_check_count(pool_sizes):
+def test_pool_is_clamped_to_the_check_count(forks):
+    # d1 to 2 boxes is three units: --jobs 8 runs them in three processes,
+    # this one and two children.
     from dualweyl import cli, suites
 
     checks = suites.SUITE_UNITS["d1"](2)
     assert cli._run_checks(checks, 8) == [cli._run_check(c) for c in checks]
-    assert pool_sizes == [len(checks)]
+    assert len(forks) == len(checks) - 1 == 2
+    assert no_child_left()
 
 
-def test_pool_is_capped_at_the_cores(capsys, monkeypatch, pool_sizes):
-    # --jobs beyond the cores forks no more interpreters than there are
-    # cores, with a note; the report is the serial one.
+def test_pool_is_capped_at_the_cores(capsys, monkeypatch, forks):
+    # --jobs beyond the cores forks no more processes than there are
+    # cores, this one included, with a note; the report is the serial one.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ["verify", "--suite", "thm2", "--n-max", "3", "--format", "json",
             "--no-timing", "--jobs"]
     code, serial, _ = run(capsys, *argv, "1")
-    assert code == 0 and pool_sizes == []
+    assert code == 0 and len(forks) == 0
     code, out, err = run(capsys, *argv, "1000")
-    assert code == 0 and out == serial and pool_sizes == [3]
+    assert code == 0 and out == serial and len(forks) == 2
     assert "note: --jobs 1000 is capped at 3 cores" in err
     code, out, err = run(capsys, *argv, "2")
-    assert code == 0 and out == serial and pool_sizes == [3, 2] and err == ""
+    assert code == 0 and out == serial and len(forks) == 3 and err == ""
+    assert no_child_left()
+
+
+def _raise_in(where: str, parent: int, unit: int) -> list[dict]:
+    """A check unit that raises in the parent or in a child only."""
+    if (os.getpid() == parent) == (where == "parent"):
+        raise ValueError(f"unit {unit} failed in the {where}")
+    return [{"check": "probe", "unit": unit}]
+
+
+def test_a_childs_exception_reaches_the_parent(capsys, monkeypatch, forks):
+    # Units 1 and 3 run in the child; its ValueError is raised here with
+    # its type and message, and through `main` it is exit 2.
+    from dualweyl import suites
+
+    checks = [(_raise_in, "child", os.getpid(), unit) for unit in range(4)]
+    with pytest.raises(ValueError, match="^unit 1 failed in the child$"):
+        cli._run_checks(checks, 2)
+    assert len(forks) == 1 and no_child_left()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(suites.SUITE_UNITS, "d1", lambda n_max: checks)
+    code, out, err = run(capsys, "verify", "--suite", "d1", "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: unit 1 failed in the child\n"
+    assert len(forks) == 2 and no_child_left()
+
+
+def _sleep_in_child(parent: int) -> list[dict]:
+    if os.getpid() != parent:
+        time.sleep(60)
+    return []
+
+
+def test_a_raise_in_the_parents_share_ends_the_children(forks):
+    # Unit 0 is this process's and raises while the child sleeps on unit
+    # 1: the error propagates at once and the child is killed and reaped.
+    checks = [(_raise_in, "parent", os.getpid(), 0),
+              (_sleep_in_child, os.getpid())]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^unit 0 failed in the parent$"):
+        cli._run_checks(checks, 2)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1 and no_child_left()
+
+
+def _kill_the_child(parent: int) -> list[dict]:
+    import signal
+
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return [{"check": "probe"}]
+
+
+def test_a_killed_child_is_an_error_not_a_partial_report(capsys, forks):
+    # A child that dies without sending its results is an error naming
+    # how it ended; no report is printed and nothing hangs.
+    checks = [(_kill_the_child, os.getpid())] * 3
+    with pytest.raises(RuntimeError, match="ended with signal 9 after sending 0 bytes"):
+        cli._run_checks(checks, 3)
+    assert len(forks) == 2 and no_child_left()
+    assert capsys.readouterr().out == ""
 
 
 def test_thm1_passes_at_seven_boxes():
@@ -678,18 +747,23 @@ def test_thm1_check_has_an_independent_oracle(monkeypatch):
 
 
 def test_cli_import_leaves_out_numpy_and_the_pool():
-    # numpy is not a dependency, and a `dim` call never needs the pool.
+    # numpy is not a dependency, and a `dim` call never needs the pool;
+    # `verify` forks its check processes itself, with no executor.
     code = (
-        "import sys, dualweyl.cli; "
-        "print([m for m in ('numpy', 'concurrent.futures.process') "
-        "if m in sys.modules])"
+        "import sys, dualweyl.cli as cli; "
+        "unused = ('numpy', 'concurrent.futures', 'multiprocessing'); "
+        "print([m for m in unused if m in sys.modules]); "
+        "cli.main(['verify', '--suite', 'd1', '--n-max', '3', '--jobs', '2']); "
+        "print([m for m in unused if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[-2] == "6/6 checks passed"
 
 
 def test_dim_imports_only_what_it_runs():
@@ -922,6 +996,42 @@ sys.exit(code)
     stats = tracer.merge(sorted(tmp_path.glob("*.json")))["stats"]
     assert stats["cli.pool"][0] == 1
     assert stats["cli.check"][0] == units
+
+
+def test_traced_parallel_sweeps_count_the_same_work(tmp_path):
+    # Each check process runs a fixed share of the units, so its caches
+    # fill the same way every time: two traced sweeps at --jobs 2 book
+    # the same layer counts, merged over the processes.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    counted = []
+    for run_dir in (tmp_path / "first", tmp_path / "second"):
+        run_dir.mkdir()
+        script = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(PERFBENCH)!r})
+import tracer
+tr = tracer.install(Path({str(run_dir)!r}))
+from dualweyl import cli
+code = cli.main(["verify", "--suite", "all", "--n-max", "4", "--jobs", "2",
+                 "--no-timing", "--format", "json"])
+tr.dump_own()
+sys.exit(code)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=child_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = tracer.merge(sorted(run_dir.glob("*.json")))["counts"]
+        counted.append([counts[name] for name in
+                        ("tableaux.enumerated", "quotients.blocks", "cli.checks")])
+    assert counted[0] == counted[1]
+    assert min(counted[0]) > 0
 
 
 def test_report_is_deterministic(capsys):

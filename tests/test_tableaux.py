@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+import time
 from math import comb
 
 import pytest
@@ -217,6 +219,49 @@ def test_content_enumeration_rejects_bad_requests():
         enumerate_tableaux(shape, 2, TableauClass.COLUMN_STANDARD, content=(3,))
     with pytest.raises(ValueError):
         enumerate_tableaux(shape, 2, TableauClass.ALL, content=(2, 1))
+
+
+def test_an_oversized_product_listing_is_refused_before_its_heights(monkeypatch):
+    # One row of 6 boxes over 30 letters has 30^6 fillings with no order,
+    # and as many with sorted columns: both product paths refuse the
+    # listing from the capped closed-form count, well inside a second,
+    # before the conjugate shape is taken or a product is formed.
+    from dualweyl import tableaux
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing was started")
+
+    monkeypatch.setattr(tableaux, "product", refuse)
+    monkeypatch.setattr(Partition, "conjugate", refuse)
+    shape, budget = Partition((6,)), tableaux.BUILD_BUDGET
+    start = time.perf_counter()
+    for cls in (TableauClass.COLUMN_STANDARD, TableauClass.ALL):
+        message = (
+            f"the {cls.value} tableaux of {shape} at d=30 number at least "
+            f"{30**6}, over the budget of {budget}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_tableaux(shape, 30, cls)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_product_listing_within_the_budget_is_counted_exactly():
+    # Under the budget the capped count is the listing's length, for
+    # every product path, an empty one included.
+    from dualweyl import tableaux
+
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            for d in range(1, 5):
+                for cls, count in (
+                    (TableauClass.ALL, lambda h: d**h),
+                    (TableauClass.COLUMN_STANDARD,
+                     lambda h: tableaux.column_count(h, d, True)),
+                    (TableauClass.COLUMN_SEMISTANDARD,
+                     lambda h: tableaux.column_count(h, d, False)),
+                ):
+                    got = len(enumerate_tableaux(shape, d, cls))
+                    assert tableaux.capped_product_count(shape, count) == got
 
 
 def test_semistandard_count_matches_hook_content():
