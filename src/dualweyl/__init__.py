@@ -14,10 +14,7 @@ _EXPORTS = {
         "hook_content_dim", "min_odd_binomial_index", "parse_partition",
         "partitions_of",
     ),
-    "tableaux": (
-        "ColOrderResult", "Tableau", "TableauClass", "col_compare",
-        "enumerate_tableaux",
-    ),
+    "tableaux": ("Tableau", "TableauClass", "enumerate_tableaux"),
     "tabloids": (
         "ALT_COLUMN", "SignedTabloid", "TabloidBasis", "TabloidVector",
         "build_basis", "canonicalize", "skew_column",

@@ -91,8 +91,8 @@ def _run_checks(checks: list[tuple], jobs: int) -> list[list[dict]]:
     this one included: unit i runs in process i mod jobs. This process
     runs its own share while it forks the others (where `os.fork` exists)
     and reads theirs back from pipes; an exception raised in a child is
-    raised here with its type and message, and no child outlives the
-    call."""
+    raised here with its type and message, chained to the child's
+    traceback, and no child outlives the call."""
     jobs = min(jobs, len(checks))
     if jobs <= 1 or not hasattr(os, "fork"):
         return [_run_check(c) for c in checks]
@@ -131,8 +131,10 @@ def _run_checks(checks: list[tuple], jobs: int) -> list[list[dict]]:
 
 def _child(checks: list[tuple], read: int, write: int) -> None:
     """A forked check process: its units' items go to the pipe by
-    `marshal`, or what it raised by `pickle`. It leaves only through
-    `os._exit`, so nothing of the parent's command runs again here."""
+    `marshal`, or what it raised: the exception by `pickle` (None if it
+    does not pickle), its class and message, and its formatted traceback.
+    It leaves only through `os._exit`, so nothing of the parent's command
+    runs again here."""
     code = 1
     try:
         os.close(read)
@@ -140,8 +142,15 @@ def _child(checks: list[tuple], read: int, write: int) -> None:
             payload = b"R" + marshal.dumps([_run_check(c) for c in checks])
         except Exception as exc:
             import pickle
+            import traceback
 
-            payload = b"E" + pickle.dumps(exc)
+            try:
+                pickled = pickle.dumps(exc)
+            except Exception:
+                pickled = None
+            name = f"{type(exc).__module__}.{type(exc).__qualname__}"
+            sent = (pickled, name, str(exc), traceback.format_exc())
+            payload = b"E" + marshal.dumps(sent)
         with open(write, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -150,17 +159,26 @@ def _child(checks: list[tuple], read: int, write: int) -> None:
 
 
 def _child_share(data: bytes, code: int) -> list[list[dict]]:
-    """The items a child sent, or what it raised, raised again; a pipe
-    that came back empty or cut short is an error naming its exit."""
-    if code == 0 and data[:1] == b"E":
-        import pickle
-
-        raise pickle.loads(data[1:])
-    if code == 0 and data[:1] == b"R":
+    """The items a child sent, or what it raised, raised again from the
+    child's traceback; an exception that cannot be rebuilt is a
+    `RuntimeError` naming its class and message. A pipe that came back
+    empty or cut short is an error naming its exit."""
+    if code == 0 and data[:1] in (b"R", b"E"):
         try:
-            return marshal.loads(data[1:])
+            sent = marshal.loads(data[1:])
         except (EOFError, ValueError):
             pass
+        else:
+            if data[:1] == b"R":
+                return sent
+            import pickle
+
+            pickled, name, message, frames = sent
+            try:
+                exc = pickle.loads(pickled)  # fails on None too: it did not pickle
+            except Exception:
+                exc = RuntimeError(f"a check process raised {name}: {message}")
+            raise exc from RuntimeError(f"in a check process:\n{frames}")
     how = f"signal {-code}" if code < 0 else f"exit status {code}"
     raise RuntimeError(
         f"a check process ended with {how} after sending {len(data)} bytes "

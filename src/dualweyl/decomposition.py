@@ -59,7 +59,7 @@ def _simple_weight_dim(lam: Partition, beta: Partition) -> int:
     for mask in columns:
         for r in _bits(mask):
             gram[r] ^= mask
-    span = SpanBuilder(len(monomials), 2)
+    span = SpanBuilder(len(monomials))
     for row in gram:
         span.add_mask(row)
     return span.rank

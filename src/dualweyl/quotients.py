@@ -20,9 +20,11 @@ has its image. For the mod-2 skew kind, `_supplementary` straightens the
 supplementary snakes onto R as bit masks. So the relation span of a
 block is that of e_i - image(i) for each i outside R, and the span Q of
 the straightened supplementary snakes on R. `_freeze` keeps exactly
-that at p: the images reduced mod p, and Q, frozen on a
-`gfp.SpanBuilder` that exists only while it freezes, the one
-elimination left. No block, module or cache holds a builder.
+that: for the alternating kind the pattern's integer images, which a
+read reduces mod p, and no Q; for the mod-2 skew kind Q, frozen on a
+`gfp.SpanBuilder` that exists only while it freezes, the one elimination
+left, so `gfp` works over GF(2) alone. No block, module or cache holds a
+builder.
 
 Nothing before the freeze depends on p, and two bounded caches hold it.
 `_layout` lists a tabloid space once (`build_basis`, the one gate that
@@ -38,10 +40,11 @@ weight: every block of that packed weight reads the pattern, which
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
 full build (`_build`) adds to the layout only `_freeze`'s record of each
-pattern at p, so the builds of one kind at every prime share one layout
-and one set of patterns. The record keeps each image reduced modulo Q,
-so a read replaces each coordinate of a block by its image, sums, and
-maps the sum through R's local coordinates: the reduction against the
+pattern, so the builds of one kind at every prime share one layout, one
+set of patterns and, for the alternating kind, the images themselves.
+The record keeps each mod-2 image reduced modulo Q, so a read replaces
+each coordinate of a block by its image, sums (mod p), and maps the sum
+through R's local coordinates: the reduction against the
 reduced echelon form of the span in the order that puts the coordinates
 outside R first. `straighten` ranks its tabloid
 (`TabloidBasis.rank`) and reads its image off its pattern. No read looks
@@ -165,18 +168,19 @@ class _Layout(Record, hidden=("blocks", "packs", "order", "block_no", "local")):
 
 
 class _Span(Record):
-    """The relation span of the blocks of one packed weight over GF(p), in
-    local coordinates, as their pattern's straightening gives it, with no
-    elimination: ``r_pos``, the local coordinates of R; ``q``, the frozen
-    span Q of the straightened supplementary snakes over the
-    R-coordinates, zero but for the mod-2 skew kind; ``images``, the
-    image over R of each local coordinate, reduced mod p and modulo Q, a
-    bit mask of R-coordinates at p = 2 and (R-coordinate, coefficient in
-    [1, p)) pairs otherwise; ``free``, the local coordinates of R that are
-    not pivots of Q. The span is that of e_i - image(i) for i outside R,
-    and Q, so its dimension is (size - |R|) + dim Q, size less the free
-    coordinates. Reduction modulo Q is linear, so a sum of images is
-    reduced modulo Q already."""
+    """The relation span of the blocks of one packed weight, in local
+    coordinates, as their pattern's straightening gives it, with no
+    elimination: ``r_pos``, the local coordinates of R; ``images``, the
+    image over R of each local coordinate; ``q``, the frozen span Q of the
+    straightened supplementary snakes over the R-coordinates; ``free``,
+    the local coordinates of R that are not pivots of Q. For the
+    alternating kind the images are the pattern's own (R-coordinate,
+    integer coefficient) pairs, which a read reduces mod p, ``q`` is None
+    and R is free; for the mod-2 skew kind they are bit masks of
+    R-coordinates reduced modulo Q. The span is that of e_i - image(i) for
+    i outside R, and Q, so its dimension is (size - |R|) + dim Q, size
+    less the free coordinates. Reduction modulo Q is linear, so a sum of
+    images is reduced modulo Q already."""
 
     __slots__ = ("images", "r_pos", "q", "free")
 
@@ -184,7 +188,7 @@ class _Span(Record):
         self,
         images: tuple[int | tuple[tuple[int, int], ...], ...],
         r_pos: tuple[int, ...],
-        q: Subspace,
+        q: Subspace | None,
         free: tuple[int, ...],
     ):
         object.__setattr__(self, "images", images)
@@ -231,7 +235,7 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
         not a skew build."""
         if self.ambient.kind is not skew_column(self.p):
             return None
-        return sum(span.q.dim for span in self._numbered)
+        return sum(span.q.dim for span in self._numbered if span.q is not None)
 
     @property
     def relation_rank(self) -> int:
@@ -252,16 +256,19 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
         """vec modulo the relation span, block by block, keyed by block
         number, in R-coordinates: in one pass through the layout's index,
         each coordinate is replaced by its image over R, the substitution
-        `straighten` makes, reduced modulo Q, so each block's sum is too.
-        A bit mask at p = 2, a sparse dict with coefficients in [1, p)
-        otherwise; zero iff the block's part of vec is a relation. A
-        coordinate out of range is refused, and so is a vector over a basis
-        that is neither the module's nor equal to it (a copy's)."""
+        `straighten` makes, so each block's sum is reduced modulo Q too.
+        A bit mask for the mod-2 skew kind; for the alternating kind a
+        sparse dict with coefficients in [1, p), each integer image
+        coefficient reduced mod p as it is read (one may be 0 mod p). Zero
+        iff the block's part of vec is a relation. A coordinate out of
+        range is refused, and so is a vector over a basis that is neither
+        the module's nor equal to it (a copy's)."""
         if vec.basis is not self.ambient and vec.basis != self.ambient:
             raise ValueError("vector lives over a different basis")
         p = self.p
         if vec.p != p:
             raise ValueError(f"vector over GF({vec.p}) in a module over GF({p})")
+        masks = not self.ambient.kind.zero_on_column_repeats
         spans = self._numbered
         block_no, local = self._layout.block_no, self._layout.local
         dim = len(local)
@@ -273,16 +280,16 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
                 continue
             k = block_no[i]
             image = spans[k].images[local[i]]
-            if p == 2:
+            if masks:
                 rows[k] = rows.get(k, 0) ^ image
-            elif (row := rows.get(k)) is None:
-                rows[k] = {j: c * a % p for j, a in image}  # p is prime
-            else:
-                for j, a in image:
-                    if x := (row.get(j, 0) + c * a) % p:
-                        row[j] = x
-                    else:
-                        del row[j]
+                continue
+            if (row := rows.get(k)) is None:
+                row = rows[k] = {}
+            for j, a in image:
+                if x := (row.get(j, 0) + c * a) % p:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
         return rows
 
     def relations_contain(self, vec: TabloidVector) -> bool:
@@ -298,7 +305,7 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
         coords: dict[int, int] = {}
         for k, row in self._residuals(vec).items():
             indices, r_pos = order[k].indices, spans[k].r_pos
-            if self.p == 2:
+            if isinstance(row, int):
                 for j in _bits(row):
                     coords[indices[r_pos[j]]] = 1
             else:
@@ -481,27 +488,25 @@ def _supplementary(r: dict[Cols, int], known: dict) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _freeze(pattern: _Pattern, p: int) -> _Span:
-    """The relation span of a straightened block over GF(p): Q, its
-    supplementary snakes frozen on a builder over the R-coordinates, the
-    one elimination left, and its images reduced mod p and modulo Q, as
-    masks at p = 2 (the alternating kind's pairs become masks there). The
-    vectors whose image over R lies in Q are the span, and R is a basis
-    modulo the basic snakes, so nothing else is eliminated."""
-    images, span = pattern.images, SpanBuilder(len(pattern.r_pos), p)
-    if p == 2:
-        if images and not isinstance(images[0], int):  # the alternating kind
-            images = tuple(sum(1 << r for r, c in image if c & 1) for image in images)
-        for mask in pattern.supplementary:
-            span.add_mask(mask)
-    else:  # the alternating kind, which has no supplementary snake
-        images = tuple(tuple((r, c % p) for r, c in image if c % p) for image in images)
+def _freeze(pattern: _Pattern, kind: TabloidKind) -> _Span:
+    """The relation span of a straightened block, which every prime reads.
+    The vectors whose image over R lies in Q are the span, and R is a
+    basis modulo the basic snakes, so only Q is eliminated. The
+    alternating kind has no supplementary snake: its record takes the
+    pattern's integer images as they are, with no Q and R free. The mod-2
+    skew kind freezes Q from its supplementary masks on a builder over the
+    R-coordinates and keeps its masks reduced modulo Q."""
+    r_pos = pattern.r_pos
+    if kind.zero_on_column_repeats:  # the alternating kind
+        return _Span(pattern.images, r_pos, None, r_pos)
+    span = SpanBuilder(len(r_pos))
+    for mask in pattern.supplementary:
+        span.add_mask(mask)
     q = span.subspace()
-    if q.dim:
-        images = tuple(map(q.residual_mask, images))
+    images = tuple(map(q.residual_mask, pattern.images)) if q.dim else pattern.images
     pivots = set(q.pivot_indices())
-    free = tuple(i for j, i in enumerate(pattern.r_pos) if j not in pivots)
-    return _Span(images, pattern.r_pos, q, free)
+    free = tuple(i for j, i in enumerate(r_pos) if j not in pivots)
+    return _Span(images, r_pos, q, free)
 
 
 @lru_cache(maxsize=256)
@@ -512,13 +517,13 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     tableau that is not row semistandard and, for the mod-2 skew kind, the
     supplementary snakes of the row-semistandard ones (zero on alternating
     tabloids). The module adds to the layout (`_layout`) the span frozen
-    at p from the pattern of each packed weight (`_pattern`, which checks
-    that each block of it packs onto it). So a build at a second prime
-    shares the layout, index included, and only reduces the patterns'
-    images mod p. A space past `tabloids.BUILD_BUDGET` is refused before
+    from the pattern of each packed weight (`_pattern`, which checks that
+    each block of it packs onto it). So a build at a second prime shares
+    the layout, index included, and the patterns' images, which its reads
+    reduce mod p. A space past `tabloids.BUILD_BUDGET` is refused before
     it is listed (`build_basis`)."""
     layout = _layout(shape, d, kind)
-    spans = {key: _freeze(_pattern(shape, d, key, kind), p) for key in layout.packs}
+    spans = {key: _freeze(_pattern(shape, d, key, kind), kind) for key in layout.packs}
     return QuotientModule(layout, p, spans)
 
 
@@ -554,7 +559,7 @@ def _dominant_block(shape: Partition, beta: Partition) -> tuple[tuple, Subspace]
     semistandard = sum(
         1 << j for j, cols in enumerate(reps) if not has_column_repeat(cols)
     )
-    span = SpanBuilder(len(reps), 2)
+    span = SpanBuilder(len(reps))
     for mask in _supplementary({cols: j for j, cols in enumerate(reps)}, {}):
         if off := mask & semistandard:
             raise InvariantError(

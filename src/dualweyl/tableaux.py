@@ -1,11 +1,10 @@
-"""Tableaux over the alphabet {1..d}, enumeration by class, and the column order.
+"""Tableaux over the alphabet {1..d} and their enumeration by class.
 
 Inside the package a tableau travels as its column tuples (``Cols``);
 `Tableau` is the validated form at the API boundary."""
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -22,12 +21,6 @@ class TableauClass(Enum):
     STANDARD = "standard"
     SEMISTANDARD = "semistandard"
     ROW_AND_COLUMN_SEMISTANDARD = "row_and_column_semistandard"
-
-
-class ColOrderResult(Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUIVALENT = "equivalent"
 
 
 Box = tuple[int, int]
@@ -268,35 +261,3 @@ def kostka_number(shape: Partition, beta: Partition) -> int:
     return len(enumerate_tableaux(
         shape, len(beta), TableauClass.SEMISTANDARD, content=tuple(beta)
     ))
-
-
-def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:
-    """Compare two same-shape tableaux in the column order.
-
-    EQUIVALENT means every column carries the same multiset of entries.
-    Otherwise the largest entry whose column placement differs decides,
-    with the leftmost such column breaking ties; holding that entry in
-    the earlier column makes a tableau the greater one.
-    """
-    return col_order(t.cols, u.cols)
-
-
-def col_order(a: Cols, b: Cols) -> ColOrderResult:
-    """`col_compare` on the column tuples of two tableaux."""
-    if [len(c) for c in a] != [len(c) for c in b]:
-        raise ValueError("tableaux must have the same shape")
-    best: tuple[int, int, bool] | None = None  # (m, -j, m held by a)
-    for j, (ca, cb) in enumerate(zip(a, b), 1):
-        if ca == cb:
-            continue
-        diff = Counter(ca)
-        diff.subtract(Counter(cb))
-        for entry, mult in diff.items():
-            if mult == 0:
-                continue
-            key = (entry, -j, mult > 0)
-            if best is None or key[:2] > best[:2]:
-                best = key
-    if best is None:
-        return ColOrderResult.EQUIVALENT
-    return ColOrderResult.GREATER if best[2] else ColOrderResult.LESS

@@ -11,8 +11,11 @@ fillings (`transvection_oracle`), the unranking of a tabloid by counting
 Schur functor's definition makes equal (`inverse_schur_numbers`), the
 kernel generators over the whole tabloid space (`ker_q_generators`), the
 composition factors solved through the simple characters
-(`factors_by_simple_characters`), the span helpers and the row tabloids
-have no caller in the package; they live here as references for the tests.
+(`factors_by_simple_characters`), the span helpers, the span engine at
+odd p (`SparseSpanBuilder`, `SparseSubspace`; the package eliminates only
+over GF(2)), the column order of two tableaux (`col_compare`) and the row
+tabloids have no caller in the package; they live here as references for
+the tests.
 So do the literature oracles for the derived decomposition rows: the
 characteristic-2 rows of degrees 1 to 5 (`literature_rows`, read from
 `decomposition_p2.txt`) and the dimension polynomials of the degree-5
@@ -21,6 +24,8 @@ Specht module built from its standard polytabloids
 (`specht_endomorphisms`), the oracle of the indecomposability corollary."""
 
 import random
+from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
@@ -39,6 +44,7 @@ from dualweyl.gfp import SpanBuilder, Subspace
 from dualweyl.partitions import (
     InvariantError,
     Partition,
+    _check_prime,
     parse_partition,
     partitions_of,
 )
@@ -170,6 +176,44 @@ def garnir_oracle(label, kind):
     return {rep: c for rep, c in out.items() if c}
 
 
+class ColOrderResult(Enum):
+    LESS = "less"
+    GREATER = "greater"
+    EQUIVALENT = "equivalent"
+
+
+def col_compare(t: Tableau, u: Tableau) -> ColOrderResult:
+    """Compare two same-shape tableaux in the column order.
+
+    EQUIVALENT means every column carries the same multiset of entries.
+    Otherwise the largest entry whose column placement differs decides,
+    with the leftmost such column breaking ties; holding that entry in
+    the earlier column makes a tableau the greater one.
+    """
+    return col_order(t.cols, u.cols)
+
+
+def col_order(a: Cols, b: Cols) -> ColOrderResult:
+    """`col_compare` on the column tuples of two tableaux."""
+    if [len(c) for c in a] != [len(c) for c in b]:
+        raise ValueError("tableaux must have the same shape")
+    best: tuple[int, int, bool] | None = None  # (m, -j, m held by a)
+    for j, (ca, cb) in enumerate(zip(a, b), 1):
+        if ca == cb:
+            continue
+        diff = Counter(ca)
+        diff.subtract(Counter(cb))
+        for entry, mult in diff.items():
+            if mult == 0:
+                continue
+            key = (entry, -j, mult > 0)
+            if best is None or key[:2] > best[:2]:
+                best = key
+    if best is None:
+        return ColOrderResult.EQUIVALENT
+    return ColOrderResult.GREATER if best[2] else ColOrderResult.LESS
+
+
 def naive_sort_column(seq, kind):
     """The column rule by hand: the sorted column and its sign, 1 on the
     mod-2 skew kind; on the alternating kind 0 when a set of the entries
@@ -265,21 +309,22 @@ def kernel_table_all_blocks(shape, d, p=2):
 def block_spans(module) -> dict[tuple[int, ...], Subspace]:
     """The relation span of each weight block of a module, by weight, in
     reduced row-echelon form over its local coordinates, rebuilt with the
-    span engine from the module's record of the block's packed weight:
-    e_i less the image of i for each local coordinate i outside R, and the
-    rows of Q, each mapped through the local coordinates of R. Blocks of
-    one packed weight get one rebuilt span."""
+    span engine at p (`span_builder`) from the module's record of the
+    block's packed weight: e_i less the image of i for each local
+    coordinate i outside R, and the rows of Q, if any, each mapped through
+    the local coordinates of R. Blocks of one packed weight get one
+    rebuilt span."""
     p, rebuilt = module.p, {}
     for key, record in module._spans.items():
         r_pos = record.r_pos
         size = len(record.images)
-        builder = SpanBuilder(size, p)
+        builder = span_builder(size, p)
         for i in sorted(set(range(size)) - set(r_pos)):
             image = record.images[i]
-            if p == 2:
+            if isinstance(image, int):  # a mask, on the mod-2 skew kind
                 image = [(j, 1) for j in range(len(r_pos)) if image >> j & 1]
             builder.add({i: 1, **{r_pos[j]: -c for j, c in image}})
-        for row in record.q.basis_rows():
+        for row in record.q.basis_rows() if record.q is not None else ():
             builder.add({r_pos[j]: c for j, c in enumerate(row) if c})
         rebuilt[key] = builder.subspace()
     return {w: rebuilt[b.key] for w, b in module._layout.blocks.items()}
@@ -295,7 +340,7 @@ def block_pos(cols, block) -> dict:
 def probe_builder(subspace: Subspace) -> SpanBuilder:
     """A fresh builder holding the span of a frozen subspace, from its
     basis rows, to probe rank growth by elimination."""
-    builder = SpanBuilder(subspace.ambient_dim, subspace.p)
+    builder = span_builder(subspace.ambient_dim, prime_of(subspace))
     for row in subspace.basis_rows():
         builder.add(sparse(row))
     return builder
@@ -322,7 +367,7 @@ def family_rank(which, shape, d, p, families):
     cols = build_basis(shape, d, kind).cols
     blocks = _make_blocks(cols, d)
     pos = {w: block_pos(cols, block) for w, block in blocks.items()}
-    spans = {w: SpanBuilder(block.size, p) for w, block in blocks.items()}
+    spans = {w: span_builder(block.size, p) for w, block in blocks.items()}
     for family in families:
         for label in iter_relation_labels(shape, d, family, kind):
             terms = garnir_terms(label, kind)
@@ -346,7 +391,7 @@ def unshared_build(shape, d, p, kind):
         pos[cols] = len(pos)
     blocks, pushes = {}, dict.fromkeys(grouped, 0)
     for w, pos in grouped.items():
-        span, row_semistandard = SpanBuilder(len(pos), p), []
+        span, row_semistandard = span_builder(len(pos), p), []
         for cols in pos:
             box = snake_box(cols)
             if box is None:
@@ -553,7 +598,7 @@ def inverse_schur_numbers(shape: Partition, p: int) -> dict:
     out = {}
     for beta in partitions_of(n):
         merge = [0] + [k for k, part in enumerate(beta, 1) for _ in range(part)]
-        coinvariants = SpanBuilder(len(standard), p)
+        coinvariants = span_builder(len(standard), p)
         for i in range(1, n):
             if merge[i] == merge[i + 1]:
                 for image in moved_less_fixed[i]:
@@ -566,7 +611,7 @@ def inverse_schur_numbers(shape: Partition, p: int) -> dict:
                 shape, len(beta), TableauClass.SEMISTANDARD, tuple(beta)
             )
             coords = {cols: j for j, cols in enumerate(reps)}
-            relations = Subspace(len(reps), p)
+            relations = SparseSubspace(len(reps), p)
         merged = probe_builder(relations)  # the rank it gains is the map's
         rank = sum(push(merged, renamed(merge, cols, coords)) for cols in standard)
         out[beta] = (
@@ -589,7 +634,7 @@ def sparse(row) -> dict[int, int]:
 
 def span(vectors, ambient_dim: int, p: int) -> Subspace:
     """Reduced row-echelon span of the given sparse vectors."""
-    builder = SpanBuilder(ambient_dim, p)
+    builder = span_builder(ambient_dim, p)
     for v in vectors:
         builder.add(v)
     return builder.subspace()
@@ -601,11 +646,173 @@ def matrix_rank(rows, ambient_dim: int, p: int) -> int:
 
 def dim_sum_and_intersection(s: Subspace, t: Subspace) -> tuple[int, int]:
     """(dim(S+T), dim(S∩T)) via rank of the stacked bases."""
-    if s.ambient_dim != t.ambient_dim or s.p != t.p:
+    p = prime_of(s)
+    if s.ambient_dim != t.ambient_dim or p != prime_of(t):
         raise ValueError("subspaces must share ambient space and prime")
     rows = [sparse(row) for row in s.basis_rows() + t.basis_rows()]
-    dim_sum = span(rows, s.ambient_dim, s.p).dim
+    dim_sum = span(rows, s.ambient_dim, p).dim
     return dim_sum, s.dim + t.dim - dim_sum
+
+
+def span_builder(ambient_dim: int, p: int):
+    """An empty span builder over GF(p)^m: the package's GF(2) engine at
+    p = 2, the sparse-dict reference (`SparseSpanBuilder`) at odd p."""
+    return SpanBuilder(ambient_dim) if p == 2 else SparseSpanBuilder(ambient_dim, p)
+
+
+def prime_of(s) -> int:
+    """The prime of a subspace or builder of either engine."""
+    return s.p if isinstance(s, SparseRows) else 2
+
+
+def subspace_from_reduced_rows(ambient_dim: int, p: int, rows):
+    """The subspace of rows already in reduced row-echelon form: bit masks
+    at p = 2, sparse dicts with coefficients in [1, p) otherwise. Each
+    row's lowest coordinate is its pivot, with coefficient 1, and no pivot
+    coordinate occurs in another row; other rows are refused. At odd p the
+    rows are kept as given, so the caller must not change them."""
+    piv = {}
+    for row in rows:
+        if p == 2:
+            key = row & (-row)
+            bad = row <= 0 or row >> ambient_dim
+        else:
+            key = min(row, default=-1)
+            bad = (
+                key < 0
+                or row[key] != 1
+                or max(row) >= ambient_dim
+                or min(row.values()) < 1
+                or max(row.values()) >= p
+            )
+        if bad or key in piv:
+            raise ValueError(
+                f"{row!r} is not a reduced echelon row of GF({p})^{ambient_dim}"
+            )
+        piv[key] = row
+    if p == 2:
+        mask = sum(piv)
+        clash = [k.bit_length() - 1 for k, row in piv.items() if row & mask != k]
+    else:
+        clash = [k for k, row in piv.items() if len(row.keys() & piv.keys()) > 1]
+    if clash:
+        raise ValueError(f"the row of pivot {clash[0]} holds another pivot")
+    if p == 2:  # reduced rows freeze as they are
+        builder = SpanBuilder(ambient_dim)
+        for row in piv.values():
+            builder.add_mask(row)
+        return builder.subspace()
+    out = SparseSubspace(ambient_dim, p)
+    out._piv.update(piv)
+    return out
+
+
+def _clear_dict(
+    v: dict[int, int], piv: dict[int, dict[int, int]], p: int
+) -> dict[int, int]:
+    """Clear the pivot coordinates of v in place (coefficients in [1, p)),
+    in increasing order, and return it. The rows are echelon: subtracting
+    the row of pivot j changes only coordinates above j, so a pivot it
+    brings in is queued and a cleared one never comes back. Against
+    reduced rows nothing is brought in, and the result is canonical."""
+    heap = [j for j in v if j in piv]
+    heapify(heap)
+    get = v.get
+    while heap:
+        j = heappop(heap)
+        c = get(j)
+        if c is None:  # cancelled, or queued twice
+            continue
+        c = p - c
+        for i, a in piv[j].items():
+            x = get(i)
+            if x is None:
+                v[i] = c * a % p
+                if i in piv:
+                    heappush(heap, i)
+            else:
+                x = (x + c * a) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+    return v
+
+
+class SparseRows:
+    """The reference span engine over GF(p), for the odd primes, where the
+    package eliminates nothing: rows over GF(p)^m as sparse dicts
+    {coordinate: coefficient in [1, p)}, keyed by pivot, the lowest
+    coordinate, which has coefficient 1. Its methods are those of the
+    package's GF(2) engine (`dualweyl.gfp`), and it takes vectors as the
+    same sparse dicts. Stored rows are never modified in place, so a
+    builder and the subspace frozen from it may share them."""
+
+    def __init__(self, ambient_dim: int, p: int):
+        _check_prime(p)
+        self.ambient_dim = ambient_dim
+        self.p = p
+        self._piv: dict[int, dict[int, int]] = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self._piv)
+
+    def _residual(self, vec) -> dict[int, int]:
+        """A fresh sparse dict of vec mod p, reduced modulo the span: zero
+        on every pivot coordinate, empty iff contained."""
+        if not isinstance(vec, dict):
+            raise TypeError(f"expected a sparse dict, got {type(vec).__name__}")
+        m, p = self.ambient_dim, self.p
+        if vec and (min(vec) < 0 or max(vec) >= m):
+            raise ValueError(f"coordinate out of range({m})")
+        return _clear_dict({i: c % p for i, c in vec.items() if c % p}, self._piv, p)
+
+    def contains(self, vec) -> bool:
+        return not self._residual(vec)
+
+
+class SparseSubspace(SparseRows):
+    """A frozen subspace held as a reduced row-echelon basis, canonical."""
+
+    def basis_rows(self) -> list[tuple[int, ...]]:
+        """Dense basis rows with entries in [0, p), in pivot order."""
+        m = self.ambient_dim
+        return [tuple(self._piv[k].get(i, 0) for i in range(m)) for k in sorted(self._piv)]
+
+    def pivot_indices(self) -> list[int]:
+        return sorted(self._piv)
+
+    def reduce(self, vec) -> dict[int, int]:
+        """Canonical representative of vec modulo the subspace."""
+        return self._residual(vec)
+
+
+class SparseSpanBuilder(SparseRows):
+    """Incremental row-echelon builder, echelon but not reduced; its
+    `subspace` back-substitutes once, from the highest pivot down."""
+
+    rank = SparseRows.dim
+
+    def subspace(self) -> SparseSubspace:
+        out = SparseSubspace(self.ambient_dim, self.p)
+        done, p = out._piv, self.p
+        for k in sorted(self._piv, reverse=True):
+            row = self._piv[k]
+            if any(i in done for i in row):
+                row = _clear_dict(dict(row), done, p)
+            done[k] = row
+        return out
+
+    def add(self, vec) -> bool:
+        p = self.p
+        v = self._residual(vec)
+        if not v:
+            return False
+        j = min(v)
+        inv = pow(v[j], -1, p)
+        self._piv[j] = v if inv == 1 else {i: c * inv % p for i, c in v.items()}
+        return True
 
 
 def rref_oracle(vectors, m, p):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -660,21 +661,48 @@ def _raise_in(where: str, parent: int, unit: int) -> list[dict]:
     return [{"check": "probe", "unit": unit}]
 
 
+class _TwoArgs(Exception):
+    """An exception that pickle cannot rebuild: its args are one message,
+    but its class takes two arguments."""
+
+    def __init__(self, unit, where):
+        super().__init__(f"unit {unit} failed in the {where}")
+
+
+def _raise_two_args_in_child(parent: int, unit: int) -> list[dict]:
+    if os.getpid() != parent:
+        raise _TwoArgs(unit, "child")
+    return [{"check": "probe", "unit": unit}]
+
+
 def test_a_childs_exception_reaches_the_parent(capsys, monkeypatch, forks):
     # Units 1 and 3 run in the child; its ValueError is raised here with
-    # its type and message, and through `main` it is exit 2.
+    # its type and message, chained to the child's traceback, which names
+    # the handler's frame, and through `main` it is exit 2.
     from dualweyl import suites
 
     checks = [(_raise_in, "child", os.getpid(), unit) for unit in range(4)]
-    with pytest.raises(ValueError, match="^unit 1 failed in the child$"):
+    with pytest.raises(ValueError, match="^unit 1 failed in the child$") as info:
         cli._run_checks(checks, 2)
+    frames = str(info.value.__cause__)
+    assert "in _raise_in\n" in frames and "ValueError: unit 1 failed" in frames
     assert len(forks) == 1 and no_child_left()
+    # An exception class that cannot be rebuilt from its args is a
+    # RuntimeError naming the class and its message, with the same cause.
+    two = [(_raise_two_args_in_child, os.getpid(), unit) for unit in range(2)]
+    name = re.escape(f"{_TwoArgs.__module__}._TwoArgs")
+    with pytest.raises(
+        RuntimeError, match=f"^a check process raised {name}: unit 1 failed in the child$"
+    ) as info:
+        cli._run_checks(two, 2)
+    assert "in _raise_two_args_in_child\n" in str(info.value.__cause__)
+    assert len(forks) == 2 and no_child_left()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setitem(suites.SUITE_UNITS, "d1", lambda n_max: checks)
     code, out, err = run(capsys, "verify", "--suite", "d1", "--jobs", "2")
     assert (code, out) == (2, "")
     assert err == "error: unit 1 failed in the child\n"
-    assert len(forks) == 2 and no_child_left()
+    assert len(forks) == 3 and no_child_left()
 
 
 def _sleep_in_child(parent: int) -> list[dict]:

@@ -245,7 +245,7 @@ def test_kernel_count_matches_the_full_pattern_by_a_second_route():
                     enumerate_tableaux(shape, len(beta), basis_class(kind), tuple(beta))
                 )
                 pattern = _straightened_block(reps, kind)
-                grown = (pattern.size - _freeze(pattern, 2).dim
+                grown = (pattern.size - _freeze(pattern, kind).dim
                          - kostka_number(shape, beta))
                 assert grown == counted.get(beta, 0), (shape, beta)
                 pairs += 1

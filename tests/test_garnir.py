@@ -17,11 +17,8 @@ from dualweyl.garnir import (
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
 from dualweyl.quotients import _col_key, build_gtensor_specht
 from dualweyl.tableaux import (
-    ColOrderResult,
     Tableau,
     TableauClass,
-    col_compare,
-    col_order,
     enumerate_tableaux,
     weight_of,
 )
@@ -34,7 +31,10 @@ from dualweyl.tabloids import (
     vector_from_terms,
 )
 from helpers import (
+    ColOrderResult,
     apply_e_map,
+    col_compare,
+    col_order,
     family_rank,
     garnir_oracle,
     naive_snake_terms,

@@ -3,15 +3,17 @@ from itertools import product
 
 import pytest
 
-from dualweyl.gfp import SpanBuilder, Subspace
 from dualweyl.partitions import is_prime
 from helpers import (
     dim_sum_and_intersection,
     matrix_rank,
+    prime_of,
     reduce_oracle,
     rref_oracle,
     span,
+    span_builder,
     sparse,
+    subspace_from_reduced_rows,
 )
 
 
@@ -143,11 +145,11 @@ def test_a_subspace_from_reduced_rows_is_the_frozen_span(p):
         rows = [sparse(row) for row in want.basis_rows()]
         if p == 2:
             rows = [sum(1 << i for i in row) for row in rows]
-        got = Subspace.from_reduced_rows(9, p, reversed(rows))
+        got = subspace_from_reduced_rows(9, p, reversed(rows))
         assert got.pivot_indices() == want.pivot_indices()
         assert got.basis_rows() == want.basis_rows()
         assert got.reduce({0: 1, 4: 1, 8: 1}) == want.reduce({0: 1, 4: 1, 8: 1})
-    assert Subspace.from_reduced_rows(4, p, []).dim == 0
+    assert subspace_from_reduced_rows(4, p, []).dim == 0
 
 
 @pytest.mark.parametrize(
@@ -167,12 +169,12 @@ def test_a_subspace_from_reduced_rows_is_the_frozen_span(p):
 )
 def test_rows_that_are_not_reduced_echelon_are_refused(rows, p):
     with pytest.raises(ValueError, match="reduced echelon row|holds another pivot"):
-        Subspace.from_reduced_rows(4, p, rows)
+        subspace_from_reduced_rows(4, p, rows)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_builder_incremental_and_copy(p):
-    builder = SpanBuilder(3, p)
+    builder = span_builder(3, p)
     assert builder.add({0: 1}) is True
     assert builder.add({0: 1}) is False
     assert builder.add({0: 1, 1: 1}) is True
@@ -187,7 +189,7 @@ def test_builder_incremental_and_copy(p):
 def _assert_canonical(s, v):
     """reduce(v) of a sparse v is idempotent, differs from v by a member of
     the span, and is zero on every pivot coordinate."""
-    p, m = s.p, s.ambient_dim
+    p, m = prime_of(s), s.ambient_dim
     reduced = s.reduce(v)
     assert all(0 < c < p for c in reduced.values())
     assert s.reduce(dict(reduced)) == reduced
@@ -237,7 +239,7 @@ def _check_span_engine(p, m, vectors, probes, combos):
 
     # The engine takes sparse dicts; the oracles, dense lists.
     rows = [sparse(v) for v in vectors]
-    builder = SpanBuilder(m, p)
+    builder = span_builder(m, p)
     grew = [builder.add(v) for v in rows]
     assert builder.rank == sum(grew) == len(expected) == matrix_rank(rows, m, p)
     for v in members:
@@ -275,7 +277,7 @@ def _check_span_engine(p, m, vectors, probes, combos):
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_pushes_after_a_freeze_leave_the_subspace_unchanged(p):
-    builder = SpanBuilder(4, p)
+    builder = span_builder(4, p)
     builder.add({0: 1, 1: 1})
     builder.add({1: 1, 2: 1})
     frozen = builder.subspace()
@@ -294,7 +296,7 @@ def test_vector_input_validation():
     # refused, as is a coordinate outside the ambient space, by every
     # entry point, and a refused vector changes nothing.
     for p in (2, 5):
-        builder = SpanBuilder(2, p)
+        builder = span_builder(2, p)
         builder.add({0: 1})
         frozen = builder.subspace()
         for call in (builder.add, builder.contains, frozen.contains, frozen.reduce):

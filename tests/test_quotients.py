@@ -1312,7 +1312,11 @@ def test_built_module_holds_only_frozen_blocks():
         module = _build.__wrapped__(Partition((2, 1)), 3, p, skew_column(p))
         first = {w: module._spans[b.key] for w, b in module._layout.blocks.items()}
         assert first
-        assert all(type(s) is _Span and type(s.q) is Subspace for s in first.values())
+        assert all(type(s) is _Span for s in first.values())
+        if p == 2:
+            assert all(type(s.q) is Subspace for s in first.values())
+        else:  # the alternating kind freezes no Q: no builder ran
+            assert all(s.q is None for s in first.values())
         reachable = _reachable(module)
         assert not any(isinstance(x, SpanBuilder) for x in reachable)
         # no map from a tabloid to a coordinate: coordinates are ranks
@@ -1326,7 +1330,7 @@ def test_built_module_holds_only_frozen_blocks():
         # every read uses the frozen blocks, shared ones included, with no
         # refreezing and no change to their records or to the spans they give
         rows = {w: s.basis_rows() for w, s in block_spans(module).items()}
-        fields = {w: (s.images, s.r_pos, s.free, s.q.basis_rows())
+        fields = {w: (s.images, s.r_pos, s.free, s.q and s.q.basis_rows())
                   for w, s in first.items()}
         basis = module.ambient
         for i, j in ((0, 3), (1, basis.dim - 1), (basis.dim - 2, 5)):
@@ -1338,7 +1342,7 @@ def test_built_module_holds_only_frozen_blocks():
         for w, b in module._layout.blocks.items():
             s = module._spans[b.key]
             assert s is first[w]
-            assert (s.images, s.r_pos, s.free, s.q.basis_rows()) == fields[w]
+            assert (s.images, s.r_pos, s.free, s.q and s.q.basis_rows()) == fields[w]
         assert {w: s.basis_rows() for w, s in block_spans(module).items()} == rows
 
 
@@ -1394,6 +1398,87 @@ def test_full_builds_are_shared_at_odd_p():
     assert (nabla.supplementary_rank_gain, gtensor.supplementary_rank_gain) == (None, 3)
 
 
+def test_odd_primes_share_the_patterns_images():
+    # An alternating build freezes no Q and copies nothing per prime: its
+    # record holds the pattern's integer images themselves, R is free, and
+    # the builds at p = 2, 3 and 5 share them by identity.
+    from dualweyl.quotients import _build, _pattern
+
+    shape, d = Partition((3, 2, 1)), 4
+    builds = [_build.__wrapped__(shape, d, p, ALT_COLUMN) for p in (2, 3, 5)]
+    for key in builds[0]._spans:
+        pattern = _pattern(shape, d, key, ALT_COLUMN)
+        for module in builds:
+            span = module._spans[key]
+            assert span.images is pattern.images
+            assert span.q is None and span.free == span.r_pos == pattern.r_pos
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_p_reads_reduce_integer_images_mod_p(p):
+    # A synthetic record whose integer images carry a coefficient equal to
+    # p, which is 0 mod p, reads as its span: `reduce`, `relations_contain`
+    # and `quotient_indices` agree with Gauss-Jordan elimination
+    # (`rref_oracle`, `reduce_oracle`) of e_i - image(i) for i outside R,
+    # in the order that puts the coordinates outside R first, and with the
+    # real module, whose span it is mod p. The patterns of every shape
+    # with n <= 7 and d <= 5 have coefficients of absolute value at most
+    # 2, so none of them reaches this case.
+    from dualweyl.quotients import QuotientModule, _layout, _Span
+
+    shape, d = Partition((3, 2, 1)), 4
+    real = build_dual_weyl(shape, d, p)
+    layout = _layout(shape, d, ALT_COLUMN)
+    spans, planted = {}, 0
+    for key, span in real._spans.items():
+        images = []
+        for image in span.images:
+            absent = sorted(set(range(len(span.r_pos))) - {j for j, _ in image})
+            if absent:
+                image = (*image, (absent[0], p))
+                planted += 1
+            images.append(image)
+        spans[key] = _Span(tuple(images), span.r_pos, None, span.r_pos)
+    assert planted
+    module = QuotientModule(layout, p, spans)
+
+    oracles, free = [], []
+    for block in layout.order:
+        r_pos = spans[block.key].r_pos
+        order = [i for i in range(block.size) if i not in r_pos] + list(r_pos)
+        at = {i: k for k, i in enumerate(order)}
+        rows = []
+        for i in order[: block.size - len(r_pos)]:
+            row = [0] * block.size
+            row[at[i]] = 1
+            for j, c in spans[block.key].images[i]:
+                row[at[r_pos[j]]] -= c
+            rows.append(row)
+        basis = rref_oracle(rows, block.size, p)
+        pivots = {next(k for k, x in enumerate(row) if x) for row in basis}
+        free += [block.indices[order[k]] for k in range(block.size) if k not in pivots]
+        oracles.append((block, order, basis))
+    assert module.quotient_indices() == sorted(free) == real.quotient_indices()
+
+    rng = random.Random(p)
+    dim = module.ambient.dim
+    vectors = [{i: 1} for i in range(dim)] + [
+        {rng.randrange(dim): rng.randint(-2 * p, 2 * p) for _ in range(rng.randint(1, 6))}
+        for _ in range(200)
+    ]
+    for coords in vectors:
+        vec = TabloidVector(module.ambient, p, {i: c % p for i, c in coords.items()})
+        want = {}
+        for block, order, basis in oracles:
+            local = [vec.coords.get(block.indices[i], 0) for i in order]
+            for k, c in enumerate(reduce_oracle(basis, local, p)):
+                if c:
+                    want[block.indices[order[k]]] = c
+        got = module.reduce(vec)
+        assert got.coords == want == real.reduce(vec).coords
+        assert module.relations_contain(vec) == (not want) == real.relations_contain(vec)
+
+
 def test_degenerate_shapes_flow_through():
     module = build_dual_weyl(Partition((1, 1, 1)), 2, 3)
     assert module.dim == 0
@@ -1413,4 +1498,4 @@ def test_inhomogeneous_relation_is_refused():
     other = next(cols for cols in basis.cols if weight_of(cols, 2) == (1, 2))
     terms = {next(iter(pos)): 1, other: 1}
     with pytest.raises(InvariantError):
-        _push_terms(SpanBuilder(block.size, 2), terms, pos, 2)
+        _push_terms(SpanBuilder(block.size), terms, pos, 2)

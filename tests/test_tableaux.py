@@ -8,15 +8,13 @@ import pytest
 
 from dualweyl.partitions import Partition, hook_content_dim, partitions_of
 from dualweyl.tableaux import (
-    ColOrderResult,
     Tableau,
     TableauClass,
-    col_compare,
     enumerate_tableaux,
     kostka_number,
     weight_of,
 )
-from helpers import brute_fillings, place_permute
+from helpers import ColOrderResult, brute_fillings, col_compare, place_permute
 
 
 def _rows_within(t, strict):
