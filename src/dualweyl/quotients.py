@@ -177,7 +177,9 @@ class _Span(Record):
     alternating kind the images are the pattern's own (R-coordinate,
     integer coefficient) pairs, which a read reduces mod p, ``q`` is None
     and R is free; for the mod-2 skew kind they are bit masks of
-    R-coordinates reduced modulo Q. The span is that of e_i - image(i) for
+    R-coordinates reduced modulo Q. So ``q`` is None exactly when the
+    images are integer pairs, which is how every read tells the two
+    formats apart. The span is that of e_i - image(i) for
     i outside R, and Q, so its dimension is (size - |R|) + dim Q, size
     less the free coordinates. Reduction modulo Q is linear, so a sum of
     images is reduced modulo Q already."""
@@ -268,7 +270,6 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
         p = self.p
         if vec.p != p:
             raise ValueError(f"vector over GF({vec.p}) in a module over GF({p})")
-        masks = not self.ambient.kind.zero_on_column_repeats
         spans = self._numbered
         block_no, local = self._layout.block_no, self._layout.local
         dim = len(local)
@@ -279,8 +280,9 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
             if not (c := c % p):
                 continue
             k = block_no[i]
-            image = spans[k].images[local[i]]
-            if masks:
+            span = spans[k]
+            image = span.images[local[i]]
+            if span.q is not None:  # a mask, on the mod-2 skew kind
                 rows[k] = rows.get(k, 0) ^ image
                 continue
             if (row := rows.get(k)) is None:
@@ -304,8 +306,9 @@ class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
         order, spans = self._layout.order, self._numbered
         coords: dict[int, int] = {}
         for k, row in self._residuals(vec).items():
-            indices, r_pos = order[k].indices, spans[k].r_pos
-            if isinstance(row, int):
+            indices, span = order[k].indices, spans[k]
+            r_pos = span.r_pos
+            if span.q is not None:  # a mask, on the mod-2 skew kind
                 for j in _bits(row):
                     coords[indices[r_pos[j]]] = 1
             else:
@@ -343,8 +346,10 @@ def _push_terms(
     p: int,
 ) -> bool:
     """Push one relation, all of whose terms must lie in the block with
-    local coordinates ``pos``, into ``span`` over GF(p) (the benchmark's
-    tracer books pushes by p). No build pushes; the reference builds do."""
+    local coordinates ``pos``, into ``span``, whose engine sets the field:
+    a package `SpanBuilder` reads the coefficients mod 2 whatever ``p``
+    is. ``p`` is read only by the benchmark's tracer, which books pushes
+    by it. No build pushes; the reference builds do."""
     if not terms:
         return False
     try:

@@ -321,7 +321,7 @@ def block_spans(module) -> dict[tuple[int, ...], Subspace]:
         builder = span_builder(size, p)
         for i in sorted(set(range(size)) - set(r_pos)):
             image = record.images[i]
-            if isinstance(image, int):  # a mask, on the mod-2 skew kind
+            if record.q is not None:  # a mask, on the mod-2 skew kind
                 image = [(j, 1) for j in range(len(r_pos)) if image >> j & 1]
             builder.add({i: 1, **{r_pos[j]: -c for j, c in image}})
         for row in record.q.basis_rows() if record.q is not None else ():
@@ -669,8 +669,8 @@ def subspace_from_reduced_rows(ambient_dim: int, p: int, rows):
     """The subspace of rows already in reduced row-echelon form: bit masks
     at p = 2, sparse dicts with coefficients in [1, p) otherwise. Each
     row's lowest coordinate is its pivot, with coefficient 1, and no pivot
-    coordinate occurs in another row; other rows are refused. At odd p the
-    rows are kept as given, so the caller must not change them."""
+    coordinate occurs in another row; other rows are refused. The rows
+    are kept as given, with no elimination."""
     piv = {}
     for row in rows:
         if p == 2:
@@ -697,13 +697,10 @@ def subspace_from_reduced_rows(ambient_dim: int, p: int, rows):
         clash = [k for k, row in piv.items() if len(row.keys() & piv.keys()) > 1]
     if clash:
         raise ValueError(f"the row of pivot {clash[0]} holds another pivot")
-    if p == 2:  # reduced rows freeze as they are
-        builder = SpanBuilder(ambient_dim)
-        for row in piv.values():
-            builder.add_mask(row)
-        return builder.subspace()
-    out = SparseSubspace(ambient_dim, p)
+    out = Subspace(ambient_dim) if p == 2 else SparseSubspace(ambient_dim, p)
     out._piv.update(piv)
+    if p == 2:
+        out._pivmask = sum(piv)
     return out
 
 
