@@ -10,10 +10,15 @@ span in row-echelon form that is not reduced: a push clears the pivots of
 the new vector in increasing order and stores it without touching earlier
 rows. `SpanBuilder.subspace` back-substitutes once, from the highest
 pivot down, into the reduced row-echelon form of a frozen `Subspace`,
-which is canonical.
+which is canonical: a record, whose rows are a read-only mapping, so a
+cached span cannot be changed by one of its readers.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
+
+from .records import Record
 
 
 def _reduce_mask(mask: int, piv: dict[int, int], pivmask: int) -> int:
@@ -35,14 +40,12 @@ def _bits(mask: int):
 
 
 class _Rows:
-    """Rows over GF(2)^m keyed by their pivot bit, the lowest set bit.
-    Stored rows are never modified in place, so a builder and the subspace
-    frozen from it may share them."""
+    """Rows over GF(2)^m keyed by their pivot bit, the lowest set bit, in
+    ``_piv``; ``_pivmask`` is the union of the pivot bits. Stored rows are
+    never modified in place, so a builder and the subspace frozen from it
+    may share them."""
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self._piv: dict[int, int] = {}
-        self._pivmask = 0  # the union of the pivot bits
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -70,10 +73,25 @@ class _Rows:
         return not self.residual_mask(self._coerce(vec))
 
 
-class Subspace(_Rows):
+class Subspace(_Rows, Record, hidden=("_piv", "_pivmask")):
     """A frozen subspace of GF(2)^m held as a reduced row-echelon basis:
     each pivot coordinate is also zero in every other basis row, so the
-    representation is canonical."""
+    representation is canonical. It keeps the rows it is given, keyed by
+    pivot bit, behind a read-only mapping, and refuses assignment to its
+    fields as every record does. Subspaces compare by identity."""
+
+    __slots__ = ("ambient_dim", "_piv", "_pivmask")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, ambient_dim: int, rows: dict[int, int]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "_piv", MappingProxyType(rows))
+        object.__setattr__(self, "_pivmask", sum(rows))  # distinct bits
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; its dict does.
+        return type(self), (self.ambient_dim, dict(self._piv))
 
     def basis_rows(self) -> list[tuple[int, ...]]:
         """Dense 0/1 basis rows, in pivot order."""
@@ -101,16 +119,22 @@ class SpanBuilder(_Rows):
 
     rank = _Rows.dim
 
+    def __init__(self, ambient_dim: int):
+        self.ambient_dim = ambient_dim
+        self._piv: dict[int, int] = {}
+        self._pivmask = 0
+
     def subspace(self) -> Subspace:
         """The canonical subspace at the current rank, by one
         back-substitution from the highest pivot down: every row above a
-        pivot is already reduced, so one pass clears it."""
-        out = Subspace(self.ambient_dim)
-        done = out._piv
+        pivot is already reduced, so one pass clears it. The rows are
+        built first, then frozen."""
+        done: dict[int, int] = {}
+        mask = 0
         for k in sorted(self._piv, reverse=True):
-            done[k] = _reduce_mask(self._piv[k], done, out._pivmask)
-            out._pivmask |= k
-        return out
+            done[k] = _reduce_mask(self._piv[k], done, mask)
+            mask |= k
+        return Subspace(self.ambient_dim, done)
 
     def add_mask(self, mask: int) -> bool:
         mask = self.residual_mask(mask)

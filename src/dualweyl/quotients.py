@@ -19,14 +19,14 @@ once, from the smallest tabloid up, so every term it brings in already
 has its image. For the mod-2 skew kind, `_supplementary` straightens the
 supplementary snakes onto R as bit masks. So the relation span of a
 block is that of e_i - image(i) for each i outside R, and the span Q of
-the straightened supplementary snakes on R. `_freeze` keeps exactly
-that: for the alternating kind the pattern's integer images, which a
-read reduces mod p, and no Q; for the mod-2 skew kind Q, frozen on a
-`gfp.SpanBuilder` that exists only while it freezes, the one elimination
-left, so `gfp` works over GF(2) alone. No block, module or cache holds a
-builder.
+the straightened supplementary snakes on R. A pattern keeps exactly
+that: for the alternating kind its integer images, which a read reduces
+mod p, and no Q; for the mod-2 skew kind Q, frozen at the end of the
+walk on a `gfp.SpanBuilder` that exists only while it freezes, the one
+elimination left, so `gfp` works over GF(2) alone. No block, module or
+cache holds a builder.
 
-Nothing before the freeze depends on p, and two bounded caches hold it.
+Nothing in a pattern depends on p, and two bounded caches hold it.
 `_layout` lists a tabloid space once (`build_basis`, the one gate that
 refuses a space past its budget before listing it), groups it into its
 weight blocks (`_make_blocks`), and those by packed weight (the nonzero
@@ -39,19 +39,19 @@ weight: every block of that packed weight reads the pattern, which
 `_pattern` checks each of them to pack onto once, when it is made.
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
-full build (`_build`) adds to the layout only `_freeze`'s record of each
-pattern, so the builds of one kind at every prime share one layout, one
-set of patterns and, for the alternating kind, the images themselves.
-The record keeps each mod-2 image reduced modulo Q, so a read replaces
-each coordinate of a block by its image, sums (mod p), and maps the sum
-through R's local coordinates: the reduction against the
-reduced echelon form of the span in the order that puts the coordinates
-outside R first. `straighten` ranks its tabloid
-(`TabloidBasis.rank`) and reads its image off its pattern. No read looks
-a tabloid up in a table: `apply_transvection` moves a coordinate by the
-cached rank moves of the columns that hold the source letter
-(`_column_moves`). Module objects and the thm1 check use the full build,
-keyed by tabloid kind, so one for both constructions at odd p.
+full build (`_build`) adds to the layout only the cached pattern of each
+packed weight, so the builds of one kind at every prime share one layout
+and one record per packed weight, Q included. A pattern keeps each
+mod-2 image reduced modulo Q, so a read replaces each coordinate of a
+block by its image, sums (mod p), and maps the sum through R's local
+coordinates: the reduction against the reduced echelon form of the span
+in the order that puts the coordinates outside R first. `straighten`
+ranks its tabloid (`TabloidBasis.rank`) and reads its image off its
+pattern. No read looks a tabloid up in a table: `apply_transvection`
+moves a coordinate by the cached rank moves of the columns that hold the
+source letter (`_column_moves`). Module objects and the thm1 check use
+the full build, keyed by tabloid kind, so one for both constructions at
+odd p.
 
 Dimensions (`module_dim`), the isomorphism test (`verify_iso`) and the
 kernel U (`u_lambda_weight_table`, `u_lambda_dim`) read only the dominant
@@ -167,53 +167,12 @@ class _Layout(Record, hidden=("blocks", "packs", "order", "block_no", "local")):
         return type(self), (self.basis, dict(self.blocks))
 
 
-class _Span(Record):
-    """The relation span of the blocks of one packed weight, in local
-    coordinates, as their pattern's straightening gives it, with no
-    elimination: ``r_pos``, the local coordinates of R; ``images``, the
-    image over R of each local coordinate; ``q``, the frozen span Q of the
-    straightened supplementary snakes over the R-coordinates; ``free``,
-    the local coordinates of R that are not pivots of Q. For the
-    alternating kind the images are the pattern's own (R-coordinate,
-    integer coefficient) pairs, which a read reduces mod p, ``q`` is None
-    and R is free; for the mod-2 skew kind they are bit masks of
-    R-coordinates reduced modulo Q. So ``q`` is None exactly when the
-    images are integer pairs, which is how every read tells the two
-    formats apart. The span is that of e_i - image(i) for
-    i outside R, and Q, so its dimension is (size - |R|) + dim Q, size
-    less the free coordinates. Reduction modulo Q is linear, so a sum of
-    images is reduced modulo Q already."""
-
-    __slots__ = ("images", "r_pos", "q", "free")
-
-    def __init__(
-        self,
-        images: tuple[int | tuple[tuple[int, int], ...], ...],
-        r_pos: tuple[int, ...],
-        q: Subspace | None,
-        free: tuple[int, ...],
-    ):
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "r_pos", r_pos)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "free", free)
-
-    @property
-    def dim(self) -> int:
-        return len(self.images) - len(self.free)
-
-    @property
-    def basic_rank(self) -> int:
-        """The rank of the basic snakes: the tabloids outside R."""
-        return len(self.images) - len(self.r_pos)
-
-
 class QuotientModule(Record, hidden=("_layout", "_spans", "_numbered")):
     """A tabloid space modulo a relation span, graded by weight: the
-    layout of its basis, which every prime shares, and the frozen `_Span`
-    of each packed weight, read by each block of it in local coordinates;
-    ``_numbered`` holds the same spans by block number, as reads find
-    blocks. Modules compare by identity."""
+    layout of its basis and the `_Pattern` of each packed weight, with its
+    frozen span, both of which every prime shares; each block reads its
+    pattern in local coordinates. ``_numbered`` holds the same patterns by
+    block number, as reads find blocks. Modules compare by identity."""
 
     __slots__ = ("ambient", "p", "_layout", "_spans", "_numbered")
     __eq__ = object.__eq__
@@ -373,33 +332,52 @@ def _layout(shape: Partition, d: int, kind: TabloidKind) -> _Layout:
 
 class _Pattern(Record):
     """The weight block of a packed weight, padded with zeros, straightened
-    once for every prime: ``first``, its first representative; ``images``,
-    the image over R of each representative, in local order: a bit mask of
-    R-coordinates for the mod-2 skew kind, (R-coordinate, integer
-    coefficient) pairs for the alternating kind; ``r_cols`` and ``r_pos``,
-    the representatives in R and their local coordinates, in local order;
-    ``supplementary``, the masks of the nonzero straightened supplementary
-    snakes of the mod-2 skew kind."""
+    once for every prime, and its relation span: ``first``, its first
+    representative; ``r_cols`` and ``r_pos``, the representatives in R and
+    their local coordinates; ``supplementary``, the masks of the nonzero
+    straightened supplementary snakes; ``images``, the image over R of
+    each representative, in local order; ``q``, the frozen span Q of the
+    supplementary masks; ``free``, the local coordinates of R that are not
+    pivots of Q. For the alternating kind the images are (R-coordinate,
+    integer coefficient) pairs, which a read reduces mod p, ``q`` is None
+    and R is free; for the mod-2 skew kind they are bit masks reduced
+    modulo Q, which is linear, so a sum of images is reduced already.
+    Every read tells the two formats apart by whether ``q`` is None. The
+    span is that of e_i - image(i) for i outside R, and Q: its dimension
+    is size less the free coordinates."""
 
-    __slots__ = ("first", "images", "r_cols", "r_pos", "supplementary")
+    __slots__ = ("first", "r_cols", "r_pos", "supplementary", "images", "q", "free")
 
     def __init__(
         self,
         first: Cols,
-        images: tuple[int | tuple[tuple[int, int], ...], ...],
         r_cols: tuple[Cols, ...],
         r_pos: tuple[int, ...],
         supplementary: tuple[int, ...],
+        images: tuple[int | tuple[tuple[int, int], ...], ...],
+        q: Subspace | None,
+        free: tuple[int, ...],
     ):
         object.__setattr__(self, "first", first)
-        object.__setattr__(self, "images", images)
         object.__setattr__(self, "r_cols", r_cols)
         object.__setattr__(self, "r_pos", r_pos)
         object.__setattr__(self, "supplementary", supplementary)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "free", free)
 
     @property
     def size(self) -> int:
         return len(self.images)
+
+    @property
+    def dim(self) -> int:
+        return len(self.images) - len(self.free)
+
+    @property
+    def basic_rank(self) -> int:
+        """The rank of the basic snakes: the tabloids outside R."""
+        return len(self.images) - len(self.r_pos)
 
     def check_packs(self, block: _Block, cols: Sequence[Cols]) -> None:
         """Refuse a block over the basis columns ``cols`` unless it packs
@@ -422,11 +400,11 @@ def _pattern(
     shape: Partition, d: int, key: tuple[int, ...], kind: TabloidKind
 ) -> _Pattern:
     """The pattern of the packed weight ``key``: the block of the layout
-    whose weight is ``key`` padded with zeros, straightened. Its letters
-    are 1..k already, and it holds no prime, so the builds at every p and
-    `straighten` share it. Every block of the layout with this packed
-    weight is checked here, once, to pack onto it, so no read checks
-    again."""
+    whose weight is ``key`` padded with zeros, straightened, with its
+    relation span frozen. Its letters are 1..k already, and it holds no
+    prime, so the builds at every p and `straighten` share this one
+    record. Every block of the layout with this packed weight is checked
+    here, once, to pack onto it, so no read checks again."""
     layout = _layout(shape, d, kind)
     block = layout.blocks[(*key, *(0,) * (d - len(key)))]
     cols = layout.basis.cols
@@ -445,7 +423,12 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
     order, each image kept in ``known``: the basic snake of each is
     expanded once and must lead with it, with coefficient 1, and bring in
     only terms already known, which are the smaller ones of the block, so
-    `_straighten` replaces each by its image and expands nothing."""
+    `_straighten` replaces each by its image and expands nothing.
+
+    Then its span is frozen. The vectors whose image over R lies in Q are
+    the span, and R is a basis modulo the basic snakes, so only Q is
+    eliminated, and only on the mod-2 skew kind: the alternating kind has
+    no supplementary snake."""
     mod2 = not kind.zero_on_column_repeats
     boxes = [snake_box(cols) for cols in reps]
     r_pos = tuple(j for j, box in enumerate(boxes) if box is None)
@@ -467,13 +450,20 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
             raise InvariantError(f"relation term {cols} lies outside its weight block")
         image = _straighten({t: -c for t, c in snake.items()}, kind, r, known)
         known[source] = image if mod2 else tuple(image.items())
-    return _Pattern(
-        _packed(reps[0]),
-        tuple(known[cols] for cols in reps),
-        tuple(r),
-        r_pos,
-        _supplementary(r, known) if mod2 else (),
-    )
+    first, r_cols = _packed(reps[0]), tuple(r)
+    images = tuple(known[cols] for cols in reps)
+    if not mod2:  # the alternating kind
+        return _Pattern(first, r_cols, r_pos, (), images, None, r_pos)
+    supplementary = _supplementary(r, known)
+    span = SpanBuilder(len(r_pos))
+    for mask in supplementary:
+        span.add_mask(mask)
+    q = span.subspace()
+    if q.dim:
+        images = tuple(map(q.residual_mask, images))
+    pivots = set(q.pivot_indices())
+    free = tuple(i for j, i in enumerate(r_pos) if j not in pivots)
+    return _Pattern(first, r_cols, r_pos, supplementary, images, q, free)
 
 
 def _supplementary(r: dict[Cols, int], known: dict) -> tuple[int, ...]:
@@ -493,27 +483,6 @@ def _supplementary(r: dict[Cols, int], known: dict) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _freeze(pattern: _Pattern, kind: TabloidKind) -> _Span:
-    """The relation span of a straightened block, which every prime reads.
-    The vectors whose image over R lies in Q are the span, and R is a
-    basis modulo the basic snakes, so only Q is eliminated. The
-    alternating kind has no supplementary snake: its record takes the
-    pattern's integer images as they are, with no Q and R free. The mod-2
-    skew kind freezes Q from its supplementary masks on a builder over the
-    R-coordinates and keeps its masks reduced modulo Q."""
-    r_pos = pattern.r_pos
-    if kind.zero_on_column_repeats:  # the alternating kind
-        return _Span(pattern.images, r_pos, None, r_pos)
-    span = SpanBuilder(len(r_pos))
-    for mask in pattern.supplementary:
-        span.add_mask(mask)
-    q = span.subspace()
-    images = tuple(map(q.residual_mask, pattern.images)) if q.dim else pattern.images
-    pivots = set(q.pivot_indices())
-    free = tuple(i for j, i in enumerate(r_pos) if j not in pivots)
-    return _Span(images, r_pos, q, free)
-
-
 @lru_cache(maxsize=256)
 def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModule:
     """Every weight block of the tabloid space of one kind with its
@@ -521,15 +490,16 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     kind and share this build. The relations are the basic snake of every
     tableau that is not row semistandard and, for the mod-2 skew kind, the
     supplementary snakes of the row-semistandard ones (zero on alternating
-    tabloids). The module adds to the layout (`_layout`) the span frozen
-    from the pattern of each packed weight (`_pattern`, which checks that
-    each block of it packs onto it). So a build at a second prime shares
-    the layout, index included, and the patterns' images, which its reads
-    reduce mod p. A space past `tabloids.BUILD_BUDGET` is refused before
-    it is listed (`build_basis`)."""
+    tabloids). The module adds to the layout (`_layout`) the cached
+    pattern of each packed weight (`_pattern`, which checks that each
+    block of it packs onto it), whose span is frozen already. So a build
+    at a second prime shares the layout, index included, and the patterns
+    themselves, whose integer images its reads reduce mod p. A space past
+    `tabloids.BUILD_BUDGET` is refused before it is listed
+    (`build_basis`)."""
     layout = _layout(shape, d, kind)
-    spans = {key: _freeze(_pattern(shape, d, key, kind), kind) for key in layout.packs}
-    return QuotientModule(layout, p, spans)
+    patterns = {key: _pattern(shape, d, key, kind) for key in layout.packs}
+    return QuotientModule(layout, p, patterns)
 
 
 def build_dual_weyl(shape: Partition, d: int, p: int) -> QuotientModule:

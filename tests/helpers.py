@@ -697,10 +697,10 @@ def subspace_from_reduced_rows(ambient_dim: int, p: int, rows):
         clash = [k for k, row in piv.items() if len(row.keys() & piv.keys()) > 1]
     if clash:
         raise ValueError(f"the row of pivot {clash[0]} holds another pivot")
-    out = Subspace(ambient_dim) if p == 2 else SparseSubspace(ambient_dim, p)
-    out._piv.update(piv)
     if p == 2:
-        out._pivmask = sum(piv)
+        return Subspace(ambient_dim, piv)
+    out = SparseSubspace(ambient_dim, p)
+    out._piv.update(piv)
     return out
 
 

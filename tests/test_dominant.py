@@ -21,7 +21,6 @@ from dualweyl.partitions import (
 from dualweyl.quotients import (
     _build,
     _dominant_block,
-    _freeze,
     _kernel_dims,
     _straightened_block,
     dominant_rep_bound,
@@ -229,7 +228,7 @@ def test_kernel_count_matches_an_elimination_probe():
 
 def test_kernel_count_matches_the_full_pattern_by_a_second_route():
     # The full mod-2 skew pattern of content beta, listed by content at
-    # d = len(beta) and frozen at p = 2, is the weight space of the skew
+    # d = len(beta), with its span frozen, is the weight space of the skew
     # construction; the dual Weyl module's is K(shape, beta). So the kernel
     # there is its size, less its span's dimension, less the Kostka number:
     # a check of the projection off G_beta and of the G_beta count, for
@@ -245,8 +244,7 @@ def test_kernel_count_matches_the_full_pattern_by_a_second_route():
                     enumerate_tableaux(shape, len(beta), basis_class(kind), tuple(beta))
                 )
                 pattern = _straightened_block(reps, kind)
-                grown = (pattern.size - _freeze(pattern, kind).dim
-                         - kostka_number(shape, beta))
+                grown = pattern.size - pattern.dim - kostka_number(shape, beta)
                 assert grown == counted.get(beta, 0), (shape, beta)
                 pairs += 1
                 tabloids += pattern.size

@@ -14,7 +14,7 @@ import pytest
 import dualweyl
 from dualweyl.garnir import GarnirLabel
 from dualweyl.partitions import Partition
-from dualweyl.quotients import QuotientModule, _Block, _Layout, _Span, build_dual_weyl
+from dualweyl.quotients import QuotientModule, _Block, _Layout, _Pattern, build_dual_weyl
 from dualweyl.records import FrozenRecordError
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
@@ -130,7 +130,7 @@ def _records():
         (GarnirLabel(*label), GarnirLabel(*label), True),
         (block, _Block(block.indices, block.key), True),
         (layout, _Layout(basis, dict(layout.blocks)), True),
-        (span, _Span(span.images, span.r_pos, span.q, span.free), True),
+        (span, _Pattern(*(getattr(span, f) for f in span.__slots__)), True),
         (module, QuotientModule(layout, 3, spans), None),
     ]
 

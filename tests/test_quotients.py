@@ -769,14 +769,17 @@ def test_straightening_refuses_a_snake_that_is_not_unitriangular(monkeypatch):
 def test_pattern_images_match_straightening_from_scratch(kind, p):
     # A pattern block straightens its representatives from the smallest up,
     # each through the images of the smaller ones it has kept, and its
-    # supplementary snakes through all of them. Reduced mod p, every image
-    # must equal the reference straightening of the same tabloid or snake
-    # from scratch, and the supplementary images must be the nonzero ones,
-    # in order (none for the alternating kind, on which the supplementary
-    # snakes vanish): every pattern block of every shape with n <= 6 and
-    # d <= n, for each kind at each prime that reads it. The first block
-    # of a packed weight of k letters uses the letters 1..k, as checked
-    # here at d = n, so it is the pattern block at every d >= k.
+    # supplementary snakes through all of them. The supplementary images
+    # must be the nonzero reference straightenings of the supplementary
+    # snakes from scratch, in order (none for the alternating kind, on
+    # which they vanish), and Q their span in reduced echelon form by
+    # Gauss-Jordan elimination (`rref_oracle`). Reduced mod p, every image
+    # must equal the reference straightening of the same tabloid from
+    # scratch reduced modulo that span (`reduce_oracle`), so no mod-2 image
+    # holds a pivot of Q: every pattern block of every shape with n <= 6
+    # and d <= n, for each kind at each prime that reads it. The first
+    # block of a packed weight of k letters uses the letters 1..k, as
+    # checked here at d = n, so it is the pattern block at every d >= k.
     from dualweyl import quotients
     from dualweyl.garnir import equal_boxes, snake_terms
 
@@ -804,12 +807,22 @@ def test_pattern_images_match_straightening_from_scratch(kind, p):
                         return {c: 1 for j, c in enumerate(r_cols) if image >> j & 1}
                     return {r_cols[j]: a % p for j, a in image if a % p}
 
-                for cols, image in zip(reps, pattern.images, strict=True):
-                    assert over_r(image) == straighten_terms({cols: 1}, kind, p)
+                def dense(terms):
+                    return [terms.get(cols, 0) for cols in r_cols]
+
                 images = (straighten_terms(snake, kind, p) for snake in snakes)
-                assert list(map(over_r, pattern.supplementary)) == [
-                    image for image in images if image
-                ]
+                supplementary = [image for image in images if image]
+                assert list(map(over_r, pattern.supplementary)) == supplementary
+                q = rref_oracle(map(dense, supplementary), len(r_cols), p)
+                if pattern.q is None:
+                    assert q == []
+                else:
+                    assert pattern.q.basis_rows() == list(map(tuple, q))
+                    pivots = sum(1 << j for j in pattern.q.pivot_indices())
+                    assert not any(image & pivots for image in pattern.images)
+                for cols, image in zip(reps, pattern.images, strict=True):
+                    want = straighten_terms({cols: 1}, kind, p)
+                    assert dense(over_r(image)) == reduce_oracle(q, dense(want), p)
                 patterns += 1
     assert patterns == {ALT_COLUMN: 319, skew_column(2): 521}[kind]
 
@@ -982,9 +995,10 @@ def test_shared_blocks_match_the_unshared_build(p):
     # Blocks whose weights have the same nonzero entries in order are one
     # block in local coordinates: every block of the full build matches the
     # block eliminated on its own, and two blocks hold the same frozen span
-    # exactly when their packed weights are equal. Every shape with n <= 5,
-    # d <= 5, both tabloid kinds (one kind at odd p).
-    from dualweyl.quotients import _Span, _build
+    # exactly when their packed weights are equal: the cached pattern of
+    # that packed weight itself. Every shape with n <= 5, d <= 5, both
+    # tabloid kinds (one kind at odd p).
+    from dualweyl.quotients import _Pattern, _build, _pattern
 
     shared = 0
     for n in range(1, 6):
@@ -999,7 +1013,8 @@ def test_shared_blocks_match_the_unshared_build(p):
                     for w, block in layout.blocks.items():
                         pos, want, basic_rank = oracle[w]
                         span = module._spans[block.key]
-                        assert type(span) is _Span
+                        assert type(span) is _Pattern
+                        assert span is _pattern(shape, d, block.key, kind)
                         assert rebuilt[w].pivot_indices() == want.pivot_indices()
                         assert rebuilt[w].basis_rows() == want.basis_rows()
                         assert span.basic_rank == basic_rank
@@ -1188,20 +1203,22 @@ def test_every_cache_is_bounded():
 def test_every_cached_value_is_frozen():
     # Every caller of a cache gets the same object, so none may change it:
     # attribute assignment fails on the module, a layout and its blocks, a
-    # pattern (whose fields are tuples) and a basis (whose listing, column
-    # heights and radix weights are tuples), and item assignment on the
-    # decomposition rows, one row, a layout's block mapping, its blocks by
-    # packed weight and both arrays of its coordinate index, a module's
-    # spans, and a dominant block (a tuple); attribute assignment fails on
-    # each span record too, whose images and coordinates are tuples. Each
-    # assignment writes back the value it finds, so a mutable object would
-    # not be spoilt for later callers. The template, the column heights
-    # and a column's rank moves are tuples (of ints, or of int pairs), a
-    # two-column snake expansion a tuple of (column pair, int) pairs, and
-    # the Kostka number and a column rank ints. A new cache must join this
-    # test.
+    # pattern (whose fields are tuples, but for its Q, None or a frozen
+    # `Subspace`) and a basis (whose listing, column heights and radix
+    # weights are tuples), and item assignment on the decomposition rows,
+    # one row, a layout's block mapping, its blocks by packed weight and
+    # both arrays of its coordinate index, a module's spans, the rows of
+    # each Q, and a dominant block (a tuple); attribute assignment fails on
+    # each span record too, whose images and coordinates are tuples, on its
+    # Q and on a dominant block's. Each assignment writes back the value it
+    # finds, so a mutable object would not be spoilt for later callers.
+    # The template, the column heights and a column's rank moves are
+    # tuples (of ints, or of int pairs), a two-column snake expansion a
+    # tuple of (column pair, int) pairs, and the Kostka number and a column
+    # rank ints. A new cache must join this test.
     from dualweyl.decomposition import decomposition_rows
     from dualweyl.garnir import _snake_pair, _snake_template
+    from dualweyl.gfp import Subspace
     from dualweyl.quotients import (
         _Layout,
         _build,
@@ -1221,7 +1238,10 @@ def test_every_cached_value_is_frozen():
     assert isinstance(layout, _Layout) and layout.basis == module.ambient
     w = next(w for w, b in layout.blocks.items() if b.size > 1)
     pattern = _pattern(shape, 3, packed_weight(w), skew_column(2))
-    assert all(isinstance(getattr(pattern, f), tuple) for f in pattern.__slots__)
+    assert all(
+        isinstance(getattr(pattern, f), tuple) for f in pattern.__slots__ if f != "q"
+    )
+    assert pattern.q is None or type(pattern.q) is Subspace
     basis = build_basis(shape, 3, ALT_COLUMN)
     rows = decomposition_rows(3)
     assert isinstance(_snake_template(2, 1, 0), tuple)
@@ -1244,17 +1264,21 @@ def test_every_cached_value_is_frozen():
         *((block, f) for block in layout.order for f in block.__slots__),
         *((pattern, f) for f in pattern.__slots__),
         *((span, f) for span in module._spans.values() for f in span.__slots__),
+        *((span.q, f) for span in module._spans.values() for f in span.q.__slots__),
+        *((dominant[1], f) for f in dominant[1].__slots__),
         *((basis, f) for f in basis.__slots__),
     ]
     for span in module._spans.values():
         fields = (span.images, span.r_pos, span.free)
         assert all(isinstance(f, tuple) for f in fields)
+        assert type(span.q) is Subspace
     for obj, attr in frozen:
         with pytest.raises(FrozenRecordError):
             setattr(obj, attr, getattr(obj, attr))
     mu = Partition((2, 1))
     mappings = (rows, rows[mu], layout.blocks, layout.packs, module._spans,
-                layout.block_no, layout.local)
+                layout.block_no, layout.local,
+                *(span.q._piv for span in module._spans.values() if span.q.dim))
     for mapping in mappings:
         key = 0 if isinstance(mapping, memoryview) else next(iter(mapping))
         with pytest.raises(TypeError):
@@ -1278,11 +1302,12 @@ def test_every_cached_value_is_frozen():
 
 
 def _reachable(root):
-    """Every object reachable from root through containers, records and
-    spans (not through classes or modules)."""
+    """Every object reachable from root through containers, records (a
+    frozen `Subspace` among them) and builders (not through classes or
+    modules)."""
     from types import MappingProxyType
 
-    from dualweyl.gfp import SpanBuilder, Subspace
+    from dualweyl.gfp import SpanBuilder
     from dualweyl.records import Record
 
     seen, todo = {}, [root]
@@ -1295,7 +1320,7 @@ def _reachable(root):
             todo.extend(gc.get_referents(obj))
         elif isinstance(obj, Record):
             todo.extend(getattr(obj, f) for f in obj.__slots__)
-        elif isinstance(obj, (Subspace, SpanBuilder)):
+        elif isinstance(obj, SpanBuilder):
             todo.append(vars(obj))
     return seen.values()
 
@@ -1306,13 +1331,17 @@ def _is_cols(key) -> bool:
 
 def test_built_module_holds_only_frozen_blocks():
     from dualweyl.gfp import SpanBuilder, Subspace
-    from dualweyl.quotients import _Span, _build
+    from dualweyl.quotients import _Pattern, _build, _pattern
 
     for p in (2, 3):
         module = _build.__wrapped__(Partition((2, 1)), 3, p, skew_column(p))
         first = {w: module._spans[b.key] for w, b in module._layout.blocks.items()}
         assert first
-        assert all(type(s) is _Span for s in first.values())
+        assert all(type(s) is _Pattern for s in first.values())
+        assert all(
+            s is _pattern(Partition((2, 1)), 3, key, skew_column(p))
+            for key, s in module._spans.items()
+        )
         if p == 2:
             assert all(type(s.q) is Subspace for s in first.values())
         else:  # the alternating kind freezes no Q: no builder ran
@@ -1372,6 +1401,43 @@ def test_cached_dominant_blocks_hold_only_frozen_spans():
     assert not any(isinstance(x, SpanBuilder) for x in _reachable(blocks))
 
 
+def test_a_cached_span_refuses_mutation():
+    # A frozen `Subspace` is a record: assigning to or deleting one of its
+    # fields raises `FrozenRecordError`, and its rows refuse item
+    # assignment and deletion. Clearing the rows of a cached dominant block
+    # of (2,2,1) could once change u_lambda_dim((2,2,1), 4), which is 56,
+    # for every later caller; a pattern's Q is cached the same way. A
+    # subspace pickles and copies by its rows.
+    import copy
+    import pickle
+
+    from dualweyl.quotients import _dominant_block
+    from dualweyl.records import FrozenRecordError
+
+    shape = Partition((2, 2, 1))
+    assert u_lambda_dim(shape, 4) == 56
+    spans = [_dominant_block(shape, beta)[1] for beta in partitions_of(5, 4)]
+    spans += [s.q for s in build_gtensor_specht(shape, 4, 2)._spans.values()]
+    spans = [q for q in spans if q.dim]
+    assert spans
+    for q in spans:
+        rows = q.basis_rows()
+        for field in ("_piv", "_pivmask", "ambient_dim"):
+            with pytest.raises(FrozenRecordError):
+                setattr(q, field, 0)
+            with pytest.raises(FrozenRecordError):
+                delattr(q, field)
+        key = next(iter(q._piv))
+        with pytest.raises(TypeError):
+            q._piv[key] = 0
+        with pytest.raises(TypeError):
+            del q._piv[key]
+        assert q.basis_rows() == rows
+        for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q)):
+            assert twin.basis_rows() == rows and twin.ambient_dim == q.ambient_dim
+    assert u_lambda_dim(shape, 4) == 56
+
+
 def test_supplementary_rank_gain_reported():
     module = build_gtensor_specht(Partition((2, 1)), 2, 2)
     assert module.supplementary_rank_gain == 3
@@ -1399,19 +1465,25 @@ def test_full_builds_are_shared_at_odd_p():
 
 
 def test_odd_primes_share_the_patterns_images():
-    # An alternating build freezes no Q and copies nothing per prime: its
-    # record holds the pattern's integer images themselves, R is free, and
-    # the builds at p = 2, 3 and 5 share them by identity.
+    # An alternating build freezes no Q and copies nothing per prime: the
+    # builds at p = 2, 3 and 5 hold the cached pattern record itself, by
+    # identity, whose integer images they read, with R free. A mod-2 skew
+    # build holds its cached patterns by identity too, each with its Q.
+    from dualweyl.gfp import Subspace
     from dualweyl.quotients import _build, _pattern
 
     shape, d = Partition((3, 2, 1)), 4
     builds = [_build.__wrapped__(shape, d, p, ALT_COLUMN) for p in (2, 3, 5)]
     for key in builds[0]._spans:
         pattern = _pattern(shape, d, key, ALT_COLUMN)
+        assert pattern.q is None and pattern.free == pattern.r_pos
         for module in builds:
-            span = module._spans[key]
-            assert span.images is pattern.images
-            assert span.q is None and span.free == span.r_pos == pattern.r_pos
+            assert module._spans[key] is pattern
+    skew = _build.__wrapped__(shape, d, 2, skew_column(2))
+    assert skew.supplementary_rank_gain
+    for key, span in skew._spans.items():
+        assert span is _pattern(shape, d, key, skew_column(2))
+        assert type(span.q) is Subspace
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -1424,7 +1496,7 @@ def test_odd_p_reads_reduce_integer_images_mod_p(p):
     # real module, whose span it is mod p. The patterns of every shape
     # with n <= 7 and d <= 5 have coefficients of absolute value at most
     # 2, so none of them reaches this case.
-    from dualweyl.quotients import QuotientModule, _layout, _Span
+    from dualweyl.quotients import QuotientModule, _layout, _Pattern
 
     shape, d = Partition((3, 2, 1)), 4
     real = build_dual_weyl(shape, d, p)
@@ -1438,7 +1510,9 @@ def test_odd_p_reads_reduce_integer_images_mod_p(p):
                 image = (*image, (absent[0], p))
                 planted += 1
             images.append(image)
-        spans[key] = _Span(tuple(images), span.r_pos, None, span.r_pos)
+        spans[key] = _Pattern(
+            span.first, span.r_cols, span.r_pos, (), tuple(images), None, span.r_pos
+        )
     assert planted
     module = QuotientModule(layout, p, spans)
 
