@@ -78,11 +78,19 @@ class Subspace(_Rows, Record, hidden=("_piv", "_pivmask")):
     each pivot coordinate is also zero in every other basis row, so the
     representation is canonical. It keeps the rows it is given, keyed by
     pivot bit, behind a read-only mapping, and refuses assignment to its
-    fields as every record does. Subspaces compare by identity."""
+    fields as every record does. Subspaces compare by their ambient
+    dimension and rows, as the rows are canonical, so a copy equals its
+    original."""
 
     __slots__ = ("ambient_dim", "_piv", "_pivmask")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self._piv == other._piv
+
+    def __hash__(self):
+        return hash((self.ambient_dim, frozenset(self._piv.values())))
 
     def __init__(self, ambient_dim: int, rows: dict[int, int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)

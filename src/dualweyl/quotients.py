@@ -17,14 +17,13 @@ term outside R by the rest of its basic snake until none is left, and
 checks this unitriangularity; a pattern walk expands each basic snake
 once, from the smallest tabloid up, so every term it brings in already
 has its image. For the mod-2 skew kind, `_supplementary` straightens the
-supplementary snakes onto R as bit masks. So the relation span of a
-block is that of e_i - image(i) for each i outside R, and the span Q of
-the straightened supplementary snakes on R. A pattern keeps exactly
-that: for the alternating kind its integer images, which a read reduces
-mod p, and no Q; for the mod-2 skew kind Q, frozen at the end of the
-walk on a `gfp.SpanBuilder` that exists only while it freezes, the one
-elimination left, so `gfp` works over GF(2) alone. No block, module or
-cache holds a builder.
+supplementary snakes onto R as bit masks, refuses one that lands on a
+representative with no column repeat, and freezes their span Q, the one
+elimination left, so `gfp` works over GF(2) alone. So the relation span
+of a block is that of e_i - image(i) for each i outside R, and Q. A
+pattern keeps exactly that: for the alternating kind its integer images,
+which a read reduces mod p, and no Q; for the mod-2 skew kind Q. No
+block, module or cache holds a `gfp.SpanBuilder`.
 
 Nothing in a pattern depends on p, and two bounded caches hold it.
 `_layout` lists a tabloid space once (`build_basis`, the one gate that
@@ -35,8 +34,8 @@ its block and local coordinate. `_pattern` straightens the block of each
 packed weight padded with zeros, over the integers or as masks. A block
 reads its letters only through comparisons, so renaming them, in order,
 onto 1..k maps its representatives and snakes onto those of its packed
-weight: every block of that packed weight reads the pattern, which
-`_pattern` checks each of them to pack onto once, when it is made.
+weight: every block of that packed weight reads the pattern, which the
+layout checks each of them to pack onto once, when it is made.
 Rearrangements such as (1,2,0) and (2,1,0) pack differently, so the full
 build still checks the S_d-symmetry that the dominant path assumes. A
 full build (`_build`) adds to the layout only the cached pattern of each
@@ -114,6 +113,13 @@ from .tabloids import (
 
 WeightTable = dict[tuple[int, ...], int]
 
+
+def _packed(cols: Cols) -> Cols:
+    """A tableau with the letters it uses renamed, in order, onto 1..k."""
+    rank = {x: i for i, x in enumerate(sorted({x for c in cols for x in c}), 1)}
+    return tuple(tuple(rank[x] for x in c) for c in cols)
+
+
 class _Block(Record):
     """One weight block of a layout: ``indices``, the ambient indices of
     its representatives, in order, the j-th at local coordinate j;
@@ -136,6 +142,9 @@ class _Layout(Record, hidden=("blocks", "packs", "order", "block_no", "local")):
     ``packs`` (read-only, tuples); ``block_no`` and ``local``, read-only
     4-byte arrays, give each coordinate its block's number and its local
     coordinate there. A tabloid's coordinate is its rank in the basis.
+    A layout refuses blocks that do not partition the coordinates, and a
+    block that does not pack onto the first of its packed weight: the
+    same size, and the same first representative once packed (`_packed`).
     Layouts compare and show themselves by their basis."""
 
     __slots__ = ("basis", "blocks", "packs", "order", "block_no", "local")
@@ -154,6 +163,14 @@ class _Layout(Record, hidden=("blocks", "packs", "order", "block_no", "local")):
                 local[i] = j
         if unset in block_no or sum(b.size for b in order) != basis.dim:
             raise InvariantError("the blocks do not partition the ambient coordinates")
+        for group in packs.values():
+            size, first = group[0].size, _packed(basis.cols[group[0].indices[0]])
+            for block in group[1:]:
+                cols = basis.cols[block.indices[0]]
+                if block.size != size or _packed(cols) != first:
+                    raise InvariantError(
+                        f"the block of {cols} does not pack onto its pattern"
+                    )
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "blocks", MappingProxyType(blocks))
         packs = {key: tuple(group) for key, group in packs.items()}
@@ -332,36 +349,28 @@ def _layout(shape: Partition, d: int, kind: TabloidKind) -> _Layout:
 
 class _Pattern(Record):
     """The weight block of a packed weight, padded with zeros, straightened
-    once for every prime, and its relation span: ``first``, its first
-    representative; ``r_cols`` and ``r_pos``, the representatives in R and
-    their local coordinates; ``supplementary``, the masks of the nonzero
-    straightened supplementary snakes; ``images``, the image over R of
-    each representative, in local order; ``q``, the frozen span Q of the
-    supplementary masks; ``free``, the local coordinates of R that are not
-    pivots of Q. For the alternating kind the images are (R-coordinate,
-    integer coefficient) pairs, which a read reduces mod p, ``q`` is None
-    and R is free; for the mod-2 skew kind they are bit masks reduced
-    modulo Q, which is linear, so a sum of images is reduced already.
-    Every read tells the two formats apart by whether ``q`` is None. The
-    span is that of e_i - image(i) for i outside R, and Q: its dimension
-    is size less the free coordinates."""
+    once for every prime, and its relation span: ``r_pos``, the local
+    coordinates of the representatives in R; ``images``, the image over R
+    of each representative, in local order; ``q``, the frozen span Q of
+    the straightened supplementary snakes; ``free``, the local coordinates
+    of R that are not pivots of Q. For the alternating kind the images are
+    (R-coordinate, integer coefficient) pairs, which a read reduces mod p,
+    ``q`` is None and R is free; for the mod-2 skew kind they are bit
+    masks reduced modulo Q, which is linear, so a sum of images is reduced
+    already. Every read tells the two formats apart by whether ``q`` is
+    None. The span is that of e_i - image(i) for i outside R, and Q: its
+    dimension is size less the free coordinates."""
 
-    __slots__ = ("first", "r_cols", "r_pos", "supplementary", "images", "q", "free")
+    __slots__ = ("r_pos", "images", "q", "free")
 
     def __init__(
         self,
-        first: Cols,
-        r_cols: tuple[Cols, ...],
         r_pos: tuple[int, ...],
-        supplementary: tuple[int, ...],
         images: tuple[int | tuple[tuple[int, int], ...], ...],
         q: Subspace | None,
         free: tuple[int, ...],
     ):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "r_cols", r_cols)
         object.__setattr__(self, "r_pos", r_pos)
-        object.__setattr__(self, "supplementary", supplementary)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "free", free)
@@ -379,21 +388,6 @@ class _Pattern(Record):
         """The rank of the basic snakes: the tabloids outside R."""
         return len(self.images) - len(self.r_pos)
 
-    def check_packs(self, block: _Block, cols: Sequence[Cols]) -> None:
-        """Refuse a block over the basis columns ``cols`` unless it packs
-        onto this pattern: the same size, and its first representative with
-        its letters packed equal to this pattern's. `_pattern` checks each
-        block of its packed weight once, when it straightens it."""
-        first = cols[block.indices[0]]
-        if self.size != block.size or self.first != _packed(first):
-            raise InvariantError(f"the block of {first} does not pack onto its pattern")
-
-
-def _packed(cols: Cols) -> Cols:
-    """A tableau with the letters it uses renamed, in order, onto 1..k."""
-    rank = {x: i for i, x in enumerate(sorted({x for c in cols for x in c}), 1)}
-    return tuple(tuple(rank[x] for x in c) for c in cols)
-
 
 @lru_cache(maxsize=1024)
 def _pattern(
@@ -403,15 +397,12 @@ def _pattern(
     whose weight is ``key`` padded with zeros, straightened, with its
     relation span frozen. Its letters are 1..k already, and it holds no
     prime, so the builds at every p and `straighten` share this one
-    record. Every block of the layout with this packed weight is checked
-    here, once, to pack onto it, so no read checks again."""
+    record, which every block of the layout with this packed weight packs
+    onto (`_Layout` checks this), so no read checks again."""
     layout = _layout(shape, d, kind)
     block = layout.blocks[(*key, *(0,) * (d - len(key)))]
     cols = layout.basis.cols
-    pattern = _straightened_block(tuple(cols[i] for i in block.indices), kind)
-    for other in layout.packs[key]:
-        pattern.check_packs(other, cols)
-    return pattern
+    return _straightened_block(tuple(cols[i] for i in block.indices), kind)
 
 
 def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
@@ -427,8 +418,8 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
 
     Then its span is frozen. The vectors whose image over R lies in Q are
     the span, and R is a basis modulo the basic snakes, so only Q is
-    eliminated, and only on the mod-2 skew kind: the alternating kind has
-    no supplementary snake."""
+    eliminated (`_supplementary`), and only on the mod-2 skew kind: the
+    alternating kind has no supplementary snake."""
     mod2 = not kind.zero_on_column_repeats
     boxes = [snake_box(cols) for cols in reps]
     r_pos = tuple(j for j, box in enumerate(boxes) if box is None)
@@ -450,37 +441,41 @@ def _straightened_block(reps: tuple[Cols, ...], kind: TabloidKind) -> _Pattern:
             raise InvariantError(f"relation term {cols} lies outside its weight block")
         image = _straighten({t: -c for t, c in snake.items()}, kind, r, known)
         known[source] = image if mod2 else tuple(image.items())
-    first, r_cols = _packed(reps[0]), tuple(r)
     images = tuple(known[cols] for cols in reps)
     if not mod2:  # the alternating kind
-        return _Pattern(first, r_cols, r_pos, (), images, None, r_pos)
-    supplementary = _supplementary(r, known)
-    span = SpanBuilder(len(r_pos))
-    for mask in supplementary:
-        span.add_mask(mask)
-    q = span.subspace()
+        return _Pattern(r_pos, images, None, r_pos)
+    q = _supplementary(r, known)
     if q.dim:
         images = tuple(map(q.residual_mask, images))
     pivots = set(q.pivot_indices())
     free = tuple(i for j, i in enumerate(r_pos) if j not in pivots)
-    return _Pattern(first, r_cols, r_pos, supplementary, images, q, free)
+    return _Pattern(r_pos, images, q, free)
 
 
-def _supplementary(r: dict[Cols, int], known: dict) -> tuple[int, ...]:
-    """The nonzero supplementary snakes of a mod-2 skew block, one per box
-    of an R representative equal to its right neighbour, in the order of
-    the R-coordinates ``r``, straightened onto R as bit masks given the
-    images ``known``. One on two columns of height 1 swaps two equal
-    boxes, so it is zero mod 2 and not expanded."""
+def _supplementary(r: dict[Cols, int], known: dict) -> Subspace:
+    """The frozen span Q of the supplementary snakes of a mod-2 skew block,
+    one per box of an R representative equal to its right neighbour, in
+    the order of the R-coordinates ``r``, straightened onto R as bit masks
+    given the images ``known``. One on two columns of height 1 swaps two
+    equal boxes, so it is zero mod 2 and not expanded. The kernel count of
+    `_kernel_dims` rests on every mask lying on the representatives that
+    repeat a column entry, so one that does not is refused here, for the
+    full build and the dominant blocks alike."""
     kind = skew_column(2)
-    out = []
+    semistandard = sum(1 << j for cols, j in r.items() if not has_column_repeat(cols))
+    span = SpanBuilder(len(r))
     for cols in r:
         for i, j in equal_boxes(cols):
             if len(cols[j]) > 1:
                 mask = _straighten(snake_terms(cols, i, j, kind), kind, r, known)
+                if off := mask & semistandard:
+                    raise InvariantError(
+                        f"a supplementary snake of {cols} lands on "
+                        f"{tuple(r)[off.bit_length() - 1]}, which has no column repeat"
+                    )
                 if mask:
-                    out.append(mask)
-    return tuple(out)
+                    span.add_mask(mask)
+    return span.subspace()
 
 
 @lru_cache(maxsize=256)
@@ -490,9 +485,9 @@ def _build(shape: Partition, d: int, p: int, kind: TabloidKind) -> QuotientModul
     kind and share this build. The relations are the basic snake of every
     tableau that is not row semistandard and, for the mod-2 skew kind, the
     supplementary snakes of the row-semistandard ones (zero on alternating
-    tabloids). The module adds to the layout (`_layout`) the cached
-    pattern of each packed weight (`_pattern`, which checks that each
-    block of it packs onto it), whose span is frozen already. So a build
+    tabloids). The module adds to the layout (`_layout`), which checks
+    that each block packs onto its pattern, the cached pattern of each
+    packed weight (`_pattern`), whose span is frozen already. So a build
     at a second prime shares the layout, index included, and the patterns
     themselves, whose integer images its reads reduce mod p. A space past
     `tabloids.BUILD_BUDGET` is refused before it is listed
@@ -524,25 +519,11 @@ def _dominant_block(shape: Partition, beta: Partition) -> tuple[tuple, Subspace]
     1..len(beta), in R-coordinates: its R-representatives, the j-th at
     coordinate j, and its frozen span. It is the block of beta padded with
     zeros for every larger d. Its only relations are the supplementary
-    snakes, straightened onto R (`_supplementary`), over GF(2). Every
-    straightened supplementary snake must lie in the coordinates of the
-    representatives that repeat a column entry: the kernel count of
-    `_kernel_dims` rests on it."""
+    snakes, straightened onto R and checked by `_supplementary`."""
     reps = tuple(enumerate_tableaux(
         shape, len(beta), TableauClass.ROW_AND_COLUMN_SEMISTANDARD, tuple(beta)
     ))
-    semistandard = sum(
-        1 << j for j, cols in enumerate(reps) if not has_column_repeat(cols)
-    )
-    span = SpanBuilder(len(reps))
-    for mask in _supplementary({cols: j for j, cols in enumerate(reps)}, {}):
-        if off := mask & semistandard:
-            raise InvariantError(
-                f"a supplementary snake of {beta} lands on "
-                f"{reps[off.bit_length() - 1]}, which has no column repeat"
-            )
-        span.add_mask(mask)
-    return reps, span.subspace()
+    return reps, _supplementary({cols: j for j, cols in enumerate(reps)}, {})
 
 
 def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
@@ -648,7 +629,7 @@ def _kernel_dims(shape: Partition, d: int) -> dict[Partition, int]:
     """Kernel dimension at each dominant weight where it is not zero, by
     counting. The surjection onto the dual Weyl module is the projection
     that drops the kernel generators G_beta, and the relations of a mod-2
-    skew dominant block lie in their coordinates (`_dominant_block` checks
+    skew dominant block lie in their coordinates (`_supplementary` checks
     this), so the kernel there is |G_beta| less the rank of the span."""
     out = {}
     for beta, positions in _gens_by_weight(shape, d).items():

@@ -463,6 +463,28 @@ def patch_values(monkeypatch, module, name, faults):
     monkeypatch.setattr(module, name, lambda *args: faults.get(args, true(*args)))
 
 
+def record_pushes(monkeypatch) -> list[list[int]]:
+    """Make each `SpanBuilder` that `quotients` builds record the masks
+    pushed onto it, in order: one list per builder, in the order they are
+    made."""
+    from dualweyl import quotients
+
+    pushes: list[list[int]] = []
+
+    class Recording(SpanBuilder):
+        def __init__(self, ambient_dim: int):
+            super().__init__(ambient_dim)
+            self.pushed: list[int] = []
+            pushes.append(self.pushed)
+
+        def add_mask(self, mask: int) -> bool:
+            self.pushed.append(mask)
+            return super().add_mask(mask)
+
+    monkeypatch.setattr(quotients, "SpanBuilder", Recording)
+    return pushes
+
+
 def simple_character(mu):
     """Coefficients of the mu-simple's character on the Schur basis, by
     inverting the unitriangular decomposition matrix row by row."""

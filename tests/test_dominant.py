@@ -45,6 +45,7 @@ from helpers import (
     inverse_schur_numbers,
     kernel_table_all_blocks,
     probe_builder,
+    record_pushes,
     straighten_terms,
 )
 
@@ -78,18 +79,15 @@ def _one_snake_loop(shape, beta, full, monkeypatch) -> int:
     """Check the premise of the one supplementary-snake loop on the mod-2
     skew block of content beta: the dominant block and the full-build
     pattern of that content (``full``, at d = len(beta)) have the same R,
-    in the same order, and both take from `quotients._supplementary` the
-    masks of the reference straightening of every supplementary snake
-    that is nonzero, those on two columns of height 1 included; neither
-    expands a snake on two columns of height 1. Returns how many of those
-    the reference met."""
+    in the same order, and both push, through `quotients._supplementary`,
+    onto one span builder each, the masks of the reference straightening
+    of every supplementary snake that is nonzero, those on two columns of
+    height 1 included, and freeze the same Q; neither expands a snake on
+    two columns of height 1. Returns how many of those the reference
+    met."""
     kind = skew_column(2)
-    real_loop, real_snake = quotients._supplementary, quotients.snake_terms
-    taken, expanded = [], []
-
-    def loop(r, known):
-        taken.append(real_loop(r, known))
-        return taken[-1]
+    real_snake = quotients.snake_terms
+    expanded = []
 
     def snake(cols, i, j, kind):
         if cols[j][i] == cols[j + 1][i]:  # a supplementary snake
@@ -97,21 +95,23 @@ def _one_snake_loop(shape, beta, full, monkeypatch) -> int:
         return real_snake(cols, i, j, kind)
 
     with monkeypatch.context() as m:
-        m.setattr(quotients, "_supplementary", loop)
+        pushes = record_pushes(m)
         m.setattr(quotients, "snake_terms", snake)
-        reps, _ = _dominant_block.__wrapped__(shape, beta)
+        reps, span = _dominant_block.__wrapped__(shape, beta)
         pattern = quotients._pattern.__wrapped__(shape, len(beta), tuple(beta), kind)
-    assert reps == pattern.r_cols, (shape, beta)
+    cols = build_basis(shape, len(beta), kind).cols
+    block = [cols[i] for i in full.indices]
+    assert reps == tuple(block[j] for j in pattern.r_pos), (shape, beta)
     pos = {cols: j for j, cols in enumerate(reps)}
     reference, flat = [], 0
-    for cols in pattern.r_cols:
+    for cols in reps:
         for i, j in equal_boxes(cols):
             flat += len(cols[j]) == 1
             image = straighten_terms(real_snake(cols, i, j, kind), kind, 2)
             if mask := sum(1 << pos[t] for t in image):
                 reference.append(mask)
-    assert taken == [tuple(reference)] * 2, (shape, beta)
-    assert pattern.supplementary == tuple(reference)
+    assert pushes == [reference] * 2, (shape, beta)
+    assert pattern.q == span
     assert 1 not in expanded
     return flat
 
@@ -263,6 +263,30 @@ def test_a_supplementary_snake_off_the_kernel_generators_is_refused(monkeypatch)
     )
     with pytest.raises(InvariantError, match="no column repeat"):
         _dominant_block.__wrapped__(shape, beta)
+
+
+def test_a_full_build_refuses_a_supplementary_snake_off_the_kernel_generators(
+    monkeypatch,
+):
+    # The full build straightens its supplementary snakes through the same
+    # `_supplementary`, so it checks the fact the kernel count rests on
+    # too. The pattern of (2,2) with content (2,2) holds the
+    # column-repeat representative ((1,1),(2,2)) beside the semistandard
+    # one; force a supplementary snake onto the latter, and the pattern
+    # must refuse to build.
+    shape, key, kind = Partition((2, 2)), (2, 2), skew_column(2)
+    semistandard = ((1, 2), (1, 2))
+    pattern = quotients._pattern.__wrapped__(shape, 2, key, kind)
+    assert pattern.q.dim == 1
+    layout = quotients._layout(shape, 2, kind)
+    reps = [layout.basis.cols[i] for i in layout.blocks[key].indices]
+    r_cols = [reps[j] for j in pattern.r_pos]
+    assert r_cols == [((1, 1), (2, 2)), semistandard]
+    monkeypatch.setattr(
+        quotients, "_straighten", lambda terms, kind, r, known: 1 << r[semistandard]
+    )
+    with pytest.raises(InvariantError, match="no column repeat"):
+        quotients._pattern.__wrapped__(shape, 2, key, kind)
 
 
 def test_skipped_supplementary_snakes_are_zero_mod_2(monkeypatch):

@@ -13,8 +13,16 @@ import pytest
 
 import dualweyl
 from dualweyl.garnir import GarnirLabel
+from dualweyl.gfp import Subspace
 from dualweyl.partitions import Partition
-from dualweyl.quotients import QuotientModule, _Block, _Layout, _Pattern, build_dual_weyl
+from dualweyl.quotients import (
+    QuotientModule,
+    _Block,
+    _Layout,
+    _Pattern,
+    build_dual_weyl,
+    build_gtensor_specht,
+)
 from dualweyl.records import FrozenRecordError
 from dualweyl.tableaux import Tableau
 from dualweyl.tabloids import (
@@ -118,6 +126,9 @@ def _records():
     block = layout.order[0]
     spans = dict(module._spans)
     span = spans[block.key]
+    skew = build_gtensor_specht(shape, 3, 2)._spans
+    mod2 = next(s for s in skew.values() if s.q.dim)
+    q, twin_q = mod2.q, Subspace(mod2.q.ambient_dim, dict(mod2.q._piv))
     label = (t, ((1, 1), (2, 1)), ((1, 2),))
     return [
         (SignedTabloid(t, -1), SignedTabloid(Tableau(t.cols), -1), True),
@@ -131,6 +142,8 @@ def _records():
         (block, _Block(block.indices, block.key), True),
         (layout, _Layout(basis, dict(layout.blocks)), True),
         (span, _Pattern(*(getattr(span, f) for f in span.__slots__)), True),
+        (mod2, _Pattern(mod2.r_pos, mod2.images, twin_q, mod2.free), True),
+        (q, twin_q, True),
         (module, QuotientModule(layout, 3, spans), None),
     ]
 
@@ -171,6 +184,13 @@ def test_records_compare_as_the_dataclasses_did():
 
 
 def test_records_copy_and_show_their_fields():
+    # A pickled or deep-copied hashable record equals its original and
+    # hashes as it does: a mod-2 pattern and its frozen span too, whose
+    # reduced echelon rows are canonical.
+    for record, _, hashable in _records():
+        if hashable:
+            for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert twin == record and hash(twin) == hash(record), record
     tabloid, _, _ = _records()[0]
     assert copy.copy(tabloid) == tabloid
     assert pickle.loads(pickle.dumps(tabloid)) == tabloid

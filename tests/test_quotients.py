@@ -658,10 +658,11 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
     # the basic snake of each tabloid there that is not row semistandard
     # (and at p = 2 the supplementary snakes, but none on two columns of
     # height 1, which is zero mod 2), and eliminates no basic snake: at odd
-    # p no pattern holds a supplementary snake, and at p = 2 the patterns
-    # hold each nonzero straightened supplementary snake.
+    # p no pattern makes a span builder, and at p = 2 the patterns push
+    # each nonzero straightened supplementary snake onto theirs.
     from dualweyl import quotients
     from dualweyl.garnir import GarnirLabel
+    from helpers import record_pushes
 
     shape, kind = Partition((5, 1)), skew_column(p)
     basic, supplementary, nonzero = _pattern_snakes(shape, 6, kind)
@@ -697,12 +698,13 @@ def test_build_creates_no_objects_per_relation(monkeypatch, p):
         return real_snake(*args)
 
     monkeypatch.setattr(quotients, "snake_terms", snake)
+    pushes = record_pushes(monkeypatch)
     module = quotients._build.__wrapped__(shape, 6, p, kind)
     assert created == []
     assert len(snakes) == basic + supplementary == len(set(snakes))
-    keys = {packed_weight(w) for w in module._layout.blocks}
-    patterns = [quotients._pattern(shape, 6, key, kind) for key in keys]
-    assert sum(len(pattern.supplementary) for pattern in patterns) == nonzero
+    masks = [mask for pushed in pushes for mask in pushed]
+    assert len(masks) == nonzero and all(masks)
+    assert len(pushes) == {2: len(module._layout.packs), 3: 0}[p]
     assert module.dim == 1050
 
 
@@ -766,23 +768,26 @@ def test_straightening_refuses_a_snake_that_is_not_unitriangular(monkeypatch):
 @pytest.mark.parametrize(
     "kind, p", [(ALT_COLUMN, 2), (ALT_COLUMN, 3), (skew_column(2), 2)], ids=repr
 )
-def test_pattern_images_match_straightening_from_scratch(kind, p):
+def test_pattern_images_match_straightening_from_scratch(kind, p, monkeypatch):
     # A pattern block straightens its representatives from the smallest up,
     # each through the images of the smaller ones it has kept, and its
-    # supplementary snakes through all of them. The supplementary images
-    # must be the nonzero reference straightenings of the supplementary
-    # snakes from scratch, in order (none for the alternating kind, on
-    # which they vanish), and Q their span in reduced echelon form by
-    # Gauss-Jordan elimination (`rref_oracle`). Reduced mod p, every image
-    # must equal the reference straightening of the same tabloid from
-    # scratch reduced modulo that span (`reduce_oracle`), so no mod-2 image
-    # holds a pivot of Q: every pattern block of every shape with n <= 6
-    # and d <= n, for each kind at each prime that reads it. The first
+    # supplementary snakes through all of them. The supplementary images it
+    # pushes onto its one span builder (none for the alternating kind, on
+    # which they vanish) must be the nonzero reference straightenings of
+    # the supplementary snakes from scratch, in order, and Q their span in
+    # reduced echelon form by Gauss-Jordan elimination (`rref_oracle`).
+    # Reduced mod p, every image must equal the reference straightening of
+    # the same tabloid from scratch reduced modulo that span
+    # (`reduce_oracle`), so no mod-2 image holds a pivot of Q: every
+    # pattern block of every shape with n <= 6 and d <= n, for each kind
+    # at each prime that reads it. The first
     # block of a packed weight of k letters uses the letters 1..k, as
     # checked here at d = n, so it is the pattern block at every d >= k.
     from dualweyl import quotients
     from dualweyl.garnir import equal_boxes, snake_terms
+    from helpers import record_pushes
 
+    pushes = record_pushes(monkeypatch)
     patterns = 0
     for n in range(1, 7):
         for shape in partitions_of(n):
@@ -794,8 +799,9 @@ def test_pattern_images_match_straightening_from_scratch(kind, p):
                 firsts.setdefault(packed_weight(w), (w, tuple(reps)))
             for key, (w, reps) in firsts.items():
                 assert w[: len(key)] == key, (shape, w)
+                pushes.clear()
                 pattern = quotients._straightened_block(reps, kind)
-                r_cols = pattern.r_cols
+                r_cols = tuple(reps[j] for j in pattern.r_pos)
                 snakes = [
                     snake_terms(source, *box, kind)
                     for source in r_cols
@@ -812,7 +818,9 @@ def test_pattern_images_match_straightening_from_scratch(kind, p):
 
                 images = (straighten_terms(snake, kind, p) for snake in snakes)
                 supplementary = [image for image in images if image]
-                assert list(map(over_r, pattern.supplementary)) == supplementary
+                assert len(pushes) == (pattern.q is not None)
+                masks = [mask for pushed in pushes for mask in pushed]
+                assert list(map(over_r, masks)) == supplementary
                 q = rref_oracle(map(dense, supplementary), len(r_cols), p)
                 if pattern.q is None:
                     assert q == []
@@ -1031,12 +1039,15 @@ def test_shared_blocks_match_the_unshared_build(p):
 
 
 @pytest.mark.parametrize("forge", ["drop", "rotate"])
-def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, forge):
+def test_a_layout_refuses_a_block_that_does_not_pack_onto_its_pattern(
+    monkeypatch, forge
+):
     # Forge a later block of a packed weight: one representative fewer (the
     # last one gets a block of its own, so the layout still partitions the
     # coordinates), or the same representatives starting at another one.
-    # The build reuses the first block's span, and `straighten` reads the
-    # pattern of its tabloid's block, only after checking both.
+    # The layout refuses it when it is made, so neither the build, which
+    # reuses the first block's span, nor `straighten`, which reads the
+    # pattern of its tabloid's block, gets to read a pattern over it.
     from dualweyl import quotients
     from dualweyl.partitions import InvariantError
 
@@ -1064,10 +1075,14 @@ def test_a_block_that_does_not_pack_onto_its_pattern_is_refused(monkeypatch, for
     quotients._layout.cache_clear()
     quotients._pattern.cache_clear()
     try:
+        shape = Partition((2, 1))
         with pytest.raises(InvariantError, match="does not pack"):
-            quotients._build.__wrapped__(Partition((2, 1)), 3, 2, skew_column(2))
-        shape, d = Partition((2, 1)), 4
-        quotients._layout(shape, d, ALT_COLUMN)
+            quotients._layout(shape, 3, skew_column(2))
+        with pytest.raises(InvariantError, match="does not pack"):
+            quotients._build.__wrapped__(shape, 3, 2, skew_column(2))
+        d = 4
+        with pytest.raises(InvariantError, match="does not pack"):
+            quotients._layout(shape, d, ALT_COLUMN)
         cols = build_basis(shape, d, ALT_COLUMN).cols
         t = Tableau(next(c for c in cols if weight_of(c, d) == weights[-1]))
         with pytest.raises(InvariantError, match="does not pack"):
@@ -1510,9 +1525,7 @@ def test_odd_p_reads_reduce_integer_images_mod_p(p):
                 image = (*image, (absent[0], p))
                 planted += 1
             images.append(image)
-        spans[key] = _Pattern(
-            span.first, span.r_cols, span.r_pos, (), tuple(images), None, span.r_pos
-        )
+        spans[key] = _Pattern(span.r_pos, tuple(images), None, span.r_pos)
     assert planted
     module = QuotientModule(layout, p, spans)
 
