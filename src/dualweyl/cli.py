@@ -211,7 +211,7 @@ def cmd_dim(args) -> int:
     if not alternating:
         from . import quotients
 
-        bound = quotients.dominant_rep_bound(args.which, shape, args.d, args.p)
+        bound = quotients.dominant_rep_bound(shape, args.d)
     if bound > DIM_REP_BUDGET:
         raise ValueError(
             f"{query} may need {bound} steps (boxes, or snake terms, weights "

@@ -7,7 +7,7 @@ relation depends only on the heights of its two columns and on the rows of
 A and B, not on the entries (James, The Representation Theory of the
 Symmetric Groups, LNM 682, section 7). A template holds, per coset
 representative, the positions of the two columns that fill the two new
-columns, and the parity; it is validated when it is built, and the snake
+columns, and the parity; each is checked to be a permutation, and the snake
 at row i of columns of heights h_j, h_{j+1} has one cached template. A
 term differs from its source only in those two columns, so only they are
 sorted, by `tabloids.sort_column`, which also gives each its sign (0 for
@@ -118,14 +118,8 @@ def _template(
     (0-based, increasing), one representative per left coset of the group
     permuting A and B separately. A representative is recorded by the
     entries of A|B that move into A; entries transfer order-preservingly
-    within each part, and the parity is that of the rearrangement."""
-    if not rows_a or not rows_b:
-        raise ValueError("A and B must be nonempty")
-    for rows, h in ((rows_a, hj), (rows_b, hj2)):
-        if list(rows) != sorted(set(rows)) or rows[0] < 0 or rows[-1] >= h:
-            raise ValueError(f"rows {rows} are not increasing rows of a column of {h}")
-    if len(rows_a) + len(rows_b) <= hj:
-        raise ValueError("|A| + |B| must exceed the left column height")
+    within each part, and the parity is that of the rearrangement. The
+    rows come from a validated label (`garnir_terms`) or a snake."""
     k, m = len(rows_a), len(rows_b)
     source = list(rows_a) + [hj + r for r in rows_b]
     reps = []

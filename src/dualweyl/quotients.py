@@ -87,7 +87,6 @@ from .partitions import (
     InvariantError,
     Partition,
     _check_prime,
-    alternating_forecast,
     count_syt,
     hook_content_dim,
     orbit,
@@ -376,10 +375,6 @@ class _Pattern(Record):
         object.__setattr__(self, "free", free)
 
     @property
-    def size(self) -> int:
-        return len(self.images)
-
-    @property
     def dim(self) -> int:
         return len(self.images) - len(self.free)
 
@@ -535,23 +530,20 @@ def module_dim(which: str, shape: Partition, d: int, p: int) -> int:
     return hook_content_dim(shape, d) + (0 if alternating else u_lambda_dim(shape, d))
 
 
-def dominant_rep_bound(which: str, shape: Partition, d: int, p: int) -> int:
-    """A closed-form forecast of the work of `module_dim`, and through the
-    mod-2 skew blocks of the kernel: `tabloids.alternating_forecast` for
-    an alternating dimension. On the mod-2 skew path every
-    representative holds the n boxes, and past the budget they are the
-    forecast; below it, the largest snake template, the dominant weights,
-    the n boxes that each weight's block places when the shape has two
-    rows or more (a one-row shape builds no block), and, within the
-    budget, the R-representatives the blocks hold. Standardizing the
-    letters one at a time maps each R_beta into the standard tableaux, so
-    |R_beta| <= f^shape; and all R_beta together, over at most
-    m = min(d, n) letters, are at most the row-and-column-semistandard
-    tableaux over m letters, which adding i - 1 to row i makes
-    semistandard over m + len(shape) - 1."""
-    alternating = alternating_forecast(which, shape, d, p)
-    if alternating is not None:
-        return alternating
+def dominant_rep_bound(shape: Partition, d: int) -> int:
+    """A closed-form forecast of the work of a mod-2 skew `dim` query,
+    `module_dim` or the kernel, through the dominant blocks; `cli.cmd_dim`
+    sends an alternating query to `partitions.alternating_forecast`
+    instead. Every representative holds the n boxes, and past the budget
+    they are the forecast; below it, the largest snake template, the
+    dominant weights, the n boxes that each weight's block places when the
+    shape has two rows or more (a one-row shape builds no block), and,
+    within the budget, the R-representatives the blocks hold.
+    Standardizing the letters one at a time maps each R_beta into the
+    standard tableaux, so |R_beta| <= f^shape; and all R_beta together,
+    over at most m = min(d, n) letters, are at most the
+    row-and-column-semistandard tableaux over m letters, which adding
+    i - 1 to row i makes semistandard over m + len(shape) - 1."""
     if shape.n > DIM_REP_BUDGET:
         return shape.n
     m = min(d, shape.n)

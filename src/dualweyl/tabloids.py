@@ -18,11 +18,11 @@ it by arithmetic, with no per-tabloid table. The basis still lists its
 representatives as column tuples (``cols``), which full builds walk and
 `rep` reads; `Tableau` objects are made only at the API boundary (`rep`,
 `terms`, `canonicalize`). `build_basis` is the one gate in front of every
-basis listing: it counts a space in closed form (`_ambient_count`, the
-capped count `tableaux.enumerate_tableaux` gates its product listings
-by) and refuses one past `BUILD_BUDGET` before it lists a tableau. The
-`TabloidBasis` constructor refuses such a space too, before it forms the
-column heights, so no basis over one exists.
+basis listing: `_refuse_oversized` counts a space in closed form (with
+`tableaux.capped_product_count`, which also gates the product listings
+of `enumerate_tableaux`) and refuses one past `BUILD_BUDGET` before a
+tableau is listed. The `TabloidBasis` constructor refuses such a space
+too, before it forms the column heights, so no basis over one exists.
 """
 
 from __future__ import annotations
@@ -218,20 +218,13 @@ class TabloidBasis(Record, hidden=("cols", "dim", "heights", "weights")):
         return Tableau(self.cols[i])
 
 
-def _ambient_count(shape: Partition, d: int, kind: TabloidKind) -> int:
-    """The number of tabloids of ``kind`` over d letters, in closed form: a
-    column of height h holds a set of h letters, or for mod-2 skew a
-    multiset, so the count is the product of C(d, h) or C(d + h - 1, h)
-    over the columns, capped past `BUILD_BUDGET` as
-    `tableaux.capped_product_count` caps it."""
-    strict = kind.zero_on_column_repeats
-    return capped_product_count(shape, lambda h: column_count(h, d, strict))
-
-
 def _refuse_oversized(shape: Partition, d: int, kind: TabloidKind) -> None:
-    """Refuse, with `ValueError`, a tabloid space past `BUILD_BUDGET` by
-    `_ambient_count`, which forms nothing but the capped count."""
-    count = _ambient_count(shape, d, kind)
+    """Refuse, with `ValueError`, a tabloid space past `BUILD_BUDGET`: the
+    product over the columns of C(d, h), or C(d + h - 1, h) for mod-2 skew
+    (a set of h letters, or a multiset), capped past the budget by
+    `tableaux.capped_product_count`, which forms nothing else."""
+    strict = kind.zero_on_column_repeats
+    count = capped_product_count(shape, lambda h: column_count(h, d, strict))
     if count > BUILD_BUDGET:
         raise ValueError(
             f"the {kind!r} tabloid space of {shape} at d={d} holds at least "
@@ -243,11 +236,11 @@ def _refuse_oversized(shape: Partition, d: int, kind: TabloidKind) -> None:
 def build_basis(shape: Partition, d: int, kind: TabloidKind) -> TabloidBasis:
     """Basis of canonical representatives, listed in the deterministic
     tableau order: the product of the columns' lex lists, which `rank`
-    reads as mixed-radix numbers. A space past `BUILD_BUDGET` by
-    `_ambient_count` is refused with `ValueError` before anything is
-    listed, as the `TabloidBasis` constructor refuses it before it forms
-    the column heights, so every full build, straightening and unpickled
-    basis passes this one gate."""
+    reads as mixed-radix numbers. A space past `BUILD_BUDGET` is refused
+    by `_refuse_oversized` with `ValueError` before anything is listed, as
+    the `TabloidBasis` constructor refuses it before it forms the column
+    heights, so every full build, straightening and unpickled basis passes
+    this one gate."""
     _refuse_oversized(shape, d, kind)
     cols = tuple(enumerate_tableaux(shape, d, basis_class(kind)))
     basis = TabloidBasis(kind, shape, d, cols)

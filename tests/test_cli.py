@@ -96,7 +96,7 @@ def test_dim_refuses_a_tall_snake_template_at_once(capsys):
     )
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "") and "budget" in err
-    bound = dominant_rep_bound("u", parse_partition("2^12"), 2, 2)
+    bound = dominant_rep_bound(parse_partition("2^12"), 2)
     assert 1716 < bound <= DIM_REP_BUDGET
 
 
@@ -113,7 +113,7 @@ def test_dim_refuses_a_long_column_at_once(capsys):
     for which in ("gtensor", "u"):
         # First the forecast alone: one that admits the query fails here
         # instead of running it for minutes.
-        assert dominant_rep_bound(which, column, 2, 2) > DIM_REP_BUDGET, which
+        assert dominant_rep_bound(column, 2) > DIM_REP_BUDGET, which
         started = time.perf_counter()
         code, out, err = run(
             capsys, "dim", "--which", which, "--lambda", "1^50000", "--d", "2",
@@ -177,7 +177,7 @@ def test_dim_refuses_many_weights_at_once(capsys):
     from dualweyl.partitions import DIM_REP_BUDGET
 
     started = time.perf_counter()
-    bound = dominant_rep_bound("gtensor", Partition((10000,)), 10000, 2)
+    bound = dominant_rep_bound(Partition((10000,)), 10000)
     assert time.perf_counter() - started < 1
     assert bound > DIM_REP_BUDGET
     code, out, err = run(
@@ -218,7 +218,7 @@ def test_dim_refuses_too_many_parts_before_expanding_them(capsys):
 def test_dim_budget_admits_the_documented_queries():
     # Every query of the benchmark's dim-queries workload and every `dim`
     # example of the README stays under the budget.
-    from dualweyl.partitions import Partition, parse_partition
+    from dualweyl.partitions import Partition, alternating_forecast, parse_partition
     from dualweyl.quotients import dominant_rep_bound
     from dualweyl.partitions import DIM_REP_BUDGET
 
@@ -239,8 +239,12 @@ def test_dim_budget_admits_the_documented_queries():
             queries.append((opts["--which"], parse_partition(opts["--lambda"]),
                             int(opts["--d"]), int(opts["--p"])))
     assert len(queries) == 15
-    for query in queries:
-        assert dominant_rep_bound(*query) <= DIM_REP_BUDGET, query
+    for which, shape, d, p in queries:
+        # `dim`'s dispatch: only a mod-2 skew query reaches the block forecast
+        bound = alternating_forecast(which, shape, d, p)
+        if bound is None:
+            bound = dominant_rep_bound(shape, d)
+        assert bound <= DIM_REP_BUDGET, (which, shape, d, p)
 
 
 def test_readme_commands_run_as_written(capsys, monkeypatch, tmp_path):
@@ -341,14 +345,13 @@ def test_dim_answers_a_huge_prime_at_once(capsys):
 def test_dim_refuses_a_huge_shape_at_once(capsys):
     # A million boxes are over the budget on their own; the hook-content
     # product is not evaluated.
-    from dualweyl.partitions import parse_partition
-    from dualweyl.quotients import dominant_rep_bound
+    from dualweyl.partitions import alternating_forecast, parse_partition
     from dualweyl.partitions import DIM_REP_BUDGET
 
     for lam in ("1000000", "1^1000000"):
         shape = parse_partition(lam)
         started = time.perf_counter()
-        assert dominant_rep_bound("nabla", shape, 2, 2) > DIM_REP_BUDGET
+        assert alternating_forecast("nabla", shape, 2, 2) > DIM_REP_BUDGET
         assert time.perf_counter() - started < 2, lam
         code, out, err = run(capsys, "dim", "--which", "nabla", "--lambda", lam, "--d", "2")
         assert (code, out) == (2, "") and "budget" in err, lam
