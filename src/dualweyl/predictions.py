@@ -15,7 +15,6 @@ from .quotients import (
     module_dim,
     verify_iso,
 )
-from .tableaux import TableauClass, enumerate_tableaux
 
 
 def predict_iso(shape: Partition) -> bool:
@@ -123,8 +122,29 @@ def supplementary_rank_gain(shape: Partition, d: int) -> int:
     unitriangular, so their rank is the number of skew tabloids that are
     not row semistandard, and the gain is the number of row-semistandard
     ones, R, less the dimension."""
-    reps = enumerate_tableaux(shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD)
-    return len(reps) - module_dim("gtensor", shape, d, 2)
+    dim = module_dim("gtensor", shape, d, 2)
+    return _r_count(shape, d) - dim
+
+
+def _r_count(shape: Partition, d: int) -> int:
+    """|R| over d letters, with nothing listed. Adding i - 1 to row i maps
+    R one-to-one onto the semistandard tableaux with row i in [i, d + i - 1],
+    which the flagged Jacobi-Trudi determinant det[C(d + lambda_i - 1,
+    lambda_i - i + j)] counts (Gessel-Viennot; Wachs, JCTA 40, 1985). Its
+    Bareiss elimination divides exactly, and its k-th pivot, the count for
+    the first k rows, is at least 1 (the filling by 1s)."""
+    w = len(shape)
+    m = [
+        [comb(d + a - 1, k) if k >= 0 else 0 for k in range(a - i, a - i + w)]
+        for i, a in enumerate(shape)
+    ]
+    prev = 1
+    for k, row in enumerate(m[:-1]):
+        for below in m[k + 1:]:
+            for j in range(k + 1, w):
+                below[j] = (below[j] * row[k] - below[k] * row[j]) // prev
+        prev = row[k]
+    return m[-1][-1]
 
 
 def min_interpolation_degree(values: list[int]) -> int:

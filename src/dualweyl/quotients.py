@@ -66,9 +66,9 @@ relation left on R: its dimension is the hook-content count
 its supplementary snakes as its only relations. The kernel U is a count
 in those coordinates (`_kernel_dims`), and a mod-2 skew dimension is the
 hook-content count plus dim U, as the surjection onto the dual Weyl
-module is onto. The basic rank is the number of tabloids outside R, which
-is how `predictions.supplementary_rank_gain` counts the rank the
-supplementary snakes add without a full build.
+module is onto. The basic rank is the number of tabloids outside R, so
+`predictions.supplementary_rank_gain` counts the rank the supplementary
+snakes add as |R|, a determinant, less the dimension, with no build.
 """
 
 from __future__ import annotations

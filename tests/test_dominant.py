@@ -2,6 +2,8 @@
 it rests on: final block ranks are constant on S_d-orbits of weights and do
 not depend on d, while the rank of the basic relations alone is not."""
 
+import hashlib
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +13,7 @@ from math import factorial, prod
 import pytest
 
 from dualweyl import quotients, tableaux
-from dualweyl.garnir import equal_boxes
+from dualweyl.garnir import equal_boxes, snake_box
 from dualweyl.partitions import (
     InvariantError,
     Partition,
@@ -45,6 +47,7 @@ from helpers import (
     block_spans,
     inverse_schur_numbers,
     kernel_table_all_blocks,
+    patch_values,
     probe_builder,
     record_pushes,
     straighten_terms,
@@ -290,6 +293,48 @@ def test_a_full_build_refuses_a_supplementary_snake_off_the_kernel_generators(
         quotients._pattern.__wrapped__(shape, 2, key, kind)
 
 
+def test_the_dominant_straightening_refuses_a_snake_that_is_not_unitriangular(
+    monkeypatch,
+):
+    # A dominant block has no pattern walk to check its basic snakes first:
+    # `_straighten` expands each one that a supplementary snake brings in,
+    # and its own checks are the only ones on this path. The block of (3,1)
+    # with content (2,1,1) expands one basic snake. Forge each fault into
+    # it, and the block must refuse to build, naming the fault.
+    shape, beta, kind = Partition((3, 1)), Partition((2, 1, 1)), skew_column(2)
+    source = ((1, 1), (3,), (2,))
+    args = (source, *snake_box(source), kind)
+    expanded = []
+    true = quotients.snake_terms
+    with monkeypatch.context() as m:
+        m.setattr(quotients, "snake_terms", lambda *a: expanded.append(a) or true(*a))
+        _dominant_block.__wrapped__(shape, beta)
+    assert [a for a in expanded if snake_box(a[0]) is not None] == [args]
+    terms = true(*args)
+    # the greatest tabloid of the block outside R (a smaller key is a
+    # greater tableau), and a row-semistandard one of another content
+    reps = enumerate_tableaux(shape, 3, basis_class(kind), tuple(beta))
+    greater = min((c for c in reps if snake_box(c)), key=quotients._col_key)
+    assert quotients._col_key(greater) < quotients._col_key(source)
+    outside = ((1, 1), (2,), (2,))
+    faults = {
+        f"basic snake of {source} does not lead with it": {
+            t: c for t, c in terms.items() if t != source
+        },
+        f"basic snake of {source} brings in {greater}, which is not below it": {
+            **terms, greater: 1
+        },
+        f"relation term {outside} lies outside its weight block": {
+            **terms, outside: 1
+        },
+    }
+    for message, fault in faults.items():
+        with monkeypatch.context() as m:
+            patch_values(m, quotients, "snake_terms", {args: fault})
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                _dominant_block.__wrapped__(shape, beta)
+
+
 def test_skipped_supplementary_snakes_are_zero_mod_2(monkeypatch):
     # A dominant block expands no supplementary snake on two columns of
     # height 1: it swaps two equal boxes, so its terms cancel mod 2. Every
@@ -316,6 +361,27 @@ def test_skipped_supplementary_snakes_are_zero_mod_2(monkeypatch):
                             skipped += 1
                             assert snake_terms(cols, i, j, skew_column(2)) == {}
     assert skipped
+
+
+def test_the_kernel_census_is_pinned():
+    # Each dominant block that can hold a kernel generator, for every shape
+    # with n <= 8 at d = n: (shape, beta, dim U_beta, |G_beta|, dim Q_beta),
+    # sorted and hashed. thm2's report pins only an iso verdict per d and
+    # the rank gain at d = n - 2, so a rewrite of the kernel counts could
+    # move one U_beta at n = 8 and pass it; it cannot pass this. The blocks
+    # are those with beta_1 >= 2 of every shape with two rows or more.
+    rows = []
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            kernel = _kernel_dims(shape, n)
+            for beta, gens in quotients._gens_by_weight(shape, n).items():
+                q = _dominant_block(shape, beta)[1].dim
+                u = kernel.get(beta, 0)
+                rows.append((tuple(shape), tuple(beta), u, len(gens), q))
+    rows.sort()
+    assert len(rows) == 794
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "2a50962cf42b871548ec6f067201843b289d1319459c8df5516359153fc5a2cb"
 
 
 def test_kernel_dimension_is_the_exact_polynomial():

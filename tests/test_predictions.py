@@ -7,6 +7,7 @@ from dualweyl.partitions import Partition, count_syt, partitions_of
 from dualweyl.predictions import (
     D1Result,
     TABLE1_FORMULAS,
+    _r_count,
     d1_predict,
     frobenius_weight_check,
     hook_d2_dim,
@@ -20,7 +21,7 @@ from dualweyl.predictions import (
     u_dim_degree,
 )
 from dualweyl.quotients import build_gtensor_specht, u_lambda_dim
-from dualweyl.tableaux import weight_of
+from dualweyl.tableaux import TableauClass, enumerate_tableaux, weight_of
 from helpers import ker_q_generators, nontrivial_idempotents, specht_endomorphisms
 
 
@@ -179,6 +180,22 @@ def test_supplementary_rank_gain_matches_the_full_build(n):
         for d in range(1, n + 1):
             full = build_gtensor_specht(shape, d, 2).supplementary_rank_gain
             assert supplementary_rank_gain(shape, d) == full, (shape, d)
+
+
+def test_r_is_counted_by_a_flagged_jacobi_trudi_determinant():
+    # `supplementary_rank_gain` counts R, the row-and-column-semistandard
+    # tableaux, by a determinant; check it against their listing for every
+    # shape with n <= 7 and d <= n + 1, d < len(shape) included.
+    pairs = 0
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            for d in range(1, n + 2):
+                listed = enumerate_tableaux(
+                    shape, d, TableauClass.ROW_AND_COLUMN_SEMISTANDARD
+                )
+                assert _r_count(shape, d) == len(listed), (shape, d)
+                pairs += 1
+    assert pairs == 284
 
 
 def test_min_interpolation_degree():
