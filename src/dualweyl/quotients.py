@@ -358,7 +358,7 @@ class _Pattern(Record):
     masks reduced modulo Q, which is linear, so a sum of images is reduced
     already. Every read tells the two formats apart by whether ``q`` is
     None. The span is that of e_i - image(i) for i outside R, and Q: its
-    dimension is size less the free coordinates."""
+    dimension is the number of images less the free coordinates."""
 
     __slots__ = ("r_pos", "images", "q", "free")
 
